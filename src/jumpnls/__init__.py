@@ -2,7 +2,7 @@
 
 Modules
 -------
-spectral     eigenbasis construction, dyadic truncation levels, norms
+spectral     mode tables, fast transforms, dyadic truncation levels, norms
 nonlinear    power nonlinearities and their potential functional
 noise        jump measures, moments, Poisson sampling, seed streams
 jumps        assembled noise operators, jump maps, difference bounds

@@ -13,7 +13,8 @@ eigendecomposition is reused through a warmable per-mark cache (read-only
 after warmup, so shared state across worker threads is safe).
 
 The level constants ``bound_H / bound_EA / bound_Lp`` are the sums of squared
-operator norms of the M_m in the respective spaces; they give the elementary
+operator norms of the M_m in the respective spaces (``bound_H`` and
+``bound_EA`` are computed on first read); they give the elementary
 inequalities
 
     ||B(l)||        <= |l| sqrt(bound_H)
@@ -27,10 +28,10 @@ by Cauchy-Schwarz in l and spectral calculus.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .exceptions import NumericsError, ShapeError
 from .spectral import GalerkinLevel, SpectralModel, estimate_smoothing_lp_norm
@@ -45,17 +46,30 @@ class NoiseOperators:
 
     ``matrices[m]`` is the Hermitian matrix of channel m on the level basis.
     ``hermiticity_defect`` records the largest entry deviation removed by
-    symmetrization at assembly.
+    symmetrization at assembly.  ``energy_weights`` are ``sqrt(1 + lambda_A)``
+    on the level's modes.
     """
 
     level: GalerkinLevel
     symbols: np.ndarray            # (N, num_grid) real symbol samples
     matrices: np.ndarray           # (N, dim, dim) complex Hermitian
-    bound_H: float
-    bound_EA: float
+    energy_weights: np.ndarray     # (dim,)
     bound_Lp: float | None
     hermiticity_defect: float
     _eig_cache: dict = dataclasses.field(default_factory=dict, repr=False)
+
+    @functools.cached_property
+    def bound_H(self) -> float:
+        """Sum over channels of the squared spectral norms ``||M_m||^2``."""
+        return float(sum(np.linalg.norm(M, 2) ** 2 for M in self.matrices))
+
+    @functools.cached_property
+    def bound_EA(self) -> float:
+        """Sum over channels of the squared operator norms of M_m on the energy space."""
+        w = self.energy_weights
+        return float(sum(
+            np.linalg.norm(w[:, None] * M / w[None, :], 2) ** 2 for M in self.matrices
+        ))
 
     @property
     def num_channels(self) -> int:
@@ -94,23 +108,26 @@ def assemble_noise_operators(
     """Quadrature assembly of the smoothed multiplication operators.
 
     ``symbols`` is an (N, num_grid) array (or list of grid samples) of
-    real-valued multiplier functions.  ``lp_exponent``, when given, triggers
-    the empirical L^p operator-norm estimate entering ``bound_Lp``.
+    real-valued multiplier functions.  Column j of channel m is the smoothed
+    mode ``s_j h_j`` synthesized to the grid, multiplied by the symbol,
+    analyzed back and scaled by the cutoff again, all through the model's
+    transforms.  ``lp_exponent``, when given, triggers the empirical L^p
+    operator-norm estimate entering ``bound_Lp``.
     """
     symbols = np.atleast_2d(np.asarray(symbols, dtype=float))
     if symbols.ndim != 2 or symbols.shape[1] != model.num_grid:
         raise ShapeError(
             f"symbols must be (N, {model.num_grid}) grid samples, got {symbols.shape}"
         )
-    basis = model.basis_grid[level.indices]           # (dim, grid)
-    weighted = basis.conj() * model.grid_weights      # rows scaled by quadrature
     smoother = level.multipliers
+    smoothed_modes = model.synthesize(np.diag(smoother), indices=level.indices)
 
     matrices = np.empty((symbols.shape[0], level.dim, level.dim), dtype=complex)
     defect = 0.0
     for m, symbol in enumerate(symbols):
-        raw = (weighted * symbol) @ basis.T
-        raw = smoother[:, None] * raw * smoother[None, :]
+        # row j holds column j of the operator
+        rows = model.analyze(symbol * smoothed_modes, indices=level.indices)
+        raw = smoother[:, None] * rows.T
         defect = max(defect, float(np.max(np.abs(raw - raw.conj().T))))
         matrices[m] = 0.5 * (raw + raw.conj().T)
     if defect > HERMITICITY_TOLERANCE:
@@ -119,11 +136,6 @@ def assemble_noise_operators(
             f"(tolerance {HERMITICITY_TOLERANCE:.1e})"
         )
 
-    norms_H = [np.linalg.norm(M, 2) for M in matrices]
-    weights = np.sqrt(1.0 + model.eigenvalues_A[level.indices])
-    norms_EA = [
-        np.linalg.norm(weights[:, None] * M / weights[None, :], 2) for M in matrices
-    ]
     bound_Lp = None
     if lp_exponent is not None:
         # ratio maximisation of the assembled operator in L^p via probes
@@ -137,8 +149,7 @@ def assemble_noise_operators(
         level=level,
         symbols=symbols,
         matrices=matrices,
-        bound_H=float(sum(x**2 for x in norms_H)),
-        bound_EA=float(sum(x**2 for x in norms_EA)),
+        energy_weights=np.sqrt(1.0 + model.eigenvalues_A[level.indices]),
         bound_Lp=bound_Lp,
         hermiticity_defect=defect,
     )
@@ -194,6 +205,8 @@ def marcus_flow(
     Cross-validation oracle for :func:`jump_map` (which is the exact
     ``duration = 1`` flow); kept independent of the eigendecomposition path.
     """
+    from scipy.integrate import solve_ivp
+
     state = np.asarray(state, dtype=complex)
     matrix = generator(ops, mark)
 

@@ -1,7 +1,18 @@
 """Spectral bases, dyadic Galerkin levels, and smoothed spectral truncation.
 
-A model is built from an explicit eigenbasis of the Laplacian on a torus or an
-interval.  Two diagonal operators act on coefficients:
+A model holds the eigenbasis of the Laplacian on a torus or an interval as a
+mode table and a uniform quadrature grid.  Coefficients move to grid samples
+and back through one fast transform per domain, never a stored basis matrix:
+
+* torus (1-d and 2-d): the discrete Fourier transform (``numpy.fft``);
+* Dirichlet interval, midpoint grid: DST-III to the grid, DST-II back;
+* Neumann interval, midpoint grid: DCT-III to the grid, DCT-II back.
+
+All are taken in their orthonormal form, so the only scale is the square root
+of the quadrature cell weight.  ``scipy.fft`` is imported the first time an
+interval model transforms.
+
+Two diagonal operators act on coefficients:
 
 * ``A`` — the (fractional) Laplacian power, eigenvalues ``lambda_A``; it drives
   the linear part of the dynamics and weighs the energy norm.
@@ -149,12 +160,15 @@ def mihlin_suprema(n: int, max_order: int = 2, samples: int = 4001) -> np.ndarra
 
 @dataclasses.dataclass(frozen=True)
 class SpectralModel:
-    """Eigenbasis, quadrature grid, and diagonal operator data for one domain.
+    """Mode table, quadrature grid, and diagonal operator data for one domain.
 
     Modes are sorted by increasing ``lambda_S`` (ties broken by wavenumber).
-    ``basis_grid[m, j]`` holds basis function m at grid node j; the quadrature
-    rule (``grid_weights``) integrates products of retained basis functions
-    exactly, so analyze/synthesize round-trips are identities to rounding.
+    Mode m sits at flat index ``positions[m]`` of the spectrum that the
+    domain's transform maps to the grid (``grid_shape`` nodes per axis):
+    ``k mod M`` on each torus axis, ``k - 1`` for Dirichlet sines and ``k``
+    for Neumann cosines.  The quadrature rule (``grid_weights``, uniform)
+    integrates products of retained modes exactly, so analyze/synthesize
+    round-trips are identities to rounding.
     """
 
     domain: Domain
@@ -166,35 +180,73 @@ class SpectralModel:
     eigenvalues_S: np.ndarray    # (num_modes,)
     grid_points: np.ndarray      # (num_grid, dim)
     grid_weights: np.ndarray     # (num_grid,)
-    basis_grid: np.ndarray       # (num_modes, num_grid) complex
+    grid_shape: tuple[int, ...]  # nodes per axis
+    positions: np.ndarray        # (num_modes,) flat spectrum index of each mode
+    root_weight: float           # sqrt of the quadrature weight of one node
 
     @property
     def num_modes(self) -> int:
-        return self.basis_grid.shape[0]
+        return len(self.positions)
 
     @property
     def num_grid(self) -> int:
-        return self.basis_grid.shape[1]
+        return len(self.grid_weights)
 
     def synthesize(self, coefficients: np.ndarray, indices=None) -> np.ndarray:
-        """Coefficient vector -> samples on the quadrature grid."""
-        basis = self.basis_grid if indices is None else self.basis_grid[indices]
+        """Coefficients (last axis) -> samples on the quadrature grid.
+
+        The last axis holds all retained modes, or those selected by
+        ``indices``; leading axes are a batch.
+        """
+        positions = self.positions if indices is None else self.positions[indices]
         coefficients = np.asarray(coefficients)
-        if coefficients.shape != (basis.shape[0],):
+        if coefficients.shape[-1:] != positions.shape:
             raise ShapeError(
-                f"expected {basis.shape[0]} coefficients, got shape {coefficients.shape}"
+                f"expected {len(positions)} coefficients, got shape {coefficients.shape}"
             )
-        return coefficients @ basis
+        spectrum = np.zeros(coefficients.shape[:-1] + (self.num_grid,), dtype=complex)
+        spectrum.T[positions] = coefficients.T / self.root_weight  # modes axis first
+        return _to_grid(self.domain.kind, spectrum, self.grid_shape)
 
     def analyze(self, values: np.ndarray, indices=None) -> np.ndarray:
-        """Grid samples -> coefficients of the retained (or selected) modes."""
-        basis = self.basis_grid if indices is None else self.basis_grid[indices]
+        """Grid samples (last axis) -> coefficients of the retained (or selected) modes."""
+        positions = self.positions if indices is None else self.positions[indices]
         values = np.asarray(values)
-        if values.shape != (basis.shape[1],):
+        if values.shape[-1:] != (self.num_grid,):
             raise ShapeError(
-                f"expected {basis.shape[1]} grid values, got shape {values.shape}"
+                f"expected {self.num_grid} grid values, got shape {values.shape}"
             )
-        return (basis.conj() * self.grid_weights) @ values
+        spectrum = _from_grid(self.domain.kind, values, self.grid_shape)
+        coefficients = spectrum.take(positions, axis=-1) * self.root_weight
+        return coefficients.astype(complex, copy=False)
+
+
+def _to_grid(kind: str, spectrum: np.ndarray, grid_shape) -> np.ndarray:
+    """Orthonormal spectrum -> grid transform along the last axis."""
+    if kind == TORUS_1D:
+        return np.fft.ifft(spectrum, norm="ortho")
+    if kind == TORUS_2D:
+        square = spectrum.reshape(spectrum.shape[:-1] + grid_shape)
+        return np.fft.ifft2(square, norm="ortho").reshape(spectrum.shape)
+    import scipy.fft
+
+    if kind == INTERVAL_DIRICHLET:
+        return scipy.fft.dst(spectrum, type=3, norm="ortho")
+    return scipy.fft.dct(spectrum, type=3, norm="ortho")
+
+
+def _from_grid(kind: str, values: np.ndarray, grid_shape) -> np.ndarray:
+    """Orthonormal grid -> spectrum transform along the last axis; inverts :func:`_to_grid`."""
+    if kind == TORUS_1D:
+        return np.fft.fft(values, norm="ortho")
+    if kind == TORUS_2D:
+        square = values.reshape(values.shape[:-1] + grid_shape)
+        return np.fft.fft2(square, norm="ortho").reshape(values.shape)
+    import scipy.fft
+
+    if kind == INTERVAL_DIRICHLET:
+        return scipy.fft.dst(values, type=2, norm="ortho")
+    return scipy.fft.dct(values, type=2, norm="ortho")
 
 
 def _mode_table(domain: Domain, beta: float, threshold: float):
@@ -246,7 +298,7 @@ def build_spectral_model(
     max_level: int = 6,
     dealias_factor: int = 2,
 ) -> SpectralModel:
-    """Construct the eigenbasis and grid holding all levels up to ``max_level``.
+    """Construct the mode table and grid holding all levels up to ``max_level``.
 
     Parameters
     ----------
@@ -276,44 +328,40 @@ def build_spectral_model(
     lam_A = np.array([r[2] for r in rows])
 
     dim = domain.dimension
-    axis_nodes, axis_weights = [], []
+    torus = domain.kind in (TORUS_1D, TORUS_2D)
+    axis_nodes, grid_shape = [], []
     for axis in range(dim):
         L = domain.lengths[axis]
         kmax = int(np.max(np.abs(wavenumbers[:, axis])))
         M = dealias_factor * (kmax + 1)
-        if domain.kind in (TORUS_1D, TORUS_2D):
+        if torus:
             x = L * np.arange(M) / M
         else:
             x = L * (np.arange(M) + 0.5) / M  # midpoint rule; no boundary nodes
         axis_nodes.append(x)
-        axis_weights.append(np.full(M, L / M))
+        grid_shape.append(M)
+    grid_shape = tuple(grid_shape)
+    num_grid = math.prod(grid_shape)
+    weight = math.prod(L / M for L, M in zip(domain.lengths, grid_shape))
 
     if dim == 1:
         grid_points = axis_nodes[0][:, None]
-        grid_weights = axis_weights[0]
     else:
         X, Y = np.meshgrid(axis_nodes[0], axis_nodes[1], indexing="ij")
         grid_points = np.column_stack([X.ravel(), Y.ravel()])
-        W1, W2 = np.meshgrid(axis_weights[0], axis_weights[1], indexing="ij")
-        grid_weights = (W1 * W2).ravel()
 
-    basis = np.empty((len(rows), grid_points.shape[0]), dtype=complex)
-    for m, wn in enumerate(wavenumbers):
-        values = np.ones(grid_points.shape[0], dtype=complex)
-        for axis in range(dim):
-            L = domain.lengths[axis]
-            x = grid_points[:, axis]
-            k = wn[axis]
-            if domain.kind in (TORUS_1D, TORUS_2D):
-                values = values * np.exp(2j * math.pi * k * x / L) / math.sqrt(L)
-            elif domain.kind == INTERVAL_DIRICHLET:
-                values = values * math.sqrt(2.0 / L) * np.sin(k * math.pi * x / L)
-            else:  # Neumann
-                if k == 0:
-                    values = values / math.sqrt(L)
-                else:
-                    values = values * math.sqrt(2.0 / L) * np.cos(k * math.pi * x / L)
-        basis[m] = values
+    # spectrum index of each mode.  M >= 2 (kmax + 1): torus residues are
+    # distinct, and no sine reaches index M - 1, which the orthonormal DST
+    # scales differently
+    if torus:
+        positions = np.ravel_multi_index(
+            tuple(wavenumbers[:, axis] % M for axis, M in enumerate(grid_shape)),
+            grid_shape,
+        )
+    elif domain.kind == INTERVAL_DIRICHLET:
+        positions = wavenumbers[:, 0] - 1
+    else:  # Neumann
+        positions = wavenumbers[:, 0]
 
     return SpectralModel(
         domain=domain,
@@ -324,8 +372,10 @@ def build_spectral_model(
         eigenvalues_A=lam_A,
         eigenvalues_S=lam_S,
         grid_points=grid_points,
-        grid_weights=grid_weights,
-        basis_grid=basis,
+        grid_weights=np.full(num_grid, weight),
+        grid_shape=grid_shape,
+        positions=positions,
+        root_weight=math.sqrt(weight),
     )
 
 

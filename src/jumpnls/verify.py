@@ -103,8 +103,8 @@ def _result(name, passed, detail):
 # ---------------------------------------------------------------------------
 
 def check_quadrature_orthonormality(ws, tol):
-    basis = ws.model.basis_grid
-    gram = (basis.conj() * ws.model.grid_weights) @ basis.T
+    modes = ws.model.synthesize(np.eye(ws.model.num_modes))
+    gram = (modes.conj() * ws.model.grid_weights) @ modes.T
     defect = float(np.max(np.abs(gram - np.eye(len(gram)))))
     return _result("quadrature_orthonormality", defect <= 1e-12 * tol,
                    f"gram defect {defect:.3e}")

@@ -29,3 +29,24 @@ def torus2d_model():
 
 def random_state(rng, dim, scale=1.0):
     return scale * (rng.standard_normal(dim) + 1j * rng.standard_normal(dim))
+
+
+def closed_form_basis(model):
+    """Eigenfunctions of the model's modes at its grid nodes, (num_modes, num_grid).
+
+    Dense reference for the model's fast transforms: torus exponentials,
+    Dirichlet sines and Neumann cosines, evaluated from their formulas.
+    """
+    kind = model.domain.kind
+    values = np.ones((model.num_modes, model.num_grid), dtype=complex)
+    for axis, L in enumerate(model.domain.lengths):
+        k = model.wavenumbers[:, axis][:, None]
+        x = model.grid_points[:, axis][None, :]
+        if kind in (spectral.TORUS_1D, spectral.TORUS_2D):
+            values *= np.exp(2j * np.pi * k * x / L) / np.sqrt(L)
+        elif kind == spectral.INTERVAL_DIRICHLET:
+            values *= np.sqrt(2.0 / L) * np.sin(k * np.pi * x / L)
+        else:
+            cosine = np.sqrt(2.0 / L) * np.cos(k * np.pi * x / L)
+            values *= np.where(k == 0, 1.0 / np.sqrt(L), cosine)
+    return values

@@ -1,11 +1,15 @@
 """End-to-end command line tests: outputs, determinism, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import jumpnls
 from jumpnls.cli import main
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -209,3 +213,15 @@ def test_shipped_configs_simulate(tmp_path):
     assert main(["simulate", "--config", config, "--out", str(out),
                  "--trajectories", "1"]) == 0
     assert (out / "traj_0000.csv").exists()
+
+
+def test_import_loads_no_scipy():
+    # scipy costs most of start-up; only interval transforms, the flow oracle
+    # and verify's quadrature import it, on first use
+    probe = "import sys, jumpnls; print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
+    src = str(Path(jumpnls.__file__).resolve().parents[1])
+    out = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": src}, timeout=60,
+    )
+    assert out.stdout.strip() == "[]"

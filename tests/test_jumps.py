@@ -4,7 +4,7 @@ import pytest
 from jumpnls import jumps, spectral
 from jumpnls.exceptions import ShapeError
 
-from conftest import random_state
+from conftest import closed_form_basis, random_state
 
 
 @pytest.fixture(scope="module")
@@ -55,6 +55,23 @@ def test_cos_matrix_matches_tridiagonal_oracle(torus_model, cos_ops):
     assert np.max(np.abs(cos_ops.matrices[0] - expected)) < 1e-13
     # level constant from the independent construction
     assert cos_ops.bound_H == pytest.approx(np.linalg.norm(expected, 2) ** 2, rel=1e-12)
+
+
+@pytest.mark.parametrize(
+    "model_name", ["torus_model", "dirichlet_model", "neumann_model", "torus2d_model"]
+)
+def test_assembly_matches_dense_quadrature(model_name, request):
+    model = request.getfixturevalue(model_name)
+    level = spectral.build_level(model, model.max_level - 1)
+    x = model.grid_points.sum(axis=1)
+    symbols = [np.cos(x), 0.5 + np.sin(2.0 * x) * np.cos(x)]
+    ops = jumps.assemble_noise_operators(model, level, symbols)
+    basis = closed_form_basis(model)[level.indices]
+    s = level.multipliers
+    for symbol, M in zip(symbols, ops.matrices):
+        raw = (basis.conj() * model.grid_weights * symbol) @ basis.T
+        dense = s[:, None] * 0.5 * (raw + raw.conj().T) * s[None, :]
+        assert np.max(np.abs(M - dense)) <= 1e-13 * np.max(np.abs(dense))
 
 
 def test_constant_symbol_is_diagonal(torus_model):

@@ -2,12 +2,12 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from jumpnls import spectral
 from jumpnls.exceptions import ConfigurationError, ShapeError
 
-from conftest import random_state
+from conftest import closed_form_basis, random_state
 
 # Frozen oracle values for the quintic ramp (computed symbolically /
 # by high-precision root finding, independent of the implementation):
@@ -211,6 +211,47 @@ def test_transform_roundtrip(model_name, request):
     assert np.max(np.abs(back - c)) <= 1e-12 * np.linalg.norm(c)
 
 
+@settings(max_examples=80, deadline=None)
+@given(
+    kind=st.sampled_from(spectral._DOMAIN_KINDS),
+    lengths=st.tuples(st.floats(1.0, 8.0), st.floats(1.0, 4.0)),
+    max_level=st.integers(0, 7),
+    dealias_factor=st.integers(2, 4),
+    batch=st.sampled_from([(), (1,), (3,)]),
+    select=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_transforms_match_closed_form(
+    kind, lengths, max_level, dealias_factor, batch, select, seed
+):
+    domain = spectral.Domain(kind, lengths[: 2 if kind == spectral.TORUS_2D else 1])
+    try:
+        model = spectral.build_spectral_model(
+            domain, max_level=max_level, dealias_factor=dealias_factor
+        )
+    except ConfigurationError:  # interval too short to hold a mode at this level
+        assume(False)
+    rng = np.random.default_rng(seed)
+    basis = closed_form_basis(model)
+    indices = None
+    if select:
+        count = int(rng.integers(1, model.num_modes + 1))
+        indices = np.sort(rng.choice(model.num_modes, size=count, replace=False))
+        basis = basis[indices]
+    c = random_state(rng, batch + (len(basis),))
+    v = random_state(rng, batch + (model.num_grid,))
+
+    values = model.synthesize(c, indices=indices)
+    expected = c @ basis
+    assert values.shape == expected.shape
+    assert np.linalg.norm(values - expected) <= 1e-13 * np.linalg.norm(expected)
+
+    coefficients = model.analyze(v, indices=indices)
+    expected = v @ (basis.conj() * model.grid_weights).T
+    assert coefficients.shape == expected.shape
+    assert np.linalg.norm(coefficients - expected) <= 1e-13 * np.linalg.norm(expected)
+
+
 def test_parseval(torus_model):
     rng = np.random.default_rng(12)
     c = random_state(rng, torus_model.num_modes)
@@ -251,6 +292,10 @@ def test_norm_errors(torus_model):
         torus_model.synthesize(c[:-1])
     with pytest.raises(ShapeError):
         torus_model.analyze(np.zeros(torus_model.num_grid - 1))
+    with pytest.raises(ShapeError):
+        torus_model.synthesize(np.zeros((2, torus_model.num_modes + 1)))
+    with pytest.raises(ShapeError):
+        torus_model.analyze(np.zeros((2, torus_model.num_grid + 1)))
 
 
 # ---------------------------------------------------------------------------
