@@ -38,7 +38,6 @@ from .noise import (
     JumpEvent,
     NoiseMoments,
     RadialStableMeasure,
-    compute_moments,
     sample_prm,
     trajectory_rng,
     trajectory_seed,
@@ -115,7 +114,6 @@ __all__ = [
     "cadlag_modulus",
     "canonical_text",
     "check_names",
-    "compute_moments",
     "config_hash",
     "cutoff_multiplier",
     "defocusing",

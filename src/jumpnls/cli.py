@@ -2,18 +2,19 @@
 
 Output files are byte-deterministic for a fixed effective configuration:
 floats are rendered with ``repr`` (shortest round-trip form), JSON keys are
-sorted, line endings are LF, and trajectory scheduling across threads cannot
-reorder results.
+sorted and line endings are LF.  Trajectories run one after another, each on
+its own ``(master_seed, index)`` stream, and each is written as soon as it
+finishes.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -43,9 +44,16 @@ def _apply_overrides(spec, args):
         updates["master_seed"] = args.seed
     if getattr(args, "trajectories", None) is not None:
         updates["trajectories"] = args.trajectories
-    if getattr(args, "threads", None) is not None:
-        updates["threads"] = args.threads
     return dataclasses.replace(spec, **updates) if updates else spec
+
+
+@contextlib.contextmanager
+def _trajectory_context(index: int):
+    """Prefix a ``NumericsError`` raised inside with the trajectory index."""
+    try:
+        yield
+    except NumericsError as exc:
+        raise NumericsError(f"trajectory {index}: {exc}") from exc
 
 
 def _write_text(path: str, text: str) -> None:
@@ -83,22 +91,15 @@ def _cmd_simulate(args) -> int:
     digest = config_hash(spec)
     model, problem = build_problem_from_spec(spec)
 
-    def run(index):
-        return simulate(
-            problem, spec.solver,
-            rng=trajectory_rng(spec.master_seed, index),
-            record_states=spec.output.save_states,
-        )
-
-    indices = range(spec.trajectories)
-    if spec.threads > 1:
-        with ThreadPoolExecutor(max_workers=spec.threads) as pool:
-            records = list(pool.map(run, indices))
-    else:
-        records = [run(k) for k in indices]
-
     os.makedirs(args.out, exist_ok=True)
-    for k, record in enumerate(records):
+    records = []
+    for k in range(spec.trajectories):
+        with _trajectory_context(k):
+            record = simulate(
+                problem, spec.solver,
+                rng=trajectory_rng(spec.master_seed, k),
+                record_states=spec.output.save_states,
+            )
         _write_text(os.path.join(args.out, f"traj_{k:04d}.csv"),
                     _trajectory_csv(record))
         if spec.output.save_events and problem.measure is not None:
@@ -107,6 +108,8 @@ def _cmd_simulate(args) -> int:
         if spec.output.save_states:
             np.save(os.path.join(args.out, f"states_{k:04d}.npy"),
                     record.states)
+            record.states = None
+        records.append(record)
 
     summary = {
         "config_hash": digest,
@@ -120,7 +123,8 @@ def _cmd_simulate(args) -> int:
         "master_seed": spec.master_seed,
         "trajectories": spec.trajectories,
         "trajectory_seeds": [
-            trajectory_seed(spec.master_seed, k) for k in indices
+            trajectory_seed(spec.master_seed, k)
+            for k in range(spec.trajectories)
         ],
         "variance_budget": records[0].variance_budget,
         "event_counts": [len(r.events) for r in records],
@@ -170,8 +174,10 @@ def _cmd_converge(args) -> int:
             events = sample_prm(measure, spec.horizon,
                                 trajectory_rng(spec.master_seed, k))
         for n in coarse_levels:
-            result = simulate_coupled(make_problem(n), fine, spec.solver,
-                                      events=events, record_states=False)
+            coarse = make_problem(n)
+            with _trajectory_context(k):
+                result = simulate_coupled(coarse, fine, spec.solver,
+                                          events=events, record_states=False)
             distances[n].append(result.distance)
 
     payload = {
@@ -249,7 +255,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--out", required=True, help="output directory")
     p_sim.add_argument("--seed", type=int, help="override master seed")
     p_sim.add_argument("--trajectories", type=int, help="override trajectory count")
-    p_sim.add_argument("--threads", type=int, help="override worker threads")
     p_sim.set_defaults(func=_cmd_simulate)
 
     p_con = sub.add_parser("converge",

@@ -21,7 +21,6 @@ from .solver import (
     CLOSURE_ATOMIC,
     CLOSURE_TAYLOR2,
     MODE_MIDPOINT,
-    MODE_SPLITSTEP,
     GalerkinProblem,
     SolverConfig,
     build_problem,
@@ -96,7 +95,6 @@ class RunSpec:
     horizon: float
     trajectories: int
     master_seed: int
-    threads: int = 1
     nonlinearity: NonlinearitySpec | None = None
     noise: NoiseSpec | None = None
     output: OutputSpec = OutputSpec()
@@ -277,10 +275,10 @@ def parse_config(text: str) -> RunSpec:
     horizon = _get(run, "horizon", float, required=True)
     trajectories = _get(run, "trajectories", int, default=1)
     master_seed = _get(run, "master_seed", int, default=0)
-    threads = _get(run, "threads", int, default=1)
     if trajectories < 1:
         raise ConfigurationError("trajectories must be at least 1")
-    if threads < 1:
+    # legacy key: trajectories run serially, so the value is checked and dropped
+    if _get(run, "threads", int, default=1) < 1:
         raise ConfigurationError("threads must be at least 1")
 
     output = OutputSpec()
@@ -295,7 +293,7 @@ def parse_config(text: str) -> RunSpec:
     return RunSpec(
         domain=domain, galerkin=galerkin, solver=solver, initial=initial,
         horizon=horizon, trajectories=trajectories, master_seed=master_seed,
-        threads=threads, nonlinearity=nonlinearity, noise=noise, output=output,
+        nonlinearity=nonlinearity, noise=noise, output=output,
     )
 
 
@@ -377,7 +375,6 @@ def canonical_text(spec: RunSpec) -> str:
         ("horizon", repr(spec.horizon)),
         ("trajectories", spec.trajectories),
         ("master_seed", spec.master_seed),
-        ("threads", spec.threads),
     ])
 
     section("output", [

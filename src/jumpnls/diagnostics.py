@@ -96,14 +96,12 @@ def cadlag_modulus(times: np.ndarray, values: np.ndarray, delta: float) -> float
         raise ValueError(f"delta must be in (0, {total}], got {delta}")
 
     m = len(times)
-    diff = values[:, None, :] - values[None, :, :]
-    dist = np.sqrt(np.sum(np.abs(diff) ** 2, axis=2))
-
     # osc[i][j]: largest pairwise distance among values active on [t_i, t_j),
-    # i.e. values i .. j-1.  Built incrementally in j via suffix maxima.
+    # i.e. values i .. j-1.  Built incrementally in j via suffix maxima of the
+    # distances from value j-1 to the earlier ones, one row at a time.
     osc = np.zeros((m, m))
     for j in range(2, m):
-        row = dist[j - 1, : j - 1]
+        row = np.sqrt(np.sum(np.abs(values[: j - 1] - values[j - 1]) ** 2, axis=1))
         suffix = np.maximum.accumulate(row[::-1])[::-1]
         osc[: j - 1, j] = np.maximum(osc[: j - 1, j - 1], suffix)
 

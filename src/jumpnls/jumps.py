@@ -9,13 +9,12 @@ assembled by grid quadrature, so every M_m is Hermitian.  A mark l in R^N
 combines the channels into the Hermitian generator B(l) = sum_m l_m M_m, and a
 jump acts through the time-1 unitary flow of ``du/dt = -i B(l) u`` —
 evaluated exactly as ``exp(-i B(l))`` via eigendecomposition.  That
-eigendecomposition is reused through a warmable per-mark cache (read-only
-after warmup, so shared state across worker threads is safe).
+eigendecomposition is reused through a warmable per-mark cache.
 
-The level constants ``bound_H / bound_EA / bound_Lp`` are the sums of squared
-operator norms of the M_m in the respective spaces (``bound_H`` and
-``bound_EA`` are computed on first read); they give the elementary
-inequalities
+The level constants ``bound_H`` and ``bound_EA`` (computed on first read) and
+``estimate_lp_bound`` (an empirical estimate, computed on request) are the
+sums of squared operator norms of the M_m in the respective spaces; the first
+two give the elementary inequalities
 
     ||B(l)||        <= |l| sqrt(bound_H)
     ||e^{-iB(l)}x - x||           <= sqrt(bound_H) |l| ||x||
@@ -29,12 +28,11 @@ from __future__ import annotations
 
 import dataclasses
 import functools
-import math
 
 import numpy as np
 
 from .exceptions import NumericsError, ShapeError
-from .spectral import GalerkinLevel, SpectralModel, estimate_smoothing_lp_norm
+from .spectral import GalerkinLevel, SpectralModel, _max_lp_ratio
 
 #: assembled matrices farther than this from Hermitian are rejected
 HERMITICITY_TOLERANCE = 1e-10
@@ -54,7 +52,6 @@ class NoiseOperators:
     symbols: np.ndarray            # (N, num_grid) real symbol samples
     matrices: np.ndarray           # (N, dim, dim) complex Hermitian
     energy_weights: np.ndarray     # (dim,)
-    bound_Lp: float | None
     hermiticity_defect: float
     _eig_cache: dict = dataclasses.field(default_factory=dict, repr=False)
 
@@ -102,8 +99,6 @@ def assemble_noise_operators(
     model: SpectralModel,
     level: GalerkinLevel,
     symbols,
-    lp_exponent: float | None = None,
-    rng: np.random.Generator | None = None,
 ) -> NoiseOperators:
     """Quadrature assembly of the smoothed multiplication operators.
 
@@ -111,8 +106,7 @@ def assemble_noise_operators(
     real-valued multiplier functions.  Column j of channel m is the smoothed
     mode ``s_j h_j`` synthesized to the grid, multiplied by the symbol,
     analyzed back and scaled by the cutoff again, all through the model's
-    transforms.  ``lp_exponent``, when given, triggers the empirical L^p
-    operator-norm estimate entering ``bound_Lp``.
+    transforms.
     """
     symbols = np.atleast_2d(np.asarray(symbols, dtype=float))
     if symbols.ndim != 2 or symbols.shape[1] != model.num_grid:
@@ -136,41 +130,35 @@ def assemble_noise_operators(
             f"(tolerance {HERMITICITY_TOLERANCE:.1e})"
         )
 
-    bound_Lp = None
-    if lp_exponent is not None:
-        # ratio maximisation of the assembled operator in L^p via probes
-        probe_rng = np.random.default_rng(0) if rng is None else rng
-        bound_Lp = 0.0
-        for M in matrices:
-            est = _estimate_matrix_lp_norm(model, level, M, lp_exponent, probe_rng)
-            bound_Lp += est**2
-
     return NoiseOperators(
         level=level,
         symbols=symbols,
         matrices=matrices,
         energy_weights=np.sqrt(1.0 + model.eigenvalues_A[level.indices]),
-        bound_Lp=bound_Lp,
         hermiticity_defect=defect,
     )
 
 
-def _estimate_matrix_lp_norm(model, level, matrix, p, rng, num_probes=32):
-    """Empirical L^p -> L^p norm of a level matrix (probe maximisation)."""
-    from .spectral import sobolev_norm  # local import to avoid cycle at module load
+def estimate_lp_bound(
+    model: SpectralModel,
+    ops: NoiseOperators,
+    p: float,
+    rng: np.random.Generator | None = None,
+) -> float:
+    """Empirical L^p analogue of ``bound_H``: the sum of squared L^p -> L^p norms.
 
-    best = 0.0
-    dim = level.dim
-    probes = [rng.standard_normal(dim) + 1j * rng.standard_normal(dim) for _ in range(num_probes)]
-    probes += [np.eye(dim, dtype=complex)[j] for j in range(dim)]
-    probes.append(np.ones(dim, dtype=complex))
-    for u in probes:
-        denom = sobolev_norm(model, u, "Lp", indices=level.indices, p=p)
-        if denom < 1e-13:
-            continue
-        num = sobolev_norm(model, matrix @ u, "Lp", indices=level.indices, p=p)
-        best = max(best, num / denom)
-    return best
+    Each channel's norm is maximised over 32 complex Gaussian probes drawn
+    from ``rng``, the level's unit vectors and the all-ones vector.  A
+    diagnostic estimate, not a certified bound.
+    """
+    rng = np.random.default_rng(0) if rng is None else rng
+    ones = np.ones(ops.dim, dtype=complex)
+    total = 0.0
+    for M in ops.matrices:
+        est = _max_lp_ratio(model, lambda u: M @ u, p, rng, 32, extra=[ones],
+                            indices=ops.level.indices)
+        total += est**2
+    return total
 
 
 def generator(ops: NoiseOperators, mark) -> np.ndarray:

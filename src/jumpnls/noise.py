@@ -205,11 +205,6 @@ class RadialStableMeasure:
         return r * vec
 
 
-def compute_moments(measure) -> NoiseMoments:
-    """Closed-form mean / small-jump second moment / variance budget."""
-    return measure.moments()
-
-
 def sample_prm(measure, horizon: float, rng: np.random.Generator) -> list[JumpEvent]:
     """Draw the events of the simulated region on [0, horizon].
 

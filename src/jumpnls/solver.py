@@ -32,7 +32,7 @@ from .jumps import (
     jump_difference_2,
     jump_map,
 )
-from .noise import AtomicMeasure, JumpEvent, NoiseMoments, compute_moments, sample_prm
+from .noise import AtomicMeasure, JumpEvent, NoiseMoments, sample_prm
 from .nonlinear import Nonlinearity, eval_F, eval_Fhat, validate_exponent
 from .spectral import GalerkinLevel, SpectralModel, apply_smoothing, build_level
 
@@ -133,8 +133,6 @@ def build_problem(
     nonlinearity: Nonlinearity | None = None,
     symbols: np.ndarray | None = None,
     measure=None,
-    lp_exponent: float | None = None,
-    rng: np.random.Generator | None = None,
 ) -> GalerkinProblem:
     """Assemble level, noise operators, and moments for one truncation."""
     level = build_level(model, level_n)
@@ -144,13 +142,11 @@ def build_problem(
     moments = None
     if symbols is not None:
         symbols = np.atleast_2d(np.asarray(symbols, dtype=float))
-        ops = assemble_noise_operators(
-            model, level, symbols, lp_exponent=lp_exponent, rng=rng
-        )
+        ops = assemble_noise_operators(model, level, symbols)
     if measure is not None:
         if ops is None:
             raise ConfigurationError("a jump measure requires noise symbols")
-        moments = compute_moments(measure)
+        moments = measure.moments()
     initial = renormalize_initial(model, level, initial_full)
     return GalerkinProblem(
         model=model,
@@ -428,7 +424,13 @@ def simulate(
     for i, t in enumerate(grid):
         if i > 0:
             tau = t - grid[i - 1]
-            u = stepper(dyn, u, tau, config)
+            try:
+                u = stepper(dyn, u, tau, config)
+            except NumericsError as exc:
+                raise NumericsError(
+                    f"step t={float(grid[i - 1])!r} -> {float(t)!r} "
+                    f"(dt={tau:.3e}): {exc}"
+                ) from exc
         while pending is not None and pending.time <= t:
             u = jump_map(problem.ops, pending.mark, u)
             pending = next(event_iter, None)

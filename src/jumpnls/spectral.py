@@ -472,6 +472,30 @@ def sobolev_norm(
     return float(math.sqrt(np.sum(sq / weights)))
 
 
+def _max_lp_ratio(model, apply, p, rng, num_probes, extra=(), indices=None):
+    """Largest ``||apply(u)||_p / ||u||_p`` over a probe set of coefficient vectors.
+
+    The probes are ``num_probes`` complex Gaussian vectors drawn from ``rng``,
+    every unit vector, then ``extra``; probes of (numerically) zero norm are
+    skipped.  Coefficients are aligned with ``indices`` (all modes when
+    omitted).
+    """
+    d = model.num_modes if indices is None else len(indices)
+    probes = [rng.standard_normal(d) + 1j * rng.standard_normal(d)
+              for _ in range(num_probes)]
+    probes += list(np.eye(d, dtype=complex))
+    probes += list(extra)
+
+    best = 0.0
+    for u in probes:
+        denom = sobolev_norm(model, u, space="Lp", indices=indices, p=p)
+        if denom < 1e-13:
+            continue
+        num = sobolev_norm(model, apply(u), space="Lp", indices=indices, p=p)
+        best = max(best, num / denom)
+    return best
+
+
 def estimate_smoothing_lp_norm(
     model: SpectralModel,
     level: GalerkinLevel,
@@ -490,24 +514,12 @@ def estimate_smoothing_lp_norm(
     if rng is None:
         rng = np.random.default_rng(0)
     d = model.num_modes
-    probes = []
-    for _ in range(num_probes):
-        probes.append(rng.standard_normal(d) + 1j * rng.standard_normal(d))
-    eye = np.eye(d)
-    for m in range(d):
-        probes.append(eye[m].astype(complex))
-    cuts = sorted(set(np.linspace(1, d, num=min(d, 16), dtype=int)))
-    for c in cuts:
+    packets = []
+    for c in sorted(set(np.linspace(1, d, num=min(d, 16), dtype=int))):
         packet = np.zeros(d, dtype=complex)
         packet[:c] = 1.0
-        probes.append(packet)
-
-    best = 0.0
-    for u in probes:
-        denom = sobolev_norm(model, u, space="Lp", p=p)
-        if denom < 1e-13:
-            continue
-        smoothed = embed(level, apply_smoothing(level, u), d)
-        num = sobolev_norm(model, smoothed, space="Lp", p=p)
-        best = max(best, num / denom)
-    return best
+        packets.append(packet)
+    return _max_lp_ratio(
+        model, lambda u: embed(level, apply_smoothing(level, u), d), p, rng,
+        num_probes, extra=packets,
+    )

@@ -90,7 +90,6 @@ scale = 1.0
 horizon = 0.5
 trajectories = 2
 master_seed = 7
-threads = 1
 """
 
 
@@ -301,7 +300,7 @@ def check_taylor_remainder(ws, tol):
 def check_atomic_moments(ws, tol):
     measure = noise.AtomicMeasure(marks=[[0.4], [-0.2]], weights=[1.0, 0.5],
                                   epsilon=0.0)
-    m = noise.compute_moments(measure)
+    m = measure.moments()
     err = max(
         abs(measure.simulated_intensity() - 1.5),
         abs(m.mean_simulated[0] - (0.4 - 0.1)),
@@ -327,9 +326,9 @@ def check_radial_moments(ws, tol):
 
 
 def check_prm_compensation(ws, tol):
-    moments = noise.compute_moments(
-        noise.AtomicMeasure(marks=[[0.4], [-0.2]], weights=[1.0, 0.5])
-    )
+    moments = noise.AtomicMeasure(
+        marks=[[0.4], [-0.2]], weights=[1.0, 0.5]
+    ).moments()
     grid = np.linspace(0.0, 2.0, 9)
     path = noise.reconstruct_levy_path([], moments, grid)
     want = -np.outer(grid, moments.mean_simulated)

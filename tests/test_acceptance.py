@@ -219,7 +219,7 @@ def test_07_small_jump_closure_consistency(model):
         stats[eps] = (
             float(defects.mean()),
             float(defects.std(ddof=1) / np.sqrt(len(defects))),
-            noise.compute_moments(measure).variance_budget,
+            measure.moments().variance_budget,
         )
     # one K for all cutoffs, fitted at the middle one
     fitted = stats[0.1][0] / (horizon * stats[0.1][2])

@@ -106,23 +106,25 @@ def test_simulate_outputs(fast_config, tmp_path, capsys):
 
 
 def test_simulate_byte_identical_and_thread_invariant(fast_config, tmp_path):
+    # the legacy [run] threads key is accepted and changes nothing, not even
+    # the config hash or the canonical config
+    legacy = tmp_path / "legacy.ini"
+    legacy.write_text(FAST_CONFIG.replace("threads = 1", "threads = 3"),
+                      encoding="utf-8")
     outs = []
-    for name, extra in (("a", []), ("b", []), ("c", ["--threads", "3"])):
+    for name, config in (("a", fast_config), ("b", fast_config),
+                         ("c", str(legacy))):
         out = tmp_path / name
-        assert main(["simulate", "--config", fast_config, "--out", str(out),
-                     *extra]) == 0
+        assert main(["simulate", "--config", config, "--out", str(out)]) == 0
         outs.append(out)
     a, b, c = outs
-    for k in range(3):
-        fname = f"traj_{k:04d}.csv"
-        assert read(a / fname) == read(b / fname)
-        assert read(a / fname) == read(c / fname)
-        ename = f"events_{k:04d}.csv"
-        assert read(a / ename) == read(b / ename) == read(c / ename)
-    assert read(a / "summary.json") == read(b / "summary.json")
-    # thread count is recorded in the effective config, not the results
-    assert json.loads((c / "summary.json").read_text())["final_mass"] == \
-        json.loads((a / "summary.json").read_text())["final_mass"]
+    names = sorted(p.name for p in a.iterdir())
+    assert "summary.json" in names and "config.ini" in names
+    assert "states_0002.npy" in names
+    for other in (b, c):
+        assert sorted(p.name for p in other.iterdir()) == names
+        for fname in names:
+            assert read(a / fname) == read(other / fname), (other.name, fname)
 
 
 def test_simulate_seed_override_changes_path(fast_config, tmp_path):
@@ -204,6 +206,30 @@ def test_missing_config_file(tmp_path, capsys):
     missing = str(tmp_path / "nope.ini")
     assert main(["simulate", "--config", missing, "--out", str(tmp_path)]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_numerics_error_names_trajectory_and_time(tmp_path, capsys):
+    # a fixed-point budget that cannot converge without halving fails in the
+    # first step of the first trajectory, which ends at the first grid node
+    # or at an earlier jump
+    config = tmp_path / "stiff.ini"
+    config.write_text(
+        FAST_CONFIG.replace("alpha = 3.0", "alpha = 5.0")
+        .replace("max_fp_iters = 100", "max_fp_iters = 2")
+        .replace("max_halvings = 20", "max_halvings = 0")
+        .replace("scale = 1.0", "scale = 5.0")
+        .replace("dt = 0.05", "dt = 0.4"),
+        encoding="utf-8",
+    )
+    code = main(["simulate", "--config", str(config), "--out",
+                 str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "trajectory 0:" in err
+    assert "step t=0.0 -> " in err and "(dt=" in err
+    assert "failed to converge" in err
+    assert main(["converge", "--config", str(config), "--levels", "2"]) == 2
+    assert "trajectory 0:" in capsys.readouterr().err
 
 
 def test_shipped_configs_simulate(tmp_path):

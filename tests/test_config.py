@@ -53,7 +53,6 @@ def test_parse_minimal_defaults():
     assert spec.nonlinearity is None
     assert spec.noise is None
     assert spec.trajectories == 1
-    assert spec.threads == 1
     assert spec.output.save_states is False
 
 
@@ -75,6 +74,19 @@ def test_config_hash_sensitivity():
         spec, solver=dataclasses.replace(spec.solver, dt=0.02)
     )
     assert config_hash(bumped) != h1
+
+
+def test_legacy_threads_key():
+    # trajectories run serially: the key still parses and is still checked,
+    # but it reaches neither the spec nor the canonical text
+    base = parse_config(MINIMAL)
+    legacy = parse_config(MINIMAL + "threads = 4\n")
+    assert legacy == base
+    assert config_hash(legacy) == config_hash(base)
+    assert "threads" not in canonical_text(legacy)
+    for bad in ("0", "-2", "two", "1.5"):
+        with pytest.raises(ConfigurationError):
+            parse_config(MINIMAL + f"threads = {bad}\n")
 
 
 def test_atomic_noise_parsing():

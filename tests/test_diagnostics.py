@@ -136,6 +136,45 @@ def test_modulus_matches_brute_force(seed, width):
         assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
 
 
+def dense_distance_modulus(times, values, delta):
+    """The modulus computed from the full (m, m) pairwise distance table."""
+    times = np.asarray(times, dtype=float)
+    values = np.asarray(values)
+    if values.ndim == 1:
+        values = values[:, None]
+    m = len(times)
+    diff = values[:, None, :] - values[None, :, :]
+    dist = np.sqrt(np.sum(np.abs(diff) ** 2, axis=2))
+    osc = np.zeros((m, m))
+    for j in range(2, m):
+        suffix = np.maximum.accumulate(dist[j - 1, : j - 1][::-1])[::-1]
+        osc[: j - 1, j] = np.maximum(osc[: j - 1, j - 1], suffix)
+    best = np.full(m, np.inf)
+    best[0] = 0.0
+    for j in range(1, m):
+        feasible = np.nonzero(times[j] - times[:j] >= delta)[0]
+        if len(feasible):
+            best[j] = np.min(np.maximum(best[feasible], osc[feasible, j]))
+    return float(best[m - 1])
+
+
+def test_modulus_rowwise_distances_match_dense_table():
+    # the row-by-row distances must reproduce the dense table bit for bit
+    rng = np.random.default_rng(31)
+    for trial in range(60):
+        m = int(rng.integers(2, 80))
+        width = int(rng.integers(1, 12))
+        times = np.concatenate([[0.0], np.sort(rng.random(m - 2)), [1.0]])
+        if np.any(np.diff(times) <= 0):
+            continue
+        scale = 10.0 ** rng.uniform(-8, 4)
+        values = scale * (rng.normal(size=(m, width))
+                          + 1j * rng.normal(size=(m, width)))
+        for delta in (1e-3, 0.1, 0.37, 1.0):
+            got = cadlag_modulus(times, values, delta)
+            assert got == dense_distance_modulus(times, values, delta), trial
+
+
 def test_modulus_monotone_in_delta():
     rng = np.random.default_rng(5)
     times = np.concatenate([[0.0], np.sort(rng.random(10)), [1.0]])

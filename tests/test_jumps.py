@@ -95,10 +95,10 @@ def test_bound_ea_via_weighted_similarity(torus_model, cos_ops):
 def test_lp_bound_estimated_when_requested(torus_model):
     level = spectral.build_level(torus_model, 4)
     symbol = np.cos(torus_model.grid_points[:, 0])
-    ops = jumps.assemble_noise_operators(
-        torus_model, level, [symbol], lp_exponent=4.0, rng=np.random.default_rng(5)
-    )
-    assert ops.bound_Lp is not None and 0.0 < ops.bound_Lp < 10.0
+    ops = jumps.assemble_noise_operators(torus_model, level, [symbol])
+    bound_Lp = jumps.estimate_lp_bound(torus_model, ops, 4.0,
+                                       rng=np.random.default_rng(5))
+    assert bound_Lp is not None and 0.0 < bound_Lp < 10.0
 
 
 def test_assembly_shape_error(torus_model):

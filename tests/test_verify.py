@@ -78,7 +78,7 @@ def test_exceptions_reported_as_failures(monkeypatch):
     def boom(measure):
         raise RuntimeError("synthetic fault")
 
-    monkeypatch.setattr(noise_mod, "compute_moments", boom)
+    monkeypatch.setattr(noise_mod.AtomicMeasure, "moments", boom)
     results = {r.name: r for r in verify.run_checks(names=["atomic_moments"])}
     assert not results["atomic_moments"].passed
     assert "synthetic fault" in results["atomic_moments"].detail
