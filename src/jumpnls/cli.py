@@ -130,6 +130,7 @@ def _cmd_simulate(args) -> int:
         "event_counts": [len(r.events) for r in records],
         "final_mass": [float(r.mass[-1]) for r in records],
         "sup_ea_norm": [float(np.max(r.ea_norm)) for r in records],
+        "fp_iters_max": [r.fp_iters_max for r in records],
     }
     if spec.trajectories >= 2:
         stats = ensemble_moments(records, orders=(1.0, 2.0), bootstrap=500,

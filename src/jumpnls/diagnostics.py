@@ -96,22 +96,22 @@ def cadlag_modulus(times: np.ndarray, values: np.ndarray, delta: float) -> float
         raise ValueError(f"delta must be in (0, {total}], got {delta}")
 
     m = len(times)
-    # osc[i][j]: largest pairwise distance among values active on [t_i, t_j),
-    # i.e. values i .. j-1.  Built incrementally in j via suffix maxima of the
-    # distances from value j-1 to the earlier ones, one row at a time.
-    osc = np.zeros((m, m))
-    for j in range(2, m):
-        row = np.sqrt(np.sum(np.abs(values[: j - 1] - values[j - 1]) ** 2, axis=1))
-        suffix = np.maximum.accumulate(row[::-1])[::-1]
-        osc[: j - 1, j] = np.maximum(osc[: j - 1, j - 1], suffix)
-
+    # osc[i]: largest pairwise distance among values active on [t_i, t_j),
+    # i.e. values i .. j-1, for the current j only.  Column j follows from
+    # column j-1 via suffix maxima of the distances from value j-1 to the
+    # earlier ones, so memory stays O(m).
+    osc = np.zeros(m)
     best = np.full(m, np.inf)
     best[0] = 0.0
     for j in range(1, m):
+        if j >= 2:
+            row = np.sqrt(np.sum(np.abs(values[: j - 1] - values[j - 1]) ** 2, axis=1))
+            suffix = np.maximum.accumulate(row[::-1])[::-1]
+            osc[: j - 1] = np.maximum(osc[: j - 1], suffix)
         feasible = np.nonzero(times[j] - times[:j] >= delta)[0]
         if len(feasible) == 0:
             continue
-        candidates = np.maximum(best[feasible], osc[feasible, j])
+        candidates = np.maximum(best[feasible], osc[feasible])
         best[j] = np.min(candidates)
     return float(best[m - 1])
 

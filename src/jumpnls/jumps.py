@@ -222,6 +222,16 @@ def _theta_minus_sin(theta: np.ndarray) -> np.ndarray:
     return np.where(small, series, theta - np.sin(theta))
 
 
+def _difference_2_factor(theta: np.ndarray) -> np.ndarray:
+    """Eigenphase factor of exp(-iB)x - x + iBx: (cos theta - 1) + i (theta - sin theta).
+
+    The real part is taken as -2 sin^2(theta/2) and the imaginary part
+    through the small-angle series, so the modulus stays below theta^2 / 2
+    without cancellation error.
+    """
+    return -2.0 * np.sin(0.5 * theta) ** 2 + 1j * _theta_minus_sin(theta)
+
+
 def jump_difference_1(ops: NoiseOperators, mark, state: np.ndarray) -> np.ndarray:
     """First jump difference exp(-iB(l))x - x via eigenphase factors.
 
@@ -238,14 +248,22 @@ def jump_difference_1(ops: NoiseOperators, mark, state: np.ndarray) -> np.ndarra
 
 
 def jump_difference_2(ops: NoiseOperators, mark, state: np.ndarray) -> np.ndarray:
-    """Second jump difference exp(-iB(l))x - x + iB(l)x, stable near zero.
-
-    Spectral factor (cos(theta) - 1) + i (theta - sin(theta)) with the real
-    part as -2 sin^2(theta/2) and the imaginary part via a truncated series
-    for small theta; its modulus stays below theta^2 / 2.
-    """
+    """Second jump difference exp(-iB(l))x - x + iB(l)x, stable near zero."""
     mark = np.asarray(mark, dtype=float).reshape(-1)
     theta, vectors = ops._eig_for(mark)
-    real = -2.0 * np.sin(0.5 * theta) ** 2
-    factor = real + 1j * _theta_minus_sin(theta)
+    factor = _difference_2_factor(theta)
     return vectors @ (factor * (vectors.conj().T @ np.asarray(state, dtype=complex)))
+
+
+def difference_2_matrix(ops: NoiseOperators, marks, weights) -> np.ndarray:
+    """Matrix of x -> sum_a w_a (exp(-iB(l_a))x - x + iB(l_a)x) over atoms (l_a, w_a).
+
+    Each atom adds V diag(w f(theta)) V^H from its eigendecomposition, with
+    the factor f of :func:`jump_difference_2`; this is the exact compensator
+    of an atomic measure's small jumps.
+    """
+    total = np.zeros((ops.dim, ops.dim), dtype=complex)
+    for weight, mark in zip(weights, np.atleast_2d(np.asarray(marks, dtype=float))):
+        theta, vectors = ops._eig_for(mark)
+        total += (vectors * (weight * _difference_2_factor(theta))) @ vectors.conj().T
+    return total

@@ -6,8 +6,10 @@ Between jumps the state follows the drift
 
 where ``m`` is the mean of the simulated jump marks, and ``D`` closes the
 compensator of the jumps below the simulation cutoff (second-order Taylor
-form, or exact per-atom form for purely atomic measures).  At each sampled
-jump the state is pushed through the unitary time-1 flow ``exp(-i B(l))``.
+form, or exact per-atom form for purely atomic measures).  Both noise terms
+are linear in ``u``, so each run sums them once into a single level matrix.
+At each sampled jump the state is pushed through the unitary time-1 flow
+``exp(-i B(l))``.
 
 Two steppers are provided.  ``FaithfulMidpoint`` treats the diagonal part
 exactly (half-step phase factors) and applies the implicit midpoint rule to
@@ -28,8 +30,8 @@ from .exceptions import ConfigurationError, NumericsError, ShapeError
 from .jumps import (
     NoiseOperators,
     assemble_noise_operators,
+    difference_2_matrix,
     generator,
-    jump_difference_2,
     jump_map,
 )
 from .noise import AtomicMeasure, JumpEvent, NoiseMoments, sample_prm
@@ -165,31 +167,37 @@ def build_problem(
 # ---------------------------------------------------------------------------
 
 class _Dynamics:
-    """Per-run workspace: precomputed drift matrices and phase cache."""
+    """Per-run workspace: the folded noise matrix and the phase cache.
+
+    On a level every noise term of the drift is linear in the state: the
+    compensated mean ``i B_n(m)``, the Taylor2 closure
+    ``-1/2 sum_mn cov[m, n] M_m M_n`` or the AtomicExact compensator
+    ``sum_a w_a (exp(-i B(l_a)) - 1 + i B(l_a))``.  They are summed once into
+    ``noise_matrix`` (None when no term is present), so each drift
+    evaluation costs one matvec for the noise.
+    """
 
     def __init__(self, problem: GalerkinProblem, config: SolverConfig):
         self.model = problem.model
         self.idx = problem.level.indices
         self.lam = problem.model.eigenvalues_A[self.idx]
         self.nl = problem.nonlinearity
-        self.ops = problem.ops
-        self.mean_matrix = None
-        self.closure_matrix = None
-        self.small_atoms = ()
+        self.noise_matrix = None
         self._phase_cache: dict[float, np.ndarray] = {}
         self.fp_iters_max = 0
 
-        if problem.ops is not None and problem.moments is not None:
-            moments = problem.moments
+        ops, moments = problem.ops, problem.moments
+        if ops is not None and moments is not None:
+            terms = []
             if np.any(moments.mean_simulated != 0.0):
-                self.mean_matrix = generator(problem.ops, moments.mean_simulated)
+                terms.append(1j * generator(ops, moments.mean_simulated))
             if config.closure == CLOSURE_TAYLOR2:
                 cov = moments.second_moment_small
                 if np.any(cov != 0.0):
-                    mats = problem.ops.matrices
-                    self.closure_matrix = -0.5 * np.einsum(
-                        "mn,mab,nbc->ac", cov, mats, mats
-                    )
+                    mats = ops.matrices
+                    closure = sum(cov[m, n] * (mats[m] @ mats[n])
+                                  for m, n in np.argwhere(cov != 0.0))
+                    terms.append(-0.5 * closure)
             else:
                 if not isinstance(problem.measure, AtomicMeasure):
                     raise ConfigurationError(
@@ -197,18 +205,13 @@ class _Dynamics:
                         "use Taylor2 for measures with infinitely many small jumps"
                     )
                 marks, weights = problem.measure.small_atoms()
-                problem.ops.warm_cache(marks)
-                self.small_atoms = tuple(
-                    (float(w), np.asarray(a, dtype=float))
-                    for w, a in zip(weights, marks)
-                )
+                ops.warm_cache(marks)
+                if len(weights) > 0:
+                    terms.append(difference_2_matrix(ops, marks, weights))
+            if terms:
+                self.noise_matrix = sum(terms)
 
-        self.has_remainder = (
-            self.nl is not None
-            or self.mean_matrix is not None
-            or self.closure_matrix is not None
-            or len(self.small_atoms) > 0
-        )
+        self.has_remainder = self.nl is not None or self.noise_matrix is not None
 
     def half_phase(self, tau: float) -> np.ndarray:
         phase = self._phase_cache.get(tau)
@@ -218,14 +221,9 @@ class _Dynamics:
         return phase
 
     def noise_drift(self, state: np.ndarray) -> np.ndarray:
-        out = np.zeros_like(state)
-        if self.mean_matrix is not None:
-            out += 1j * (self.mean_matrix @ state)
-        if self.closure_matrix is not None:
-            out += self.closure_matrix @ state
-        for weight, mark in self.small_atoms:
-            out += weight * jump_difference_2(self.ops, mark, state)
-        return out
+        if self.noise_matrix is None:
+            return np.zeros_like(state)
+        return self.noise_matrix @ state
 
     def remainder(self, state: np.ndarray) -> np.ndarray:
         """All drift terms except the diagonal -i*lambda_A part."""
@@ -299,9 +297,8 @@ def _step_splitstep(dyn: _Dynamics, state, tau, config):
             -1j * tau * dyn.nl.sign * np.abs(values) ** (dyn.nl.alpha - 1)
         )
         v = dyn.model.analyze(values * rotation, indices=dyn.idx)
-    noise = dyn.noise_drift(v)
-    if np.any(noise != 0.0):
-        v = v + tau * noise
+    if dyn.noise_matrix is not None:
+        v = v + tau * (dyn.noise_matrix @ v)
     return phase * v
 
 

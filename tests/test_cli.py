@@ -127,6 +127,20 @@ def test_simulate_byte_identical_and_thread_invariant(fast_config, tmp_path):
             assert read(a / fname) == read(other / fname), (other.name, fname)
 
 
+def test_simulate_reports_fp_iters_max(fast_config, tmp_path):
+    # the deterministic midpoint counter is reported per trajectory and is
+    # the same on a rerun
+    summaries = []
+    for name in ("a", "b"):
+        out = tmp_path / name
+        assert main(["simulate", "--config", fast_config, "--out", str(out)]) == 0
+        summaries.append(json.loads((out / "summary.json").read_text()))
+    iters = summaries[0]["fp_iters_max"]
+    assert len(iters) == 3
+    assert all(isinstance(k, int) and k >= 1 for k in iters)
+    assert summaries[1]["fp_iters_max"] == iters
+
+
 def test_simulate_seed_override_changes_path(fast_config, tmp_path):
     out1, out2 = tmp_path / "s1", tmp_path / "s2"
     assert main(["simulate", "--config", fast_config, "--out", str(out1)]) == 0

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -173,6 +174,20 @@ def test_modulus_rowwise_distances_match_dense_table():
         for delta in (1e-3, 0.1, 0.37, 1.0):
             got = cadlag_modulus(times, values, delta)
             assert got == dense_distance_modulus(times, values, delta), trial
+
+
+def test_modulus_memory_linear_in_times():
+    # an (m, m) float table would take 32 MB at m = 2001
+    m = 2001
+    times = np.linspace(0.0, 1.0, m)
+    values = np.random.default_rng(7).normal(size=m)
+    tracemalloc.start()
+    try:
+        cadlag_modulus(times, values, 0.05)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_modulus_monotone_in_delta():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from jumpnls.exceptions import ConfigurationError, NumericsError, ShapeError
-from jumpnls.jumps import jump_map
+from jumpnls.jumps import generator, jump_difference_2, jump_map
 from jumpnls.noise import (
     AtomicMeasure,
     JumpEvent,
@@ -19,6 +19,7 @@ from jumpnls.solver import (
     MODE_SPLITSTEP,
     GalerkinProblem,
     SolverConfig,
+    _Dynamics,
     build_problem,
     drift,
     renormalize_initial,
@@ -176,6 +177,80 @@ def test_atomic_closure_rejects_infinite_activity(torus_model, cos_symbol):
     )
     with pytest.raises(ConfigurationError):
         drift(problem, SolverConfig(closure=CLOSURE_ATOMIC), problem.initial)
+
+
+def per_term_noise_drift(problem, closure, x):
+    """Noise drift summed term by term: mean, then closure or one round-trip per small atom."""
+    ops, moments = problem.ops, problem.moments
+    out = 1j * generator(ops, moments.mean_simulated) @ x
+    if closure == CLOSURE_TAYLOR2:
+        mats = ops.matrices
+        cov = moments.second_moment_small
+        out += -0.5 * np.einsum("mn,mab,nbc->ac", cov, mats, mats) @ x
+    else:
+        marks, weights = problem.measure.small_atoms()
+        for weight, mark in zip(weights, marks):
+            out += weight * jump_difference_2(ops, mark, x)
+    return out
+
+
+# three atoms below the cutoff 0.25 and two above it, with a nonzero mean
+FOLD_ATOMS = {
+    1: ([[0.9], [-0.6], [0.05], [-0.12], [0.2]], [1.0, 0.7, 3.0, 2.0, 0.5]),
+    2: ([[0.6, -0.5], [-0.3, 0.2], [0.05, 0.1], [-0.1, 0.02], [0.0, -0.2]],
+        [1.0, 2.0, 3.0, 1.5, 0.5]),
+}
+
+
+@pytest.mark.parametrize("closure", [CLOSURE_TAYLOR2, CLOSURE_ATOMIC])
+@pytest.mark.parametrize("channels", [1, 2])
+@pytest.mark.parametrize("domain", ["torus", "dirichlet"])
+def test_noise_matrix_matches_per_term_drift(request, domain, channels, closure):
+    model = request.getfixturevalue(f"{domain}_model")
+    x = model.grid_points[:, 0]
+    symbols = np.array([np.cos(x), np.sin(2.0 * x) + 0.3])[:channels]
+    marks, weights = FOLD_ATOMS[channels]
+    measure = AtomicMeasure(marks=marks, weights=weights, epsilon=0.25)
+    problem = build_problem(
+        model, 4, decaying_initial(model), 1.0, symbols=symbols, measure=measure,
+    )
+    dyn = _Dynamics(problem, SolverConfig(closure=closure))
+    assert dyn.noise_matrix is not None
+    rng = np.random.default_rng(17)
+    for _ in range(3):
+        u = rng.normal(size=problem.level.dim) + 1j * rng.normal(size=problem.level.dim)
+        want = per_term_noise_drift(problem, closure, u)
+        assert np.linalg.norm(dyn.noise_drift(u) - want) <= 1e-13 * np.linalg.norm(want)
+
+
+def test_noise_matrix_taylor2_infinite_activity(torus_model):
+    x = torus_model.grid_points[:, 0]
+    measure = RadialStableMeasure(activity=1.0, stability=1.2, dimension=2,
+                                  epsilon=0.3)
+    problem = build_problem(
+        torus_model, 5, decaying_initial(torus_model), 1.0,
+        symbols=[np.cos(x), np.sin(x)], measure=measure,
+    )
+    dyn = _Dynamics(problem, SolverConfig(closure=CLOSURE_TAYLOR2))
+    u = problem.initial
+    want = per_term_noise_drift(problem, CLOSURE_TAYLOR2, u)
+    assert np.linalg.norm(dyn.noise_drift(u) - want) <= 1e-13 * np.linalg.norm(want)
+
+
+@pytest.mark.parametrize("closure", [CLOSURE_TAYLOR2, CLOSURE_ATOMIC])
+def test_noise_matrix_absent_without_noise_terms(torus_model, cos_symbol, closure):
+    # symmetric atoms, cutoff 0: zero mean and nothing below the cutoff
+    measure = AtomicMeasure(marks=[[0.4], [-0.4]], weights=[1.0, 1.0], epsilon=0.0)
+    noisy = build_problem(
+        torus_model, 5, decaying_initial(torus_model), 1.0,
+        symbols=cos_symbol, measure=measure,
+    )
+    quiet = build_problem(torus_model, 5, decaying_initial(torus_model), 1.0)
+    for problem in (noisy, quiet):
+        dyn = _Dynamics(problem, SolverConfig(closure=closure))
+        assert dyn.noise_matrix is None
+        assert not dyn.has_remainder
+        assert not np.any(dyn.noise_drift(problem.initial))
 
 
 # ---------------------------------------------------------------------------
