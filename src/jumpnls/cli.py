@@ -43,6 +43,10 @@ def _apply_overrides(spec, args):
     if getattr(args, "seed", None) is not None:
         updates["master_seed"] = args.seed
     if getattr(args, "trajectories", None) is not None:
+        if args.trajectories < 1:
+            raise ConfigurationError(
+                f"--trajectories must be at least 1, got {args.trajectories}"
+            )
         updates["trajectories"] = args.trajectories
     return dataclasses.replace(spec, **updates) if updates else spec
 
@@ -151,6 +155,8 @@ def _cmd_converge(args) -> int:
         coarse_levels = sorted(int(tok) for tok in args.levels.split(","))
     except ValueError as exc:
         raise ConfigurationError(f"bad --levels value {args.levels!r}") from exc
+    if len(set(coarse_levels)) != len(coarse_levels):
+        raise ConfigurationError(f"--levels repeats a level: {args.levels!r}")
     fine_n = spec.galerkin.level
     if any(n >= fine_n for n in coarse_levels):
         raise ConfigurationError(

@@ -1,8 +1,9 @@
 """Power nonlinearity |u|^(alpha-1) u with sign, and its antiderivative functional.
 
 Evaluation is pseudospectral: synthesize to the (oversampled) quadrature grid,
-apply the pointwise power, and analyze back, each direction one fast transform
-of the model's domain (FFT on the torus, DST/DCT on the interval).  Analysis
+apply the pointwise power, and analyze back.  Each direction is one fast
+transform of the model's domain (FFT on the torus, DST/DCT on the interval),
+or on small levels one product with the model's cached dense pair.  Analysis
 is the quadrature adjoint of synthesis, and the grid pairing makes
 ``<u, F(u)>`` a nonnegative quadrature sum times the sign, so the structural
 identity ``Re <i u, F(u)> = 0`` holds to rounding regardless of aliasing.

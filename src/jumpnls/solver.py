@@ -389,6 +389,14 @@ def simulate(
 
     dyn = _Dynamics(problem, config)
     stepper = _step_midpoint if config.mode == MODE_MIDPOINT else _step_splitstep
+    if isinstance(problem.measure, AtomicMeasure):
+        # atoms repeat, so each atom that jumps is decomposed once and kept;
+        # continuous marks never repeat and stay uncached
+        atoms = {mark.tobytes() for mark in problem.measure.marks}
+        jumped = [e.mark for e in events
+                  if np.asarray(e.mark, dtype=float).tobytes() in atoms]
+        if jumped:
+            problem.ops.warm_cache(jumped)
 
     grid = _time_grid(problem.horizon, config.dt, [e.time for e in events])
     num_nodes = len(grid)

@@ -2,7 +2,7 @@
 
 A model holds the eigenbasis of the Laplacian on a torus or an interval as a
 mode table and a uniform quadrature grid.  Coefficients move to grid samples
-and back through one fast transform per domain, never a stored basis matrix:
+and back through one fast transform per domain:
 
 * torus (1-d and 2-d): the discrete Fourier transform (``numpy.fft``);
 * Dirichlet interval, midpoint grid: DST-III to the grid, DST-II back;
@@ -11,6 +11,13 @@ and back through one fast transform per domain, never a stored basis matrix:
 All are taken in their orthonormal form, so the only scale is the square root
 of the quadrature cell weight.  ``scipy.fft`` is imported the first time an
 interval model transforms.
+
+On small mode sets a transform call costs more in call overhead than in
+arithmetic, so when the selected modes times the grid nodes number at most
+``DENSE_PAIR_MAX_ENTRIES`` the model multiplies by a cached dense pair
+instead: the synthesis matrix, built once per mode set by the fast transform
+itself, and its quadrature adjoint.  The fast transforms stay the only
+definition of the basis.
 
 Two diagonal operators act on coefficients:
 
@@ -41,6 +48,16 @@ INTERVAL_DIRICHLET = "IntervalDirichlet"
 INTERVAL_NEUMANN = "IntervalNeumann"
 
 _DOMAIN_KINDS = (TORUS_1D, TORUS_2D, INTERVAL_DIRICHLET, INTERVAL_NEUMANN)
+
+#: largest (selected modes) x (grid nodes) served by a cached dense transform
+#: pair, so a pair takes at most 1 MiB.  On one BLAS thread the dense pair is
+#: 2-5x faster than the transforms up to 23 114 entries (127 x 182), breaks
+#: even near 46 000 (181 x 256) and is 2-5x slower from 197 632 (193 x 1024)
+DENSE_PAIR_MAX_ENTRIES = 2**15
+
+#: dense pairs a model keeps (oldest dropped first): one per Galerkin level in
+#: practice, and a bound of 16 MiB when callers select many other mode sets
+DENSE_PAIR_MAX_CACHED = 16
 
 #: spaces accepted by :func:`sobolev_norm`
 NORM_SPACES = ("H", "E_A", "E_A_dual", "Lp")
@@ -168,7 +185,8 @@ class SpectralModel:
     ``k mod M`` on each torus axis, ``k - 1`` for Dirichlet sines and ``k``
     for Neumann cosines.  The quadrature rule (``grid_weights``, uniform)
     integrates products of retained modes exactly, so analyze/synthesize
-    round-trips are identities to rounding.
+    round-trips are identities to rounding.  Small mode sets are served by
+    cached dense pairs (see the module docstring), keyed by their positions.
     """
 
     domain: Domain
@@ -183,6 +201,9 @@ class SpectralModel:
     grid_shape: tuple[int, ...]  # nodes per axis
     positions: np.ndarray        # (num_modes,) flat spectrum index of each mode
     root_weight: float           # sqrt of the quadrature weight of one node
+    _dense_pairs: dict = dataclasses.field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     @property
     def num_modes(self) -> int:
@@ -204,9 +225,10 @@ class SpectralModel:
             raise ShapeError(
                 f"expected {len(positions)} coefficients, got shape {coefficients.shape}"
             )
-        spectrum = np.zeros(coefficients.shape[:-1] + (self.num_grid,), dtype=complex)
-        spectrum.T[positions] = coefficients.T / self.root_weight  # modes axis first
-        return _to_grid(self.domain.kind, spectrum, self.grid_shape)
+        pair = self._dense_pair(positions)
+        if pair is not None:
+            return coefficients @ pair[0]
+        return self._fast_synthesize(coefficients, positions)
 
     def analyze(self, values: np.ndarray, indices=None) -> np.ndarray:
         """Grid samples (last axis) -> coefficients of the retained (or selected) modes."""
@@ -216,6 +238,36 @@ class SpectralModel:
             raise ShapeError(
                 f"expected {self.num_grid} grid values, got shape {values.shape}"
             )
+        pair = self._dense_pair(positions)
+        if pair is not None:
+            return values @ pair[1]
+        return self._fast_analyze(values, positions)
+
+    def _dense_pair(self, positions: np.ndarray):
+        """Cached ``(S, w S^H)`` for a small mode set, or None above the crossover.
+
+        Row j of ``S`` is mode ``positions[j]`` on the grid, synthesized by the
+        fast transform; ``w S^H`` is its quadrature adjoint, which equals the
+        fast analysis because the transforms are unitary.
+        """
+        if positions.size * self.num_grid > DENSE_PAIR_MAX_ENTRIES:
+            return None
+        key = positions.tobytes()
+        pair = self._dense_pairs.get(key)
+        if pair is None:
+            S = self._fast_synthesize(np.eye(positions.size), positions)
+            pair = (S, np.ascontiguousarray(self.grid_weights[:, None] * S.conj().T))
+            if len(self._dense_pairs) >= DENSE_PAIR_MAX_CACHED:
+                del self._dense_pairs[next(iter(self._dense_pairs))]
+            self._dense_pairs[key] = pair
+        return pair
+
+    def _fast_synthesize(self, coefficients: np.ndarray, positions: np.ndarray) -> np.ndarray:
+        spectrum = np.zeros(coefficients.shape[:-1] + (self.num_grid,), dtype=complex)
+        spectrum.T[positions] = coefficients.T / self.root_weight  # modes axis first
+        return _to_grid(self.domain.kind, spectrum, self.grid_shape)
+
+    def _fast_analyze(self, values: np.ndarray, positions: np.ndarray) -> np.ndarray:
         spectrum = _from_grid(self.domain.kind, values, self.grid_shape)
         coefficients = spectrum.take(positions, axis=-1) * self.root_weight
         return coefficients.astype(complex, copy=False)

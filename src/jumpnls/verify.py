@@ -110,11 +110,21 @@ def check_quadrature_orthonormality(ws, tol):
 
 
 def check_transform_roundtrip(ws, tol):
-    coeffs = ws.full
-    back = ws.model.analyze(ws.model.synthesize(coeffs))
+    # the small model is served by its dense pair; compare both directions
+    # with the fast transforms too
+    model, coeffs = ws.model, ws.full
+    values = model.synthesize(coeffs)
+    back = model.analyze(values)
     err = float(np.linalg.norm(back - coeffs) / np.linalg.norm(coeffs))
-    return _result("transform_roundtrip", err <= 1e-12 * tol,
-                   f"relative roundtrip error {err:.3e}")
+    fast_values = model._fast_synthesize(coeffs, model.positions)
+    fast_back = model._fast_analyze(values, model.positions)
+    gap = max(
+        float(np.linalg.norm(values - fast_values) / np.linalg.norm(fast_values)),
+        float(np.linalg.norm(back - fast_back) / np.linalg.norm(fast_back)),
+    )
+    return _result("transform_roundtrip", max(err, gap) <= 1e-12 * tol,
+                   f"relative roundtrip error {err:.3e}, "
+                   f"dense vs fast gap {gap:.3e}")
 
 
 def check_parseval_identity(ws, tol):

@@ -169,6 +169,27 @@ def test_converge_rejects_non_coarser_levels(fast_config, capsys):
     assert "coarser" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("count", ["0", "-1"])
+def test_trajectories_override_below_one_rejected(fast_config, tmp_path, capsys, count):
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", fast_config, "--out", str(out),
+                 "--trajectories", count]) == 2
+    assert "--trajectories must be at least 1" in capsys.readouterr().err
+    assert not out.exists()
+    assert main(["converge", "--config", fast_config, "--levels", "1,2",
+                 "--trajectories", count]) == 2
+    captured = capsys.readouterr()
+    assert "--trajectories must be at least 1" in captured.err
+    assert captured.out == ""
+
+
+def test_converge_rejects_duplicate_levels(fast_config, capsys):
+    assert main(["converge", "--config", fast_config, "--levels", "2,1,2"]) == 2
+    captured = capsys.readouterr()
+    assert "repeats a level" in captured.err
+    assert captured.out == ""
+
+
 def test_verify_subcommand(capsys):
     assert main(["verify", "--only", "seed_streams,cutoff_branches"]) == 0
     out = capsys.readouterr().out

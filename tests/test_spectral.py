@@ -231,6 +231,15 @@ def test_transforms_match_closed_form(
         )
     except ConfigurationError:  # interval too short to hold a mode at this level
         assume(False)
+    # the fast transforms (no dense pair admitted), then the dense pairs
+    for max_entries in (0, 2**62):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(spectral, "DENSE_PAIR_MAX_ENTRIES", max_entries)
+            _check_transforms_match_closed_form(model, batch, select, seed)
+        assert bool(model._dense_pairs) == (max_entries > 0)
+
+
+def _check_transforms_match_closed_form(model, batch, select, seed):
     rng = np.random.default_rng(seed)
     basis = closed_form_basis(model)
     indices = None
@@ -250,6 +259,43 @@ def test_transforms_match_closed_form(
     expected = v @ (basis.conj() * model.grid_weights).T
     assert coefficients.shape == expected.shape
     assert np.linalg.norm(coefficients - expected) <= 1e-13 * np.linalg.norm(expected)
+    # real input still gives complex output
+    assert model.synthesize(c.real, indices=indices).dtype == complex
+    assert model.analyze(v.real, indices=indices).dtype == complex
+
+
+def test_dense_pairs_cached_once_per_mode_set_below_the_limit(monkeypatch):
+    model = spectral.build_spectral_model(spectral.torus_1d(2 * np.pi), max_level=6)
+    small = spectral.build_level(model, 3)
+    large = spectral.build_level(model, 5)
+    limit = small.dim * model.num_grid
+    assert large.dim * model.num_grid > limit
+    monkeypatch.setattr(spectral, "DENSE_PAIR_MAX_ENTRIES", limit)
+    rng = np.random.default_rng(3)
+
+    key = model.positions[small.indices].tobytes()
+    pairs = []
+    for _ in range(3):
+        model.synthesize(random_state(rng, small.dim), indices=small.indices)
+        model.analyze(random_state(rng, (2, model.num_grid)), indices=small.indices)
+        model.synthesize(random_state(rng, large.dim), indices=large.indices)
+        model.analyze(random_state(rng, model.num_grid))
+        assert list(model._dense_pairs) == [key]
+        pairs.append(model._dense_pairs[key])
+    assert all(pair is pairs[0] for pair in pairs)
+    S, adjoint = pairs[0]
+    assert S.shape == (small.dim, model.num_grid)
+    assert adjoint.shape == (model.num_grid, small.dim)
+
+    # many selected mode sets: the oldest pairs are dropped
+    assert model.num_modes > spectral.DENSE_PAIR_MAX_CACHED
+    for j in range(model.num_modes):
+        model.synthesize(random_state(rng, 1), indices=[j])
+        assert len(model._dense_pairs) == min(j + 2, spectral.DENSE_PAIR_MAX_CACHED)
+    assert key not in model._dense_pairs
+    # at the shipped limit a pair takes at most 1 MiB
+    monkeypatch.undo()
+    assert 2 * 16 * spectral.DENSE_PAIR_MAX_ENTRIES <= 2**20
 
 
 def test_parseval(torus_model):
