@@ -79,20 +79,13 @@ class NoiseOperators:
     def warm_cache(self, marks) -> None:
         """Precompute eigendecompositions for the given marks (e.g. all atoms)."""
         for mark in np.atleast_2d(np.asarray(marks, dtype=float)):
-            key = mark.tobytes()
-            if key not in self._eig_cache:
-                self._eig_cache[key] = _eigendecompose(generator(self, mark))
+            self._eig_cache[mark.tobytes()] = self._eig_for(mark)
 
     def _eig_for(self, mark: np.ndarray):
         cached = self._eig_cache.get(mark.tobytes())
         if cached is not None:
             return cached
-        return _eigendecompose(generator(self, mark))
-
-
-def _eigendecompose(matrix: np.ndarray):
-    theta, vectors = np.linalg.eigh(matrix)
-    return theta, vectors
+        return np.linalg.eigh(generator(self, mark))
 
 
 def assemble_noise_operators(
@@ -171,14 +164,19 @@ def generator(ops: NoiseOperators, mark) -> np.ndarray:
     return np.tensordot(mark, ops.matrices, axes=1)
 
 
+def _apply_spectral(ops: NoiseOperators, mark, factor, state) -> np.ndarray:
+    """V diag(factor(theta)) V^H state, where B(l) = V diag(theta) V^H."""
+    theta, vectors = ops._eig_for(np.asarray(mark, dtype=float).reshape(-1))
+    state = np.asarray(state, dtype=complex)
+    return vectors @ (factor(theta) * (vectors.conj().T @ state))
+
+
 def jump_map(ops: NoiseOperators, mark, state: np.ndarray) -> np.ndarray:
     """Unitary jump: exp(-i B(l)) applied through the eigendecomposition."""
-    mark = np.asarray(mark, dtype=float).reshape(-1)
     state = np.asarray(state, dtype=complex)
     if state.shape != (ops.dim,):
         raise ShapeError(f"state must have length {ops.dim}, got {state.shape}")
-    theta, vectors = ops._eig_for(mark)
-    return vectors @ (np.exp(-1j * theta) * (vectors.conj().T @ state))
+    return _apply_spectral(ops, mark, lambda theta: np.exp(-1j * theta), state)
 
 
 def marcus_flow(
@@ -240,19 +238,16 @@ def jump_difference_1(ops: NoiseOperators, mark, state: np.ndarray) -> np.ndarra
     2 |sin(theta/2)| never exceeds |theta|, so the operator bound
     sqrt(bound_H) |l| ||x|| is respected without cancellation error.
     """
-    mark = np.asarray(mark, dtype=float).reshape(-1)
-    theta, vectors = ops._eig_for(mark)
-    half = 0.5 * theta
-    factor = -2.0 * np.sin(half) * (np.sin(half) + 1j * np.cos(half))
-    return vectors @ (factor * (vectors.conj().T @ np.asarray(state, dtype=complex)))
+    def factor(theta):
+        half = 0.5 * theta
+        return -2.0 * np.sin(half) * (np.sin(half) + 1j * np.cos(half))
+
+    return _apply_spectral(ops, mark, factor, state)
 
 
 def jump_difference_2(ops: NoiseOperators, mark, state: np.ndarray) -> np.ndarray:
     """Second jump difference exp(-iB(l))x - x + iB(l)x, stable near zero."""
-    mark = np.asarray(mark, dtype=float).reshape(-1)
-    theta, vectors = ops._eig_for(mark)
-    factor = _difference_2_factor(theta)
-    return vectors @ (factor * (vectors.conj().T @ np.asarray(state, dtype=complex)))
+    return _apply_spectral(ops, mark, _difference_2_factor, state)
 
 
 def difference_2_matrix(ops: NoiseOperators, marks, weights) -> np.ndarray:

@@ -13,8 +13,7 @@ Two measure families:
   to simulate.
 
 Randomness: one master seed; trajectory k draws from an independent stream
-whose seed is a fixed 64-bit hash (splitmix64) of ``master_seed`` and ``k``,
-so trajectories are reproducible regardless of scheduling or worker count.
+whose seed is a fixed 64-bit hash (splitmix64) of ``master_seed`` and ``k``.
 """
 
 from __future__ import annotations

@@ -18,6 +18,10 @@ tolerance and the pure-diagonal flow is reproduced to rounding.  ``SplitStep``
 composes half-step phases with an exact pointwise gauge rotation for the
 nonlinearity and an explicit Euler substep for the noise drift; it is cheaper
 and first-order accurate in the mass budget, second order in the state.
+
+``simulate`` and ``simulate_coupled`` run one loop that advances a list of
+levels together over the shared jump-adapted grid.  A coupled run adds its
+dual-norm distance node by node, so it holds no state history unless asked.
 """
 
 from __future__ import annotations
@@ -236,14 +240,19 @@ class _Dynamics:
         return -1j * (self.lam * state) + self.remainder(state)
 
 
-def drift(problem: GalerkinProblem, config: SolverConfig, state: np.ndarray) -> np.ndarray:
-    """Full drift vector field at ``state`` (level coefficients)."""
+def _level_state(problem: GalerkinProblem, state) -> np.ndarray:
+    """``state`` as a complex vector, checked against the level dimension."""
     state = np.asarray(state, dtype=complex)
     if state.shape != (problem.level.dim,):
         raise ShapeError(
             f"state must have {problem.level.dim} coefficients, got {state.shape}"
         )
-    return _Dynamics(problem, config).drift(state)
+    return state
+
+
+def drift(problem: GalerkinProblem, config: SolverConfig, state: np.ndarray) -> np.ndarray:
+    """Full drift vector field at ``state`` (level coefficients)."""
+    return _Dynamics(problem, config).drift(_level_state(problem, state))
 
 
 # ---------------------------------------------------------------------------
@@ -311,15 +320,9 @@ def step_between_jumps(
     """Advance one step of length ``tau`` using the configured stepper."""
     if not (tau > 0):
         raise ConfigurationError(f"step size must be positive, got {tau}")
-    state = np.asarray(state, dtype=complex)
-    if state.shape != (problem.level.dim,):
-        raise ShapeError(
-            f"state must have {problem.level.dim} coefficients, got {state.shape}"
-        )
-    dyn = _Dynamics(problem, config)
-    if config.mode == MODE_MIDPOINT:
-        return _step_midpoint(dyn, state, tau, config)
-    return _step_splitstep(dyn, state, tau, config)
+    state = _level_state(problem, state)
+    stepper = _step_midpoint if config.mode == MODE_MIDPOINT else _step_splitstep
+    return stepper(_Dynamics(problem, config), state, tau, config)
 
 
 # ---------------------------------------------------------------------------
@@ -348,10 +351,110 @@ class TrajectoryRecord:
 
 def _time_grid(horizon: float, dt: float, event_times) -> np.ndarray:
     n_steps = max(1, int(np.ceil(horizon / dt - 1e-9)))
-    base = np.linspace(0.0, horizon, n_steps + 1)
-    if len(event_times) == 0:
-        return base
-    return np.union1d(base, event_times)
+    return np.union1d(np.linspace(0.0, horizon, n_steps + 1), event_times)
+
+
+def _jump_path(problems, rng, events) -> list[JumpEvent]:
+    """Sample the jump path the levels share, or check a supplied one."""
+    first = problems[0]
+    if events is None:
+        if first.measure is None:
+            return []
+        if rng is None:
+            raise ConfigurationError("sampling jumps requires a random generator")
+        return sample_prm(first.measure, first.horizon, rng)
+    events = list(events)
+    times = [e.time for e in events]
+    if any(t < 0.0 or t > first.horizon for t in times):
+        raise ConfigurationError("jump events must lie within [0, horizon]")
+    if any(b < a for a, b in zip(times, times[1:])):
+        raise ConfigurationError("jump events must be time-sorted")
+    if events and any(p.ops is None for p in problems):
+        raise ConfigurationError("jump events supplied without noise operators")
+    return events
+
+
+def _new_record(problem, dyn, grid, events, record_states) -> TrajectoryRecord:
+    return TrajectoryRecord(
+        level_n=problem.level.n,
+        indices=problem.level.indices.copy(),
+        ea_weights=1.0 + dyn.lam,
+        times=grid,
+        states=(np.zeros((len(grid), problem.level.dim), dtype=complex)
+                if record_states else None),
+        mass=np.zeros_like(grid),
+        kinetic=np.zeros_like(grid),
+        potential=np.zeros_like(grid),
+        energy=np.zeros_like(grid),
+        ea_norm=np.zeros_like(grid),
+        events=events,
+        variance_budget=(
+            0.0 if problem.moments is None else problem.moments.variance_budget
+        ),
+    )
+
+
+def _record_node(record: TrajectoryRecord, dyn: _Dynamics, i: int, u) -> None:
+    sq = np.abs(u) ** 2
+    record.mass[i] = np.sum(sq)
+    record.kinetic[i] = 0.5 * np.sum(dyn.lam * sq)
+    if dyn.nl is not None:
+        record.potential[i] = eval_Fhat(dyn.model, dyn.nl, u, indices=dyn.idx)
+    record.energy[i] = record.kinetic[i] + record.potential[i]
+    record.ea_norm[i] = np.sqrt(np.sum(record.ea_weights * sq))
+    if record.states is not None:
+        record.states[i] = u
+
+
+def _run_levels(problems, config, events, record_states, on_node=None):
+    """Advance the levels in lockstep over the shared jump-adapted grid.
+
+    At each node every level steps, applies the jumps due there and records
+    (its state too if ``record_states``); ``on_node`` then gets the states.
+    """
+    times = [e.time for e in events]
+    grid = _time_grid(problems[0].horizon, config.dt, times)
+    # the jumps due at node i are events[ends[i - 1]:ends[i]]
+    ends = np.searchsorted(times, grid, side="right")
+    stepper = _step_midpoint if config.mode == MODE_MIDPOINT else _step_splitstep
+    dyns = [_Dynamics(p, config) for p in problems]
+    records = [_new_record(p, d, grid, events, record_states)
+               for p, d in zip(problems, dyns)]
+    states = [p.initial.astype(complex, copy=True) for p in problems]
+    for problem in problems:
+        if isinstance(problem.measure, AtomicMeasure):
+            # atoms repeat, so each atom that jumps is decomposed once and
+            # kept; continuous marks never repeat and stay uncached
+            atoms = {mark.tobytes() for mark in problem.measure.marks}
+            jumped = [e.mark for e in events
+                      if np.asarray(e.mark, dtype=float).tobytes() in atoms]
+            if jumped:
+                problem.ops.warm_cache(jumped)
+
+    for i, t in enumerate(grid):
+        due = events[ends[i - 1] if i > 0 else 0:ends[i]]
+        for k, problem in enumerate(problems):
+            u = states[k]
+            if i > 0:
+                tau = t - grid[i - 1]
+                try:
+                    u = stepper(dyns[k], u, tau, config)
+                except NumericsError as exc:
+                    level = f"level {problem.level.n}: " if len(problems) > 1 else ""
+                    raise NumericsError(
+                        f"{level}step t={float(grid[i - 1])!r} -> {float(t)!r} "
+                        f"(dt={tau:.3e}): {exc}"
+                    ) from exc
+            for event in due:
+                u = jump_map(problem.ops, event.mark, u)
+            _record_node(records[k], dyns[k], i, u)
+            states[k] = u
+        if on_node is not None:
+            on_node(states)
+
+    for record, dyn in zip(records, dyns):
+        record.fp_iters_max = dyn.fp_iters_max
+    return records
 
 
 def simulate(
@@ -368,96 +471,8 @@ def simulate(
     horizon).  The state is recorded at every grid node and every jump time,
     after the jump is applied.
     """
-    if events is None:
-        if problem.measure is None:
-            events = []
-        else:
-            if rng is None:
-                raise ConfigurationError(
-                    "sampling jumps requires a random generator"
-                )
-            events = sample_prm(problem.measure, problem.horizon, rng)
-    else:
-        events = list(events)
-        times = [e.time for e in events]
-        if any(t < 0.0 or t > problem.horizon for t in times):
-            raise ConfigurationError("jump events must lie within [0, horizon]")
-        if any(b < a for a, b in zip(times, times[1:])):
-            raise ConfigurationError("jump events must be time-sorted")
-        if events and problem.ops is None:
-            raise ConfigurationError("jump events supplied without noise operators")
-
-    dyn = _Dynamics(problem, config)
-    stepper = _step_midpoint if config.mode == MODE_MIDPOINT else _step_splitstep
-    if isinstance(problem.measure, AtomicMeasure):
-        # atoms repeat, so each atom that jumps is decomposed once and kept;
-        # continuous marks never repeat and stay uncached
-        atoms = {mark.tobytes() for mark in problem.measure.marks}
-        jumped = [e.mark for e in events
-                  if np.asarray(e.mark, dtype=float).tobytes() in atoms]
-        if jumped:
-            problem.ops.warm_cache(jumped)
-
-    grid = _time_grid(problem.horizon, config.dt, [e.time for e in events])
-    num_nodes = len(grid)
-    dim = problem.level.dim
-    lam = problem.model.eigenvalues_A[problem.level.indices]
-    ea_weights = 1.0 + lam
-
-    states = np.zeros((num_nodes, dim), dtype=complex) if record_states else None
-    mass = np.zeros(num_nodes)
-    kinetic = np.zeros(num_nodes)
-    potential = np.zeros(num_nodes)
-    ea_norm = np.zeros(num_nodes)
-
-    u = problem.initial.astype(complex, copy=True)
-    event_iter = iter(events)
-    pending = next(event_iter, None)
-
-    def record(i, u):
-        sq = np.abs(u) ** 2
-        mass[i] = np.sum(sq)
-        kinetic[i] = 0.5 * np.sum(lam * sq)
-        if problem.nonlinearity is not None:
-            potential[i] = eval_Fhat(
-                problem.model, problem.nonlinearity, u, indices=problem.level.indices
-            )
-        ea_norm[i] = np.sqrt(np.sum(ea_weights * sq))
-        if states is not None:
-            states[i] = u
-
-    for i, t in enumerate(grid):
-        if i > 0:
-            tau = t - grid[i - 1]
-            try:
-                u = stepper(dyn, u, tau, config)
-            except NumericsError as exc:
-                raise NumericsError(
-                    f"step t={float(grid[i - 1])!r} -> {float(t)!r} "
-                    f"(dt={tau:.3e}): {exc}"
-                ) from exc
-        while pending is not None and pending.time <= t:
-            u = jump_map(problem.ops, pending.mark, u)
-            pending = next(event_iter, None)
-        record(i, u)
-
-    return TrajectoryRecord(
-        level_n=problem.level.n,
-        indices=problem.level.indices.copy(),
-        ea_weights=ea_weights,
-        times=grid,
-        states=states,
-        mass=mass,
-        kinetic=kinetic,
-        potential=potential,
-        energy=kinetic + potential,
-        ea_norm=ea_norm,
-        events=events,
-        variance_budget=(
-            0.0 if problem.moments is None else problem.moments.variance_budget
-        ),
-        fp_iters_max=dyn.fp_iters_max,
-    )
+    events = _jump_path([problem], rng, events)
+    return _run_levels([problem], config, events, record_states)[0]
 
 
 @dataclasses.dataclass(frozen=True)
@@ -485,9 +500,10 @@ def simulate_coupled(
     """Run two truncation levels against the same sampled jump path.
 
     Both problems must share the spectral model and horizon, with the first
-    strictly coarser.  The returned distance is the supremum over recorded
-    times of the dual-norm difference, computed on the finer level's modes
-    (the coarse path embeds by zero padding).
+    strictly coarser and nested in the finer one.  The levels advance
+    together; the dual-norm difference is taken at each node on the finer
+    level's modes (the coarse state embeds by zero padding), and the returned
+    distance is its supremum.  Histories are kept only with ``record_states``.
     """
     if problem_low.model is not problem_high.model:
         raise ConfigurationError("coupled runs need a shared spectral model")
@@ -497,34 +513,24 @@ def simulate_coupled(
         raise ConfigurationError("first problem must be the coarser level")
     if (problem_low.measure is None) != (problem_high.measure is None):
         raise ConfigurationError("both levels need the same jump measure")
-
-    if events is None and problem_low.measure is not None:
-        if rng is None:
-            raise ConfigurationError("sampling jumps requires a random generator")
-        events = sample_prm(problem_low.measure, problem_low.horizon, rng)
-    if events is None:
-        events = []
-
-    rec_low = simulate(problem_low, config, events=events, record_states=True)
-    rec_high = simulate(problem_high, config, events=events, record_states=True)
-
-    # nested dyadic blocks: the coarse indices are a prefix of the fine ones
-    positions = np.searchsorted(rec_high.indices, rec_low.indices)
-    if not np.array_equal(rec_high.indices[positions], rec_low.indices):
+    # nested dyadic blocks: the coarse indices are a subset of the fine ones
+    low_idx, high_idx = problem_low.level.indices, problem_high.level.indices
+    positions = np.searchsorted(high_idx, low_idx)
+    if not np.array_equal(high_idx[positions], low_idx):
         raise ConfigurationError("levels are not nested in the mode table")
 
-    low_embedded = np.zeros_like(rec_high.states)
-    low_embedded[:, positions] = rec_low.states
-    inv_w = 1.0 / rec_high.ea_weights
-    distances = np.sqrt(
-        np.sum(np.abs(rec_high.states - low_embedded) ** 2 * inv_w, axis=1)
-    )
-    if not record_states:
-        rec_low.states = None
-        rec_high.states = None
-    return CoupledResult(
-        record_low=rec_low,
-        record_high=rec_high,
-        distances=distances,
-        distance=float(np.max(distances)),
-    )
+    inv_w = 1.0 / (1.0 + problem_high.model.eigenvalues_A[high_idx])
+    distances = []
+
+    def add_distance(states):
+        low, high = states
+        gap = high.copy()
+        gap[positions] -= low
+        distances.append(np.sqrt(np.sum(np.abs(gap) ** 2 * inv_w)))
+
+    problems = [problem_low, problem_high]
+    rec_low, rec_high = _run_levels(problems, config,
+                                    _jump_path(problems, rng, events),
+                                    record_states, add_distance)
+    distances = np.array(distances)
+    return CoupledResult(rec_low, rec_high, distances, float(np.max(distances)))

@@ -264,7 +264,9 @@ def test_numerics_error_names_trajectory_and_time(tmp_path, capsys):
     assert "step t=0.0 -> " in err and "(dt=" in err
     assert "failed to converge" in err
     assert main(["converge", "--config", str(config), "--levels", "2"]) == 2
-    assert "trajectory 0:" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "trajectory 0: level 2: step t=0.0 -> " in err and "(dt=" in err
+    assert "failed to converge" in err
 
 
 def test_shipped_configs_simulate(tmp_path):

@@ -1,5 +1,7 @@
 """Stepper and trajectory tests: exactness, conservation, order, jump handling."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from jumpnls.noise import (
     AtomicMeasure,
     JumpEvent,
     RadialStableMeasure,
+    sample_prm,
     trajectory_rng,
 )
 from jumpnls.nonlinear import defocusing
@@ -27,7 +30,7 @@ from jumpnls.solver import (
     simulate_coupled,
     step_between_jumps,
 )
-from jumpnls.spectral import build_level
+from jumpnls.spectral import build_level, build_spectral_model, torus_1d
 
 
 def decaying_initial(model, seed=11, rate=0.4):
@@ -546,6 +549,9 @@ def test_coupled_levels_validation(torus_model, cos_symbol):
     p_short = build_problem(torus_model, 6, u0, 0.5)
     with pytest.raises(ConfigurationError):
         simulate_coupled(p4, p_short, SolverConfig(dt=0.1))
+    with pytest.raises(ConfigurationError):
+        simulate_coupled(p4, p6, SolverConfig(dt=0.1),
+                         events=[JumpEvent(0.5, np.array([0.3]))])
 
 
 def test_coupled_nonlinear_distance_shrinks_with_level(torus_model):
@@ -567,3 +573,66 @@ def test_coupled_nonlinear_distance_shrinks_with_level(torus_model):
                                   rng=trajectory_rng(123, 0))
         distances.append(result.distance)
     assert distances[1] < distances[0]
+
+
+@pytest.mark.parametrize("mode", [MODE_MIDPOINT, MODE_SPLITSTEP])
+def test_coupled_levels_match_independent_runs(torus_model, cos_symbol, mode):
+    # stepping the levels together changes nothing in either level's path
+    measure = AtomicMeasure(marks=[[0.5], [-0.5]], weights=[2.0, 2.0])
+    config = SolverConfig(mode=mode, dt=0.05)
+    problems = [
+        build_problem(torus_model, n, decaying_initial(torus_model), 1.0,
+                      nonlinearity=defocusing(3.0), symbols=cos_symbol,
+                      measure=measure)
+        for n in (4, 6)
+    ]
+    events = sample_prm(measure, 1.0, trajectory_rng(17, 0))
+    assert events
+    result = simulate_coupled(*problems, config, events=events)
+    for record, problem in zip((result.record_low, result.record_high), problems):
+        alone = simulate(problem, config, events=events)
+        for field in ("times", "states", "mass", "kinetic", "potential",
+                      "energy", "ea_norm"):
+            assert np.array_equal(getattr(record, field), getattr(alone, field)), field
+        assert record.fp_iters_max == alone.fp_iters_max
+    if mode == MODE_MIDPOINT:
+        assert result.record_high.fp_iters_max > 0
+
+    # the dual-norm gap of the recorded histories, coarse path zero-padded
+    low, high = result.record_low, result.record_high
+    embedded = np.zeros_like(high.states)
+    embedded[:, np.searchsorted(high.indices, low.indices)] = low.states
+    inv_w = 1.0 / high.ea_weights
+    want = np.sqrt(np.sum(np.abs(high.states - embedded) ** 2 * inv_w, axis=1))
+    assert np.array_equal(result.distances, want)
+    assert result.distance == np.max(want)
+
+
+def test_coupled_memory_does_not_grow_with_nodes():
+    # without record_states each level holds one state, so an 8x longer
+    # horizon adds only per-node scalars: far less than the half fine-level
+    # state per extra node that any kept history would cost
+    model = build_spectral_model(torus_1d(2 * np.pi), beta=1.0, max_level=10)
+    u0 = decaying_initial(model)
+    config = SolverConfig(dt=0.01)
+
+    def peak(horizon):
+        low, high = (build_problem(model, n, u0, horizon,
+                                   nonlinearity=defocusing(3.0))
+                     for n in (8, 10))
+        tracemalloc.start()
+        try:
+            result = simulate_coupled(low, high, config, record_states=False)
+            return tracemalloc.get_traced_memory()[1], result
+        finally:
+            tracemalloc.stop()
+
+    peak(0.1)  # fill the model's transform caches outside the comparison
+    short, short_result = peak(0.1)
+    long, long_result = peak(0.8)
+    assert long_result.record_low.states is None
+    assert long_result.record_high.states is None
+    extra_nodes = len(long_result.distances) - len(short_result.distances)
+    fine_dim = len(long_result.record_high.indices)
+    assert extra_nodes > 60
+    assert long - short < 8 * fine_dim * extra_nodes
