@@ -20,20 +20,16 @@ import numpy as np
 
 from . import verify as verify_mod
 from .config import (
-    build_model_from_spec,
     build_measure_from_spec,
-    build_nonlinearity_from_spec,
     build_problem_from_spec,
-    build_symbols_from_spec,
     canonical_text,
     config_hash,
-    initial_values,
     load_config,
 )
 from .diagnostics import ensemble_moments
 from .exceptions import ConfigurationError, NumericsError
 from .noise import sample_prm, trajectory_rng, trajectory_seed
-from .solver import build_problem, simulate, simulate_coupled
+from .solver import simulate, simulate_coupled
 
 _CSV_HEADER = "t,mass,kinetic,potential,energy,ea_norm"
 
@@ -163,25 +159,15 @@ def _cmd_converge(args) -> int:
             f"--levels must all be coarser than the configured level {fine_n}"
         )
 
-    model = build_model_from_spec(spec)
-    measure = build_measure_from_spec(spec)
-    symbols = build_symbols_from_spec(spec, model)
-    nl = build_nonlinearity_from_spec(spec)
-    u0 = initial_values(spec, model)
-
-    def make_problem(n):
-        return build_problem(model, n, u0, spec.horizon, nonlinearity=nl,
-                             symbols=symbols, measure=measure)
-
-    fine = make_problem(fine_n)
+    model, fine = build_problem_from_spec(spec)
     distances = {n: [] for n in coarse_levels}
     for k in range(spec.trajectories):
         events = []
-        if measure is not None:
-            events = sample_prm(measure, spec.horizon,
+        if fine.measure is not None:
+            events = sample_prm(fine.measure, spec.horizon,
                                 trajectory_rng(spec.master_seed, k))
         for n in coarse_levels:
-            coarse = make_problem(n)
+            _, coarse = build_problem_from_spec(spec, model, level=n)
             with _trajectory_context(k):
                 result = simulate_coupled(coarse, fine, spec.solver,
                                           events=events, record_states=False)

@@ -1,5 +1,11 @@
 """INI run configuration: parsing, canonical serialization, object builders.
 
+The spec dataclasses are the schema of the simple sections (``[galerkin]``,
+``[nonlinearity]``, ``[solver]``, ``[initial]``, ``[output]``): their fields
+give the keys, the value types, the defaults and the canonical key order.
+``[domain]``, ``[noise]`` and ``[run]`` have conditional or legacy keys and
+are parsed by hand.
+
 The canonical text form is deterministic (fixed section and key order,
 ``repr`` floats), so round-tripping a spec through text is the identity and
 the sha256 of the canonical text is a stable fingerprint of the run.
@@ -16,11 +22,9 @@ import numpy as np
 
 from .exceptions import ConfigurationError
 from .noise import AtomicMeasure, RadialStableMeasure
-from .nonlinear import Nonlinearity, defocusing, focusing
+from .nonlinear import defocusing, focusing
 from .solver import (
     CLOSURE_ATOMIC,
-    CLOSURE_TAYLOR2,
-    MODE_MIDPOINT,
     GalerkinProblem,
     SolverConfig,
     build_problem,
@@ -34,7 +38,10 @@ from .spectral import (
     torus_2d,
 )
 
-DOMAIN_KINDS = ("torus_1d", "torus_2d", "interval_dirichlet", "interval_neumann")
+_DOMAINS = {"torus_1d": torus_1d, "torus_2d": torus_2d,
+            "interval_dirichlet": interval_dirichlet,
+            "interval_neumann": interval_neumann}
+_NONLINEARITIES = {"defocusing": defocusing, "focusing": focusing}
 NOISE_KINDS = ("atomic", "radial_stable")
 SYMBOL_PRESETS = ("constant", "cos", "sin", "bump")
 INITIAL_PRESETS = ("decaying", "single_mode", "plateau")
@@ -45,6 +52,11 @@ class DomainSpec:
     kind: str
     lengths: tuple[float, ...]
 
+
+# In the dataclass-driven sections the field order is the canonical key order:
+# reordering a field changes every config_hash.  This is why the required
+# ``GalerkinSpec.level`` keeps an unused default: a field without one could
+# not follow ``max_level``.
 
 @dataclasses.dataclass(frozen=True)
 class GalerkinSpec:
@@ -135,6 +147,37 @@ def _bool(raw: str) -> bool:
     raise ValueError(f"not a boolean: {raw!r}")
 
 
+# field annotation -> (parse, render)
+_FIELD_TYPES = {
+    "float": (float, repr),
+    "int": (int, str),
+    "str": (str, str),
+    "bool": (_bool, lambda value: "true" if value else "false"),
+}
+
+
+def _parse_section(section, cls, required=()):
+    """Build ``cls`` from ``section``, one key per field.
+
+    A field without a default, or named in ``required``, must be given; any
+    other absent key takes the field's default.
+    """
+    fields = dataclasses.fields(cls)
+    _require(section, {f.name for f in fields})
+    return cls(**{
+        f.name: _get(section, f.name, _FIELD_TYPES[f.type][0], required=True)
+        for f in fields
+        if f.name in section or f.name in required
+        or f.default is dataclasses.MISSING
+    })
+
+
+def _section_pairs(obj):
+    """Canonical (key, text) pairs of a dataclass-driven section."""
+    return [(f.name, _FIELD_TYPES[f.type][1](getattr(obj, f.name)))
+            for f in dataclasses.fields(obj)]
+
+
 def _parse_atoms(raw: str):
     """Atoms as 'm1 m2 ... : weight' entries separated by ';'."""
     atoms = []
@@ -174,8 +217,8 @@ def parse_config(text: str) -> RunSpec:
     dom = parser["domain"]
     _require(dom, {"kind", "length", "length_x", "length_y"})
     kind = _get(dom, "kind", str, required=True)
-    if kind not in DOMAIN_KINDS:
-        raise ConfigurationError(f"domain kind must be one of {DOMAIN_KINDS}")
+    if kind not in _DOMAINS:
+        raise ConfigurationError(f"domain kind must be one of {tuple(_DOMAINS)}")
     if kind == "torus_2d":
         lengths = (_get(dom, "length_x", float, required=True),
                    _get(dom, "length_y", float, required=True))
@@ -183,14 +226,8 @@ def parse_config(text: str) -> RunSpec:
         lengths = (_get(dom, "length", float, required=True),)
     domain = DomainSpec(kind=kind, lengths=lengths)
 
-    gal = parser["galerkin"]
-    _require(gal, {"beta", "max_level", "level", "dealias_factor"})
-    galerkin = GalerkinSpec(
-        beta=_get(gal, "beta", float, default=1.0),
-        max_level=_get(gal, "max_level", int, default=6),
-        level=_get(gal, "level", int, required=True),
-        dealias_factor=_get(gal, "dealias_factor", int, default=2),
-    )
+    galerkin = _parse_section(parser["galerkin"], GalerkinSpec,
+                              required=("level",))
     if not (0 <= galerkin.level <= galerkin.max_level):
         raise ConfigurationError(
             f"level must lie in [0, max_level={galerkin.max_level}]"
@@ -198,14 +235,9 @@ def parse_config(text: str) -> RunSpec:
 
     nonlinearity = None
     if "nonlinearity" in present:
-        non = parser["nonlinearity"]
-        _require(non, {"kind", "alpha"})
-        nl_kind = _get(non, "kind", str, required=True)
-        if nl_kind not in ("defocusing", "focusing"):
+        nonlinearity = _parse_section(parser["nonlinearity"], NonlinearitySpec)
+        if nonlinearity.kind not in _NONLINEARITIES:
             raise ConfigurationError("nonlinearity kind must be defocusing or focusing")
-        nonlinearity = NonlinearitySpec(
-            kind=nl_kind, alpha=_get(non, "alpha", float, required=True)
-        )
 
     noise = None
     if "noise" in present:
@@ -242,33 +274,14 @@ def parse_config(text: str) -> RunSpec:
                 stability=_get(noi, "stability", float, required=True),
             )
 
-    sol = parser["solver"]
-    _require(sol, {"mode", "dt", "closure", "fp_tol", "max_fp_iters",
-                   "max_halvings"})
-    mode = _get(sol, "mode", str, default=MODE_MIDPOINT)
-    closure = _get(sol, "closure", str, default=CLOSURE_TAYLOR2)
-    solver = SolverConfig(
-        mode=mode,
-        dt=_get(sol, "dt", float, required=True),
-        closure=closure,
-        fp_tol=_get(sol, "fp_tol", float, default=1e-12),
-        max_fp_iters=_get(sol, "max_fp_iters", int, default=100),
-        max_halvings=_get(sol, "max_halvings", int, default=20),
-    )
+    solver = _parse_section(parser["solver"], SolverConfig, required=("dt",))
 
-    ini = parser["initial"]
-    _require(ini, {"preset", "rate", "mode", "scale"})
-    preset = _get(ini, "preset", str, default="decaying")
-    if preset not in INITIAL_PRESETS:
+    initial = _parse_section(parser["initial"], InitialSpec)
+    if initial.preset not in INITIAL_PRESETS:
         raise ConfigurationError(
-            f"unknown initial preset {preset!r}; choose from {INITIAL_PRESETS}"
+            f"unknown initial preset {initial.preset!r}; "
+            f"choose from {INITIAL_PRESETS}"
         )
-    initial = InitialSpec(
-        preset=preset,
-        rate=_get(ini, "rate", float, default=0.5),
-        mode=_get(ini, "mode", int, default=0),
-        scale=_get(ini, "scale", float, default=1.0),
-    )
 
     run = parser["run"]
     _require(run, {"horizon", "trajectories", "master_seed", "threads"})
@@ -283,12 +296,7 @@ def parse_config(text: str) -> RunSpec:
 
     output = OutputSpec()
     if "output" in present:
-        out = parser["output"]
-        _require(out, {"save_states", "save_events"})
-        output = OutputSpec(
-            save_states=_get(out, "save_states", _bool, default=False),
-            save_events=_get(out, "save_events", _bool, default=True),
-        )
+        output = _parse_section(parser["output"], OutputSpec)
 
     return RunSpec(
         domain=domain, galerkin=galerkin, solver=solver, initial=initial,
@@ -331,18 +339,10 @@ def canonical_text(spec: RunSpec) -> str:
         dom += [("length", repr(spec.domain.lengths[0]))]
     section("domain", dom)
 
-    section("galerkin", [
-        ("beta", repr(spec.galerkin.beta)),
-        ("max_level", spec.galerkin.max_level),
-        ("level", spec.galerkin.level),
-        ("dealias_factor", spec.galerkin.dealias_factor),
-    ])
+    section("galerkin", _section_pairs(spec.galerkin))
 
     if spec.nonlinearity is not None:
-        section("nonlinearity", [
-            ("kind", spec.nonlinearity.kind),
-            ("alpha", repr(spec.nonlinearity.alpha)),
-        ])
+        section("nonlinearity", _section_pairs(spec.nonlinearity))
 
     if spec.noise is not None:
         pairs = [("kind", spec.noise.kind),
@@ -355,21 +355,8 @@ def canonical_text(spec: RunSpec) -> str:
                       ("stability", repr(spec.noise.stability))]
         section("noise", pairs)
 
-    section("solver", [
-        ("mode", spec.solver.mode),
-        ("dt", repr(spec.solver.dt)),
-        ("closure", spec.solver.closure),
-        ("fp_tol", repr(spec.solver.fp_tol)),
-        ("max_fp_iters", spec.solver.max_fp_iters),
-        ("max_halvings", spec.solver.max_halvings),
-    ])
-
-    section("initial", [
-        ("preset", spec.initial.preset),
-        ("rate", repr(spec.initial.rate)),
-        ("mode", spec.initial.mode),
-        ("scale", repr(spec.initial.scale)),
-    ])
+    section("solver", _section_pairs(spec.solver))
+    section("initial", _section_pairs(spec.initial))
 
     section("run", [
         ("horizon", repr(spec.horizon)),
@@ -377,10 +364,7 @@ def canonical_text(spec: RunSpec) -> str:
         ("master_seed", spec.master_seed),
     ])
 
-    section("output", [
-        ("save_states", "true" if spec.output.save_states else "false"),
-        ("save_events", "true" if spec.output.save_events else "false"),
-    ])
+    section("output", _section_pairs(spec.output))
 
     return out.getvalue()
 
@@ -394,28 +378,12 @@ def config_hash(spec: RunSpec) -> str:
 # ---------------------------------------------------------------------------
 
 def build_model_from_spec(spec: RunSpec) -> SpectralModel:
-    kind = spec.domain.kind
-    if kind == "torus_1d":
-        domain = torus_1d(spec.domain.lengths[0])
-    elif kind == "torus_2d":
-        domain = torus_2d(*spec.domain.lengths)
-    elif kind == "interval_dirichlet":
-        domain = interval_dirichlet(spec.domain.lengths[0])
-    else:
-        domain = interval_neumann(spec.domain.lengths[0])
     return build_spectral_model(
-        domain,
+        _DOMAINS[spec.domain.kind](*spec.domain.lengths),
         beta=spec.galerkin.beta,
         max_level=spec.galerkin.max_level,
         dealias_factor=spec.galerkin.dealias_factor,
     )
-
-
-def build_nonlinearity_from_spec(spec: RunSpec) -> Nonlinearity | None:
-    if spec.nonlinearity is None:
-        return None
-    make = defocusing if spec.nonlinearity.kind == "defocusing" else focusing
-    return make(spec.nonlinearity.alpha)
 
 
 def symbol_values(name: str, model: SpectralModel) -> np.ndarray:
@@ -485,9 +453,13 @@ def initial_values(spec: RunSpec, model: SpectralModel) -> np.ndarray:
 
 
 def build_problem_from_spec(
-    spec: RunSpec, model: SpectralModel | None = None
+    spec: RunSpec, model: SpectralModel | None = None, level: int | None = None
 ) -> tuple[SpectralModel, GalerkinProblem]:
-    """Materialize the run: spectral model plus a ready-to-integrate problem."""
+    """Materialize the run: spectral model plus a ready-to-integrate problem.
+
+    ``level`` truncates at another Galerkin level than the configured one
+    (coarse levels of ``converge``); initial data still follow ``spec``.
+    """
     if model is None:
         model = build_model_from_spec(spec)
     if spec.noise is not None and spec.solver.closure == CLOSURE_ATOMIC:
@@ -495,12 +467,16 @@ def build_problem_from_spec(
             raise ConfigurationError(
                 "AtomicExact closure requires atomic noise"
             )
+    nonlinearity = None
+    if spec.nonlinearity is not None:
+        make = _NONLINEARITIES[spec.nonlinearity.kind]
+        nonlinearity = make(spec.nonlinearity.alpha)
     problem = build_problem(
         model,
-        spec.galerkin.level,
+        spec.galerkin.level if level is None else level,
         initial_values(spec, model),
         spec.horizon,
-        nonlinearity=build_nonlinearity_from_spec(spec),
+        nonlinearity=nonlinearity,
         symbols=build_symbols_from_spec(spec, model),
         measure=build_measure_from_spec(spec),
     )

@@ -171,7 +171,7 @@ def build_problem(
 # ---------------------------------------------------------------------------
 
 class _Dynamics:
-    """Per-run workspace: the folded noise matrix and the phase cache.
+    """Per-run workspace: the folded noise matrix of one level.
 
     On a level every noise term of the drift is linear in the state: the
     compensated mean ``i B_n(m)``, the Taylor2 closure
@@ -187,7 +187,6 @@ class _Dynamics:
         self.lam = problem.model.eigenvalues_A[self.idx]
         self.nl = problem.nonlinearity
         self.noise_matrix = None
-        self._phase_cache: dict[float, np.ndarray] = {}
         self.fp_iters_max = 0
 
         ops, moments = problem.ops, problem.moments
@@ -218,11 +217,7 @@ class _Dynamics:
         self.has_remainder = self.nl is not None or self.noise_matrix is not None
 
     def half_phase(self, tau: float) -> np.ndarray:
-        phase = self._phase_cache.get(tau)
-        if phase is None:
-            phase = np.exp(-0.5j * tau * self.lam)
-            self._phase_cache[tau] = phase
-        return phase
+        return np.exp(-0.5j * tau * self.lam)
 
     def noise_drift(self, state: np.ndarray) -> np.ndarray:
         if self.noise_matrix is None:

@@ -21,6 +21,7 @@ from jumpnls.config import (
 )
 from jumpnls.exceptions import ConfigurationError
 from jumpnls.noise import AtomicMeasure, RadialStableMeasure
+from jumpnls.solver import build_problem
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -56,14 +57,22 @@ def test_parse_minimal_defaults():
     assert spec.output.save_states is False
 
 
+SHIPPED_HASHES = {
+    "atomic_cubic": "ba2f94d4a37cdee4c8bb315d287cd364af2ca9d120b33f320c634381a35f1980",
+    "deterministic_cubic": "8f16a6aef20b8763c99523d7807dd95415fbd5da196dddd5db53f58c04015d5a",
+    "stable_linear": "a46d5b7951713dd5e5ca978bc4ecd105cc146ff64e177d0e5f9ce5f1b321e823",
+}
+
+
 def test_parse_shipped_configs_roundtrip():
-    for name in ("atomic_cubic.ini", "stable_linear.ini",
-                 "deterministic_cubic.ini"):
-        spec = load_config(str(CONFIG_DIR / name))
+    for name, digest in SHIPPED_HASHES.items():
+        spec = load_config(str(CONFIG_DIR / f"{name}.ini"))
         text = canonical_text(spec)
         again = parse_config(text)
         assert again == spec, name
         assert canonical_text(again) == text, name
+        # summary.json records this hash; a schema change must not move it
+        assert config_hash(spec) == digest, name
 
 
 def test_config_hash_sensitivity():
@@ -119,6 +128,12 @@ def test_radial_noise_parsing():
     (lambda t: t.replace("preset = decaying", "preset = fancy"), "preset"),
     (lambda t: t.replace("horizon = 1.0", "horizon = 1.0\nstyle = bold"),
      "unknown keys"),
+    (lambda t: t.replace("dt = 0.01", "dt = 0.01\ntolerance = 1"),
+     "unknown keys in [solver]"),
+    (lambda t: t.replace("dt = 0.01\n", ""), "missing key 'dt'"),
+    (lambda t: t.replace("level = 3\n", ""), "missing key 'level'"),
+    (lambda t: t + "\n[output]\nsave_states = maybe\n", "save_states"),
+    (lambda t: t + "\n[nonlinearity]\nkind = focusing\n", "missing key 'alpha'"),
 ])
 def test_parse_errors(mutation, needle):
     with pytest.raises(ConfigurationError) as err:
@@ -196,6 +211,29 @@ def test_build_problem_from_spec_assembly():
     assert problem.moments is not None
     symbols = build_symbols_from_spec(spec, model)
     assert symbols.shape == (1, model.num_grid)
+
+
+def test_coarse_level_keeps_configured_initial_data():
+    # the plateau preset reads galerkin.level, so a coarse problem must come
+    # from the configured spec, not from one whose level was replaced; after
+    # renormalization the two agree only to rounding, and converge output
+    # is compared byte for byte
+    spec = parse_config(MINIMAL.replace("preset = decaying", "preset = plateau"))
+    model = build_model_from_spec(spec)
+    relevelled_differs = []
+    for n in range(spec.galerkin.level):
+        _, coarse = build_problem_from_spec(spec, model, level=n)
+        assert coarse.level.n == n
+        direct = build_problem(model, n, initial_values(spec, model),
+                               spec.horizon)
+        np.testing.assert_array_equal(coarse.initial, direct.initial)
+        relevelled = dataclasses.replace(
+            spec, galerkin=dataclasses.replace(spec.galerkin, level=n)
+        )
+        _, other = build_problem_from_spec(relevelled, model)
+        relevelled_differs.append(not np.array_equal(coarse.initial,
+                                                     other.initial))
+    assert any(relevelled_differs)
 
 
 def test_atomic_closure_requires_atomic_noise():
