@@ -38,9 +38,11 @@ from .spectral import (
     torus_2d,
 )
 
-_DOMAINS = {"torus_1d": torus_1d, "torus_2d": torus_2d,
-            "interval_dirichlet": interval_dirichlet,
-            "interval_neumann": interval_neumann}
+# INI domain kind -> (constructor, length keys in constructor order)
+_DOMAINS = {"torus_1d": (torus_1d, ("length",)),
+            "torus_2d": (torus_2d, ("length_x", "length_y")),
+            "interval_dirichlet": (interval_dirichlet, ("length",)),
+            "interval_neumann": (interval_neumann, ("length",))}
 _NONLINEARITIES = {"defocusing": defocusing, "focusing": focusing}
 NOISE_KINDS = ("atomic", "radial_stable")
 SYMBOL_PRESETS = ("constant", "cos", "sin", "bump")
@@ -215,15 +217,11 @@ def parse_config(text: str) -> RunSpec:
             raise ConfigurationError(f"missing required section [{name}]")
 
     dom = parser["domain"]
-    _require(dom, {"kind", "length", "length_x", "length_y"})
+    _require(dom, {"kind"}.union(*(keys for _, keys in _DOMAINS.values())))
     kind = _get(dom, "kind", str, required=True)
     if kind not in _DOMAINS:
         raise ConfigurationError(f"domain kind must be one of {tuple(_DOMAINS)}")
-    if kind == "torus_2d":
-        lengths = (_get(dom, "length_x", float, required=True),
-                   _get(dom, "length_y", float, required=True))
-    else:
-        lengths = (_get(dom, "length", float, required=True),)
+    lengths = tuple(_get(dom, key, float, required=True) for key in _DOMAINS[kind][1])
     domain = DomainSpec(kind=kind, lengths=lengths)
 
     galerkin = _parse_section(parser["galerkin"], GalerkinSpec,
@@ -331,13 +329,9 @@ def canonical_text(spec: RunSpec) -> str:
             out.write(f"{key} = {value}\n")
         out.write("\n")
 
-    dom = [("kind", spec.domain.kind)]
-    if spec.domain.kind == "torus_2d":
-        dom += [("length_x", repr(spec.domain.lengths[0])),
-                ("length_y", repr(spec.domain.lengths[1]))]
-    else:
-        dom += [("length", repr(spec.domain.lengths[0]))]
-    section("domain", dom)
+    keys = _DOMAINS[spec.domain.kind][1]
+    section("domain", [("kind", spec.domain.kind)]
+            + [(key, repr(L)) for key, L in zip(keys, spec.domain.lengths)])
 
     section("galerkin", _section_pairs(spec.galerkin))
 
@@ -379,7 +373,7 @@ def config_hash(spec: RunSpec) -> str:
 
 def build_model_from_spec(spec: RunSpec) -> SpectralModel:
     return build_spectral_model(
-        _DOMAINS[spec.domain.kind](*spec.domain.lengths),
+        _DOMAINS[spec.domain.kind][0](*spec.domain.lengths),
         beta=spec.galerkin.beta,
         max_level=spec.galerkin.max_level,
         dealias_factor=spec.galerkin.dealias_factor,
@@ -390,13 +384,12 @@ def symbol_values(name: str, model: SpectralModel) -> np.ndarray:
     """Deterministic real symbol profiles on the quadrature grid."""
     x = model.grid_points[:, 0]
     length = model.domain.lengths[0]
+    period = length if model.domain.periodic else 2.0 * length
     if name == "constant":
         return np.ones(model.num_grid)
     if name == "cos":
-        period = length if model.domain.kind.startswith("Torus") else 2.0 * length
         return np.cos(2.0 * np.pi * x / period)
     if name == "sin":
-        period = length if model.domain.kind.startswith("Torus") else 2.0 * length
         return np.sin(2.0 * np.pi * x / period)
     if name == "bump":
         width = length / 8.0

@@ -49,7 +49,6 @@ class NoiseOperators:
     """
 
     level: GalerkinLevel
-    symbols: np.ndarray            # (N, num_grid) real symbol samples
     matrices: np.ndarray           # (N, dim, dim) complex Hermitian
     energy_weights: np.ndarray     # (dim,)
     hermiticity_defect: float
@@ -125,7 +124,6 @@ def assemble_noise_operators(
 
     return NoiseOperators(
         level=level,
-        symbols=symbols,
         matrices=matrices,
         energy_weights=np.sqrt(1.0 + model.eigenvalues_A[level.indices]),
         hermiticity_defect=defect,

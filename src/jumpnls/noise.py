@@ -104,10 +104,6 @@ class AtomicMeasure:
     def dimension(self) -> int:
         return self.marks.shape[1]
 
-    @property
-    def infinite_activity(self) -> bool:
-        return False
-
     def _split(self):
         radii = np.linalg.norm(self.marks, axis=1)
         simulated = radii >= self.epsilon
@@ -167,10 +163,6 @@ class RadialStableMeasure:
             raise ConfigurationError(
                 f"epsilon must be in (0, 1] for infinite activity, got {self.epsilon}"
             )
-
-    @property
-    def infinite_activity(self) -> bool:
-        return True
 
     def simulated_intensity(self) -> float:
         c, b = self.activity, self.stability

@@ -150,8 +150,6 @@ def build_problem(
         symbols = np.atleast_2d(np.asarray(symbols, dtype=float))
         ops = assemble_noise_operators(model, level, symbols)
     if measure is not None:
-        if ops is None:
-            raise ConfigurationError("a jump measure requires noise symbols")
         moments = measure.moments()
     initial = renormalize_initial(model, level, initial_full)
     return GalerkinProblem(

@@ -12,6 +12,13 @@ All are taken in their orthonormal form, so the only scale is the square root
 of the quadrature cell weight.  ``scipy.fft`` is imported the first time an
 interval model transforms.
 
+``_DOMAIN_TABLE`` is the single description of a domain kind: its number of
+axes, whether it is periodic, its wavenumber range, the shift of ``S`` and
+its transform pair.  Validation, the mode table, the grid, the mode
+positions and the transforms all read it.  Adding a domain takes a table
+row, a constructor, an INI row in ``config._DOMAINS`` and its closed-form
+basis in the tests' oracle (``tests/conftest.py::closed_form_basis``).
+
 On small mode sets a transform call costs more in call overhead than in
 arithmetic, so when the selected modes times the grid nodes number at most
 ``DENSE_PAIR_MAX_ENTRIES`` the model multiplies by a cached dense pair
@@ -36,6 +43,7 @@ between.  The ramp is chosen so that the scaled derivative suprema
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -47,7 +55,40 @@ TORUS_2D = "Torus2D"
 INTERVAL_DIRICHLET = "IntervalDirichlet"
 INTERVAL_NEUMANN = "IntervalNeumann"
 
-_DOMAIN_KINDS = (TORUS_1D, TORUS_2D, INTERVAL_DIRICHLET, INTERVAL_NEUMANN)
+
+def _scipy_transform(name: str, type: int):
+    """``scipy.fft.<name>`` of one type; scipy is imported on the first call."""
+    def transform(data, norm):
+        import scipy.fft
+        return getattr(scipy.fft, name)(data, type=type, norm=norm)
+    return transform
+
+
+@dataclasses.dataclass(frozen=True)
+class _DomainKind:
+    """Basis facts of one domain kind.
+
+    Wavenumbers run over ``-k..k`` per periodic axis and ``first_k..k`` on an
+    interval, and sit at spectrum index ``(k - first_k) mod M`` on M nodes;
+    ``lambda_S = shift + lambda_A``.  The transforms take ``norm="ortho"``.
+    """
+
+    axes: int
+    periodic: bool
+    first_k: int
+    shift: float
+    to_grid: object
+    from_grid: object
+
+
+_DOMAIN_TABLE = {
+    TORUS_1D: _DomainKind(1, True, 0, 1.0, np.fft.ifft, np.fft.fft),
+    TORUS_2D: _DomainKind(2, True, 0, 1.0, np.fft.ifft2, np.fft.fft2),
+    INTERVAL_DIRICHLET: _DomainKind(1, False, 1, 0.0, _scipy_transform("dst", 3),
+                                    _scipy_transform("dst", 2)),
+    INTERVAL_NEUMANN: _DomainKind(1, False, 0, 1.0, _scipy_transform("dct", 3),
+                                  _scipy_transform("dct", 2)),
+}
 
 #: largest (selected modes) x (grid nodes) served by a cached dense transform
 #: pair, so a pair takes at most 1 MiB.  On one BLAS thread the dense pair is
@@ -71,9 +112,9 @@ class Domain:
     lengths: tuple[float, ...]
 
     def __post_init__(self):
-        if self.kind not in _DOMAIN_KINDS:
+        if self.kind not in _DOMAIN_TABLE:
             raise ConfigurationError(f"unknown domain kind {self.kind!r}")
-        expected = 2 if self.kind == TORUS_2D else 1
+        expected = _DOMAIN_TABLE[self.kind].axes
         if len(self.lengths) != expected:
             raise ConfigurationError(
                 f"{self.kind} needs {expected} length(s), got {len(self.lengths)}"
@@ -84,6 +125,10 @@ class Domain:
     @property
     def dimension(self) -> int:
         return len(self.lengths)
+
+    @property
+    def periodic(self) -> bool:
+        return _DOMAIN_TABLE[self.kind].periodic
 
 
 def torus_1d(length: float) -> Domain:
@@ -265,77 +310,41 @@ class SpectralModel:
     def _fast_synthesize(self, coefficients: np.ndarray, positions: np.ndarray) -> np.ndarray:
         spectrum = np.zeros(coefficients.shape[:-1] + (self.num_grid,), dtype=complex)
         spectrum.T[positions] = coefficients.T / self.root_weight  # modes axis first
-        return _to_grid(self.domain.kind, spectrum, self.grid_shape)
+        return _transform(self.domain.kind, spectrum, self.grid_shape, True)
 
     def _fast_analyze(self, values: np.ndarray, positions: np.ndarray) -> np.ndarray:
-        spectrum = _from_grid(self.domain.kind, values, self.grid_shape)
+        spectrum = _transform(self.domain.kind, values, self.grid_shape, False)
         coefficients = spectrum.take(positions, axis=-1) * self.root_weight
         return coefficients.astype(complex, copy=False)
 
 
-def _to_grid(kind: str, spectrum: np.ndarray, grid_shape) -> np.ndarray:
-    """Orthonormal spectrum -> grid transform along the last axis."""
-    if kind == TORUS_1D:
-        return np.fft.ifft(spectrum, norm="ortho")
-    if kind == TORUS_2D:
-        square = spectrum.reshape(spectrum.shape[:-1] + grid_shape)
-        return np.fft.ifft2(square, norm="ortho").reshape(spectrum.shape)
-    import scipy.fft
-
-    if kind == INTERVAL_DIRICHLET:
-        return scipy.fft.dst(spectrum, type=3, norm="ortho")
-    return scipy.fft.dct(spectrum, type=3, norm="ortho")
-
-
-def _from_grid(kind: str, values: np.ndarray, grid_shape) -> np.ndarray:
-    """Orthonormal grid -> spectrum transform along the last axis; inverts :func:`_to_grid`."""
-    if kind == TORUS_1D:
-        return np.fft.fft(values, norm="ortho")
-    if kind == TORUS_2D:
-        square = values.reshape(values.shape[:-1] + grid_shape)
-        return np.fft.fft2(square, norm="ortho").reshape(values.shape)
-    import scipy.fft
-
-    if kind == INTERVAL_DIRICHLET:
-        return scipy.fft.dst(values, type=2, norm="ortho")
-    return scipy.fft.dct(values, type=2, norm="ortho")
+def _transform(kind: str, data: np.ndarray, grid_shape, to_grid: bool) -> np.ndarray:
+    """Orthonormal spectrum -> grid transform along the last axis, or its inverse."""
+    facts = _DOMAIN_TABLE[kind]
+    transform = facts.to_grid if to_grid else facts.from_grid
+    if len(grid_shape) == 1:
+        return transform(data, norm="ortho")
+    square = data.reshape(data.shape[:-1] + grid_shape)
+    return transform(square, norm="ortho").reshape(data.shape)
 
 
 def _mode_table(domain: Domain, beta: float, threshold: float):
     """Enumerate wavenumbers with lambda_S below threshold; return sorted table."""
-    dirichlet = domain.kind == INTERVAL_DIRICHLET
-
-    def lam_S(lam_A):
-        return lam_A if dirichlet else 1.0 + lam_A
-
-    if domain.kind in (TORUS_1D, TORUS_2D):
-        factors = [2.0 * math.pi / L for L in domain.lengths]
-    else:
-        factors = [math.pi / L for L in domain.lengths]
+    facts = _DOMAIN_TABLE[domain.kind]
+    scale = 2.0 if facts.periodic else 1.0
+    factors = [scale * math.pi / L for L in domain.lengths]
 
     # conservative per-axis scan bound: lambda_A alone already below threshold
-    lam_A_cap = threshold if dirichlet else threshold - 1.0
-    mu_cap = lam_A_cap ** (1.0 / beta)
+    mu_cap = (threshold - facts.shift) ** (1.0 / beta)
     kmax = [int(math.floor(math.sqrt(mu_cap) / f)) + 2 for f in factors]
 
-    if domain.kind == TORUS_1D:
-        candidates = [(k,) for k in range(-kmax[0], kmax[0] + 1)]
-    elif domain.kind == TORUS_2D:
-        candidates = [
-            (k1, k2)
-            for k1 in range(-kmax[0], kmax[0] + 1)
-            for k2 in range(-kmax[1], kmax[1] + 1)
-        ]
-    elif domain.kind == INTERVAL_DIRICHLET:
-        candidates = [(k,) for k in range(1, kmax[0] + 1)]
-    else:  # Neumann
-        candidates = [(k,) for k in range(0, kmax[0] + 1)]
-
     rows = []
-    for wn in candidates:
+    for wn in itertools.product(
+        *(range(-k if facts.periodic else facts.first_k, k + 1) for k in kmax)
+    ):
         mu = sum((f * k) ** 2 for f, k in zip(factors, wn))
         lam_A = mu**beta
-        lam_s = lam_S(lam_A)
+        lam_s = facts.shift + lam_A
         if lam_s < threshold:
             rows.append((lam_s, wn, lam_A))
     rows.sort(key=lambda r: (r[0], r[1]))
@@ -379,41 +388,18 @@ def build_spectral_model(
     wavenumbers = np.array([r[1] for r in rows], dtype=int)
     lam_A = np.array([r[2] for r in rows])
 
-    dim = domain.dimension
-    torus = domain.kind in (TORUS_1D, TORUS_2D)
-    axis_nodes, grid_shape = [], []
-    for axis in range(dim):
-        L = domain.lengths[axis]
-        kmax = int(np.max(np.abs(wavenumbers[:, axis])))
-        M = dealias_factor * (kmax + 1)
-        if torus:
-            x = L * np.arange(M) / M
-        else:
-            x = L * (np.arange(M) + 0.5) / M  # midpoint rule; no boundary nodes
-        axis_nodes.append(x)
-        grid_shape.append(M)
-    grid_shape = tuple(grid_shape)
+    facts = _DOMAIN_TABLE[domain.kind]
+    grid_shape = tuple(dealias_factor * (int(k) + 1) for k in np.abs(wavenumbers).max(axis=0))
     num_grid = math.prod(grid_shape)
     weight = math.prod(L / M for L, M in zip(domain.lengths, grid_shape))
-
-    if dim == 1:
-        grid_points = axis_nodes[0][:, None]
-    else:
-        X, Y = np.meshgrid(axis_nodes[0], axis_nodes[1], indexing="ij")
-        grid_points = np.column_stack([X.ravel(), Y.ravel()])
+    offset = 0.0 if facts.periodic else 0.5  # intervals: midpoint rule, no boundary nodes
+    axis_nodes = [L * (np.arange(M) + offset) / M for L, M in zip(domain.lengths, grid_shape)]
+    grid_points = np.stack(np.meshgrid(*axis_nodes, indexing="ij"), -1).reshape(num_grid, -1)
 
     # spectrum index of each mode.  M >= 2 (kmax + 1): torus residues are
     # distinct, and no sine reaches index M - 1, which the orthonormal DST
     # scales differently
-    if torus:
-        positions = np.ravel_multi_index(
-            tuple(wavenumbers[:, axis] % M for axis, M in enumerate(grid_shape)),
-            grid_shape,
-        )
-    elif domain.kind == INTERVAL_DIRICHLET:
-        positions = wavenumbers[:, 0] - 1
-    else:  # Neumann
-        positions = wavenumbers[:, 0]
+    positions = np.ravel_multi_index(((wavenumbers - facts.first_k) % grid_shape).T, grid_shape)
 
     return SpectralModel(
         domain=domain,

@@ -75,6 +75,23 @@ def test_parse_shipped_configs_roundtrip():
         assert config_hash(spec) == digest, name
 
 
+@pytest.mark.parametrize("domain,rendered,lengths", [
+    ("kind = torus_2d\nlength_y = 2.5\nlength_x = 4", "kind = torus_2d\n"
+     "length_x = 4.0\nlength_y = 2.5\n", (4.0, 2.5)),
+    ("kind = interval_neumann\nlength = 1.5",
+     "kind = interval_neumann\nlength = 1.5\n", (1.5,)),
+    ("kind = interval_dirichlet\nlength = 3",
+     "kind = interval_dirichlet\nlength = 3.0\n", (3.0,)),
+])
+def test_domain_section_roundtrip(domain, rendered, lengths):
+    spec = parse_config(MINIMAL.replace("kind = torus_1d\nlength = 6.283185307179586",
+                                        domain))
+    text = canonical_text(spec)
+    assert text.startswith("[domain]\n" + rendered + "\n")
+    assert parse_config(text) == spec
+    assert spec.domain.lengths == build_model_from_spec(spec).domain.lengths == lengths
+
+
 def test_config_hash_sensitivity():
     spec = parse_config(MINIMAL)
     h1 = config_hash(spec)
@@ -123,6 +140,8 @@ def test_radial_noise_parsing():
     (lambda t: t.split("[run]")[0], "missing required section"),
     (lambda t: t + "\n[extra]\nkey = 1\n", "unknown config sections"),
     (lambda t: t.replace("kind = torus_1d", "kind = circle"), "domain kind"),
+    (lambda t: t.replace("kind = torus_1d\nlength =", "kind = torus_2d\nlength_x ="),
+     "missing key 'length_y'"),
     (lambda t: t.replace("level = 3", "level = 9"), "level"),
     (lambda t: t.replace("dt = 0.01", "dt = -1"), "dt"),
     (lambda t: t.replace("preset = decaying", "preset = fancy"), "preset"),

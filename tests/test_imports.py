@@ -1,4 +1,5 @@
-"""Static check: every module of the package uses each name it imports."""
+"""Static checks: every module uses each name it imports, and every private
+top-level name the package defines is read somewhere in the package."""
 
 import ast
 from pathlib import Path
@@ -27,6 +28,43 @@ def unused_imports(source: str) -> list[str]:
             if name not in used]
 
 
+def private_definitions(source: str) -> dict[str, int]:
+    """Private top-level names (``_x``, not dunders) a module defines, with their lines."""
+    defined = {}
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+        else:
+            continue
+        for name in names:
+            if name.startswith("_") and not name.endswith("__"):
+                defined.setdefault(name, node.lineno)
+    return defined
+
+
+def names_read(source: str) -> set[str]:
+    """Names a module loads, bare (``_x``) or as an attribute (``module._x``)."""
+    read = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            read.add(node.attr)
+    return read
+
+
+def unread_private_names(sources: dict[str, str]) -> list[str]:
+    """Private top-level names of any module that no module of the set reads."""
+    read = set().union(*(names_read(source) for source in sources.values()))
+    return [f"{module} line {line}: {name}"
+            for module, source in sorted(sources.items())
+            for name, line in sorted(private_definitions(source).items())
+            if name not in read]
+
+
 def test_checker_flags_unused_names():
     source = (
         "from __future__ import annotations\n"
@@ -37,6 +75,24 @@ def test_checker_flags_unused_names():
     assert unused_imports(source) == ["line 5: embed", "line 2: math"]
 
 
+def test_checker_flags_unread_private_names():
+    sources = {
+        "a.py": (
+            "__all__ = []\n_KINDS = (1, 2)\n_TABLE, _spare = {}, None\n"
+            "def _helper():\n    return _TABLE\n"
+            "class _Row:\n    pass\n"
+            "def public():\n    _local = 1\n    return _Row\n"
+        ),
+        "b.py": "from . import a\nx = a._helper()\n",
+    }
+    assert unread_private_names(sources) == ["a.py line 2: _KINDS", "a.py line 3: _spare"]
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_no_unread_private_names():
+    sources = {p.name: p.read_text(encoding="utf-8") for p in PACKAGE_DIR.glob("*.py")}
+    assert unread_private_names(sources) == []

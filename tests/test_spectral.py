@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -51,6 +52,53 @@ def test_mode_ordering_and_nesting(torus_model):
     assert set(lo.indices).issubset(set(hi.indices))
     # dyadic blocks: level dims strictly grow on this model
     assert lo.dim < hi.dim
+
+
+# Per-kind lattice facts, written out independently of the model's table:
+# (wavenumber range on an axis with scan bound K, frequency factor per unit
+# length, lambda_S - lambda_A, first grid node in cells)
+LATTICE = {
+    spectral.TORUS_1D: (lambda K: range(-K, K + 1), 2 * math.pi, 1.0, 0.0),
+    spectral.TORUS_2D: (lambda K: range(-K, K + 1), 2 * math.pi, 1.0, 0.0),
+    spectral.INTERVAL_DIRICHLET: (lambda K: range(1, K + 1), math.pi, 0.0, 0.5),
+    spectral.INTERVAL_NEUMANN: (lambda K: range(0, K + 1), math.pi, 1.0, 0.5),
+}
+
+
+@pytest.mark.parametrize("max_level", [0, 3, 6])
+@pytest.mark.parametrize("beta", [0.75, 1.5])
+@pytest.mark.parametrize("domain", [
+    spectral.torus_1d(3.7),
+    spectral.torus_2d(5.3, 2.1),
+    spectral.interval_dirichlet(4.4),
+    spectral.interval_neumann(1.3),
+], ids=lambda d: d.kind)
+def test_mode_table_matches_lattice_oracle(domain, beta, max_level):
+    """Brute-force lattice scan: retained wavenumbers, eigenvalues, order, grid nodes."""
+    model = spectral.build_spectral_model(domain, beta=beta, max_level=max_level)
+    axis_range, factor, shift, node_offset = LATTICE[domain.kind]
+    threshold = 2.0 ** (max_level + 1)
+    # lambda_A >= (factor |k| / L)^(2 beta) on each axis bounds the scan
+    bounds = [int(L / factor * threshold ** (0.5 / beta)) + 1 for L in domain.lengths]
+    expected = {}
+    for k in itertools.product(*(axis_range(K) for K in bounds)):
+        lam_A = sum((factor * kj / L) ** 2 for kj, L in zip(k, domain.lengths)) ** beta
+        if shift + lam_A < threshold:
+            expected[k] = lam_A
+    got = [tuple(int(kj) for kj in k) for k in model.wavenumbers]
+    assert len(got) == len(set(got))
+    assert set(got) == set(expected)
+
+    lam_A = np.array([expected[k] for k in got])
+    assert np.allclose(model.eigenvalues_A, lam_A, rtol=1e-13, atol=0)
+    assert np.allclose(model.eigenvalues_S, shift + lam_A, rtol=1e-13, atol=0)
+    assert np.all(np.diff(model.eigenvalues_S) >= 0)
+
+    axis_nodes = [L * (np.arange(M) + node_offset) / M
+                  for L, M in zip(domain.lengths, model.grid_shape)]
+    nodes = np.array(list(itertools.product(*axis_nodes)))
+    assert model.grid_points.shape == nodes.shape
+    assert np.allclose(model.grid_points, nodes, rtol=1e-15, atol=0)
 
 
 def test_builder_validation():
@@ -213,7 +261,7 @@ def test_transform_roundtrip(model_name, request):
 
 @settings(max_examples=80, deadline=None)
 @given(
-    kind=st.sampled_from(spectral._DOMAIN_KINDS),
+    kind=st.sampled_from(list(spectral._DOMAIN_TABLE)),
     lengths=st.tuples(st.floats(1.0, 8.0), st.floats(1.0, 4.0)),
     max_level=st.integers(0, 7),
     dealias_factor=st.integers(2, 4),
@@ -224,7 +272,7 @@ def test_transform_roundtrip(model_name, request):
 def test_transforms_match_closed_form(
     kind, lengths, max_level, dealias_factor, batch, select, seed
 ):
-    domain = spectral.Domain(kind, lengths[: 2 if kind == spectral.TORUS_2D else 1])
+    domain = spectral.Domain(kind, lengths[: spectral._DOMAIN_TABLE[kind].axes])
     try:
         model = spectral.build_spectral_model(
             domain, max_level=max_level, dealias_factor=dealias_factor
