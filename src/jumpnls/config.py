@@ -23,12 +23,7 @@ import numpy as np
 from .exceptions import ConfigurationError
 from .noise import AtomicMeasure, RadialStableMeasure
 from .nonlinear import defocusing, focusing
-from .solver import (
-    CLOSURE_ATOMIC,
-    GalerkinProblem,
-    SolverConfig,
-    build_problem,
-)
+from .solver import GalerkinProblem, SolverConfig, build_problem, check_closure
 from .spectral import (
     SpectralModel,
     build_spectral_model,
@@ -217,10 +212,11 @@ def parse_config(text: str) -> RunSpec:
             raise ConfigurationError(f"missing required section [{name}]")
 
     dom = parser["domain"]
-    _require(dom, {"kind"}.union(*(keys for _, keys in _DOMAINS.values())))
     kind = _get(dom, "kind", str, required=True)
     if kind not in _DOMAINS:
         raise ConfigurationError(f"domain kind must be one of {tuple(_DOMAINS)}")
+    # a length key of another kind would be dropped silently
+    _require(dom, ("kind",) + _DOMAINS[kind][1])
     lengths = tuple(_get(dom, key, float, required=True) for key in _DOMAINS[kind][1])
     domain = DomainSpec(kind=kind, lengths=lengths)
 
@@ -455,11 +451,8 @@ def build_problem_from_spec(
     """
     if model is None:
         model = build_model_from_spec(spec)
-    if spec.noise is not None and spec.solver.closure == CLOSURE_ATOMIC:
-        if spec.noise.kind != "atomic":
-            raise ConfigurationError(
-                "AtomicExact closure requires atomic noise"
-            )
+    measure = build_measure_from_spec(spec)
+    check_closure(spec.solver.closure, measure)
     nonlinearity = None
     if spec.nonlinearity is not None:
         make = _NONLINEARITIES[spec.nonlinearity.kind]
@@ -471,6 +464,6 @@ def build_problem_from_spec(
         spec.horizon,
         nonlinearity=nonlinearity,
         symbols=build_symbols_from_spec(spec, model),
-        measure=build_measure_from_spec(spec),
+        measure=measure,
     )
     return model, problem

@@ -7,6 +7,11 @@ or on small levels one product with the model's cached dense pair.  Analysis
 is the quadrature adjoint of synthesis, and the grid pairing makes
 ``<u, F(u)>`` a nonnegative quadrature sum times the sign, so the structural
 identity ``Re <i u, F(u)> = 0`` holds to rounding regardless of aliasing.
+
+The solver's step loop does not call :func:`eval_F` or :func:`eval_Fhat`: its
+drift workspace applies the same pointwise power (``_pointwise_power``) and
+quadrature between the level's bound transform pair, and the tests hold the
+two paths equal to rounding.
 """
 
 from __future__ import annotations
@@ -21,10 +26,6 @@ from .spectral import SpectralModel
 
 DEFOCUSING = +1
 FOCUSING = -1
-
-#: amplitudes below this are treated as exactly zero in the pointwise power
-_UNDERFLOW_FLOOR = 1e-300
-
 
 @dataclasses.dataclass(frozen=True)
 class Nonlinearity:
@@ -78,12 +79,12 @@ def validate_exponent(nl: Nonlinearity, dimension: int, beta: float = 1.0) -> No
 
 
 def _pointwise_power(values: np.ndarray, alpha: float) -> np.ndarray:
-    amp = np.abs(values)
-    # overflow to inf is acceptable: callers iterating toward a fixed point
-    # read it as a diverged step and shorten
-    with np.errstate(over="ignore", invalid="ignore"):
-        factor = np.where(amp < _UNDERFLOW_FLOOR, 0.0, amp ** (alpha - 1.0))
-        return factor * values
+    """``|v|^(alpha-1) v`` pointwise; alpha > 1, so a zero sample stays zero.
+
+    Overflow to inf is not masked here: the solver's step loop reads it as a
+    diverged fixed-point iterate, and :func:`eval_F` silences the warnings.
+    """
+    return np.abs(values) ** (alpha - 1.0) * values
 
 
 def eval_F(
@@ -98,7 +99,11 @@ def eval_F(
     the orthogonal projection onto that mode set.
     """
     values = model.synthesize(coefficients, indices=indices)
-    return nl.sign * model.analyze(_pointwise_power(values, nl.alpha), indices=indices)
+    # overflow to inf is acceptable: callers iterating toward a fixed point
+    # read it as a diverged step and shorten
+    with np.errstate(over="ignore", invalid="ignore"):
+        power = _pointwise_power(values, nl.alpha)
+    return nl.sign * model.analyze(power, indices=indices)
 
 
 def eval_Fhat(

@@ -22,11 +22,19 @@ and first-order accurate in the mass budget, second order in the state.
 ``simulate`` and ``simulate_coupled`` run one loop that advances a list of
 levels together over the shared jump-adapted grid.  A coupled run adds its
 dual-norm distance node by node, so it holds no state history unless asked.
+
+Each problem keeps one drift workspace per closure, built on first use: the
+folded noise matrix and the level's transform pair from
+``SpectralModel.transform_pair``.  The step loop evaluates the nonlinearity
+and records the energy through that pair, without the per-call checks and
+lookups of ``synthesize``/``analyze`` or ``eval_F``/``eval_Fhat``; the
+fixed-point iteration counts live in the run, not in the workspace.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import math
 
 import numpy as np
 
@@ -39,7 +47,7 @@ from .jumps import (
     jump_map,
 )
 from .noise import AtomicMeasure, JumpEvent, NoiseMoments, sample_prm
-from .nonlinear import Nonlinearity, eval_F, eval_Fhat, validate_exponent
+from .nonlinear import Nonlinearity, _pointwise_power, validate_exponent
 from .spectral import GalerkinLevel, SpectralModel, apply_smoothing, build_level
 
 MODE_MIDPOINT = "FaithfulMidpoint"
@@ -93,6 +101,10 @@ class GalerkinProblem:
     ops: NoiseOperators | None = None
     measure: object | None = None
     moments: NoiseMoments | None = None
+    # closure name -> drift workspace, built on first use (see _dynamics)
+    _workspaces: dict = dataclasses.field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
         if not (self.horizon > 0):
@@ -168,24 +180,37 @@ def build_problem(
 # drift assembly
 # ---------------------------------------------------------------------------
 
+def check_closure(closure: str, measure) -> None:
+    """Reject the AtomicExact closure for a jump measure that is not atomic."""
+    if (closure == CLOSURE_ATOMIC and measure is not None
+            and not isinstance(measure, AtomicMeasure)):
+        raise ConfigurationError(
+            "AtomicExact closure needs an atomic jump measure; "
+            "use Taylor2 for measures with infinitely many small jumps"
+        )
+
+
 class _Dynamics:
-    """Per-run workspace: the folded noise matrix of one level.
+    """Drift workspace of one level and closure, built once per problem.
 
     On a level every noise term of the drift is linear in the state: the
     compensated mean ``i B_n(m)``, the Taylor2 closure
     ``-1/2 sum_mn cov[m, n] M_m M_n`` or the AtomicExact compensator
     ``sum_a w_a (exp(-i B(l_a)) - 1 + i B(l_a))``.  They are summed once into
     ``noise_matrix`` (None when no term is present), so each drift
-    evaluation costs one matvec for the noise.
+    evaluation costs one matvec for the noise.  The nonlinearity goes
+    through the level's transform pair (``SpectralModel.transform_pair``),
+    bound here, so it costs two transforms and the pointwise power.  The
+    workspace holds no per-run state.
     """
 
     def __init__(self, problem: GalerkinProblem, config: SolverConfig):
-        self.model = problem.model
-        self.idx = problem.level.indices
-        self.lam = problem.model.eigenvalues_A[self.idx]
+        model, idx = problem.model, problem.level.indices
+        self.lam = model.eigenvalues_A[idx]
         self.nl = problem.nonlinearity
+        self.to_grid, self.from_grid = model.transform_pair(idx)
+        self.grid_weights = model.grid_weights
         self.noise_matrix = None
-        self.fp_iters_max = 0
 
         ops, moments = problem.ops, problem.moments
         if ops is not None and moments is not None:
@@ -200,11 +225,7 @@ class _Dynamics:
                                   for m, n in np.argwhere(cov != 0.0))
                     terms.append(-0.5 * closure)
             else:
-                if not isinstance(problem.measure, AtomicMeasure):
-                    raise ConfigurationError(
-                        "AtomicExact closure needs an atomic jump measure; "
-                        "use Taylor2 for measures with infinitely many small jumps"
-                    )
+                check_closure(config.closure, problem.measure)
                 marks, weights = problem.measure.small_atoms()
                 ops.warm_cache(marks)
                 if len(weights) > 0:
@@ -224,13 +245,30 @@ class _Dynamics:
 
     def remainder(self, state: np.ndarray) -> np.ndarray:
         """All drift terms except the diagonal -i*lambda_A part."""
-        out = self.noise_drift(state)
-        if self.nl is not None:
-            out -= 1j * eval_F(self.model, self.nl, state, indices=self.idx)
-        return out
+        if self.nl is None:
+            return self.noise_drift(state)
+        power = _pointwise_power(self.to_grid(state), self.nl.alpha)
+        nonlinear = (-1j * self.nl.sign) * self.from_grid(power)
+        if self.noise_matrix is None:
+            return nonlinear
+        return self.noise_matrix @ state + nonlinear
 
     def drift(self, state: np.ndarray) -> np.ndarray:
         return -1j * (self.lam * state) + self.remainder(state)
+
+    def potential(self, state: np.ndarray) -> float:
+        """The antiderivative functional ``eval_Fhat`` at ``state``."""
+        amp = np.abs(self.to_grid(state))
+        integral = self.grid_weights @ amp ** (self.nl.alpha + 1.0)
+        return self.nl.sign * float(integral) / (self.nl.alpha + 1.0)
+
+
+def _dynamics(problem: GalerkinProblem, config: SolverConfig) -> _Dynamics:
+    """The problem's workspace for ``config.closure``, built on first use."""
+    dyn = problem._workspaces.get(config.closure)
+    if dyn is None:
+        dyn = problem._workspaces[config.closure] = _Dynamics(problem, config)
+    return dyn
 
 
 def _level_state(problem: GalerkinProblem, state) -> np.ndarray:
@@ -245,23 +283,31 @@ def _level_state(problem: GalerkinProblem, state) -> np.ndarray:
 
 def drift(problem: GalerkinProblem, config: SolverConfig, state: np.ndarray) -> np.ndarray:
     """Full drift vector field at ``state`` (level coefficients)."""
-    return _Dynamics(problem, config).drift(_level_state(problem, state))
+    state = _level_state(problem, state)
+    # an overflowing power reads as inf, without a warning, as in eval_F
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _dynamics(problem, config).drift(state)
 
 
 # ---------------------------------------------------------------------------
 # steppers
 # ---------------------------------------------------------------------------
 
+def _norm(x: np.ndarray) -> float:
+    return math.sqrt(np.vdot(x, x).real)
+
+
 def _midpoint_remainder(dyn: _Dynamics, state, tau, config, depth=0):
     """Implicit midpoint step for the non-diagonal drift, with halving fallback.
 
     Iterates d_{k+1} = r(u + (tau/2) d_k); the increment criterion bounds the
     state change per iteration, so the per-step mass defect is
-    O(tau * fp_tol * |r|).
+    O(tau * fp_tol * |r|).  Returns the new state and the largest iteration
+    count of its converged substeps.
     """
     if not dyn.has_remainder:
-        return state
-    scale = max(1.0, float(np.linalg.norm(state)))
+        return state, 0
+    scale = max(1.0, _norm(state))
     # a diverging iterate may overflow through the nonlinearity; the inf/nan
     # gap simply reads as non-converged and the clean-state halving below
     # takes over, so the intermediate arithmetic warnings are noise
@@ -269,39 +315,38 @@ def _midpoint_remainder(dyn: _Dynamics, state, tau, config, depth=0):
         d = dyn.remainder(state)
         for iteration in range(config.max_fp_iters):
             d_next = dyn.remainder(state + (0.5 * tau) * d)
-            gap = float(np.linalg.norm(d_next - d))
+            gap = _norm(d_next - d)
             d = d_next
             if tau * gap <= config.fp_tol * scale:
-                if iteration + 1 > dyn.fp_iters_max:
-                    dyn.fp_iters_max = iteration + 1
-                return state + tau * d
+                return state + tau * d, iteration + 1
     if depth >= config.max_halvings:
         raise NumericsError(
             f"midpoint iteration failed to converge at tau={tau:.3e} "
             f"after {config.max_halvings} halvings"
         )
-    half = _midpoint_remainder(dyn, state, 0.5 * tau, config, depth + 1)
-    return _midpoint_remainder(dyn, half, 0.5 * tau, config, depth + 1)
+    half, first = _midpoint_remainder(dyn, state, 0.5 * tau, config, depth + 1)
+    end, second = _midpoint_remainder(dyn, half, 0.5 * tau, config, depth + 1)
+    return end, max(first, second)
 
 
 def _step_midpoint(dyn: _Dynamics, state, tau, config):
     phase = dyn.half_phase(tau)
-    mid = _midpoint_remainder(dyn, phase * state, tau, config)
-    return phase * mid
+    mid, iterations = _midpoint_remainder(dyn, phase * state, tau, config)
+    return phase * mid, iterations
 
 
 def _step_splitstep(dyn: _Dynamics, state, tau, config):
     phase = dyn.half_phase(tau)
     v = phase * state
     if dyn.nl is not None:
-        values = dyn.model.synthesize(v, indices=dyn.idx)
+        values = dyn.to_grid(v)
         rotation = np.exp(
             -1j * tau * dyn.nl.sign * np.abs(values) ** (dyn.nl.alpha - 1)
         )
-        v = dyn.model.analyze(values * rotation, indices=dyn.idx)
+        v = dyn.from_grid(values * rotation)
     if dyn.noise_matrix is not None:
         v = v + tau * (dyn.noise_matrix @ v)
-    return phase * v
+    return phase * v, 0
 
 
 def step_between_jumps(
@@ -315,7 +360,7 @@ def step_between_jumps(
         raise ConfigurationError(f"step size must be positive, got {tau}")
     state = _level_state(problem, state)
     stepper = _step_midpoint if config.mode == MODE_MIDPOINT else _step_splitstep
-    return stepper(_Dynamics(problem, config), state, tau, config)
+    return stepper(_dynamics(problem, config), state, tau, config)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -389,12 +434,12 @@ def _new_record(problem, dyn, grid, events, record_states) -> TrajectoryRecord:
 
 def _record_node(record: TrajectoryRecord, dyn: _Dynamics, i: int, u) -> None:
     sq = np.abs(u) ** 2
-    record.mass[i] = np.sum(sq)
-    record.kinetic[i] = 0.5 * np.sum(dyn.lam * sq)
+    record.mass[i] = sq.sum()
+    record.kinetic[i] = 0.5 * (dyn.lam @ sq)
     if dyn.nl is not None:
-        record.potential[i] = eval_Fhat(dyn.model, dyn.nl, u, indices=dyn.idx)
+        record.potential[i] = dyn.potential(u)
     record.energy[i] = record.kinetic[i] + record.potential[i]
-    record.ea_norm[i] = np.sqrt(np.sum(record.ea_weights * sq))
+    record.ea_norm[i] = math.sqrt(record.ea_weights @ sq)
     if record.states is not None:
         record.states[i] = u
 
@@ -410,10 +455,11 @@ def _run_levels(problems, config, events, record_states, on_node=None):
     # the jumps due at node i are events[ends[i - 1]:ends[i]]
     ends = np.searchsorted(times, grid, side="right")
     stepper = _step_midpoint if config.mode == MODE_MIDPOINT else _step_splitstep
-    dyns = [_Dynamics(p, config) for p in problems]
+    dyns = [_dynamics(p, config) for p in problems]
     records = [_new_record(p, d, grid, events, record_states)
                for p, d in zip(problems, dyns)]
     states = [p.initial.astype(complex, copy=True) for p in problems]
+    fp_iters_max = [0] * len(problems)
     for problem in problems:
         if isinstance(problem.measure, AtomicMeasure):
             # atoms repeat, so each atom that jumps is decomposed once and
@@ -431,13 +477,14 @@ def _run_levels(problems, config, events, record_states, on_node=None):
             if i > 0:
                 tau = t - grid[i - 1]
                 try:
-                    u = stepper(dyns[k], u, tau, config)
+                    u, iterations = stepper(dyns[k], u, tau, config)
                 except NumericsError as exc:
                     level = f"level {problem.level.n}: " if len(problems) > 1 else ""
                     raise NumericsError(
                         f"{level}step t={float(grid[i - 1])!r} -> {float(t)!r} "
                         f"(dt={tau:.3e}): {exc}"
                     ) from exc
+                fp_iters_max[k] = max(fp_iters_max[k], iterations)
             for event in due:
                 u = jump_map(problem.ops, event.mark, u)
             _record_node(records[k], dyns[k], i, u)
@@ -445,8 +492,8 @@ def _run_levels(problems, config, events, record_states, on_node=None):
         if on_node is not None:
             on_node(states)
 
-    for record, dyn in zip(records, dyns):
-        record.fp_iters_max = dyn.fp_iters_max
+    for record, iterations in zip(records, fp_iters_max):
+        record.fp_iters_max = iterations
     return records
 
 

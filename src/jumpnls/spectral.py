@@ -24,7 +24,9 @@ arithmetic, so when the selected modes times the grid nodes number at most
 ``DENSE_PAIR_MAX_ENTRIES`` the model multiplies by a cached dense pair
 instead: the synthesis matrix, built once per mode set by the fast transform
 itself, and its quadrature adjoint.  The fast transforms stay the only
-definition of the basis.
+definition of the basis.  ``SpectralModel.transform_pair`` binds either path
+for one mode set; ``synthesize`` and ``analyze`` call it behind their shape
+checks, and the solver keeps the pair of its level.
 
 Two diagonal operators act on coefficients:
 
@@ -97,7 +99,8 @@ _DOMAIN_TABLE = {
 DENSE_PAIR_MAX_ENTRIES = 2**15
 
 #: dense pairs a model keeps (oldest dropped first): one per Galerkin level in
-#: practice, and a bound of 16 MiB when callers select many other mode sets
+#: practice, and a bound of 16 MiB when callers select many other mode sets.
+#: A pair handed out by ``transform_pair`` lives as long as its callables do
 DENSE_PAIR_MAX_CACHED = 16
 
 #: spaces accepted by :func:`sobolev_norm`
@@ -270,23 +273,34 @@ class SpectralModel:
             raise ShapeError(
                 f"expected {len(positions)} coefficients, got shape {coefficients.shape}"
             )
-        pair = self._dense_pair(positions)
-        if pair is not None:
-            return coefficients @ pair[0]
-        return self._fast_synthesize(coefficients, positions)
+        return self.transform_pair(indices)[0](coefficients)
 
     def analyze(self, values: np.ndarray, indices=None) -> np.ndarray:
         """Grid samples (last axis) -> coefficients of the retained (or selected) modes."""
-        positions = self.positions if indices is None else self.positions[indices]
         values = np.asarray(values)
         if values.shape[-1:] != (self.num_grid,):
             raise ShapeError(
                 f"expected {self.num_grid} grid values, got shape {values.shape}"
             )
+        return self.transform_pair(indices)[1](values)
+
+    def transform_pair(self, indices=None):
+        """``(to_grid, from_grid)`` for the retained (or selected) modes, bound once.
+
+        The callables are :meth:`synthesize` and :meth:`analyze` without the
+        shape checks and the per-call lookups: on a small mode set they
+        multiply by the cached dense pair, above the crossover they run the
+        fast transforms on the resolved mode positions.  Callers that
+        transform one mode set many times (a solver level) keep the pair.
+        """
+        positions = self.positions if indices is None else self.positions[indices]
         pair = self._dense_pair(positions)
         if pair is not None:
-            return values @ pair[1]
-        return self._fast_analyze(values, positions)
+            synthesis, adjoint = pair
+            return (lambda coefficients: coefficients @ synthesis,
+                    lambda values: values @ adjoint)
+        return (lambda coefficients: self._fast_synthesize(coefficients, positions),
+                lambda values: self._fast_analyze(values, positions))
 
     def _dense_pair(self, positions: np.ndarray):
         """Cached ``(S, w S^H)`` for a small mode set, or None above the crossover.

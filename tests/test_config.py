@@ -142,6 +142,8 @@ def test_radial_noise_parsing():
     (lambda t: t.replace("kind = torus_1d", "kind = circle"), "domain kind"),
     (lambda t: t.replace("kind = torus_1d\nlength =", "kind = torus_2d\nlength_x ="),
      "missing key 'length_y'"),
+    (lambda t: t.replace("length =", "length_x = 3.0\nlength ="),
+     "unknown keys in [domain]: ['length_x']"),
     (lambda t: t.replace("level = 3", "level = 9"), "level"),
     (lambda t: t.replace("dt = 0.01", "dt = -1"), "dt"),
     (lambda t: t.replace("preset = decaying", "preset = fancy"), "preset"),
@@ -260,7 +262,8 @@ def test_atomic_closure_requires_atomic_noise():
     clashed = dataclasses.replace(
         spec, solver=dataclasses.replace(spec.solver, closure="AtomicExact")
     )
-    with pytest.raises(ConfigurationError):
+    with pytest.raises(ConfigurationError,
+                       match="AtomicExact closure needs an atomic jump measure"):
         build_problem_from_spec(clashed)
 
 

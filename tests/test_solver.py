@@ -1,10 +1,14 @@
 """Stepper and trajectory tests: exactness, conservation, order, jump handling."""
 
+import dataclasses
+import sys
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 
+from jumpnls import nonlinear, solver
 from jumpnls.exceptions import ConfigurationError, NumericsError, ShapeError
 from jumpnls.jumps import generator, jump_difference_2, jump_map
 from jumpnls.noise import (
@@ -14,7 +18,13 @@ from jumpnls.noise import (
     sample_prm,
     trajectory_rng,
 )
-from jumpnls.nonlinear import defocusing
+from jumpnls.nonlinear import (
+    admissible_alpha_cap,
+    defocusing,
+    eval_F,
+    eval_Fhat,
+    focusing,
+)
 from jumpnls.solver import (
     CLOSURE_ATOMIC,
     CLOSURE_TAYLOR2,
@@ -23,6 +33,8 @@ from jumpnls.solver import (
     GalerkinProblem,
     SolverConfig,
     _Dynamics,
+    _new_record,
+    _record_node,
     build_problem,
     drift,
     renormalize_initial,
@@ -30,7 +42,13 @@ from jumpnls.solver import (
     simulate_coupled,
     step_between_jumps,
 )
-from jumpnls.spectral import build_level, build_spectral_model, torus_1d
+from jumpnls.spectral import (
+    DENSE_PAIR_MAX_ENTRIES,
+    SpectralModel,
+    build_level,
+    build_spectral_model,
+    torus_1d,
+)
 
 
 def decaying_initial(model, seed=11, rate=0.4):
@@ -171,6 +189,9 @@ def test_closures_agree_to_third_order(torus_model, cos_symbol):
         assert gap > 0
 
 
+ATOMIC_CLOSURE_MESSAGE = "AtomicExact closure needs an atomic jump measure"
+
+
 def test_atomic_closure_rejects_infinite_activity(torus_model, cos_symbol):
     measure = RadialStableMeasure(activity=1.0, stability=1.0, dimension=1,
                                   epsilon=0.1)
@@ -178,8 +199,11 @@ def test_atomic_closure_rejects_infinite_activity(torus_model, cos_symbol):
         torus_model, 5, decaying_initial(torus_model), 1.0,
         symbols=cos_symbol, measure=measure,
     )
-    with pytest.raises(ConfigurationError):
-        drift(problem, SolverConfig(closure=CLOSURE_ATOMIC), problem.initial)
+    config = SolverConfig(closure=CLOSURE_ATOMIC)
+    with pytest.raises(ConfigurationError, match=ATOMIC_CLOSURE_MESSAGE):
+        drift(problem, config, problem.initial)
+    with pytest.raises(ConfigurationError, match=ATOMIC_CLOSURE_MESSAGE):
+        simulate(problem, config, rng=trajectory_rng(0, 0))
 
 
 def per_term_noise_drift(problem, closure, x):
@@ -254,6 +278,125 @@ def test_noise_matrix_absent_without_noise_terms(torus_model, cos_symbol, closur
         assert dyn.noise_matrix is None
         assert not dyn.has_remainder
         assert not np.any(dyn.noise_drift(problem.initial))
+
+
+def kernel_cases(model, level_n, dense):
+    """Problems on one level for every sign and admissible alpha in {2.5, 3, 5}."""
+    level = build_level(model, level_n)
+    assert (level.dim * model.num_grid <= DENSE_PAIR_MAX_ENTRIES) == dense
+    for make in (defocusing, focusing):
+        for alpha in (2.5, 3.0, 5.0):
+            nl = make(alpha)
+            if alpha < admissible_alpha_cap(nl.sign, model.domain.dimension):
+                yield build_problem(model, level_n, decaying_initial(model), 1.0,
+                                    nonlinearity=nl)
+
+
+@pytest.mark.parametrize("dense", [True, False], ids=["dense_pair", "fast_transform"])
+def test_workspace_kernel_matches_eval_F(torus_model, torus2d_model, dense):
+    # a 1-d level on the cached dense pair, a 2-d level on the fast transforms
+    model, level_n = (torus_model, 6) if dense else (torus2d_model, 5)
+    rng = np.random.default_rng(29)
+    cases = list(kernel_cases(model, level_n, dense))
+    assert len(cases) >= 4
+    for problem in cases:
+        dyn = _Dynamics(problem, SolverConfig())
+        idx, nl, dim = problem.level.indices, problem.nonlinearity, problem.level.dim
+        record = _new_record(problem, dyn, np.zeros(1), [], False)
+        noise = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+        for u in (problem.initial, 2.0 * noise, np.zeros(dim, dtype=complex),
+                  1e-310 * noise):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                want_F = eval_F(model, nl, u, indices=idx)
+                want_Fhat = eval_Fhat(model, nl, u, indices=idx)
+            got = dyn.remainder(u)
+            assert np.linalg.norm(got - (-1j) * want_F) <= 1e-14 * np.linalg.norm(want_F)
+            _record_node(record, dyn, 0, u)
+            assert abs(record.potential[0] - want_Fhat) <= 1e-14 * abs(want_Fhat)
+            if not np.any(u):
+                assert not np.any(got) and record.potential[0] == 0.0
+
+
+@pytest.mark.parametrize("mode", [MODE_MIDPOINT, MODE_SPLITSTEP])
+@pytest.mark.parametrize("domain", ["torus", "torus2d"])
+def test_step_loop_makes_no_per_call_transforms(request, monkeypatch, domain, mode):
+    # the step loop goes through the workspace's bound transform pair; a
+    # synthesize/analyze or eval_F/eval_Fhat call from it would bring back
+    # the per-call lookups
+    model = request.getfixturevalue(f"{domain}_model")
+    x = model.grid_points[:, 0]
+    measure = AtomicMeasure(marks=[[0.5], [-0.3], [0.05]], weights=[6.0, 6.0, 3.0],
+                            epsilon=0.1)
+    problem = build_problem(model, 5 if domain == "torus" else 4,
+                            decaying_initial(model), 0.2,
+                            nonlinearity=defocusing(3.0), symbols=np.cos(x),
+                            measure=measure)
+    calls = []
+
+    def counting(name, func):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return func(*args, **kwargs)
+        return wrapper
+
+    for name in ("synthesize", "analyze"):
+        monkeypatch.setattr(SpectralModel, name,
+                            counting(name, getattr(SpectralModel, name)))
+    for name in ("eval_F", "eval_Fhat"):
+        original = getattr(nonlinear, name)
+        for module in [m for key, m in sys.modules.items()
+                       if key == "jumpnls" or key.startswith("jumpnls.")]:
+            if getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, counting(name, original))
+
+    for closure in (CLOSURE_TAYLOR2, CLOSURE_ATOMIC):
+        record = simulate(problem, SolverConfig(mode=mode, dt=0.05, closure=closure),
+                          rng=trajectory_rng(7, 0))
+        assert record.events and np.all(record.potential > 0)
+    assert calls == []
+
+
+def test_workspace_built_once_per_problem_and_closure(torus_model, cos_symbol,
+                                                     monkeypatch):
+    builds = []
+
+    class CountingDynamics(_Dynamics):
+        def __init__(self, problem, config):
+            builds.append(config.closure)
+            super().__init__(problem, config)
+
+    monkeypatch.setattr(solver, "_Dynamics", CountingDynamics)
+    measure = AtomicMeasure(marks=[[0.5], [-0.3], [0.05]], weights=[6.0, 6.0, 3.0],
+                            epsilon=0.1)
+    problem = build_problem(torus_model, 5, decaying_initial(torus_model), 0.3,
+                            nonlinearity=defocusing(3.0), symbols=cos_symbol,
+                            measure=measure)
+    for closure in (CLOSURE_TAYLOR2, CLOSURE_ATOMIC):
+        for mode in (MODE_MIDPOINT, MODE_SPLITSTEP):
+            config = SolverConfig(mode=mode, dt=0.05, closure=closure)
+            for k in range(2):
+                simulate(problem, config, rng=trajectory_rng(1, k))
+            drift(problem, config, problem.initial)
+            step_between_jumps(problem, config, problem.initial, 0.01)
+    assert builds == [CLOSURE_TAYLOR2, CLOSURE_ATOMIC]
+    # a replaced problem starts with no workspaces
+    assert dataclasses.replace(problem)._workspaces == {}
+
+
+def test_fp_iters_max_counts_each_run_alone(torus_model):
+    # a coarse-step run needs more iterations than a fine-step one; the
+    # shared workspace must not carry the count over
+    problem = build_problem(torus_model, 5, decaying_initial(torus_model), 0.2,
+                            nonlinearity=defocusing(3.0))
+    counts = []
+    for dt in (0.1, 0.001):
+        config = SolverConfig(dt=dt)
+        shared = simulate(problem, config)
+        fresh = simulate(dataclasses.replace(problem), config)
+        assert shared.fp_iters_max == fresh.fp_iters_max
+        counts.append(shared.fp_iters_max)
+    assert counts[0] > counts[1] >= 1
 
 
 # ---------------------------------------------------------------------------
