@@ -227,7 +227,6 @@ class _Dynamics:
             else:
                 check_closure(config.closure, problem.measure)
                 marks, weights = problem.measure.small_atoms()
-                ops.warm_cache(marks)
                 if len(weights) > 0:
                     terms.append(difference_2_matrix(ops, marks, weights))
             if terms:
@@ -460,15 +459,6 @@ def _run_levels(problems, config, events, record_states, on_node=None):
                for p, d in zip(problems, dyns)]
     states = [p.initial.astype(complex, copy=True) for p in problems]
     fp_iters_max = [0] * len(problems)
-    for problem in problems:
-        if isinstance(problem.measure, AtomicMeasure):
-            # atoms repeat, so each atom that jumps is decomposed once and
-            # kept; continuous marks never repeat and stay uncached
-            atoms = {mark.tobytes() for mark in problem.measure.marks}
-            jumped = [e.mark for e in events
-                      if np.asarray(e.mark, dtype=float).tobytes() in atoms]
-            if jumped:
-                problem.ops.warm_cache(jumped)
 
     for i, t in enumerate(grid):
         due = events[ends[i - 1] if i > 0 else 0:ends[i]]

@@ -25,8 +25,9 @@ arithmetic, so when the selected modes times the grid nodes number at most
 instead: the synthesis matrix, built once per mode set by the fast transform
 itself, and its quadrature adjoint.  The fast transforms stay the only
 definition of the basis.  ``SpectralModel.transform_pair`` binds either path
-for one mode set; ``synthesize`` and ``analyze`` call it behind their shape
-checks, and the solver keeps the pair of its level.
+for one mode set, and the solver keeps the pair of its level; ``synthesize``
+and ``analyze`` resolve the mode positions once per call, check shapes and
+take the same path.
 
 Two diagonal operators act on coefficients:
 
@@ -273,7 +274,10 @@ class SpectralModel:
             raise ShapeError(
                 f"expected {len(positions)} coefficients, got shape {coefficients.shape}"
             )
-        return self.transform_pair(indices)[0](coefficients)
+        pair = self._dense_pair(positions)
+        if pair is not None:
+            return coefficients @ pair[0]
+        return self._fast_synthesize(coefficients, positions)
 
     def analyze(self, values: np.ndarray, indices=None) -> np.ndarray:
         """Grid samples (last axis) -> coefficients of the retained (or selected) modes."""
@@ -282,15 +286,19 @@ class SpectralModel:
             raise ShapeError(
                 f"expected {self.num_grid} grid values, got shape {values.shape}"
             )
-        return self.transform_pair(indices)[1](values)
+        positions = self.positions if indices is None else self.positions[indices]
+        pair = self._dense_pair(positions)
+        if pair is not None:
+            return values @ pair[1]
+        return self._fast_analyze(values, positions)
 
     def transform_pair(self, indices=None):
         """``(to_grid, from_grid)`` for the retained (or selected) modes, bound once.
 
-        The callables are :meth:`synthesize` and :meth:`analyze` without the
-        shape checks and the per-call lookups: on a small mode set they
-        multiply by the cached dense pair, above the crossover they run the
-        fast transforms on the resolved mode positions.  Callers that
+        The callables do what :meth:`synthesize` and :meth:`analyze` do,
+        without the shape checks and the per-call lookups: on a small mode
+        set they multiply by the cached dense pair, above the crossover they
+        run the fast transforms on the resolved mode positions.  Callers that
         transform one mode set many times (a solver level) keep the pair.
         """
         positions = self.positions if indices is None else self.positions[indices]

@@ -267,6 +267,29 @@ def check_flow_matches_map(ws, tol):
                    f"time-1 flow vs spectral map {err:.3e}")
 
 
+def check_chebyshev_jump(ws, tol):
+    """The Chebyshev jump map against an eigendecomposition, on two domain kinds."""
+    dirichlet = spectral.build_spectral_model(spectral.interval_dirichlet(np.pi),
+                                              max_level=9)
+    cases = [(ws.model, 6, np.cos(ws.model.grid_points[:, 0])),
+             (dirichlet, 9, np.sin(dirichlet.grid_points[:, 0]))]
+    rng = np.random.default_rng(31)
+    worst, details = 0.0, []
+    for model, n, symbol in cases:
+        ops = jumps.assemble_noise_operators(model, spectral.build_level(model, n),
+                                             symbol[None, :])
+        mark = np.array([0.9])
+        degree = len(jumps._chebyshev_coefficients(ops.radius(mark))) - 1
+        x = rng.normal(size=ops.dim) + 1j * rng.normal(size=ops.dim)
+        theta, vectors = np.linalg.eigh(jumps.generator(ops, mark))
+        exact = vectors @ (np.exp(-1j * theta) * (vectors.conj().T @ x))
+        err = np.linalg.norm(jumps.jump_map(ops, mark, x) - exact) / np.linalg.norm(x)
+        # a degree above the dimension would compare eigh with itself
+        worst = max(worst, err if degree <= ops.dim else np.inf)
+        details.append(f"{model.domain.kind} {err:.3e} (degree {degree}, dim {ops.dim})")
+    return _result("chebyshev_jump", worst <= 1e-13 * tol, ", ".join(details))
+
+
 def check_difference_bounds(ws, tol):
     rng = np.random.default_rng(11)
     root = np.sqrt(ws.ops.bound_H)
@@ -503,6 +526,7 @@ _CHECKS = [
     check_jump_unitarity,
     check_jump_group_law,
     check_flow_matches_map,
+    check_chebyshev_jump,
     check_difference_bounds,
     check_taylor_remainder,
     check_atomic_moments,

@@ -1,8 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from jumpnls import jumps, spectral
-from jumpnls.exceptions import ShapeError
+from jumpnls import config, jumps, spectral
+from jumpnls.exceptions import ConfigurationError, ShapeError
 
 from conftest import closed_form_basis, random_state
 
@@ -72,6 +75,67 @@ def test_assembly_matches_dense_quadrature(model_name, request):
         raw = (basis.conj() * model.grid_weights * symbol) @ basis.T
         dense = s[:, None] * 0.5 * (raw + raw.conj().T) * s[None, :]
         assert np.max(np.abs(M - dense)) <= 1e-13 * np.max(np.abs(dense))
+
+
+@pytest.mark.parametrize(
+    "model_name", ["torus_model", "dirichlet_model", "neumann_model", "torus2d_model"]
+)
+def test_blocked_assembly_bit_identical(model_name, request):
+    model = request.getfixturevalue(model_name)
+    level = spectral.build_level(model, model.max_level - 1)
+    x = model.grid_points.sum(axis=1)
+    symbols = [np.cos(x), 0.5 + np.sin(2.0 * x) * np.cos(x)]
+
+    def assemble(block_entries, dense_entries):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(jumps, "ASSEMBLY_BLOCK_ENTRIES", block_entries)
+            patch.setattr(spectral, "DENSE_PAIR_MAX_ENTRIES", dense_entries)
+            return jumps.assemble_noise_operators(model, level, symbols)
+
+    # the fast transforms give each column the same bits at any block width
+    full_width = level.dim * model.num_grid
+    one, full = assemble(1, 0), assemble(full_width, 0)
+    assert one.matrices.tobytes() == full.matrices.tobytes()
+    assert one.hermiticity_defect == full.hermiticity_defect
+    # these levels are served by a dense pair, and a level that is goes in
+    # one block at the shipped budget, so its BLAS products keep the shapes
+    # of a full-width pass; narrower blocks may round differently
+    dense = spectral.DENSE_PAIR_MAX_ENTRIES
+    assert full_width <= dense <= jumps.ASSEMBLY_BLOCK_ENTRIES
+    shipped = jumps.assemble_noise_operators(model, level, symbols)
+    full = assemble(full_width, dense)
+    assert shipped.matrices.tobytes() == full.matrices.tobytes()
+    one = assemble(1, dense)
+    assert np.max(np.abs(one.matrices - full.matrices)) <= 1e-14
+
+
+def test_assembly_memory_is_the_operator_plus_blocks():
+    # 2-d torus level 6: dim 401, grid 1024; a full-width pass peaks near 27.5 MiB
+    model = spectral.build_spectral_model(spectral.torus_2d(2 * np.pi, 2 * np.pi),
+                                          max_level=7)
+    level = spectral.build_level(model, 6)
+    symbols = [np.cos(model.grid_points[:, 0])]
+    jumps.assemble_noise_operators(model, level, symbols)  # transform plans
+    tracemalloc.start()
+    try:
+        ops = jumps.assemble_noise_operators(model, level, symbols)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert level.dim == 401 and model.num_grid == 1024
+    assert peak <= 4 * ops.matrices.nbytes + 4 * 2**20
+
+
+def test_assembly_refused_beyond_physical_memory(torus_model, monkeypatch):
+    level = spectral.build_level(torus_model, 4)
+    symbols = [np.cos(torus_model.grid_points[:, 0])] * 2
+    needed = 16 * (2 * level.dim**2 + level.dim * torus_model.num_grid)
+    monkeypatch.setattr(jumps, "_physical_memory", lambda: needed - 1)
+    with pytest.raises(ConfigurationError, match=f"about {needed / 2**30:.3g} GiB"):
+        jumps.assemble_noise_operators(torus_model, level, symbols)
+    for available in (needed, None):  # None: the platform cannot tell
+        monkeypatch.setattr(jumps, "_physical_memory", lambda: available)
+        assert jumps.assemble_noise_operators(torus_model, level, symbols).dim == level.dim
 
 
 def test_constant_symbol_is_diagonal(torus_model):
@@ -158,6 +222,42 @@ def test_jump_map_matches_ode_flow(two_channel_ops):
         assert np.linalg.norm(exact - ode) <= 1e-8 * np.linalg.norm(x)
 
 
+@pytest.fixture(scope="module", params=list(spectral._DOMAIN_TABLE))
+def preset_ops(request):
+    """Operators of every symbol preset, one channel each, on a level of dim 90-200."""
+    kind = request.param
+    domain = spectral.Domain(kind, (np.pi,) * spectral._DOMAIN_TABLE[kind].axes)
+    max_level = 7 if kind == spectral.TORUS_2D else 12
+    model = spectral.build_spectral_model(domain, max_level=max_level)
+    symbols = [config.symbol_values(name, model) for name in config.SYMBOL_PRESETS]
+    level = spectral.build_level(model, max_level)
+    return jumps.assemble_noise_operators(model, level, symbols)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    direction=st.lists(st.floats(-1.0, 1.0), min_size=4, max_size=4),
+    keep=st.lists(st.booleans(), min_size=4, max_size=4),
+    # normal magnitudes: on subnormal entries rounding is not relative
+    size=st.one_of(st.just(0.0), st.floats(1e-200, 50.0)),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_chebyshev_jump_matches_eigh(preset_ops, direction, keep, size, seed):
+    ops = preset_ops
+    mark = np.where(keep, direction, 0.0)
+    norm = np.linalg.norm(mark)
+    mark = mark * (size / norm) if norm > 1e-6 else np.zeros_like(mark)
+    B = jumps.generator(ops, mark)
+    assert ops.radius(mark) >= np.linalg.norm(B, 2)
+    theta, vectors = np.linalg.eigh(B)
+    x = random_state(np.random.default_rng(seed), ops.dim)
+    expected = vectors @ (np.exp(-1j * theta) * (vectors.conj().T @ x))
+    y = jumps.jump_map(ops, mark, x)
+    nx = np.linalg.norm(x)
+    assert np.linalg.norm(y - expected) <= 1e-13 * nx
+    assert abs(np.linalg.norm(y) - nx) <= 1e-14 * nx
+
+
 def test_constant_symbols_commute(torus_model):
     level = spectral.build_level(torus_model, 4)
     g = torus_model.num_grid
@@ -230,22 +330,3 @@ def test_ea_growth_bound(torus_model, cos_ops):
         ea = lambda v: np.sqrt(np.sum(w * np.abs(v) ** 2))
         bound = np.exp(abs(mark[0]) * np.sqrt(cos_ops.bound_EA)) * ea(x)
         assert ea(y) <= bound * (1 + 1e-12)
-
-
-# ---------------------------------------------------------------------------
-# cache semantics
-# ---------------------------------------------------------------------------
-
-def test_cache_warm_and_readonly(torus_model):
-    level = spectral.build_level(torus_model, 4)
-    symbol = np.cos(torus_model.grid_points[:, 0])
-    ops = jumps.assemble_noise_operators(torus_model, level, [symbol])
-    rng = np.random.default_rng(50)
-    x = random_state(rng, ops.dim)
-    mark = np.array([0.3])
-    cold = jumps.jump_map(ops, mark, x)
-    assert len(ops._eig_cache) == 0  # uncached marks never insert
-    ops.warm_cache([mark])
-    assert len(ops._eig_cache) == 1
-    warm = jumps.jump_map(ops, mark, x)
-    assert np.array_equal(cold, warm)

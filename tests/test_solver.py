@@ -617,45 +617,29 @@ def test_simulate_event_validation(torus_model, cos_symbol):
         simulate(noisy, SolverConfig(dt=0.1))
 
 
-def test_simulate_caches_each_jumping_atom_once(torus_model, cos_symbol, monkeypatch):
-    def atomic_problem():
+@pytest.mark.parametrize("noise", ["atomic", "radial_stable"])
+def test_jump_path_makes_no_eigh_call(torus_model, cos_symbol, noise, monkeypatch):
+    # marks in the unit ball give radius <= 1, so each jump is a Chebyshev
+    # sum of at most 16 matvecs, below the level dimensions 23 and 45
+    if noise == "atomic":
         measure = AtomicMeasure(marks=[[0.5], [-0.3], [0.8]], weights=[6.0, 6.0, 4.0])
-        return build_problem(
-            torus_model, 4, decaying_initial(torus_model), 1.0,
-            nonlinearity=defocusing(3.0), symbols=cos_symbol, measure=measure,
-        )
-
-    config = SolverConfig(dt=0.05)
-    problem = atomic_problem()
-    atoms = {mark.tobytes() for mark in problem.measure.marks}
-    records = [simulate(problem, config, rng=trajectory_rng(3, k)) for k in range(3)]
-    jumped = {e.mark.tobytes() for r in records for e in r.events}
-    assert sum(len(r.events) for r in records) > len(atoms)
-    assert set(problem.ops._eig_cache) == jumped and jumped <= atoms
-    # an explicit event off the atoms is applied but not cached
-    off = JumpEvent(time=0.5, mark=np.array([0.25]))
-    simulate(problem, config, events=[off])
-    assert set(problem.ops._eig_cache) == jumped
-
-    # the cached decompositions give the same jumps as fresh ones
-    monkeypatch.setattr(type(problem.ops), "warm_cache", lambda ops, marks: None)
-    cold_problem = atomic_problem()
-    for k, record in enumerate(records):
-        cold = simulate(cold_problem, config, rng=trajectory_rng(3, k))
-        assert not cold_problem.ops._eig_cache
-        assert np.array_equal(cold.states, record.states)
-
-
-def test_simulate_caches_no_continuous_marks(torus_model, cos_symbol):
-    measure = RadialStableMeasure(activity=2.0, stability=1.2, dimension=1,
-                                  epsilon=0.2)
-    problem = build_problem(
-        torus_model, 4, decaying_initial(torus_model), 1.0,
-        symbols=cos_symbol, measure=measure,
+    else:
+        measure = RadialStableMeasure(activity=2.0, stability=1.2, dimension=1,
+                                      epsilon=0.2)
+    low, high = (
+        build_problem(torus_model, n, decaying_initial(torus_model), 1.0,
+                      nonlinearity=defocusing(3.0), symbols=cos_symbol, measure=measure)
+        for n in (6, 8)
     )
-    record = simulate(problem, SolverConfig(dt=0.05), rng=trajectory_rng(5, 0))
-    assert record.events
-    assert not problem.ops._eig_cache
+    config = SolverConfig(dt=0.05, closure=CLOSURE_TAYLOR2)
+
+    def eigh(*args, **kwargs):
+        raise AssertionError("eigh called on the jump path")
+
+    monkeypatch.setattr(np.linalg, "eigh", eigh)
+    record = simulate(high, config, rng=trajectory_rng(5, 0))
+    coupled = simulate_coupled(low, high, config, rng=trajectory_rng(5, 1))
+    assert record.events and coupled.record_high.events
 
 
 def test_coupled_levels_identical_for_resolved_linear_flow(torus_model, cos_symbol):

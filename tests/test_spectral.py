@@ -346,6 +346,26 @@ def test_dense_pairs_cached_once_per_mode_set_below_the_limit(monkeypatch):
     assert 2 * 16 * spectral.DENSE_PAIR_MAX_ENTRIES <= 2**20
 
 
+@pytest.mark.parametrize("max_entries", [0, 2**62], ids=["fast", "dense"])
+@pytest.mark.parametrize(
+    "model_name", ["torus_model", "dirichlet_model", "neumann_model", "torus2d_model"]
+)
+def test_synthesize_analyze_equal_transform_pair(model_name, max_entries, request,
+                                                 monkeypatch):
+    model = request.getfixturevalue(model_name)
+    monkeypatch.setattr(spectral, "DENSE_PAIR_MAX_ENTRIES", max_entries)
+    level = spectral.build_level(model, model.max_level - 1)
+    rng = np.random.default_rng(13)
+    for indices in (None, level.indices):
+        to_grid, from_grid = model.transform_pair(indices)
+        c = random_state(rng, (2, model.num_modes if indices is None else level.dim))
+        v = random_state(rng, (2, model.num_grid))
+        assert np.array_equal(model.synthesize(c, indices=indices), to_grid(c))
+        assert np.array_equal(model.analyze(v, indices=indices), from_grid(v))
+        assert np.array_equal(model.synthesize(c[0], indices=indices), to_grid(c[0]))
+        assert np.array_equal(model.analyze(v[0], indices=indices), from_grid(v[0]))
+
+
 def test_parseval(torus_model):
     rng = np.random.default_rng(12)
     c = random_state(rng, torus_model.num_modes)

@@ -82,3 +82,16 @@ def test_exceptions_reported_as_failures(monkeypatch):
     results = {r.name: r for r in verify.run_checks(names=["atomic_moments"])}
     assert not results["atomic_moments"].passed
     assert "synthetic fault" in results["atomic_moments"].detail
+
+
+def test_fault_injection_chebyshev(monkeypatch):
+    import jumpnls.jumps as jumps_mod
+
+    real = jumps_mod._chebyshev_coefficients
+
+    def conjugated(r):  # the series of exp(+i r x): the inverse jump
+        return [c.conjugate() for c in real(r)]
+
+    monkeypatch.setattr(jumps_mod, "_chebyshev_coefficients", conjugated)
+    results = {r.name: r for r in verify.run_checks(names=["chebyshev_jump"])}
+    assert not results["chebyshev_jump"].passed
