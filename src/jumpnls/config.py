@@ -39,7 +39,9 @@ _DOMAINS = {"torus_1d": (torus_1d, ("length",)),
             "interval_dirichlet": (interval_dirichlet, ("length",)),
             "interval_neumann": (interval_neumann, ("length",))}
 _NONLINEARITIES = {"defocusing": defocusing, "focusing": focusing}
-NOISE_KINDS = ("atomic", "radial_stable")
+# noise kind -> the keys it reads besides kind, symbols and epsilon
+_NOISE_KEYS = {"atomic": ("atoms",), "radial_stable": ("activity", "stability")}
+NOISE_KINDS = tuple(_NOISE_KEYS)
 SYMBOL_PRESETS = ("constant", "cos", "sin", "bump")
 INITIAL_PRESETS = ("decaying", "single_mode", "plateau")
 
@@ -236,11 +238,11 @@ def parse_config(text: str) -> RunSpec:
     noise = None
     if "noise" in present:
         noi = parser["noise"]
-        _require(noi, {"kind", "symbols", "epsilon", "atoms", "activity",
-                       "stability"})
         noise_kind = _get(noi, "kind", str, required=True)
         if noise_kind not in NOISE_KINDS:
             raise ConfigurationError(f"noise kind must be one of {NOISE_KINDS}")
+        # a key of another kind would be dropped silently
+        _require(noi, ("kind", "symbols", "epsilon") + _NOISE_KEYS[noise_kind])
         symbols = tuple(
             tok.strip() for tok in _get(noi, "symbols", str, required=True).split(",")
         )

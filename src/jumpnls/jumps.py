@@ -42,12 +42,11 @@ from __future__ import annotations
 
 import dataclasses
 import functools
-import os
 
 import numpy as np
 
 from .exceptions import ConfigurationError, NumericsError, ShapeError
-from .spectral import GalerkinLevel, SpectralModel, _max_lp_ratio
+from .spectral import GalerkinLevel, SpectralModel, _check_memory, _max_lp_ratio
 
 #: assembled matrices farther than this from Hermitian are rejected
 HERMITICITY_TOLERANCE = 1e-10
@@ -55,8 +54,8 @@ HERMITICITY_TOLERANCE = 1e-10
 #: complex entries in one (columns x grid nodes) assembly block, 1 MiB: at
 #: 2-d torus level 6 (dim 401, grid 1024) a block is 64 columns and the
 #: assembly peak is 7 MiB for the 2.45 MiB operator (27.5 MiB in one pass).
-#: At least ``DENSE_PAIR_MAX_ENTRIES``, so a level served by a dense pair is
-#: one block and its BLAS products round as in a single pass
+#: Assembly runs on the fast transforms, which give each column the same bits
+#: at any block width
 ASSEMBLY_BLOCK_ENTRIES = 2**16
 
 #: relative widening of the jump radius; the computed norm of a constant
@@ -116,14 +115,6 @@ class NoiseOperators:
         return float(peak) * (1.0 + _RADIUS_MARGIN)
 
 
-def _physical_memory() -> int | None:
-    """Bytes of physical memory, or None where ``os.sysconf`` cannot tell."""
-    try:
-        return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    except (AttributeError, ValueError, OSError):
-        return None
-
-
 def assemble_noise_operators(
     model: SpectralModel,
     level: GalerkinLevel,
@@ -139,23 +130,22 @@ def assemble_noise_operators(
     grid values, and the Hermitian check and symmetrization in row/column
     strips of the same width; each entry takes the arithmetic, and the bits,
     of a single full-width pass.  Raises ``ConfigurationError`` before
-    allocating when the operators would exceed physical memory.
+    allocating when the operators would exceed physical memory, and when a
+    channel's symbol has a non-finite grid sample.
     """
     symbols = np.atleast_2d(np.array(symbols, dtype=float))
     if symbols.ndim != 2 or symbols.shape[1] != model.num_grid:
         raise ShapeError(
             f"symbols must be (N, {model.num_grid}) grid samples, got {symbols.shape}"
         )
+    for m, symbol in enumerate(symbols):
+        if not np.all(np.isfinite(symbol)):
+            raise ConfigurationError(f"symbol of channel {m} has non-finite grid samples")
     channels, dim = symbols.shape[0], level.dim
     width = max(1, ASSEMBLY_BLOCK_ENTRIES // model.num_grid)
-    estimate = 16 * (channels * dim * dim + min(width, dim) * model.num_grid)
-    available = _physical_memory()
-    if available is not None and estimate > available:
-        raise ConfigurationError(
-            f"noise operators of level {level.n} need about {estimate / 2**30:.3g} GiB "
-            f"({channels} x {dim}^2 complex entries and one assembly block), more "
-            f"than the {available / 2**30:.3g} GiB of physical memory"
-        )
+    _check_memory(16 * (channels * dim * dim + min(width, dim) * model.num_grid),
+                  f"noise operators of level {level.n} ({channels} x {dim}^2 "
+                  f"complex entries and one assembly block)")
 
     smoother = level.multipliers
     matrices = np.empty((channels, dim, dim), dtype=complex)

@@ -3,15 +3,16 @@
 Evaluation is pseudospectral: synthesize to the (oversampled) quadrature grid,
 apply the pointwise power, and analyze back.  Each direction is one fast
 transform of the model's domain (FFT on the torus, DST/DCT on the interval),
-or on small levels one product with the model's cached dense pair.  Analysis
-is the quadrature adjoint of synthesis, and the grid pairing makes
+at every level size.  Analysis is the quadrature adjoint of synthesis, and
+the grid pairing makes
 ``<u, F(u)>`` a nonnegative quadrature sum times the sign, so the structural
 identity ``Re <i u, F(u)> = 0`` holds to rounding regardless of aliasing.
 
 The solver's step loop does not call :func:`eval_F` or :func:`eval_Fhat`: its
 drift workspace applies the same pointwise power (``_pointwise_power``) and
-quadrature between the level's bound transform pair, and the tests hold the
-two paths equal to rounding.
+quadrature between the level's bound transform pair, which on small levels
+multiplies by a dense pair instead, and the tests hold the two paths equal to
+rounding.
 """
 
 from __future__ import annotations

@@ -19,15 +19,14 @@ positions and the transforms all read it.  Adding a domain takes a table
 row, a constructor, an INI row in ``config._DOMAINS`` and its closed-form
 basis in the tests' oracle (``tests/conftest.py::closed_form_basis``).
 
-On small mode sets a transform call costs more in call overhead than in
-arithmetic, so when the selected modes times the grid nodes number at most
-``DENSE_PAIR_MAX_ENTRIES`` the model multiplies by a cached dense pair
-instead: the synthesis matrix, built once per mode set by the fast transform
-itself, and its quadrature adjoint.  The fast transforms stay the only
-definition of the basis.  ``SpectralModel.transform_pair`` binds either path
-for one mode set, and the solver keeps the pair of its level; ``synthesize``
-and ``analyze`` resolve the mode positions once per call, check shapes and
-take the same path.
+``SpectralModel.synthesize`` and ``analyze`` check shapes and run the fast
+transform, at every size; the model caches nothing.  A caller that
+transforms one mode set many times (the solver's drift workspace, once per
+level) binds it with ``SpectralModel.transform_pair``.  On small mode sets a
+transform call costs more in call overhead than in arithmetic, so when the
+selected modes times the grid nodes number at most ``DENSE_PAIR_MAX_ENTRIES``
+that pair multiplies by a dense synthesis matrix, built by the fast transform
+itself, and its quadrature adjoint; the caller owns the matrices.
 
 Two diagonal operators act on coefficients:
 
@@ -48,6 +47,7 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import math
+import os
 
 import numpy as np
 
@@ -93,16 +93,16 @@ _DOMAIN_TABLE = {
                                   _scipy_transform("dct", 2)),
 }
 
-#: largest (selected modes) x (grid nodes) served by a cached dense transform
-#: pair, so a pair takes at most 1 MiB.  On one BLAS thread the dense pair is
-#: 2-5x faster than the transforms up to 23 114 entries (127 x 182), breaks
-#: even near 46 000 (181 x 256) and is 2-5x slower from 197 632 (193 x 1024)
+#: largest (selected modes) x (grid nodes) that ``transform_pair`` serves by a
+#: dense pair, so a pair takes at most 1 MiB.  On one BLAS thread the dense
+#: pair is 2-5x faster than the transforms up to 23 114 entries (127 x 182),
+#: breaks even near 46 000 (181 x 256) and is 2-5x slower from 197 632
+#: (193 x 1024)
 DENSE_PAIR_MAX_ENTRIES = 2**15
 
-#: dense pairs a model keeps (oldest dropped first): one per Galerkin level in
-#: practice, and a bound of 16 MiB when callers select many other mode sets.
-#: A pair handed out by ``transform_pair`` lives as long as its callables do
-DENSE_PAIR_MAX_CACHED = 16
+#: bytes the mode scan of :func:`build_spectral_model` takes per lattice point
+#: it visits: 170-190 B measured on a 2-d torus, at 6-7 us per point
+MODE_SCAN_BYTES_PER_POINT = 200
 
 #: spaces accepted by :func:`sobolev_norm`
 NORM_SPACES = ("H", "E_A", "E_A_dual", "Lp")
@@ -234,8 +234,7 @@ class SpectralModel:
     ``k mod M`` on each torus axis, ``k - 1`` for Dirichlet sines and ``k``
     for Neumann cosines.  The quadrature rule (``grid_weights``, uniform)
     integrates products of retained modes exactly, so analyze/synthesize
-    round-trips are identities to rounding.  Small mode sets are served by
-    cached dense pairs (see the module docstring), keyed by their positions.
+    round-trips are identities to rounding.
     """
 
     domain: Domain
@@ -250,9 +249,6 @@ class SpectralModel:
     grid_shape: tuple[int, ...]  # nodes per axis
     positions: np.ndarray        # (num_modes,) flat spectrum index of each mode
     root_weight: float           # sqrt of the quadrature weight of one node
-    _dense_pairs: dict = dataclasses.field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
 
     @property
     def num_modes(self) -> int:
@@ -274,9 +270,6 @@ class SpectralModel:
             raise ShapeError(
                 f"expected {len(positions)} coefficients, got shape {coefficients.shape}"
             )
-        pair = self._dense_pair(positions)
-        if pair is not None:
-            return coefficients @ pair[0]
         return self._fast_synthesize(coefficients, positions)
 
     def analyze(self, values: np.ndarray, indices=None) -> np.ndarray:
@@ -287,47 +280,29 @@ class SpectralModel:
                 f"expected {self.num_grid} grid values, got shape {values.shape}"
             )
         positions = self.positions if indices is None else self.positions[indices]
-        pair = self._dense_pair(positions)
-        if pair is not None:
-            return values @ pair[1]
         return self._fast_analyze(values, positions)
 
     def transform_pair(self, indices=None):
         """``(to_grid, from_grid)`` for the retained (or selected) modes, bound once.
 
         The callables do what :meth:`synthesize` and :meth:`analyze` do,
-        without the shape checks and the per-call lookups: on a small mode
-        set they multiply by the cached dense pair, above the crossover they
-        run the fast transforms on the resolved mode positions.  Callers that
-        transform one mode set many times (a solver level) keep the pair.
+        without the shape checks and the per-call lookups.  Above
+        ``DENSE_PAIR_MAX_ENTRIES`` they run the fast transforms on the
+        resolved mode positions.  Below it they multiply by a dense pair built
+        here and owned by the callables: ``S``, whose row j is mode
+        ``positions[j]`` synthesized by the fast transform, and its quadrature
+        adjoint ``w S^H``, which equals the fast analysis because the
+        transforms are unitary.  The products round differently from the
+        transforms, and from each other with the number of batch rows.
         """
         positions = self.positions if indices is None else self.positions[indices]
-        pair = self._dense_pair(positions)
-        if pair is not None:
-            synthesis, adjoint = pair
-            return (lambda coefficients: coefficients @ synthesis,
-                    lambda values: values @ adjoint)
-        return (lambda coefficients: self._fast_synthesize(coefficients, positions),
-                lambda values: self._fast_analyze(values, positions))
-
-    def _dense_pair(self, positions: np.ndarray):
-        """Cached ``(S, w S^H)`` for a small mode set, or None above the crossover.
-
-        Row j of ``S`` is mode ``positions[j]`` on the grid, synthesized by the
-        fast transform; ``w S^H`` is its quadrature adjoint, which equals the
-        fast analysis because the transforms are unitary.
-        """
         if positions.size * self.num_grid > DENSE_PAIR_MAX_ENTRIES:
-            return None
-        key = positions.tobytes()
-        pair = self._dense_pairs.get(key)
-        if pair is None:
-            S = self._fast_synthesize(np.eye(positions.size), positions)
-            pair = (S, np.ascontiguousarray(self.grid_weights[:, None] * S.conj().T))
-            if len(self._dense_pairs) >= DENSE_PAIR_MAX_CACHED:
-                del self._dense_pairs[next(iter(self._dense_pairs))]
-            self._dense_pairs[key] = pair
-        return pair
+            return (lambda coefficients: self._fast_synthesize(coefficients, positions),
+                    lambda values: self._fast_analyze(values, positions))
+        synthesis = self._fast_synthesize(np.eye(positions.size), positions)
+        adjoint = np.ascontiguousarray(self.grid_weights[:, None] * synthesis.conj().T)
+        return (lambda coefficients: coefficients @ synthesis,
+                lambda values: values @ adjoint)
 
     def _fast_synthesize(self, coefficients: np.ndarray, positions: np.ndarray) -> np.ndarray:
         spectrum = np.zeros(coefficients.shape[:-1] + (self.num_grid,), dtype=complex)
@@ -350,6 +325,28 @@ def _transform(kind: str, data: np.ndarray, grid_shape, to_grid: bool) -> np.nda
     return transform(square, norm="ortho").reshape(data.shape)
 
 
+def _physical_memory() -> int | None:
+    """Bytes of physical memory, or None where ``os.sysconf`` cannot tell."""
+    try:
+        return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):
+        return None
+
+
+def _check_memory(estimate: int, what: str) -> None:
+    """Refuse ``what`` when its ``estimate`` in bytes exceeds physical memory.
+
+    The ``ConfigurationError`` quotes the estimate; where the platform cannot
+    tell its memory, nothing is refused.
+    """
+    available = _physical_memory()
+    if available is not None and estimate > available:
+        raise ConfigurationError(
+            f"{what} take about {estimate / 2**30:.3g} GiB, more than the "
+            f"{available / 2**30:.3g} GiB of physical memory"
+        )
+
+
 def _mode_table(domain: Domain, beta: float, threshold: float):
     """Enumerate wavenumbers with lambda_S below threshold; return sorted table."""
     facts = _DOMAIN_TABLE[domain.kind]
@@ -359,11 +356,13 @@ def _mode_table(domain: Domain, beta: float, threshold: float):
     # conservative per-axis scan bound: lambda_A alone already below threshold
     mu_cap = (threshold - facts.shift) ** (1.0 / beta)
     kmax = [int(math.floor(math.sqrt(mu_cap) / f)) + 2 for f in factors]
+    axes = [range(-k if facts.periodic else facts.first_k, k + 1) for k in kmax]
+    points = math.prod(len(axis) for axis in axes)
+    _check_memory(MODE_SCAN_BYTES_PER_POINT * points,
+                  f"the {points} lattice points of the mode scan below lambda_S = {threshold:g}")
 
     rows = []
-    for wn in itertools.product(
-        *(range(-k if facts.periodic else facts.first_k, k + 1) for k in kmax)
-    ):
+    for wn in itertools.product(*axes):
         mu = sum((f * k) ** 2 for f, k in zip(factors, wn))
         lam_A = mu**beta
         lam_s = facts.shift + lam_A

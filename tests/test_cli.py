@@ -127,6 +127,21 @@ def test_simulate_byte_identical_and_thread_invariant(fast_config, tmp_path):
             assert read(a / fname) == read(other / fname), (other.name, fname)
 
 
+def test_trajectory_files_independent_of_trajectory_count(fast_config, tmp_path):
+    # trajectory k's seed and path depend on k alone, so a longer ensemble
+    # only adds files
+    outs = {}
+    for count in (2, 3):
+        out = outs[count] = tmp_path / f"n{count}"
+        assert main(["simulate", "--config", fast_config, "--out", str(out),
+                     "--trajectories", str(count)]) == 0
+    assert (outs[3] / "traj_0002.csv").exists()
+    assert not (outs[2] / "traj_0002.csv").exists()
+    for k in range(2):
+        for fname in (f"traj_{k:04d}.csv", f"events_{k:04d}.csv", f"states_{k:04d}.npy"):
+            assert read(outs[2] / fname) == read(outs[3] / fname), fname
+
+
 def test_simulate_reports_fp_iters_max(fast_config, tmp_path):
     # the deterministic midpoint counter is reported per trajectory and is
     # the same on a rerun

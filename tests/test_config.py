@@ -155,6 +155,13 @@ def test_radial_noise_parsing():
     (lambda t: t.replace("level = 3\n", ""), "missing key 'level'"),
     (lambda t: t + "\n[output]\nsave_states = maybe\n", "save_states"),
     (lambda t: t + "\n[nonlinearity]\nkind = focusing\n", "missing key 'alpha'"),
+    (lambda t: t + "\n[noise]\nkind = atomic\nsymbols = cos\natoms = 0.5 : 1\n"
+     "activity = 3.0\n", "unknown keys in [noise]: ['activity']"),
+    (lambda t: t + "\n[noise]\nkind = radial_stable\nsymbols = cos\nepsilon = 0.1\n"
+     "activity = 1.0\nstability = 1.2\natoms = 0.5 : 1\n",
+     "unknown keys in [noise]: ['atoms']"),
+    (lambda t: t + "\n[noise]\nkind = atomic\nsymbols = cos\natoms = 0.5 : 1\n"
+     "scale = 2\n", "unknown keys in [noise]: ['scale']"),
 ])
 def test_parse_errors(mutation, needle):
     with pytest.raises(ConfigurationError) as err:

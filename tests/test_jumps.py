@@ -86,27 +86,17 @@ def test_blocked_assembly_bit_identical(model_name, request):
     x = model.grid_points.sum(axis=1)
     symbols = [np.cos(x), 0.5 + np.sin(2.0 * x) * np.cos(x)]
 
-    def assemble(block_entries, dense_entries):
+    def assemble(block_entries):
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(jumps, "ASSEMBLY_BLOCK_ENTRIES", block_entries)
-            patch.setattr(spectral, "DENSE_PAIR_MAX_ENTRIES", dense_entries)
             return jumps.assemble_noise_operators(model, level, symbols)
 
     # the fast transforms give each column the same bits at any block width
-    full_width = level.dim * model.num_grid
-    one, full = assemble(1, 0), assemble(full_width, 0)
-    assert one.matrices.tobytes() == full.matrices.tobytes()
-    assert one.hermiticity_defect == full.hermiticity_defect
-    # these levels are served by a dense pair, and a level that is goes in
-    # one block at the shipped budget, so its BLAS products keep the shapes
-    # of a full-width pass; narrower blocks may round differently
-    dense = spectral.DENSE_PAIR_MAX_ENTRIES
-    assert full_width <= dense <= jumps.ASSEMBLY_BLOCK_ENTRIES
+    one, full = assemble(1), assemble(level.dim * model.num_grid)
     shipped = jumps.assemble_noise_operators(model, level, symbols)
-    full = assemble(full_width, dense)
-    assert shipped.matrices.tobytes() == full.matrices.tobytes()
-    one = assemble(1, dense)
-    assert np.max(np.abs(one.matrices - full.matrices)) <= 1e-14
+    for ops in (one, shipped):
+        assert ops.matrices.tobytes() == full.matrices.tobytes()
+        assert ops.hermiticity_defect == full.hermiticity_defect
 
 
 def test_assembly_memory_is_the_operator_plus_blocks():
@@ -130,12 +120,24 @@ def test_assembly_refused_beyond_physical_memory(torus_model, monkeypatch):
     level = spectral.build_level(torus_model, 4)
     symbols = [np.cos(torus_model.grid_points[:, 0])] * 2
     needed = 16 * (2 * level.dim**2 + level.dim * torus_model.num_grid)
-    monkeypatch.setattr(jumps, "_physical_memory", lambda: needed - 1)
+    monkeypatch.setattr(spectral, "_physical_memory", lambda: needed - 1)
     with pytest.raises(ConfigurationError, match=f"about {needed / 2**30:.3g} GiB"):
         jumps.assemble_noise_operators(torus_model, level, symbols)
     for available in (needed, None):  # None: the platform cannot tell
-        monkeypatch.setattr(jumps, "_physical_memory", lambda: available)
+        monkeypatch.setattr(spectral, "_physical_memory", lambda: available)
         assert jumps.assemble_noise_operators(torus_model, level, symbols).dim == level.dim
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_assembly_rejects_non_finite_symbols(torus_model, bad):
+    # a NaN would otherwise read as a zero hermiticity defect and reach the
+    # first jump as NaN operators
+    level = spectral.build_level(torus_model, 4)
+    x = torus_model.grid_points[:, 0]
+    broken = np.cos(x)
+    broken[7] = bad
+    with pytest.raises(ConfigurationError, match="channel 1 "):
+        jumps.assemble_noise_operators(torus_model, level, [np.sin(x), broken])
 
 
 def test_constant_symbol_is_diagonal(torus_model):

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 
@@ -279,15 +280,21 @@ def test_transforms_match_closed_form(
         )
     except ConfigurationError:  # interval too short to hold a mode at this level
         assume(False)
-    # the fast transforms (no dense pair admitted), then the dense pairs
+    def checked(indices):
+        return (lambda c: model.synthesize(c, indices=indices),
+                lambda v: model.analyze(v, indices=indices))
+
+    _check_transforms_match_closed_form(model, checked, batch, select, seed)
+    # the bound pair above the crossover (fast transforms) and below it (dense)
     for max_entries in (0, 2**62):
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(spectral, "DENSE_PAIR_MAX_ENTRIES", max_entries)
-            _check_transforms_match_closed_form(model, batch, select, seed)
-        assert bool(model._dense_pairs) == (max_entries > 0)
+            _check_transforms_match_closed_form(model, model.transform_pair,
+                                                batch, select, seed)
 
 
-def _check_transforms_match_closed_form(model, batch, select, seed):
+def _check_transforms_match_closed_form(model, transforms, batch, select, seed):
+    """``transforms(indices)`` gives ``(to_grid, from_grid)`` for a mode set."""
     rng = np.random.default_rng(seed)
     basis = closed_form_basis(model)
     indices = None
@@ -297,50 +304,71 @@ def _check_transforms_match_closed_form(model, batch, select, seed):
         basis = basis[indices]
     c = random_state(rng, batch + (len(basis),))
     v = random_state(rng, batch + (model.num_grid,))
+    to_grid, from_grid = transforms(indices)
 
-    values = model.synthesize(c, indices=indices)
+    values = to_grid(c)
     expected = c @ basis
     assert values.shape == expected.shape
     assert np.linalg.norm(values - expected) <= 1e-13 * np.linalg.norm(expected)
 
-    coefficients = model.analyze(v, indices=indices)
+    coefficients = from_grid(v)
     expected = v @ (basis.conj() * model.grid_weights).T
     assert coefficients.shape == expected.shape
     assert np.linalg.norm(coefficients - expected) <= 1e-13 * np.linalg.norm(expected)
     # real input still gives complex output
-    assert model.synthesize(c.real, indices=indices).dtype == complex
-    assert model.analyze(v.real, indices=indices).dtype == complex
+    assert to_grid(c.real).dtype == complex
+    assert from_grid(v.real).dtype == complex
 
 
-def test_dense_pairs_cached_once_per_mode_set_below_the_limit(monkeypatch):
+def test_mode_scan_refused_beyond_physical_memory(monkeypatch):
+    # 2-d torus of side 2 pi, max_level 4: lambda_S = 1 + |k|^2 < 32 is scanned
+    # over |k_x|, |k_y| <= floor(sqrt(31)) + 2 = 7, i.e. 15^2 lattice points
+    domain = spectral.torus_2d(2 * np.pi, 2 * np.pi)
+    needed = spectral.MODE_SCAN_BYTES_PER_POINT * 15**2
+    monkeypatch.setattr(spectral, "_physical_memory", lambda: needed - 1)
+    with pytest.raises(ConfigurationError,
+                       match=f"225 lattice points.*about {needed / 2**30:.3g} GiB"):
+        spectral.build_spectral_model(domain, max_level=4)
+    for available in (needed, None):  # None: the platform cannot tell
+        monkeypatch.setattr(spectral, "_physical_memory", lambda: available)
+        assert spectral.build_spectral_model(domain, max_level=4).num_modes > 0
+
+
+def test_transform_pair_binds_a_dense_pair_below_the_limit(monkeypatch):
     model = spectral.build_spectral_model(spectral.torus_1d(2 * np.pi), max_level=6)
     small = spectral.build_level(model, 3)
     large = spectral.build_level(model, 5)
     limit = small.dim * model.num_grid
     assert large.dim * model.num_grid > limit
     monkeypatch.setattr(spectral, "DENSE_PAIR_MAX_ENTRIES", limit)
+    calls, transform = [], spectral._transform
+
+    def counting(kind, data, grid_shape, to_grid):
+        calls.append(to_grid)
+        return transform(kind, data, grid_shape, to_grid)
+
+    monkeypatch.setattr(spectral, "_transform", counting)
     rng = np.random.default_rng(3)
 
-    key = model.positions[small.indices].tobytes()
-    pairs = []
+    # below the limit: the pair is synthesized once, when bound
+    to_grid, from_grid = model.transform_pair(small.indices)
+    assert calls == [True]
     for _ in range(3):
-        model.synthesize(random_state(rng, small.dim), indices=small.indices)
-        model.analyze(random_state(rng, (2, model.num_grid)), indices=small.indices)
-        model.synthesize(random_state(rng, large.dim), indices=large.indices)
-        model.analyze(random_state(rng, model.num_grid))
-        assert list(model._dense_pairs) == [key]
-        pairs.append(model._dense_pairs[key])
-    assert all(pair is pairs[0] for pair in pairs)
-    S, adjoint = pairs[0]
-    assert S.shape == (small.dim, model.num_grid)
-    assert adjoint.shape == (model.num_grid, small.dim)
-
-    # many selected mode sets: the oldest pairs are dropped
-    assert model.num_modes > spectral.DENSE_PAIR_MAX_CACHED
-    for j in range(model.num_modes):
-        model.synthesize(random_state(rng, 1), indices=[j])
-        assert len(model._dense_pairs) == min(j + 2, spectral.DENSE_PAIR_MAX_CACHED)
-    assert key not in model._dense_pairs
+        to_grid(random_state(rng, small.dim))
+        from_grid(random_state(rng, (2, model.num_grid)))
+    assert calls == [True]
+    eye = np.eye(small.dim)
+    assert np.array_equal(to_grid(eye), model.synthesize(eye, indices=small.indices))
+    # above it, and in synthesize/analyze at any size: one transform per call
+    calls.clear()
+    to_grid, from_grid = model.transform_pair(large.indices)
+    to_grid(random_state(rng, large.dim))
+    from_grid(random_state(rng, model.num_grid))
+    model.synthesize(random_state(rng, small.dim), indices=small.indices)
+    model.analyze(random_state(rng, model.num_grid))
+    assert calls == [True, False, True, False]
+    # the model keeps nothing beyond its fields
+    assert set(vars(model)) == {f.name for f in dataclasses.fields(model)}
     # at the shipped limit a pair takes at most 1 MiB
     monkeypatch.undo()
     assert 2 * 16 * spectral.DENSE_PAIR_MAX_ENTRIES <= 2**20
@@ -352,18 +380,26 @@ def test_dense_pairs_cached_once_per_mode_set_below_the_limit(monkeypatch):
 )
 def test_synthesize_analyze_equal_transform_pair(model_name, max_entries, request,
                                                  monkeypatch):
+    # the fast pair runs the same transforms as synthesize/analyze, bit for
+    # bit; the dense pair's products round differently
     model = request.getfixturevalue(model_name)
     monkeypatch.setattr(spectral, "DENSE_PAIR_MAX_ENTRIES", max_entries)
     level = spectral.build_level(model, model.max_level - 1)
     rng = np.random.default_rng(13)
+
+    def agree(expected, got):
+        if max_entries == 0:
+            return np.array_equal(expected, got)
+        return np.max(np.abs(got - expected)) <= 1e-14 * np.max(np.abs(expected))
+
     for indices in (None, level.indices):
         to_grid, from_grid = model.transform_pair(indices)
         c = random_state(rng, (2, model.num_modes if indices is None else level.dim))
         v = random_state(rng, (2, model.num_grid))
-        assert np.array_equal(model.synthesize(c, indices=indices), to_grid(c))
-        assert np.array_equal(model.analyze(v, indices=indices), from_grid(v))
-        assert np.array_equal(model.synthesize(c[0], indices=indices), to_grid(c[0]))
-        assert np.array_equal(model.analyze(v[0], indices=indices), from_grid(v[0]))
+        assert agree(model.synthesize(c, indices=indices), to_grid(c))
+        assert agree(model.analyze(v, indices=indices), from_grid(v))
+        assert agree(model.synthesize(c[0], indices=indices), to_grid(c[0]))
+        assert agree(model.analyze(v[0], indices=indices), from_grid(v[0]))
 
 
 def test_parseval(torus_model):
