@@ -20,7 +20,6 @@ import numpy as np
 
 from . import verify as verify_mod
 from .config import (
-    build_measure_from_spec,
     build_problem_from_spec,
     canonical_text,
     config_hash,
@@ -214,10 +213,10 @@ def _cmd_verify(args) -> int:
 
 def _cmd_moments(args) -> int:
     spec = load_config(args.config)
-    measure = build_measure_from_spec(spec)
-    if measure is None:
+    if spec.noise is None:
         print("error: config has no [noise] section", file=sys.stderr)
         return 2
+    measure = spec.noise.measure()
     moments = measure.moments()
     payload = {
         "config_hash": config_hash(spec),

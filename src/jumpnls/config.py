@@ -1,10 +1,10 @@
 """INI run configuration: parsing, canonical serialization, object builders.
 
-The spec dataclasses are the schema of the simple sections (``[galerkin]``,
-``[nonlinearity]``, ``[solver]``, ``[initial]``, ``[output]``): their fields
-give the keys, the value types, the defaults and the canonical key order.
-``[domain]``, ``[noise]`` and ``[run]`` have conditional or legacy keys and
-are parsed by hand.
+The spec dataclasses are the schema of the sections ``[galerkin]``,
+``[nonlinearity]``, ``[noise]`` (one class per noise kind), ``[solver]``,
+``[initial]`` and ``[output]``: their fields give the keys, the value types,
+the defaults and the canonical key order.  Only ``[domain]`` (length keys per
+domain kind) and ``[run]`` (the legacy ``threads`` key) are parsed by hand.
 
 The canonical text form is deterministic (fixed section and key order,
 ``repr`` floats), so round-tripping a spec through text is the identity and
@@ -39,9 +39,6 @@ _DOMAINS = {"torus_1d": (torus_1d, ("length",)),
             "interval_dirichlet": (interval_dirichlet, ("length",)),
             "interval_neumann": (interval_neumann, ("length",))}
 _NONLINEARITIES = {"defocusing": defocusing, "focusing": focusing}
-# noise kind -> the keys it reads besides kind, symbols and epsilon
-_NOISE_KEYS = {"atomic": ("atoms",), "radial_stable": ("activity", "stability")}
-NOISE_KINDS = tuple(_NOISE_KEYS)
 SYMBOL_PRESETS = ("constant", "cos", "sin", "bump")
 INITIAL_PRESETS = ("decaying", "single_mode", "plateau")
 
@@ -53,15 +50,18 @@ class DomainSpec:
 
 
 # In the dataclass-driven sections the field order is the canonical key order:
-# reordering a field changes every config_hash.  This is why the required
-# ``GalerkinSpec.level`` keeps an unused default: a field without one could
-# not follow ``max_level``.
+# reordering a field changes every config_hash.
 
-@dataclasses.dataclass(frozen=True)
+# annotations of the [noise] values that are not scalars (see _FIELD_TYPES)
+Symbols = tuple[str, ...]                          # one preset name per channel
+Atoms = tuple[tuple[tuple[float, ...], float], ...]  # ((mark...), weight) per atom
+
+
+@dataclasses.dataclass(frozen=True, kw_only=True)
 class GalerkinSpec:
     beta: float = 1.0
     max_level: int = 6
-    level: int = 4
+    level: int
     dealias_factor: int = 2
 
 
@@ -71,16 +71,47 @@ class NonlinearitySpec:
     alpha: float
 
 
-@dataclasses.dataclass(frozen=True)
-class NoiseSpec:
-    kind: str                      # "atomic" | "radial_stable"
-    symbols: tuple[str, ...]       # one preset name per channel
+@dataclasses.dataclass(frozen=True, kw_only=True)
+class AtomicNoiseSpec:
+    """Finitely many weighted atoms; ``epsilon = 0`` simulates every jump."""
+
+    kind: str = "atomic"
+    symbols: Symbols
+    epsilon: float = 0.0
+    atoms: Atoms
+
+    def __post_init__(self):
+        if {len(mark) for mark, _ in self.atoms} != {len(self.symbols)}:
+            raise ConfigurationError(
+                "every atom mark needs one component per symbol channel"
+            )
+
+    def measure(self) -> AtomicMeasure:
+        return AtomicMeasure(
+            marks=np.array([mark for mark, _ in self.atoms], dtype=float),
+            weights=np.array([weight for _, weight in self.atoms], dtype=float),
+            epsilon=self.epsilon,
+        )
+
+
+@dataclasses.dataclass(frozen=True, kw_only=True)
+class RadialStableNoiseSpec:
+    """Density ``activity |l|^(-N-stability)`` on the unit ball of R^N."""
+
+    kind: str = "radial_stable"
+    symbols: Symbols
     epsilon: float
-    # atomic parameters: ((mark components...), weight) per atom
-    atoms: tuple[tuple[tuple[float, ...], float], ...] = ()
-    # radial_stable parameters
-    activity: float = 0.0
-    stability: float = 0.0
+    activity: float
+    stability: float
+
+    def measure(self) -> RadialStableMeasure:
+        return RadialStableMeasure(
+            activity=self.activity, stability=self.stability,
+            dimension=len(self.symbols), epsilon=self.epsilon,
+        )
+
+
+_NOISE_SPECS = {cls.kind: cls for cls in (AtomicNoiseSpec, RadialStableNoiseSpec)}
 
 
 @dataclasses.dataclass(frozen=True)
@@ -107,7 +138,7 @@ class RunSpec:
     trajectories: int
     master_seed: int
     nonlinearity: NonlinearitySpec | None = None
-    noise: NoiseSpec | None = None
+    noise: AtomicNoiseSpec | RadialStableNoiseSpec | None = None
     output: OutputSpec = OutputSpec()
 
 
@@ -146,12 +177,41 @@ def _bool(raw: str) -> bool:
     raise ValueError(f"not a boolean: {raw!r}")
 
 
+def _parse_atoms(raw: str):
+    """Atoms as 'm1 m2 ... : weight' entries separated by ';'."""
+    atoms = []
+    for chunk in raw.split(";"):
+        chunk = chunk.strip()
+        if not chunk:
+            continue
+        if ":" not in chunk:
+            raise ValueError(f"atom entry {chunk!r} lacks a ': weight' part")
+        mark_part, weight_part = chunk.rsplit(":", 1)
+        mark = tuple(float(tok) for tok in mark_part.split())
+        if not mark:
+            raise ValueError(f"atom entry {chunk!r} has an empty mark")
+        atoms.append((mark, float(weight_part)))
+    if not atoms:
+        raise ValueError("no atoms given")
+    return tuple(atoms)
+
+
+def _format_atoms(atoms) -> str:
+    return "; ".join(
+        " ".join(repr(component) for component in mark) + " : " + repr(weight)
+        for mark, weight in atoms
+    )
+
+
 # field annotation -> (parse, render)
 _FIELD_TYPES = {
     "float": (float, repr),
     "int": (int, str),
     "str": (str, str),
     "bool": (_bool, lambda value: "true" if value else "false"),
+    "Symbols": (lambda raw: tuple(tok.strip() for tok in raw.split(",")),
+                ", ".join),
+    "Atoms": (_parse_atoms, _format_atoms),
 }
 
 
@@ -175,25 +235,6 @@ def _section_pairs(obj):
     """Canonical (key, text) pairs of a dataclass-driven section."""
     return [(f.name, _FIELD_TYPES[f.type][1](getattr(obj, f.name)))
             for f in dataclasses.fields(obj)]
-
-
-def _parse_atoms(raw: str):
-    """Atoms as 'm1 m2 ... : weight' entries separated by ';'."""
-    atoms = []
-    for chunk in raw.split(";"):
-        chunk = chunk.strip()
-        if not chunk:
-            continue
-        if ":" not in chunk:
-            raise ValueError(f"atom entry {chunk!r} lacks a ': weight' part")
-        mark_part, weight_part = chunk.rsplit(":", 1)
-        mark = tuple(float(tok) for tok in mark_part.split())
-        if not mark:
-            raise ValueError(f"atom entry {chunk!r} has an empty mark")
-        atoms.append((mark, float(weight_part)))
-    if not atoms:
-        raise ValueError("no atoms given")
-    return tuple(atoms)
 
 
 def parse_config(text: str) -> RunSpec:
@@ -222,8 +263,7 @@ def parse_config(text: str) -> RunSpec:
     lengths = tuple(_get(dom, key, float, required=True) for key in _DOMAINS[kind][1])
     domain = DomainSpec(kind=kind, lengths=lengths)
 
-    galerkin = _parse_section(parser["galerkin"], GalerkinSpec,
-                              required=("level",))
+    galerkin = _parse_section(parser["galerkin"], GalerkinSpec)
     if not (0 <= galerkin.level <= galerkin.max_level):
         raise ConfigurationError(
             f"level must lie in [0, max_level={galerkin.max_level}]"
@@ -239,36 +279,14 @@ def parse_config(text: str) -> RunSpec:
     if "noise" in present:
         noi = parser["noise"]
         noise_kind = _get(noi, "kind", str, required=True)
-        if noise_kind not in NOISE_KINDS:
-            raise ConfigurationError(f"noise kind must be one of {NOISE_KINDS}")
-        # a key of another kind would be dropped silently
-        _require(noi, ("kind", "symbols", "epsilon") + _NOISE_KEYS[noise_kind])
-        symbols = tuple(
-            tok.strip() for tok in _get(noi, "symbols", str, required=True).split(",")
-        )
-        for name in symbols:
+        if noise_kind not in _NOISE_SPECS:
+            raise ConfigurationError(f"noise kind must be one of {tuple(_NOISE_SPECS)}")
+        noise = _parse_section(noi, _NOISE_SPECS[noise_kind])
+        for name in noise.symbols:
             if name not in SYMBOL_PRESETS:
                 raise ConfigurationError(
                     f"unknown symbol preset {name!r}; choose from {SYMBOL_PRESETS}"
                 )
-        if noise_kind == "atomic":
-            atoms = _get(noi, "atoms", _parse_atoms, required=True)
-            widths = {len(mark) for mark, _ in atoms}
-            if widths != {len(symbols)}:
-                raise ConfigurationError(
-                    "every atom mark needs one component per symbol channel"
-                )
-            noise = NoiseSpec(
-                kind=noise_kind, symbols=symbols,
-                epsilon=_get(noi, "epsilon", float, default=0.0), atoms=atoms,
-            )
-        else:
-            noise = NoiseSpec(
-                kind=noise_kind, symbols=symbols,
-                epsilon=_get(noi, "epsilon", float, required=True),
-                activity=_get(noi, "activity", float, required=True),
-                stability=_get(noi, "stability", float, required=True),
-            )
 
     solver = _parse_section(parser["solver"], SolverConfig, required=("dt",))
 
@@ -310,13 +328,6 @@ def load_config(path: str) -> RunSpec:
 # canonical serialization and hashing
 # ---------------------------------------------------------------------------
 
-def _format_atoms(atoms) -> str:
-    return "; ".join(
-        " ".join(repr(component) for component in mark) + " : " + repr(weight)
-        for mark, weight in atoms
-    )
-
-
 def canonical_text(spec: RunSpec) -> str:
     """Deterministic INI rendering: fixed order, repr floats, LF endings."""
     out = io.StringIO()
@@ -337,15 +348,7 @@ def canonical_text(spec: RunSpec) -> str:
         section("nonlinearity", _section_pairs(spec.nonlinearity))
 
     if spec.noise is not None:
-        pairs = [("kind", spec.noise.kind),
-                 ("symbols", ", ".join(spec.noise.symbols)),
-                 ("epsilon", repr(spec.noise.epsilon))]
-        if spec.noise.kind == "atomic":
-            pairs.append(("atoms", _format_atoms(spec.noise.atoms)))
-        else:
-            pairs += [("activity", repr(spec.noise.activity)),
-                      ("stability", repr(spec.noise.stability))]
-        section("noise", pairs)
+        section("noise", _section_pairs(spec.noise))
 
     section("solver", _section_pairs(spec.solver))
     section("initial", _section_pairs(spec.initial))
@@ -401,22 +404,6 @@ def build_symbols_from_spec(spec: RunSpec, model: SpectralModel) -> np.ndarray |
     return np.stack([symbol_values(name, model) for name in spec.noise.symbols])
 
 
-def build_measure_from_spec(spec: RunSpec):
-    if spec.noise is None:
-        return None
-    if spec.noise.kind == "atomic":
-        marks = np.array([mark for mark, _ in spec.noise.atoms], dtype=float)
-        weights = np.array([w for _, w in spec.noise.atoms], dtype=float)
-        return AtomicMeasure(marks=marks, weights=weights,
-                             epsilon=spec.noise.epsilon)
-    return RadialStableMeasure(
-        activity=spec.noise.activity,
-        stability=spec.noise.stability,
-        dimension=len(spec.noise.symbols),
-        epsilon=spec.noise.epsilon,
-    )
-
-
 def initial_values(spec: RunSpec, model: SpectralModel) -> np.ndarray:
     """Deterministic full-space initial coefficients for the chosen preset."""
     ini = spec.initial
@@ -453,7 +440,7 @@ def build_problem_from_spec(
     """
     if model is None:
         model = build_model_from_spec(spec)
-    measure = build_measure_from_spec(spec)
+    measure = None if spec.noise is None else spec.noise.measure()
     check_closure(spec.solver.closure, measure)
     nonlinearity = None
     if spec.nonlinearity is not None:

@@ -8,7 +8,6 @@ import pytest
 
 from jumpnls.config import (
     RunSpec,
-    build_measure_from_spec,
     build_model_from_spec,
     build_problem_from_spec,
     build_symbols_from_spec,
@@ -120,7 +119,7 @@ def test_atomic_noise_parsing():
     assert spec.noise.kind == "atomic"
     assert spec.noise.symbols == ("cos",)
     assert spec.noise.atoms == (((0.45,), 2.0), ((-0.45,), 2.0))
-    measure = build_measure_from_spec(spec)
+    measure = spec.noise.measure()
     assert isinstance(measure, AtomicMeasure)
     assert measure.dimension == 1
     assert measure.simulated_intensity() == pytest.approx(4.0)
@@ -130,7 +129,7 @@ def test_radial_noise_parsing():
     spec = load_config(str(CONFIG_DIR / "stable_linear.ini"))
     assert spec.noise.kind == "radial_stable"
     assert spec.noise.symbols == ("cos", "bump")
-    measure = build_measure_from_spec(spec)
+    measure = spec.noise.measure()
     assert isinstance(measure, RadialStableMeasure)
     assert measure.dimension == 2
     assert measure.moments().variance_budget > 0
