@@ -17,6 +17,7 @@ import configparser
 import dataclasses
 import hashlib
 import io
+import math
 
 import numpy as np
 
@@ -177,6 +178,13 @@ def _bool(raw: str) -> bool:
     raise ValueError(f"not a boolean: {raw!r}")
 
 
+def _float(raw: str) -> float:
+    value = float(raw)
+    if not math.isfinite(value):
+        raise ValueError("not a finite number")
+    return value
+
+
 def _parse_atoms(raw: str):
     """Atoms as 'm1 m2 ... : weight' entries separated by ';'."""
     atoms = []
@@ -187,10 +195,10 @@ def _parse_atoms(raw: str):
         if ":" not in chunk:
             raise ValueError(f"atom entry {chunk!r} lacks a ': weight' part")
         mark_part, weight_part = chunk.rsplit(":", 1)
-        mark = tuple(float(tok) for tok in mark_part.split())
+        mark = tuple(_float(tok) for tok in mark_part.split())
         if not mark:
             raise ValueError(f"atom entry {chunk!r} has an empty mark")
-        atoms.append((mark, float(weight_part)))
+        atoms.append((mark, _float(weight_part)))
     if not atoms:
         raise ValueError("no atoms given")
     return tuple(atoms)
@@ -205,7 +213,7 @@ def _format_atoms(atoms) -> str:
 
 # field annotation -> (parse, render)
 _FIELD_TYPES = {
-    "float": (float, repr),
+    "float": (_float, repr),
     "int": (int, str),
     "str": (str, str),
     "bool": (_bool, lambda value: "true" if value else "false"),
@@ -260,7 +268,7 @@ def parse_config(text: str) -> RunSpec:
         raise ConfigurationError(f"domain kind must be one of {tuple(_DOMAINS)}")
     # a length key of another kind would be dropped silently
     _require(dom, ("kind",) + _DOMAINS[kind][1])
-    lengths = tuple(_get(dom, key, float, required=True) for key in _DOMAINS[kind][1])
+    lengths = tuple(_get(dom, key, _float, required=True) for key in _DOMAINS[kind][1])
     domain = DomainSpec(kind=kind, lengths=lengths)
 
     galerkin = _parse_section(parser["galerkin"], GalerkinSpec)
@@ -299,7 +307,7 @@ def parse_config(text: str) -> RunSpec:
 
     run = parser["run"]
     _require(run, {"horizon", "trajectories", "master_seed", "threads"})
-    horizon = _get(run, "horizon", float, required=True)
+    horizon = _get(run, "horizon", _float, required=True)
     trajectories = _get(run, "trajectories", int, default=1)
     master_seed = _get(run, "master_seed", int, default=0)
     if trajectories < 1:

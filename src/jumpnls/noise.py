@@ -24,6 +24,11 @@ import math
 import numpy as np
 
 from .exceptions import ConfigurationError, ShapeError
+from .spectral import _check_memory
+
+#: bytes one sampled jump event takes: 248-256 B measured (tracemalloc peak of
+#: ``sample_prm``) with one or two channels
+EVENT_BYTES = 256
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN64 = 0x9E3779B97F4A7C15
@@ -207,7 +212,10 @@ def sample_prm(measure, horizon: float, rng: np.random.Generator) -> list[JumpEv
     total = measure.simulated_intensity()
     if total == 0.0:
         return []
-    count = rng.poisson(total * horizon)
+    expected = total * horizon
+    _check_memory(EVENT_BYTES * expected,
+                  f"the {expected:.3g} expected jump events on [0, {horizon!r}]")
+    count = rng.poisson(expected)
     times = np.sort(rng.uniform(0.0, horizon, size=count))
     return [JumpEvent(time=float(t), mark=measure.sample_mark(rng)) for t in times]
 

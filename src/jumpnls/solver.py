@@ -48,7 +48,13 @@ from .jumps import (
 )
 from .noise import AtomicMeasure, JumpEvent, NoiseMoments, sample_prm
 from .nonlinear import Nonlinearity, _pointwise_power, validate_exponent
-from .spectral import GalerkinLevel, SpectralModel, apply_smoothing, build_level
+from .spectral import (
+    GalerkinLevel,
+    SpectralModel,
+    _check_memory,
+    apply_smoothing,
+    build_level,
+)
 
 MODE_MIDPOINT = "FaithfulMidpoint"
 MODE_SPLITSTEP = "SplitStep"
@@ -386,9 +392,16 @@ class TrajectoryRecord:
     fp_iters_max: int = 0
 
 
-def _time_grid(horizon: float, dt: float, event_times) -> np.ndarray:
-    n_steps = max(1, int(np.ceil(horizon / dt - 1e-9)))
-    return np.union1d(np.linspace(0.0, horizon, n_steps + 1), event_times)
+def _time_grid(horizon: float, dt: float, event_times, bytes_per_node: int) -> np.ndarray:
+    """Uniform nodes of step ``dt`` joined with the event times.
+
+    Refuses a grid whose ``bytes_per_node`` estimate exceeds physical memory.
+    """
+    n_steps = max(1, np.ceil(horizon / dt - 1e-9))   # inf when horizon/dt overflows
+    nodes = n_steps + 1 + len(event_times)
+    _check_memory(bytes_per_node * nodes,
+                  f"the {nodes:.3g} time nodes of horizon {horizon!r} at dt = {dt!r}")
+    return np.union1d(np.linspace(0.0, horizon, int(n_steps) + 1), event_times)
 
 
 def _jump_path(problems, rng, events) -> list[JumpEvent]:
@@ -450,7 +463,12 @@ def _run_levels(problems, config, events, record_states, on_node=None):
     (its state too if ``record_states``); ``on_node`` then gets the states.
     """
     times = [e.time for e in events]
-    grid = _time_grid(problems[0].horizon, config.dt, times)
+    # per node: the grid, ``ends`` and five record columns per level, in
+    # float64, plus the complex states when recorded
+    bytes_per_node = 8 * (2 + 5 * len(problems))
+    if record_states:
+        bytes_per_node += 16 * sum(p.level.dim for p in problems)
+    grid = _time_grid(problems[0].horizon, config.dt, times, bytes_per_node)
     # the jumps due at node i are events[ends[i - 1]:ends[i]]
     ends = np.searchsorted(times, grid, side="right")
     stepper = _step_midpoint if config.mode == MODE_MIDPOINT else _step_splitstep

@@ -333,7 +333,7 @@ def _physical_memory() -> int | None:
         return None
 
 
-def _check_memory(estimate: int, what: str) -> None:
+def _check_memory(estimate: float, what: str) -> None:
     """Refuse ``what`` when its ``estimate`` in bytes exceeds physical memory.
 
     The ``ConfigurationError`` quotes the estimate; where the platform cannot
@@ -341,23 +341,35 @@ def _check_memory(estimate: int, what: str) -> None:
     """
     available = _physical_memory()
     if available is not None and estimate > available:
+        try:
+            gib = estimate / 2**30
+        except OverflowError:  # an integer estimate beyond the float range
+            gib = math.inf
         raise ConfigurationError(
-            f"{what} take about {estimate / 2**30:.3g} GiB, more than the "
+            f"{what} take about {gib:.3g} GiB, more than the "
             f"{available / 2**30:.3g} GiB of physical memory"
         )
 
 
-def _mode_table(domain: Domain, beta: float, threshold: float):
-    """Enumerate wavenumbers with lambda_S below threshold; return sorted table."""
+def _mode_table(domain: Domain, beta: float, max_level: int):
+    """Enumerate wavenumbers with lambda_S below 2**(max_level + 1); return sorted table."""
     facts = _DOMAIN_TABLE[domain.kind]
     scale = 2.0 if facts.periodic else 1.0
     factors = [scale * math.pi / L for L in domain.lengths]
 
-    # conservative per-axis scan bound: lambda_A alone already below threshold
-    mu_cap = (threshold - facts.shift) ** (1.0 / beta)
-    kmax = [int(math.floor(math.sqrt(mu_cap) / f)) + 2 for f in factors]
+    try:
+        threshold = 2.0 ** (max_level + 1)
+        # conservative per-axis scan bound: lambda_A alone already below threshold
+        mu_cap = (threshold - facts.shift) ** (1.0 / beta)
+        kmax = [int(math.floor(math.sqrt(mu_cap) / f)) + 2 for f in factors]
+    except OverflowError:
+        raise ConfigurationError(
+            f"max_level = {max_level} with beta = {beta} on lengths {domain.lengths} "
+            f"puts the mode scan bound (2**(max_level + 1))**(1/beta) beyond the "
+            f"float range"
+        ) from None
     axes = [range(-k if facts.periodic else facts.first_k, k + 1) for k in kmax]
-    points = math.prod(len(axis) for axis in axes)
+    points = math.prod(axis.stop - axis.start for axis in axes)
     _check_memory(MODE_SCAN_BYTES_PER_POINT * points,
                   f"the {points} lattice points of the mode scan below lambda_S = {threshold:g}")
 
@@ -403,8 +415,7 @@ def build_spectral_model(
     if not isinstance(dealias_factor, int) or dealias_factor < 2:
         raise ConfigurationError(f"dealias_factor must be an integer >= 2, got {dealias_factor}")
 
-    threshold = 2.0 ** (max_level + 1)
-    rows = _mode_table(domain, beta, threshold)
+    rows = _mode_table(domain, beta, max_level)
     lam_S = np.array([r[0] for r in rows])
     wavenumbers = np.array([r[1] for r in rows], dtype=int)
     lam_A = np.array([r[2] for r in rows])
@@ -412,6 +423,9 @@ def build_spectral_model(
     facts = _DOMAIN_TABLE[domain.kind]
     grid_shape = tuple(dealias_factor * (int(k) + 1) for k in np.abs(wavenumbers).max(axis=0))
     num_grid = math.prod(grid_shape)
+    # float64 grid arrays: the meshgrid axes, the stacked points, the weights
+    _check_memory(8 * num_grid * (2 * len(grid_shape) + 1),
+                  f"the {num_grid} nodes of the quadrature grid {grid_shape}")
     weight = math.prod(L / M for L, M in zip(domain.lengths, grid_shape))
     offset = 0.0 if facts.periodic else 0.5  # intervals: midpoint rule, no boundary nodes
     axis_nodes = [L * (np.arange(M) + offset) / M for L, M in zip(domain.lengths, grid_shape)]

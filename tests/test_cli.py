@@ -4,15 +4,18 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import jumpnls
+from jumpnls import spectral
 from jumpnls.cli import main
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+WORKLOAD_DIR = Path(__file__).resolve().parent.parent / "perfbench" / "workloads"
 
 FAST_CONFIG = """
 [domain]
@@ -282,6 +285,42 @@ def test_numerics_error_names_trajectory_and_time(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "trajectory 0: level 2: step t=0.0 -> " in err and "(dt=" in err
     assert "failed to converge" in err
+
+
+@pytest.mark.parametrize("config,old,new,needle", [
+    ("deterministic_cubic", "horizon = 1.0", "horizon = inf", "not a finite number"),
+    ("atomic_cubic", "atoms = 0.45 : 2.0", "atoms = 0.45 : inf", "not a finite number"),
+    ("deterministic_cubic", "rate = 0.5", "rate = nan", "not a finite number"),
+    ("deterministic_cubic", "max_level = 6", "max_level = 1100", "max_level = 1100 with beta"),
+    ("deterministic_cubic", "beta = 1.0", "beta = 1e-3", "max_level = 6 with beta = 0.001"),
+    ("deterministic_cubic", "horizon = 1.0", "horizon = 1e12", "time nodes"),
+    ("deterministic_cubic", "dt = 0.001", "dt = 1e-300", "time nodes"),
+    ("atomic_cubic", "atoms = 0.45 : 2.0", "atoms = 0.45 : 1e300", "expected jump events"),
+    ("converge-2d", "dealias_factor = 2", "dealias_factor = 100000", "quadrature grid"),
+])
+def test_unrunnable_values_fail_with_configuration_error(tmp_path, capsys, monkeypatch,
+                                                         config, old, new, needle):
+    # each of these used to end in a traceback (OverflowError, MemoryError,
+    # numpy's size or Poisson limits) or a misleading NumericsError
+    source = CONFIG_DIR / f"{config}.ini"
+    if not source.exists():
+        source = WORKLOAD_DIR / f"{config}.ini"
+    text = source.read_text(encoding="utf-8")
+    assert old in text
+    path = tmp_path / "run.ini"
+    path.write_text(text.replace(old, new), encoding="utf-8")
+    monkeypatch.setattr(spectral, "_physical_memory", lambda: 8 * 2**30)
+    tracemalloc.start()
+    try:
+        code = main(["simulate", "--config", str(path), "--out", str(tmp_path / "out")])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert needle in err and "Traceback" not in err
+    assert peak < 2**26  # refused before any large allocation
 
 
 def test_shipped_configs_simulate(tmp_path):

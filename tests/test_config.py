@@ -7,6 +7,8 @@ import numpy as np
 import pytest
 
 from jumpnls.config import (
+    AtomicNoiseSpec,
+    RadialStableNoiseSpec,
     RunSpec,
     build_model_from_spec,
     build_problem_from_spec,
@@ -23,6 +25,7 @@ from jumpnls.noise import AtomicMeasure, RadialStableMeasure
 from jumpnls.solver import build_problem
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+WORKLOAD_DIR = Path(__file__).resolve().parent.parent / "perfbench" / "workloads"
 
 MINIMAL = """
 [domain]
@@ -61,17 +64,25 @@ SHIPPED_HASHES = {
     "deterministic_cubic": "8f16a6aef20b8763c99523d7807dd95415fbd5da196dddd5db53f58c04015d5a",
     "stable_linear": "a46d5b7951713dd5e5ca978bc4ecd105cc146ff64e177d0e5f9ce5f1b321e823",
 }
+WORKLOAD_HASHES = {
+    "converge-2d": "fc2b43dbf94551c9bfc9e0490c0c240d8cee7582081dc089df9192874d7bc379",
+    "ensemble-1d": "c703c48ac1d775dfa0078243d114457fd537704ef99026f1247d32b29c815797",
+    "jumps-stable": "b41fe1e43bc7fd2496dcbf3fbd49b103c30efd227cb1cdc71a53bc763f0b7049",
+}
 
 
 def test_parse_shipped_configs_roundtrip():
-    for name, digest in SHIPPED_HASHES.items():
-        spec = load_config(str(CONFIG_DIR / f"{name}.ini"))
+    for path, digest in [
+        *[(CONFIG_DIR / f"{name}.ini", h) for name, h in SHIPPED_HASHES.items()],
+        *[(WORKLOAD_DIR / f"{name}.ini", h) for name, h in WORKLOAD_HASHES.items()],
+    ]:
+        spec = load_config(str(path))
         text = canonical_text(spec)
         again = parse_config(text)
-        assert again == spec, name
-        assert canonical_text(again) == text, name
+        assert again == spec, path.stem
+        assert canonical_text(again) == text, path.stem
         # summary.json records this hash; a schema change must not move it
-        assert config_hash(spec) == digest, name
+        assert config_hash(spec) == digest, path.stem
 
 
 @pytest.mark.parametrize("domain,rendered,lengths", [
@@ -161,6 +172,18 @@ def test_radial_noise_parsing():
      "unknown keys in [noise]: ['atoms']"),
     (lambda t: t + "\n[noise]\nkind = atomic\nsymbols = cos\natoms = 0.5 : 1\n"
      "scale = 2\n", "unknown keys in [noise]: ['scale']"),
+    (lambda t: t.replace("horizon = 1.0", "horizon = inf"),
+     "[run] horizon = 'inf': not a finite number"),
+    (lambda t: t.replace("length = 6.283185307179586", "length = nan"),
+     "[domain] length = 'nan': not a finite number"),
+    (lambda t: t.replace("preset = decaying", "preset = decaying\nrate = nan"),
+     "[initial] rate = 'nan': not a finite number"),
+    (lambda t: t + "\n[noise]\nkind = atomic\nsymbols = cos\natoms = 0.45 : inf\n",
+     "[noise] atoms = '0.45 : inf': not a finite number"),
+    (lambda t: t + "\n[noise]\nkind = atomic\nsymbols = cos\natoms = -inf : 1\n",
+     "[noise] atoms = '-inf : 1': not a finite number"),
+    (lambda t: t + "\n[noise]\nkind = radial_stable\nsymbols = cos\nepsilon = 0.1\n"
+     "activity = inf\nstability = 1.2\n", "[noise] activity = 'inf': not a finite number"),
 ])
 def test_parse_errors(mutation, needle):
     with pytest.raises(ConfigurationError) as err:
@@ -181,6 +204,19 @@ atoms = {atoms}
     # mark width must match the channel count
     with pytest.raises(ConfigurationError):
         parse_config(base.format(atoms="0.5 0.1 : 1.0"))
+
+
+def test_noise_specs_hold_only_their_kind():
+    atomic = AtomicNoiseSpec(symbols=("cos", "sin"), atoms=(((0.5, 0.0), 1.0),))
+    assert atomic.kind == "atomic" and atomic.epsilon == 0.0
+    assert atomic.measure().dimension == 2
+    with pytest.raises(ConfigurationError, match="one component per symbol channel"):
+        AtomicNoiseSpec(symbols=("cos",), atoms=(((0.5, 0.0), 1.0),))
+    # each kind holds its own keys only, in canonical order
+    assert [f.name for f in dataclasses.fields(AtomicNoiseSpec)] == [
+        "kind", "symbols", "epsilon", "atoms"]
+    assert [f.name for f in dataclasses.fields(RadialStableNoiseSpec)] == [
+        "kind", "symbols", "epsilon", "activity", "stability"]
 
 
 def test_symbol_presets(torus_model):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from jumpnls import noise
+from jumpnls import noise, spectral
 from jumpnls.exceptions import ConfigurationError
 
 
@@ -115,6 +115,18 @@ def test_prm_counts_and_support():
     assert abs(np.mean(counts) - lam * horizon) <= 5 * se
     # Poisson: variance comparable to mean
     assert 0.7 * lam * horizon <= np.var(counts) <= 1.3 * lam * horizon
+
+
+def test_prm_refused_beyond_physical_memory(monkeypatch):
+    # intensity 4 over horizon 2.5: 10 expected events are estimated before
+    # the Poisson count is drawn
+    m = noise.AtomicMeasure(marks=np.array([[0.5], [-0.5]]), weights=np.array([2.0, 2.0]))
+    needed = noise.EVENT_BYTES * 10
+    monkeypatch.setattr(spectral, "_physical_memory", lambda: needed - 1)
+    with pytest.raises(ConfigurationError, match="the 10 expected jump events"):
+        noise.sample_prm(m, 2.5, np.random.default_rng(0))
+    monkeypatch.setattr(spectral, "_physical_memory", lambda: needed)
+    assert noise.sample_prm(m, 2.5, np.random.default_rng(0))
 
 
 def test_prm_disjoint_windows_uncorrelated():

@@ -8,7 +8,7 @@ import warnings
 import numpy as np
 import pytest
 
-from jumpnls import nonlinear, solver
+from jumpnls import nonlinear, solver, spectral
 from jumpnls.exceptions import ConfigurationError, NumericsError, ShapeError
 from jumpnls.jumps import generator, jump_difference_2, jump_map
 from jumpnls.noise import (
@@ -127,6 +127,20 @@ def test_renormalize_annihilated_data_gives_zero(torus_model):
 # ---------------------------------------------------------------------------
 # drift assembly
 # ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("record_states", [False, True])
+def test_time_grid_refused_beyond_physical_memory(torus_model, monkeypatch, record_states):
+    # horizon 1 at dt 0.1 gives 11 nodes; each holds the grid, the jump
+    # boundaries and five record columns in float64, plus the state if recorded
+    problem = build_problem(torus_model, 3, decaying_initial(torus_model), 1.0)
+    config = SolverConfig(dt=0.1)
+    needed = 11 * (8 * (2 + 5) + (16 * problem.level.dim if record_states else 0))
+    monkeypatch.setattr(spectral, "_physical_memory", lambda: needed - 1)
+    with pytest.raises(ConfigurationError, match="the 11 time nodes"):
+        simulate(problem, config, record_states=record_states)
+    monkeypatch.setattr(spectral, "_physical_memory", lambda: needed)
+    assert len(simulate(problem, config, record_states=record_states).times) == 11
+
 
 def test_drift_pure_diagonal(torus_model):
     problem = build_problem(torus_model, 5, decaying_initial(torus_model), 1.0)

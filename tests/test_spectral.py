@@ -334,6 +334,35 @@ def test_mode_scan_refused_beyond_physical_memory(monkeypatch):
         assert spectral.build_spectral_model(domain, max_level=4).num_modes > 0
 
 
+def test_quadrature_grid_refused_beyond_physical_memory(monkeypatch):
+    # 1-d torus, max_level 4 keeps |k| <= 5; dealias factor 64 gives
+    # 64 * 6 = 384 nodes, whose meshgrid axis, stacked points and weights
+    # take 3 float64 values each (more than the 15-point mode scan)
+    domain = spectral.torus_1d(2 * np.pi)
+    needed = 8 * 384 * 3
+    monkeypatch.setattr(spectral, "_physical_memory", lambda: needed - 1)
+    with pytest.raises(ConfigurationError, match="the 384 nodes of the quadrature grid"):
+        spectral.build_spectral_model(domain, max_level=4, dealias_factor=64)
+    monkeypatch.setattr(spectral, "_physical_memory", lambda: needed)
+    assert spectral.build_spectral_model(domain, max_level=4, dealias_factor=64).num_grid == 384
+
+
+@pytest.mark.parametrize("max_level,beta", [(1100, 1.0), (6, 1e-3)])
+def test_mode_scan_bound_overflow_is_a_configuration_error(max_level, beta):
+    with pytest.raises(ConfigurationError,
+                       match=f"max_level = {max_level} with beta = {beta} .*float range"):
+        spectral.build_spectral_model(spectral.torus_1d(2 * np.pi), beta=beta,
+                                      max_level=max_level)
+
+
+def test_mode_scan_estimate_beyond_float_range_is_refused(monkeypatch):
+    # the scan bound is finite, but its lattice point count times the bytes
+    # per point is an integer beyond the float range
+    monkeypatch.setattr(spectral, "_physical_memory", lambda: 2**33)
+    with pytest.raises(ConfigurationError, match="about inf GiB"):
+        spectral.build_spectral_model(spectral.torus_2d(1e5, 1e5), max_level=1020)
+
+
 def test_transform_pair_binds_a_dense_pair_below_the_limit(monkeypatch):
     model = spectral.build_spectral_model(spectral.torus_1d(2 * np.pi), max_level=6)
     small = spectral.build_level(model, 3)
