@@ -65,7 +65,6 @@ from .solver import (
 )
 from .diagnostics import (
     EnergyReport,
-    EnsembleSummary,
     aldous_statistic,
     cadlag_modulus,
     energy,
@@ -89,7 +88,6 @@ __all__ = [
     "CoupledResult",
     "Domain",
     "EnergyReport",
-    "EnsembleSummary",
     "GalerkinLevel",
     "GalerkinProblem",
     "JumpEvent",

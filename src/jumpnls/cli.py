@@ -3,8 +3,9 @@
 Output files are byte-deterministic for a fixed effective configuration:
 floats are rendered with ``repr`` (shortest round-trip form), JSON keys are
 sorted and line endings are LF.  Trajectories run one after another, each on
-its own ``(master_seed, index)`` stream, and each is written as soon as it
-finishes.
+its own ``(master_seed, index)`` stream.  Each is written row by row as soon
+as it finishes and then reduced to its summary row, so a run holds one
+trajectory record at a time.
 """
 
 from __future__ import annotations
@@ -55,30 +56,27 @@ def _trajectory_context(index: int):
         raise NumericsError(f"trajectory {index}: {exc}") from exc
 
 
-def _write_text(path: str, text: str) -> None:
+def _write_lines(path: str, lines) -> None:
+    """Write an iterable of LF-terminated strings, one at a time."""
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write(text)
+        handle.writelines(lines)
 
 
-def _trajectory_csv(record) -> str:
-    lines = [_CSV_HEADER]
-    for i, t in enumerate(record.times):
-        lines.append(",".join(repr(float(v)) for v in (
-            t, record.mass[i], record.kinetic[i], record.potential[i],
-            record.energy[i], record.ea_norm[i],
-        )))
-    return "\n".join(lines) + "\n"
+def _trajectory_rows(record):
+    yield _CSV_HEADER + "\n"
+    columns = (record.times, record.mass, record.kinetic, record.potential,
+               record.energy, record.ea_norm)
+    for row in zip(*columns):
+        yield ",".join(repr(float(v)) for v in row) + "\n"
 
 
-def _events_csv(record) -> str:
+def _event_rows(record):
     width = len(record.events[0].mark) if record.events else 0
-    header = "time" + "".join(f",mark_{m}" for m in range(width))
-    lines = [header]
+    yield "time" + "".join(f",mark_{m}" for m in range(width)) + "\n"
     for event in record.events:
-        lines.append(",".join(
+        yield ",".join(
             [repr(float(event.time))] + [repr(float(c)) for c in event.mark]
-        ))
-    return "\n".join(lines) + "\n"
+        ) + "\n"
 
 
 def _json_text(payload) -> str:
@@ -91,7 +89,7 @@ def _cmd_simulate(args) -> int:
     model, problem = build_problem_from_spec(spec)
 
     os.makedirs(args.out, exist_ok=True)
-    records = []
+    event_counts, final_mass, sup_ea_norm, fp_iters_max = [], [], [], []
     for k in range(spec.trajectories):
         with _trajectory_context(k):
             record = simulate(
@@ -99,16 +97,20 @@ def _cmd_simulate(args) -> int:
                 rng=trajectory_rng(spec.master_seed, k),
                 record_states=spec.output.save_states,
             )
-        _write_text(os.path.join(args.out, f"traj_{k:04d}.csv"),
-                    _trajectory_csv(record))
+        _write_lines(os.path.join(args.out, f"traj_{k:04d}.csv"),
+                     _trajectory_rows(record))
         if spec.output.save_events and problem.measure is not None:
-            _write_text(os.path.join(args.out, f"events_{k:04d}.csv"),
-                        _events_csv(record))
+            _write_lines(os.path.join(args.out, f"events_{k:04d}.csv"),
+                         _event_rows(record))
         if spec.output.save_states:
             np.save(os.path.join(args.out, f"states_{k:04d}.npy"),
                     record.states)
-            record.states = None
-        records.append(record)
+        event_counts.append(len(record.events))
+        final_mass.append(float(record.mass[-1]))
+        sup_ea_norm.append(float(np.max(record.ea_norm)))
+        fp_iters_max.append(record.fp_iters_max)
+        variance_budget = record.variance_budget
+        del record  # nothing of trajectory k is held while k + 1 runs
 
     summary = {
         "config_hash": digest,
@@ -125,20 +127,20 @@ def _cmd_simulate(args) -> int:
             trajectory_seed(spec.master_seed, k)
             for k in range(spec.trajectories)
         ],
-        "variance_budget": records[0].variance_budget,
-        "event_counts": [len(r.events) for r in records],
-        "final_mass": [float(r.mass[-1]) for r in records],
-        "sup_ea_norm": [float(np.max(r.ea_norm)) for r in records],
-        "fp_iters_max": [r.fp_iters_max for r in records],
+        "variance_budget": variance_budget,
+        "event_counts": event_counts,
+        "final_mass": final_mass,
+        "sup_ea_norm": sup_ea_norm,
+        "fp_iters_max": fp_iters_max,
     }
     if spec.trajectories >= 2:
-        stats = ensemble_moments(records, orders=(1.0, 2.0), bootstrap=500,
-                                 seed=spec.master_seed)
+        moments = ensemble_moments(sup_ea_norm, orders=(1.0, 2.0),
+                                   bootstrap=500, seed=spec.master_seed)
         summary["ensemble"] = {
-            str(order): list(values) for order, values in stats.moments.items()
+            str(order): list(values) for order, values in moments.items()
         }
-    _write_text(os.path.join(args.out, "summary.json"), _json_text(summary))
-    _write_text(os.path.join(args.out, "config.ini"), canonical_text(spec))
+    _write_lines(os.path.join(args.out, "summary.json"), [_json_text(summary)])
+    _write_lines(os.path.join(args.out, "config.ini"), [canonical_text(spec)])
     print(f"wrote {spec.trajectories} trajectories to {args.out} "
           f"(config {digest[:12]})")
     return 0
@@ -186,7 +188,7 @@ def _cmd_converge(args) -> int:
     }
     text = _json_text(payload)
     if args.out:
-        _write_text(args.out, text)
+        _write_lines(args.out, [text])
         print(f"wrote convergence table to {args.out}")
     else:
         sys.stdout.write(text)

@@ -120,35 +120,22 @@ def cadlag_modulus(times: np.ndarray, values: np.ndarray, delta: float) -> float
 # ensemble statistics
 # ---------------------------------------------------------------------------
 
-@dataclasses.dataclass(frozen=True)
-class EnsembleSummary:
-    """Moments of per-trajectory suprema with bootstrap confidence bands."""
-
-    count: int
-    sup_ea_norm: np.ndarray     # (K,) per-trajectory sup_t energy-space norm
-    sup_energy: np.ndarray      # (K,) per-trajectory sup_t (mass/2 + total energy)
-    moments: dict               # r -> (mean, lower, upper)
-
-
 def ensemble_moments(
-    records,
+    sup_ea_norm,
     orders=(1.0, 2.0),
     bootstrap: int = 1000,
     confidence: float = 0.95,
     seed: int = 0,
-) -> EnsembleSummary:
+) -> dict:
     """Empirical E[sup_t ||u||_{E_A}^r] with seeded bootstrap bands.
 
-    Expects records carrying per-time diagnostics (``ea_norm``, ``mass``,
-    ``energy``); at least two records are required.
+    ``sup_ea_norm`` holds one sup_t ||u||_{E_A} per trajectory (the
+    ``sup_ea_norm`` list of ``summary.json``); at least two are required.
+    Returns ``{r: (mean, lower, upper)}``.
     """
-    records = list(records)
-    if len(records) < 2:
-        raise ValueError("need at least two trajectory records")
-    sup_ea = np.array([float(np.max(r.ea_norm)) for r in records])
-    sup_energy = np.array(
-        [float(np.max(0.5 * r.mass + r.energy)) for r in records]
-    )
+    sup_ea = np.asarray(sup_ea_norm, dtype=float)
+    if sup_ea.ndim != 1 or len(sup_ea) < 2:
+        raise ValueError("need at least two per-trajectory suprema")
     rng = np.random.default_rng(seed)
     lo_q, hi_q = (1 - confidence) / 2, 1 - (1 - confidence) / 2
     moments = {}
@@ -162,9 +149,7 @@ def ensemble_moments(
             float(np.quantile(boot_means, lo_q)),
             float(np.quantile(boot_means, hi_q)),
         )
-    return EnsembleSummary(
-        count=k, sup_ea_norm=sup_ea, sup_energy=sup_energy, moments=moments
-    )
+    return moments
 
 
 # ---------------------------------------------------------------------------

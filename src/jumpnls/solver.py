@@ -61,7 +61,6 @@ MODE_SPLITSTEP = "SplitStep"
 CLOSURE_TAYLOR2 = "Taylor2"
 CLOSURE_ATOMIC = "AtomicExact"
 
-_MODES = (MODE_MIDPOINT, MODE_SPLITSTEP)
 _CLOSURES = (CLOSURE_TAYLOR2, CLOSURE_ATOMIC)
 
 
@@ -75,8 +74,10 @@ class SolverConfig:
     max_halvings: int = 20
 
     def __post_init__(self):
-        if self.mode not in _MODES:
-            raise ConfigurationError(f"mode must be one of {_MODES}, got {self.mode!r}")
+        if self.mode not in _STEPPERS:
+            raise ConfigurationError(
+                f"mode must be one of {tuple(_STEPPERS)}, got {self.mode!r}"
+            )
         if self.closure not in _CLOSURES:
             raise ConfigurationError(
                 f"closure must be one of {_CLOSURES}, got {self.closure!r}"
@@ -354,6 +355,10 @@ def _step_splitstep(dyn: _Dynamics, state, tau, config):
     return phase * v, 0
 
 
+#: mode name -> stepper; the keys, in this order, are the accepted modes
+_STEPPERS = {MODE_MIDPOINT: _step_midpoint, MODE_SPLITSTEP: _step_splitstep}
+
+
 def step_between_jumps(
     problem: GalerkinProblem,
     config: SolverConfig,
@@ -364,8 +369,7 @@ def step_between_jumps(
     if not (tau > 0):
         raise ConfigurationError(f"step size must be positive, got {tau}")
     state = _level_state(problem, state)
-    stepper = _step_midpoint if config.mode == MODE_MIDPOINT else _step_splitstep
-    return stepper(_dynamics(problem, config), state, tau, config)[0]
+    return _STEPPERS[config.mode](_dynamics(problem, config), state, tau, config)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -471,7 +475,7 @@ def _run_levels(problems, config, events, record_states, on_node=None):
     grid = _time_grid(problems[0].horizon, config.dt, times, bytes_per_node)
     # the jumps due at node i are events[ends[i - 1]:ends[i]]
     ends = np.searchsorted(times, grid, side="right")
-    stepper = _step_midpoint if config.mode == MODE_MIDPOINT else _step_splitstep
+    stepper = _STEPPERS[config.mode]
     dyns = [_dynamics(p, config) for p in problems]
     records = [_new_record(p, d, grid, events, record_states)
                for p, d in zip(problems, dyns)]

@@ -333,6 +333,14 @@ def _physical_memory() -> int | None:
         return None
 
 
+def _as_float(value) -> float:
+    """``float(value)``, or inf for an integer beyond the float range."""
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf
+
+
 def _check_memory(estimate: float, what: str) -> None:
     """Refuse ``what`` when its ``estimate`` in bytes exceeds physical memory.
 
@@ -341,12 +349,8 @@ def _check_memory(estimate: float, what: str) -> None:
     """
     available = _physical_memory()
     if available is not None and estimate > available:
-        try:
-            gib = estimate / 2**30
-        except OverflowError:  # an integer estimate beyond the float range
-            gib = math.inf
         raise ConfigurationError(
-            f"{what} take about {gib:.3g} GiB, more than the "
+            f"{what} take about {_as_float(estimate) / 2**30:.3g} GiB, more than the "
             f"{available / 2**30:.3g} GiB of physical memory"
         )
 
@@ -371,7 +375,8 @@ def _mode_table(domain: Domain, beta: float, max_level: int):
     axes = [range(-k if facts.periodic else facts.first_k, k + 1) for k in kmax]
     points = math.prod(axis.stop - axis.start for axis in axes)
     _check_memory(MODE_SCAN_BYTES_PER_POINT * points,
-                  f"the {points} lattice points of the mode scan below lambda_S = {threshold:g}")
+                  f"the {_as_float(points):.3g} lattice points of the mode scan "
+                  f"below lambda_S = {threshold:g}")
 
     rows = []
     for wn in itertools.product(*axes):

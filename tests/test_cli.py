@@ -159,6 +159,59 @@ def test_simulate_reports_fp_iters_max(fast_config, tmp_path):
     assert summaries[1]["fp_iters_max"] == iters
 
 
+# linear and noiseless on a 3-mode level, so the run is the time grid: 2001
+# nodes of horizon 1 at dt 5e-4
+LONG_CONFIG = """
+[domain]
+kind = torus_1d
+length = 6.283185307179586
+
+[galerkin]
+max_level = 2
+level = 1
+
+[solver]
+dt = 0.0005
+
+[initial]
+preset = decaying
+rate = 0.5
+
+[run]
+horizon = 1.0
+trajectories = 1
+master_seed = 5
+"""
+
+
+def test_simulate_memory_independent_of_trajectory_count(tmp_path):
+    # each trajectory is reduced to its summary row once its CSV rows are
+    # written, so the run's peak is one trajectory's, whatever K
+    config = tmp_path / "long.ini"
+    config.write_text(LONG_CONFIG, encoding="utf-8")
+
+    def traced_peak(count):
+        out = tmp_path / f"n{count}"
+        tracemalloc.start()
+        try:
+            code = main(["simulate", "--config", str(config), "--out", str(out),
+                         "--trajectories", str(count)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        return peak, out
+
+    traced_peak(1)  # warm-up: first-call imports and caches
+    peak_2, out = traced_peak(2)
+    peak_6, _ = traced_peak(6)
+    nodes = len((out / "traj_0000.csv").read_text().splitlines()) - 1
+    assert nodes == 2001
+    assert abs(peak_6 - peak_2) < 64 * 2**10
+    # the time-grid guard's estimate is 56 B per node for one level
+    assert max(peak_2, peak_6) < 3 * 56 * nodes
+
+
 def test_simulate_seed_override_changes_path(fast_config, tmp_path):
     out1, out2 = tmp_path / "s1", tmp_path / "s2"
     assert main(["simulate", "--config", fast_config, "--out", str(out1)]) == 0

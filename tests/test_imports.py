@@ -1,5 +1,6 @@
-"""Static checks: every module uses each name it imports, and every private
-top-level name the package defines is read somewhere in the package."""
+"""Static checks: every module uses each name it imports, every private
+top-level name the package defines is read somewhere in the package, and
+``__all__`` lists exactly the names the package imports."""
 
 import ast
 from pathlib import Path
@@ -96,3 +97,15 @@ def test_no_unused_imports(path):
 def test_no_unread_private_names():
     sources = {p.name: p.read_text(encoding="utf-8") for p in PACKAGE_DIR.glob("*.py")}
     assert unread_private_names(sources) == []
+
+
+def test_all_lists_exactly_the_imported_names():
+    # a public name deleted from its module but left in ``__all__`` fails here
+    tree = ast.parse((PACKAGE_DIR / "__init__.py").read_text(encoding="utf-8"))
+    imported = [alias.asname or alias.name
+                for node in tree.body if isinstance(node, ast.ImportFrom)
+                for alias in node.names]
+    assert len(set(jumpnls.__all__)) == len(jumpnls.__all__)
+    assert sorted(jumpnls.__all__) == sorted(imported)
+    for name in jumpnls.__all__:
+        assert getattr(jumpnls, name) is not None
