@@ -134,8 +134,7 @@ def _cmd_simulate(args) -> int:
         "fp_iters_max": fp_iters_max,
     }
     if spec.trajectories >= 2:
-        moments = ensemble_moments(sup_ea_norm, orders=(1.0, 2.0),
-                                   bootstrap=500, seed=spec.master_seed)
+        moments = ensemble_moments(sup_ea_norm, seed=spec.master_seed)
         summary["ensemble"] = {
             str(order): list(values) for order, values in moments.items()
         }
@@ -170,8 +169,7 @@ def _cmd_converge(args) -> int:
         for n in coarse_levels:
             _, coarse = build_problem_from_spec(spec, model, level=n)
             with _trajectory_context(k):
-                result = simulate_coupled(coarse, fine, spec.solver,
-                                          events=events, record_states=False)
+                result = simulate_coupled(coarse, fine, spec.solver, events)
             distances[n].append(result.distance)
 
     payload = {

@@ -120,36 +120,44 @@ def cadlag_modulus(times: np.ndarray, values: np.ndarray, delta: float) -> float
 # ensemble statistics
 # ---------------------------------------------------------------------------
 
-def ensemble_moments(
-    sup_ea_norm,
-    orders=(1.0, 2.0),
-    bootstrap: int = 1000,
-    confidence: float = 0.95,
-    seed: int = 0,
-) -> dict:
+#: the orders r, the resample count and the two-sided coverage of the bands
+MOMENT_ORDERS = (1.0, 2.0)
+BOOTSTRAP_RESAMPLES = 500
+CONFIDENCE = 0.95
+
+#: resample indices drawn and gathered at once (512 KiB of int64)
+_BOOTSTRAP_BLOCK_ENTRIES = 2**16
+
+
+def ensemble_moments(sup_ea_norm, seed: int = 0) -> dict:
     """Empirical E[sup_t ||u||_{E_A}^r] with seeded bootstrap bands.
 
     ``sup_ea_norm`` holds one sup_t ||u||_{E_A} per trajectory (the
     ``sup_ea_norm`` list of ``summary.json``); at least two are required.
-    Returns ``{r: (mean, lower, upper)}``.
+    Returns ``{r: (mean, lower, upper)}`` for r in ``MOMENT_ORDERS``.  The
+    resamples are drawn in row blocks that continue one random stream, so
+    memory does not grow with the number of trajectories.
     """
     sup_ea = np.asarray(sup_ea_norm, dtype=float)
     if sup_ea.ndim != 1 or len(sup_ea) < 2:
         raise ValueError("need at least two per-trajectory suprema")
     rng = np.random.default_rng(seed)
-    lo_q, hi_q = (1 - confidence) / 2, 1 - (1 - confidence) / 2
-    moments = {}
+    lo_q, hi_q = (1 - CONFIDENCE) / 2, 1 - (1 - CONFIDENCE) / 2
     k = len(sup_ea)
-    resamples = rng.integers(0, k, size=(bootstrap, k))
-    for r in orders:
-        samples = sup_ea**r
-        boot_means = np.mean(samples[resamples], axis=1)
-        moments[float(r)] = (
-            float(np.mean(samples)),
-            float(np.quantile(boot_means, lo_q)),
-            float(np.quantile(boot_means, hi_q)),
-        )
-    return moments
+    samples = np.stack([sup_ea**r for r in MOMENT_ORDERS])
+    boot_means = np.empty((len(MOMENT_ORDERS), BOOTSTRAP_RESAMPLES))
+    rows = max(1, _BOOTSTRAP_BLOCK_ENTRIES // k)
+    for start in range(0, BOOTSTRAP_RESAMPLES, rows):
+        block = slice(start, min(start + rows, BOOTSTRAP_RESAMPLES))
+        resamples = rng.integers(0, k, size=(block.stop - start, k))
+        for values, means in zip(samples, boot_means):
+            means[block] = np.mean(values[resamples], axis=1)
+    return {
+        r: (float(np.mean(values)),
+            float(np.quantile(means, lo_q)),
+            float(np.quantile(means, hi_q)))
+        for r, values, means in zip(MOMENT_ORDERS, samples, boot_means)
+    }
 
 
 # ---------------------------------------------------------------------------

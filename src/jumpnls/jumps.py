@@ -21,9 +21,9 @@ B(l) = sum_m l_m M_m, and a jump acts through the time-1 unitary flow of
 with the radius r = max_x |sum_m l_m e_m(x)|.  Quadrature makes synthesis an
 isometry and the cutoff values are at most 1, so r bounds ||B(l)||.  The sum
 stops once k > r and J_k(r) is below round-off, after about
-r + 11 r^(1/3) matvecs; where that degree would exceed the level dimension,
-the map takes one eigendecomposition instead.  The jump differences and the
-atomic compensator are spectral functions evaluated by eigendecomposition.
+r + 11 r^(1/3) matvecs at any degree, so a jump touches B(l) only through
+matvecs.  The jump differences and the atomic compensator are spectral
+functions evaluated by eigendecomposition.
 
 The level constants ``bound_H`` and ``bound_EA`` (computed on first read) and
 ``estimate_lp_bound`` (an empirical estimate, computed on request) are the
@@ -261,11 +261,7 @@ def _chebyshev_coefficients(r: float) -> list[complex]:
 
 
 def jump_map(ops: NoiseOperators, mark, state: np.ndarray) -> np.ndarray:
-    """Unitary jump exp(-i B(l)) state, summed as a Chebyshev series in B(l) / r.
-
-    Takes one matvec per term.  Where the degree would exceed the level
-    dimension, one eigendecomposition of B(l) is cheaper and is used instead.
-    """
+    """Unitary jump exp(-i B(l)) state: a Chebyshev series in B(l) / r, one matvec a term."""
     state = np.asarray(state, dtype=complex)
     if state.shape != (ops.dim,):
         raise ShapeError(f"state must have length {ops.dim}, got {state.shape}")
@@ -274,9 +270,7 @@ def jump_map(ops: NoiseOperators, mark, state: np.ndarray) -> np.ndarray:
     if r < _BESSEL_TAIL:
         # ||exp(-iB) u - u|| <= r ||u||, below round-off
         return state.copy()
-    # the degree exceeds r, so r >= dim needs no coefficients to decide
-    if r >= ops.dim or len(coefficients := _chebyshev_coefficients(r)) - 1 > ops.dim:
-        return _apply_spectral(ops, mark, lambda theta: np.exp(-1j * theta), state)
+    coefficients = _chebyshev_coefficients(r)
     # T_{k+1} = 2 (B / r) T_k - T_{k-1}, with the 2 / r folded into the mark
     twice_scaled = generator(ops, (2.0 / r) * mark)
     previous, current = state, 0.5 * (twice_scaled @ state)
@@ -297,7 +291,7 @@ def marcus_flow(
     """Integrate du/dt = -i B(l) u for the given duration with an ODE solver.
 
     Cross-validation oracle for :func:`jump_map` (the ``duration = 1``
-    flow); kept independent of its Chebyshev and eigendecomposition paths.
+    flow); kept independent of its Chebyshev series.
     """
     from scipy.integrate import solve_ivp
 

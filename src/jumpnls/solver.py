@@ -21,7 +21,7 @@ and first-order accurate in the mass budget, second order in the state.
 
 ``simulate`` and ``simulate_coupled`` run one loop that advances a list of
 levels together over the shared jump-adapted grid.  A coupled run adds its
-dual-norm distance node by node, so it holds no state history unless asked.
+dual-norm distance node by node, so it holds no state history.
 
 Each problem keeps one drift workspace per closure, built on first use: the
 folded noise matrix and the level's transform pair from
@@ -415,7 +415,7 @@ def _jump_path(problems, rng, events) -> list[JumpEvent]:
         if first.measure is None:
             return []
         if rng is None:
-            raise ConfigurationError("sampling jumps requires a random generator")
+            raise ConfigurationError("noisy runs need jump events or a generator to sample them")
         return sample_prm(first.measure, first.horizon, rng)
     events = list(events)
     times = [e.time for e in events]
@@ -529,7 +529,7 @@ def simulate(
 
 @dataclasses.dataclass(frozen=True)
 class CoupledResult:
-    """Two levels driven by one jump realization, with their dual-norm gap."""
+    """Two levels driven by one jump realization, with their dual-norm gap; no states."""
 
     record_low: TrajectoryRecord
     record_high: TrajectoryRecord
@@ -545,17 +545,15 @@ def simulate_coupled(
     problem_low: GalerkinProblem,
     problem_high: GalerkinProblem,
     config: SolverConfig,
-    rng: np.random.Generator | None = None,
-    events: list[JumpEvent] | None = None,
-    record_states: bool = True,
+    events: list[JumpEvent],
 ) -> CoupledResult:
-    """Run two truncation levels against the same sampled jump path.
+    """Run two truncation levels against one jump path ``events`` (``[]`` if none).
 
     Both problems must share the spectral model and horizon, with the first
     strictly coarser and nested in the finer one.  The levels advance
     together; the dual-norm difference is taken at each node on the finer
     level's modes (the coarse state embeds by zero padding), and the returned
-    distance is its supremum.  Histories are kept only with ``record_states``.
+    distance is its supremum.  No state history is kept.
     """
     if problem_low.model is not problem_high.model:
         raise ConfigurationError("coupled runs need a shared spectral model")
@@ -582,7 +580,7 @@ def simulate_coupled(
 
     problems = [problem_low, problem_high]
     rec_low, rec_high = _run_levels(problems, config,
-                                    _jump_path(problems, rng, events),
-                                    record_states, add_distance)
+                                    _jump_path(problems, None, events),
+                                    False, add_distance)
     distances = np.array(distances)
     return CoupledResult(rec_low, rec_high, distances, float(np.max(distances)))

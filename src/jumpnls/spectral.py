@@ -319,8 +319,6 @@ def _transform(kind: str, data: np.ndarray, grid_shape, to_grid: bool) -> np.nda
     """Orthonormal spectrum -> grid transform along the last axis, or its inverse."""
     facts = _DOMAIN_TABLE[kind]
     transform = facts.to_grid if to_grid else facts.from_grid
-    if len(grid_shape) == 1:
-        return transform(data, norm="ortho")
     square = data.reshape(data.shape[:-1] + grid_shape)
     return transform(square, norm="ortho").reshape(data.shape)
 

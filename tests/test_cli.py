@@ -235,6 +235,17 @@ def test_converge_json(fast_config, capsys):
         assert payload["mean_distance"][key] >= 0.0
 
 
+def test_converge_level_does_not_depend_on_the_other_levels(fast_config, capsys):
+    # every coarse level of a trajectory sees the one jump path sampled for it
+    payloads = []
+    for levels in ("1", "1,2"):
+        assert main(["converge", "--config", fast_config, "--levels", levels]) == 0
+        payloads.append(json.loads(capsys.readouterr().out))
+    alone, both = payloads
+    assert alone["distances"]["1"] == both["distances"]["1"]
+    assert alone["mean_distance"]["1"] == both["mean_distance"]["1"]
+
+
 def test_converge_rejects_non_coarser_levels(fast_config, capsys):
     assert main(["converge", "--config", fast_config, "--levels", "3"]) == 2
     assert "coarser" in capsys.readouterr().err

@@ -8,6 +8,9 @@ import numpy as np
 import pytest
 
 from jumpnls.diagnostics import (
+    BOOTSTRAP_RESAMPLES,
+    CONFIDENCE,
+    MOMENT_ORDERS,
     aldous_statistic,
     cadlag_modulus,
     energy,
@@ -240,7 +243,7 @@ def small_ensemble(torus_model):
 
 def test_ensemble_moments_summary(small_ensemble):
     sup_ea = [float(np.max(r.ea_norm)) for r in small_ensemble]
-    moments = ensemble_moments(sup_ea, orders=(1.0, 2.0), bootstrap=200)
+    moments = ensemble_moments(sup_ea)
     assert sorted(moments) == [1.0, 2.0]
     for r in (1.0, 2.0):
         mean, lo, hi = moments[r]
@@ -248,8 +251,32 @@ def test_ensemble_moments_summary(small_ensemble):
         assert lo <= mean <= hi
         assert lo < hi
     # seeded bootstrap is reproducible
-    again = ensemble_moments(sup_ea, orders=(1.0, 2.0), bootstrap=200)
+    again = ensemble_moments(sup_ea)
     assert again == moments
+
+
+def test_ensemble_bootstrap_memory_does_not_grow_with_trajectories():
+    # the resamples go in row blocks that continue one random stream, so the
+    # bands equal those of a one-shot (500, K) draw, whose index table alone
+    # takes 76 MiB here
+    sup_ea = np.random.default_rng(3).lognormal(size=20_000)
+    tracemalloc.start()
+    try:
+        moments = ensemble_moments(sup_ea, seed=7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
+
+    rng = np.random.default_rng(7)
+    resamples = rng.integers(0, len(sup_ea), size=(BOOTSTRAP_RESAMPLES, len(sup_ea)))
+    lo_q, hi_q = (1 - CONFIDENCE) / 2, 1 - (1 - CONFIDENCE) / 2
+    for r in MOMENT_ORDERS:
+        samples = sup_ea**r
+        boot_means = np.mean(samples[resamples], axis=1)
+        assert moments[r] == (float(np.mean(samples)),
+                              float(np.quantile(boot_means, lo_q)),
+                              float(np.quantile(boot_means, hi_q)))
 
 
 def test_ensemble_requires_two_records(small_ensemble):

@@ -2,7 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from jumpnls import config, jumps, spectral
 from jumpnls.exceptions import ConfigurationError, ShapeError
@@ -244,6 +244,8 @@ def preset_ops(request):
     size=st.one_of(st.just(0.0), st.floats(1e-200, 50.0)),
     seed=st.integers(0, 2**32 - 1),
 )
+# radius 61-77, degree 106-125: above the dimension of every 1-d level here
+@example(direction=[1.0] * 4, keep=[True] * 4, size=50.0, seed=0)
 def test_chebyshev_jump_matches_eigh(preset_ops, direction, keep, size, seed):
     ops = preset_ops
     mark = np.where(keep, direction, 0.0)

@@ -10,7 +10,7 @@ import pytest
 
 from jumpnls import nonlinear, solver, spectral
 from jumpnls.exceptions import ConfigurationError, NumericsError, ShapeError
-from jumpnls.jumps import generator, jump_difference_2, jump_map
+from jumpnls.jumps import _chebyshev_coefficients, generator, jump_difference_2, jump_map
 from jumpnls.noise import (
     AtomicMeasure,
     JumpEvent,
@@ -623,37 +623,47 @@ def test_simulate_event_validation(torus_model, cos_symbol):
     bare = build_problem(torus_model, 4, decaying_initial(torus_model), 1.0)
     with pytest.raises(ConfigurationError):
         simulate(bare, SolverConfig(dt=0.1), events=[JumpEvent(time=0.5, mark=mark)])
-    # sampling without a generator is refused
+    # a noisy run with neither events nor a generator is refused
     measure = AtomicMeasure(marks=[[0.4]], weights=[1.0])
     noisy = build_problem(torus_model, 4, decaying_initial(torus_model), 1.0,
                           symbols=cos_symbol, measure=measure)
-    with pytest.raises(ConfigurationError):
+    with pytest.raises(ConfigurationError, match="jump events or a generator"):
         simulate(noisy, SolverConfig(dt=0.1))
+    finer = build_problem(torus_model, 6, decaying_initial(torus_model), 1.0,
+                          symbols=cos_symbol, measure=measure)
+    with pytest.raises(ConfigurationError, match="jump events or a generator"):
+        simulate_coupled(noisy, finer, SolverConfig(dt=0.1), None)
 
 
 @pytest.mark.parametrize("noise", ["atomic", "radial_stable"])
 def test_jump_path_makes_no_eigh_call(torus_model, cos_symbol, noise, monkeypatch):
     # marks in the unit ball give radius <= 1, so each jump is a Chebyshev
-    # sum of at most 16 matvecs, below the level dimensions 23 and 45
+    # sum of at most 16 matvecs: below the dimensions 23 and 45 of levels 6
+    # and 8, above the dimension 5 of level 2
     if noise == "atomic":
         measure = AtomicMeasure(marks=[[0.5], [-0.3], [0.8]], weights=[6.0, 6.0, 4.0])
     else:
         measure = RadialStableMeasure(activity=2.0, stability=1.2, dimension=1,
                                       epsilon=0.2)
-    low, high = (
+    tiny, low, high = (
         build_problem(torus_model, n, decaying_initial(torus_model), 1.0,
                       nonlinearity=defocusing(3.0), symbols=cos_symbol, measure=measure)
-        for n in (6, 8)
+        for n in (2, 6, 8)
     )
     config = SolverConfig(dt=0.05, closure=CLOSURE_TAYLOR2)
+    events = sample_prm(measure, 1.0, trajectory_rng(5, 1))
+    assert tiny.level.dim == 5
+    assert all(len(_chebyshev_coefficients(tiny.ops.radius(e.mark))) - 1 > 5
+               for e in events)
 
     def eigh(*args, **kwargs):
         raise AssertionError("eigh called on the jump path")
 
     monkeypatch.setattr(np.linalg, "eigh", eigh)
     record = simulate(high, config, rng=trajectory_rng(5, 0))
-    coupled = simulate_coupled(low, high, config, rng=trajectory_rng(5, 1))
-    assert record.events and coupled.record_high.events
+    coupled = simulate_coupled(low, high, config, events)
+    small = simulate(tiny, config, events=events)
+    assert record.events and coupled.record_high.events and small.events
 
 
 def test_coupled_levels_identical_for_resolved_linear_flow(torus_model, cos_symbol):
@@ -672,7 +682,7 @@ def test_coupled_levels_identical_for_resolved_linear_flow(torus_model, cos_symb
         for n in (3, 6)
     ]
     result = simulate_coupled(problems[0], problems[1], SolverConfig(dt=0.05),
-                              rng=trajectory_rng(5, 0))
+                              sample_prm(measure, 1.0, trajectory_rng(5, 0)))
     assert result.levels == (3, 6)
     assert np.array_equal(result.record_low.times, result.record_high.times)
     assert result.distance <= 1e-12
@@ -684,15 +694,15 @@ def test_coupled_levels_validation(torus_model, cos_symbol):
     p4 = build_problem(torus_model, 4, u0, 1.0)
     p6 = build_problem(torus_model, 6, u0, 1.0)
     with pytest.raises(ConfigurationError):
-        simulate_coupled(p6, p4, SolverConfig(dt=0.1))
+        simulate_coupled(p6, p4, SolverConfig(dt=0.1), [])
     with pytest.raises(ConfigurationError):
-        simulate_coupled(p4, p4, SolverConfig(dt=0.1))
+        simulate_coupled(p4, p4, SolverConfig(dt=0.1), [])
     p_short = build_problem(torus_model, 6, u0, 0.5)
     with pytest.raises(ConfigurationError):
-        simulate_coupled(p4, p_short, SolverConfig(dt=0.1))
+        simulate_coupled(p4, p_short, SolverConfig(dt=0.1), [])
     with pytest.raises(ConfigurationError):
         simulate_coupled(p4, p6, SolverConfig(dt=0.1),
-                         events=[JumpEvent(0.5, np.array([0.3]))])
+                         [JumpEvent(0.5, np.array([0.3]))])
 
 
 def test_coupled_nonlinear_distance_shrinks_with_level(torus_model):
@@ -708,11 +718,9 @@ def test_coupled_nonlinear_distance_shrinks_with_level(torus_model):
                              measure=measure)
 
     fine = problem(7)
-    distances = []
-    for n in (3, 5):
-        result = simulate_coupled(problem(n), fine, config,
-                                  rng=trajectory_rng(123, 0))
-        distances.append(result.distance)
+    events = sample_prm(measure, 0.5, trajectory_rng(123, 0))
+    distances = [simulate_coupled(problem(n), fine, config, events).distance
+                 for n in (3, 5)]
     assert distances[1] < distances[0]
 
 
@@ -729,18 +737,18 @@ def test_coupled_levels_match_independent_runs(torus_model, cos_symbol, mode):
     ]
     events = sample_prm(measure, 1.0, trajectory_rng(17, 0))
     assert events
-    result = simulate_coupled(*problems, config, events=events)
-    for record, problem in zip((result.record_low, result.record_high), problems):
-        alone = simulate(problem, config, events=events)
-        for field in ("times", "states", "mass", "kinetic", "potential",
-                      "energy", "ea_norm"):
-            assert np.array_equal(getattr(record, field), getattr(alone, field)), field
-        assert record.fp_iters_max == alone.fp_iters_max
+    result = simulate_coupled(*problems, config, events)
+    alone = [simulate(problem, config, events=events) for problem in problems]
+    for record, single in zip((result.record_low, result.record_high), alone):
+        assert record.states is None
+        for field in ("times", "mass", "kinetic", "potential", "energy", "ea_norm"):
+            assert np.array_equal(getattr(record, field), getattr(single, field)), field
+        assert record.fp_iters_max == single.fp_iters_max
     if mode == MODE_MIDPOINT:
         assert result.record_high.fp_iters_max > 0
 
-    # the dual-norm gap of the recorded histories, coarse path zero-padded
-    low, high = result.record_low, result.record_high
+    # the dual-norm gap of the independent histories, coarse path zero-padded
+    low, high = alone
     embedded = np.zeros_like(high.states)
     embedded[:, np.searchsorted(high.indices, low.indices)] = low.states
     inv_w = 1.0 / high.ea_weights
@@ -750,9 +758,9 @@ def test_coupled_levels_match_independent_runs(torus_model, cos_symbol, mode):
 
 
 def test_coupled_memory_does_not_grow_with_nodes():
-    # without record_states each level holds one state, so an 8x longer
-    # horizon adds only per-node scalars: far less than the half fine-level
-    # state per extra node that any kept history would cost
+    # a coupled run holds one state per level, so an 8x longer horizon adds
+    # only per-node scalars: far less than the half fine-level state per
+    # extra node that any kept history would cost
     model = build_spectral_model(torus_1d(2 * np.pi), beta=1.0, max_level=10)
     u0 = decaying_initial(model)
     config = SolverConfig(dt=0.01)
@@ -763,12 +771,12 @@ def test_coupled_memory_does_not_grow_with_nodes():
                      for n in (8, 10))
         tracemalloc.start()
         try:
-            result = simulate_coupled(low, high, config, record_states=False)
+            result = simulate_coupled(low, high, config, [])
             return tracemalloc.get_traced_memory()[1], result
         finally:
             tracemalloc.stop()
 
-    peak(0.1)  # fill the model's transform caches outside the comparison
+    peak(0.1)  # one-time allocations of a first run stay outside the comparison
     short, short_result = peak(0.1)
     long, long_result = peak(0.8)
     assert long_result.record_low.states is None
