@@ -56,6 +56,14 @@ def _trajectory_context(index: int):
         raise NumericsError(f"trajectory {index}: {exc}") from exc
 
 
+def _jump_path(problem, master_seed: int, index: int):
+    """Trajectory ``index``'s jump path: the events its own stream samples."""
+    if problem.measure is None:
+        return []
+    return sample_prm(problem.measure, problem.horizon,
+                      trajectory_rng(master_seed, index))
+
+
 def _write_lines(path: str, lines) -> None:
     """Write an iterable of LF-terminated strings, one at a time."""
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
@@ -93,8 +101,7 @@ def _cmd_simulate(args) -> int:
     for k in range(spec.trajectories):
         with _trajectory_context(k):
             record = simulate(
-                problem, spec.solver,
-                rng=trajectory_rng(spec.master_seed, k),
+                problem, spec.solver, _jump_path(problem, spec.master_seed, k),
                 record_states=spec.output.save_states,
             )
         _write_lines(os.path.join(args.out, f"traj_{k:04d}.csv"),
@@ -109,7 +116,6 @@ def _cmd_simulate(args) -> int:
         final_mass.append(float(record.mass[-1]))
         sup_ea_norm.append(float(np.max(record.ea_norm)))
         fp_iters_max.append(record.fp_iters_max)
-        variance_budget = record.variance_budget
         del record  # nothing of trajectory k is held while k + 1 runs
 
     summary = {
@@ -127,7 +133,8 @@ def _cmd_simulate(args) -> int:
             trajectory_seed(spec.master_seed, k)
             for k in range(spec.trajectories)
         ],
-        "variance_budget": variance_budget,
+        "variance_budget": (0.0 if problem.measure is None
+                            else problem.measure.moments().variance_budget),
         "event_counts": event_counts,
         "final_mass": final_mass,
         "sup_ea_norm": sup_ea_norm,
@@ -162,10 +169,7 @@ def _cmd_converge(args) -> int:
     model, fine = build_problem_from_spec(spec)
     distances = {n: [] for n in coarse_levels}
     for k in range(spec.trajectories):
-        events = []
-        if fine.measure is not None:
-            events = sample_prm(fine.measure, spec.horizon,
-                                trajectory_rng(spec.master_seed, k))
+        events = _jump_path(fine, spec.master_seed, k)
         for n in coarse_levels:
             _, coarse = build_problem_from_spec(spec, model, level=n)
             with _trajectory_context(k):
@@ -199,7 +203,7 @@ def _cmd_verify(args) -> int:
             print(name)
         return 0
     names = None
-    if args.only:
+    if args.only is not None:
         names = [tok.strip() for tok in args.only.split(",") if tok.strip()]
     results = verify_mod.run_checks(names=names, tol_scale=args.tol_scale)
     failures = 0
@@ -214,8 +218,7 @@ def _cmd_verify(args) -> int:
 def _cmd_moments(args) -> int:
     spec = load_config(args.config)
     if spec.noise is None:
-        print("error: config has no [noise] section", file=sys.stderr)
-        return 2
+        raise ConfigurationError("config has no [noise] section")
     measure = spec.noise.measure()
     moments = measure.moments()
     payload = {

@@ -93,6 +93,10 @@ class AtomicMeasure:
             raise ShapeError("marks must be (J, N) with one weight per atom")
         if len(weights) == 0:
             raise ConfigurationError("need at least one atom")
+        if not np.all(np.isfinite(marks)):
+            raise ConfigurationError("atom marks must be finite")
+        if not np.all(np.isfinite(weights)):
+            raise ConfigurationError("atom weights must be finite")
         if np.any(weights <= 0):
             raise ConfigurationError("atom weights must be positive")
         radii = np.linalg.norm(marks, axis=1)

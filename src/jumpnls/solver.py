@@ -46,7 +46,7 @@ from .jumps import (
     generator,
     jump_map,
 )
-from .noise import AtomicMeasure, JumpEvent, NoiseMoments, sample_prm
+from .noise import AtomicMeasure, JumpEvent
 from .nonlinear import Nonlinearity, _pointwise_power, validate_exponent
 from .spectral import (
     GalerkinLevel,
@@ -97,7 +97,7 @@ class GalerkinProblem:
     """One truncation level with its drift ingredients and initial state.
 
     ``initial`` holds level coefficients (already smoothed and renormalized);
-    ``ops``/``measure``/``moments`` are None for deterministic runs.
+    ``ops``/``measure`` are None for deterministic runs.
     """
 
     model: SpectralModel
@@ -107,7 +107,6 @@ class GalerkinProblem:
     nonlinearity: Nonlinearity | None = None
     ops: NoiseOperators | None = None
     measure: object | None = None
-    moments: NoiseMoments | None = None
     # closure name -> drift workspace, built on first use (see _dynamics)
     _workspaces: dict = dataclasses.field(
         default_factory=dict, init=False, repr=False, compare=False
@@ -129,8 +128,6 @@ class GalerkinProblem:
                     f"measure has {self.measure.dimension} mark components but "
                     f"{self.ops.num_channels} noise channels are assembled"
                 )
-        if self.measure is not None and self.moments is None:
-            raise ConfigurationError("a jump measure requires precomputed moments")
 
 
 def renormalize_initial(
@@ -159,17 +156,14 @@ def build_problem(
     symbols: np.ndarray | None = None,
     measure=None,
 ) -> GalerkinProblem:
-    """Assemble level, noise operators, and moments for one truncation."""
+    """Assemble level and noise operators for one truncation."""
     level = build_level(model, level_n)
     if nonlinearity is not None:
         validate_exponent(nonlinearity, model.domain.dimension, model.beta)
     ops = None
-    moments = None
     if symbols is not None:
         symbols = np.atleast_2d(np.asarray(symbols, dtype=float))
         ops = assemble_noise_operators(model, level, symbols)
-    if measure is not None:
-        moments = measure.moments()
     initial = renormalize_initial(model, level, initial_full)
     return GalerkinProblem(
         model=model,
@@ -179,7 +173,6 @@ def build_problem(
         nonlinearity=nonlinearity,
         ops=ops,
         measure=measure,
-        moments=moments,
     )
 
 
@@ -219,8 +212,9 @@ class _Dynamics:
         self.grid_weights = model.grid_weights
         self.noise_matrix = None
 
-        ops, moments = problem.ops, problem.moments
-        if ops is not None and moments is not None:
+        ops = problem.ops
+        if ops is not None and problem.measure is not None:
+            moments = problem.measure.moments()
             terms = []
             if np.any(moments.mean_simulated != 0.0):
                 terms.append(1j * generator(ops, moments.mean_simulated))
@@ -382,7 +376,6 @@ class TrajectoryRecord:
     recorded at a jump time is the post-jump state)."""
 
     level_n: int
-    indices: np.ndarray
     ea_weights: np.ndarray
     times: np.ndarray
     states: np.ndarray | None
@@ -392,7 +385,6 @@ class TrajectoryRecord:
     energy: np.ndarray
     ea_norm: np.ndarray
     events: list[JumpEvent]
-    variance_budget: float
     fp_iters_max: int = 0
 
 
@@ -408,18 +400,11 @@ def _time_grid(horizon: float, dt: float, event_times, bytes_per_node: int) -> n
     return np.union1d(np.linspace(0.0, horizon, int(n_steps) + 1), event_times)
 
 
-def _jump_path(problems, rng, events) -> list[JumpEvent]:
-    """Sample the jump path the levels share, or check a supplied one."""
-    first = problems[0]
-    if events is None:
-        if first.measure is None:
-            return []
-        if rng is None:
-            raise ConfigurationError("noisy runs need jump events or a generator to sample them")
-        return sample_prm(first.measure, first.horizon, rng)
+def _check_events(problems, events) -> list[JumpEvent]:
+    """The jump path the levels share, checked against the horizon and operators."""
     events = list(events)
     times = [e.time for e in events]
-    if any(t < 0.0 or t > first.horizon for t in times):
+    if any(t < 0.0 or t > problems[0].horizon for t in times):
         raise ConfigurationError("jump events must lie within [0, horizon]")
     if any(b < a for a, b in zip(times, times[1:])):
         raise ConfigurationError("jump events must be time-sorted")
@@ -431,7 +416,6 @@ def _jump_path(problems, rng, events) -> list[JumpEvent]:
 def _new_record(problem, dyn, grid, events, record_states) -> TrajectoryRecord:
     return TrajectoryRecord(
         level_n=problem.level.n,
-        indices=problem.level.indices.copy(),
         ea_weights=1.0 + dyn.lam,
         times=grid,
         states=(np.zeros((len(grid), problem.level.dim), dtype=complex)
@@ -442,9 +426,6 @@ def _new_record(problem, dyn, grid, events, record_states) -> TrajectoryRecord:
         energy=np.zeros_like(grid),
         ea_norm=np.zeros_like(grid),
         events=events,
-        variance_budget=(
-            0.0 if problem.moments is None else problem.moments.variance_budget
-        ),
     )
 
 
@@ -512,18 +493,17 @@ def _run_levels(problems, config, events, record_states, on_node=None):
 def simulate(
     problem: GalerkinProblem,
     config: SolverConfig,
-    rng: np.random.Generator | None = None,
-    events: list[JumpEvent] | None = None,
+    events: list[JumpEvent],
     record_states: bool = True,
 ) -> TrajectoryRecord:
-    """Integrate one trajectory over [0, horizon].
+    """Integrate one trajectory over [0, horizon] along the jump path ``events``.
 
-    Jumps are sampled from the problem's measure with ``rng`` unless an
-    explicit ``events`` list is supplied (it must be time-sorted within the
-    horizon).  The state is recorded at every grid node and every jump time,
-    after the jump is applied.
+    ``events`` is one realization of the problem's Poisson random measure
+    (``noise.sample_prm``; ``[]`` if none), time-sorted within the horizon.
+    The state is recorded at every grid node and every jump time, after the
+    jump is applied.
     """
-    events = _jump_path([problem], rng, events)
+    events = _check_events([problem], events)
     return _run_levels([problem], config, events, record_states)[0]
 
 
@@ -580,7 +560,7 @@ def simulate_coupled(
 
     problems = [problem_low, problem_high]
     rec_low, rec_high = _run_levels(problems, config,
-                                    _jump_path(problems, None, events),
+                                    _check_events(problems, events),
                                     False, add_distance)
     distances = np.array(distances)
     return CoupledResult(rec_low, rec_high, distances, float(np.max(distances)))

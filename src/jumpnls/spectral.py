@@ -200,19 +200,25 @@ def cutoff_multiplier(n: int, eigenvalue):
 def mihlin_suprema(n: int, max_order: int = 2, samples: int = 4001) -> np.ndarray:
     """Sampled suprema of ``|lambda^k d^k cutoff / dlambda^k|`` for k <= max_order.
 
-    The transition band contributes ``t^k * ramp^(k)(t)`` with ``t`` the
-    eigenvalue rescaled by ``2**(-n)``; the identity branch contributes 1 for
-    k = 0.  The returned values are independent of ``n`` by scale invariance
-    (the same rescaled sample grid is used for every level).
+    The derivatives of ``cutoff_multiplier(n, .)`` are sampled on level n's
+    own band ``lambda in [2**n, 2**(n+1)]``, where the k-th one is
+    ``2**(-n*k) * transition_profile(lambda * 2**(-n), order=k)``; the
+    identity branch below the band contributes 1 for k = 0.  The returned
+    values are independent of ``n`` by scale invariance.  A level whose
+    ``lambda^k`` overflows on its band is refused.
     """
-    if n < 0:
-        raise ValueError(f"level must be >= 0, got {n}")
     if max_order < 0 or max_order > 2:
         raise ValueError("max_order must be in {0, 1, 2}")
-    t = np.linspace(1.0, 2.0, samples)
+    # the band's top 2**(n+1), raised to max_order, must stay below 2**1024
+    top = 1023 // max(max_order, 1) - 1
+    if not 0 <= n <= top:
+        raise ValueError(f"level must be in [0, {top}] at max_order {max_order}, got {n}")
+    scale = 2.0 ** (-n)
+    lam = np.linspace(1.0, 2.0, samples) / scale
     sups = []
     for k in range(max_order + 1):
-        band = np.abs(t**k * transition_profile(t, order=k))
+        derivative = scale**k * transition_profile(lam * scale, order=k)
+        band = np.abs(lam**k * derivative)
         sup = float(np.max(band))
         if k == 0:
             sup = max(sup, 1.0)  # branch below the band where the cutoff is 1

@@ -464,8 +464,8 @@ def check_jump_mass_conservation(ws, tol):
         ws.model, 4, ws.full, 1.0, nonlinearity=ws.nl,
         symbols=ws.symbol, measure=measure,
     )
-    record = solver.simulate(problem, solver.SolverConfig(dt=0.05),
-                             rng=noise.trajectory_rng(3, 0),
+    events = noise.sample_prm(measure, problem.horizon, noise.trajectory_rng(3, 0))
+    record = solver.simulate(problem, solver.SolverConfig(dt=0.05), events,
                              record_states=False)
     err = float(np.max(np.abs(record.mass - record.mass[0]))) / record.mass[0]
     return _result("jump_mass_conservation", err <= 1e-10 * tol,
@@ -551,7 +551,8 @@ def check_names() -> list[str]:
 def run_checks(names=None, tol_scale: float = 1.0) -> list[CheckResult]:
     """Execute the selected checks (all by default) and collect results.
 
-    An exception inside a check is itself a failure, reported in the detail.
+    An empty or unknown selection is refused.  An exception inside a check
+    is itself a failure, reported in the detail.
     """
     if not (tol_scale > 0):
         raise ConfigurationError(f"tol_scale must be positive, got {tol_scale}")
@@ -559,6 +560,8 @@ def run_checks(names=None, tol_scale: float = 1.0) -> list[CheckResult]:
     if names is None:
         selected = list(available)
     else:
+        if not names:
+            raise ConfigurationError("no checks selected")
         unknown = [n for n in names if n not in available]
         if unknown:
             raise ConfigurationError(f"unknown checks: {unknown}")

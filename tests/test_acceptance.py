@@ -65,9 +65,8 @@ def test_01_mass_conservation(model):
     start = time.perf_counter()
     worst = 0.0
     for k in range(16):
-        record = solver.simulate(problem, config,
-                                 rng=noise.trajectory_rng(31, k),
-                                 record_states=False)
+        events = noise.sample_prm(measure, 1.0, noise.trajectory_rng(31, k))
+        record = solver.simulate(problem, config, events, record_states=False)
         mass = record.mass
         worst = max(worst, float(np.max(np.abs(mass - mass[0])) / mass[0]))
     elapsed = time.perf_counter() - start
@@ -211,7 +210,8 @@ def test_07_small_jump_closure_consistency(model):
         defects = np.array([
             mass0 - solver.simulate(
                 problem, config,
-                rng=noise.trajectory_rng(2601, 1000 * int(eps * 100) + i),
+                noise.sample_prm(measure, horizon, noise.trajectory_rng(
+                    2601, 1000 * int(eps * 100) + i)),
                 record_states=False,
             ).mass[-1]
             for i in range(256)
@@ -252,7 +252,8 @@ def test_08_defocusing_energy_median_stability(model):
             float(np.max(0.5 * rec.mass + rec.energy))
             for rec in (
                 solver.simulate(problem, config,
-                                rng=noise.trajectory_rng(808, i),
+                                noise.sample_prm(measure, 0.5,
+                                                 noise.trajectory_rng(808, i)),
                                 record_states=False)
                 for i in range(64)
             )

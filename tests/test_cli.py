@@ -13,6 +13,7 @@ import pytest
 import jumpnls
 from jumpnls import spectral
 from jumpnls.cli import main
+from jumpnls.solver import simulate_coupled
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 WORKLOAD_DIR = Path(__file__).resolve().parent.parent / "perfbench" / "workloads"
@@ -246,6 +247,30 @@ def test_converge_level_does_not_depend_on_the_other_levels(fast_config, capsys)
     assert alone["mean_distance"]["1"] == both["mean_distance"]["1"]
 
 
+def test_converge_drives_each_trajectory_with_its_simulate_path(tmp_path, monkeypatch):
+    # trajectory k sees one jump path, whichever command runs it
+    config = str(CONFIG_DIR / "atomic_cubic.ini")
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", config, "--out", str(out),
+                 "--trajectories", "2"]) == 0
+    paths = []
+
+    def recording(low, high, config, events):
+        paths.append(events)
+        return simulate_coupled(low, high, config, events)
+
+    monkeypatch.setattr(jumpnls.cli, "simulate_coupled", recording)
+    assert main(["converge", "--config", config, "--levels", "4",
+                 "--trajectories", "2"]) == 0
+    assert len(paths) == 2
+    for k, events in enumerate(paths):
+        rows = (out / f"events_{k:04d}.csv").read_text().splitlines()[1:]
+        assert events
+        assert [[e.time, *e.mark] for e in events] == [
+            [float(tok) for tok in row.split(",")] for row in rows
+        ]
+
+
 def test_converge_rejects_non_coarser_levels(fast_config, capsys):
     assert main(["converge", "--config", fast_config, "--levels", "3"]) == 2
     assert "coarser" in capsys.readouterr().err
@@ -277,6 +302,8 @@ def test_verify_subcommand(capsys):
     out = capsys.readouterr().out
     assert "PASS seed_streams" in out
     assert "2/2 checks passed" in out
+    assert main(["verify", "--only", ","]) == 2
+    assert "no checks selected" in capsys.readouterr().err
 
 
 def test_verify_list(capsys):

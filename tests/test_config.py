@@ -271,7 +271,7 @@ def test_build_problem_from_spec_assembly():
     assert problem.ops is not None
     assert problem.ops.num_channels == 1
     assert problem.nonlinearity is not None
-    assert problem.moments is not None
+    assert problem.measure is not None
     symbols = build_symbols_from_spec(spec, model)
     assert symbols.shape == (1, model.num_grid)
 

@@ -18,7 +18,7 @@ from jumpnls.diagnostics import (
     ensemble_moments,
 )
 from jumpnls.exceptions import ShapeError
-from jumpnls.noise import AtomicMeasure, JumpEvent, trajectory_rng
+from jumpnls.noise import AtomicMeasure, JumpEvent, sample_prm, trajectory_rng
 from jumpnls.nonlinear import defocusing
 from jumpnls.solver import SolverConfig, build_problem, simulate
 from jumpnls.spectral import build_level
@@ -76,7 +76,7 @@ def test_energy_near_conservation_deterministic_run(torus_model):
         torus_model, 4, np.exp(-np.sqrt(torus_model.eigenvalues_S)) + 0j, 1.0,
         nonlinearity=defocusing(3.0),
     )
-    record = simulate(problem, SolverConfig(dt=2e-3))
+    record = simulate(problem, SolverConfig(dt=2e-3), [])
     drift = np.max(np.abs(record.energy - record.energy[0]))
     assert drift <= 1e-6 * max(1.0, abs(record.energy[0]))
 
@@ -237,7 +237,8 @@ def small_ensemble(torus_model):
     )
     config = SolverConfig(dt=0.05)
     return [
-        simulate(problem, config, rng=trajectory_rng(99, k)) for k in range(6)
+        simulate(problem, config, sample_prm(measure, 1.0, trajectory_rng(99, k)))
+        for k in range(6)
     ]
 
 

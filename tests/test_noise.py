@@ -79,6 +79,18 @@ def test_validation():
         noise.RadialStableMeasure(activity=-1.0, stability=0.5)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_atomic_rejects_nonfinite_marks_and_weights(bad):
+    # a NaN mark passes every comparison test and a NaN or inf weight would
+    # first fail inside the Poisson sampler; both are refused by name
+    with pytest.raises(ConfigurationError, match="atom marks"):
+        noise.AtomicMeasure(marks=[[0.3], [bad]], weights=[1.0, 1.0])
+    with pytest.raises(ConfigurationError, match="atom marks"):
+        noise.AtomicMeasure(marks=[[0.3, bad]], weights=[1.0])
+    with pytest.raises(ConfigurationError, match="atom weights"):
+        noise.AtomicMeasure(marks=[[0.3], [-0.3]], weights=[1.0, bad])
+
+
 def test_sigma2_scaling_rate():
     # variance budget decays like epsilon^(2 - beta): exact log-log slope
     beta = 0.7

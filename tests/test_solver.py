@@ -137,9 +137,9 @@ def test_time_grid_refused_beyond_physical_memory(torus_model, monkeypatch, reco
     needed = 11 * (8 * (2 + 5) + (16 * problem.level.dim if record_states else 0))
     monkeypatch.setattr(spectral, "_physical_memory", lambda: needed - 1)
     with pytest.raises(ConfigurationError, match="the 11 time nodes"):
-        simulate(problem, config, record_states=record_states)
+        simulate(problem, config, [], record_states=record_states)
     monkeypatch.setattr(spectral, "_physical_memory", lambda: needed)
-    assert len(simulate(problem, config, record_states=record_states).times) == 11
+    assert len(simulate(problem, config, [], record_states=record_states).times) == 11
 
 
 def test_drift_pure_diagonal(torus_model):
@@ -217,12 +217,12 @@ def test_atomic_closure_rejects_infinite_activity(torus_model, cos_symbol):
     with pytest.raises(ConfigurationError, match=ATOMIC_CLOSURE_MESSAGE):
         drift(problem, config, problem.initial)
     with pytest.raises(ConfigurationError, match=ATOMIC_CLOSURE_MESSAGE):
-        simulate(problem, config, rng=trajectory_rng(0, 0))
+        simulate(problem, config, sample_prm(measure, 1.0, trajectory_rng(0, 0)))
 
 
 def per_term_noise_drift(problem, closure, x):
     """Noise drift summed term by term: mean, then closure or one round-trip per small atom."""
-    ops, moments = problem.ops, problem.moments
+    ops, moments = problem.ops, problem.measure.moments()
     out = 1j * generator(ops, moments.mean_simulated) @ x
     if closure == CLOSURE_TAYLOR2:
         mats = ops.matrices
@@ -366,7 +366,7 @@ def test_step_loop_makes_no_per_call_transforms(request, monkeypatch, domain, mo
 
     for closure in (CLOSURE_TAYLOR2, CLOSURE_ATOMIC):
         record = simulate(problem, SolverConfig(mode=mode, dt=0.05, closure=closure),
-                          rng=trajectory_rng(7, 0))
+                          sample_prm(measure, 0.2, trajectory_rng(7, 0)))
         assert record.events and np.all(record.potential > 0)
     assert calls == []
 
@@ -390,7 +390,7 @@ def test_workspace_built_once_per_problem_and_closure(torus_model, cos_symbol,
         for mode in (MODE_MIDPOINT, MODE_SPLITSTEP):
             config = SolverConfig(mode=mode, dt=0.05, closure=closure)
             for k in range(2):
-                simulate(problem, config, rng=trajectory_rng(1, k))
+                simulate(problem, config, sample_prm(measure, 0.3, trajectory_rng(1, k)))
             drift(problem, config, problem.initial)
             step_between_jumps(problem, config, problem.initial, 0.01)
     assert builds == [CLOSURE_TAYLOR2, CLOSURE_ATOMIC]
@@ -406,8 +406,8 @@ def test_fp_iters_max_counts_each_run_alone(torus_model):
     counts = []
     for dt in (0.1, 0.001):
         config = SolverConfig(dt=dt)
-        shared = simulate(problem, config)
-        fresh = simulate(dataclasses.replace(problem), config)
+        shared = simulate(problem, config, [])
+        fresh = simulate(dataclasses.replace(problem), config, [])
         assert shared.fp_iters_max == fresh.fp_iters_max
         counts.append(shared.fp_iters_max)
     assert counts[0] > counts[1] >= 1
@@ -577,14 +577,13 @@ def test_simulate_diagnostics_columns(torus_model, cos_symbol):
         torus_model, 4, decaying_initial(torus_model), 0.5,
         nonlinearity=defocusing(3.0), symbols=cos_symbol, measure=measure,
     )
-    record = simulate(problem, SolverConfig(dt=0.05), rng=trajectory_rng(42, 0))
+    events = sample_prm(measure, 0.5, trajectory_rng(42, 0))
+    record = simulate(problem, SolverConfig(dt=0.05), events)
     assert np.allclose(record.energy, record.kinetic + record.potential)
     sq = np.abs(record.states) ** 2
     assert np.allclose(record.mass, np.sum(sq, axis=1))
     assert np.allclose(record.ea_norm**2, np.sum(record.ea_weights * sq, axis=1))
-    assert record.variance_budget == 0.0  # no atoms below the cutoff
-    slim = simulate(problem, SolverConfig(dt=0.05), rng=trajectory_rng(42, 0),
-                    record_states=False)
+    slim = simulate(problem, SolverConfig(dt=0.05), events, record_states=False)
     assert slim.states is None
     assert np.array_equal(slim.mass, record.mass)
 
@@ -596,9 +595,10 @@ def test_simulate_reproducible_streams(torus_model, cos_symbol):
         nonlinearity=defocusing(3.0), symbols=cos_symbol, measure=measure,
     )
     config = SolverConfig(dt=0.02)
-    rec1 = simulate(problem, config, rng=trajectory_rng(7, 3))
-    rec2 = simulate(problem, config, rng=trajectory_rng(7, 3))
-    rec_other = simulate(problem, config, rng=trajectory_rng(7, 4))
+    rec1, rec2, rec_other = (
+        simulate(problem, config, sample_prm(measure, 1.0, trajectory_rng(7, k)))
+        for k in (3, 3, 4)
+    )
     assert np.array_equal(rec1.states, rec2.states)
     assert np.array_equal(rec1.times, rec2.times)
     if len(rec1.events) or len(rec_other.events):
@@ -623,16 +623,16 @@ def test_simulate_event_validation(torus_model, cos_symbol):
     bare = build_problem(torus_model, 4, decaying_initial(torus_model), 1.0)
     with pytest.raises(ConfigurationError):
         simulate(bare, SolverConfig(dt=0.1), events=[JumpEvent(time=0.5, mark=mark)])
-    # a noisy run with neither events nor a generator is refused
+    # a run without its jump path is refused
     measure = AtomicMeasure(marks=[[0.4]], weights=[1.0])
     noisy = build_problem(torus_model, 4, decaying_initial(torus_model), 1.0,
                           symbols=cos_symbol, measure=measure)
-    with pytest.raises(ConfigurationError, match="jump events or a generator"):
+    with pytest.raises(TypeError, match="events"):
         simulate(noisy, SolverConfig(dt=0.1))
     finer = build_problem(torus_model, 6, decaying_initial(torus_model), 1.0,
                           symbols=cos_symbol, measure=measure)
-    with pytest.raises(ConfigurationError, match="jump events or a generator"):
-        simulate_coupled(noisy, finer, SolverConfig(dt=0.1), None)
+    with pytest.raises(TypeError, match="events"):
+        simulate_coupled(noisy, finer, SolverConfig(dt=0.1))
 
 
 @pytest.mark.parametrize("noise", ["atomic", "radial_stable"])
@@ -660,7 +660,7 @@ def test_jump_path_makes_no_eigh_call(torus_model, cos_symbol, noise, monkeypatc
         raise AssertionError("eigh called on the jump path")
 
     monkeypatch.setattr(np.linalg, "eigh", eigh)
-    record = simulate(high, config, rng=trajectory_rng(5, 0))
+    record = simulate(high, config, sample_prm(measure, 1.0, trajectory_rng(5, 0)))
     coupled = simulate_coupled(low, high, config, events)
     small = simulate(tiny, config, events=events)
     assert record.events and coupled.record_high.events and small.events
@@ -750,7 +750,8 @@ def test_coupled_levels_match_independent_runs(torus_model, cos_symbol, mode):
     # the dual-norm gap of the independent histories, coarse path zero-padded
     low, high = alone
     embedded = np.zeros_like(high.states)
-    embedded[:, np.searchsorted(high.indices, low.indices)] = low.states
+    embedded[:, np.searchsorted(problems[1].level.indices,
+                                problems[0].level.indices)] = low.states
     inv_w = 1.0 / high.ea_weights
     want = np.sqrt(np.sum(np.abs(high.states - embedded) ** 2 * inv_w, axis=1))
     assert np.array_equal(result.distances, want)
@@ -782,6 +783,6 @@ def test_coupled_memory_does_not_grow_with_nodes():
     assert long_result.record_low.states is None
     assert long_result.record_high.states is None
     extra_nodes = len(long_result.distances) - len(short_result.distances)
-    fine_dim = len(long_result.record_high.indices)
+    fine_dim = len(long_result.record_high.ea_weights)
     assert extra_nodes > 60
     assert long - short < 8 * fine_dim * extra_nodes

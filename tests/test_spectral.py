@@ -188,8 +188,16 @@ def test_mihlin_suprema_frozen():
 
 def test_mihlin_level_independent():
     base = spectral.mihlin_suprema(0)
-    for n in range(1, 11):
+    for n in (*range(1, 11), 59, 510):
         assert np.array_equal(spectral.mihlin_suprema(n), base)
+
+
+def test_mihlin_refuses_overflowing_level():
+    # the band top 2**(n+1), squared for the second derivative, must stay finite
+    assert np.isfinite(spectral.mihlin_suprema(1022, max_order=1)).all()
+    for n, max_order in ((-1, 2), (511, 2), (1023, 1), (1023, 0)):
+        with pytest.raises(ValueError, match="level must be in"):
+            spectral.mihlin_suprema(n, max_order=max_order)
 
 
 # ---------------------------------------------------------------------------

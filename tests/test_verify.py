@@ -27,6 +27,9 @@ def test_subset_selection():
     assert [r.name for r in results] == ["seed_streams", "cutoff_branches"]
     with pytest.raises(ConfigurationError):
         verify.run_checks(names=["no_such_check"])
+    # a selection that comes out empty must not pass as "0/0 checks passed"
+    with pytest.raises(ConfigurationError, match="no checks selected"):
+        verify.run_checks(names=[])
 
 
 def test_tol_scale_validation():
