@@ -13,17 +13,19 @@ is refused before anything is allocated.
 
 A mark l in R^N combines the channels into the Hermitian generator
 B(l) = sum_m l_m M_m, and a jump acts through the time-1 unitary flow of
-``du/dt = -i B(l) u``.  ``jump_map`` evaluates it by the Chebyshev expansion
-(Tal-Ezer & Kosloff, J. Chem. Phys. 81, 1984)
+``du/dt = -i B(l) u``.  The jump map, the jump differences
+exp(-iB) - 1 and exp(-iB) - 1 + iB and the atomic compensator all sum one
+Chebyshev expansion (Tal-Ezer & Kosloff, J. Chem. Phys. 81, 1984)
 
-    exp(-i B) u = sum_k (2 - delta_k0) (-i)^k J_k(r) T_k(B / r) u
+    exp(-i B) u = sum_k (2 - delta_k0) (-i)^k J_k(r) T_k(B / r) u,
 
-with the radius r = max_x |sum_m l_m e_m(x)|.  Quadrature makes synthesis an
+the differences with their Taylor terms taken out of c_0 and c_1.  The
+radius is r = max_x |sum_m l_m e_m(x)|: quadrature makes synthesis an
 isometry and the cutoff values are at most 1, so r bounds ||B(l)||.  The sum
-stops once k > r and J_k(r) is below round-off, after about
-r + 11 r^(1/3) matvecs at any degree, so a jump touches B(l) only through
-matvecs.  The jump differences and the atomic compensator are spectral
-functions evaluated by eigendecomposition.
+stops once k > r and J_k(r) is below round-off on the scale of the result,
+after about r + 11 r^(1/3) products at any degree, so every function of B(l)
+touches it only through products with vectors (with the identity for the
+compensator).
 
 The level constants ``bound_H`` and ``bound_EA`` (computed on first read) and
 ``estimate_lp_bound`` (an empirical estimate, computed on request) are the
@@ -219,13 +221,6 @@ def generator(ops: NoiseOperators, mark) -> np.ndarray:
     return np.tensordot(_checked_mark(ops, mark), ops.matrices, axes=1)
 
 
-def _apply_spectral(ops: NoiseOperators, mark, factor, state) -> np.ndarray:
-    """V diag(factor(theta)) V^H state, where B(l) = V diag(theta) V^H."""
-    theta, vectors = np.linalg.eigh(generator(ops, mark))
-    state = np.asarray(state, dtype=complex)
-    return vectors @ (factor(theta) * (vectors.conj().T @ state))
-
-
 def _bessel_j(r: float) -> list[float]:
     """J_0(r), J_1(r), ... for r > 0 by Miller's backward recurrence.
 
@@ -247,38 +242,88 @@ def _bessel_j(r: float) -> list[float]:
     return [v / norm for v in values[:start + 1]]
 
 
-def _chebyshev_coefficients(r: float) -> list[complex]:
-    """Chebyshev coefficients (2 - delta_k0) (-i)^k J_k(r) of exp(-i r x).
+def _chebyshev_coefficients(r: float, order: int = 0) -> list[complex]:
+    """Chebyshev coefficients of exp(-i r x) minus its Taylor terms below ``order``.
 
-    They run up to the first k > max(r, 1) with |J_k(r)| below the tail,
-    which lies below the start of the Bessel recurrence.
+    At order 0 they are (2 - delta_k0) (-i)^k J_k(r).  Order 1 takes 1 off
+    c_0 and order 2 also adds i r x = i r T_1(x) to c_1; both corrections
+    come from the normalisations J_0 + 2 sum_k J_2k = 1 and
+    r = 2 sum_k (2k + 1) J_{2k+1}, so without cancellation:
+
+        c_0 - 1 = -2 sum_{k>=1} J_2k,    c_1 + i r = 2i sum_{k>=1} (2k + 1) J_{2k+1}.
+
+    They run up to the first k > max(r, 1) with |J_k(r)| below the tail
+    times min(1, r)^order, the scale of the remainder, which lies below the
+    start of the Bessel recurrence.
     """
     bessel = _bessel_j(r)
+    tail = _BESSEL_TAIL * min(1.0, r) ** order
     stop = next(k for k, value in enumerate(bessel)
-                if k > max(r, 1.0) and abs(value) < _BESSEL_TAIL)
+                if k > max(r, 1.0) and abs(value) < tail)
     phases = (2.0, -2j, -2.0, 2j)
-    return [phases[k % 4] * bessel[k] if k else bessel[0] for k in range(stop)]
+    coefficients = [phases[k % 4] * bessel[k] if k else bessel[0] for k in range(stop)]
+    if order >= 1:
+        coefficients[0] = -2.0 * sum(bessel[2::2])
+    if order >= 2:
+        coefficients[1] = 2j * sum(k * bessel[k] for k in range(3, len(bessel), 2))
+    return coefficients
 
 
-def jump_map(ops: NoiseOperators, mark, state: np.ndarray) -> np.ndarray:
-    """Unitary jump exp(-i B(l)) state: a Chebyshev series in B(l) / r, one matvec a term."""
-    state = np.asarray(state, dtype=complex)
-    if state.shape != (ops.dim,):
-        raise ShapeError(f"state must have length {ops.dim}, got {state.shape}")
+def _series(ops: NoiseOperators, mark, block, order: int) -> np.ndarray:
+    """exp(-i B(l)) minus its Taylor terms below ``order``, applied to ``block``.
+
+    ``block`` is a state or a matrix whose columns are states.  The Chebyshev
+    series in B(l) / r costs one product with B(l) a term.  Below a radius
+    of ``_BESSEL_TAIL`` the result is the first remaining Taylor term
+    (-i B)^order / order!, exact to rounding there.
+    """
+    block = np.asarray(block, dtype=complex)
+    if block.ndim not in (1, 2) or block.shape[0] != ops.dim:
+        raise ShapeError(f"state must have length {ops.dim}, got {block.shape}")
     mark = _checked_mark(ops, mark)
     r = ops.radius(mark)
     if r < _BESSEL_TAIL:
-        # ||exp(-iB) u - u|| <= r ||u||, below round-off
-        return state.copy()
-    coefficients = _chebyshev_coefficients(r)
+        out = block.copy()
+        for k in range(1, order + 1):
+            out = (-1j / k) * (generator(ops, mark) @ out)
+        return out
+    coefficients = _chebyshev_coefficients(r, order)
     # T_{k+1} = 2 (B / r) T_k - T_{k-1}, with the 2 / r folded into the mark
     twice_scaled = generator(ops, (2.0 / r) * mark)
-    previous, current = state, 0.5 * (twice_scaled @ state)
+    previous, current = block, 0.5 * (twice_scaled @ block)
     out = coefficients[0] * previous + coefficients[1] * current
     for coefficient in coefficients[2:]:
         previous, current = current, twice_scaled @ current - previous
         out += coefficient * current
     return out
+
+
+def jump_map(ops: NoiseOperators, mark, state: np.ndarray) -> np.ndarray:
+    """Unitary jump exp(-i B(l)) state."""
+    return _series(ops, mark, state, 0)
+
+
+def jump_difference_1(ops: NoiseOperators, mark, state: np.ndarray) -> np.ndarray:
+    """First jump difference exp(-iB(l))x - x."""
+    return _series(ops, mark, state, 1)
+
+
+def jump_difference_2(ops: NoiseOperators, mark, state: np.ndarray) -> np.ndarray:
+    """Second jump difference exp(-iB(l))x - x + iB(l)x."""
+    return _series(ops, mark, state, 2)
+
+
+def difference_2_matrix(ops: NoiseOperators, marks, weights) -> np.ndarray:
+    """Matrix of x -> sum_a w_a (exp(-iB(l_a))x - x + iB(l_a)x) over atoms (l_a, w_a).
+
+    Each atom adds w_a times the second difference applied to the identity;
+    this is the exact compensator of an atomic measure's small jumps.
+    """
+    identity = np.eye(ops.dim, dtype=complex)
+    total = np.zeros((ops.dim, ops.dim), dtype=complex)
+    for weight, mark in zip(weights, np.atleast_2d(np.asarray(marks, dtype=float))):
+        total += weight * _series(ops, mark, identity, 2)
+    return total
 
 
 def marcus_flow(
@@ -312,55 +357,3 @@ def marcus_flow(
     if not sol.success:
         raise NumericsError(f"flow integration failed: {sol.message}")
     return sol.y[:, -1]
-
-
-def _theta_minus_sin(theta: np.ndarray) -> np.ndarray:
-    """theta - sin(theta), evaluated stably near zero (series below 1e-3)."""
-    small = np.abs(theta) < 1e-3
-    t2 = theta * theta
-    series = theta * t2 / 6.0 * (1.0 - t2 / 20.0 * (1.0 - t2 / 42.0))
-    return np.where(small, series, theta - np.sin(theta))
-
-
-def _difference_2_factor(theta: np.ndarray) -> np.ndarray:
-    """Eigenphase factor of exp(-iB)x - x + iBx: (cos theta - 1) + i (theta - sin theta).
-
-    The real part is taken as -2 sin^2(theta/2) and the imaginary part
-    through the small-angle series, so the modulus stays below theta^2 / 2
-    without cancellation error.
-    """
-    return -2.0 * np.sin(0.5 * theta) ** 2 + 1j * _theta_minus_sin(theta)
-
-
-def jump_difference_1(ops: NoiseOperators, mark, state: np.ndarray) -> np.ndarray:
-    """First jump difference exp(-iB(l))x - x via eigenphase factors.
-
-    The spectral factor e^{-i theta} - 1 is evaluated as
-    -2 sin(theta/2) (sin(theta/2) + i cos(theta/2)); its modulus
-    2 |sin(theta/2)| never exceeds |theta|, so the operator bound
-    sqrt(bound_H) |l| ||x|| is respected without cancellation error.
-    """
-    def factor(theta):
-        half = 0.5 * theta
-        return -2.0 * np.sin(half) * (np.sin(half) + 1j * np.cos(half))
-
-    return _apply_spectral(ops, mark, factor, state)
-
-
-def jump_difference_2(ops: NoiseOperators, mark, state: np.ndarray) -> np.ndarray:
-    """Second jump difference exp(-iB(l))x - x + iB(l)x, stable near zero."""
-    return _apply_spectral(ops, mark, _difference_2_factor, state)
-
-
-def difference_2_matrix(ops: NoiseOperators, marks, weights) -> np.ndarray:
-    """Matrix of x -> sum_a w_a (exp(-iB(l_a))x - x + iB(l_a)x) over atoms (l_a, w_a).
-
-    Each atom adds V diag(w f(theta)) V^H from its eigendecomposition, with
-    the factor f of :func:`jump_difference_2`; this is the exact compensator
-    of an atomic measure's small jumps.
-    """
-    total = np.zeros((ops.dim, ops.dim), dtype=complex)
-    for weight, mark in zip(weights, np.atleast_2d(np.asarray(marks, dtype=float))):
-        theta, vectors = np.linalg.eigh(generator(ops, mark))
-        total += (vectors * (weight * _difference_2_factor(theta))) @ vectors.conj().T
-    return total

@@ -172,6 +172,13 @@ class RadialStableMeasure:
             raise ConfigurationError(
                 f"epsilon must be in (0, 1] for infinite activity, got {self.epsilon}"
             )
+        try:
+            self.epsilon**-self.stability
+        except OverflowError:
+            raise ConfigurationError(
+                f"epsilon = {self.epsilon} with stability = {self.stability} puts the "
+                f"simulated intensity's epsilon**-stability beyond the float range"
+            ) from None
 
     def simulated_intensity(self) -> float:
         c, b = self.activity, self.stability

@@ -213,6 +213,8 @@ def mihlin_suprema(n: int, max_order: int = 2, samples: int = 4001) -> np.ndarra
     top = 1023 // max(max_order, 1) - 1
     if not 0 <= n <= top:
         raise ValueError(f"level must be in [0, {top}] at max_order {max_order}, got {n}")
+    if samples < 2:
+        raise ValueError(f"samples must be at least 2 to span the band, got {samples}")
     scale = 2.0 ** (-n)
     lam = np.linspace(1.0, 2.0, samples) / scale
     sups = []
@@ -383,12 +385,18 @@ def _mode_table(domain: Domain, beta: float, max_level: int):
                   f"below lambda_S = {threshold:g}")
 
     rows = []
-    for wn in itertools.product(*axes):
-        mu = sum((f * k) ** 2 for f, k in zip(factors, wn))
-        lam_A = mu**beta
-        lam_s = facts.shift + lam_A
-        if lam_s < threshold:
-            rows.append((lam_s, wn, lam_A))
+    try:
+        for wn in itertools.product(*axes):
+            mu = sum((f * k) ** 2 for f, k in zip(factors, wn))
+            lam_A = mu**beta
+            lam_s = facts.shift + lam_A
+            if lam_s < threshold:
+                rows.append((lam_s, wn, lam_A))
+    except OverflowError:
+        raise ConfigurationError(
+            f"beta = {beta} on lengths {domain.lengths} puts an eigenvalue mu**beta "
+            f"of the mode scan beyond the float range"
+        ) from None
     rows.sort(key=lambda r: (r[0], r[1]))
     if not rows:
         raise ConfigurationError("no modes retained; increase max_level")

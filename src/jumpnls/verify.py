@@ -267,7 +267,10 @@ def check_flow_matches_map(ws, tol):
 
 
 def check_chebyshev_jump(ws, tol):
-    """The Chebyshev jump map against eigh on two domain kinds, degree above dim too."""
+    """The Chebyshev jump map and differences against eigh on two domain kinds.
+
+    One case runs the series to a degree above the level's dimension.
+    """
     dirichlet = spectral.build_spectral_model(spectral.interval_dirichlet(np.pi),
                                               max_level=9)
     cases = [(ws.model, 6, ws.symbol),
@@ -282,8 +285,14 @@ def check_chebyshev_jump(ws, tol):
         degree = len(jumps._chebyshev_coefficients(ops.radius(mark))) - 1
         x = rng.normal(size=ops.dim) + 1j * rng.normal(size=ops.dim)
         theta, vectors = np.linalg.eigh(jumps.generator(ops, mark))
-        exact = vectors @ (np.exp(-1j * theta) * (vectors.conj().T @ x))
-        err = np.linalg.norm(jumps.jump_map(ops, mark, x) - exact) / np.linalg.norm(x)
+        phase = np.exp(-1j * theta)
+        # |theta| <= 0.9 here: the unstable forms lose only ~1e-16 ||x||
+        pairs = ((jumps.jump_map, phase), (jumps.jump_difference_1, phase - 1.0),
+                 (jumps.jump_difference_2, phase - 1.0 + 1j * theta))
+        err = 0.0
+        for series, factor in pairs:
+            exact = vectors @ (factor * (vectors.conj().T @ x))
+            err = max(err, np.linalg.norm(series(ops, mark, x) - exact) / np.linalg.norm(x))
         worst = max(worst, err)
         details.append(f"{model.domain.kind} {err:.3e} (degree {degree}, dim {ops.dim})")
     return _result("chebyshev_jump", worst <= 1e-13 * tol, ", ".join(details))

@@ -31,6 +31,27 @@ def random_state(rng, dim, scale=1.0):
     return scale * (rng.standard_normal(dim) + 1j * rng.standard_normal(dim))
 
 
+def eigenphase_factor(theta, order):
+    """exp(-i theta) minus its Taylor terms below ``order``, without cancellation.
+
+    The first difference is -2 sin(theta/2) (sin(theta/2) + i cos(theta/2)).
+    The second is -2 sin^2(theta/2) + i (theta - sin theta), whose imaginary
+    part is summed as a series below |theta| = 1.
+    """
+    half = 0.5 * theta
+    if order == 0:
+        return np.exp(-1j * theta)
+    if order == 1:
+        return -2.0 * np.sin(half) * (np.sin(half) + 1j * np.cos(half))
+    t2 = theta * theta
+    series, term = np.zeros_like(theta), theta * t2 / 6.0
+    for k in range(2, 14):
+        series += term
+        term = term * (-t2 / ((2 * k) * (2 * k + 1)))
+    minus_sin = np.where(np.abs(theta) < 1.0, series, theta - np.sin(theta))
+    return -2.0 * np.sin(half) ** 2 + 1j * minus_sin
+
+
 def closed_form_basis(model):
     """Eigenfunctions of the model's modes at its grid nodes, (num_modes, num_grid).
 

@@ -388,6 +388,11 @@ def test_numerics_error_names_trajectory_and_time(tmp_path, capsys):
     ("deterministic_cubic", "dt = 0.001", "dt = 1e-300", "time nodes"),
     ("atomic_cubic", "atoms = 0.45 : 2.0", "atoms = 0.45 : 1e300", "expected jump events"),
     ("converge-2d", "dealias_factor = 2", "dealias_factor = 100000", "quadrature grid"),
+    ("deterministic_cubic", "beta = 1.0", "beta = 1000", "beta = 1000.0 on lengths"),
+    ("deterministic_cubic", "length = 6.283185307179586", "length = 1e-300",
+     "lengths (1e-300,)"),
+    ("stable_linear", "epsilon = 0.1", "epsilon = 5e-324",
+     "epsilon = 5e-324 with stability = 1.2"),
 ])
 def test_unrunnable_values_fail_with_configuration_error(tmp_path, capsys, monkeypatch,
                                                          config, old, new, needle):

@@ -7,7 +7,7 @@ from hypothesis import example, given, settings, strategies as st
 from jumpnls import config, jumps, spectral
 from jumpnls.exceptions import ConfigurationError, ShapeError
 
-from conftest import closed_form_basis, random_state
+from conftest import closed_form_basis, eigenphase_factor, random_state
 
 
 @pytest.fixture(scope="module")
@@ -236,8 +236,11 @@ def preset_ops(request):
     return jumps.assemble_noise_operators(model, level, symbols)
 
 
-@settings(max_examples=30, deadline=None)
+# order 0 is the jump map, orders 1 and 2 the jump differences: about 30
+# examples of each
+@settings(max_examples=90, deadline=None)
 @given(
+    order=st.sampled_from((0, 1, 2)),
     direction=st.lists(st.floats(-1.0, 1.0), min_size=4, max_size=4),
     keep=st.lists(st.booleans(), min_size=4, max_size=4),
     # normal magnitudes: on subnormal entries rounding is not relative
@@ -245,21 +248,31 @@ def preset_ops(request):
     seed=st.integers(0, 2**32 - 1),
 )
 # radius 61-77, degree 106-125: above the dimension of every 1-d level here
-@example(direction=[1.0] * 4, keep=[True] * 4, size=50.0, seed=0)
-def test_chebyshev_jump_matches_eigh(preset_ops, direction, keep, size, seed):
+@example(order=0, direction=[1.0] * 4, keep=[True] * 4, size=50.0, seed=0)
+# small marks: the series tail scales with r^order, and below radius 1e-17
+# the first remaining Taylor term stands in for the series
+@example(order=1, direction=[1.0] * 4, keep=[True] * 4, size=1e-6, seed=0)
+@example(order=2, direction=[1.0] * 4, keep=[True] * 4, size=1e-6, seed=0)
+@example(order=2, direction=[1.0] * 4, keep=[True] * 4, size=1e-30, seed=0)
+def test_chebyshev_jump_matches_eigh(preset_ops, order, direction, keep, size, seed):
+    # the remainder after the Taylor terms scales like min(1, r)^order
     ops = preset_ops
     mark = np.where(keep, direction, 0.0)
     norm = np.linalg.norm(mark)
     mark = mark * (size / norm) if norm > 1e-6 else np.zeros_like(mark)
     B = jumps.generator(ops, mark)
-    assert ops.radius(mark) >= np.linalg.norm(B, 2)
+    r = ops.radius(mark)
+    assert r >= np.linalg.norm(B, 2)
     theta, vectors = np.linalg.eigh(B)
     x = random_state(np.random.default_rng(seed), ops.dim)
-    expected = vectors @ (np.exp(-1j * theta) * (vectors.conj().T @ x))
-    y = jumps.jump_map(ops, mark, x)
+    expected = vectors @ (eigenphase_factor(theta, order) * (vectors.conj().T @ x))
+    series = (jumps.jump_map, jumps.jump_difference_1, jumps.jump_difference_2)[order]
+    y = series(ops, mark, x)
     nx = np.linalg.norm(x)
-    assert np.linalg.norm(y - expected) <= 1e-13 * nx
-    assert abs(np.linalg.norm(y) - nx) <= 1e-14 * nx
+    scale = max(np.linalg.norm(expected), min(1.0, r) ** order * nx)
+    assert np.linalg.norm(y - expected) <= 1e-13 * scale
+    if order == 0:
+        assert abs(np.linalg.norm(y) - nx) <= 1e-14 * nx
 
 
 def test_constant_symbols_commute(torus_model):

@@ -10,7 +10,7 @@ import pytest
 
 from jumpnls import nonlinear, solver, spectral
 from jumpnls.exceptions import ConfigurationError, NumericsError, ShapeError
-from jumpnls.jumps import _chebyshev_coefficients, generator, jump_difference_2, jump_map
+from jumpnls.jumps import _chebyshev_coefficients, generator, jump_map
 from jumpnls.noise import (
     AtomicMeasure,
     JumpEvent,
@@ -49,6 +49,8 @@ from jumpnls.spectral import (
     build_spectral_model,
     torus_1d,
 )
+
+from conftest import eigenphase_factor
 
 
 def decaying_initial(model, seed=11, rate=0.4):
@@ -229,9 +231,12 @@ def per_term_noise_drift(problem, closure, x):
         cov = moments.second_moment_small
         out += -0.5 * np.einsum("mn,mab,nbc->ac", cov, mats, mats) @ x
     else:
+        # each atom's V f(theta) V^H from its own eigendecomposition
         marks, weights = problem.measure.small_atoms()
         for weight, mark in zip(weights, marks):
-            out += weight * jump_difference_2(ops, mark, x)
+            theta, vectors = np.linalg.eigh(generator(ops, mark))
+            factor = eigenphase_factor(theta, 2)
+            out += weight * (vectors @ (factor * (vectors.conj().T @ x)))
     return out
 
 
@@ -664,6 +669,14 @@ def test_jump_path_makes_no_eigh_call(torus_model, cos_symbol, noise, monkeypatc
     coupled = simulate_coupled(low, high, config, events)
     small = simulate(tiny, config, events=events)
     assert record.events and coupled.record_high.events and small.events
+    if noise == "atomic":
+        # atoms below the cutoff: the AtomicExact compensator is built too
+        split = AtomicMeasure(marks=[[0.5], [-0.3], [0.8], [0.1], [-1e-30]],
+                              weights=[6.0, 6.0, 4.0, 3.0, 2.0], epsilon=0.2)
+        problem = dataclasses.replace(high, measure=split)
+        exact = simulate(problem, SolverConfig(dt=0.05, closure=CLOSURE_ATOMIC),
+                         sample_prm(split, 1.0, trajectory_rng(5, 2)))
+        assert exact.events
 
 
 def test_coupled_levels_identical_for_resolved_linear_flow(torus_model, cos_symbol):

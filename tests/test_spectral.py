@@ -200,6 +200,14 @@ def test_mihlin_refuses_overflowing_level():
             spectral.mihlin_suprema(n, max_order=max_order)
 
 
+@pytest.mark.parametrize("samples", [-1, 0, 1])
+def test_mihlin_refuses_fewer_than_two_samples(samples):
+    # an empty or one-point sample does not span the band
+    with pytest.raises(ValueError, match="samples"):
+        spectral.mihlin_suprema(3, samples=samples)
+    assert np.isfinite(spectral.mihlin_suprema(3, samples=2)).all()
+
+
 # ---------------------------------------------------------------------------
 # projections and smoothing
 # ---------------------------------------------------------------------------

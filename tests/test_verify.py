@@ -92,8 +92,8 @@ def test_fault_injection_chebyshev(monkeypatch):
 
     real = jumps_mod._chebyshev_coefficients
 
-    def conjugated(r):  # the series of exp(+i r x): the inverse jump
-        return [c.conjugate() for c in real(r)]
+    def conjugated(r, order=0):  # the series of exp(+i r x): the inverse jump
+        return [c.conjugate() for c in real(r, order)]
 
     monkeypatch.setattr(jumps_mod, "_chebyshev_coefficients", conjugated)
     results = {r.name: r for r in verify.run_checks(names=["chebyshev_jump"])}
