@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import math
 
 import numpy as np
 
@@ -152,12 +153,30 @@ def ensemble_moments(sup_ea_norm, seed: int = 0) -> dict:
         resamples = rng.integers(0, k, size=(block.stop - start, k))
         for values, means in zip(samples, boot_means):
             means[block] = np.mean(values[resamples], axis=1)
+    boot_means.sort(axis=1)
     return {
         r: (float(np.mean(values)),
-            float(np.quantile(means, lo_q)),
-            float(np.quantile(means, hi_q)))
+            _linear_quantile(means, lo_q),
+            _linear_quantile(means, hi_q))
         for r, values, means in zip(MOMENT_ORDERS, samples, boot_means)
     }
+
+
+def _linear_quantile(ordered: np.ndarray, q: float) -> float:
+    """``np.quantile(ordered, q)`` of sorted values, with the same arithmetic.
+
+    The default (linear) method interpolates between the neighbours of the
+    position ``(n - 1) q``; ``np.quantile`` finds them through ``np.unique``,
+    which imports ``numpy.ma``.
+    """
+    position = (len(ordered) - 1) * q
+    below = math.floor(position)
+    gamma = position - below
+    a, b = ordered[below], ordered[min(below + 1, len(ordered) - 1)]
+    # numpy's lerp: from the nearer end, so that gamma = 1 returns b exactly
+    if gamma >= 0.5:
+        return float(b - (b - a) * (1.0 - gamma))
+    return float(a + (b - a) * gamma)
 
 
 # ---------------------------------------------------------------------------

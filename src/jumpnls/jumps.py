@@ -5,17 +5,29 @@ is the smoothed, truncated multiplication operator
 
     M_m = (cutoff) * <h_j, e_m h_k> * (cutoff)
 
-assembled by grid quadrature, so every M_m is Hermitian.  Assembly runs in
-column blocks whose (block x grid) intermediates hold at most
-``ASSEMBLY_BLOCK_ENTRIES`` complex entries, so its memory is the operators
-plus a few blocks; a level whose operators would not fit in physical memory
-is refused before anything is allocated.
+by grid quadrature, so every M_m is Hermitian.  ``NoiseOperators.product``
+applies B(l) = sum_m l_m M_m, and the size test of
+``SpectralModel.transform_pair`` decides how a level holds its operators:
 
-A mark l in R^N combines the channels into the Hermitian generator
-B(l) = sum_m l_m M_m, and a jump acts through the time-1 unitary flow of
-``du/dt = -i B(l) u``.  The jump map, the jump differences
-exp(-iB) - 1 and exp(-iB) - 1 + iB and the atomic compensator all sum one
-Chebyshev expansion (Tal-Ezer & Kosloff, J. Chem. Phys. 81, 1984)
+* on a dense-pair level (modes x grid nodes at most
+  ``DENSE_PAIR_MAX_ENTRIES``) assembly builds the (N, dim, dim) matrices, and
+  a product multiplies by their combination;
+* on a transform-served level assembly keeps the symbols only, and a product
+  is ``s * from_grid((sum_m l_m e_m) * to_grid(s * x))``: one transform pair
+  whatever N, in column slices of ``ASSEMBLY_BLOCK_ENTRIES`` grid values.
+
+The matrices of a transform-served level are built when first read (through
+``matrices``, ``hermiticity_defect``, the level constants, ``generator`` or
+the solver's mean and Taylor2 drift terms), then cached, and every later
+product uses them.  The build runs in column blocks whose (block x grid)
+intermediates hold at most ``ASSEMBLY_BLOCK_ENTRIES`` complex entries, so its
+memory is the operators plus a few blocks; operators that would not fit in
+physical memory are refused before anything is allocated.
+
+A jump with mark l in R^N acts through the time-1 unitary flow of
+``du/dt = -i B(l) u``.  The jump map, the jump differences exp(-iB) - 1 and
+exp(-iB) - 1 + iB and the atomic compensator all sum one Chebyshev
+expansion (Tal-Ezer & Kosloff, J. Chem. Phys. 81, 1984)
 
     exp(-i B) u = sum_k (2 - delta_k0) (-i)^k J_k(r) T_k(B / r) u,
 
@@ -24,8 +36,8 @@ radius is r = max_x |sum_m l_m e_m(x)|: quadrature makes synthesis an
 isometry and the cutoff values are at most 1, so r bounds ||B(l)||.  The sum
 stops once k > r and J_k(r) is below round-off on the scale of the result,
 after about r + 11 r^(1/3) products at any degree, so every function of B(l)
-touches it only through products with vectors (with the identity for the
-compensator).
+touches it only through ``product`` (on the identity for the compensator) and
+no jump builds the matrices.
 
 The level constants ``bound_H`` and ``bound_EA`` (computed on first read) and
 ``estimate_lp_bound`` (an empirical estimate, computed on request) are the
@@ -70,20 +82,33 @@ _BESSEL_TAIL = 1e-17
 
 @dataclasses.dataclass
 class NoiseOperators:
-    """Assembled jump generators for one Galerkin level.
+    """Jump generators of one Galerkin level.
 
-    ``matrices[m]`` is the Hermitian matrix of channel m on the level basis,
-    assembled from the grid samples ``symbols[m]``.  ``hermiticity_defect``
-    records the largest entry deviation removed by symmetrization at
-    assembly.  ``energy_weights`` are ``sqrt(1 + lambda_A)`` on the level's
-    modes.
+    ``symbols[m]`` holds the grid samples of channel m and
+    ``energy_weights`` are ``sqrt(1 + lambda_A)`` on the level's modes.
+    ``matrices[m]`` is the Hermitian matrix of channel m on the level basis
+    and ``hermiticity_defect`` the largest entry deviation removed by
+    symmetrization; both are built on first read and then cached (at
+    assembly on a dense-pair level).
     """
 
     level: GalerkinLevel
-    matrices: np.ndarray           # (N, dim, dim) complex Hermitian
+    model: SpectralModel
     symbols: np.ndarray            # (N, num_grid) real
     energy_weights: np.ndarray     # (dim,)
-    hermiticity_defect: float
+
+    @functools.cached_property
+    def _dense(self) -> tuple[np.ndarray, float]:
+        return _assemble_matrices(self.model, self.level, self.symbols)
+
+    @property
+    def matrices(self) -> np.ndarray:
+        """(N, dim, dim) complex Hermitian channel matrices, built on first read."""
+        return self._dense[0]
+
+    @property
+    def hermiticity_defect(self) -> float:
+        return self._dense[1]
 
     @functools.cached_property
     def bound_H(self) -> float:
@@ -100,11 +125,11 @@ class NoiseOperators:
 
     @property
     def num_channels(self) -> int:
-        return self.matrices.shape[0]
+        return self.symbols.shape[0]
 
     @property
     def dim(self) -> int:
-        return self.matrices.shape[1]
+        return self.level.dim
 
     def radius(self, mark) -> float:
         """A bound on ``||B(l)||_2`` at O(grid) cost: ``max_x |sum_m l_m e_m(x)|``.
@@ -116,24 +141,46 @@ class NoiseOperators:
         peak = np.max(np.abs(_checked_mark(self, mark) @ self.symbols))
         return float(peak) * (1.0 + _RADIUS_MARGIN)
 
+    def product(self, mark):
+        """The map ``x -> B(l) x`` on a state or a (dim, k) block of states.
+
+        It multiplies by ``generator(mark)`` when the level holds its
+        matrices.  Otherwise it computes ``s * from_grid(e * to_grid(s * x))``
+        with ``e = sum_m l_m e_m`` through the level's transform pair,
+        ``ASSEMBLY_BLOCK_ENTRIES // num_grid`` columns at a time.
+        """
+        if "_dense" in vars(self):   # the matrices are built
+            matrix = generator(self, mark)
+            return lambda block: matrix @ block
+        symbol = _checked_mark(self, mark) @ self.symbols
+        smoother = self.level.multipliers
+        to_grid, from_grid = self.model.transform_pair(self.level.indices)
+        width = max(1, ASSEMBLY_BLOCK_ENTRIES // self.model.num_grid)
+
+        def apply(block):
+            columns = block.reshape(self.dim, -1)
+            out = np.empty(columns.shape, dtype=complex)
+            for start in range(0, columns.shape[1], width):
+                cols = slice(start, start + width)
+                rows = smoother * columns[:, cols].T   # row j holds column j
+                out[:, cols] = (smoother * from_grid(symbol * to_grid(rows))).T
+            return out.reshape(block.shape)
+
+        return apply
+
 
 def assemble_noise_operators(
     model: SpectralModel,
     level: GalerkinLevel,
     symbols,
 ) -> NoiseOperators:
-    """Quadrature assembly of the smoothed multiplication operators.
+    """Noise operators of ``level`` for the grid samples ``symbols``.
 
     ``symbols`` is an (N, num_grid) array (or list of grid samples) of
-    real-valued multiplier functions.  Column j of channel m is the smoothed
-    mode ``s_j h_j`` synthesized to the grid, multiplied by the symbol,
-    analyzed back and scaled by the cutoff again, all through the model's
-    transforms.  Columns go through in blocks of ``ASSEMBLY_BLOCK_ENTRIES``
-    grid values, and the Hermitian check and symmetrization in row/column
-    strips of the same width; each entry takes the arithmetic, and the bits,
-    of a single full-width pass.  Raises ``ConfigurationError`` before
-    allocating when the operators would exceed physical memory, and when a
-    channel's symbol has a non-finite grid sample.
+    real-valued multiplier functions.  Raises ``ConfigurationError`` when a
+    channel's symbol has a non-finite grid sample.  On a dense-pair level
+    (see ``SpectralModel.transform_served``) the matrices are built here;
+    on a transform-served level they wait for their first read.
     """
     symbols = np.atleast_2d(np.array(symbols, dtype=float))
     if symbols.ndim != 2 or symbols.shape[1] != model.num_grid:
@@ -143,6 +190,29 @@ def assemble_noise_operators(
     for m, symbol in enumerate(symbols):
         if not np.all(np.isfinite(symbol)):
             raise ConfigurationError(f"symbol of channel {m} has non-finite grid samples")
+    ops = NoiseOperators(
+        level=level,
+        model=model,
+        symbols=symbols,
+        energy_weights=np.sqrt(1.0 + model.eigenvalues_A[level.indices]),
+    )
+    if not model.transform_served(level.dim):
+        ops.matrices  # built now: every product on this level multiplies by them
+    return ops
+
+
+def _assemble_matrices(model: SpectralModel, level: GalerkinLevel, symbols: np.ndarray):
+    """Quadrature assembly of the smoothed multiplication operators and their defect.
+
+    Column j of channel m is the smoothed mode ``s_j h_j`` synthesized to
+    the grid, multiplied by the symbol, analyzed back and scaled by the
+    cutoff again, all through the model's transforms.  Columns go through in
+    blocks of ``ASSEMBLY_BLOCK_ENTRIES`` grid values, and the Hermitian check
+    and symmetrization in row/column strips of the same width; each entry
+    takes the arithmetic, and the bits, of a single full-width pass.  Raises
+    ``ConfigurationError`` before allocating when the operators would exceed
+    physical memory.
+    """
     channels, dim = symbols.shape[0], level.dim
     width = max(1, ASSEMBLY_BLOCK_ENTRIES // model.num_grid)
     _check_memory(16 * (channels * dim * dim + min(width, dim) * model.num_grid),
@@ -175,14 +245,7 @@ def assemble_noise_operators(
             f"assembled operator deviates from Hermitian by {defect:.3e} "
             f"(tolerance {HERMITICITY_TOLERANCE:.1e})"
         )
-
-    return NoiseOperators(
-        level=level,
-        matrices=matrices,
-        symbols=symbols,
-        energy_weights=np.sqrt(1.0 + model.eigenvalues_A[level.indices]),
-        hermiticity_defect=defect,
-    )
+    return matrices, defect
 
 
 def estimate_lp_bound(
@@ -217,7 +280,7 @@ def _checked_mark(ops: NoiseOperators, mark) -> np.ndarray:
 
 
 def generator(ops: NoiseOperators, mark) -> np.ndarray:
-    """Hermitian generator B(l) = sum_m l_m M_m for a mark l in R^N."""
+    """Hermitian generator B(l) = sum_m l_m M_m for a mark l in R^N, from ``matrices``."""
     return np.tensordot(_checked_mark(ops, mark), ops.matrices, axes=1)
 
 
@@ -273,7 +336,7 @@ def _series(ops: NoiseOperators, mark, block, order: int) -> np.ndarray:
     """exp(-i B(l)) minus its Taylor terms below ``order``, applied to ``block``.
 
     ``block`` is a state or a matrix whose columns are states.  The Chebyshev
-    series in B(l) / r costs one product with B(l) a term.  Below a radius
+    series in B(l) / r costs one ``product`` with B(l) a term.  Below a radius
     of ``_BESSEL_TAIL`` the result is the first remaining Taylor term
     (-i B)^order / order!, exact to rounding there.
     """
@@ -283,17 +346,18 @@ def _series(ops: NoiseOperators, mark, block, order: int) -> np.ndarray:
     mark = _checked_mark(ops, mark)
     r = ops.radius(mark)
     if r < _BESSEL_TAIL:
+        apply = ops.product(mark)
         out = block.copy()
         for k in range(1, order + 1):
-            out = (-1j / k) * (generator(ops, mark) @ out)
+            out = (-1j / k) * apply(out)
         return out
     coefficients = _chebyshev_coefficients(r, order)
     # T_{k+1} = 2 (B / r) T_k - T_{k-1}, with the 2 / r folded into the mark
-    twice_scaled = generator(ops, (2.0 / r) * mark)
-    previous, current = block, 0.5 * (twice_scaled @ block)
+    twice_scaled = ops.product((2.0 / r) * mark)
+    previous, current = block, 0.5 * twice_scaled(block)
     out = coefficients[0] * previous + coefficients[1] * current
     for coefficient in coefficients[2:]:
-        previous, current = current, twice_scaled @ current - previous
+        previous, current = current, twice_scaled(current) - previous
         out += coefficient * current
     return out
 

@@ -397,7 +397,10 @@ def _time_grid(horizon: float, dt: float, event_times, bytes_per_node: int) -> n
     nodes = n_steps + 1 + len(event_times)
     _check_memory(bytes_per_node * nodes,
                   f"the {nodes:.3g} time nodes of horizon {horizon!r} at dt = {dt!r}")
-    return np.union1d(np.linspace(0.0, horizon, int(n_steps) + 1), event_times)
+    # sorted, adjacent duplicates dropped: np.union1d without its numpy.ma import
+    grid = np.sort(np.concatenate([np.linspace(0.0, horizon, int(n_steps) + 1),
+                                   np.asarray(event_times, dtype=float)]))
+    return grid[np.concatenate(([True], grid[1:] != grid[:-1]))]
 
 
 def _check_events(problems, events) -> list[JumpEvent]:

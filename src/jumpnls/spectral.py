@@ -26,7 +26,10 @@ level) binds it with ``SpectralModel.transform_pair``.  On small mode sets a
 transform call costs more in call overhead than in arithmetic, so when the
 selected modes times the grid nodes number at most ``DENSE_PAIR_MAX_ENTRIES``
 that pair multiplies by a dense synthesis matrix, built by the fast transform
-itself, and its quadrature adjoint; the caller owns the matrices.
+itself, and its quadrature adjoint; the caller owns the matrices.  The same
+size test (``SpectralModel.transform_served``) decides whether a level's
+noise operators are dense matrices or products through the transforms
+(``jumps.NoiseOperators``).
 
 Two diagonal operators act on coefficients:
 
@@ -304,13 +307,21 @@ class SpectralModel:
         transforms, and from each other with the number of batch rows.
         """
         positions = self.positions if indices is None else self.positions[indices]
-        if positions.size * self.num_grid > DENSE_PAIR_MAX_ENTRIES:
+        if self.transform_served(positions.size):
             return (lambda coefficients: self._fast_synthesize(coefficients, positions),
                     lambda values: self._fast_analyze(values, positions))
         synthesis = self._fast_synthesize(np.eye(positions.size), positions)
         adjoint = np.ascontiguousarray(self.grid_weights[:, None] * synthesis.conj().T)
         return (lambda coefficients: coefficients @ synthesis,
                 lambda values: values @ adjoint)
+
+    def transform_served(self, num_selected: int) -> bool:
+        """Whether ``transform_pair`` serves ``num_selected`` modes by the fast transforms.
+
+        True when the selected modes times the grid nodes exceed
+        ``DENSE_PAIR_MAX_ENTRIES``; below that the pair is dense.
+        """
+        return num_selected * self.num_grid > DENSE_PAIR_MAX_ENTRIES
 
     def _fast_synthesize(self, coefficients: np.ndarray, positions: np.ndarray) -> np.ndarray:
         spectrum = np.zeros(coefficients.shape[:-1] + (self.num_grid,), dtype=complex)

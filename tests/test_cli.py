@@ -13,6 +13,7 @@ import pytest
 import jumpnls
 from jumpnls import spectral
 from jumpnls.cli import main
+from jumpnls.jumps import jump_map
 from jumpnls.solver import simulate_coupled
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -438,3 +439,49 @@ def test_import_loads_no_scipy():
         env={**os.environ, "PYTHONPATH": src}, timeout=60,
     )
     assert out.stdout.strip() == "[]"
+
+
+def test_runs_leave_numpy_ma_unimported(fast_config, tmp_path):
+    # np.union1d and np.quantile import numpy.ma, 9-12 ms of start-up; the
+    # time grid and the bootstrap bands avoid them.  scipy.fft imports it on
+    # interval domains, so the probe runs on a torus
+    probe = ("import sys; from jumpnls.cli import main; "
+             "code = main(sys.argv[1:]); print(code, 'numpy.ma' in sys.modules)")
+    src = str(Path(jumpnls.__file__).resolve().parents[1])
+    for argv in (["simulate", "--config", fast_config, "--out", str(tmp_path / "sim")],
+                 ["converge", "--config", fast_config, "--levels", "1,2"]):
+        out = subprocess.run(
+            [sys.executable, "-c", probe, *argv], capture_output=True, text=True,
+            check=True, env={**os.environ, "PYTHONPATH": src}, timeout=60,
+        )
+        assert out.stdout.strip().splitlines()[-1] == "0 False", argv
+
+
+def test_converge_on_transform_served_levels_builds_no_matrices(tmp_path, monkeypatch):
+    # converge-2d with more jumps: levels 4, 5 and 6 (dims 97, 193, 401 on
+    # 1024 nodes) are transform-served and the drift has no noise term, so
+    # the jumps run matrix-free and the run stays below one level-6 operator.
+    # Marks +-0.5 keep the mean exactly 0 (+-0.45 at weight 40 sum to a
+    # round-off mean of -4.4e-16, whose drift term reads the matrices)
+    text = (WORKLOAD_DIR / "converge-2d.ini").read_text(encoding="utf-8")
+    atoms = "0.45 : 2; -0.45 : 2"
+    assert atoms in text
+    config = tmp_path / "converge.ini"
+    config.write_text(text.replace(atoms, "0.5 : 40; -0.5 : 40"), encoding="utf-8")
+    jumps_applied = []
+
+    def counting(ops, mark, state):
+        jumps_applied.append(ops.dim)
+        return jump_map(ops, mark, state)
+
+    monkeypatch.setattr(jumpnls.solver, "jump_map", counting)
+    tracemalloc.start()
+    try:
+        code = main(["converge", "--config", str(config), "--levels", "4,5",
+                     "--trajectories", "1"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert set(jumps_applied) == {97, 193, 401}
+    assert peak < 16 * 401**2

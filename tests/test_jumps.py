@@ -100,20 +100,27 @@ def test_blocked_assembly_bit_identical(model_name, request):
 
 
 def test_assembly_memory_is_the_operator_plus_blocks():
-    # 2-d torus level 6: dim 401, grid 1024; a full-width pass peaks near 27.5 MiB
+    # 2-d torus level 6: dim 401, grid 1024, transform-served.  Assembly keeps
+    # the symbols only; the matrices are built on their first read, where a
+    # full-width pass would peak near 27.5 MiB
     model = spectral.build_spectral_model(spectral.torus_2d(2 * np.pi, 2 * np.pi),
                                           max_level=7)
     level = spectral.build_level(model, 6)
     symbols = [np.cos(model.grid_points[:, 0])]
-    jumps.assemble_noise_operators(model, level, symbols)  # transform plans
+    jumps.assemble_noise_operators(model, level, symbols).matrices  # transform plans
     tracemalloc.start()
     try:
         ops = jumps.assemble_noise_operators(model, level, symbols)
-        peak = tracemalloc.get_traced_memory()[1]
+        assembly_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        ops.matrices
+        build_peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert level.dim == 401 and model.num_grid == 1024
-    assert peak <= 4 * ops.matrices.nbytes + 4 * 2**20
+    assert model.transform_served(level.dim)
+    assert assembly_peak < 16 * level.dim**2  # below one operator
+    assert build_peak <= 4 * ops.matrices.nbytes + 4 * 2**20
 
 
 def test_assembly_refused_beyond_physical_memory(torus_model, monkeypatch):
@@ -126,6 +133,25 @@ def test_assembly_refused_beyond_physical_memory(torus_model, monkeypatch):
     for available in (needed, None):  # None: the platform cannot tell
         monkeypatch.setattr(spectral, "_physical_memory", lambda: available)
         assert jumps.assemble_noise_operators(torus_model, level, symbols).dim == level.dim
+
+
+def test_matrices_refused_on_read_beyond_physical_memory(torus2d_model, monkeypatch):
+    # a transform-served level assembles without its matrices and jumps
+    # without them; the guard fires when they are read
+    model = torus2d_model
+    level = spectral.build_level(model, 5)
+    symbols = [np.cos(model.grid_points[:, 0]), np.sin(model.grid_points[:, 1])]
+    assert model.transform_served(level.dim)
+    needed = 16 * (2 * level.dim**2 + level.dim * model.num_grid)
+    monkeypatch.setattr(spectral, "_physical_memory", lambda: needed - 1)
+    ops = jumps.assemble_noise_operators(model, level, symbols)
+    x = random_state(np.random.default_rng(3), level.dim)
+    y = jumps.jump_map(ops, [0.7, -0.4], x)
+    assert abs(np.linalg.norm(y) - np.linalg.norm(x)) <= 1e-14 * np.linalg.norm(x)
+    with pytest.raises(ConfigurationError, match=f"about {needed / 2**30:.3g} GiB"):
+        ops.matrices
+    monkeypatch.setattr(spectral, "_physical_memory", lambda: needed)
+    assert ops.matrices.shape == (2, level.dim, level.dim)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -236,6 +262,13 @@ def preset_ops(request):
     return jumps.assemble_noise_operators(model, level, symbols)
 
 
+def scaled_norm(v) -> float:
+    """2-norm of ``v`` taken on ``|v| / max|v|``, so tiny entries do not square to 0."""
+    magnitudes = np.abs(v)
+    peak = np.max(magnitudes)
+    return float(peak * np.linalg.norm(magnitudes / peak)) if peak > 0 else 0.0
+
+
 # order 0 is the jump map, orders 1 and 2 the jump differences: about 30
 # examples of each
 @settings(max_examples=90, deadline=None)
@@ -254,25 +287,37 @@ def preset_ops(request):
 @example(order=1, direction=[1.0] * 4, keep=[True] * 4, size=1e-6, seed=0)
 @example(order=2, direction=[1.0] * 4, keep=[True] * 4, size=1e-6, seed=0)
 @example(order=2, direction=[1.0] * 4, keep=[True] * 4, size=1e-30, seed=0)
+# results far below 1e-154, whose plain norms would square to zero
+@example(order=2, direction=[1.0] * 4, keep=[True] * 4, size=1e-100, seed=0)
+@example(order=1, direction=[1.0] * 4, keep=[True] * 4, size=1e-200, seed=0)
 def test_chebyshev_jump_matches_eigh(preset_ops, order, direction, keep, size, seed):
     # the remainder after the Taylor terms scales like min(1, r)^order
     ops = preset_ops
     mark = np.where(keep, direction, 0.0)
     norm = np.linalg.norm(mark)
     mark = mark * (size / norm) if norm > 1e-6 else np.zeros_like(mark)
+    x = random_state(np.random.default_rng(seed), ops.dim)
+    series = (jumps.jump_map, jumps.jump_difference_1, jumps.jump_difference_2)[order]
+    # on a transform-served level (the 2-d preset) the series runs matrix-free
+    # on operators whose matrices nothing has read yet
+    fresh = jumps.assemble_noise_operators(ops.model, ops.level, ops.symbols)
+    y = series(fresh, mark, x)
+    assert ("_dense" in vars(fresh)) != ops.model.transform_served(ops.dim)
     B = jumps.generator(ops, mark)
     r = ops.radius(mark)
     assert r >= np.linalg.norm(B, 2)
     theta, vectors = np.linalg.eigh(B)
-    x = random_state(np.random.default_rng(seed), ops.dim)
     expected = vectors @ (eigenphase_factor(theta, order) * (vectors.conj().T @ x))
-    series = (jumps.jump_map, jumps.jump_difference_1, jumps.jump_difference_2)[order]
-    y = series(ops, mark, x)
     nx = np.linalg.norm(x)
-    scale = max(np.linalg.norm(expected), min(1.0, r) ** order * nx)
-    assert np.linalg.norm(y - expected) <= 1e-13 * scale
+    scale = max(scaled_norm(expected), min(1.0, r) ** order * nx)
+    # second differences below |l| ~ 1e-154 are subnormal, where both sides
+    # round in absolute units of the smallest subnormal
+    floor = ops.dim * np.finfo(float).smallest_subnormal
+    assert scaled_norm(y - expected) <= 1e-13 * scale + floor
     if order == 0:
         assert abs(np.linalg.norm(y) - nx) <= 1e-14 * nx
+        fresh.matrices  # later products multiply by the built matrices
+        assert scaled_norm(jumps.jump_map(fresh, mark, x) - y) <= 1e-13 * nx
 
 
 def test_constant_symbols_commute(torus_model):

@@ -144,6 +144,20 @@ def test_time_grid_refused_beyond_physical_memory(torus_model, monkeypatch, reco
     assert len(simulate(problem, config, [], record_states=record_states).times) == 11
 
 
+@pytest.mark.parametrize("events", [
+    [], [0.0], [1.0], [0.25, 0.25, 0.25], [0.0, 0.3, 0.3, 0.61, 1.0, 1.0],
+    "node",
+])
+def test_time_grid_equals_union1d(events):
+    # the uniform nodes joined with the events, sorted and without repeats
+    nodes = np.linspace(0.0, 1.0, 11)
+    if events == "node":
+        events = [nodes[3], nodes[3], nodes[7]]  # 0.30000000000000004, exactly
+    grid = solver._time_grid(1.0, 0.1, events, 8)
+    expected = np.union1d(nodes, events)
+    assert grid.dtype == expected.dtype and grid.tobytes() == expected.tobytes()
+
+
 def test_drift_pure_diagonal(torus_model):
     problem = build_problem(torus_model, 5, decaying_initial(torus_model), 1.0)
     config = SolverConfig()
