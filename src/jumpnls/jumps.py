@@ -15,6 +15,10 @@ applies B(l) = sum_m l_m M_m, and the size test of
 * on a transform-served level assembly keeps the symbols only, and a product
   is ``s * from_grid((sum_m l_m e_m) * to_grid(s * x))``: one transform pair
   whatever N, in column slices of ``ASSEMBLY_BLOCK_ENTRIES`` grid values.
+  The operators bind the level's pair on their first product and keep it,
+  so on a 2-d torus below ``SEPARABLE_PAIR_MAX_MULADDS`` every product
+  multiplies by the separable factors, and elsewhere runs the fast
+  transforms.
 
 The matrices of a transform-served level are built when first read (through
 ``matrices``, ``hermiticity_defect``, the level constants, ``generator`` or
@@ -101,6 +105,11 @@ class NoiseOperators:
     def _dense(self) -> tuple[np.ndarray, float]:
         return _assemble_matrices(self.model, self.level, self.symbols)
 
+    @functools.cached_property
+    def _pair(self):
+        """The level's ``(to_grid, from_grid)``, bound on the first matrix-free product."""
+        return self.model.transform_pair(self.level.indices)
+
     @property
     def matrices(self) -> np.ndarray:
         """(N, dim, dim) complex Hermitian channel matrices, built on first read."""
@@ -154,7 +163,7 @@ class NoiseOperators:
             return lambda block: matrix @ block
         symbol = _checked_mark(self, mark) @ self.symbols
         smoother = self.level.multipliers
-        to_grid, from_grid = self.model.transform_pair(self.level.indices)
+        to_grid, from_grid = self._pair
         width = max(1, ASSEMBLY_BLOCK_ENTRIES // self.model.num_grid)
 
         def apply(block):

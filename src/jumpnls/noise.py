@@ -129,7 +129,10 @@ class AtomicMeasure:
 
     def moments(self) -> NoiseMoments:
         simulated, small = self._split()
-        mean = self.weights[simulated] @ self.marks[simulated]
+        # summed exactly: a BLAS dot of symmetric atoms may round to a nonzero
+        # mean, which would add a drift term
+        mean = [math.fsum(self.weights[simulated] * channel)
+                for channel in self.marks[simulated].T]
         sm = (self.weights[small, None] * self.marks[small]).T @ self.marks[small]
         return NoiseMoments(
             mean_simulated=np.asarray(mean, dtype=float).reshape(self.dimension),

@@ -21,15 +21,23 @@ basis in the tests' oracle (``tests/conftest.py::closed_form_basis``).
 
 ``SpectralModel.synthesize`` and ``analyze`` check shapes and run the fast
 transform, at every size; the model caches nothing.  A caller that
-transforms one mode set many times (the solver's drift workspace, once per
-level) binds it with ``SpectralModel.transform_pair``.  On small mode sets a
-transform call costs more in call overhead than in arithmetic, so when the
-selected modes times the grid nodes number at most ``DENSE_PAIR_MAX_ENTRIES``
-that pair multiplies by a dense synthesis matrix, built by the fast transform
-itself, and its quadrature adjoint; the caller owns the matrices.  The same
-size test (``SpectralModel.transform_served``) decides whether a level's
-noise operators are dense matrices or products through the transforms
-(``jumps.NoiseOperators``).
+transforms one mode set many times (the solver's drift workspace and the
+matrix-free noise operators, once per level) binds it with
+``SpectralModel.transform_pair``.  On small mode sets a transform call costs
+more in call overhead than in arithmetic, so the pair is served in one of
+three ways, each built by the fast transforms themselves and owned by the
+caller:
+
+* dense: when the selected modes times the grid nodes number at most
+  ``DENSE_PAIR_MAX_ENTRIES``, a synthesis matrix and its quadrature adjoint;
+* separable (2-d torus): above that, when a synthesis through per-axis DFT
+  factors on the rows and columns the modes occupy takes at most
+  ``SEPARABLE_PAIR_MAX_MULADDS`` multiply-adds, two small products each way;
+* fast transforms: otherwise.
+
+The first size test (``SpectralModel.transform_served``) also decides
+whether a level's noise operators are dense matrices or products through
+the pair (``jumps.NoiseOperators``).
 
 Two diagonal operators act on coefficients:
 
@@ -102,6 +110,17 @@ _DOMAIN_TABLE = {
 #: breaks even near 46 000 (181 x 256) and is 2-5x slower from 197 632
 #: (193 x 1024)
 DENSE_PAIR_MAX_ENTRIES = 2**15
+
+#: largest complex multiply-adds per synthesis, ``R0 * M1 * (R1 + M0)`` for
+#: modes on R0 x R1 spectrum rows and columns of an M0 x M1 grid, that
+#: ``transform_pair`` serves on a 2-d torus by separable per-axis DFT factors
+#: instead of ``fft2``.  Per row through both directions on one BLAS thread,
+#: fft2 time over separable time: 32^2 levels 3-7 (0.01-0.06 M) 3.9-1.5x
+#: (75-110 us -> 25-59 us); 46^2 levels 4-8 (to 0.19 M) 5.6-2.1x; 64^2 levels
+#: 7-9 (0.19, 0.31, 0.51 M) 1.6-1.3x, 1.3-1.1x, 0.9-0.7x; 92^2 levels 6-9
+#: (0.24-0.90 M) 4.1-1.5x, level 10 (1.53 M) 0.9x; 128^2 levels 7-11 (0.63,
+#: 1.00, 1.54, 2.55, 4.15 M) 2.0-1.8x, 1.4-1.3x, 0.97-0.91x, 0.7-1.0x, 0.4x
+SEPARABLE_PAIR_MAX_MULADDS = 2**20
 
 #: bytes the mode scan of :func:`build_spectral_model` takes per lattice point
 #: it visits: 170-190 B measured on a 2-d torus, at 6-7 us per point
@@ -297,31 +316,90 @@ class SpectralModel:
         """``(to_grid, from_grid)`` for the retained (or selected) modes, bound once.
 
         The callables do what :meth:`synthesize` and :meth:`analyze` do,
-        without the shape checks and the per-call lookups.  Above
-        ``DENSE_PAIR_MAX_ENTRIES`` they run the fast transforms on the
-        resolved mode positions.  Below it they multiply by a dense pair built
-        here and owned by the callables: ``S``, whose row j is mode
-        ``positions[j]`` synthesized by the fast transform, and its quadrature
-        adjoint ``w S^H``, which equals the fast analysis because the
-        transforms are unitary.  The products round differently from the
-        transforms, and from each other with the number of batch rows.
+        without the shape checks and the per-call lookups, served one of
+        three ways:
+
+        * up to ``DENSE_PAIR_MAX_ENTRIES`` modes x grid nodes, they multiply
+          by a dense pair built here: ``S``, whose row j is mode
+          ``positions[j]`` synthesized by the fast transform, and its
+          quadrature adjoint ``w S^H``, which equals the fast analysis
+          because the transforms are unitary.  The products round
+          differently from the transforms, and from each other with the
+          number of batch rows;
+        * above it on a 2-d torus, up to ``SEPARABLE_PAIR_MAX_MULADDS``
+          multiply-adds per synthesis, they multiply by per-axis DFT factors
+          (:meth:`_separable_pair`), which also round differently from the
+          transforms but not with the number of batch rows;
+        * otherwise they run the fast transforms on the resolved positions.
         """
         positions = self.positions if indices is None else self.positions[indices]
-        if self.transform_served(positions.size):
-            return (lambda coefficients: self._fast_synthesize(coefficients, positions),
-                    lambda values: self._fast_analyze(values, positions))
-        synthesis = self._fast_synthesize(np.eye(positions.size), positions)
-        adjoint = np.ascontiguousarray(self.grid_weights[:, None] * synthesis.conj().T)
-        return (lambda coefficients: coefficients @ synthesis,
-                lambda values: values @ adjoint)
+        if not self.transform_served(positions.size):
+            synthesis = self._fast_synthesize(np.eye(positions.size), positions)
+            adjoint = np.ascontiguousarray(self.grid_weights[:, None] * synthesis.conj().T)
+            return (lambda coefficients: coefficients @ synthesis,
+                    lambda values: values @ adjoint)
+        pair = self._separable_pair(positions) if self.domain.kind == TORUS_2D else None
+        if pair is not None:
+            return pair
+        return (lambda coefficients: self._fast_synthesize(coefficients, positions),
+                lambda values: self._fast_analyze(values, positions))
 
     def transform_served(self, num_selected: int) -> bool:
-        """Whether ``transform_pair`` serves ``num_selected`` modes by the fast transforms.
+        """Whether ``transform_pair`` serves ``num_selected`` modes by transforms.
 
         True when the selected modes times the grid nodes exceed
-        ``DENSE_PAIR_MAX_ENTRIES``; below that the pair is dense.
+        ``DENSE_PAIR_MAX_ENTRIES``, where the pair runs the fast transforms
+        or, on a 2-d torus, separable factors; below that the pair is dense.
         """
         return num_selected * self.num_grid > DENSE_PAIR_MAX_ENTRIES
+
+    def _separable_pair(self, positions: np.ndarray):
+        """The 2-d pair of ``positions`` as per-axis DFT factors on their support.
+
+        The modes occupy a block of spectrum rows and columns.  Synthesis
+        scatters the coefficients into that block ``Z`` and forms
+        ``F0 Z F1``, where row k of ``F_a`` is axis a's mode k on its nodes,
+        synthesized by the 1-d fast transform and divided by the root
+        weight; analysis forms ``G0 V G1`` with the forward factors and
+        gathers the modes back.  A batch goes through one product per
+        stacked matrix, so each row takes the bits it takes alone.  None
+        when a synthesis would take more than ``SEPARABLE_PAIR_MAX_MULADDS``
+        multiply-adds.
+        """
+        num_rows, num_cols = self.grid_shape
+        i0, i1 = np.divmod(positions, num_cols)
+        # bincount, not np.unique, which imports numpy.ma
+        rows = np.flatnonzero(np.bincount(i0, minlength=num_rows))
+        cols = np.flatnonzero(np.bincount(i1, minlength=num_cols))
+        if rows.size * num_cols * (cols.size + num_rows) > SEPARABLE_PAIR_MAX_MULADDS:
+            return None
+        slots = np.searchsorted(rows, i0) * cols.size + np.searchsorted(cols, i1)
+        block, support = (rows.size, cols.size), rows.size * cols.size
+
+        def factors(M, kept, to_grid):
+            # row k of the transformed identity is mode k on the axis nodes,
+            # or its analysis functional (the DFT matrices are symmetric)
+            return _transform(TORUS_1D, np.eye(M), (M,), to_grid)[kept]
+
+        scale = 1.0 / self.root_weight
+        left = np.ascontiguousarray(scale * factors(num_rows, rows, True).T)
+        right = factors(num_cols, cols, True)
+        left_adjoint = self.root_weight * factors(num_rows, rows, False)
+        right_adjoint = np.ascontiguousarray(factors(num_cols, cols, False).T)
+
+        def to_grid(coefficients):
+            batch = coefficients.shape[:-1]
+            spectrum = np.zeros(batch + (support,), dtype=complex)
+            spectrum.T[slots] = coefficients.T  # modes axis first
+            values = left @ (spectrum.reshape(batch + block) @ right)
+            return values.reshape(batch + (self.num_grid,))
+
+        def from_grid(values):
+            batch = values.shape[:-1]
+            spectrum = (left_adjoint @ values.reshape(batch + self.grid_shape)) @ right_adjoint
+            return spectrum.reshape(batch + (support,)).take(slots, axis=-1)
+
+        return to_grid, from_grid
 
     def _fast_synthesize(self, coefficients: np.ndarray, positions: np.ndarray) -> np.ndarray:
         spectrum = np.zeros(coefficients.shape[:-1] + (self.num_grid,), dtype=complex)

@@ -204,7 +204,9 @@ def test_simulate_memory_independent_of_trajectory_count(tmp_path):
         assert code == 0
         return peak, out
 
-    traced_peak(1)  # warm-up: first-call imports and caches
+    # warm-up: first-call imports and caches, with K >= 2 so that the
+    # ensemble moments run too
+    traced_peak(2)
     peak_2, out = traced_peak(2)
     peak_6, _ = traced_peak(6)
     nodes = len((out / "traj_0000.csv").read_text().splitlines()) - 1
@@ -457,17 +459,60 @@ def test_runs_leave_numpy_ma_unimported(fast_config, tmp_path):
         assert out.stdout.strip().splitlines()[-1] == "0 False", argv
 
 
+@pytest.mark.skipif((os.cpu_count() or 1) < 2,
+                    reason="a second BLAS thread needs a second CPU")
+def test_separable_2d_run_independent_of_blas_threads(tmp_path):
+    # level 9 of a 92 x 92 grid occupies 63 spectrum rows and columns: its
+    # pair is separable, and its factor products (92 x 63 x 92) are past the
+    # size below which OpenBLAS keeps a gemm on one thread.  The run writes
+    # the same bytes on one and on two threads, and loads neither numpy.ma
+    # nor scipy
+    model = spectral.build_spectral_model(spectral.torus_2d(2 * np.pi, 2 * np.pi),
+                                          max_level=10)
+    level = spectral.build_level(model, 9)
+    assert model.grid_shape == (92, 92) and model.transform_served(level.dim)
+    assert 63 * 92 * (63 + 92) <= spectral.SEPARABLE_PAIR_MAX_MULADDS
+    text = (WORKLOAD_DIR / "converge-2d.ini").read_text(encoding="utf-8")
+    for old, new in (("max_level = 7", "max_level = 10"), ("level = 6", "level = 9"),
+                     ("horizon = 0.1", "horizon = 0.05")):
+        assert f"\n{old}\n" in text
+        text = text.replace(f"\n{old}\n", f"\n{new}\n")
+    config = tmp_path / "separable.ini"
+    config.write_text(text, encoding="utf-8")
+    probe = ("import sys; from jumpnls.cli import main; code = main(sys.argv[1:]); "
+             "print(code, [m for m in sys.modules "
+             "if m == 'numpy.ma' or m.split('.')[0] == 'scipy'])")
+    src = str(Path(jumpnls.__file__).resolve().parents[1])
+    outs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}"
+        blas = {name: threads for name in
+                ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+        run = subprocess.run(
+            [sys.executable, "-c", probe, "simulate", "--config", str(config),
+             "--out", str(out), "--seed", "3"],
+            capture_output=True, text=True, check=True,
+            env={**os.environ, **blas, "PYTHONPATH": src}, timeout=120,
+        )
+        assert run.stdout.strip().splitlines()[-1] == "0 []", threads
+        outs.append(out)
+    one, two = outs
+    assert json.loads((one / "summary.json").read_text())["event_counts"] == [1, 0]
+    names = sorted(p.name for p in one.iterdir())
+    assert names == sorted(p.name for p in two.iterdir())
+    for name in names:
+        assert read(one / name) == read(two / name), name
+
+
 def test_converge_on_transform_served_levels_builds_no_matrices(tmp_path, monkeypatch):
     # converge-2d with more jumps: levels 4, 5 and 6 (dims 97, 193, 401 on
     # 1024 nodes) are transform-served and the drift has no noise term, so
     # the jumps run matrix-free and the run stays below one level-6 operator.
-    # Marks +-0.5 keep the mean exactly 0 (+-0.45 at weight 40 sum to a
-    # round-off mean of -4.4e-16, whose drift term reads the matrices)
+    # The mean of the symmetric atoms is summed exactly: at +-0.45 and weight
+    # 40 a BLAS dot gives -4.4e-16, whose drift term would read the matrices
     text = (WORKLOAD_DIR / "converge-2d.ini").read_text(encoding="utf-8")
     atoms = "0.45 : 2; -0.45 : 2"
     assert atoms in text
-    config = tmp_path / "converge.ini"
-    config.write_text(text.replace(atoms, "0.5 : 40; -0.5 : 40"), encoding="utf-8")
     jumps_applied = []
 
     def counting(ops, mark, state):
@@ -475,13 +520,18 @@ def test_converge_on_transform_served_levels_builds_no_matrices(tmp_path, monkey
         return jump_map(ops, mark, state)
 
     monkeypatch.setattr(jumpnls.solver, "jump_map", counting)
-    tracemalloc.start()
-    try:
-        code = main(["converge", "--config", str(config), "--levels", "4,5",
-                     "--trajectories", "1"])
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert code == 0
-    assert set(jumps_applied) == {97, 193, 401}
-    assert peak < 16 * 401**2
+    for mark in ("0.5", "0.45"):
+        config = tmp_path / f"converge_{mark}.ini"
+        config.write_text(text.replace(atoms, f"{mark} : 40; -{mark} : 40"),
+                          encoding="utf-8")
+        jumps_applied.clear()
+        tracemalloc.start()
+        try:
+            code = main(["converge", "--config", str(config), "--levels", "4,5",
+                         "--trajectories", "1"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert set(jumps_applied) == {97, 193, 401}
+        assert peak < 16 * 401**2, mark

@@ -154,6 +154,28 @@ def test_matrices_refused_on_read_beyond_physical_memory(torus2d_model, monkeypa
     assert ops.matrices.shape == (2, level.dim, level.dim)
 
 
+def test_matrix_free_products_bind_the_level_pair_once(torus2d_model, monkeypatch):
+    # binding a separable 2-d pair transforms its factors, so the operators
+    # bind it on their first product and every later jump reuses it
+    model = torus2d_model
+    level = spectral.build_level(model, 5)
+    assert model.transform_served(level.dim)
+    bound, transform_pair = [], spectral.SpectralModel.transform_pair
+
+    def counting(self, indices=None):
+        bound.append(indices)
+        return transform_pair(self, indices)
+
+    monkeypatch.setattr(spectral.SpectralModel, "transform_pair", counting)
+    ops = jumps.assemble_noise_operators(model, level, [np.cos(model.grid_points[:, 0])])
+    assert bound == []
+    x = random_state(np.random.default_rng(4), level.dim)
+    for mark in (0.7, -0.3, 1e-20):
+        jumps.jump_map(ops, [mark], x)
+        jumps.jump_difference_2(ops, [mark], np.eye(level.dim)[:, :3])
+    assert len(bound) == 1 and np.array_equal(bound[0], level.indices)
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_assembly_rejects_non_finite_symbols(torus_model, bad):
     # a NaN would otherwise read as a zero hermiticity defect and reach the

@@ -301,10 +301,12 @@ def test_transforms_match_closed_form(
                 lambda v: model.analyze(v, indices=indices))
 
     _check_transforms_match_closed_form(model, checked, batch, select, seed)
-    # the bound pair above the crossover (fast transforms) and below it (dense)
-    for max_entries in (0, 2**62):
+    # the bound pair above the dense crossover, on both sides of the 2-d
+    # separable one (fast transforms, separable factors), and below it (dense)
+    for max_entries, max_muladds in ((0, 0), (0, 2**62), (2**62, 0)):
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(spectral, "DENSE_PAIR_MAX_ENTRIES", max_entries)
+            patch.setattr(spectral, "SEPARABLE_PAIR_MAX_MULADDS", max_muladds)
             _check_transforms_match_closed_form(model, model.transform_pair,
                                                 batch, select, seed)
 
@@ -421,6 +423,46 @@ def test_transform_pair_binds_a_dense_pair_below_the_limit(monkeypatch):
     assert 2 * 16 * spectral.DENSE_PAIR_MAX_ENTRIES <= 2**20
 
 
+def test_transform_pair_binds_separable_factors_on_the_2d_torus(monkeypatch):
+    # 32 x 32 grid; level 6 (dim 401) occupies 23 spectrum rows and columns,
+    # so a synthesis takes 23 * 32 * (23 + 32) multiply-adds
+    model = spectral.build_spectral_model(spectral.torus_2d(2 * np.pi, 2 * np.pi),
+                                          max_level=7)
+    level = spectral.build_level(model, 6)
+    assert model.grid_shape == (32, 32) and model.transform_served(level.dim)
+    muladds = 23 * 32 * (23 + 32)
+    assert muladds <= spectral.SEPARABLE_PAIR_MAX_MULADDS
+    calls, transform = [], spectral._transform
+
+    def counting(kind, data, grid_shape, to_grid):
+        calls.append(kind)
+        return transform(kind, data, grid_shape, to_grid)
+
+    monkeypatch.setattr(spectral, "_transform", counting)
+    monkeypatch.setattr(spectral, "SEPARABLE_PAIR_MAX_MULADDS", muladds)
+    rng = np.random.default_rng(5)
+    c = random_state(rng, (2, 3, level.dim))
+    v = random_state(rng, (2, 3, model.num_grid))
+
+    # at the crossover: the 1-d factors are transformed once, when bound
+    to_grid, from_grid = model.transform_pair(level.indices)
+    assert calls == [spectral.TORUS_1D] * 4
+    values, coefficients = to_grid(c), from_grid(v)
+    assert calls == [spectral.TORUS_1D] * 4
+    # each batch row takes the bits it takes alone
+    for i, j in np.ndindex(2, 3):
+        assert to_grid(c[i, j]).tobytes() == values[i, j].tobytes()
+        assert from_grid(v[i, j]).tobytes() == coefficients[i, j].tobytes()
+    assert to_grid(c[1]).tobytes() == values[1].tobytes()
+    # one multiply-add above it: fft2 on every call
+    calls.clear()
+    monkeypatch.setattr(spectral, "SEPARABLE_PAIR_MAX_MULADDS", muladds - 1)
+    to_grid, from_grid = model.transform_pair(level.indices)
+    to_grid(c[0, 0])
+    from_grid(v[0, 0])
+    assert calls == [spectral.TORUS_2D] * 2
+
+
 @pytest.mark.parametrize("max_entries", [0, 2**62], ids=["fast", "dense"])
 @pytest.mark.parametrize(
     "model_name", ["torus_model", "dirichlet_model", "neumann_model", "torus2d_model"]
@@ -428,25 +470,32 @@ def test_transform_pair_binds_a_dense_pair_below_the_limit(monkeypatch):
 def test_synthesize_analyze_equal_transform_pair(model_name, max_entries, request,
                                                  monkeypatch):
     # the fast pair runs the same transforms as synthesize/analyze, bit for
-    # bit; the dense pair's products round differently
+    # bit; the dense and the separable 2-d pair's products round differently
     model = request.getfixturevalue(model_name)
     monkeypatch.setattr(spectral, "DENSE_PAIR_MAX_ENTRIES", max_entries)
     level = spectral.build_level(model, model.max_level - 1)
     rng = np.random.default_rng(13)
+    separable = max_entries == 0 and model.domain.kind == spectral.TORUS_2D
 
-    def agree(expected, got):
-        if max_entries == 0:
+    def agree(expected, got, exact):
+        if exact:
             return np.array_equal(expected, got)
         return np.max(np.abs(got - expected)) <= 1e-14 * np.max(np.abs(expected))
 
-    for indices in (None, level.indices):
-        to_grid, from_grid = model.transform_pair(indices)
-        c = random_state(rng, (2, model.num_modes if indices is None else level.dim))
-        v = random_state(rng, (2, model.num_grid))
-        assert agree(model.synthesize(c, indices=indices), to_grid(c))
-        assert agree(model.analyze(v, indices=indices), from_grid(v))
-        assert agree(model.synthesize(c[0], indices=indices), to_grid(c[0]))
-        assert agree(model.analyze(v[0], indices=indices), from_grid(v[0]))
+    # on the 2-d torus the fast side is the separable pair, then fft2 with
+    # the separable crossover at 0
+    for fft2 in ((False, True) if separable else (False,)):
+        if fft2:
+            monkeypatch.setattr(spectral, "SEPARABLE_PAIR_MAX_MULADDS", 0)
+        exact = max_entries == 0 and (fft2 or not separable)
+        for indices in (None, level.indices):
+            to_grid, from_grid = model.transform_pair(indices)
+            c = random_state(rng, (2, model.num_modes if indices is None else level.dim))
+            v = random_state(rng, (2, model.num_grid))
+            assert agree(model.synthesize(c, indices=indices), to_grid(c), exact)
+            assert agree(model.analyze(v, indices=indices), from_grid(v), exact)
+            assert agree(model.synthesize(c[0], indices=indices), to_grid(c[0]), exact)
+            assert agree(model.analyze(v[0], indices=indices), from_grid(v[0]), exact)
 
 
 def test_parseval(torus_model):
