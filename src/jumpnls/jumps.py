@@ -5,28 +5,18 @@ is the smoothed, truncated multiplication operator
 
     M_m = (cutoff) * <h_j, e_m h_k> * (cutoff)
 
-by grid quadrature, so every M_m is Hermitian.  ``NoiseOperators.product``
-applies B(l) = sum_m l_m M_m, and the size test of
-``SpectralModel.transform_pair`` decides how a level holds its operators:
+by grid quadrature, so every M_m is Hermitian.  Assembly keeps the symbols;
+``NoiseOperators.product`` applies B(l) = sum_m l_m M_m as
+``s * from_grid((sum_m l_m e_m) * to_grid(s * x))`` through the level's
+transform pair (``SpectralModel.transform_pair``), bound on the first product
+and kept: one pair per product whatever N, in column slices of
+``ASSEMBLY_BLOCK_ENTRIES`` grid values.
 
-* on a dense-pair level (modes x grid nodes at most
-  ``DENSE_PAIR_MAX_ENTRIES``) assembly builds the (N, dim, dim) matrices, and
-  a product multiplies by their combination;
-* on a transform-served level assembly keeps the symbols only, and a product
-  is ``s * from_grid((sum_m l_m e_m) * to_grid(s * x))``: one transform pair
-  whatever N, in column slices of ``ASSEMBLY_BLOCK_ENTRIES`` grid values.
-  The operators bind the level's pair on their first product and keep it,
-  so on a 2-d torus below ``SEPARABLE_PAIR_MAX_MULADDS`` every product
-  multiplies by the separable factors, and elsewhere runs the fast
-  transforms.
-
-The matrices of a transform-served level are built when first read (through
-``matrices``, ``hermiticity_defect``, the level constants, ``generator`` or
-the solver's mean and Taylor2 drift terms), then cached, and every later
-product uses them.  The build runs in column blocks whose (block x grid)
-intermediates hold at most ``ASSEMBLY_BLOCK_ENTRIES`` complex entries, so its
-memory is the operators plus a few blocks; operators that would not fit in
-physical memory are refused before anything is allocated.
+The dense matrices, ``generator``, the level constants and
+``estimate_lp_bound`` are oracles for tests and ``verify``, built on request;
+no run reads them.  The matrices are built in column blocks whose (block x
+grid) intermediates hold at most ``ASSEMBLY_BLOCK_ENTRIES`` complex entries,
+after a check that they fit in physical memory.
 
 A jump with mark l in R^N acts through the time-1 unitary flow of
 ``du/dt = -i B(l) u``.  The jump map, the jump differences exp(-iB) - 1 and
@@ -40,13 +30,11 @@ radius is r = max_x |sum_m l_m e_m(x)|: quadrature makes synthesis an
 isometry and the cutoff values are at most 1, so r bounds ||B(l)||.  The sum
 stops once k > r and J_k(r) is below round-off on the scale of the result,
 after about r + 11 r^(1/3) products at any degree, so every function of B(l)
-touches it only through ``product`` (on the identity for the compensator) and
-no jump builds the matrices.
+touches it only through ``product`` (on the identity for the compensator).
 
-The level constants ``bound_H`` and ``bound_EA`` (computed on first read) and
-``estimate_lp_bound`` (an empirical estimate, computed on request) are the
-sums of squared operator norms of the M_m in the respective spaces; the first
-two give the elementary inequalities
+The level constants ``bound_H`` and ``bound_EA`` and the empirical
+``estimate_lp_bound`` are the sums of squared operator norms of the M_m in
+the respective spaces; the first two give the elementary inequalities
 
     ||B(l)||        <= |l| sqrt(bound_H)
     ||e^{-iB(l)}x - x||           <= sqrt(bound_H) |l| ||x||
@@ -88,18 +76,15 @@ _BESSEL_TAIL = 1e-17
 class NoiseOperators:
     """Jump generators of one Galerkin level.
 
-    ``symbols[m]`` holds the grid samples of channel m and
-    ``energy_weights`` are ``sqrt(1 + lambda_A)`` on the level's modes.
-    ``matrices[m]`` is the Hermitian matrix of channel m on the level basis
-    and ``hermiticity_defect`` the largest entry deviation removed by
-    symmetrization; both are built on first read and then cached (at
-    assembly on a dense-pair level).
+    ``symbols[m]`` holds the grid samples of channel m.  ``matrices[m]`` is
+    the Hermitian matrix of channel m on the level basis and
+    ``hermiticity_defect`` the largest entry deviation removed by
+    symmetrization; both are built on first read and then cached.
     """
 
     level: GalerkinLevel
     model: SpectralModel
     symbols: np.ndarray            # (N, num_grid) real
-    energy_weights: np.ndarray     # (dim,)
 
     @functools.cached_property
     def _dense(self) -> tuple[np.ndarray, float]:
@@ -107,7 +92,7 @@ class NoiseOperators:
 
     @functools.cached_property
     def _pair(self):
-        """The level's ``(to_grid, from_grid)``, bound on the first matrix-free product."""
+        """The level's ``(to_grid, from_grid)``, bound on the first product."""
         return self.model.transform_pair(self.level.indices)
 
     @property
@@ -127,7 +112,7 @@ class NoiseOperators:
     @functools.cached_property
     def bound_EA(self) -> float:
         """Sum over channels of the squared operator norms of M_m on the energy space."""
-        w = self.energy_weights
+        w = np.sqrt(1.0 + self.model.eigenvalues_A[self.level.indices])
         return float(sum(
             np.linalg.norm(w[:, None] * M / w[None, :], 2) ** 2 for M in self.matrices
         ))
@@ -153,14 +138,10 @@ class NoiseOperators:
     def product(self, mark):
         """The map ``x -> B(l) x`` on a state or a (dim, k) block of states.
 
-        It multiplies by ``generator(mark)`` when the level holds its
-        matrices.  Otherwise it computes ``s * from_grid(e * to_grid(s * x))``
-        with ``e = sum_m l_m e_m`` through the level's transform pair,
+        It computes ``s * from_grid(e * to_grid(s * x))`` with
+        ``e = sum_m l_m e_m`` through the level's transform pair,
         ``ASSEMBLY_BLOCK_ENTRIES // num_grid`` columns at a time.
         """
-        if "_dense" in vars(self):   # the matrices are built
-            matrix = generator(self, mark)
-            return lambda block: matrix @ block
         symbol = _checked_mark(self, mark) @ self.symbols
         smoother = self.level.multipliers
         to_grid, from_grid = self._pair
@@ -187,9 +168,7 @@ def assemble_noise_operators(
 
     ``symbols`` is an (N, num_grid) array (or list of grid samples) of
     real-valued multiplier functions.  Raises ``ConfigurationError`` when a
-    channel's symbol has a non-finite grid sample.  On a dense-pair level
-    (see ``SpectralModel.transform_served``) the matrices are built here;
-    on a transform-served level they wait for their first read.
+    channel's symbol has a non-finite grid sample.
     """
     symbols = np.atleast_2d(np.array(symbols, dtype=float))
     if symbols.ndim != 2 or symbols.shape[1] != model.num_grid:
@@ -199,15 +178,7 @@ def assemble_noise_operators(
     for m, symbol in enumerate(symbols):
         if not np.all(np.isfinite(symbol)):
             raise ConfigurationError(f"symbol of channel {m} has non-finite grid samples")
-    ops = NoiseOperators(
-        level=level,
-        model=model,
-        symbols=symbols,
-        energy_weights=np.sqrt(1.0 + model.eigenvalues_A[level.indices]),
-    )
-    if not model.transform_served(level.dim):
-        ops.matrices  # built now: every product on this level multiplies by them
-    return ops
+    return NoiseOperators(level=level, model=model, symbols=symbols)
 
 
 def _assemble_matrices(model: SpectralModel, level: GalerkinLevel, symbols: np.ndarray):
@@ -258,7 +229,6 @@ def _assemble_matrices(model: SpectralModel, level: GalerkinLevel, symbols: np.n
 
 
 def estimate_lp_bound(
-    model: SpectralModel,
     ops: NoiseOperators,
     p: float,
     rng: np.random.Generator | None = None,
@@ -273,7 +243,7 @@ def estimate_lp_bound(
     ones = np.ones(ops.dim, dtype=complex)
     total = 0.0
     for M in ops.matrices:
-        est = _max_lp_ratio(model, lambda u: M @ u, p, rng, 32, extra=[ones],
+        est = _max_lp_ratio(ops.model, lambda u: M @ u, p, rng, 32, extra=[ones],
                             indices=ops.level.indices)
         total += est**2
     return total

@@ -39,13 +39,7 @@ import math
 import numpy as np
 
 from .exceptions import ConfigurationError, NumericsError, ShapeError
-from .jumps import (
-    NoiseOperators,
-    assemble_noise_operators,
-    difference_2_matrix,
-    generator,
-    jump_map,
-)
+from .jumps import NoiseOperators, assemble_noise_operators, difference_2_matrix, jump_map
 from .noise import AtomicMeasure, JumpEvent
 from .nonlinear import Nonlinearity, _pointwise_power, validate_exponent
 from .spectral import (
@@ -196,8 +190,9 @@ class _Dynamics:
     On a level every noise term of the drift is linear in the state: the
     compensated mean ``i B_n(m)``, the Taylor2 closure
     ``-1/2 sum_mn cov[m, n] M_m M_n`` or the AtomicExact compensator
-    ``sum_a w_a (exp(-i B(l_a)) - 1 + i B(l_a))``.  They are summed once into
-    ``noise_matrix`` (None when no term is present), so each drift
+    ``sum_a w_a (exp(-i B(l_a)) - 1 + i B(l_a))``.  Each is built by
+    ``NoiseOperators.product`` on the identity columns and they are summed
+    once into ``noise_matrix`` (None when no term is present), so each drift
     evaluation costs one matvec for the noise.  The nonlinearity goes
     through the level's transform pair (``SpectralModel.transform_pair``),
     bound here, so it costs two transforms and the pointwise power.  The
@@ -217,14 +212,16 @@ class _Dynamics:
             moments = problem.measure.moments()
             terms = []
             if np.any(moments.mean_simulated != 0.0):
-                terms.append(1j * generator(ops, moments.mean_simulated))
+                b_mean = ops.product(moments.mean_simulated)(np.eye(ops.dim, dtype=complex))
+                # its Hermitian part keeps i B_n(m) exactly skew-Hermitian
+                terms.append(0.5j * (b_mean + b_mean.conj().T))
             if config.closure == CLOSURE_TAYLOR2:
+                # sum_m cov[m, n] M_m is one product, with mark cov[:, n]
                 cov = moments.second_moment_small
-                if np.any(cov != 0.0):
-                    mats = ops.matrices
-                    closure = sum(cov[m, n] * (mats[m] @ mats[n])
-                                  for m, n in np.argwhere(cov != 0.0))
-                    terms.append(-0.5 * closure)
+                for unit, column in zip(np.eye(ops.num_channels), cov.T):
+                    if np.any(column != 0.0):
+                        m_n = ops.product(unit)(np.eye(ops.dim, dtype=complex))
+                        terms.append(-0.5 * ops.product(column)(m_n))
             else:
                 check_closure(config.closure, problem.measure)
                 marks, weights = problem.measure.small_atoms()

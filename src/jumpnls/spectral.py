@@ -22,7 +22,7 @@ basis in the tests' oracle (``tests/conftest.py::closed_form_basis``).
 ``SpectralModel.synthesize`` and ``analyze`` check shapes and run the fast
 transform, at every size; the model caches nothing.  A caller that
 transforms one mode set many times (the solver's drift workspace and the
-matrix-free noise operators, once per level) binds it with
+noise operators, once per level) binds it with
 ``SpectralModel.transform_pair``.  On small mode sets a transform call costs
 more in call overhead than in arithmetic, so the pair is served in one of
 three ways, each built by the fast transforms themselves and owned by the
@@ -34,10 +34,6 @@ caller:
   factors on the rows and columns the modes occupy takes at most
   ``SEPARABLE_PAIR_MAX_MULADDS`` multiply-adds, two small products each way;
 * fast transforms: otherwise.
-
-The first size test (``SpectralModel.transform_served``) also decides
-whether a level's noise operators are dense matrices or products through
-the pair (``jumps.NoiseOperators``).
 
 Two diagonal operators act on coefficients:
 
@@ -333,8 +329,8 @@ class SpectralModel:
         * otherwise they run the fast transforms on the resolved positions.
         """
         positions = self.positions if indices is None else self.positions[indices]
-        if not self.transform_served(positions.size):
-            synthesis = self._fast_synthesize(np.eye(positions.size), positions)
+        if positions.size * self.num_grid <= DENSE_PAIR_MAX_ENTRIES:
+            synthesis = self.synthesize(np.eye(positions.size), indices)
             adjoint = np.ascontiguousarray(self.grid_weights[:, None] * synthesis.conj().T)
             return (lambda coefficients: coefficients @ synthesis,
                     lambda values: values @ adjoint)
@@ -343,15 +339,6 @@ class SpectralModel:
             return pair
         return (lambda coefficients: self._fast_synthesize(coefficients, positions),
                 lambda values: self._fast_analyze(values, positions))
-
-    def transform_served(self, num_selected: int) -> bool:
-        """Whether ``transform_pair`` serves ``num_selected`` modes by transforms.
-
-        True when the selected modes times the grid nodes exceed
-        ``DENSE_PAIR_MAX_ENTRIES``, where the pair runs the fast transforms
-        or, on a 2-d torus, separable factors; below that the pair is dense.
-        """
-        return num_selected * self.num_grid > DENSE_PAIR_MAX_ENTRIES
 
     def _separable_pair(self, positions: np.ndarray):
         """The 2-d pair of ``positions`` as per-axis DFT factors on their support.

@@ -13,6 +13,7 @@ import pytest
 import jumpnls
 from jumpnls import spectral
 from jumpnls.cli import main
+from jumpnls.config import build_model_from_spec, load_config
 from jumpnls.jumps import jump_map
 from jumpnls.solver import simulate_coupled
 
@@ -459,26 +460,50 @@ def test_runs_leave_numpy_ma_unimported(fast_config, tmp_path):
         assert out.stdout.strip().splitlines()[-1] == "0 False", argv
 
 
-@pytest.mark.skipif((os.cpu_count() or 1) < 2,
-                    reason="a second BLAS thread needs a second CPU")
-def test_separable_2d_run_independent_of_blas_threads(tmp_path):
+#: case -> (workload, line replacements, whether the run may load scipy,
+#: event counts at seed 3)
+BLAS_THREAD_CASES = {
     # level 9 of a 92 x 92 grid occupies 63 spectrum rows and columns: its
     # pair is separable, and its factor products (92 x 63 x 92) are past the
-    # size below which OpenBLAS keeps a gemm on one thread.  The run writes
-    # the same bytes on one and on two threads, and loads neither numpy.ma
-    # nor scipy
-    model = spectral.build_spectral_model(spectral.torus_2d(2 * np.pi, 2 * np.pi),
-                                          max_level=10)
-    level = spectral.build_level(model, 9)
-    assert model.grid_shape == (92, 92) and model.transform_served(level.dim)
-    assert 63 * 92 * (63 + 92) <= spectral.SEPARABLE_PAIR_MAX_MULADDS
-    text = (WORKLOAD_DIR / "converge-2d.ini").read_text(encoding="utf-8")
-    for old, new in (("max_level = 7", "max_level = 10"), ("level = 6", "level = 9"),
-                     ("horizon = 0.1", "horizon = 0.05")):
+    # size below which OpenBLAS keeps a gemm on one thread
+    "separable_2d": ("converge-2d", (("max_level = 7", "max_level = 10"),
+                                     ("level = 6", "level = 9"),
+                                     ("horizon = 0.1", "horizon = 0.05")), False, [1, 0]),
+    # the Taylor2 closure of two channels at Dirichlet dim 181, from DST products
+    "taylor2_dirichlet": ("jumps-stable", (("trajectories = 4", "trajectories = 2"),),
+                          True, [57, 46]),
+    # the AtomicExact compensator of two small atoms and a nonzero mean at
+    # 1-d torus dim 181
+    "atomic_exact_torus": ("ensemble-1d", (("max_level = 9", "max_level = 12"),
+                                           ("level = 8", "level = 12"),
+                                           ("horizon = 0.5", "horizon = 0.25"),
+                                           ("trajectories = 16", "trajectories = 2")),
+                           False, [2, 4]),
+}
+
+
+@pytest.mark.skipif((os.cpu_count() or 1) < 2,
+                    reason="a second BLAS thread needs a second CPU")
+@pytest.mark.parametrize("case", sorted(BLAS_THREAD_CASES))
+def test_run_independent_of_blas_threads(tmp_path, case):
+    # every level is transform-served at dim 181 or more, where gemm and eigh
+    # round differently on two threads; the run writes the same bytes on one
+    # and on two threads
+    workload, replacements, loads_scipy, event_counts = BLAS_THREAD_CASES[case]
+    text = (WORKLOAD_DIR / f"{workload}.ini").read_text(encoding="utf-8")
+    for old, new in replacements:
         assert f"\n{old}\n" in text
         text = text.replace(f"\n{old}\n", f"\n{new}\n")
-    config = tmp_path / "separable.ini"
+    config = tmp_path / f"{case}.ini"
     config.write_text(text, encoding="utf-8")
+    spec = load_config(str(config))
+    model = build_model_from_spec(spec)
+    level = spectral.build_level(model, spec.galerkin.level)
+    assert level.dim >= 181
+    assert level.dim * model.num_grid > spectral.DENSE_PAIR_MAX_ENTRIES
+    if case == "separable_2d":
+        assert model.grid_shape == (92, 92)
+        assert 63 * 92 * (63 + 92) <= spectral.SEPARABLE_PAIR_MAX_MULADDS
     probe = ("import sys; from jumpnls.cli import main; code = main(sys.argv[1:]); "
              "print(code, [m for m in sys.modules "
              "if m == 'numpy.ma' or m.split('.')[0] == 'scipy'])")
@@ -494,14 +519,32 @@ def test_separable_2d_run_independent_of_blas_threads(tmp_path):
             capture_output=True, text=True, check=True,
             env={**os.environ, **blas, "PYTHONPATH": src}, timeout=120,
         )
-        assert run.stdout.strip().splitlines()[-1] == "0 []", threads
+        code, modules = run.stdout.strip().splitlines()[-1].split(" ", 1)
+        assert code == "0" and (loads_scipy or modules == "[]"), (threads, modules)
         outs.append(out)
     one, two = outs
-    assert json.loads((one / "summary.json").read_text())["event_counts"] == [1, 0]
+    assert json.loads((one / "summary.json").read_text())["event_counts"] == event_counts
     names = sorted(p.name for p in one.iterdir())
     assert names == sorted(p.name for p in two.iterdir())
     for name in names:
         assert read(one / name) == read(two / name), name
+
+
+def test_no_cli_run_builds_dense_operators(tmp_path, monkeypatch):
+    # every run product of the noise operators, the drift's noise terms
+    # included, goes through NoiseOperators.product; the dense matrices are
+    # for tests and verify alone
+    def refuse(*args):
+        raise AssertionError("a CLI run built the dense noise operators")
+
+    monkeypatch.setattr(jumpnls.jumps, "_assemble_matrices", refuse)
+    sources = sorted(CONFIG_DIR.glob("*.ini")) + sorted(WORKLOAD_DIR.glob("*.ini"))
+    assert len(sources) == 6
+    for source in sources:
+        assert main(["simulate", "--config", str(source), "--out",
+                     str(tmp_path / source.stem), "--trajectories", "1"]) == 0, source.name
+    assert main(["converge", "--config", str(WORKLOAD_DIR / "converge-2d.ini"),
+                 "--levels", "4,5"]) == 0
 
 
 def test_converge_on_transform_served_levels_builds_no_matrices(tmp_path, monkeypatch):

@@ -118,30 +118,22 @@ def test_assembly_memory_is_the_operator_plus_blocks():
     finally:
         tracemalloc.stop()
     assert level.dim == 401 and model.num_grid == 1024
-    assert model.transform_served(level.dim)
+    assert level.dim * model.num_grid > spectral.DENSE_PAIR_MAX_ENTRIES
     assert assembly_peak < 16 * level.dim**2  # below one operator
     assert build_peak <= 4 * ops.matrices.nbytes + 4 * 2**20
 
 
-def test_assembly_refused_beyond_physical_memory(torus_model, monkeypatch):
-    level = spectral.build_level(torus_model, 4)
-    symbols = [np.cos(torus_model.grid_points[:, 0])] * 2
-    needed = 16 * (2 * level.dim**2 + level.dim * torus_model.num_grid)
-    monkeypatch.setattr(spectral, "_physical_memory", lambda: needed - 1)
-    with pytest.raises(ConfigurationError, match=f"about {needed / 2**30:.3g} GiB"):
-        jumps.assemble_noise_operators(torus_model, level, symbols)
-    for available in (needed, None):  # None: the platform cannot tell
-        monkeypatch.setattr(spectral, "_physical_memory", lambda: available)
-        assert jumps.assemble_noise_operators(torus_model, level, symbols).dim == level.dim
-
-
-def test_matrices_refused_on_read_beyond_physical_memory(torus2d_model, monkeypatch):
-    # a transform-served level assembles without its matrices and jumps
-    # without them; the guard fires when they are read
-    model = torus2d_model
-    level = spectral.build_level(model, 5)
-    symbols = [np.cos(model.grid_points[:, 0]), np.sin(model.grid_points[:, 1])]
-    assert model.transform_served(level.dim)
+@pytest.mark.parametrize("domain,level_n", [("torus", 4), ("torus2d", 5)],
+                         ids=["dense_pair", "transform_served"])
+def test_matrices_refused_on_read_beyond_physical_memory(request, monkeypatch,
+                                                         domain, level_n):
+    # assembly keeps the symbols and jumps run without the matrices on every
+    # level; the guard fires when they are first read
+    model = request.getfixturevalue(f"{domain}_model")
+    level = spectral.build_level(model, level_n)
+    symbols = [np.cos(model.grid_points[:, 0]), np.sin(model.grid_points[:, -1])]
+    assert ((level.dim * model.num_grid > spectral.DENSE_PAIR_MAX_ENTRIES)
+            == (domain == "torus2d"))
     needed = 16 * (2 * level.dim**2 + level.dim * model.num_grid)
     monkeypatch.setattr(spectral, "_physical_memory", lambda: needed - 1)
     ops = jumps.assemble_noise_operators(model, level, symbols)
@@ -152,6 +144,9 @@ def test_matrices_refused_on_read_beyond_physical_memory(torus2d_model, monkeypa
         ops.matrices
     monkeypatch.setattr(spectral, "_physical_memory", lambda: needed)
     assert ops.matrices.shape == (2, level.dim, level.dim)
+    monkeypatch.setattr(spectral, "_physical_memory", lambda: None)  # cannot tell
+    ops = jumps.assemble_noise_operators(model, level, symbols)
+    assert ops.matrices.shape == (2, level.dim, level.dim)
 
 
 def test_matrix_free_products_bind_the_level_pair_once(torus2d_model, monkeypatch):
@@ -159,7 +154,7 @@ def test_matrix_free_products_bind_the_level_pair_once(torus2d_model, monkeypatc
     # bind it on their first product and every later jump reuses it
     model = torus2d_model
     level = spectral.build_level(model, 5)
-    assert model.transform_served(level.dim)
+    assert level.dim * model.num_grid > spectral.DENSE_PAIR_MAX_ENTRIES
     bound, transform_pair = [], spectral.SpectralModel.transform_pair
 
     def counting(self, indices=None):
@@ -210,8 +205,7 @@ def test_lp_bound_estimated_when_requested(torus_model):
     level = spectral.build_level(torus_model, 4)
     symbol = np.cos(torus_model.grid_points[:, 0])
     ops = jumps.assemble_noise_operators(torus_model, level, [symbol])
-    bound_Lp = jumps.estimate_lp_bound(torus_model, ops, 4.0,
-                                       rng=np.random.default_rng(5))
+    bound_Lp = jumps.estimate_lp_bound(ops, 4.0, rng=np.random.default_rng(5))
     assert bound_Lp is not None and 0.0 < bound_Lp < 10.0
 
 
@@ -320,11 +314,10 @@ def test_chebyshev_jump_matches_eigh(preset_ops, order, direction, keep, size, s
     mark = mark * (size / norm) if norm > 1e-6 else np.zeros_like(mark)
     x = random_state(np.random.default_rng(seed), ops.dim)
     series = (jumps.jump_map, jumps.jump_difference_1, jumps.jump_difference_2)[order]
-    # on a transform-served level (the 2-d preset) the series runs matrix-free
-    # on operators whose matrices nothing has read yet
+    # the series runs on operators whose matrices nothing reads
     fresh = jumps.assemble_noise_operators(ops.model, ops.level, ops.symbols)
     y = series(fresh, mark, x)
-    assert ("_dense" in vars(fresh)) != ops.model.transform_served(ops.dim)
+    assert "_dense" not in vars(fresh)
     B = jumps.generator(ops, mark)
     r = ops.radius(mark)
     assert r >= np.linalg.norm(B, 2)
@@ -338,8 +331,6 @@ def test_chebyshev_jump_matches_eigh(preset_ops, order, direction, keep, size, s
     assert scaled_norm(y - expected) <= 1e-13 * scale + floor
     if order == 0:
         assert abs(np.linalg.norm(y) - nx) <= 1e-14 * nx
-        fresh.matrices  # later products multiply by the built matrices
-        assert scaled_norm(jumps.jump_map(fresh, mark, x) - y) <= 1e-13 * nx
 
 
 def test_constant_symbols_commute(torus_model):

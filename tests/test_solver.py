@@ -354,9 +354,9 @@ def test_workspace_kernel_matches_eval_F(torus_model, torus2d_model, dense):
 @pytest.mark.parametrize("mode", [MODE_MIDPOINT, MODE_SPLITSTEP])
 @pytest.mark.parametrize("domain", ["torus", "torus2d"])
 def test_step_loop_makes_no_per_call_transforms(request, monkeypatch, domain, mode):
-    # the step loop goes through the workspace's bound transform pair; a
-    # synthesize/analyze or eval_F/eval_Fhat call from it would bring back
-    # the per-call lookups
+    # the step loop goes through the bound transform pairs; a synthesize/analyze
+    # or eval_F/eval_Fhat call from it would bring back the per-call lookups.
+    # Binding a dense pair synthesizes its matrix once
     model = request.getfixturevalue(f"{domain}_model")
     x = model.grid_points[:, 0]
     measure = AtomicMeasure(marks=[[0.5], [-0.3], [0.05]], weights=[6.0, 6.0, 3.0],
@@ -373,7 +373,7 @@ def test_step_loop_makes_no_per_call_transforms(request, monkeypatch, domain, mo
             return func(*args, **kwargs)
         return wrapper
 
-    for name in ("synthesize", "analyze"):
+    for name in ("synthesize", "analyze", "transform_pair"):
         monkeypatch.setattr(SpectralModel, name,
                             counting(name, getattr(SpectralModel, name)))
     for name in ("eval_F", "eval_Fhat"):
@@ -383,9 +383,15 @@ def test_step_loop_makes_no_per_call_transforms(request, monkeypatch, domain, mo
             if getattr(module, name, None) is original:
                 monkeypatch.setattr(module, name, counting(name, original))
 
-    for closure in (CLOSURE_TAYLOR2, CLOSURE_ATOMIC):
-        record = simulate(problem, SolverConfig(mode=mode, dt=0.05, closure=closure),
-                          sample_prm(measure, 0.2, trajectory_rng(7, 0)))
+    configs = [SolverConfig(mode=mode, dt=0.05, closure=closure)
+               for closure in (CLOSURE_TAYLOR2, CLOSURE_ATOMIC)]
+    for config in configs:
+        solver._dynamics(problem, config)
+    assert set(calls) <= {"transform_pair", "synthesize"}
+    assert calls.count("synthesize") <= calls.count("transform_pair")
+    calls.clear()
+    for config in configs:
+        record = simulate(problem, config, sample_prm(measure, 0.2, trajectory_rng(7, 0)))
         assert record.events and np.all(record.potential > 0)
     assert calls == []
 
