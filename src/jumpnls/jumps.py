@@ -6,11 +6,8 @@ is the smoothed, truncated multiplication operator
     M_m = (cutoff) * <h_j, e_m h_k> * (cutoff)
 
 by grid quadrature, so every M_m is Hermitian.  Assembly keeps the symbols;
-``NoiseOperators.product`` applies B(l) = sum_m l_m M_m as
-``s * from_grid((sum_m l_m e_m) * to_grid(s * x))`` through the level's
-transform pair (``SpectralModel.transform_pair``), bound on the first product
-and kept: one pair per product whatever N, in column slices of
-``ASSEMBLY_BLOCK_ENTRIES`` grid values.
+``NoiseOperators.product`` applies B(l) = sum_m l_m M_m through the pair that
+``build_level`` bound on the level.
 
 The dense matrices, ``generator``, the level constants and
 ``estimate_lp_bound`` are oracles for tests and ``verify``, built on request;
@@ -90,11 +87,6 @@ class NoiseOperators:
     def _dense(self) -> tuple[np.ndarray, float]:
         return _assemble_matrices(self.model, self.level, self.symbols)
 
-    @functools.cached_property
-    def _pair(self):
-        """The level's ``(to_grid, from_grid)``, bound on the first product."""
-        return self.model.transform_pair(self.level.indices)
-
     @property
     def matrices(self) -> np.ndarray:
         """(N, dim, dim) complex Hermitian channel matrices, built on first read."""
@@ -144,7 +136,7 @@ class NoiseOperators:
         """
         symbol = _checked_mark(self, mark) @ self.symbols
         smoother = self.level.multipliers
-        to_grid, from_grid = self._pair
+        to_grid, from_grid = self.level.to_grid, self.level.from_grid
         width = max(1, ASSEMBLY_BLOCK_ENTRIES // self.model.num_grid)
 
         def apply(block):

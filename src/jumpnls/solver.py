@@ -23,12 +23,8 @@ and first-order accurate in the mass budget, second order in the state.
 levels together over the shared jump-adapted grid.  A coupled run adds its
 dual-norm distance node by node, so it holds no state history.
 
-Each problem keeps one drift workspace per closure, built on first use: the
-folded noise matrix and the level's transform pair from
-``SpectralModel.transform_pair``.  The step loop evaluates the nonlinearity
-and records the energy through that pair, without the per-call checks and
-lookups of ``synthesize``/``analyze`` or ``eval_F``/``eval_Fhat``; the
-fixed-point iteration counts live in the run, not in the workspace.
+Each problem keeps one drift workspace per closure, built on first use, whose
+step loop transforms through the pair that ``build_level`` bound on the level.
 """
 
 from __future__ import annotations
@@ -116,6 +112,14 @@ class GalerkinProblem:
             )
         if self.measure is not None and self.ops is None:
             raise ConfigurationError("a jump measure requires noise operators")
+        if self.ops is not None and (
+                self.ops.model is not self.model
+                or not np.array_equal(self.ops.level.indices, self.level.indices)):
+            raise ConfigurationError(
+                f"noise operators of another model or level (level {self.ops.level.n}, "
+                f"dim {self.ops.dim}) than the problem's level {self.level.n} "
+                f"(dim {self.level.dim})"
+            )
         if self.ops is not None and self.measure is not None:
             if self.measure.dimension != self.ops.num_channels:
                 raise ConfigurationError(
@@ -193,17 +197,16 @@ class _Dynamics:
     ``sum_a w_a (exp(-i B(l_a)) - 1 + i B(l_a))``.  Each is built by
     ``NoiseOperators.product`` on the identity columns and they are summed
     once into ``noise_matrix`` (None when no term is present), so each drift
-    evaluation costs one matvec for the noise.  The nonlinearity goes
-    through the level's transform pair (``SpectralModel.transform_pair``),
-    bound here, so it costs two transforms and the pointwise power.  The
-    workspace holds no per-run state.
+    evaluation costs one matvec for the noise.  The nonlinearity costs the
+    level's two transforms and the pointwise power.  The workspace holds no
+    per-run state.
     """
 
     def __init__(self, problem: GalerkinProblem, config: SolverConfig):
-        model, idx = problem.model, problem.level.indices
-        self.lam = model.eigenvalues_A[idx]
+        model, level = problem.model, problem.level
+        self.lam = model.eigenvalues_A[level.indices]
         self.nl = problem.nonlinearity
-        self.to_grid, self.from_grid = model.transform_pair(idx)
+        self.to_grid, self.from_grid = level.to_grid, level.from_grid
         self.grid_weights = model.grid_weights
         self.noise_matrix = None
 

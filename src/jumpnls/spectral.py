@@ -20,20 +20,9 @@ row, a constructor, an INI row in ``config._DOMAINS`` and its closed-form
 basis in the tests' oracle (``tests/conftest.py::closed_form_basis``).
 
 ``SpectralModel.synthesize`` and ``analyze`` check shapes and run the fast
-transform, at every size; the model caches nothing.  A caller that
-transforms one mode set many times (the solver's drift workspace and the
-noise operators, once per level) binds it with
-``SpectralModel.transform_pair``.  On small mode sets a transform call costs
-more in call overhead than in arithmetic, so the pair is served in one of
-three ways, each built by the fast transforms themselves and owned by the
-caller:
-
-* dense: when the selected modes times the grid nodes number at most
-  ``DENSE_PAIR_MAX_ENTRIES``, a synthesis matrix and its quadrature adjoint;
-* separable (2-d torus): above that, when a synthesis through per-axis DFT
-  factors on the rows and columns the modes occupy takes at most
-  ``SEPARABLE_PAIR_MAX_MULADDS`` multiply-adds, two small products each way;
-* fast transforms: otherwise.
+transform, at every size; the model caches nothing.  ``build_level`` binds
+each level's pair once (``SpectralModel.transform_pair``: dense, separable on
+a 2-d torus, or the fast transforms), and every run-path product reads it.
 
 Two diagonal operators act on coefficients:
 
@@ -551,11 +540,13 @@ def build_spectral_model(
 
 @dataclasses.dataclass(frozen=True)
 class GalerkinLevel:
-    """Dyadic block of modes: indices with lambda_S < 2**(n+1), plus cutoff values."""
+    """Dyadic block of modes (lambda_S < 2**(n+1)), its cutoffs and bound transform pair."""
 
     n: int
     indices: np.ndarray       # indices into the model's mode table
     multipliers: np.ndarray   # cutoff values at the retained eigenvalues
+    to_grid: object = dataclasses.field(compare=False, repr=False)
+    from_grid: object = dataclasses.field(compare=False, repr=False)
 
     @property
     def dim(self) -> int:
@@ -570,7 +561,7 @@ def build_level(model: SpectralModel, n: int) -> GalerkinLevel:
     mask = model.eigenvalues_S < 2.0 ** (n + 1)
     indices = np.nonzero(mask)[0]
     multipliers = cutoff_multiplier(n, model.eigenvalues_S[indices])
-    return GalerkinLevel(n=n, indices=indices, multipliers=np.asarray(multipliers))
+    return GalerkinLevel(n, indices, np.asarray(multipliers), *model.transform_pair(indices))
 
 
 def apply_projection(level: GalerkinLevel, coefficients_full: np.ndarray) -> np.ndarray:

@@ -461,24 +461,30 @@ def test_runs_leave_numpy_ma_unimported(fast_config, tmp_path):
 
 
 #: case -> (workload, line replacements, whether the run may load scipy,
-#: event counts at seed 3)
+#: event counts at seed 3, whether the level is transform-served at dim 181
+#: or more, where gemm and eigh round differently on two threads)
 BLAS_THREAD_CASES = {
     # level 9 of a 92 x 92 grid occupies 63 spectrum rows and columns: its
     # pair is separable, and its factor products (92 x 63 x 92) are past the
     # size below which OpenBLAS keeps a gemm on one thread
     "separable_2d": ("converge-2d", (("max_level = 7", "max_level = 10"),
                                      ("level = 6", "level = 9"),
-                                     ("horizon = 0.1", "horizon = 0.05")), False, [1, 0]),
+                                     ("horizon = 0.1", "horizon = 0.05")),
+                     False, [1, 0], True),
     # the Taylor2 closure of two channels at Dirichlet dim 181, from DST products
     "taylor2_dirichlet": ("jumps-stable", (("trajectories = 4", "trajectories = 2"),),
-                          True, [57, 46]),
+                          True, [57, 46], True),
     # the AtomicExact compensator of two small atoms and a nonzero mean at
     # 1-d torus dim 181
     "atomic_exact_torus": ("ensemble-1d", (("max_level = 9", "max_level = 12"),
                                            ("level = 8", "level = 12"),
                                            ("horizon = 0.5", "horizon = 0.25"),
                                            ("trajectories = 16", "trajectories = 2")),
-                           False, [2, 4]),
+                           False, [2, 4], True),
+    # the same compensator and mean at dim 45 on 64 nodes, all through the
+    # level's dense pair
+    "dense_pair_torus": ("ensemble-1d", (("trajectories = 16", "trajectories = 2"),),
+                         False, [4, 6], False),
 }
 
 
@@ -486,10 +492,8 @@ BLAS_THREAD_CASES = {
                     reason="a second BLAS thread needs a second CPU")
 @pytest.mark.parametrize("case", sorted(BLAS_THREAD_CASES))
 def test_run_independent_of_blas_threads(tmp_path, case):
-    # every level is transform-served at dim 181 or more, where gemm and eigh
-    # round differently on two threads; the run writes the same bytes on one
-    # and on two threads
-    workload, replacements, loads_scipy, event_counts = BLAS_THREAD_CASES[case]
+    # the run writes the same bytes on one and on two threads
+    workload, replacements, loads_scipy, event_counts, large = BLAS_THREAD_CASES[case]
     text = (WORKLOAD_DIR / f"{workload}.ini").read_text(encoding="utf-8")
     for old, new in replacements:
         assert f"\n{old}\n" in text
@@ -499,8 +503,8 @@ def test_run_independent_of_blas_threads(tmp_path, case):
     spec = load_config(str(config))
     model = build_model_from_spec(spec)
     level = spectral.build_level(model, spec.galerkin.level)
-    assert level.dim >= 181
-    assert level.dim * model.num_grid > spectral.DENSE_PAIR_MAX_ENTRIES
+    assert (level.dim >= 181) == large
+    assert (level.dim * model.num_grid > spectral.DENSE_PAIR_MAX_ENTRIES) == large
     if case == "separable_2d":
         assert model.grid_shape == (92, 92)
         assert 63 * 92 * (63 + 92) <= spectral.SEPARABLE_PAIR_MAX_MULADDS
@@ -545,6 +549,26 @@ def test_no_cli_run_builds_dense_operators(tmp_path, monkeypatch):
                      str(tmp_path / source.stem), "--trajectories", "1"]) == 0, source.name
     assert main(["converge", "--config", str(WORKLOAD_DIR / "converge-2d.ini"),
                  "--levels", "4,5"]) == 0
+
+
+def test_cli_runs_bind_one_pair_per_level_built(tmp_path, monkeypatch):
+    # build_level binds each level's transform pair and nothing else does:
+    # simulate builds its level once; converge --levels 4,5 builds the fine
+    # level once and each coarse level once per trajectory (K = 2)
+    dims, transform_pair = [], spectral.SpectralModel.transform_pair
+
+    def counting(self, indices=None):
+        dims.append(len(indices))
+        return transform_pair(self, indices)
+
+    monkeypatch.setattr(spectral.SpectralModel, "transform_pair", counting)
+    assert main(["simulate", "--config", str(WORKLOAD_DIR / "ensemble-1d.ini"),
+                 "--out", str(tmp_path / "ensemble")]) == 0
+    assert dims == [45]
+    dims.clear()
+    assert main(["converge", "--config", str(WORKLOAD_DIR / "converge-2d.ini"),
+                 "--levels", "4,5"]) == 0
+    assert dims == [401, 97, 193, 97, 193]
 
 
 def test_converge_on_transform_served_levels_builds_no_matrices(tmp_path, monkeypatch):

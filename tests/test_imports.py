@@ -1,6 +1,7 @@
 """Static checks: every module uses each name it imports, every private
-top-level name the package defines is read somewhere in the package, and
-``__all__`` lists exactly the names the package imports."""
+top-level name the package defines is read somewhere in the package,
+``__all__`` lists exactly the names the package imports, and only
+``spectral.build_level`` and ``verify`` bind a transform pair."""
 
 import ast
 from pathlib import Path
@@ -66,6 +67,18 @@ def unread_private_names(sources: dict[str, str]) -> list[str]:
             if name not in read]
 
 
+def transform_pair_callers(sources: dict[str, str]) -> list[tuple[str, str]]:
+    """(module, top-level function or class) of every ``transform_pair`` call."""
+    callers = []
+    for module, source in sorted(sources.items()):
+        for node in ast.parse(source).body:
+            callers += [(module, getattr(node, "name", "<module>"))
+                        for call in ast.walk(node)
+                        if isinstance(call, ast.Call)
+                        and getattr(call.func, "attr", None) == "transform_pair"]
+    return callers
+
+
 def test_checker_flags_unused_names():
     source = (
         "from __future__ import annotations\n"
@@ -87,6 +100,26 @@ def test_checker_flags_unread_private_names():
         "b.py": "from . import a\nx = a._helper()\n",
     }
     assert unread_private_names(sources) == ["a.py line 2: _KINDS", "a.py line 3: _spare"]
+
+
+def test_checker_finds_transform_pair_callers():
+    sources = {
+        "a.py": ("def build():\n    return model.transform_pair(idx)\n"
+                 "class Ops:\n    def bind(self):\n        self.model.transform_pair()\n"
+                 "pair = model.transform_pair()\n"),
+        "b.py": "x = model.transform_pair\n",
+    }
+    assert transform_pair_callers(sources) == [("a.py", "build"), ("a.py", "Ops"),
+                                               ("a.py", "<module>")]
+
+
+def test_only_build_level_binds_a_transform_pair():
+    # one binding site on the run path: each level owns its pair, and the
+    # drift workspace and the noise operators read it; verify compares the
+    # pair with the transforms
+    sources = {p.name: p.read_text(encoding="utf-8") for p in PACKAGE_DIR.glob("*.py")}
+    callers = [c for c in transform_pair_callers(sources) if c[0] != "verify.py"]
+    assert callers == [("spectral.py", "build_level")]
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)

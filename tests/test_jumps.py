@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from jumpnls import config, jumps, spectral
+from jumpnls import config, jumps, noise, nonlinear, solver, spectral
 from jumpnls.exceptions import ConfigurationError, ShapeError
 
 from conftest import closed_form_basis, eigenphase_factor, random_state
@@ -149,12 +149,11 @@ def test_matrices_refused_on_read_beyond_physical_memory(request, monkeypatch,
     assert ops.matrices.shape == (2, level.dim, level.dim)
 
 
-def test_matrix_free_products_bind_the_level_pair_once(torus2d_model, monkeypatch):
-    # binding a separable 2-d pair transforms its factors, so the operators
-    # bind it on their first product and every later jump reuses it
+def test_build_level_binds_the_only_transform_pair(torus2d_model, monkeypatch):
+    # binding a separable 2-d pair transforms its factors; the level binds it
+    # once, and assembly, both closures' drift workspaces, jumps and simulate
+    # read it
     model = torus2d_model
-    level = spectral.build_level(model, 5)
-    assert level.dim * model.num_grid > spectral.DENSE_PAIR_MAX_ENTRIES
     bound, transform_pair = [], spectral.SpectralModel.transform_pair
 
     def counting(self, indices=None):
@@ -162,13 +161,70 @@ def test_matrix_free_products_bind_the_level_pair_once(torus2d_model, monkeypatc
         return transform_pair(self, indices)
 
     monkeypatch.setattr(spectral.SpectralModel, "transform_pair", counting)
+    level = spectral.build_level(model, 5)
+    assert level.dim * model.num_grid > spectral.DENSE_PAIR_MAX_ENTRIES
+    assert len(bound) == 1 and np.array_equal(bound[0], level.indices)
+    bound.clear()
     ops = jumps.assemble_noise_operators(model, level, [np.cos(model.grid_points[:, 0])])
-    assert bound == []
+    measure = noise.AtomicMeasure(marks=[[0.5], [-0.3], [0.05]], weights=[6.0, 6.0, 3.0],
+                                  epsilon=0.1)
+    decaying = np.exp(-0.5 * np.sqrt(model.eigenvalues_S))
+    initial = solver.renormalize_initial(model, level, decaying)
+    problem = solver.GalerkinProblem(model, level, 0.2, initial, nonlinear.defocusing(3.0),
+                                     ops, measure)
+    configs = [solver.SolverConfig(dt=0.05, closure=closure)
+               for closure in (solver.CLOSURE_TAYLOR2, solver.CLOSURE_ATOMIC)]
+    for config in configs:
+        solver._dynamics(problem, config)
     x = random_state(np.random.default_rng(4), level.dim)
     for mark in (0.7, -0.3, 1e-20):
         jumps.jump_map(ops, [mark], x)
         jumps.jump_difference_2(ops, [mark], np.eye(level.dim)[:, :3])
-    assert len(bound) == 1 and np.array_equal(bound[0], level.indices)
+    for k, config in enumerate(configs):
+        record = solver.simulate(problem, config,
+                                 noise.sample_prm(measure, 0.2, noise.trajectory_rng(7, k)))
+        assert record.events
+    assert bound == []
+
+
+#: pair way -> (DENSE_PAIR_MAX_ENTRIES, SEPARABLE_PAIR_MAX_MULADDS)
+PAIR_WAYS = {"dense": (2**62, 0), "separable": (0, 2**62), "fast": (0, 0)}
+
+
+@pytest.mark.parametrize("model_name,way", [
+    (name, way) for name in ("torus_model", "dirichlet_model", "neumann_model",
+                             "torus2d_model")
+    for way in PAIR_WAYS if way != "separable" or name == "torus2d_model"
+])
+def test_product_matches_dense_generator(request, monkeypatch, model_name, way):
+    # every way a level's pair is served, patched before the level binds it
+    model = request.getfixturevalue(model_name)
+    max_entries, max_muladds = PAIR_WAYS[way]
+    monkeypatch.setattr(spectral, "DENSE_PAIR_MAX_ENTRIES", max_entries)
+    monkeypatch.setattr(spectral, "SEPARABLE_PAIR_MAX_MULADDS", max_muladds)
+    calls, transform = [], spectral._transform
+
+    def counting(kind, data, grid_shape, to_grid):
+        calls.append(kind)
+        return transform(kind, data, grid_shape, to_grid)
+
+    monkeypatch.setattr(spectral, "_transform", counting)
+    # the transforms that binding runs tell the ways apart
+    binding = {"dense": [model.domain.kind], "separable": [spectral.TORUS_1D] * 4,
+               "fast": []}[way]
+    x = model.grid_points
+    symbols = [np.cos(x[:, 0]), np.sin(x[:, -1]) ** 2 - 0.3]
+    rng = np.random.default_rng(17)
+    for n in (model.max_level - 2, model.max_level - 1):
+        calls.clear()
+        level = spectral.build_level(model, n)
+        assert calls == binding
+        ops = jumps.assemble_noise_operators(model, level, symbols)
+        mark = rng.normal(size=2)
+        for block in (random_state(rng, level.dim), random_state(rng, (level.dim, 3))):
+            want = jumps.generator(ops, mark) @ block
+            got = ops.product(mark)(block)
+            assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

@@ -10,7 +10,12 @@ import pytest
 
 from jumpnls import nonlinear, solver, spectral
 from jumpnls.exceptions import ConfigurationError, NumericsError, ShapeError
-from jumpnls.jumps import _chebyshev_coefficients, generator, jump_map
+from jumpnls.jumps import (
+    _chebyshev_coefficients,
+    assemble_noise_operators,
+    generator,
+    jump_map,
+)
 from jumpnls.noise import (
     AtomicMeasure,
     JumpEvent,
@@ -101,6 +106,25 @@ def test_problem_validation(torus_model):
             symbols=np.cos(torus_model.grid_points[:, 0]),
             measure=AtomicMeasure(marks=[[0.3, 0.1]], weights=[1.0]),
         )
+
+
+def test_problem_refuses_noise_operators_of_another_level(torus_model, cos_symbol):
+    # the drift workspace and the operators both read the level's transform
+    # pair: operators of level 4 (dim 11) in a level-5 problem (dim 15), or of
+    # another model, are refused before the first step's matmul
+    measure = AtomicMeasure(marks=[[0.3]], weights=[1.0])
+    u0 = decaying_initial(torus_model)
+    coarse, fine = (build_problem(torus_model, n, u0, 1.0, symbols=cos_symbol,
+                                  measure=measure) for n in (4, 5))
+    assert (coarse.level.dim, fine.level.dim) == (11, 15)
+    other = build_spectral_model(torus_1d(2 * np.pi), beta=1.0, max_level=8)
+    foreign = assemble_noise_operators(other, build_level(other, 5), cos_symbol)
+    for ops in (coarse.ops, foreign):
+        with pytest.raises(ConfigurationError, match="another model or level"):
+            dataclasses.replace(fine, ops=ops)
+    # operators of the problem's model and level, assembled apart, are accepted
+    same = assemble_noise_operators(torus_model, build_level(torus_model, 5), cos_symbol)
+    assert dataclasses.replace(fine, ops=same).ops is same
 
 
 def test_renormalize_preserves_norm(torus_model):
@@ -354,9 +378,10 @@ def test_workspace_kernel_matches_eval_F(torus_model, torus2d_model, dense):
 @pytest.mark.parametrize("mode", [MODE_MIDPOINT, MODE_SPLITSTEP])
 @pytest.mark.parametrize("domain", ["torus", "torus2d"])
 def test_step_loop_makes_no_per_call_transforms(request, monkeypatch, domain, mode):
-    # the step loop goes through the bound transform pairs; a synthesize/analyze
-    # or eval_F/eval_Fhat call from it would bring back the per-call lookups.
-    # Binding a dense pair synthesizes its matrix once
+    # the step loop goes through the level's bound transform pair; a
+    # synthesize/analyze or eval_F/eval_Fhat call from it would bring back the
+    # per-call lookups.  build_level binds the pair, so binding the workspaces
+    # transforms nothing either
     model = request.getfixturevalue(f"{domain}_model")
     x = model.grid_points[:, 0]
     measure = AtomicMeasure(marks=[[0.5], [-0.3], [0.05]], weights=[6.0, 6.0, 3.0],
@@ -387,9 +412,7 @@ def test_step_loop_makes_no_per_call_transforms(request, monkeypatch, domain, mo
                for closure in (CLOSURE_TAYLOR2, CLOSURE_ATOMIC)]
     for config in configs:
         solver._dynamics(problem, config)
-    assert set(calls) <= {"transform_pair", "synthesize"}
-    assert calls.count("synthesize") <= calls.count("transform_pair")
-    calls.clear()
+    assert calls == []
     for config in configs:
         record = simulate(problem, config, sample_prm(measure, 0.2, trajectory_rng(7, 0)))
         assert record.events and np.all(record.potential > 0)
