@@ -54,6 +54,7 @@ from .jumps import (
 from .solver import (
     CoupledResult,
     GalerkinProblem,
+    JumpFreePath,
     SolverConfig,
     TrajectoryRecord,
     build_problem,
@@ -91,6 +92,7 @@ __all__ = [
     "GalerkinLevel",
     "GalerkinProblem",
     "JumpEvent",
+    "JumpFreePath",
     "NoiseMoments",
     "NoiseOperators",
     "Nonlinearity",

@@ -2,10 +2,12 @@
 
 Output files are byte-deterministic for a fixed effective configuration:
 floats are rendered with ``repr`` (shortest round-trip form), JSON keys are
-sorted and line endings are LF.  Trajectories run one after another, each on
-its own ``(master_seed, index)`` stream.  Each is written row by row as soon
-as it finishes and then reduced to its summary row, so a run holds one
-trajectory record at a time.
+sorted and line endings are LF.  Each trajectory's jump path is sampled on
+its own ``(master_seed, index)`` stream.  ``simulate`` runs the trajectories
+one after another in order of first jump (ties by index), so they share one
+jump-free path that only advances.  Each is written row by row as soon as it
+finishes and then reduced to its summary row, so a run holds one trajectory
+record at a time beside the jump-free path's.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from .config import (
 from .diagnostics import ensemble_moments
 from .exceptions import ConfigurationError, NumericsError
 from .noise import sample_prm, trajectory_rng, trajectory_seed
-from .solver import simulate, simulate_coupled
+from .solver import JumpFreePath, simulate, simulate_coupled
 
 _CSV_HEADER = "t,mass,kinetic,potential,energy,ea_norm"
 
@@ -97,13 +99,24 @@ def _cmd_simulate(args) -> int:
     model, problem = build_problem_from_spec(spec)
 
     os.makedirs(args.out, exist_ok=True)
-    event_counts, final_mass, sup_ea_norm, fp_iters_max = [], [], [], []
-    for k in range(spec.trajectories):
-        with _trajectory_context(k):
+    count = spec.trajectories
+    jump_free = JumpFreePath(problem, spec.solver, record_states=spec.output.save_states)
+    # each path is sampled here for its branch node alone and again when it runs
+    branch = [jump_free.branch_node(_jump_path(problem, spec.master_seed, k))
+              for k in range(count)]
+    event_counts, final_mass, sup_ea_norm, fp_iters_max = ([None] * count for _ in range(4))
+    for k in sorted(range(count), key=branch.__getitem__):
+        try:
             record = simulate(
                 problem, spec.solver, _jump_path(problem, spec.master_seed, k),
-                record_states=spec.output.save_states,
+                record_states=spec.output.save_states, jump_free=jump_free,
             )
+        except NumericsError as exc:
+            # a failed step of the jump-free path lies on every path that
+            # branches after it; the lowest such index is named
+            failed = k if jump_free.node >= branch[k] else min(
+                i for i in range(count) if branch[i] > jump_free.node)
+            raise NumericsError(f"trajectory {failed}: {exc}") from exc
         _write_lines(os.path.join(args.out, f"traj_{k:04d}.csv"),
                      _trajectory_rows(record))
         if spec.output.save_events and problem.measure is not None:
@@ -112,11 +125,11 @@ def _cmd_simulate(args) -> int:
         if spec.output.save_states:
             np.save(os.path.join(args.out, f"states_{k:04d}.npy"),
                     record.states)
-        event_counts.append(len(record.events))
-        final_mass.append(float(record.mass[-1]))
-        sup_ea_norm.append(float(np.max(record.ea_norm)))
-        fp_iters_max.append(record.fp_iters_max)
-        del record  # nothing of trajectory k is held while k + 1 runs
+        event_counts[k] = len(record.events)
+        final_mass[k] = float(record.mass[-1])
+        sup_ea_norm[k] = float(np.max(record.ea_norm))
+        fp_iters_max[k] = record.fp_iters_max
+        del record  # nothing of trajectory k is held while the next runs
 
     summary = {
         "config_hash": digest,

@@ -20,8 +20,12 @@ nonlinearity and an explicit Euler substep for the noise drift; it is cheaper
 and first-order accurate in the mass budget, second order in the state.
 
 ``simulate`` and ``simulate_coupled`` run one loop that advances a list of
-levels together over the shared jump-adapted grid.  A coupled run adds its
-dual-norm distance node by node, so it holds no state history.
+levels together over the shared jump-adapted grid, and that loop can stop
+at a node and resume there.  A coupled run adds its dual-norm distance node
+by node, so it holds no state history.  Before its first jump every
+trajectory of a problem follows the same jump-free path on the uniform
+nodes; a ``JumpFreePath`` steps it once for many trajectories, and
+``simulate`` copies it through the trajectory's branch node.
 
 Each problem keeps one drift workspace per closure, built on first use, whose
 step loop transforms through the pair that ``build_level`` bound on the level.
@@ -388,15 +392,18 @@ class TrajectoryRecord:
     fp_iters_max: int = 0
 
 
-def _time_grid(horizon: float, dt: float, event_times, bytes_per_node: int) -> np.ndarray:
+def _time_grid(horizon: float, dt: float, event_times, bytes_per_node: int,
+               held: int = 0) -> np.ndarray:
     """Uniform nodes of step ``dt`` joined with the event times.
 
-    Refuses a grid whose ``bytes_per_node`` estimate exceeds physical memory.
+    Refuses a grid whose ``bytes_per_node`` estimate, plus the ``held`` bytes
+    of a jump-free path beside it, exceeds physical memory.
     """
     n_steps = max(1, np.ceil(horizon / dt - 1e-9))   # inf when horizon/dt overflows
     nodes = n_steps + 1 + len(event_times)
-    _check_memory(bytes_per_node * nodes,
-                  f"the {nodes:.3g} time nodes of horizon {horizon!r} at dt = {dt!r}")
+    beside = " and the jump-free path" if held else ""
+    _check_memory(bytes_per_node * nodes + held,
+                  f"the {nodes:.3g} time nodes of horizon {horizon!r} at dt = {dt!r}{beside}")
     # sorted, adjacent duplicates dropped: np.union1d without its numpy.ma import
     grid = np.sort(np.concatenate([np.linspace(0.0, horizon, int(n_steps) + 1),
                                    np.asarray(event_times, dtype=float)]))
@@ -444,29 +451,49 @@ def _record_node(record: TrajectoryRecord, dyn: _Dynamics, i: int, u) -> None:
         record.states[i] = u
 
 
-def _run_levels(problems, config, events, record_states, on_node=None):
-    """Advance the levels in lockstep over the shared jump-adapted grid.
+@dataclasses.dataclass
+class _Run:
+    """A run in progress: the levels' ``states`` after the jumps at grid node
+    ``node``, recorded in rows 0..node of ``records``, whose ``fp_iters_max``
+    is the running maximum.  At node -1 the states are the initial ones."""
 
-    At each node every level steps, applies the jumps due there and records
-    (its state too if ``record_states``); ``on_node`` then gets the states.
-    """
-    times = [e.time for e in events]
+    records: list[TrajectoryRecord]
+    states: list[np.ndarray]
+    estimate: int               # the time-grid guard's bytes for the records
+    node: int = -1
+
+
+def _start(problems, config, events, record_states, held=0) -> _Run:
+    """A run of the levels at its start, with records over the jump-adapted grid."""
     # per node: the grid, ``ends`` and five record columns per level, in
     # float64, plus the complex states when recorded
     bytes_per_node = 8 * (2 + 5 * len(problems))
     if record_states:
         bytes_per_node += 16 * sum(p.level.dim for p in problems)
-    grid = _time_grid(problems[0].horizon, config.dt, times, bytes_per_node)
+    grid = _time_grid(problems[0].horizon, config.dt, [e.time for e in events],
+                      bytes_per_node, held)
+    records = [_new_record(p, _dynamics(p, config), grid, events, record_states)
+               for p in problems]
+    return _Run(records, [p.initial.astype(complex, copy=True) for p in problems],
+                bytes_per_node * len(grid))
+
+
+def _run_levels(problems, config, events, run, last=None, on_node=None):
+    """Advance ``run`` in lockstep over its grid, through node ``last`` (the end).
+
+    At each node every level steps, applies the jumps due there and records
+    (its state too if the records hold states); ``on_node`` then gets the states.
+    """
+    grid = run.records[0].times
+    last = len(grid) - 1 if last is None else last
     # the jumps due at node i are events[ends[i - 1]:ends[i]]
-    ends = np.searchsorted(times, grid, side="right")
+    ends = np.searchsorted([e.time for e in events], grid, side="right")
     stepper = _STEPPERS[config.mode]
     dyns = [_dynamics(p, config) for p in problems]
-    records = [_new_record(p, d, grid, events, record_states)
-               for p, d in zip(problems, dyns)]
-    states = [p.initial.astype(complex, copy=True) for p in problems]
-    fp_iters_max = [0] * len(problems)
+    records, states = run.records, run.states
 
-    for i, t in enumerate(grid):
+    for i in range(run.node + 1, last + 1):
+        t = grid[i]
         due = events[ends[i - 1] if i > 0 else 0:ends[i]]
         for k, problem in enumerate(problems):
             u = states[k]
@@ -480,17 +507,76 @@ def _run_levels(problems, config, events, record_states, on_node=None):
                         f"{level}step t={float(grid[i - 1])!r} -> {float(t)!r} "
                         f"(dt={tau:.3e}): {exc}"
                     ) from exc
-                fp_iters_max[k] = max(fp_iters_max[k], iterations)
+                records[k].fp_iters_max = max(records[k].fp_iters_max, iterations)
             for event in due:
                 u = jump_map(problem.ops, event.mark, u)
             _record_node(records[k], dyns[k], i, u)
             states[k] = u
+        run.node = i
         if on_node is not None:
             on_node(states)
-
-    for record, iterations in zip(records, fp_iters_max):
-        record.fp_iters_max = iterations
     return records
+
+
+class JumpFreePath:
+    """The path that every trajectory of ``problem`` follows before its first jump.
+
+    Up to the first event the jump-adapted grid is the uniform grid and the
+    state is the jump-free flow from ``problem.initial``, so all trajectories
+    of one problem and config share that prefix bit for bit.  The path holds
+    one record over the uniform nodes (with their states if
+    ``record_states``) and its state at the last node it reached.  It only
+    advances, so the ``simulate`` calls that share it come in order of
+    ``branch_node``.
+    """
+
+    def __init__(self, problem: GalerkinProblem, config: SolverConfig,
+                 record_states: bool = True):
+        self.problem, self.config = problem, config
+        self._run = _start([problem], config, [], record_states)
+
+    @property
+    def record(self) -> TrajectoryRecord:
+        return self._run.records[0]
+
+    @property
+    def node(self) -> int:
+        """The last uniform node reached, -1 before the first."""
+        return self._run.node
+
+    def branch_node(self, events) -> int:
+        """The last uniform node strictly before the first of ``events``.
+
+        -1 for an event at time 0, the last node for no events.
+        """
+        times = self.record.times
+        if not events:
+            return len(times) - 1
+        return int(np.searchsorted(times, events[0].time, side="left")) - 1
+
+    def _share(self, problem, config, run: _Run, events) -> None:
+        """Advance to the branch node of ``events`` and start ``run`` there."""
+        if problem is not self.problem or config != self.config:
+            raise ConfigurationError("the jump-free path is of another problem or config")
+        target = run.records[0]
+        if target.states is not None and self.record.states is None:
+            raise ConfigurationError("the jump-free path records no states")
+        j = self.branch_node(events)
+        if j < 0:
+            return
+        if j < self.node:
+            raise ConfigurationError(
+                f"the jump-free path is at node {self.node}, past the branch node {j}"
+            )
+        _run_levels([problem], config, [], self._run, last=j)
+        source = self.record
+        for column in ("mass", "kinetic", "potential", "energy", "ea_norm"):
+            getattr(target, column)[:j + 1] = getattr(source, column)[:j + 1]
+        if target.states is not None:
+            target.states[:j + 1] = source.states[:j + 1]
+        target.fp_iters_max = source.fp_iters_max
+        run.states = list(self._run.states)
+        run.node = j
 
 
 def simulate(
@@ -498,16 +584,23 @@ def simulate(
     config: SolverConfig,
     events: list[JumpEvent],
     record_states: bool = True,
+    jump_free: JumpFreePath | None = None,
 ) -> TrajectoryRecord:
     """Integrate one trajectory over [0, horizon] along the jump path ``events``.
 
     ``events`` is one realization of the problem's Poisson random measure
     (``noise.sample_prm``; ``[]`` if none), time-sorted within the horizon.
     The state is recorded at every grid node and every jump time, after the
-    jump is applied.
+    jump is applied.  With ``jump_free``, the rows through the path's branch
+    node are copied from it and only the rest is stepped; the record is the
+    same bit for bit.
     """
     events = _check_events([problem], events)
-    return _run_levels([problem], config, events, record_states)[0]
+    run = _start([problem], config, events, record_states,
+                 0 if jump_free is None else jump_free._run.estimate)
+    if jump_free is not None:
+        jump_free._share(problem, config, run, events)
+    return _run_levels([problem], config, events, run)[0]
 
 
 @dataclasses.dataclass(frozen=True)
@@ -562,8 +655,9 @@ def simulate_coupled(
         distances.append(np.sqrt(np.sum(np.abs(gap) ** 2 * inv_w)))
 
     problems = [problem_low, problem_high]
-    rec_low, rec_high = _run_levels(problems, config,
-                                    _check_events(problems, events),
-                                    False, add_distance)
+    events = _check_events(problems, events)
+    rec_low, rec_high = _run_levels(problems, config, events,
+                                    _start(problems, config, events, False),
+                                    on_node=add_distance)
     distances = np.array(distances)
     return CoupledResult(rec_low, rec_high, distances, float(np.max(distances)))

@@ -12,10 +12,10 @@ import pytest
 
 import jumpnls
 from jumpnls import spectral
-from jumpnls.cli import main
-from jumpnls.config import build_model_from_spec, load_config
+from jumpnls.cli import _jump_path, _trajectory_rows, main
+from jumpnls.config import build_model_from_spec, build_problem_from_spec, load_config
 from jumpnls.jumps import jump_map
-from jumpnls.solver import simulate_coupled
+from jumpnls.solver import JumpFreePath, simulate, simulate_coupled
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 WORKLOAD_DIR = Path(__file__).resolve().parent.parent / "perfbench" / "workloads"
@@ -187,11 +187,10 @@ master_seed = 5
 """
 
 
-def test_simulate_memory_independent_of_trajectory_count(tmp_path):
-    # each trajectory is reduced to its summary row once its CSV rows are
-    # written, so the run's peak is one trajectory's, whatever K
+def traced_peaks(tmp_path, text):
+    """Traced peaks of ``simulate`` runs of ``text`` with 2 and 6 trajectories."""
     config = tmp_path / "long.ini"
-    config.write_text(LONG_CONFIG, encoding="utf-8")
+    config.write_text(text, encoding="utf-8")
 
     def traced_peak(count):
         out = tmp_path / f"n{count}"
@@ -210,11 +209,45 @@ def test_simulate_memory_independent_of_trajectory_count(tmp_path):
     traced_peak(2)
     peak_2, out = traced_peak(2)
     peak_6, _ = traced_peak(6)
+    return peak_2, peak_6, out
+
+
+def test_simulate_memory_independent_of_trajectory_count(tmp_path):
+    # each trajectory is reduced to its summary row once its CSV rows are
+    # written, so the run's peak is one trajectory's and the jump-free
+    # path's, whatever K
+    peak_2, peak_6, out = traced_peaks(tmp_path, LONG_CONFIG)
     nodes = len((out / "traj_0000.csv").read_text().splitlines()) - 1
     assert nodes == 2001
     assert abs(peak_6 - peak_2) < 64 * 2**10
     # the time-grid guard's estimate is 56 B per node for one level
     assert max(peak_2, peak_6) < 3 * 56 * nodes
+
+
+def test_noisy_simulate_memory_independent_of_trajectory_count(tmp_path):
+    # with jumps the trajectories branch off the jump-free path at different
+    # nodes; the run still holds one record beside the path's, whatever K
+    noisy = LONG_CONFIG + "\n[noise]\nkind = atomic\nsymbols = cos\natoms = 0.3 : 2.0\n"
+    peak_2, peak_6, out = traced_peaks(tmp_path, noisy)
+    summary = json.loads((out / "summary.json").read_text())
+    assert all(count > 0 for count in summary["event_counts"])
+    assert abs(peak_6 - peak_2) < 64 * 2**10
+
+
+def test_noiseless_trajectories_are_the_jump_free_path(tmp_path):
+    # without noise every trajectory copies the whole jump-free path, which
+    # is the run of one trajectory without it
+    config = tmp_path / "quiet.ini"
+    config.write_text(FAST_CONFIG[:FAST_CONFIG.index("[noise]")]
+                      + FAST_CONFIG[FAST_CONFIG.index("[solver]"):], encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(config), "--out", str(out)]) == 0
+    spec = load_config(str(config))
+    record = simulate(build_problem_from_spec(spec)[1], spec.solver, [])
+    for k in range(3):
+        assert (out / f"traj_{k:04d}.csv").read_text() == "".join(_trajectory_rows(record))
+        assert np.load(out / f"states_{k:04d}.npy").tobytes() == record.states.tobytes()
+    assert not (out / "events_0000.csv").exists()
 
 
 def test_simulate_seed_override_changes_path(fast_config, tmp_path):
@@ -382,6 +415,28 @@ def test_numerics_error_names_trajectory_and_time(tmp_path, capsys):
     assert "failed to converge" in err
 
 
+def test_numerics_error_on_the_jump_free_path_names_its_first_trajectory(tmp_path, capsys):
+    # one fixed-point iteration converges no step.  At master seed 37 the
+    # three paths branch off the jump-free path at nodes 4, 2 and 1, so
+    # trajectory 2 runs first and fails on the path's first step; that step
+    # lies on all three paths, and trajectory 0 is named
+    text = (FAST_CONFIG.replace("max_fp_iters = 100", "max_fp_iters = 1")
+            .replace("max_halvings = 20", "max_halvings = 0")
+            .replace("master_seed = 5", "master_seed = 37"))
+    config = tmp_path / "stiff.ini"
+    config.write_text(text, encoding="utf-8")
+    spec = load_config(str(config))
+    _, problem = build_problem_from_spec(spec)
+    jump_free = JumpFreePath(problem, spec.solver, record_states=False)
+    assert [jump_free.branch_node(_jump_path(problem, 37, k)) for k in range(3)] == [4, 2, 1]
+    code = main(["simulate", "--config", str(config), "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.count("error:") == 1 and err.count("\n") == 1
+    assert err.startswith("error: trajectory 0: step t=0.0 -> 0.05 (dt=5.000e-02): ")
+    assert "failed to converge" in err
+
+
 @pytest.mark.parametrize("config,old,new,needle", [
     ("deterministic_cubic", "horizon = 1.0", "horizon = inf", "not a finite number"),
     ("atomic_cubic", "atoms = 0.45 : 2.0", "atoms = 0.45 : inf", "not a finite number"),
@@ -430,6 +485,21 @@ def test_shipped_configs_simulate(tmp_path):
     assert main(["simulate", "--config", config, "--out", str(out),
                  "--trajectories", "1"]) == 0
     assert (out / "traj_0000.csv").exists()
+
+
+def test_python_dash_m_runs_the_cli(tmp_path):
+    # ``python -m jumpnls`` exits with the code of ``cli.main``
+    src = str(Path(jumpnls.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    listed = subprocess.run([sys.executable, "-m", "jumpnls", "verify", "--list"],
+                            capture_output=True, text=True, env=env, timeout=60)
+    assert listed.returncode == 0
+    assert listed.stdout.split() == jumpnls.check_names()
+    missing = subprocess.run(
+        [sys.executable, "-m", "jumpnls", "simulate", "--config", str(tmp_path / "no.ini"),
+         "--out", str(tmp_path / "out")],
+        capture_output=True, text=True, env=env, timeout=60)
+    assert missing.returncode == 2 and missing.stderr.startswith("error:")
 
 
 def test_import_loads_no_scipy():

@@ -1,7 +1,8 @@
 """Static checks: every module uses each name it imports, every private
 top-level name the package defines is read somewhere in the package,
-``__all__`` lists exactly the names the package imports, and only
-``spectral.build_level`` and ``verify`` bind a transform pair."""
+``__all__`` lists exactly the names the package imports, only
+``spectral.build_level`` and ``verify`` bind a transform pair, and only
+``solver._run_levels`` and ``solver.step_between_jumps`` pick a stepper."""
 
 import ast
 from pathlib import Path
@@ -67,16 +68,24 @@ def unread_private_names(sources: dict[str, str]) -> list[str]:
             if name not in read]
 
 
+def top_level_sites(sources: dict[str, str], matches) -> list[tuple[str, str]]:
+    """(module, top-level function or class) of every node that ``matches``."""
+    return [(module, getattr(node, "name", "<module>"))
+            for module, source in sorted(sources.items())
+            for node in ast.parse(source).body
+            for inner in ast.walk(node) if matches(inner)]
+
+
 def transform_pair_callers(sources: dict[str, str]) -> list[tuple[str, str]]:
     """(module, top-level function or class) of every ``transform_pair`` call."""
-    callers = []
-    for module, source in sorted(sources.items()):
-        for node in ast.parse(source).body:
-            callers += [(module, getattr(node, "name", "<module>"))
-                        for call in ast.walk(node)
-                        if isinstance(call, ast.Call)
-                        and getattr(call.func, "attr", None) == "transform_pair"]
-    return callers
+    return top_level_sites(sources, lambda node: isinstance(node, ast.Call)
+                           and getattr(node.func, "attr", None) == "transform_pair")
+
+
+def stepper_lookups(sources: dict[str, str]) -> list[tuple[str, str]]:
+    """(module, top-level function or class) of every ``_STEPPERS[...]``."""
+    return top_level_sites(sources, lambda node: isinstance(node, ast.Subscript)
+                           and getattr(node.value, "id", None) == "_STEPPERS")
 
 
 def test_checker_flags_unused_names():
@@ -120,6 +129,21 @@ def test_only_build_level_binds_a_transform_pair():
     sources = {p.name: p.read_text(encoding="utf-8") for p in PACKAGE_DIR.glob("*.py")}
     callers = [c for c in transform_pair_callers(sources) if c[0] != "verify.py"]
     assert callers == [("spectral.py", "build_level")]
+
+
+def test_checker_finds_stepper_lookups():
+    sources = {"a.py": ("_STEPPERS = {}\ndef run():\n    return _STEPPERS[mode](x)\n"
+                        "def check(mode):\n    return mode in _STEPPERS, tuple(_STEPPERS)\n"
+                        "class Loop:\n    def step(self):\n        _STEPPERS['a'] = None\n")}
+    assert stepper_lookups(sources) == [("a.py", "run"), ("a.py", "Loop")]
+
+
+def test_one_step_loop_picks_the_stepper():
+    # the jump-free path and every trajectory advance through ``_run_levels``;
+    # a second step loop would have to look up a stepper of its own
+    sources = {p.name: p.read_text(encoding="utf-8") for p in PACKAGE_DIR.glob("*.py")}
+    assert stepper_lookups(sources) == [("solver.py", "step_between_jumps"),
+                                        ("solver.py", "_run_levels")]
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)

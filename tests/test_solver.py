@@ -7,6 +7,7 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from jumpnls import nonlinear, solver, spectral
 from jumpnls.exceptions import ConfigurationError, NumericsError, ShapeError
@@ -36,6 +37,7 @@ from jumpnls.solver import (
     MODE_MIDPOINT,
     MODE_SPLITSTEP,
     GalerkinProblem,
+    JumpFreePath,
     SolverConfig,
     _Dynamics,
     _new_record,
@@ -681,6 +683,127 @@ def test_simulate_event_validation(torus_model, cos_symbol):
                           symbols=cos_symbol, measure=measure)
     with pytest.raises(TypeError, match="events"):
         simulate_coupled(noisy, finer, SolverConfig(dt=0.1))
+
+
+@pytest.fixture(scope="module")
+def shared_problem(torus_model, cos_symbol):
+    # a nonzero mean and one atom below the cutoff, so both closures have a
+    # noise term beside the nonlinearity; horizon 0.3 at dt 0.05 gives 7 nodes
+    measure = AtomicMeasure(marks=[[0.5], [-0.3], [0.1]], weights=[2.0, 1.0, 3.0],
+                            epsilon=0.2)
+    return build_problem(torus_model, 4, decaying_initial(torus_model), 0.3,
+                         nonlinearity=defocusing(3.0), symbols=cos_symbol,
+                         measure=measure)
+
+
+@st.composite
+def jump_paths(draw):
+    """A time-sorted path on [0, 0.3] whose first event lies at 0, on a
+    uniform node of step 0.05, between two nodes, at the horizon, or nowhere."""
+    nodes = np.linspace(0.0, 0.3, 7)
+    kind = draw(st.sampled_from(["zero", "node", "between", "horizon", "none"]))
+    if kind == "none":
+        return []
+    if kind == "zero":
+        first = 0.0
+    elif kind == "horizon":
+        first = 0.3
+    else:
+        i = draw(st.integers(1, 6 if kind == "node" else 5))
+        first = float(nodes[i]) if kind == "node" else float(
+            nodes[i] + 0.05 * draw(st.floats(0.01, 0.99)))
+    later = draw(st.lists(st.floats(first, 0.3), max_size=3))
+    marks = draw(st.lists(st.sampled_from([0.5, -0.3]), min_size=1 + len(later),
+                          max_size=1 + len(later)))
+    return [JumpEvent(time=t, mark=np.array([m]))
+            for t, m in zip([first] + sorted(later), marks)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(mode=st.sampled_from([MODE_MIDPOINT, MODE_SPLITSTEP]),
+       closure=st.sampled_from([CLOSURE_TAYLOR2, CLOSURE_ATOMIC]),
+       record_states=st.booleans(),
+       paths=st.lists(jump_paths(), min_size=1, max_size=3))
+def test_jump_free_path_gives_the_same_record(shared_problem, mode, closure,
+                                              record_states, paths):
+    # the shared prefix is the same operations on the same inputs, so every
+    # trajectory's record is the one of a run without the jump-free path
+    problem = shared_problem
+    config = SolverConfig(mode=mode, dt=0.05, closure=closure)
+    jump_free = JumpFreePath(problem, config, record_states=record_states)
+    assert jump_free.node == -1
+    for events in sorted(paths, key=jump_free.branch_node):
+        alone = simulate(problem, config, events, record_states=record_states)
+        shared = simulate(problem, config, events, record_states=record_states,
+                          jump_free=jump_free)
+        for column in ("times", "mass", "kinetic", "potential", "energy", "ea_norm"):
+            assert getattr(shared, column).tobytes() == getattr(alone, column).tobytes()
+        assert (shared.states is None) == (not record_states)
+        if record_states:
+            assert shared.states.tobytes() == alone.states.tobytes()
+        assert shared.fp_iters_max == alone.fp_iters_max
+        assert shared.events == events
+        assert jump_free.node >= jump_free.branch_node(events)
+
+
+def test_branch_node_is_the_last_uniform_node_before_the_first_jump(shared_problem):
+    jump_free = JumpFreePath(shared_problem, SolverConfig(dt=0.05))
+    nodes = jump_free.record.times
+    assert nodes.tobytes() == np.linspace(0.0, 0.3, 7).tobytes()
+    mark = np.array([0.5])
+    for first, branch in ((0.0, -1), (nodes[1], 0), (0.12, 2), (nodes[3], 2),
+                          (0.3, 5), (None, 6)):
+        events = [] if first is None else [JumpEvent(time=first, mark=mark),
+                                           JumpEvent(time=0.3, mark=mark)]
+        assert jump_free.branch_node(events) == branch, first
+
+
+def test_jump_free_path_refuses_another_run(shared_problem):
+    config = SolverConfig(dt=0.05)
+    mark = np.array([0.5])
+    late, early = ([JumpEvent(time=t, mark=mark)] for t in (0.27, 0.12))
+    jump_free = JumpFreePath(shared_problem, config, record_states=False)
+    with pytest.raises(ConfigurationError, match="records no states"):
+        simulate(shared_problem, config, late, jump_free=jump_free)
+    for problem, other in ((dataclasses.replace(shared_problem), config),
+                           (shared_problem, SolverConfig(dt=0.1))):
+        with pytest.raises(ConfigurationError, match="another problem or config"):
+            simulate(problem, other, late, record_states=False, jump_free=jump_free)
+    assert jump_free.node == -1
+    simulate(shared_problem, config, late, record_states=False, jump_free=jump_free)
+    assert jump_free.node == 5
+    # it only advances: an earlier branch node is refused, a jump at 0 shares nothing
+    with pytest.raises(ConfigurationError, match="past the branch node 2"):
+        simulate(shared_problem, config, early, record_states=False, jump_free=jump_free)
+    at_zero = [JumpEvent(time=0.0, mark=mark)]
+    assert (simulate(shared_problem, config, at_zero, record_states=False,
+                     jump_free=jump_free).mass.tobytes()
+            == simulate(shared_problem, config, at_zero, record_states=False).mass.tobytes())
+
+
+@pytest.mark.parametrize("record_states", [False, True])
+def test_time_grid_guard_counts_the_jump_free_path(shared_problem, monkeypatch,
+                                                   record_states):
+    # the jump-free path holds a record over the 7 uniform nodes beside the
+    # trajectory's record over 7 + 2 nodes, each at 56 B per node plus the state
+    config = SolverConfig(dt=0.05)
+    per_node = 8 * (2 + 5) + (16 * shared_problem.level.dim if record_states else 0)
+    needed = (7 + 9) * per_node
+    mark = np.array([0.5])
+    events = [JumpEvent(time=0.12, mark=mark), JumpEvent(time=0.21, mark=mark)]
+    monkeypatch.setattr(spectral, "_physical_memory", lambda: needed - 1)
+    jump_free = JumpFreePath(shared_problem, config, record_states=record_states)
+    assert len(simulate(shared_problem, config, events,
+                        record_states=record_states).times) == 9
+    with pytest.raises(ConfigurationError) as refused:
+        simulate(shared_problem, config, events, record_states=record_states,
+                 jump_free=jump_free)
+    message = str(refused.value)
+    assert "the 9 time nodes of horizon 0.3 at dt = 0.05 and the jump-free path" in message
+    assert f"about {needed / 2**30:.3g} GiB" in message
+    monkeypatch.setattr(spectral, "_physical_memory", lambda: needed)
+    assert len(simulate(shared_problem, config, events, record_states=record_states,
+                        jump_free=jump_free).times) == 9
 
 
 @pytest.mark.parametrize("noise", ["atomic", "radial_stable"])
