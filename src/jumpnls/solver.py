@@ -21,11 +21,12 @@ and first-order accurate in the mass budget, second order in the state.
 
 ``simulate`` and ``simulate_coupled`` run one loop that advances a list of
 levels together over the shared jump-adapted grid, and that loop can stop
-at a node and resume there.  A coupled run adds its dual-norm distance node
-by node, so it holds no state history.  Before its first jump every
-trajectory of a problem follows the same jump-free path on the uniform
-nodes; a ``JumpFreePath`` steps it once for many trajectories, and
-``simulate`` copies it through the trajectory's branch node.
+at a node and resume there.  The loop only steps and applies the jumps; after
+each node an observer reads the states.  ``simulate``'s fills its record, and a
+coupled run's writes the dual-norm distance and keeps nothing else.  Before its
+first jump every trajectory of a problem follows the same jump-free path on
+the uniform nodes; a ``JumpFreePath`` steps it once for many trajectories,
+and ``simulate`` copies it through the trajectory's branch node.
 
 Each problem keeps one drift workspace per closure, built on first use, whose
 step loop transforms through the pair that ``build_level`` bound on the level.
@@ -453,50 +454,49 @@ def _record_node(record: TrajectoryRecord, dyn: _Dynamics, i: int, u) -> None:
 
 @dataclasses.dataclass
 class _Run:
-    """A run in progress: the levels' ``states`` after the jumps at grid node
-    ``node``, recorded in rows 0..node of ``records``, whose ``fp_iters_max``
-    is the running maximum.  At node -1 the states are the initial ones."""
+    """The levels' ``states`` after the jumps at node ``node`` of ``grid`` (-1:
+    the initial states), with the largest fixed-point iteration count so far."""
 
-    records: list[TrajectoryRecord]
+    grid: np.ndarray
     states: list[np.ndarray]
-    estimate: int               # the time-grid guard's bytes for the records
     node: int = -1
+    fp_iters_max: int = 0
 
 
-def _start(problems, config, events, record_states, held=0) -> _Run:
-    """A run of the levels at its start, with records over the jump-adapted grid."""
-    # per node: the grid, ``ends`` and five record columns per level, in
-    # float64, plus the complex states when recorded
-    bytes_per_node = 8 * (2 + 5 * len(problems))
-    if record_states:
-        bytes_per_node += 16 * sum(p.level.dim for p in problems)
-    grid = _time_grid(problems[0].horizon, config.dt, [e.time for e in events],
-                      bytes_per_node, held)
-    records = [_new_record(p, _dynamics(p, config), grid, events, record_states)
-               for p in problems]
-    return _Run(records, [p.initial.astype(complex, copy=True) for p in problems],
-                bytes_per_node * len(grid))
+def _record_bytes_per_node(problem, record_states) -> int:
+    """The grid, ``ends`` and five float64 record columns, plus the state if recorded."""
+    return 8 * (2 + 5) + (16 * problem.level.dim if record_states else 0)
 
 
-def _run_levels(problems, config, events, run, last=None, on_node=None):
+def _recorded_run(problem, config, events, record_states, held=0):
+    """A run of one level at its start, its record over the jump-adapted grid
+    and the observer that fills the record node by node."""
+    grid = _time_grid(problem.horizon, config.dt, [e.time for e in events],
+                      _record_bytes_per_node(problem, record_states), held)
+    dyn = _dynamics(problem, config)
+    record = _new_record(problem, dyn, grid, events, record_states)
+    return (_Run(grid, [problem.initial.astype(complex, copy=True)]), record,
+            lambda i, states: _record_node(record, dyn, i, states[0]))
+
+
+def _run_levels(problems, config, events, run, on_node, last=None):
     """Advance ``run`` in lockstep over its grid, through node ``last`` (the end).
 
-    At each node every level steps, applies the jumps due there and records
-    (its state too if the records hold states); ``on_node`` then gets the states.
+    At each node every level steps and applies the jumps due there; then
+    ``on_node(i, states)`` observes the states.  The loop records nothing itself.
     """
-    grid = run.records[0].times
+    grid = run.grid
     last = len(grid) - 1 if last is None else last
     # the jumps due at node i are events[ends[i - 1]:ends[i]]
     ends = np.searchsorted([e.time for e in events], grid, side="right")
     stepper = _STEPPERS[config.mode]
     dyns = [_dynamics(p, config) for p in problems]
-    records, states = run.records, run.states
 
     for i in range(run.node + 1, last + 1):
         t = grid[i]
         due = events[ends[i - 1] if i > 0 else 0:ends[i]]
         for k, problem in enumerate(problems):
-            u = states[k]
+            u = run.states[k]
             if i > 0:
                 tau = t - grid[i - 1]
                 try:
@@ -507,15 +507,12 @@ def _run_levels(problems, config, events, run, last=None, on_node=None):
                         f"{level}step t={float(grid[i - 1])!r} -> {float(t)!r} "
                         f"(dt={tau:.3e}): {exc}"
                     ) from exc
-                records[k].fp_iters_max = max(records[k].fp_iters_max, iterations)
+                run.fp_iters_max = max(run.fp_iters_max, iterations)
             for event in due:
                 u = jump_map(problem.ops, event.mark, u)
-            _record_node(records[k], dyns[k], i, u)
-            states[k] = u
+            run.states[k] = u
         run.node = i
-        if on_node is not None:
-            on_node(states)
-    return records
+        on_node(i, run.states)
 
 
 class JumpFreePath:
@@ -533,11 +530,10 @@ class JumpFreePath:
     def __init__(self, problem: GalerkinProblem, config: SolverConfig,
                  record_states: bool = True):
         self.problem, self.config = problem, config
-        self._run = _start([problem], config, [], record_states)
-
-    @property
-    def record(self) -> TrajectoryRecord:
-        return self._run.records[0]
+        self._run, self.record, self._on_node = _recorded_run(problem, config, [],
+                                                              record_states)
+        # the time-grid guard's bytes for the record, held beside each trajectory's
+        self._held = _record_bytes_per_node(problem, record_states) * len(self._run.grid)
 
     @property
     def node(self) -> int:
@@ -554,11 +550,11 @@ class JumpFreePath:
             return len(times) - 1
         return int(np.searchsorted(times, events[0].time, side="left")) - 1
 
-    def _share(self, problem, config, run: _Run, events) -> None:
-        """Advance to the branch node of ``events`` and start ``run`` there."""
+    def _share(self, problem, config, run: _Run, target, events) -> None:
+        """Advance to the branch node of ``events``, start ``run`` there and
+        copy the path's record through that node into ``target``."""
         if problem is not self.problem or config != self.config:
             raise ConfigurationError("the jump-free path is of another problem or config")
-        target = run.records[0]
         if target.states is not None and self.record.states is None:
             raise ConfigurationError("the jump-free path records no states")
         j = self.branch_node(events)
@@ -568,15 +564,15 @@ class JumpFreePath:
             raise ConfigurationError(
                 f"the jump-free path is at node {self.node}, past the branch node {j}"
             )
-        _run_levels([problem], config, [], self._run, last=j)
+        _run_levels([problem], config, [], self._run, self._on_node, last=j)
         source = self.record
+        source.fp_iters_max = self._run.fp_iters_max
         for column in ("mass", "kinetic", "potential", "energy", "ea_norm"):
             getattr(target, column)[:j + 1] = getattr(source, column)[:j + 1]
         if target.states is not None:
             target.states[:j + 1] = source.states[:j + 1]
-        target.fp_iters_max = source.fp_iters_max
         run.states = list(self._run.states)
-        run.node = j
+        run.node, run.fp_iters_max = j, self._run.fp_iters_max
 
 
 def simulate(
@@ -596,25 +592,25 @@ def simulate(
     same bit for bit.
     """
     events = _check_events([problem], events)
-    run = _start([problem], config, events, record_states,
-                 0 if jump_free is None else jump_free._run.estimate)
+    run, record, on_node = _recorded_run(problem, config, events, record_states,
+                                         0 if jump_free is None else jump_free._held)
     if jump_free is not None:
-        jump_free._share(problem, config, run, events)
-    return _run_levels([problem], config, events, run)[0]
+        jump_free._share(problem, config, run, record, events)
+    _run_levels([problem], config, events, run, on_node)
+    record.fp_iters_max = run.fp_iters_max
+    return record
 
 
 @dataclasses.dataclass(frozen=True)
 class CoupledResult:
-    """Two levels driven by one jump realization, with their dual-norm gap; no states."""
+    """Two levels driven by one jump realization, with their dual-norm gap at
+    each node of the shared grid.  No state or record column is kept: ``simulate``
+    of either problem on the same events gives its record, bit for bit."""
 
-    record_low: TrajectoryRecord
-    record_high: TrajectoryRecord
-    distances: np.ndarray       # per recorded time, || . ||_{E_A*}
-    distance: float             # sup over recorded times
-
-    @property
-    def levels(self) -> tuple[int, int]:
-        return (self.record_low.level_n, self.record_high.level_n)
+    levels: tuple[int, int]     # (coarse, fine) level numbers
+    times: np.ndarray
+    distances: np.ndarray       # per node, || . ||_{E_A*}
+    distance: float             # sup over the nodes
 
 
 def simulate_coupled(
@@ -645,19 +641,20 @@ def simulate_coupled(
     if not np.array_equal(high_idx[positions], low_idx):
         raise ConfigurationError("levels are not nested in the mode table")
 
+    problems = [problem_low, problem_high]
+    events = _check_events(problems, events)
+    # per node: the grid, ``ends`` and the distance, in float64
+    grid = _time_grid(problem_low.horizon, config.dt, [e.time for e in events], 8 * 3)
     inv_w = 1.0 / (1.0 + problem_high.model.eigenvalues_A[high_idx])
-    distances = []
+    distances = np.empty_like(grid)
 
-    def add_distance(states):
+    def add_distance(i, states):
         low, high = states
         gap = high.copy()
         gap[positions] -= low
-        distances.append(np.sqrt(np.sum(np.abs(gap) ** 2 * inv_w)))
+        distances[i] = np.sqrt(np.sum(np.abs(gap) ** 2 * inv_w))
 
-    problems = [problem_low, problem_high]
-    events = _check_events(problems, events)
-    rec_low, rec_high = _run_levels(problems, config, events,
-                                    _start(problems, config, events, False),
-                                    on_node=add_distance)
-    distances = np.array(distances)
-    return CoupledResult(rec_low, rec_high, distances, float(np.max(distances)))
+    run = _Run(grid, [p.initial.astype(complex, copy=True) for p in problems])
+    _run_levels(problems, config, events, run, add_distance)
+    return CoupledResult((problem_low.level.n, problem_high.level.n), grid, distances,
+                         float(np.max(distances)))

@@ -156,18 +156,30 @@ def test_renormalize_annihilated_data_gives_zero(torus_model):
 # drift assembly
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("record_states", [False, True])
+@pytest.mark.parametrize("record_states", [False, True, None],
+                         ids=["False", "True", "coupled"])
 def test_time_grid_refused_beyond_physical_memory(torus_model, monkeypatch, record_states):
-    # horizon 1 at dt 0.1 gives 11 nodes; each holds the grid, the jump
-    # boundaries and five record columns in float64, plus the state if recorded
+    # horizon 1 at dt 0.1 gives 11 nodes; each holds the grid and the jump
+    # boundaries in float64, then five record columns plus the state if
+    # recorded, or the one distance of a coupled run (record_states None)
     problem = build_problem(torus_model, 3, decaying_initial(torus_model), 1.0)
     config = SolverConfig(dt=0.1)
-    needed = 11 * (8 * (2 + 5) + (16 * problem.level.dim if record_states else 0))
+    if record_states is None:
+        finer = build_problem(torus_model, 5, decaying_initial(torus_model), 1.0)
+        needed = 11 * 8 * (2 + 1)
+
+        def run():
+            return simulate_coupled(problem, finer, config, [])
+    else:
+        needed = 11 * (8 * (2 + 5) + (16 * problem.level.dim if record_states else 0))
+
+        def run():
+            return simulate(problem, config, [], record_states=record_states)
     monkeypatch.setattr(spectral, "_physical_memory", lambda: needed - 1)
     with pytest.raises(ConfigurationError, match="the 11 time nodes"):
-        simulate(problem, config, [], record_states=record_states)
+        run()
     monkeypatch.setattr(spectral, "_physical_memory", lambda: needed)
-    assert len(simulate(problem, config, [], record_states=record_states).times) == 11
+    assert len(run().times) == 11
 
 
 @pytest.mark.parametrize("events", [
@@ -834,7 +846,8 @@ def test_jump_path_makes_no_eigh_call(torus_model, cos_symbol, noise, monkeypatc
     record = simulate(high, config, sample_prm(measure, 1.0, trajectory_rng(5, 0)))
     coupled = simulate_coupled(low, high, config, events)
     small = simulate(tiny, config, events=events)
-    assert record.events and coupled.record_high.events and small.events
+    assert record.events and events and small.events
+    assert np.isin([e.time for e in events], coupled.times).all()
     if noise == "atomic":
         # atoms below the cutoff: the AtomicExact compensator is built too
         split = AtomicMeasure(marks=[[0.5], [-0.3], [0.8], [0.1], [-1e-30]],
@@ -860,12 +873,12 @@ def test_coupled_levels_identical_for_resolved_linear_flow(torus_model, cos_symb
                       measure=measure)
         for n in (3, 6)
     ]
-    result = simulate_coupled(problems[0], problems[1], SolverConfig(dt=0.05),
-                              sample_prm(measure, 1.0, trajectory_rng(5, 0)))
+    events = sample_prm(measure, 1.0, trajectory_rng(5, 0))
+    result = simulate_coupled(problems[0], problems[1], SolverConfig(dt=0.05), events)
     assert result.levels == (3, 6)
-    assert np.array_equal(result.record_low.times, result.record_high.times)
+    assert events and np.isin([e.time for e in events], result.times).all()
     assert result.distance <= 1e-12
-    assert len(result.distances) == len(result.record_low.times)
+    assert len(result.distances) == len(result.times)
 
 
 def test_coupled_levels_validation(torus_model, cos_symbol):
@@ -903,11 +916,15 @@ def test_coupled_nonlinear_distance_shrinks_with_level(torus_model):
     assert distances[1] < distances[0]
 
 
+@pytest.mark.parametrize("closure", [CLOSURE_TAYLOR2, CLOSURE_ATOMIC])
 @pytest.mark.parametrize("mode", [MODE_MIDPOINT, MODE_SPLITSTEP])
-def test_coupled_levels_match_independent_runs(torus_model, cos_symbol, mode):
-    # stepping the levels together changes nothing in either level's path
-    measure = AtomicMeasure(marks=[[0.5], [-0.5]], weights=[2.0, 2.0])
-    config = SolverConfig(mode=mode, dt=0.05)
+def test_coupled_levels_match_independent_runs(torus_model, cos_symbol, mode, closure):
+    # stepping the levels together changes nothing in either level's path, so
+    # the coupled distances are those of two independent runs, bit for bit;
+    # the atom below the cutoff gives either closure its noise term
+    measure = AtomicMeasure(marks=[[0.5], [-0.5], [0.1]], weights=[2.0, 2.0, 3.0],
+                            epsilon=0.2)
+    config = SolverConfig(mode=mode, dt=0.05, closure=closure)
     problems = [
         build_problem(torus_model, n, decaying_initial(torus_model), 1.0,
                       nonlinearity=defocusing(3.0), symbols=cos_symbol,
@@ -917,17 +934,12 @@ def test_coupled_levels_match_independent_runs(torus_model, cos_symbol, mode):
     events = sample_prm(measure, 1.0, trajectory_rng(17, 0))
     assert events
     result = simulate_coupled(*problems, config, events)
-    alone = [simulate(problem, config, events=events) for problem in problems]
-    for record, single in zip((result.record_low, result.record_high), alone):
-        assert record.states is None
-        for field in ("times", "mass", "kinetic", "potential", "energy", "ea_norm"):
-            assert np.array_equal(getattr(record, field), getattr(single, field)), field
-        assert record.fp_iters_max == single.fp_iters_max
-    if mode == MODE_MIDPOINT:
-        assert result.record_high.fp_iters_max > 0
+    assert all(p._workspaces[closure].noise_matrix is not None for p in problems)
+    low, high = (simulate(problem, config, events=events) for problem in problems)
+    assert result.levels == (4, 6)
+    assert result.times.tobytes() == high.times.tobytes()
 
     # the dual-norm gap of the independent histories, coarse path zero-padded
-    low, high = alone
     embedded = np.zeros_like(high.states)
     embedded[:, np.searchsorted(problems[1].level.indices,
                                 problems[0].level.indices)] = low.states
@@ -939,8 +951,9 @@ def test_coupled_levels_match_independent_runs(torus_model, cos_symbol, mode):
 
 def test_coupled_memory_does_not_grow_with_nodes():
     # a coupled run holds one state per level, so an 8x longer horizon adds
-    # only per-node scalars: far less than the half fine-level state per
-    # extra node that any kept history would cost
+    # only the grid, the jump boundaries and the distance, 24 B per node: far
+    # less than five record columns per level, or the half fine-level state
+    # per extra node that any kept history would cost
     model = build_spectral_model(torus_1d(2 * np.pi), beta=1.0, max_level=10)
     u0 = decaying_initial(model)
     config = SolverConfig(dt=0.01)
@@ -952,16 +965,35 @@ def test_coupled_memory_does_not_grow_with_nodes():
         tracemalloc.start()
         try:
             result = simulate_coupled(low, high, config, [])
-            return tracemalloc.get_traced_memory()[1], result
+            return tracemalloc.get_traced_memory()[1], result, high.level.dim
         finally:
             tracemalloc.stop()
 
     peak(0.1)  # one-time allocations of a first run stay outside the comparison
-    short, short_result = peak(0.1)
-    long, long_result = peak(0.8)
-    assert long_result.record_low.states is None
-    assert long_result.record_high.states is None
+    short, short_result, _ = peak(0.1)
+    long, long_result, fine_dim = peak(0.8)
     extra_nodes = len(long_result.distances) - len(short_result.distances)
-    fine_dim = len(long_result.record_high.ea_weights)
     assert extra_nodes > 60
     assert long - short < 8 * fine_dim * extra_nodes
+    assert long - short < 48 * extra_nodes
+
+
+def test_coupled_run_records_nothing(torus_model, cos_symbol, monkeypatch):
+    # the step loop records nothing itself: only simulate's observer calls
+    # _record_node, and a coupled run's observer writes its distance alone
+    def record_node(*args):
+        raise AssertionError("a node was recorded")
+
+    monkeypatch.setattr(solver, "_record_node", record_node)
+    measure = AtomicMeasure(marks=[[0.5], [-0.5]], weights=[2.0, 2.0])
+    low, high = (build_problem(torus_model, n, decaying_initial(torus_model), 0.5,
+                               nonlinearity=defocusing(3.0), symbols=cos_symbol,
+                               measure=measure)
+                 for n in (4, 6))
+    config = SolverConfig(dt=0.05)
+    events = sample_prm(measure, 0.5, trajectory_rng(3, 0))
+    assert events
+    result = simulate_coupled(low, high, config, events)
+    assert len(result.distances) == len(result.times) > 11
+    with pytest.raises(AssertionError, match="a node was recorded"):
+        simulate(high, config, events)
