@@ -11,139 +11,92 @@ diagnostics  energy reports, path modulus, ensemble statistics
 config       INI run descriptions, presets, canonical text and hashing
 verify       self-contained numerical check battery
 cli          command line entry points (simulate / converge / verify / moments)
+
+The public names below are imported from their module on first access
+(PEP 562), so ``import jumpnls`` loads none of the modules and each command
+loads only the ones it runs.
 """
 
-from .exceptions import ConfigurationError, NumericsError, ShapeError
-from .spectral import (
-    Domain,
-    GalerkinLevel,
-    SpectralModel,
-    apply_projection,
-    apply_smoothing,
-    build_level,
-    build_spectral_model,
-    cutoff_multiplier,
-    embed,
-    interval_dirichlet,
-    interval_neumann,
-    mihlin_suprema,
-    sobolev_norm,
-    torus_1d,
-    torus_2d,
-    transition_profile,
-)
-from .nonlinear import Nonlinearity, defocusing, eval_F, eval_Fhat, focusing
-from .noise import (
-    AtomicMeasure,
-    JumpEvent,
-    NoiseMoments,
-    RadialStableMeasure,
-    sample_prm,
-    trajectory_rng,
-    trajectory_seed,
-)
-from .jumps import (
-    NoiseOperators,
-    assemble_noise_operators,
-    generator,
-    jump_difference_1,
-    jump_difference_2,
-    jump_map,
-    marcus_flow,
-)
-from .solver import (
-    CoupledResult,
-    GalerkinProblem,
-    JumpFreePath,
-    SolverConfig,
-    TrajectoryRecord,
-    build_problem,
-    drift,
-    renormalize_initial,
-    simulate,
-    simulate_coupled,
-    step_between_jumps,
-)
-from .diagnostics import (
-    EnergyReport,
-    aldous_statistic,
-    cadlag_modulus,
-    energy,
-    energy_derivative,
-    ensemble_moments,
-)
-from .config import (
-    RunSpec,
-    build_problem_from_spec,
-    canonical_text,
-    config_hash,
-    parse_config,
-)
-from .verify import check_names, run_checks
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AtomicMeasure",
-    "ConfigurationError",
-    "CoupledResult",
-    "Domain",
-    "EnergyReport",
-    "GalerkinLevel",
-    "GalerkinProblem",
-    "JumpEvent",
-    "JumpFreePath",
-    "NoiseMoments",
-    "NoiseOperators",
-    "Nonlinearity",
-    "NumericsError",
-    "RadialStableMeasure",
-    "RunSpec",
-    "ShapeError",
-    "SolverConfig",
-    "SpectralModel",
-    "TrajectoryRecord",
-    "aldous_statistic",
-    "apply_projection",
-    "apply_smoothing",
-    "assemble_noise_operators",
-    "build_level",
-    "build_problem",
-    "build_problem_from_spec",
-    "build_spectral_model",
-    "cadlag_modulus",
-    "canonical_text",
-    "check_names",
-    "config_hash",
-    "cutoff_multiplier",
-    "defocusing",
-    "drift",
-    "embed",
-    "energy",
-    "energy_derivative",
-    "ensemble_moments",
-    "eval_F",
-    "eval_Fhat",
-    "focusing",
-    "generator",
-    "interval_dirichlet",
-    "interval_neumann",
-    "jump_difference_1",
-    "jump_difference_2",
-    "jump_map",
-    "marcus_flow",
-    "mihlin_suprema",
-    "parse_config",
-    "renormalize_initial",
-    "run_checks",
-    "sample_prm",
-    "simulate",
-    "simulate_coupled",
-    "sobolev_norm",
-    "step_between_jumps",
-    "torus_1d",
-    "torus_2d",
-    "trajectory_rng",
-    "trajectory_seed",
-    "transition_profile",
-]
+#: public name -> the module that defines it
+_EXPORTS = {
+    "ConfigurationError": "exceptions",
+    "NumericsError": "exceptions",
+    "ShapeError": "exceptions",
+    "Domain": "spectral",
+    "GalerkinLevel": "spectral",
+    "SpectralModel": "spectral",
+    "apply_projection": "spectral",
+    "apply_smoothing": "spectral",
+    "build_level": "spectral",
+    "build_spectral_model": "spectral",
+    "cutoff_multiplier": "spectral",
+    "embed": "spectral",
+    "interval_dirichlet": "spectral",
+    "interval_neumann": "spectral",
+    "mihlin_suprema": "spectral",
+    "sobolev_norm": "spectral",
+    "torus_1d": "spectral",
+    "torus_2d": "spectral",
+    "transition_profile": "spectral",
+    "Nonlinearity": "nonlinear",
+    "defocusing": "nonlinear",
+    "eval_F": "nonlinear",
+    "eval_Fhat": "nonlinear",
+    "focusing": "nonlinear",
+    "AtomicMeasure": "noise",
+    "JumpEvent": "noise",
+    "NoiseMoments": "noise",
+    "RadialStableMeasure": "noise",
+    "sample_prm": "noise",
+    "trajectory_rng": "noise",
+    "trajectory_seed": "noise",
+    "NoiseOperators": "jumps",
+    "assemble_noise_operators": "jumps",
+    "generator": "jumps",
+    "jump_difference_1": "jumps",
+    "jump_difference_2": "jumps",
+    "jump_map": "jumps",
+    "marcus_flow": "jumps",
+    "CoupledResult": "solver",
+    "GalerkinProblem": "solver",
+    "JumpFreePath": "solver",
+    "SolverConfig": "solver",
+    "TrajectoryRecord": "solver",
+    "build_problem": "solver",
+    "drift": "solver",
+    "renormalize_initial": "solver",
+    "simulate": "solver",
+    "simulate_coupled": "solver",
+    "step_between_jumps": "solver",
+    "EnergyReport": "diagnostics",
+    "aldous_statistic": "diagnostics",
+    "cadlag_modulus": "diagnostics",
+    "energy": "diagnostics",
+    "energy_derivative": "diagnostics",
+    "ensemble_moments": "diagnostics",
+    "RunSpec": "config",
+    "build_problem_from_spec": "config",
+    "canonical_text": "config",
+    "config_hash": "config",
+    "parse_config": "config",
+    "check_names": "verify",
+    "run_checks": "verify",
+}
+
+__all__ = list(_EXPORTS)
+
+
+def __getattr__(name):
+    # resolved on every access, not cached here, so a name rebound in its
+    # module (a patch, a tracer hook) is seen through the package too
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f"{__name__}.{_EXPORTS[name]}"), name)
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

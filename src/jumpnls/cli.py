@@ -21,17 +21,16 @@ import sys
 
 import numpy as np
 
-from . import verify as verify_mod
 from .config import (
     build_problem_from_spec,
     canonical_text,
     config_hash,
     load_config,
 )
-from .diagnostics import ensemble_moments
 from .exceptions import ConfigurationError, NumericsError
-from .noise import sample_prm, trajectory_rng, trajectory_seed
+from .noise import EVENT_BYTES, sample_prm, trajectory_rng, trajectory_seed
 from .solver import JumpFreePath, simulate, simulate_coupled
+from .spectral import _check_memory
 
 _CSV_HEADER = "t,mass,kinetic,potential,energy,ea_norm"
 
@@ -94,6 +93,10 @@ def _json_text(payload) -> str:
 
 
 def _cmd_simulate(args) -> int:
+    # only simulate needs the diagnostics; compiled before the run, their
+    # compiler memory is reused by it instead of adding to its peak
+    from .diagnostics import ensemble_moments
+
     spec = _apply_overrides(load_config(args.config), args)
     digest = config_hash(spec)
     model, problem = build_problem_from_spec(spec)
@@ -101,16 +104,18 @@ def _cmd_simulate(args) -> int:
     os.makedirs(args.out, exist_ok=True)
     count = spec.trajectories
     jump_free = JumpFreePath(problem, spec.solver, record_states=spec.output.save_states)
-    # each path is sampled here for its branch node alone and again when it runs
-    branch = [jump_free.branch_node(_jump_path(problem, spec.master_seed, k))
-              for k in range(count)]
+    if problem.measure is not None:
+        # every path is held until its trajectory has run
+        expected = count * problem.measure.simulated_intensity() * problem.horizon
+        _check_memory(EVENT_BYTES * expected,
+                      f"the {expected:.3g} expected jump events of {count} paths")
+    paths = [_jump_path(problem, spec.master_seed, k) for k in range(count)]
+    branch = [jump_free.branch_node(events) for events in paths]
     event_counts, final_mass, sup_ea_norm, fp_iters_max = ([None] * count for _ in range(4))
     for k in sorted(range(count), key=branch.__getitem__):
         try:
-            record = simulate(
-                problem, spec.solver, _jump_path(problem, spec.master_seed, k),
-                record_states=spec.output.save_states, jump_free=jump_free,
-            )
+            record = simulate(problem, spec.solver, paths[k],
+                              record_states=spec.output.save_states, jump_free=jump_free)
         except NumericsError as exc:
             # a failed step of the jump-free path lies on every path that
             # branches after it; the lowest such index is named
@@ -211,14 +216,16 @@ def _cmd_converge(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from . import verify
+
     if args.list:
-        for name in verify_mod.check_names():
+        for name in verify.check_names():
             print(name)
         return 0
     names = None
     if args.only is not None:
         names = [tok.strip() for tok in args.only.split(",") if tok.strip()]
-    results = verify_mod.run_checks(names=names, tol_scale=args.tol_scale)
+    results = verify.run_checks(names=names, tol_scale=args.tol_scale)
     failures = 0
     for result in results:
         status = "PASS" if result.passed else "FAIL"

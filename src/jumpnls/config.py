@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import configparser
 import dataclasses
-import hashlib
 import io
 import math
 
@@ -373,6 +372,8 @@ def canonical_text(spec: RunSpec) -> str:
 
 
 def config_hash(spec: RunSpec) -> str:
+    import hashlib  # OpenSSL costs start-up; only the outputs need the digest
+
     return hashlib.sha256(canonical_text(spec).encode("utf-8")).hexdigest()
 
 

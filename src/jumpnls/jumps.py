@@ -61,6 +61,12 @@ HERMITICITY_TOLERANCE = 1e-10
 #: at any block width
 ASSEMBLY_BLOCK_ENTRIES = 2**16
 
+#: complex dim x dim arrays alive at once while the drift workspace builds its
+#: noise matrix on the identity: 9.00 x 16 dim^2 bytes of tracemalloc peak for
+#: a mean term and the AtomicExact compensator, 6.26 for a mean term and the
+#: Taylor2 closure, at 2-d torus level 7 (dim 793)
+NOISE_MATRIX_PEAK_ARRAYS = 9
+
 #: relative widening of the jump radius; the computed norm of a constant
 #: symbol's operator exceeds the symbol by about 10 ulps
 _RADIUS_MARGIN = 1e-12
@@ -116,6 +122,17 @@ class NoiseOperators:
     @property
     def dim(self) -> int:
         return self.level.dim
+
+    def identity(self) -> np.ndarray:
+        """The (dim, dim) identity that a noise matrix is built on.
+
+        Raises ``ConfigurationError`` first when ``NOISE_MATRIX_PEAK_ARRAYS``
+        such arrays would exceed physical memory.
+        """
+        _check_memory(16 * NOISE_MATRIX_PEAK_ARRAYS * self.dim**2,
+                      f"{NOISE_MATRIX_PEAK_ARRAYS} complex {self.dim} x {self.dim} arrays "
+                      f"building a noise matrix of level {self.level.n}")
+        return np.eye(self.dim, dtype=complex)
 
     def radius(self, mark) -> float:
         """A bound on ``||B(l)||_2`` at O(grid) cost: ``max_x |sum_m l_m e_m(x)|``.
@@ -354,7 +371,7 @@ def difference_2_matrix(ops: NoiseOperators, marks, weights) -> np.ndarray:
     Each atom adds w_a times the second difference applied to the identity;
     this is the exact compensator of an atomic measure's small jumps.
     """
-    identity = np.eye(ops.dim, dtype=complex)
+    identity = ops.identity()
     total = np.zeros((ops.dim, ops.dim), dtype=complex)
     for weight, mark in zip(weights, np.atleast_2d(np.asarray(marks, dtype=float))):
         total += weight * _series(ops, mark, identity, 2)

@@ -200,7 +200,8 @@ class _Dynamics:
     compensated mean ``i B_n(m)``, the Taylor2 closure
     ``-1/2 sum_mn cov[m, n] M_m M_n`` or the AtomicExact compensator
     ``sum_a w_a (exp(-i B(l_a)) - 1 + i B(l_a))``.  Each is built by
-    ``NoiseOperators.product`` on the identity columns and they are summed
+    ``NoiseOperators.product`` on the identity columns (refused before the
+    first one when the build would exceed physical memory) and they are summed
     once into ``noise_matrix`` (None when no term is present), so each drift
     evaluation costs one matvec for the noise.  The nonlinearity costs the
     level's two transforms and the pointwise power.  The workspace holds no
@@ -220,7 +221,7 @@ class _Dynamics:
             moments = problem.measure.moments()
             terms = []
             if np.any(moments.mean_simulated != 0.0):
-                b_mean = ops.product(moments.mean_simulated)(np.eye(ops.dim, dtype=complex))
+                b_mean = ops.product(moments.mean_simulated)(ops.identity())
                 # its Hermitian part keeps i B_n(m) exactly skew-Hermitian
                 terms.append(0.5j * (b_mean + b_mean.conj().T))
             if config.closure == CLOSURE_TAYLOR2:
@@ -228,7 +229,7 @@ class _Dynamics:
                 cov = moments.second_moment_small
                 for unit, column in zip(np.eye(ops.num_channels), cov.T):
                     if np.any(column != 0.0):
-                        m_n = ops.product(unit)(np.eye(ops.dim, dtype=complex))
+                        m_n = ops.product(unit)(ops.identity())
                         terms.append(-0.5 * ops.product(column)(m_n))
             else:
                 check_closure(config.closure, problem.measure)

@@ -11,9 +11,10 @@ import numpy as np
 import pytest
 
 import jumpnls
-from jumpnls import spectral
+from jumpnls import cli, noise, spectral
 from jumpnls.cli import _jump_path, _trajectory_rows, main
 from jumpnls.config import build_model_from_spec, build_problem_from_spec, load_config
+from jumpnls.exceptions import NumericsError
 from jumpnls.jumps import jump_map
 from jumpnls.solver import JumpFreePath, simulate, simulate_coupled
 
@@ -327,6 +328,33 @@ def test_trajectories_override_below_one_rejected(fast_config, tmp_path, capsys,
     assert captured.out == ""
 
 
+def test_held_jump_paths_refused_beyond_physical_memory(fast_config, tmp_path, capsys,
+                                                      monkeypatch):
+    # simulate holds every jump path until its trajectory has run; the paths
+    # are refused, before the first is sampled, when their expected events
+    # exceed physical memory
+    count = 100_000
+    spec = load_config(fast_config)
+    expected = count * spec.noise.measure().simulated_intensity() * spec.horizon
+    needed = noise.EVENT_BYTES * expected
+    out = tmp_path / "out"
+    argv = ["simulate", "--config", fast_config, "--out", str(out),
+            "--trajectories", str(count)]
+
+    def first_path(*args):
+        raise NumericsError("first path sampled")
+
+    monkeypatch.setattr(cli, "_jump_path", first_path)
+    monkeypatch.setattr(spectral, "_physical_memory", lambda: needed - 1)
+    assert main(argv) == 2
+    assert (f"the {expected:.3g} expected jump events of {count} paths take about "
+            f"{needed / 2**30:.3g} GiB") in capsys.readouterr().err
+    monkeypatch.setattr(spectral, "_physical_memory", lambda: needed)
+    assert main(argv) == 2
+    assert "first path sampled" in capsys.readouterr().err
+    assert not list(out.iterdir())
+
+
 def test_converge_rejects_duplicate_levels(fast_config, capsys):
     assert main(["converge", "--config", fast_config, "--levels", "2,1,2"]) == 2
     captured = capsys.readouterr()
@@ -495,6 +523,7 @@ def test_python_dash_m_runs_the_cli(tmp_path):
                             capture_output=True, text=True, env=env, timeout=60)
     assert listed.returncode == 0
     assert listed.stdout.split() == jumpnls.check_names()
+    assert len(listed.stdout.split()) == 31
     missing = subprocess.run(
         [sys.executable, "-m", "jumpnls", "simulate", "--config", str(tmp_path / "no.ini"),
          "--out", str(tmp_path / "out")],
@@ -502,16 +531,47 @@ def test_python_dash_m_runs_the_cli(tmp_path):
     assert missing.returncode == 2 and missing.stderr.startswith("error:")
 
 
+#: run in one process per shipped config; after each command it prints which
+#: of the modules only some commands need are loaded
+COMMAND_MODULES_PROBE = """
+import contextlib, io, sys
+from jumpnls.cli import main
+config, out = sys.argv[1:]
+for argv in (["converge", "--config", config, "--levels", "2,3", "--trajectories", "2"],
+             ["moments", "--config", config],
+             ["simulate", "--config", config, "--out", out, "--trajectories", "2"]):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        main(argv)
+    print(argv[0], *sorted({"jumpnls.verify", "jumpnls.diagnostics"} & set(sys.modules)))
+"""
+
+
+@pytest.mark.parametrize("config", sorted(p.name for p in CONFIG_DIR.glob("*.ini")))
+def test_each_command_loads_only_the_modules_it_runs(config, tmp_path):
+    # only ``verify`` compiles the check battery, and only ``simulate`` (for
+    # its ensemble bands) the diagnostics
+    src = str(Path(jumpnls.__file__).resolve().parents[1])
+    out = subprocess.run(
+        [sys.executable, "-c", COMMAND_MODULES_PROBE, str(CONFIG_DIR / config),
+         str(tmp_path / "sim")],
+        capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": src}, timeout=120,
+    )
+    assert out.stdout.splitlines() == ["converge", "moments", "simulate jumpnls.diagnostics"]
+
+
 def test_import_loads_no_scipy():
     # scipy costs most of start-up; only interval transforms, the flow oracle
-    # and verify's quadrature import it, on first use
-    probe = "import sys, jumpnls; print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
+    # and verify's quadrature import it, on first use.  ``import jumpnls``
+    # loads no module of the package; resolving every public name loads all
+    probe = ("import sys, jumpnls; print(sorted(m for m in sys.modules if m.startswith('jumpnls.')))\n"
+             "from jumpnls import *\nprint([m for m in sys.modules if m.split('.')[0] == 'scipy'])")
     src = str(Path(jumpnls.__file__).resolve().parents[1])
     out = subprocess.run(
         [sys.executable, "-c", probe], capture_output=True, text=True, check=True,
         env={**os.environ, "PYTHONPATH": src}, timeout=60,
     )
-    assert out.stdout.strip() == "[]"
+    assert out.stdout.splitlines() == ["[]", "[]"]
 
 
 def test_runs_leave_numpy_ma_unimported(fast_config, tmp_path):

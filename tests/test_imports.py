@@ -1,10 +1,12 @@
 """Static checks: every module uses each name it imports, every private
 top-level name the package defines is read somewhere in the package,
-``__all__`` lists exactly the names the package imports, only
+``__all__`` lists exactly the names of the package's export table, no
+run-path module imports ``verify`` at module level, only
 ``spectral.build_level`` and ``verify`` bind a transform pair, and only
 ``solver._run_levels`` and ``solver.step_between_jumps`` pick a stepper."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
@@ -31,8 +33,8 @@ def unused_imports(source: str) -> list[str]:
             if name not in used]
 
 
-def private_definitions(source: str) -> dict[str, int]:
-    """Private top-level names (``_x``, not dunders) a module defines, with their lines."""
+def top_level_definitions(source: str) -> dict[str, int]:
+    """Names a module's top-level functions, classes and assignments bind, with their lines."""
     defined = {}
     for node in ast.parse(source).body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
@@ -43,9 +45,14 @@ def private_definitions(source: str) -> dict[str, int]:
         else:
             continue
         for name in names:
-            if name.startswith("_") and not name.endswith("__"):
-                defined.setdefault(name, node.lineno)
+            defined.setdefault(name, node.lineno)
     return defined
+
+
+def private_definitions(source: str) -> dict[str, int]:
+    """Private top-level names (``_x``, not dunders) a module defines, with their lines."""
+    return {name: line for name, line in top_level_definitions(source).items()
+            if name.startswith("_") and not name.endswith("__")}
 
 
 def names_read(source: str) -> set[str]:
@@ -66,6 +73,24 @@ def unread_private_names(sources: dict[str, str]) -> list[str]:
             for module, source in sorted(sources.items())
             for name, line in sorted(private_definitions(source).items())
             if name not in read]
+
+
+def module_level_imports(source: str) -> set[str]:
+    """Modules a source imports at module level, relative ones without their dots.
+
+    ``from . import a`` counts as importing ``a``; imports inside functions
+    are not counted.
+    """
+    found = set()
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.Import):
+            found.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            if node.module:
+                found.add(node.module)
+            if node.level and not node.module:
+                found.update(alias.name for alias in node.names)
+    return found
 
 
 def top_level_sites(sources: dict[str, str], matches) -> list[tuple[str, str]]:
@@ -109,6 +134,27 @@ def test_checker_flags_unread_private_names():
         "b.py": "from . import a\nx = a._helper()\n",
     }
     assert unread_private_names(sources) == ["a.py line 2: _KINDS", "a.py line 3: _spare"]
+
+
+def test_checker_finds_module_level_imports():
+    source = ("import os.path\nfrom . import verify as v, solver\n"
+              "from .config import load_config\nfrom jumpnls.verify import run_checks\n"
+              "def f():\n    from . import diagnostics\n    import hashlib\n")
+    assert module_level_imports(source) == {"os.path", "verify", "solver", "config",
+                                            "jumpnls.verify"}
+
+
+#: modules a simulate, converge or moments run loads
+RUN_PATH = ("cli", "config", "solver", "jumps", "spectral", "noise", "nonlinear")
+
+
+def test_run_path_imports_verify_only_on_demand():
+    # the check battery is compiled only by ``jumpnls verify``; a module-level
+    # import on the run path would load it for every command
+    for module in RUN_PATH:
+        source = (PACKAGE_DIR / f"{module}.py").read_text(encoding="utf-8")
+        assert not any(name.split(".")[-1] == "verify"
+                       for name in module_level_imports(source)), module
 
 
 def test_checker_finds_transform_pair_callers():
@@ -157,12 +203,14 @@ def test_no_unread_private_names():
 
 
 def test_all_lists_exactly_the_imported_names():
-    # a public name deleted from its module but left in ``__all__`` fails here
-    tree = ast.parse((PACKAGE_DIR / "__init__.py").read_text(encoding="utf-8"))
-    imported = [alias.asname or alias.name
-                for node in tree.body if isinstance(node, ast.ImportFrom)
-                for alias in node.names]
+    # the package imports each public name from the module its export table
+    # names; a name deleted from that module but left in the table fails here
+    table = jumpnls._EXPORTS
     assert len(set(jumpnls.__all__)) == len(jumpnls.__all__)
-    assert sorted(jumpnls.__all__) == sorted(imported)
+    assert sorted(jumpnls.__all__) == sorted(table)
     for name in jumpnls.__all__:
-        assert getattr(jumpnls, name) is not None
+        source = (PACKAGE_DIR / f"{table[name]}.py").read_text(encoding="utf-8")
+        assert name in top_level_definitions(source), (name, table[name])
+        assert getattr(jumpnls, name) is getattr(
+            importlib.import_module(f"jumpnls.{table[name]}"), name)
+    assert set(jumpnls.__all__) <= set(dir(jumpnls))

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from jumpnls import nonlinear, solver, spectral
+from jumpnls import jumps, nonlinear, solver, spectral
 from jumpnls.exceptions import ConfigurationError, NumericsError, ShapeError
 from jumpnls.jumps import (
     _chebyshev_coefficients,
@@ -349,6 +349,41 @@ def test_noise_matrix_absent_without_noise_terms(torus_model, cos_symbol, closur
         assert dyn.noise_matrix is None
         assert not dyn.has_remainder
         assert not np.any(dyn.noise_drift(problem.initial))
+
+
+#: case -> (closure, atoms, cutoff): a mean term alone (asymmetric atoms, all
+#: above a zero cutoff), then each closure on top of it
+NOISE_TERM_CASES = {
+    "mean": (CLOSURE_TAYLOR2, ([[0.6, -0.5], [-0.3, 0.2]], [1.0, 1.0]), 0.0),
+    "Taylor2": (CLOSURE_TAYLOR2, FOLD_ATOMS[2], 0.25),
+    "AtomicExact": (CLOSURE_ATOMIC, FOLD_ATOMS[2], 0.25),
+}
+
+
+@pytest.mark.parametrize("case", NOISE_TERM_CASES)
+def test_noise_matrix_refused_beyond_physical_memory(torus_model, monkeypatch, case):
+    # the build is refused before its first dim^2 array, with an estimate
+    # naming the level and the dim; a workspace without a noise term is not
+    closure, (marks, weights), epsilon = NOISE_TERM_CASES[case]
+    x = torus_model.grid_points[:, 0]
+    problem = build_problem(
+        torus_model, 4, decaying_initial(torus_model), 1.0,
+        symbols=[np.cos(x), np.sin(2.0 * x) + 0.3],
+        measure=AtomicMeasure(marks=marks, weights=weights, epsilon=epsilon),
+    )
+    quiet = build_problem(torus_model, 4, decaying_initial(torus_model), 1.0,
+                          symbols=np.cos(x), measure=AtomicMeasure(
+                              marks=[[0.4], [-0.4]], weights=[1.0, 1.0], epsilon=0.0))
+    dim = problem.level.dim
+    needed = 16 * jumps.NOISE_MATRIX_PEAK_ARRAYS * dim**2
+    monkeypatch.setattr(spectral, "_physical_memory", lambda: needed - 1)
+    with pytest.raises(ConfigurationError, match=(
+            f"complex {dim} x {dim} arrays building a noise matrix of level 4 "
+            f"take about {needed / 2**30:.3g} GiB")):
+        _Dynamics(problem, SolverConfig(closure=closure))
+    assert _Dynamics(quiet, SolverConfig(closure=closure)).noise_matrix is None
+    monkeypatch.setattr(spectral, "_physical_memory", lambda: needed)
+    assert _Dynamics(problem, SolverConfig(closure=closure)).noise_matrix.shape == (dim, dim)
 
 
 def kernel_cases(model, level_n, dense):
