@@ -3,8 +3,9 @@
 The spec dataclasses are the schema of the sections ``[galerkin]``,
 ``[nonlinearity]``, ``[noise]`` (one class per noise kind), ``[solver]``,
 ``[initial]`` and ``[output]``: their fields give the keys, the value types,
-the defaults and the canonical key order.  Only ``[domain]`` (length keys per
-domain kind) and ``[run]`` (the legacy ``threads`` key) are parsed by hand.
+the defaults and the canonical key order.  ``[domain]`` is a
+``spectral.Domain``, whose kind's row in ``spectral._DOMAIN_TABLE`` gives its
+length keys.  Only ``[run]`` (the legacy ``threads`` key) is parsed by hand.
 
 The canonical text form is deterministic (fixed section and key order,
 ``repr`` floats), so round-tripping a spec through text is the identity and
@@ -24,29 +25,11 @@ from .exceptions import ConfigurationError
 from .noise import AtomicMeasure, RadialStableMeasure
 from .nonlinear import defocusing, focusing
 from .solver import GalerkinProblem, SolverConfig, build_problem, check_closure
-from .spectral import (
-    SpectralModel,
-    build_spectral_model,
-    interval_dirichlet,
-    interval_neumann,
-    torus_1d,
-    torus_2d,
-)
+from .spectral import _DOMAIN_TABLE, Domain, SpectralModel, build_spectral_model
 
-# INI domain kind -> (constructor, length keys in constructor order)
-_DOMAINS = {"torus_1d": (torus_1d, ("length",)),
-            "torus_2d": (torus_2d, ("length_x", "length_y")),
-            "interval_dirichlet": (interval_dirichlet, ("length",)),
-            "interval_neumann": (interval_neumann, ("length",))}
 _NONLINEARITIES = {"defocusing": defocusing, "focusing": focusing}
 SYMBOL_PRESETS = ("constant", "cos", "sin", "bump")
 INITIAL_PRESETS = ("decaying", "single_mode", "plateau")
-
-
-@dataclasses.dataclass(frozen=True)
-class DomainSpec:
-    kind: str
-    lengths: tuple[float, ...]
 
 
 # In the dataclass-driven sections the field order is the canonical key order:
@@ -130,7 +113,7 @@ class OutputSpec:
 
 @dataclasses.dataclass(frozen=True)
 class RunSpec:
-    domain: DomainSpec
+    domain: Domain
     galerkin: GalerkinSpec
     solver: SolverConfig
     initial: InitialSpec
@@ -263,12 +246,12 @@ def parse_config(text: str) -> RunSpec:
 
     dom = parser["domain"]
     kind = _get(dom, "kind", str, required=True)
-    if kind not in _DOMAINS:
-        raise ConfigurationError(f"domain kind must be one of {tuple(_DOMAINS)}")
+    if kind not in _DOMAIN_TABLE:
+        raise ConfigurationError(f"domain kind must be one of {tuple(_DOMAIN_TABLE)}")
+    keys = _DOMAIN_TABLE[kind].length_keys
     # a length key of another kind would be dropped silently
-    _require(dom, ("kind",) + _DOMAINS[kind][1])
-    lengths = tuple(_get(dom, key, _float, required=True) for key in _DOMAINS[kind][1])
-    domain = DomainSpec(kind=kind, lengths=lengths)
+    _require(dom, ("kind",) + keys)
+    domain = Domain(kind, tuple(_get(dom, key, _float, required=True) for key in keys))
 
     galerkin = _parse_section(parser["galerkin"], GalerkinSpec)
     if not (0 <= galerkin.level <= galerkin.max_level):
@@ -345,7 +328,7 @@ def canonical_text(spec: RunSpec) -> str:
             out.write(f"{key} = {value}\n")
         out.write("\n")
 
-    keys = _DOMAINS[spec.domain.kind][1]
+    keys = _DOMAIN_TABLE[spec.domain.kind].length_keys
     section("domain", [("kind", spec.domain.kind)]
             + [(key, repr(L)) for key, L in zip(keys, spec.domain.lengths)])
 
@@ -383,7 +366,7 @@ def config_hash(spec: RunSpec) -> str:
 
 def build_model_from_spec(spec: RunSpec) -> SpectralModel:
     return build_spectral_model(
-        _DOMAINS[spec.domain.kind][0](*spec.domain.lengths),
+        spec.domain,
         beta=spec.galerkin.beta,
         max_level=spec.galerkin.max_level,
         dealias_factor=spec.galerkin.dealias_factor,
@@ -421,7 +404,9 @@ def initial_values(spec: RunSpec, model: SpectralModel) -> np.ndarray:
     if ini.preset == "decaying":
         # smooth profile with fixed incommensurate phases
         phases = np.exp(2j * np.pi * ((np.sqrt(5.0) - 1.0) / 2.0) * k)
-        return ini.scale * np.exp(-ini.rate * np.sqrt(lam)) * phases
+        # an overflowing profile is refused by renormalize_initial, by level
+        with np.errstate(over="ignore", invalid="ignore"):
+            return ini.scale * np.exp(-ini.rate * np.sqrt(lam)) * phases
     if ini.preset == "single_mode":
         if not (0 <= ini.mode < model.num_modes):
             raise ConfigurationError(

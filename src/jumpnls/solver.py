@@ -91,8 +91,11 @@ class SolverConfig:
 class GalerkinProblem:
     """One truncation level with its drift ingredients and initial state.
 
-    ``initial`` holds level coefficients (already smoothed and renormalized);
-    ``ops``/``measure`` are None for deterministic runs.
+    ``initial`` holds level coefficients (already smoothed and renormalized).
+    ``symbols`` holds the grid samples of the noise channels, one row each;
+    the problem assembles its noise operators ``ops`` from them on its own
+    model and level.  ``symbols``, ``ops`` and ``measure`` are None for
+    deterministic runs.
     """
 
     model: SpectralModel
@@ -100,8 +103,11 @@ class GalerkinProblem:
     horizon: float
     initial: np.ndarray
     nonlinearity: Nonlinearity | None = None
-    ops: NoiseOperators | None = None
+    symbols: np.ndarray | None = None
     measure: object | None = None
+    ops: NoiseOperators | None = dataclasses.field(
+        default=None, init=False, repr=False, compare=False
+    )
     # closure name -> drift workspace, built on first use (see _dynamics)
     _workspaces: dict = dataclasses.field(
         default_factory=dict, init=False, repr=False, compare=False
@@ -115,16 +121,11 @@ class GalerkinProblem:
                 f"initial state must have {self.level.dim} coefficients, "
                 f"got shape {self.initial.shape}"
             )
+        if self.symbols is not None:
+            object.__setattr__(self, "ops", assemble_noise_operators(
+                self.model, self.level, self.symbols))
         if self.measure is not None and self.ops is None:
-            raise ConfigurationError("a jump measure requires noise operators")
-        if self.ops is not None and (
-                self.ops.model is not self.model
-                or not np.array_equal(self.ops.level.indices, self.level.indices)):
-            raise ConfigurationError(
-                f"noise operators of another model or level (level {self.ops.level.n}, "
-                f"dim {self.ops.dim}) than the problem's level {self.level.n} "
-                f"(dim {self.level.dim})"
-            )
+            raise ConfigurationError("a jump measure requires noise symbols")
         if self.ops is not None and self.measure is not None:
             if self.measure.dimension != self.ops.num_channels:
                 raise ConfigurationError(
@@ -139,11 +140,18 @@ def renormalize_initial(
     """Smooth-truncate full-space data onto the level, restoring its H norm.
 
     Returns S_n u0 scaled so its norm equals ||u0||; the zero vector if the
-    truncation annihilates u0 entirely.
+    truncation annihilates u0 entirely.  Data with a non-finite coefficient,
+    or whose norm overflows, is refused.
     """
     initial_full = np.asarray(initial_full, dtype=complex)
+    # a non-finite coefficient makes the norm non-finite, without a warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        norm_full = float(np.linalg.norm(initial_full))
+    if not math.isfinite(norm_full):
+        raise ConfigurationError(
+            f"initial data for level {level.n} is not finite or its norm overflows"
+        )
     smoothed = apply_smoothing(level, initial_full)
-    norm_full = float(np.linalg.norm(initial_full))
     norm_smoothed = float(np.linalg.norm(smoothed))
     if norm_smoothed == 0.0:
         return np.zeros(level.dim, dtype=complex)
@@ -159,22 +167,17 @@ def build_problem(
     symbols: np.ndarray | None = None,
     measure=None,
 ) -> GalerkinProblem:
-    """Assemble level and noise operators for one truncation."""
+    """Build the level and the problem on it for one truncation."""
     level = build_level(model, level_n)
     if nonlinearity is not None:
         validate_exponent(nonlinearity, model.domain.dimension, model.beta)
-    ops = None
-    if symbols is not None:
-        symbols = np.atleast_2d(np.asarray(symbols, dtype=float))
-        ops = assemble_noise_operators(model, level, symbols)
-    initial = renormalize_initial(model, level, initial_full)
     return GalerkinProblem(
         model=model,
         level=level,
         horizon=float(horizon),
-        initial=initial,
+        initial=renormalize_initial(model, level, initial_full),
         nonlinearity=nonlinearity,
-        ops=ops,
+        symbols=symbols,
         measure=measure,
     )
 
@@ -388,10 +391,14 @@ class TrajectoryRecord:
     mass: np.ndarray
     kinetic: np.ndarray
     potential: np.ndarray
-    energy: np.ndarray
     ea_norm: np.ndarray
     events: list[JumpEvent]
     fp_iters_max: int = 0
+
+    @property
+    def energy(self) -> np.ndarray:
+        """``kinetic + potential`` at each node."""
+        return self.kinetic + self.potential
 
 
 def _time_grid(horizon: float, dt: float, event_times, bytes_per_node: int,
@@ -435,7 +442,6 @@ def _new_record(problem, dyn, grid, events, record_states) -> TrajectoryRecord:
         mass=np.zeros_like(grid),
         kinetic=np.zeros_like(grid),
         potential=np.zeros_like(grid),
-        energy=np.zeros_like(grid),
         ea_norm=np.zeros_like(grid),
         events=events,
     )
@@ -447,7 +453,6 @@ def _record_node(record: TrajectoryRecord, dyn: _Dynamics, i: int, u) -> None:
     record.kinetic[i] = 0.5 * (dyn.lam @ sq)
     if dyn.nl is not None:
         record.potential[i] = dyn.potential(u)
-    record.energy[i] = record.kinetic[i] + record.potential[i]
     record.ea_norm[i] = math.sqrt(record.ea_weights @ sq)
     if record.states is not None:
         record.states[i] = u
@@ -465,8 +470,8 @@ class _Run:
 
 
 def _record_bytes_per_node(problem, record_states) -> int:
-    """The grid, ``ends`` and five float64 record columns, plus the state if recorded."""
-    return 8 * (2 + 5) + (16 * problem.level.dim if record_states else 0)
+    """The grid, ``ends`` and four float64 record columns, plus the state if recorded."""
+    return 8 * (2 + 4) + (16 * problem.level.dim if record_states else 0)
 
 
 def _recorded_run(problem, config, events, record_states, held=0):
@@ -568,7 +573,7 @@ class JumpFreePath:
         _run_levels([problem], config, [], self._run, self._on_node, last=j)
         source = self.record
         source.fp_iters_max = self._run.fp_iters_max
-        for column in ("mass", "kinetic", "potential", "energy", "ea_norm"):
+        for column in ("mass", "kinetic", "potential", "ea_norm"):
             getattr(target, column)[:j + 1] = getattr(source, column)[:j + 1]
         if target.states is not None:
             target.states[:j + 1] = source.states[:j + 1]

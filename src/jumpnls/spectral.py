@@ -12,12 +12,13 @@ All are taken in their orthonormal form, so the only scale is the square root
 of the quadrature cell weight.  ``scipy.fft`` is imported the first time an
 interval model transforms.
 
-``_DOMAIN_TABLE`` is the single description of a domain kind: its number of
-axes, whether it is periodic, its wavenumber range, the shift of ``S`` and
-its transform pair.  Validation, the mode table, the grid, the mode
-positions and the transforms all read it.  Adding a domain takes a table
-row, a constructor, an INI row in ``config._DOMAINS`` and its closed-form
-basis in the tests' oracle (``tests/conftest.py::closed_form_basis``).
+``_DOMAIN_TABLE`` is the single description of a domain kind, keyed by the
+kind's ``[domain]`` name: its length keys (one per axis), whether it is
+periodic, its wavenumber range, the shift of ``S`` and its transform pair.
+Validation, the mode table, the grid, the mode positions, the transforms and
+the ``[domain]`` section of the INI configuration all read it.  Adding a
+domain takes a table row, a constructor and its closed-form basis in the
+tests' oracle (``tests/conftest.py::closed_form_basis``).
 
 ``SpectralModel.synthesize`` and ``analyze`` check shapes and run the fast
 transform, at every size; the model caches nothing.  ``build_level`` binds
@@ -49,10 +50,10 @@ import numpy as np
 
 from .exceptions import ConfigurationError, ShapeError
 
-TORUS_1D = "Torus1D"
-TORUS_2D = "Torus2D"
-INTERVAL_DIRICHLET = "IntervalDirichlet"
-INTERVAL_NEUMANN = "IntervalNeumann"
+TORUS_1D = "torus_1d"
+TORUS_2D = "torus_2d"
+INTERVAL_DIRICHLET = "interval_dirichlet"
+INTERVAL_NEUMANN = "interval_neumann"
 
 
 def _scipy_transform(name: str, type: int):
@@ -67,25 +68,30 @@ def _scipy_transform(name: str, type: int):
 class _DomainKind:
     """Basis facts of one domain kind.
 
+    ``length_keys`` name the lengths, one per axis, in ``[domain]`` order.
     Wavenumbers run over ``-k..k`` per periodic axis and ``first_k..k`` on an
     interval, and sit at spectrum index ``(k - first_k) mod M`` on M nodes;
     ``lambda_S = shift + lambda_A``.  The transforms take ``norm="ortho"``.
     """
 
-    axes: int
+    length_keys: tuple[str, ...]
     periodic: bool
     first_k: int
     shift: float
     to_grid: object
     from_grid: object
 
+    @property
+    def axes(self) -> int:
+        return len(self.length_keys)
+
 
 _DOMAIN_TABLE = {
-    TORUS_1D: _DomainKind(1, True, 0, 1.0, np.fft.ifft, np.fft.fft),
-    TORUS_2D: _DomainKind(2, True, 0, 1.0, np.fft.ifft2, np.fft.fft2),
-    INTERVAL_DIRICHLET: _DomainKind(1, False, 1, 0.0, _scipy_transform("dst", 3),
+    TORUS_1D: _DomainKind(("length",), True, 0, 1.0, np.fft.ifft, np.fft.fft),
+    TORUS_2D: _DomainKind(("length_x", "length_y"), True, 0, 1.0, np.fft.ifft2, np.fft.fft2),
+    INTERVAL_DIRICHLET: _DomainKind(("length",), False, 1, 0.0, _scipy_transform("dst", 3),
                                     _scipy_transform("dst", 2)),
-    INTERVAL_NEUMANN: _DomainKind(1, False, 0, 1.0, _scipy_transform("dct", 3),
+    INTERVAL_NEUMANN: _DomainKind(("length",), False, 0, 1.0, _scipy_transform("dct", 3),
                                   _scipy_transform("dct", 2)),
 }
 
@@ -308,21 +314,22 @@ class SpectralModel:
           by a dense pair built here: ``S``, whose row j is mode
           ``positions[j]`` synthesized by the fast transform, and its
           quadrature adjoint ``w S^H``, which equals the fast analysis
-          because the transforms are unitary.  The products round
-          differently from the transforms, and from each other with the
-          number of batch rows;
+          because the transforms are unitary.  A batch goes through one
+          vector-matrix product per row;
         * above it on a 2-d torus, up to ``SEPARABLE_PAIR_MAX_MULADDS``
           multiply-adds per synthesis, they multiply by per-axis DFT factors
-          (:meth:`_separable_pair`), which also round differently from the
-          transforms but not with the number of batch rows;
+          (:meth:`_separable_pair`);
         * otherwise they run the fast transforms on the resolved positions.
+
+        The dense and separable products round differently from the
+        transforms; every pair gives each batch row the bits it gives that
+        row alone.
         """
         positions = self.positions if indices is None else self.positions[indices]
         if positions.size * self.num_grid <= DENSE_PAIR_MAX_ENTRIES:
             synthesis = self.synthesize(np.eye(positions.size), indices)
             adjoint = np.ascontiguousarray(self.grid_weights[:, None] * synthesis.conj().T)
-            return (lambda coefficients: coefficients @ synthesis,
-                    lambda values: values @ adjoint)
+            return _rowwise(synthesis), _rowwise(adjoint)
         pair = self._separable_pair(positions) if self.domain.kind == TORUS_2D else None
         if pair is not None:
             return pair
@@ -388,6 +395,21 @@ class SpectralModel:
         return coefficients.astype(complex, copy=False)
 
 
+def _rowwise(matrix: np.ndarray):
+    """``x -> x @ matrix``, one vector-matrix product per row of a batch.
+
+    numpy sends one row to BLAS gemv and several to gemm, whose kernels
+    round differently, and gemv rounds a strided row differently from a
+    contiguous one; contiguous single rows keep every row on the same gemv.
+    """
+    def apply(x):
+        x = np.ascontiguousarray(x)
+        if x.ndim == 1:
+            return x @ matrix
+        return np.matmul(x[..., None, :], matrix)[..., 0, :]
+    return apply
+
+
 def _transform(kind: str, data: np.ndarray, grid_shape, to_grid: bool) -> np.ndarray:
     """Orthonormal spectrum -> grid transform along the last axis, or its inverse."""
     facts = _DOMAIN_TABLE[kind]
@@ -437,7 +459,7 @@ def _mode_table(domain: Domain, beta: float, max_level: int):
         # conservative per-axis scan bound: lambda_A alone already below threshold
         mu_cap = (threshold - facts.shift) ** (1.0 / beta)
         kmax = [int(math.floor(math.sqrt(mu_cap) / f)) + 2 for f in factors]
-    except OverflowError:
+    except (OverflowError, ValueError):  # ValueError: inf / inf, when a factor overflows too
         raise ConfigurationError(
             f"max_level = {max_level} with beta = {beta} on lengths {domain.lengths} "
             f"puts the mode scan bound (2**(max_level + 1))**(1/beta) beyond the "
@@ -465,6 +487,11 @@ def _mode_table(domain: Domain, beta: float, max_level: int):
     rows.sort(key=lambda r: (r[0], r[1]))
     if not rows:
         raise ConfigurationError("no modes retained; increase max_level")
+    if rows[0][0] <= 0.0:  # S is strictly positive unless mu**beta underflows
+        raise ConfigurationError(
+            f"beta = {beta} on lengths {domain.lengths} puts an eigenvalue mu**beta "
+            f"of the mode scan below the float range, so lambda_S = 0"
+        )
     return rows
 
 

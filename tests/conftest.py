@@ -27,6 +27,11 @@ def torus2d_model():
     )
 
 
+def kind_id(kind: str) -> str:
+    """Test id of a domain kind in CamelCase: ``torus_1d`` -> ``Torus1D``."""
+    return kind.title().replace("_", "")
+
+
 def random_state(rng, dim, scale=1.0):
     return scale * (rng.standard_normal(dim) + 1j * rng.standard_normal(dim))
 

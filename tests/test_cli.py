@@ -221,8 +221,8 @@ def test_simulate_memory_independent_of_trajectory_count(tmp_path):
     nodes = len((out / "traj_0000.csv").read_text().splitlines()) - 1
     assert nodes == 2001
     assert abs(peak_6 - peak_2) < 64 * 2**10
-    # the time-grid guard's estimate is 56 B per node for one level
-    assert max(peak_2, peak_6) < 3 * 56 * nodes
+    # the time-grid guard's estimate is 48 B per node for one level
+    assert max(peak_2, peak_6) < 3 * 48 * nodes
 
 
 def test_noisy_simulate_memory_independent_of_trajectory_count(tmp_path):
@@ -480,6 +480,8 @@ def test_numerics_error_on_the_jump_free_path_names_its_first_trajectory(tmp_pat
      "lengths (1e-300,)"),
     ("stable_linear", "epsilon = 0.1", "epsilon = 5e-324",
      "epsilon = 5e-324 with stability = 1.2"),
+    ("atomic_cubic", "rate = 0.6", "rate = -1000", "initial data for level 5"),
+    ("atomic_cubic", "scale = 1.0", "scale = 1e300", "initial data for level 5"),
 ])
 def test_unrunnable_values_fail_with_configuration_error(tmp_path, capsys, monkeypatch,
                                                          config, old, new, needle):
@@ -502,7 +504,7 @@ def test_unrunnable_values_fail_with_configuration_error(tmp_path, capsys, monke
     err = capsys.readouterr().err
     assert code == 2
     assert err.startswith("error:") and err.count("\n") == 1
-    assert needle in err and "Traceback" not in err
+    assert needle in err and "Traceback" not in err and "Warning" not in err
     assert peak < 2**26  # refused before any large allocation
 
 

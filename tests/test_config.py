@@ -176,6 +176,8 @@ def test_radial_noise_parsing():
      "[run] horizon = 'inf': not a finite number"),
     (lambda t: t.replace("length = 6.283185307179586", "length = nan"),
      "[domain] length = 'nan': not a finite number"),
+    (lambda t: t.replace("length = 6.283185307179586", "length = -1"),
+     "domain lengths must be positive"),
     (lambda t: t.replace("preset = decaying", "preset = decaying\nrate = nan"),
      "[initial] rate = 'nan': not a finite number"),
     (lambda t: t + "\n[noise]\nkind = atomic\nsymbols = cos\natoms = 0.45 : inf\n",
@@ -270,6 +272,8 @@ def test_build_problem_from_spec_assembly():
     assert problem.level.n == spec.galerkin.level
     assert problem.ops is not None
     assert problem.ops.num_channels == 1
+    # the problem assembles its operators on its own model and level
+    assert problem.ops.model is model and problem.ops.level is problem.level
     assert problem.nonlinearity is not None
     assert problem.measure is not None
     symbols = build_symbols_from_spec(spec, model)

@@ -2,8 +2,10 @@
 top-level name the package defines is read somewhere in the package,
 ``__all__`` lists exactly the names of the package's export table, no
 run-path module imports ``verify`` at module level, only
-``spectral.build_level`` and ``verify`` bind a transform pair, and only
-``solver._run_levels`` and ``solver.step_between_jumps`` pick a stepper."""
+``spectral.build_level`` and ``verify`` bind a transform pair, only
+``solver._run_levels`` and ``solver.step_between_jumps`` pick a stepper,
+only ``solver.GalerkinProblem`` and ``verify`` assemble noise operators, and
+``config`` names no domain constructor."""
 
 import ast
 import importlib
@@ -113,6 +115,25 @@ def stepper_lookups(sources: dict[str, str]) -> list[tuple[str, str]]:
                            and getattr(node.value, "id", None) == "_STEPPERS")
 
 
+def noise_assembly_callers(sources: dict[str, str]) -> list[tuple[str, str]]:
+    """(module, top-level function or class) of every ``assemble_noise_operators`` call."""
+    return top_level_sites(sources, lambda node: isinstance(node, ast.Call) and getattr(
+        node.func, "attr", getattr(node.func, "id", None)) == "assemble_noise_operators")
+
+
+def domain_constructors(source: str) -> set[str]:
+    """Top-level functions of a module annotated to return a ``Domain``."""
+    return {node.name for node in ast.parse(source).body
+            if isinstance(node, ast.FunctionDef) and node.returns is not None
+            and ast.unparse(node.returns).strip("'\"") == "Domain"}
+
+
+def imported_names(source: str) -> set[str]:
+    """Names a module imports with ``from ... import``, at any depth."""
+    return {alias.name for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.ImportFrom) for alias in node.names}
+
+
 def test_checker_flags_unused_names():
     source = (
         "from __future__ import annotations\n"
@@ -175,6 +196,47 @@ def test_only_build_level_binds_a_transform_pair():
     sources = {p.name: p.read_text(encoding="utf-8") for p in PACKAGE_DIR.glob("*.py")}
     callers = [c for c in transform_pair_callers(sources) if c[0] != "verify.py"]
     assert callers == [("spectral.py", "build_level")]
+
+
+def test_checker_finds_noise_assembly_callers():
+    sources = {
+        "a.py": ("def build():\n    return assemble_noise_operators(m, lv, s)\n"
+                 "class Problem:\n    def __post_init__(self):\n"
+                 "        jumps.assemble_noise_operators(m, lv, s)\n"
+                 "ops = assemble_noise_operators(m, lv, s)\n"),
+        "b.py": ("f = jumps.assemble_noise_operators\n"
+                 "def assemble_noise_operators(m, lv, s):\n    return s\n"),
+    }
+    assert noise_assembly_callers(sources) == [("a.py", "build"), ("a.py", "Problem"),
+                                               ("a.py", "<module>")]
+
+
+def test_only_the_problem_assembles_noise_operators():
+    # a problem assembles its operators on its own model and level, so no
+    # operators of another level can reach its drift; verify builds oracles
+    sources = {p.name: p.read_text(encoding="utf-8") for p in PACKAGE_DIR.glob("*.py")}
+    callers = [c for c in noise_assembly_callers(sources) if c[0] != "verify.py"]
+    assert callers == [("solver.py", "GalerkinProblem")]
+
+
+def test_checker_finds_domain_constructors_and_imported_names():
+    source = ("from .spectral import torus_1d as t, Domain\n"
+              "class Domain:\n    pass\n"
+              "def disc(radius) -> Domain:\n    return Domain()\n"
+              "def ring(radius) -> 'Domain':\n    return Domain()\n"
+              "def build(domain: Domain) -> Model:\n    return Model()\n"
+              "def scan(domain):\n    from .spectral import _DOMAIN_TABLE\n")
+    assert domain_constructors(source) == {"disc", "ring"}
+    assert imported_names(source) == {"torus_1d", "Domain", "_DOMAIN_TABLE"}
+
+
+def test_config_imports_no_domain_constructor():
+    # ``[domain]`` parses straight into a ``spectral.Domain`` through the
+    # domain table; a constructor named in config would be a second table
+    constructors = domain_constructors((PACKAGE_DIR / "spectral.py").read_text(encoding="utf-8"))
+    assert constructors == {"torus_1d", "torus_2d", "interval_dirichlet", "interval_neumann"}
+    config = (PACKAGE_DIR / "config.py").read_text(encoding="utf-8")
+    assert not constructors & (imported_names(config) | names_read(config))
 
 
 def test_checker_finds_stepper_lookups():

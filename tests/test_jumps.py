@@ -7,7 +7,7 @@ from hypothesis import example, given, settings, strategies as st
 from jumpnls import config, jumps, noise, nonlinear, solver, spectral
 from jumpnls.exceptions import ConfigurationError, ShapeError
 
-from conftest import closed_form_basis, eigenphase_factor, random_state
+from conftest import closed_form_basis, eigenphase_factor, kind_id, random_state
 
 
 @pytest.fixture(scope="module")
@@ -165,13 +165,14 @@ def test_build_level_binds_the_only_transform_pair(torus2d_model, monkeypatch):
     assert level.dim * model.num_grid > spectral.DENSE_PAIR_MAX_ENTRIES
     assert len(bound) == 1 and np.array_equal(bound[0], level.indices)
     bound.clear()
-    ops = jumps.assemble_noise_operators(model, level, [np.cos(model.grid_points[:, 0])])
     measure = noise.AtomicMeasure(marks=[[0.5], [-0.3], [0.05]], weights=[6.0, 6.0, 3.0],
                                   epsilon=0.1)
     decaying = np.exp(-0.5 * np.sqrt(model.eigenvalues_S))
     initial = solver.renormalize_initial(model, level, decaying)
     problem = solver.GalerkinProblem(model, level, 0.2, initial, nonlinear.defocusing(3.0),
-                                     ops, measure)
+                                     symbols=[np.cos(model.grid_points[:, 0])],
+                                     measure=measure)
+    ops = problem.ops
     configs = [solver.SolverConfig(dt=0.05, closure=closure)
                for closure in (solver.CLOSURE_TAYLOR2, solver.CLOSURE_ATOMIC)]
     for config in configs:
@@ -322,7 +323,7 @@ def test_jump_map_matches_ode_flow(two_channel_ops):
         assert np.linalg.norm(exact - ode) <= 1e-8 * np.linalg.norm(x)
 
 
-@pytest.fixture(scope="module", params=list(spectral._DOMAIN_TABLE))
+@pytest.fixture(scope="module", params=list(spectral._DOMAIN_TABLE), ids=kind_id)
 def preset_ops(request):
     """Operators of every symbol preset, one channel each, on a level of dim 90-200."""
     kind = request.param

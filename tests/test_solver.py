@@ -13,7 +13,6 @@ from jumpnls import jumps, nonlinear, solver, spectral
 from jumpnls.exceptions import ConfigurationError, NumericsError, ShapeError
 from jumpnls.jumps import (
     _chebyshev_coefficients,
-    assemble_noise_operators,
     generator,
     jump_map,
 )
@@ -110,23 +109,16 @@ def test_problem_validation(torus_model):
         )
 
 
-def test_problem_refuses_noise_operators_of_another_level(torus_model, cos_symbol):
-    # the drift workspace and the operators both read the level's transform
-    # pair: operators of level 4 (dim 11) in a level-5 problem (dim 15), or of
-    # another model, are refused before the first step's matmul
-    measure = AtomicMeasure(marks=[[0.3]], weights=[1.0])
+@pytest.mark.parametrize("case", ["inf", "nan", "norm overflow"])
+def test_build_problem_refuses_initial_data_that_is_not_finite(torus_model, case):
+    # refused before any multiply warns (a warning fails the test too)
     u0 = decaying_initial(torus_model)
-    coarse, fine = (build_problem(torus_model, n, u0, 1.0, symbols=cos_symbol,
-                                  measure=measure) for n in (4, 5))
-    assert (coarse.level.dim, fine.level.dim) == (11, 15)
-    other = build_spectral_model(torus_1d(2 * np.pi), beta=1.0, max_level=8)
-    foreign = assemble_noise_operators(other, build_level(other, 5), cos_symbol)
-    for ops in (coarse.ops, foreign):
-        with pytest.raises(ConfigurationError, match="another model or level"):
-            dataclasses.replace(fine, ops=ops)
-    # operators of the problem's model and level, assembled apart, are accepted
-    same = assemble_noise_operators(torus_model, build_level(torus_model, 5), cos_symbol)
-    assert dataclasses.replace(fine, ops=same).ops is same
+    if case == "norm overflow":
+        u0 = np.full_like(u0, 1e300)  # finite entries, infinite norm
+    else:
+        u0[3] = float(case)
+    with pytest.raises(ConfigurationError, match="initial data for level 4 is not finite"):
+        build_problem(torus_model, 4, u0, horizon=1.0)
 
 
 def test_renormalize_preserves_norm(torus_model):
@@ -160,7 +152,7 @@ def test_renormalize_annihilated_data_gives_zero(torus_model):
                          ids=["False", "True", "coupled"])
 def test_time_grid_refused_beyond_physical_memory(torus_model, monkeypatch, record_states):
     # horizon 1 at dt 0.1 gives 11 nodes; each holds the grid and the jump
-    # boundaries in float64, then five record columns plus the state if
+    # boundaries in float64, then four record columns plus the state if
     # recorded, or the one distance of a coupled run (record_states None)
     problem = build_problem(torus_model, 3, decaying_initial(torus_model), 1.0)
     config = SolverConfig(dt=0.1)
@@ -171,7 +163,7 @@ def test_time_grid_refused_beyond_physical_memory(torus_model, monkeypatch, reco
         def run():
             return simulate_coupled(problem, finer, config, [])
     else:
-        needed = 11 * (8 * (2 + 5) + (16 * problem.level.dim if record_states else 0))
+        needed = 11 * (8 * (2 + 4) + (16 * problem.level.dim if record_states else 0))
 
         def run():
             return simulate(problem, config, [], record_states=record_states)
@@ -832,9 +824,9 @@ def test_jump_free_path_refuses_another_run(shared_problem):
 def test_time_grid_guard_counts_the_jump_free_path(shared_problem, monkeypatch,
                                                    record_states):
     # the jump-free path holds a record over the 7 uniform nodes beside the
-    # trajectory's record over 7 + 2 nodes, each at 56 B per node plus the state
+    # trajectory's record over 7 + 2 nodes, each at 48 B per node plus the state
     config = SolverConfig(dt=0.05)
-    per_node = 8 * (2 + 5) + (16 * shared_problem.level.dim if record_states else 0)
+    per_node = 8 * (2 + 4) + (16 * shared_problem.level.dim if record_states else 0)
     needed = (7 + 9) * per_node
     mark = np.array([0.5])
     events = [JumpEvent(time=0.12, mark=mark), JumpEvent(time=0.21, mark=mark)]

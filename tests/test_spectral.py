@@ -9,7 +9,7 @@ from hypothesis import assume, given, settings, strategies as st
 from jumpnls import spectral
 from jumpnls.exceptions import ConfigurationError, ShapeError
 
-from conftest import closed_form_basis, random_state
+from conftest import closed_form_basis, kind_id, random_state
 
 # Frozen oracle values for the quintic ramp (computed symbolically /
 # by high-precision root finding, independent of the implementation):
@@ -73,7 +73,7 @@ LATTICE = {
     spectral.torus_2d(5.3, 2.1),
     spectral.interval_dirichlet(4.4),
     spectral.interval_neumann(1.3),
-], ids=lambda d: d.kind)
+], ids=lambda d: kind_id(d.kind))
 def test_mode_table_matches_lattice_oracle(domain, beta, max_level):
     """Brute-force lattice scan: retained wavenumbers, eigenvalues, order, grid nodes."""
     model = spectral.build_spectral_model(domain, beta=beta, max_level=max_level)
@@ -112,7 +112,7 @@ def test_builder_validation():
     with pytest.raises(ConfigurationError):
         spectral.torus_1d(-1.0)
     with pytest.raises(ConfigurationError):
-        spectral.Domain("Torus1D", (1.0, 2.0))
+        spectral.Domain(spectral.TORUS_1D, (1.0, 2.0))
 
 
 # ---------------------------------------------------------------------------
@@ -423,6 +423,20 @@ def test_transform_pair_binds_a_dense_pair_below_the_limit(monkeypatch):
     assert 2 * 16 * spectral.DENSE_PAIR_MAX_ENTRIES <= 2**20
 
 
+def assert_batch_rows_alone(to_grid, from_grid, c, v):
+    """Each row of a batch, in C or Fortran layout, takes the bits it takes alone."""
+    for order in ("C", "F"):
+        batch_c, batch_v = np.asarray(c, order=order), np.asarray(v, order=order)
+        values, coefficients = to_grid(batch_c), from_grid(batch_v)
+        for i in np.ndindex(c.shape[:-1]):
+            assert to_grid(c[i]).tobytes() == values[i].tobytes()
+            assert from_grid(v[i]).tobytes() == coefficients[i].tobytes()
+            assert to_grid(batch_c[i]).tobytes() == values[i].tobytes()
+            assert from_grid(batch_v[i]).tobytes() == coefficients[i].tobytes()
+        assert to_grid(c[1]).tobytes() == values[1].tobytes()
+        assert from_grid(v[1]).tobytes() == coefficients[1].tobytes()
+
+
 def test_transform_pair_binds_separable_factors_on_the_2d_torus(monkeypatch):
     # 32 x 32 grid; level 6 (dim 401) occupies 23 spectrum rows and columns,
     # so a synthesis takes 23 * 32 * (23 + 32) multiply-adds
@@ -448,13 +462,8 @@ def test_transform_pair_binds_separable_factors_on_the_2d_torus(monkeypatch):
     # at the crossover: the 1-d factors are transformed once, when bound
     to_grid, from_grid = model.transform_pair(level.indices)
     assert calls == [spectral.TORUS_1D] * 4
-    values, coefficients = to_grid(c), from_grid(v)
+    assert_batch_rows_alone(to_grid, from_grid, c, v)
     assert calls == [spectral.TORUS_1D] * 4
-    # each batch row takes the bits it takes alone
-    for i, j in np.ndindex(2, 3):
-        assert to_grid(c[i, j]).tobytes() == values[i, j].tobytes()
-        assert from_grid(v[i, j]).tobytes() == coefficients[i, j].tobytes()
-    assert to_grid(c[1]).tobytes() == values[1].tobytes()
     # one multiply-add above it: fft2 on every call
     calls.clear()
     monkeypatch.setattr(spectral, "SEPARABLE_PAIR_MAX_MULADDS", muladds - 1)
@@ -462,6 +471,25 @@ def test_transform_pair_binds_separable_factors_on_the_2d_torus(monkeypatch):
     to_grid(c[0, 0])
     from_grid(v[0, 0])
     assert calls == [spectral.TORUS_2D] * 2
+
+
+@pytest.mark.parametrize("max_entries", [0, 2**62], ids=["fast", "dense"])
+@pytest.mark.parametrize(
+    "model_name", ["torus_model", "dirichlet_model", "neumann_model", "torus2d_model"]
+)
+def test_dense_and_fast_pairs_give_each_batch_row_its_own_bits(model_name, max_entries,
+                                                              request, monkeypatch):
+    # numpy sends one row to BLAS gemv and several to gemm, which round
+    # differently; the dense pair multiplies a batch row by row
+    model = request.getfixturevalue(model_name)
+    monkeypatch.setattr(spectral, "DENSE_PAIR_MAX_ENTRIES", max_entries)
+    monkeypatch.setattr(spectral, "SEPARABLE_PAIR_MAX_MULADDS", 0)
+    rng = np.random.default_rng(21)
+    for n in (1, model.max_level - 1):
+        level = spectral.build_level(model, n)
+        assert_batch_rows_alone(level.to_grid, level.from_grid,
+                                random_state(rng, (2, 3, level.dim)),
+                                random_state(rng, (2, 3, model.num_grid)))
 
 
 @pytest.mark.parametrize("max_entries", [0, 2**62], ids=["fast", "dense"])
