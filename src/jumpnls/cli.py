@@ -32,8 +32,6 @@ from .noise import EVENT_BYTES, sample_prm, trajectory_rng, trajectory_seed
 from .solver import JumpFreePath, simulate, simulate_coupled
 from .spectral import _check_memory
 
-_CSV_HEADER = "t,mass,kinetic,potential,energy,ea_norm"
-
 
 def _apply_overrides(spec, args):
     updates = {}
@@ -72,10 +70,9 @@ def _write_lines(path: str, lines) -> None:
 
 
 def _trajectory_rows(record):
-    yield _CSV_HEADER + "\n"
-    columns = (record.times, record.mass, record.kinetic, record.potential,
-               record.energy, record.ea_norm)
-    for row in zip(*columns):
+    series = record.series()
+    yield ",".join(series) + "\n"
+    for row in zip(*series.values()):
         yield ",".join(repr(float(v)) for v in row) + "\n"
 
 

@@ -110,7 +110,7 @@ class NoiseOperators:
     @functools.cached_property
     def bound_EA(self) -> float:
         """Sum over channels of the squared operator norms of M_m on the energy space."""
-        w = np.sqrt(1.0 + self.model.eigenvalues_A[self.level.indices])
+        w = np.sqrt(self.level.ea_weights)
         return float(sum(
             np.linalg.norm(w[:, None] * M / w[None, :], 2) ** 2 for M in self.matrices
         ))

@@ -29,7 +29,11 @@ the uniform nodes; a ``JumpFreePath`` steps it once for many trajectories,
 and ``simulate`` copies it through the trajectory's branch node.
 
 Each problem keeps one drift workspace per closure, built on first use, whose
-step loop transforms through the pair that ``build_level`` bound on the level.
+step loop transforms through the pair that ``build_level`` bound on the level
+and weighs by the level's eigenvalue views.  A record holds its node columns
+(``TrajectoryRecord.COLUMNS``) in one float64 block, a row per node, and its
+``ea_weights`` are the level's array.  A midpoint solve whose gap stops
+shrinking halves the step at once, at most ``max_halvings`` deep.
 """
 
 from __future__ import annotations
@@ -134,6 +138,18 @@ class GalerkinProblem:
                 )
 
 
+def _underflow_safe_norm(x: np.ndarray) -> float:
+    """``np.linalg.norm(x)``, taken on ``x`` over its largest modulus where the
+    squares underflow (a norm below about 1e-154), so tiny data keep a norm."""
+    norm = float(np.linalg.norm(x))
+    if norm < math.sqrt(np.finfo(float).tiny):
+        modulus = np.abs(x)
+        top = float(np.max(modulus))
+        if top > 0.0:  # a real quotient: 1 / top overflows for subnormal data
+            return top * float(np.linalg.norm(modulus / top))
+    return norm
+
+
 def renormalize_initial(
     model: SpectralModel, level: GalerkinLevel, initial_full: np.ndarray
 ) -> np.ndarray:
@@ -146,13 +162,13 @@ def renormalize_initial(
     initial_full = np.asarray(initial_full, dtype=complex)
     # a non-finite coefficient makes the norm non-finite, without a warning
     with np.errstate(over="ignore", invalid="ignore"):
-        norm_full = float(np.linalg.norm(initial_full))
+        norm_full = _underflow_safe_norm(initial_full)
     if not math.isfinite(norm_full):
         raise ConfigurationError(
             f"initial data for level {level.n} is not finite or its norm overflows"
         )
     smoothed = apply_smoothing(level, initial_full)
-    norm_smoothed = float(np.linalg.norm(smoothed))
+    norm_smoothed = _underflow_safe_norm(smoothed)
     if norm_smoothed == 0.0:
         return np.zeros(level.dim, dtype=complex)
     return smoothed * (norm_full / norm_smoothed)
@@ -213,7 +229,7 @@ class _Dynamics:
 
     def __init__(self, problem: GalerkinProblem, config: SolverConfig):
         model, level = problem.model, problem.level
-        self.lam = model.eigenvalues_A[level.indices]
+        self.lam = level.eigenvalues_A
         self.nl = problem.nonlinearity
         self.to_grid, self.from_grid = level.to_grid, level.from_grid
         self.grid_weights = model.grid_weights
@@ -311,8 +327,10 @@ def _midpoint_remainder(dyn: _Dynamics, state, tau, config, depth=0):
 
     Iterates d_{k+1} = r(u + (tau/2) d_k); the increment criterion bounds the
     state change per iteration, so the per-step mass defect is
-    O(tau * fp_tol * |r|).  Returns the new state and the largest iteration
-    count of its converged substeps.
+    O(tau * fp_tol * |r|).  An iteration whose gap does not shrink stops
+    contracting, and the step halves at once instead of using up
+    ``max_fp_iters``.  Returns the new state and the largest iteration count
+    of its converged substeps.
     """
     if not dyn.has_remainder:
         return state, 0
@@ -322,16 +340,20 @@ def _midpoint_remainder(dyn: _Dynamics, state, tau, config, depth=0):
     # takes over, so the intermediate arithmetic warnings are noise
     with np.errstate(over="ignore", invalid="ignore"):
         d = dyn.remainder(state)
+        previous = math.inf
         for iteration in range(config.max_fp_iters):
             d_next = dyn.remainder(state + (0.5 * tau) * d)
             gap = _norm(d_next - d)
             d = d_next
             if tau * gap <= config.fp_tol * scale:
                 return state + tau * d, iteration + 1
+            if not gap < previous:
+                break
+            previous = gap
     if depth >= config.max_halvings:
         raise NumericsError(
-            f"midpoint iteration failed to converge at tau={tau:.3e} "
-            f"after {config.max_halvings} halvings"
+            f"midpoint iteration failed to converge at halving depth {depth} "
+            f"(max_halvings = {config.max_halvings}), smallest substep tau={tau:.3e}"
         )
     half, first = _midpoint_remainder(dyn, state, 0.5 * tau, config, depth + 1)
     end, second = _midpoint_remainder(dyn, half, 0.5 * tau, config, depth + 1)
@@ -382,23 +404,34 @@ def step_between_jumps(
 @dataclasses.dataclass
 class TrajectoryRecord:
     """One simulated path sampled on the jump-adapted grid (cadlag: the value
-    recorded at a jump time is the post-jump state)."""
+    recorded at a jump time is the post-jump state).  ``columns`` holds one
+    float64 row per node, and each of ``COLUMNS`` reads its column as a view."""
+
+    COLUMNS = ("mass", "kinetic", "potential", "ea_norm")
 
     level_n: int
     ea_weights: np.ndarray
     times: np.ndarray
     states: np.ndarray | None
-    mass: np.ndarray
-    kinetic: np.ndarray
-    potential: np.ndarray
-    ea_norm: np.ndarray
+    columns: np.ndarray         # (nodes, len(COLUMNS))
     events: list[JumpEvent]
     fp_iters_max: int = 0
+
+    def __getattr__(self, name):
+        if name not in TrajectoryRecord.COLUMNS:
+            raise AttributeError(name)
+        return self.columns[:, TrajectoryRecord.COLUMNS.index(name)]
 
     @property
     def energy(self) -> np.ndarray:
         """``kinetic + potential`` at each node."""
         return self.kinetic + self.potential
+
+    def series(self) -> dict[str, np.ndarray]:
+        """The trajectory table by column name: ``t``, then the columns with
+        the derived ``energy`` before the last."""
+        *head, last = zip(self.COLUMNS, self.columns.T)
+        return dict([("t", self.times), *head, ("energy", self.energy), last])
 
 
 def _time_grid(horizon: float, dt: float, event_times, bytes_per_node: int,
@@ -432,28 +465,11 @@ def _check_events(problems, events) -> list[JumpEvent]:
     return events
 
 
-def _new_record(problem, dyn, grid, events, record_states) -> TrajectoryRecord:
-    return TrajectoryRecord(
-        level_n=problem.level.n,
-        ea_weights=1.0 + dyn.lam,
-        times=grid,
-        states=(np.zeros((len(grid), problem.level.dim), dtype=complex)
-                if record_states else None),
-        mass=np.zeros_like(grid),
-        kinetic=np.zeros_like(grid),
-        potential=np.zeros_like(grid),
-        ea_norm=np.zeros_like(grid),
-        events=events,
-    )
-
-
 def _record_node(record: TrajectoryRecord, dyn: _Dynamics, i: int, u) -> None:
     sq = np.abs(u) ** 2
-    record.mass[i] = sq.sum()
-    record.kinetic[i] = 0.5 * (dyn.lam @ sq)
-    if dyn.nl is not None:
-        record.potential[i] = dyn.potential(u)
-    record.ea_norm[i] = math.sqrt(record.ea_weights @ sq)
+    record.columns[i] = (sq.sum(), 0.5 * (dyn.lam @ sq),  # in COLUMNS order
+                         0.0 if dyn.nl is None else dyn.potential(u),
+                         math.sqrt(record.ea_weights @ sq))
     if record.states is not None:
         record.states[i] = u
 
@@ -470,8 +486,9 @@ class _Run:
 
 
 def _record_bytes_per_node(problem, record_states) -> int:
-    """The grid, ``ends`` and four float64 record columns, plus the state if recorded."""
-    return 8 * (2 + 4) + (16 * problem.level.dim if record_states else 0)
+    """The grid, ``ends`` and the float64 record columns, plus the state if recorded."""
+    state = 16 * problem.level.dim if record_states else 0
+    return 8 * (2 + len(TrajectoryRecord.COLUMNS)) + state
 
 
 def _recorded_run(problem, config, events, record_states, held=0):
@@ -479,8 +496,11 @@ def _recorded_run(problem, config, events, record_states, held=0):
     and the observer that fills the record node by node."""
     grid = _time_grid(problem.horizon, config.dt, [e.time for e in events],
                       _record_bytes_per_node(problem, record_states), held)
-    dyn = _dynamics(problem, config)
-    record = _new_record(problem, dyn, grid, events, record_states)
+    dyn, level = _dynamics(problem, config), problem.level
+    record = TrajectoryRecord(
+        level.n, level.ea_weights, grid,
+        np.zeros((len(grid), level.dim), dtype=complex) if record_states else None,
+        np.zeros((len(grid), len(TrajectoryRecord.COLUMNS))), events)
     return (_Run(grid, [problem.initial.astype(complex, copy=True)]), record,
             lambda i, states: _record_node(record, dyn, i, states[0]))
 
@@ -573,8 +593,7 @@ class JumpFreePath:
         _run_levels([problem], config, [], self._run, self._on_node, last=j)
         source = self.record
         source.fp_iters_max = self._run.fp_iters_max
-        for column in ("mass", "kinetic", "potential", "ea_norm"):
-            getattr(target, column)[:j + 1] = getattr(source, column)[:j + 1]
+        target.columns[:j + 1] = source.columns[:j + 1]
         if target.states is not None:
             target.states[:j + 1] = source.states[:j + 1]
         run.states = list(self._run.states)
@@ -628,10 +647,10 @@ def simulate_coupled(
     """Run two truncation levels against one jump path ``events`` (``[]`` if none).
 
     Both problems must share the spectral model and horizon, with the first
-    strictly coarser and nested in the finer one.  The levels advance
-    together; the dual-norm difference is taken at each node on the finer
-    level's modes (the coarse state embeds by zero padding), and the returned
-    distance is its supremum.  No state history is kept.
+    strictly coarser, so its modes are a prefix of the finer level's.  The
+    levels advance together; the dual-norm difference is taken at each node
+    on the finer level's modes (the coarse state embeds by zero padding), and
+    the returned distance is its supremum.  No state history is kept.
     """
     if problem_low.model is not problem_high.model:
         raise ConfigurationError("coupled runs need a shared spectral model")
@@ -641,23 +660,17 @@ def simulate_coupled(
         raise ConfigurationError("first problem must be the coarser level")
     if (problem_low.measure is None) != (problem_high.measure is None):
         raise ConfigurationError("both levels need the same jump measure")
-    # nested dyadic blocks: the coarse indices are a subset of the fine ones
-    low_idx, high_idx = problem_low.level.indices, problem_high.level.indices
-    positions = np.searchsorted(high_idx, low_idx)
-    if not np.array_equal(high_idx[positions], low_idx):
-        raise ConfigurationError("levels are not nested in the mode table")
-
     problems = [problem_low, problem_high]
     events = _check_events(problems, events)
     # per node: the grid, ``ends`` and the distance, in float64
     grid = _time_grid(problem_low.horizon, config.dt, [e.time for e in events], 8 * 3)
-    inv_w = 1.0 / (1.0 + problem_high.model.eigenvalues_A[high_idx])
+    inv_w = 1.0 / problem_high.level.ea_weights
     distances = np.empty_like(grid)
 
     def add_distance(i, states):
         low, high = states
         gap = high.copy()
-        gap[positions] -= low
+        gap[:low.size] -= low   # the coarse modes are a prefix of the fine ones
         distances[i] = np.sqrt(np.sum(np.abs(gap) ** 2 * inv_w))
 
     run = _Run(grid, [p.initial.astype(complex, copy=True) for p in problems])

@@ -28,10 +28,13 @@ a 2-d torus, or the fast transforms), and every run-path product reads it.
 Two diagonal operators act on coefficients:
 
 * ``A`` — the (fractional) Laplacian power, eigenvalues ``lambda_A``; it drives
-  the linear part of the dynamics and weighs the energy norm.
+  the linear part of the dynamics, and the model's ``ea_weights = 1 + lambda_A``
+  weigh the energy norm.
 * ``S`` — a strictly positive companion operator used only to organise modes
   into dyadic blocks: ``S = A`` on Dirichlet intervals and ``S = Id + A``
-  otherwise.  Level ``n`` keeps the modes with ``lambda_S < 2**(n+1)``.
+  otherwise.  Level ``n`` keeps the modes with ``lambda_S < 2**(n+1)``, which
+  are the first ``dim`` of the table, sorted by ``lambda_S``: a level is a
+  prefix of every finer one and carries prefix views of both eigenvalue arrays.
 
 Smoothed truncation multiplies coefficients by a C^2 cutoff of ``lambda_S``
 that is 1 below ``2**n``, 0 at and above ``2**(n+1)``, and a quintic ramp in
@@ -265,6 +268,7 @@ class SpectralModel:
     wavenumbers: np.ndarray      # (num_modes, dim) ints
     eigenvalues_A: np.ndarray    # (num_modes,)
     eigenvalues_S: np.ndarray    # (num_modes,)
+    ea_weights: np.ndarray       # (num_modes,) 1 + lambda_A, the E_A weights
     grid_points: np.ndarray      # (num_grid, dim)
     grid_weights: np.ndarray     # (num_grid,)
     grid_shape: tuple[int, ...]  # nodes per axis
@@ -553,6 +557,7 @@ def build_spectral_model(
         wavenumbers=wavenumbers,
         eigenvalues_A=lam_A,
         eigenvalues_S=lam_S,
+        ea_weights=1.0 + lam_A,
         grid_points=grid_points,
         grid_weights=np.full(num_grid, weight),
         grid_shape=grid_shape,
@@ -570,8 +575,10 @@ class GalerkinLevel:
     """Dyadic block of modes (lambda_S < 2**(n+1)), its cutoffs and bound transform pair."""
 
     n: int
-    indices: np.ndarray       # indices into the model's mode table
-    multipliers: np.ndarray   # cutoff values at the retained eigenvalues
+    indices: np.ndarray        # 0, ..., dim - 1: a prefix of the model's mode table
+    multipliers: np.ndarray    # cutoff values at the retained eigenvalues
+    eigenvalues_A: np.ndarray  # views of the model's arrays on the prefix
+    ea_weights: np.ndarray
     to_grid: object = dataclasses.field(compare=False, repr=False)
     from_grid: object = dataclasses.field(compare=False, repr=False)
 
@@ -585,10 +592,12 @@ def build_level(model: SpectralModel, n: int) -> GalerkinLevel:
         raise ConfigurationError(
             f"level must be an integer in [0, {model.max_level}], got {n}"
         )
-    mask = model.eigenvalues_S < 2.0 ** (n + 1)
-    indices = np.nonzero(mask)[0]
-    multipliers = cutoff_multiplier(n, model.eigenvalues_S[indices])
-    return GalerkinLevel(n, indices, np.asarray(multipliers), *model.transform_pair(indices))
+    # the modes with lambda_S < 2**(n+1) are a prefix: the table is sorted by lambda_S
+    dim = int(np.searchsorted(model.eigenvalues_S, 2.0 ** (n + 1)))
+    indices = np.arange(dim)
+    multipliers = cutoff_multiplier(n, model.eigenvalues_S[:dim])
+    return GalerkinLevel(n, indices, np.asarray(multipliers), model.eigenvalues_A[:dim],
+                         model.ea_weights[:dim], *model.transform_pair(indices))
 
 
 def apply_projection(level: GalerkinLevel, coefficients_full: np.ndarray) -> np.ndarray:
@@ -650,7 +659,7 @@ def sobolev_norm(
     sq = np.abs(coefficients) ** 2
     if space == "H":
         return float(math.sqrt(np.sum(sq)))
-    weights = 1.0 + model.eigenvalues_A[idx]
+    weights = model.ea_weights[idx]
     if space == "E_A":
         return float(math.sqrt(np.sum(weights * sq)))
     return float(math.sqrt(np.sum(sq / weights)))

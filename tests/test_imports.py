@@ -4,8 +4,10 @@ top-level name the package defines is read somewhere in the package,
 run-path module imports ``verify`` at module level, only
 ``spectral.build_level`` and ``verify`` bind a transform pair, only
 ``solver._run_levels`` and ``solver.step_between_jumps`` pick a stepper,
-only ``solver.GalerkinProblem`` and ``verify`` assemble noise operators, and
-``config`` names no domain constructor."""
+only ``solver.GalerkinProblem`` and ``verify`` assemble noise operators,
+``config`` names no domain constructor, only ``spectral.build_level`` builds a
+``GalerkinLevel``, and no module but ``spectral`` and ``verify`` adds 1 to the
+``lambda_A`` eigenvalues."""
 
 import ast
 import importlib
@@ -121,6 +123,30 @@ def noise_assembly_callers(sources: dict[str, str]) -> list[tuple[str, str]]:
         node.func, "attr", getattr(node.func, "id", None)) == "assemble_noise_operators")
 
 
+def level_constructors(sources: dict[str, str]) -> list[tuple[str, str]]:
+    """(module, top-level function or class) of every ``GalerkinLevel(...)`` call."""
+    return top_level_sites(sources, lambda node: isinstance(node, ast.Call) and getattr(
+        node.func, "attr", getattr(node.func, "id", None)) == "GalerkinLevel")
+
+
+def _reads_lambda_A(node) -> bool:
+    return any(getattr(inner, "attr", getattr(inner, "id", None)) in ("eigenvalues_A", "lam")
+               for inner in ast.walk(node))
+
+
+def energy_weight_sites(sources: dict[str, str]) -> list[tuple[str, str]]:
+    """(module, top-level function or class) of every ``1 + x`` or ``x + 1``
+    whose ``x`` reads ``eigenvalues_A`` or its solver alias ``lam``."""
+    def matches(node):
+        if not (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Add)):
+            return False
+        for one, other in ((node.left, node.right), (node.right, node.left)):
+            if isinstance(one, ast.Constant) and one.value == 1 and _reads_lambda_A(other):
+                return True
+        return False
+    return top_level_sites(sources, matches)
+
+
 def domain_constructors(source: str) -> set[str]:
     """Top-level functions of a module annotated to return a ``Domain``."""
     return {node.name for node in ast.parse(source).body
@@ -217,6 +243,47 @@ def test_only_the_problem_assembles_noise_operators():
     sources = {p.name: p.read_text(encoding="utf-8") for p in PACKAGE_DIR.glob("*.py")}
     callers = [c for c in noise_assembly_callers(sources) if c[0] != "verify.py"]
     assert callers == [("solver.py", "GalerkinProblem")]
+
+
+def test_checker_finds_level_constructors():
+    sources = {
+        "a.py": ("def build_level(model, n):\n    return GalerkinLevel(n, idx, m)\n"
+                 "class Coupled:\n    def coarse(self):\n"
+                 "        return spectral.GalerkinLevel(0, idx, m)\n"
+                 "level = GalerkinLevel(1, idx, m)\n"),
+        "b.py": ("from .spectral import GalerkinLevel\n"
+                 "def f(level: GalerkinLevel) -> GalerkinLevel:\n    return level\n"),
+    }
+    assert level_constructors(sources) == [("a.py", "build_level"), ("a.py", "Coupled"),
+                                           ("a.py", "<module>")]
+
+
+def test_only_build_level_constructs_a_level():
+    # a level is a prefix of its model's mode table because build_level keeps
+    # it so; the coupled run embeds a coarse state as that prefix
+    sources = {p.name: p.read_text(encoding="utf-8") for p in PACKAGE_DIR.glob("*.py")}
+    assert level_constructors(sources) == [("spectral.py", "build_level")]
+
+
+def test_checker_finds_energy_weight_sites():
+    sources = {
+        "a.py": ("def record(dyn):\n    return 1.0 + dyn.lam\n"
+                 "class Ops:\n    def bound(self):\n"
+                 "        return np.sqrt(self.model.eigenvalues_A[idx] + 1)\n"
+                 "w = 1 + model.eigenvalues_A\n"),
+        "b.py": ("def f(model, lam):\n    return 2.0 + model.eigenvalues_A, lam + 1.5, "
+                 "1.0 + model.eigenvalues_S, model.ea_weights\n"),
+    }
+    assert energy_weight_sites(sources) == [("a.py", "record"), ("a.py", "Ops"),
+                                            ("a.py", "<module>")]
+
+
+def test_only_spectral_adds_one_to_lambda_A():
+    # the model computes ea_weights = 1 + lambda_A once and each level holds a
+    # view of it; verify's oracles recompute it on purpose
+    sources = {p.name: p.read_text(encoding="utf-8") for p in PACKAGE_DIR.glob("*.py")
+               if p.name not in ("spectral.py", "verify.py")}
+    assert energy_weight_sites(sources) == []
 
 
 def test_checker_finds_domain_constructors_and_imported_names():

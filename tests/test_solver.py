@@ -1,15 +1,19 @@
 """Stepper and trajectory tests: exactness, conservation, order, jump handling."""
 
+import configparser
 import dataclasses
+import io
 import sys
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from jumpnls import jumps, nonlinear, solver, spectral
+from jumpnls.config import build_problem_from_spec, parse_config
 from jumpnls.exceptions import ConfigurationError, NumericsError, ShapeError
 from jumpnls.jumps import (
     _chebyshev_coefficients,
@@ -39,8 +43,8 @@ from jumpnls.solver import (
     JumpFreePath,
     SolverConfig,
     _Dynamics,
-    _new_record,
     _record_node,
+    _recorded_run,
     build_problem,
     drift,
     renormalize_initial,
@@ -57,6 +61,26 @@ from jumpnls.spectral import (
 )
 
 from conftest import eigenphase_factor
+
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+
+
+def shipped_spec(name: str, edits=()):
+    """``configs/<name>.ini``, parsed with ``((section, key), value)`` edits."""
+    parser = configparser.ConfigParser(interpolation=None)
+    parser.read(CONFIG_DIR / f"{name}.ini", encoding="utf-8")
+    for (section, key), value in edits:
+        parser[section][key] = value
+    text = io.StringIO()
+    parser.write(text)
+    return parse_config(text.getvalue())
+
+
+def stiff_step_spec(scale: str, *edits):
+    """One step of atomic_cubic from flat ``[initial]`` data of modulus ``scale``."""
+    return shipped_spec("atomic_cubic", [(("initial", "scale"), scale),
+                                         (("initial", "rate"), "0"),
+                                         (("run", "horizon"), "0.005"), *edits])
 
 
 def decaying_initial(model, seed=11, rate=0.4):
@@ -119,6 +143,17 @@ def test_build_problem_refuses_initial_data_that_is_not_finite(torus_model, case
         u0[3] = float(case)
     with pytest.raises(ConfigurationError, match="initial data for level 4 is not finite"):
         build_problem(torus_model, 4, u0, horizon=1.0)
+
+
+def test_initial_data_below_the_square_underflow_keep_their_scale():
+    # the squares of coefficients near 1e-300 underflow, so a plain norm
+    # reads 0 and the data would start from the zero state
+    _, unit = build_problem_from_spec(shipped_spec("atomic_cubic"))
+    _, tiny = build_problem_from_spec(
+        shipped_spec("atomic_cubic", [(("initial", "scale"), "1e-300")]))
+    want = 1e-300 * unit.initial
+    assert np.max(np.abs(want)) > 0.0
+    assert np.max(np.abs(tiny.initial - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 def test_renormalize_preserves_norm(torus_model):
@@ -400,7 +435,7 @@ def test_workspace_kernel_matches_eval_F(torus_model, torus2d_model, dense):
     for problem in cases:
         dyn = _Dynamics(problem, SolverConfig())
         idx, nl, dim = problem.level.indices, problem.nonlinearity, problem.level.dim
-        record = _new_record(problem, dyn, np.zeros(1), [], False)
+        _, record, _ = _recorded_run(problem, SolverConfig(), [], False)
         noise = rng.normal(size=dim) + 1j * rng.normal(size=dim)
         for u in (problem.initial, 2.0 * noise, np.zeros(dim, dtype=complex),
                   1e-310 * noise):
@@ -609,6 +644,27 @@ def test_fixed_point_failure_raises(torus_model):
     assert abs(np.sum(np.abs(out) ** 2) - mass0) <= 1e-10 * mass0
 
 
+def test_stiff_midpoint_solve_halves_once_it_stops_contracting(monkeypatch):
+    # one step of modulus 30 data halves 7 levels deep; a solve that used up
+    # max_fp_iters before each halving cost 19 113 remainder calls
+    spec = stiff_step_spec("30")
+    _, problem = build_problem_from_spec(spec)
+    dyn = solver._dynamics(problem, spec.solver)
+    calls, remainder = [], dyn.remainder
+    monkeypatch.setattr(dyn, "remainder", lambda state: calls.append(1) or remainder(state))
+    record = simulate(problem, spec.solver, [], record_states=False)
+    assert len(calls) < 19_113
+    assert abs(record.mass[-1] - record.mass[0]) <= 1e-11 * record.mass[0]
+
+
+def test_halving_failure_names_its_depth_and_substep():
+    spec = stiff_step_spec("30", (("solver", "max_halvings"), "2"))
+    _, problem = build_problem_from_spec(spec)
+    with pytest.raises(NumericsError, match=r"step t=0\.0 -> 0\.005 .* at halving depth 2 "
+                       r"\(max_halvings = 2\), smallest substep tau=1\.250e-03"):
+        simulate(problem, spec.solver, [], record_states=False)
+
+
 def test_step_validation(torus_model):
     problem = build_problem(torus_model, 4, decaying_initial(torus_model), 1.0)
     config = SolverConfig()
@@ -795,6 +851,28 @@ def test_branch_node_is_the_last_uniform_node_before_the_first_jump(shared_probl
         events = [] if first is None else [JumpEvent(time=first, mark=mark),
                                            JumpEvent(time=0.3, mark=mark)]
         assert jump_free.branch_node(events) == branch, first
+
+
+def test_a_jump_at_time_zero_shows_in_the_node_zero_state():
+    # cadlag: the value recorded at a jump time is the post-jump state, also
+    # at t = 0, where the jump-free path shares nothing (branch node -1)
+    spec = shipped_spec("atomic_cubic", [(("run", "horizon"), "0.01")])
+    model, fine = build_problem_from_spec(spec)
+    _, coarse = build_problem_from_spec(spec, model, level=4)
+    mark = np.array([0.45])
+    events = [JumpEvent(time=0.0, mark=mark)]
+    jumped = jump_map(fine.ops, mark, fine.initial)
+    assert np.max(np.abs(jumped - fine.initial)) > 0.1
+    jump_free = JumpFreePath(fine, spec.solver)
+    assert jump_free.branch_node(events) == -1
+    for record in (simulate(fine, spec.solver, events),
+                   simulate(fine, spec.solver, events, jump_free=jump_free)):
+        assert np.array_equal(record.states[0], jumped)
+    gap = jumped.copy()
+    gap[:coarse.level.dim] -= jump_map(coarse.ops, mark, coarse.initial)
+    want = np.sqrt(np.sum(np.abs(gap) ** 2 / fine.level.ea_weights))
+    distance = simulate_coupled(coarse, fine, spec.solver, events).distances[0]
+    assert distance == pytest.approx(want, rel=1e-14, abs=0)
 
 
 def test_jump_free_path_refuses_another_run(shared_problem):
