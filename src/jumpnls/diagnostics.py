@@ -1,4 +1,6 @@
-"""Conserved-quantity reports, path-regularity diagnostics, ensemble statistics."""
+"""Conserved-quantity reports, path-regularity diagnostics, ensemble statistics.
+
+The energy functions take the coefficients of the first ``dim`` modes (None: all)."""
 
 from __future__ import annotations
 
@@ -26,16 +28,16 @@ def energy(
     model: SpectralModel,
     nl: Nonlinearity | None,
     state: np.ndarray,
-    indices=None,
+    dim=None,
 ) -> EnergyReport:
     state = np.asarray(state, dtype=complex)
-    idx = np.arange(model.num_modes) if indices is None else np.asarray(indices)
-    if state.shape != (len(idx),):
-        raise ShapeError(f"expected {len(idx)} coefficients, got {state.shape}")
+    lam = model.eigenvalues_A[:dim]
+    if state.shape != lam.shape:
+        raise ShapeError(f"expected {len(lam)} coefficients, got {state.shape}")
     sq = np.abs(state) ** 2
     mass = float(np.sum(sq))
-    kinetic = float(0.5 * np.sum(model.eigenvalues_A[idx] * sq))
-    potential = 0.0 if nl is None else eval_Fhat(model, nl, state, indices=idx)
+    kinetic = float(0.5 * np.sum(lam * sq))
+    potential = 0.0 if nl is None else eval_Fhat(model, nl, state, dim)
     return EnergyReport(mass=mass, kinetic=kinetic, potential=potential,
                         total=kinetic + potential)
 
@@ -45,15 +47,14 @@ def energy_derivative(
     nl: Nonlinearity | None,
     state: np.ndarray,
     direction: np.ndarray,
-    indices=None,
+    dim=None,
 ) -> float:
     """Directional derivative of the energy: Re <A u + F(u), h>."""
     state = np.asarray(state, dtype=complex)
     direction = np.asarray(direction, dtype=complex)
-    idx = np.arange(model.num_modes) if indices is None else np.asarray(indices)
-    grad = model.eigenvalues_A[idx] * state
+    grad = model.eigenvalues_A[:dim] * state
     if nl is not None:
-        grad = grad + eval_F(model, nl, state, indices=idx)
+        grad = grad + eval_F(model, nl, state, dim)
     return float(np.vdot(grad, direction).real)
 
 

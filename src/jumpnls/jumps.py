@@ -214,10 +214,10 @@ def _assemble_matrices(model: SpectralModel, level: GalerkinLevel, symbols: np.n
         cols = slice(start, min(start + width, dim))
         unit = np.zeros((cols.stop - start, dim))
         unit[:, cols] = np.diag(smoother[cols])
-        smoothed_modes = model.synthesize(unit, indices=level.indices)
+        smoothed_modes = model.synthesize(unit, dim)
         for m, symbol in enumerate(symbols):
             # row j of ``rows`` holds column j of the operator
-            rows = model.analyze(symbol * smoothed_modes, indices=level.indices)
+            rows = model.analyze(symbol * smoothed_modes, dim)
             matrices[m][:, cols] = smoother[:, None] * rows.T
 
     defect = 0.0
@@ -253,7 +253,7 @@ def estimate_lp_bound(
     total = 0.0
     for M in ops.matrices:
         est = _max_lp_ratio(ops.model, lambda u: M @ u, p, rng, 32, extra=[ones],
-                            indices=ops.level.indices)
+                            dim=ops.dim)
         total += est**2
     return total
 

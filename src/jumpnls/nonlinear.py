@@ -7,6 +7,8 @@ at every level size.  Analysis is the quadrature adjoint of synthesis, and
 the grid pairing makes
 ``<u, F(u)>`` a nonnegative quadrature sum times the sign, so the structural
 identity ``Re <i u, F(u)> = 0`` holds to rounding regardless of aliasing.
+:func:`eval_F` and :func:`eval_Fhat` take the coefficients of the first
+``dim`` modes (None: all).
 
 The solver's step loop does not call :func:`eval_F` or :func:`eval_Fhat`: its
 drift workspace applies the same pointwise power (``_pointwise_power``) and
@@ -92,26 +94,26 @@ def eval_F(
     model: SpectralModel,
     nl: Nonlinearity,
     coefficients: np.ndarray,
-    indices=None,
+    dim=None,
 ) -> np.ndarray:
-    """Coefficients of sign * |u|^(alpha-1) u on the selected mode set.
+    """Coefficients of sign * |u|^(alpha-1) u on the first ``dim`` modes (all when omitted).
 
-    Computing only the selected coefficients is exactly the composition with
-    the orthogonal projection onto that mode set.
+    Computing only those coefficients is exactly the composition with the
+    orthogonal projection onto their span.
     """
-    values = model.synthesize(coefficients, indices=indices)
+    values = model.synthesize(coefficients, dim)
     # overflow to inf is acceptable: callers iterating toward a fixed point
     # read it as a diverged step and shorten
     with np.errstate(over="ignore", invalid="ignore"):
         power = _pointwise_power(values, nl.alpha)
-    return nl.sign * model.analyze(power, indices=indices)
+    return nl.sign * model.analyze(power, dim)
 
 
 def eval_Fhat(
     model: SpectralModel,
     nl: Nonlinearity,
     coefficients: np.ndarray,
-    indices=None,
+    dim=None,
 ) -> float:
     """Antiderivative functional sign/(alpha+1) * ||u||_{L^{alpha+1}}^{alpha+1}.
 
@@ -119,6 +121,6 @@ def eval_Fhat(
     :func:`eval_F`; both use the same quadrature so the identity survives
     discretisation.
     """
-    values = model.synthesize(coefficients, indices=indices)
+    values = model.synthesize(coefficients, dim)
     integral = float(np.sum(model.grid_weights * np.abs(values) ** (nl.alpha + 1.0)))
     return nl.sign * integral / (nl.alpha + 1.0)

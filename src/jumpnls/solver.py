@@ -138,16 +138,24 @@ class GalerkinProblem:
                 )
 
 
+#: smallest normal float64; a sum of squares below it has lost its digits
+_TINY = float(np.finfo(float).tiny)
+
+
+def _norm_over_top(x: np.ndarray, weights=1.0) -> float:
+    """``sqrt(sum weights |x|^2)`` taken on ``x`` over its largest modulus, so
+    data whose squares underflow keep a norm."""
+    modulus = np.abs(x)
+    top = float(np.max(modulus))
+    # a real quotient: 1 / top overflows for subnormal data
+    return top * math.sqrt(np.sum(weights * (modulus / top) ** 2)) if top else 0.0
+
+
 def _underflow_safe_norm(x: np.ndarray) -> float:
-    """``np.linalg.norm(x)``, taken on ``x`` over its largest modulus where the
-    squares underflow (a norm below about 1e-154), so tiny data keep a norm."""
+    """``np.linalg.norm(x)``, or :func:`_norm_over_top` where the squares
+    underflow (a norm below about 1e-154), so tiny data keep a norm."""
     norm = float(np.linalg.norm(x))
-    if norm < math.sqrt(np.finfo(float).tiny):
-        modulus = np.abs(x)
-        top = float(np.max(modulus))
-        if top > 0.0:  # a real quotient: 1 / top overflows for subnormal data
-            return top * float(np.linalg.norm(modulus / top))
-    return norm
+    return _norm_over_top(x) if norm < math.sqrt(_TINY) else norm
 
 
 def renormalize_initial(
@@ -467,9 +475,11 @@ def _check_events(problems, events) -> list[JumpEvent]:
 
 def _record_node(record: TrajectoryRecord, dyn: _Dynamics, i: int, u) -> None:
     sq = np.abs(u) ** 2
+    ea_sq = record.ea_weights @ sq
     record.columns[i] = (sq.sum(), 0.5 * (dyn.lam @ sq),  # in COLUMNS order
                          0.0 if dyn.nl is None else dyn.potential(u),
-                         math.sqrt(record.ea_weights @ sq))
+                         _norm_over_top(u, record.ea_weights) if ea_sq < _TINY
+                         else math.sqrt(ea_sq))
     if record.states is not None:
         record.states[i] = u
 

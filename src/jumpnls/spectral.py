@@ -21,9 +21,10 @@ domain takes a table row, a constructor and its closed-form basis in the
 tests' oracle (``tests/conftest.py::closed_form_basis``).
 
 ``SpectralModel.synthesize`` and ``analyze`` check shapes and run the fast
-transform, at every size; the model caches nothing.  ``build_level`` binds
-each level's pair once (``SpectralModel.transform_pair``: dense, separable on
-a 2-d torus, or the fast transforms), and every run-path product reads it.
+transform, at every size; the model caches nothing.  A mode set is the
+first ``dim`` modes of the table (None: all).  ``build_level`` binds each
+level's pair once (``SpectralModel.transform_pair``: dense, separable on a
+2-d torus, or the fast transforms), and every run-path product reads it.
 
 Two diagonal operators act on coefficients:
 
@@ -33,8 +34,9 @@ Two diagonal operators act on coefficients:
 * ``S`` — a strictly positive companion operator used only to organise modes
   into dyadic blocks: ``S = A`` on Dirichlet intervals and ``S = Id + A``
   otherwise.  Level ``n`` keeps the modes with ``lambda_S < 2**(n+1)``, which
-  are the first ``dim`` of the table, sorted by ``lambda_S``: a level is a
-  prefix of every finer one and carries prefix views of both eigenvalue arrays.
+  are the first ``dim`` of the table, sorted by ``lambda_S``: a level is its
+  mode count, a prefix of every finer one, and carries prefix views of both
+  eigenvalue arrays.  A level without modes is refused.
 
 Smoothed truncation multiplies coefficients by a C^2 cutoff of ``lambda_S``
 that is 1 below ``2**n``, 0 at and above ``2**(n+1)``, and a quintic ramp in
@@ -283,13 +285,13 @@ class SpectralModel:
     def num_grid(self) -> int:
         return len(self.grid_weights)
 
-    def synthesize(self, coefficients: np.ndarray, indices=None) -> np.ndarray:
+    def synthesize(self, coefficients: np.ndarray, dim=None) -> np.ndarray:
         """Coefficients (last axis) -> samples on the quadrature grid.
 
-        The last axis holds all retained modes, or those selected by
-        ``indices``; leading axes are a batch.
+        The last axis holds the first ``dim`` modes of the table (all of them
+        when omitted); leading axes are a batch.
         """
-        positions = self.positions if indices is None else self.positions[indices]
+        positions = self._prefix(dim)
         coefficients = np.asarray(coefficients)
         if coefficients.shape[-1:] != positions.shape:
             raise ShapeError(
@@ -297,18 +299,17 @@ class SpectralModel:
             )
         return self._fast_synthesize(coefficients, positions)
 
-    def analyze(self, values: np.ndarray, indices=None) -> np.ndarray:
-        """Grid samples (last axis) -> coefficients of the retained (or selected) modes."""
+    def analyze(self, values: np.ndarray, dim=None) -> np.ndarray:
+        """Grid samples (last axis) -> coefficients of the first ``dim`` modes (all when omitted)."""
         values = np.asarray(values)
         if values.shape[-1:] != (self.num_grid,):
             raise ShapeError(
                 f"expected {self.num_grid} grid values, got shape {values.shape}"
             )
-        positions = self.positions if indices is None else self.positions[indices]
-        return self._fast_analyze(values, positions)
+        return self._fast_analyze(values, self._prefix(dim))
 
-    def transform_pair(self, indices=None):
-        """``(to_grid, from_grid)`` for the retained (or selected) modes, bound once.
+    def transform_pair(self, dim=None):
+        """``(to_grid, from_grid)`` for the first ``dim`` modes (all when omitted), bound once.
 
         The callables do what :meth:`synthesize` and :meth:`analyze` do,
         without the shape checks and the per-call lookups, served one of
@@ -329,9 +330,9 @@ class SpectralModel:
         transforms; every pair gives each batch row the bits it gives that
         row alone.
         """
-        positions = self.positions if indices is None else self.positions[indices]
+        positions = self._prefix(dim)
         if positions.size * self.num_grid <= DENSE_PAIR_MAX_ENTRIES:
-            synthesis = self.synthesize(np.eye(positions.size), indices)
+            synthesis = self.synthesize(np.eye(positions.size), dim)
             adjoint = np.ascontiguousarray(self.grid_weights[:, None] * synthesis.conj().T)
             return _rowwise(synthesis), _rowwise(adjoint)
         pair = self._separable_pair(positions) if self.domain.kind == TORUS_2D else None
@@ -339,6 +340,12 @@ class SpectralModel:
             return pair
         return (lambda coefficients: self._fast_synthesize(coefficients, positions),
                 lambda values: self._fast_analyze(values, positions))
+
+    def _prefix(self, dim) -> np.ndarray:
+        """Spectrum positions of the first ``dim`` modes, all of them for None."""
+        if dim is not None and not 0 <= dim <= self.num_modes:
+            raise ShapeError(f"dim must be in [0, {self.num_modes}], got {dim}")
+        return self.positions[:dim]
 
     def _separable_pair(self, positions: np.ndarray):
         """The 2-d pair of ``positions`` as per-axis DFT factors on their support.
@@ -575,8 +582,7 @@ class GalerkinLevel:
     """Dyadic block of modes (lambda_S < 2**(n+1)), its cutoffs and bound transform pair."""
 
     n: int
-    indices: np.ndarray        # 0, ..., dim - 1: a prefix of the model's mode table
-    multipliers: np.ndarray    # cutoff values at the retained eigenvalues
+    multipliers: np.ndarray    # cutoffs of the first dim modes of the model's table
     eigenvalues_A: np.ndarray  # views of the model's arrays on the prefix
     ea_weights: np.ndarray
     to_grid: object = dataclasses.field(compare=False, repr=False)
@@ -584,7 +590,7 @@ class GalerkinLevel:
 
     @property
     def dim(self) -> int:
-        return len(self.indices)
+        return len(self.multipliers)
 
 
 def build_level(model: SpectralModel, n: int) -> GalerkinLevel:
@@ -594,18 +600,22 @@ def build_level(model: SpectralModel, n: int) -> GalerkinLevel:
         )
     # the modes with lambda_S < 2**(n+1) are a prefix: the table is sorted by lambda_S
     dim = int(np.searchsorted(model.eigenvalues_S, 2.0 ** (n + 1)))
-    indices = np.arange(dim)
+    if dim == 0:
+        raise ConfigurationError(
+            f"level {n} holds no modes: lambda_S < 2**{n + 1} = {2.0 ** (n + 1):g} "
+            f"takes none, and the first lambda_S is {model.eigenvalues_S[0]:.6g}"
+        )
     multipliers = cutoff_multiplier(n, model.eigenvalues_S[:dim])
-    return GalerkinLevel(n, indices, np.asarray(multipliers), model.eigenvalues_A[:dim],
-                         model.ea_weights[:dim], *model.transform_pair(indices))
+    return GalerkinLevel(n, np.asarray(multipliers), model.eigenvalues_A[:dim],
+                         model.ea_weights[:dim], *model.transform_pair(dim))
 
 
 def apply_projection(level: GalerkinLevel, coefficients_full: np.ndarray) -> np.ndarray:
-    """Orthogonal projection onto the level: keep the level's coefficients."""
+    """Orthogonal projection onto the level: keep its first ``dim`` coefficients."""
     coefficients_full = np.asarray(coefficients_full)
-    if coefficients_full.ndim != 1 or len(coefficients_full) <= int(level.indices.max()):
+    if coefficients_full.ndim != 1 or len(coefficients_full) < level.dim:
         raise ShapeError("coefficient vector does not cover the level's modes")
-    return coefficients_full[level.indices]
+    return coefficients_full[:level.dim]
 
 
 def apply_smoothing(level: GalerkinLevel, coefficients_full: np.ndarray) -> np.ndarray:
@@ -620,9 +630,7 @@ def embed(level: GalerkinLevel, coefficients_level: np.ndarray, num_modes: int) 
         raise ShapeError(
             f"expected {level.dim} coefficients, got shape {coefficients_level.shape}"
         )
-    out = np.zeros(num_modes, dtype=complex)
-    out[level.indices] = coefficients_level
-    return out
+    return np.pad(coefficients_level.astype(complex), (0, num_modes - level.dim))
 
 
 # ---------------------------------------------------------------------------
@@ -633,12 +641,12 @@ def sobolev_norm(
     model: SpectralModel,
     coefficients: np.ndarray,
     space: str = "H",
-    indices=None,
+    dim=None,
     p: float | None = None,
 ) -> float:
     """Norm of a coefficient vector in H, the energy space, its dual, or Lp.
 
-    ``coefficients`` are aligned with ``indices`` (all modes when omitted).
+    ``coefficients`` are those of the first ``dim`` modes (all when omitted).
     The Hilbert norms are weighted Euclidean norms with weights 1,
     ``1 + lambda_A``, and ``1 / (1 + lambda_A)``; Lp norms are evaluated by
     grid quadrature and require ``p``.
@@ -646,34 +654,33 @@ def sobolev_norm(
     if space not in NORM_SPACES:
         raise ValueError(f"space must be one of {NORM_SPACES}, got {space!r}")
     coefficients = np.asarray(coefficients)
-    idx = np.arange(model.num_modes) if indices is None else np.asarray(indices)
-    if coefficients.shape != (len(idx),):
+    weights = model.ea_weights[:dim]
+    if coefficients.shape != weights.shape:
         raise ShapeError(
-            f"expected {len(idx)} coefficients, got shape {coefficients.shape}"
+            f"expected {len(weights)} coefficients, got shape {coefficients.shape}"
         )
     if space == "Lp":
         if p is None or not (p >= 1):
             raise ValueError("Lp norm requires p >= 1")
-        values = model.synthesize(coefficients, indices=idx)
+        values = model.synthesize(coefficients, dim)
         return float(np.sum(model.grid_weights * np.abs(values) ** p) ** (1.0 / p))
     sq = np.abs(coefficients) ** 2
     if space == "H":
         return float(math.sqrt(np.sum(sq)))
-    weights = model.ea_weights[idx]
     if space == "E_A":
         return float(math.sqrt(np.sum(weights * sq)))
     return float(math.sqrt(np.sum(sq / weights)))
 
 
-def _max_lp_ratio(model, apply, p, rng, num_probes, extra=(), indices=None):
+def _max_lp_ratio(model, apply, p, rng, num_probes, extra=(), dim=None):
     """Largest ``||apply(u)||_p / ||u||_p`` over a probe set of coefficient vectors.
 
     The probes are ``num_probes`` complex Gaussian vectors drawn from ``rng``,
     every unit vector, then ``extra``; probes of (numerically) zero norm are
-    skipped.  Coefficients are aligned with ``indices`` (all modes when
+    skipped.  Coefficients are those of the first ``dim`` modes (all when
     omitted).
     """
-    d = model.num_modes if indices is None else len(indices)
+    d = model.num_modes if dim is None else dim
     probes = [rng.standard_normal(d) + 1j * rng.standard_normal(d)
               for _ in range(num_probes)]
     probes += list(np.eye(d, dtype=complex))
@@ -681,10 +688,10 @@ def _max_lp_ratio(model, apply, p, rng, num_probes, extra=(), indices=None):
 
     best = 0.0
     for u in probes:
-        denom = sobolev_norm(model, u, space="Lp", indices=indices, p=p)
+        denom = sobolev_norm(model, u, space="Lp", dim=dim, p=p)
         if denom < 1e-13:
             continue
-        num = sobolev_norm(model, apply(u), space="Lp", indices=indices, p=p)
+        num = sobolev_norm(model, apply(u), space="Lp", dim=dim, p=p)
         best = max(best, num / denom)
     return best
 

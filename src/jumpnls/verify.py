@@ -143,10 +143,16 @@ def check_eigenvalue_ordering(ws, tol):
 
 
 def check_level_nesting(ws, tol):
-    fine = spectral.build_level(ws.model, 5)
-    nested = set(ws.level.indices).issubset(set(fine.indices))
-    return _result("level_nesting", nested,
-                   f"dim {ws.level.dim} inside dim {fine.dim}: {nested}")
+    # levels nest as prefixes because the table is sorted by lambda_S and
+    # level n holds the modes below 2**(n+1)
+    lam = ws.model.eigenvalues_S
+    ordered = bool(np.all(np.diff(lam) >= 0))
+    dims = [spectral.build_level(ws.model, n).dim for n in range(ws.model.max_level + 1)]
+    counts = [int(np.count_nonzero(lam < 2.0 ** (n + 1))) for n in range(len(dims))]
+    ok = ordered and dims == counts
+    return _result("level_nesting", ok,
+                   f"lambda_S nondecreasing: {ordered}, level dims {dims}, "
+                   f"modes below 2**(n+1) {counts}")
 
 
 def check_cutoff_branches(ws, tol):
@@ -188,7 +194,7 @@ def check_smoothing_contraction(ws, tol):
 # ---------------------------------------------------------------------------
 
 def check_pairing_reality(ws, tol):
-    f = nonlinear.eval_F(ws.model, ws.nl, ws.state, indices=ws.level.indices)
+    f = nonlinear.eval_F(ws.model, ws.nl, ws.state, ws.level.dim)
     pairing = float(np.vdot(ws.state, 1j * f).real)
     scale = np.linalg.norm(ws.state) * max(np.linalg.norm(f), 1.0)
     ok = abs(pairing) <= 1e-13 * tol * scale
@@ -198,11 +204,11 @@ def check_pairing_reality(ws, tol):
 def check_antiderivative_slope(ws, tol):
     u = ws.state
     h = np.roll(u, 1)
-    f = nonlinear.eval_F(ws.model, ws.nl, u, indices=ws.level.indices)
+    f = nonlinear.eval_F(ws.model, ws.nl, u, ws.level.dim)
     exact = float(np.vdot(f, h).real)
     eps = 1e-6
-    plus = nonlinear.eval_Fhat(ws.model, ws.nl, u + eps * h, indices=ws.level.indices)
-    minus = nonlinear.eval_Fhat(ws.model, ws.nl, u - eps * h, indices=ws.level.indices)
+    plus = nonlinear.eval_Fhat(ws.model, ws.nl, u + eps * h, ws.level.dim)
+    minus = nonlinear.eval_Fhat(ws.model, ws.nl, u - eps * h, ws.level.dim)
     fd = (plus - minus) / (2 * eps)
     err = abs(fd - exact) / max(abs(exact), 1e-12)
     return _result("antiderivative_slope", err <= 1e-5 * tol,
@@ -402,7 +408,7 @@ def check_diagonal_exactness(ws, tol):
     u = problem.initial.copy()
     for _ in range(20):
         u = solver.step_between_jumps(problem, config, u, config.dt)
-    lam = ws.model.eigenvalues_A[problem.level.indices]
+    lam = problem.level.eigenvalues_A
     exact = np.exp(-1j * lam * 1.0) * problem.initial
     err = np.linalg.norm(u - exact) / np.linalg.norm(exact)
     return _result("diagonal_exactness", err <= 1e-12 * tol,
@@ -500,8 +506,7 @@ def check_modulus_dynamic_program(ws, tol):
 
 
 def check_energy_report(ws, tol):
-    report = diagnostics.energy(ws.model, ws.nl, ws.state,
-                                indices=ws.level.indices)
+    report = diagnostics.energy(ws.model, ws.nl, ws.state, ws.level.dim)
     recomputed = report.kinetic + report.potential
     ok = (report.total == recomputed
           and abs(report.mass - float(np.sum(np.abs(ws.state) ** 2))) <= 1e-14 * tol)

@@ -135,18 +135,17 @@ def test_04_marcus_flow_cross_validation(model):
 def test_05_antiderivative_identity(model):
     nl = nonlinear.defocusing(3.0)
     level = spectral.build_level(model, 5)
-    idx = level.indices
     steps = np.array([1e-2, 1e-3, 1e-4, 1e-5])
     slopes = []
     for seed in range(20):
         rng = np.random.default_rng(500 + seed)
         u = unit_state(rng, level.dim)
         v = unit_state(rng, level.dim)
-        base = nonlinear.eval_Fhat(model, nl, u, indices=idx)
-        pairing = float(np.vdot(nonlinear.eval_F(model, nl, u, indices=idx),
+        base = nonlinear.eval_Fhat(model, nl, u, level.dim)
+        pairing = float(np.vdot(nonlinear.eval_F(model, nl, u, level.dim),
                                 v).real)
         errors = np.array([
-            abs((nonlinear.eval_Fhat(model, nl, u + h * v, indices=idx) - base)
+            abs((nonlinear.eval_Fhat(model, nl, u + h * v, level.dim) - base)
                 / h - pairing)
             for h in steps
         ])
@@ -160,12 +159,11 @@ def test_06_energy_jump_difference_scaling(model):
     x = model.grid_points[:, 0]
     nl = nonlinear.defocusing(3.0)
     level = spectral.build_level(model, 5)
-    idx = level.indices
     ops = jumps.assemble_noise_operators(
         model, level, np.stack([np.cos(x), np.sin(x), np.cos(2 * x)])
     )
     state = solver.renormalize_initial(model, level, golden_decaying(model))
-    base = diagnostics.energy(model, nl, state, indices=idx).total
+    base = diagnostics.energy(model, nl, state, level.dim).total
     radii = np.logspace(-1, -4, 7)
     rng = np.random.default_rng(606)
     worst_first = 0.0
@@ -177,10 +175,10 @@ def test_06_energy_jump_difference_scaling(model):
         for radius in radii:
             mark = radius * direction
             jumped = jumps.jump_map(ops, mark, state)
-            delta = diagnostics.energy(model, nl, jumped, indices=idx).total - base
+            delta = diagnostics.energy(model, nl, jumped, level.dim).total - base
             linear = diagnostics.energy_derivative(
                 model, nl, state, 1j * (jumps.generator(ops, mark) @ state),
-                indices=idx,
+                level.dim,
             )
             first.append(abs(delta) / radius)
             second.append(abs(delta + linear) / radius**2)

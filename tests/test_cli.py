@@ -443,6 +443,21 @@ def test_numerics_error_names_trajectory_and_time(tmp_path, capsys):
     assert "failed to converge" in err
 
 
+def test_a_level_with_no_modes_is_a_configuration_error(tmp_path, capsys):
+    # on a Dirichlet interval of length 1 the first lambda_S is pi^2 ~ 9.87,
+    # so levels 0-2 (lambda_S < 2, 4, 8) hold no mode; level 3 holds one
+    text = (CONFIG_DIR / "stable_linear.ini").read_text(encoding="utf-8")
+    text = text.replace("length = 3.141592653589793", "length = 1.0")
+    for configured, empty, argv in ((0, 0, ["simulate", "--out", str(tmp_path / "out")]),
+                                    (3, 1, ["converge", "--levels", "1,2"])):
+        config = tmp_path / f"level{configured}.ini"
+        config.write_text(text.replace("level = 4", f"level = {configured}"), encoding="utf-8")
+        assert main(argv + ["--config", str(config)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: level {empty} holds no modes")
+        assert "the first lambda_S is 9.8696" in err
+
+
 def test_numerics_error_on_the_jump_free_path_names_its_first_trajectory(tmp_path, capsys):
     # one fixed-point iteration converges no step.  At master seed 37 the
     # three paths branch off the jump-free path at nodes 4, 2 and 1, so
@@ -689,9 +704,9 @@ def test_cli_runs_bind_one_pair_per_level_built(tmp_path, monkeypatch):
     # level once and each coarse level once per trajectory (K = 2)
     dims, transform_pair = [], spectral.SpectralModel.transform_pair
 
-    def counting(self, indices=None):
-        dims.append(len(indices))
-        return transform_pair(self, indices)
+    def counting(self, dim=None):
+        dims.append(dim)
+        return transform_pair(self, dim)
 
     monkeypatch.setattr(spectral.SpectralModel, "transform_pair", counting)
     assert main(["simulate", "--config", str(WORKLOAD_DIR / "ensemble-1d.ini"),

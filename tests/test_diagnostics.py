@@ -60,10 +60,10 @@ def test_energy_derivative_matches_difference_quotient(torus_model):
     nl = defocusing(3.0)
     x = rng.normal(size=level.dim) + 1j * rng.normal(size=level.dim)
     h = rng.normal(size=level.dim) + 1j * rng.normal(size=level.dim)
-    exact = energy_derivative(torus_model, nl, x, h, indices=level.indices)
+    exact = energy_derivative(torus_model, nl, x, h, level.dim)
 
     def total(state):
-        report = energy(torus_model, nl, state, indices=level.indices)
+        report = energy(torus_model, nl, state, level.dim)
         return report.total
 
     eps = 1e-6

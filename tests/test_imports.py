@@ -6,8 +6,9 @@ run-path module imports ``verify`` at module level, only
 ``solver._run_levels`` and ``solver.step_between_jumps`` pick a stepper,
 only ``solver.GalerkinProblem`` and ``verify`` assemble noise operators,
 ``config`` names no domain constructor, only ``spectral.build_level`` builds a
-``GalerkinLevel``, and no module but ``spectral`` and ``verify`` adds 1 to the
-``lambda_A`` eigenvalues."""
+``GalerkinLevel``, no module but ``spectral`` and ``verify`` adds 1 to the
+``lambda_A`` eigenvalues, and no module selects modes by an ``indices``
+array."""
 
 import ast
 import importlib
@@ -147,6 +148,14 @@ def energy_weight_sites(sources: dict[str, str]) -> list[tuple[str, str]]:
     return top_level_sites(sources, matches)
 
 
+def mode_subset_sites(sources: dict[str, str]) -> list[tuple[str, str]]:
+    """(module, top-level function or class) of every ``x.indices`` read,
+    ``indices=`` keyword passed or ``indices`` parameter named."""
+    return top_level_sites(sources, lambda node: (
+        isinstance(node, ast.Attribute) and node.attr == "indices"
+        or isinstance(node, (ast.keyword, ast.arg)) and node.arg == "indices"))
+
+
 def domain_constructors(source: str) -> set[str]:
     """Top-level functions of a module annotated to return a ``Domain``."""
     return {node.name for node in ast.parse(source).body
@@ -284,6 +293,25 @@ def test_only_spectral_adds_one_to_lambda_A():
     sources = {p.name: p.read_text(encoding="utf-8") for p in PACKAGE_DIR.glob("*.py")
                if p.name not in ("spectral.py", "verify.py")}
     assert energy_weight_sites(sources) == []
+
+
+def test_checker_finds_mode_subset_sites():
+    sources = {
+        "a.py": ("def project(level, u):\n    return u[level.indices]\n"
+                 "class Model:\n    def synthesize(self, c, indices=None):\n        return c\n"
+                 "f = eval_F(model, nl, u, indices=idx)\n"),
+        "b.py": ("def f(level, indices, dim=None):\n    return level.dim, indices\n"
+                 "def g(x):\n    return np.take(x, idx), x.index(1)\n"),
+    }
+    assert mode_subset_sites(sources) == [("a.py", "project"), ("a.py", "Model"),
+                                          ("a.py", "<module>"), ("b.py", "f")]
+
+
+def test_no_module_selects_modes_by_indices():
+    # a level is the first dim modes of its model's table, so every mode set
+    # is a prefix count: ``dim`` and ``[:dim]``, never an index array
+    sources = {p.name: p.read_text(encoding="utf-8") for p in PACKAGE_DIR.glob("*.py")}
+    assert mode_subset_sites(sources) == []
 
 
 def test_checker_finds_domain_constructors_and_imported_names():

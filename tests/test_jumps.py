@@ -31,7 +31,7 @@ def tridiagonal_cos_oracle(model, level):
     basis the raw multiplication operator has 1/2 on wavenumber-adjacent
     pairs; smoothing scales entry (j, k) by the two cutoff values.
     """
-    ks = model.wavenumbers[level.indices, 0]
+    ks = model.wavenumbers[:level.dim, 0]
     s = level.multipliers
     d = level.dim
     expected = np.zeros((d, d), dtype=complex)
@@ -69,7 +69,7 @@ def test_assembly_matches_dense_quadrature(model_name, request):
     x = model.grid_points.sum(axis=1)
     symbols = [np.cos(x), 0.5 + np.sin(2.0 * x) * np.cos(x)]
     ops = jumps.assemble_noise_operators(model, level, symbols)
-    basis = closed_form_basis(model)[level.indices]
+    basis = closed_form_basis(model)[:level.dim]
     s = level.multipliers
     for symbol, M in zip(symbols, ops.matrices):
         raw = (basis.conj() * model.grid_weights * symbol) @ basis.T
@@ -156,14 +156,14 @@ def test_build_level_binds_the_only_transform_pair(torus2d_model, monkeypatch):
     model = torus2d_model
     bound, transform_pair = [], spectral.SpectralModel.transform_pair
 
-    def counting(self, indices=None):
-        bound.append(indices)
-        return transform_pair(self, indices)
+    def counting(self, dim=None):
+        bound.append(dim)
+        return transform_pair(self, dim)
 
     monkeypatch.setattr(spectral.SpectralModel, "transform_pair", counting)
     level = spectral.build_level(model, 5)
     assert level.dim * model.num_grid > spectral.DENSE_PAIR_MAX_ENTRIES
-    assert len(bound) == 1 and np.array_equal(bound[0], level.indices)
+    assert bound == [level.dim]
     bound.clear()
     measure = noise.AtomicMeasure(marks=[[0.5], [-0.3], [0.05]], weights=[6.0, 6.0, 3.0],
                                   epsilon=0.1)
@@ -252,7 +252,7 @@ def test_constant_symbol_is_diagonal(torus_model):
 
 def test_bound_ea_via_weighted_similarity(torus_model, cos_ops):
     level = cos_ops.level
-    w = np.sqrt(1.0 + torus_model.eigenvalues_A[level.indices])
+    w = np.sqrt(1.0 + torus_model.eigenvalues_A[:level.dim])
     sim = w[:, None] * cos_ops.matrices[0] / w[None, :]
     assert cos_ops.bound_EA == pytest.approx(np.linalg.norm(sim, 2) ** 2, rel=1e-12)
     assert cos_ops.bound_EA >= cos_ops.bound_H - 1e-12  # weights only stretch
@@ -454,7 +454,7 @@ def test_second_difference_taylor_limit(cos_ops):
 def test_ea_growth_bound(torus_model, cos_ops):
     rng = np.random.default_rng(49)
     level = cos_ops.level
-    w = 1.0 + torus_model.eigenvalues_A[level.indices]
+    w = 1.0 + torus_model.eigenvalues_A[:level.dim]
     for _ in range(50):
         mark = rng.uniform(-1, 1, size=1)
         x = random_state(rng, cos_ops.dim)

@@ -156,6 +156,20 @@ def test_initial_data_below_the_square_underflow_keep_their_scale():
     assert np.max(np.abs(tiny.initial - want)) <= 1e-12 * np.max(np.abs(want))
 
 
+def test_the_recorded_ea_norm_of_tiny_data_keeps_its_scale():
+    # the record's sums of squares underflow near 1e-300: mass, kinetic and
+    # potential read 0, and the E_A norm is taken over the largest modulus
+    records = []
+    for scale in ("1", "1e-300"):
+        spec = shipped_spec("atomic_cubic", [(("initial", "scale"), scale)])
+        _, problem = build_problem_from_spec(spec)
+        records.append(simulate(problem, spec.solver, events=[]))
+    unit, tiny = records
+    assert unit.ea_norm[0] > 0.0
+    assert abs(tiny.ea_norm[0] - 1e-300 * unit.ea_norm[0]) <= 1e-12 * 1e-300 * unit.ea_norm[0]
+    assert tiny.mass[0] == tiny.kinetic[0] == tiny.potential[0] == 0.0
+
+
 def test_renormalize_preserves_norm(torus_model):
     level = build_level(torus_model, 4)
     u0 = decaying_initial(torus_model)
@@ -163,7 +177,7 @@ def test_renormalize_preserves_norm(torus_model):
     assert tilde.shape == (level.dim,)
     assert np.linalg.norm(tilde) == pytest.approx(np.linalg.norm(u0), rel=1e-14)
     # direction matches the smoothed truncation
-    smoothed = level.multipliers * u0[level.indices]
+    smoothed = level.multipliers * u0[:level.dim]
     cross = np.abs(np.vdot(smoothed, tilde))
     assert cross == pytest.approx(
         np.linalg.norm(smoothed) * np.linalg.norm(tilde), rel=1e-13
@@ -173,7 +187,7 @@ def test_renormalize_preserves_norm(torus_model):
 def test_renormalize_annihilated_data_gives_zero(torus_model):
     level = build_level(torus_model, 2)
     u0 = decaying_initial(torus_model)
-    u0[level.indices] = 0.0  # support entirely above the level
+    u0[:level.dim] = 0.0  # support entirely above the level
     tilde = renormalize_initial(torus_model, level, u0)
     assert np.all(tilde == 0.0)
     assert np.linalg.norm(u0) > 0
@@ -228,7 +242,7 @@ def test_drift_pure_diagonal(torus_model):
     config = SolverConfig()
     u = problem.initial
     d = drift(problem, config, u)
-    lam = torus_model.eigenvalues_A[problem.level.indices]
+    lam = torus_model.eigenvalues_A[:problem.level.dim]
     assert np.allclose(d, -1j * lam * u, rtol=0, atol=1e-15)
 
 
@@ -257,7 +271,7 @@ def test_drift_mean_term_matches_manual_formula(torus_model, cos_symbol):
     )
     u = problem.initial
     d = drift(problem, SolverConfig(), u)
-    lam = torus_model.eigenvalues_A[problem.level.indices]
+    lam = torus_model.eigenvalues_A[:problem.level.dim]
     mean = 1.0 * 0.4 + 0.5 * (-0.2)
     manual = -1j * lam * u + 1j * mean * (problem.ops.matrices[0] @ u)
     assert np.linalg.norm(d - manual) <= 1e-13 * np.linalg.norm(manual)
@@ -434,15 +448,15 @@ def test_workspace_kernel_matches_eval_F(torus_model, torus2d_model, dense):
     assert len(cases) >= 4
     for problem in cases:
         dyn = _Dynamics(problem, SolverConfig())
-        idx, nl, dim = problem.level.indices, problem.nonlinearity, problem.level.dim
+        nl, dim = problem.nonlinearity, problem.level.dim
         _, record, _ = _recorded_run(problem, SolverConfig(), [], False)
         noise = rng.normal(size=dim) + 1j * rng.normal(size=dim)
         for u in (problem.initial, 2.0 * noise, np.zeros(dim, dtype=complex),
                   1e-310 * noise):
             with warnings.catch_warnings():
                 warnings.simplefilter("error", RuntimeWarning)
-                want_F = eval_F(model, nl, u, indices=idx)
-                want_Fhat = eval_Fhat(model, nl, u, indices=idx)
+                want_F = eval_F(model, nl, u, dim)
+                want_Fhat = eval_Fhat(model, nl, u, dim)
             got = dyn.remainder(u)
             assert np.linalg.norm(got - (-1j) * want_F) <= 1e-14 * np.linalg.norm(want_F)
             _record_node(record, dyn, 0, u)
@@ -545,7 +559,7 @@ def test_fp_iters_max_counts_each_run_alone(torus_model):
 def test_diagonal_flow_exact(torus_model, mode):
     problem = build_problem(torus_model, 6, decaying_initial(torus_model), 1.0)
     config = SolverConfig(mode=mode, dt=1e-2)
-    lam = torus_model.eigenvalues_A[problem.level.indices]
+    lam = torus_model.eigenvalues_A[:problem.level.dim]
     u = problem.initial.copy()
     steps = 100
     for _ in range(steps):
@@ -695,7 +709,7 @@ def test_simulate_jump_adapted_grid_and_cadlag(torus_model, cos_symbol):
     for e in events:
         assert e.time in record.times
 
-    lam = torus_model.eigenvalues_A[level.indices]
+    lam = torus_model.eigenvalues_A[:level.dim]
     u = problem.initial.copy()
     t_prev = 0.0
     expected = {}
@@ -968,7 +982,7 @@ def test_coupled_levels_identical_for_resolved_linear_flow(torus_model, cos_symb
     # without smoothing: both levels then follow the same path
     coarse = build_level(torus_model, 3)
     u0 = np.zeros(torus_model.num_modes, dtype=complex)
-    resolved = coarse.indices[coarse.multipliers == 1.0]
+    resolved = np.flatnonzero(coarse.multipliers == 1.0)
     u0[resolved] = decaying_initial(torus_model)[resolved]
     measure = AtomicMeasure(marks=[[0.6], [-0.6]], weights=[2.0, 2.0])
     constant_symbol = np.ones(torus_model.num_grid)
@@ -1046,8 +1060,7 @@ def test_coupled_levels_match_independent_runs(torus_model, cos_symbol, mode, cl
 
     # the dual-norm gap of the independent histories, coarse path zero-padded
     embedded = np.zeros_like(high.states)
-    embedded[:, np.searchsorted(problems[1].level.indices,
-                                problems[0].level.indices)] = low.states
+    embedded[:, :problems[0].level.dim] = low.states
     inv_w = 1.0 / high.ea_weights
     want = np.sqrt(np.sum(np.abs(high.states - embedded) ** 2 * inv_w, axis=1))
     assert np.array_equal(result.distances, want)

@@ -50,7 +50,9 @@ def test_mode_ordering_and_nesting(torus_model):
     assert np.all(np.diff(lam) >= 0)
     lo = spectral.build_level(torus_model, 4)
     hi = spectral.build_level(torus_model, 5)
-    assert set(lo.indices).issubset(set(hi.indices))
+    # a level is the prefix of the modes below its dyadic bound
+    for level in (lo, hi):
+        assert level.dim == np.count_nonzero(lam < 2.0 ** (level.n + 1))
     # dyadic blocks: level dims strictly grow on this model
     assert lo.dim < hi.dim
 
@@ -237,7 +239,7 @@ def test_projection_nesting(torus_model):
 
 def test_smoothing_multiplier_placement(torus_model):
     level = spectral.build_level(torus_model, 4)
-    lam = torus_model.eigenvalues_S[level.indices]
+    lam = torus_model.eigenvalues_S[:level.dim]
     assert np.all(level.multipliers[lam < 2.0**4] == 1.0)
     band = (lam >= 2.0**4) & (lam < 2.0**5)
     assert np.all(level.multipliers[band] < 1.0) and np.all(level.multipliers[band] > 0.0)
@@ -296,9 +298,9 @@ def test_transforms_match_closed_form(
         )
     except ConfigurationError:  # interval too short to hold a mode at this level
         assume(False)
-    def checked(indices):
-        return (lambda c: model.synthesize(c, indices=indices),
-                lambda v: model.analyze(v, indices=indices))
+    def checked(dim):
+        return (lambda c: model.synthesize(c, dim),
+                lambda v: model.analyze(v, dim))
 
     _check_transforms_match_closed_form(model, checked, batch, select, seed)
     # the bound pair above the dense crossover, on both sides of the 2-d
@@ -312,17 +314,16 @@ def test_transforms_match_closed_form(
 
 
 def _check_transforms_match_closed_form(model, transforms, batch, select, seed):
-    """``transforms(indices)`` gives ``(to_grid, from_grid)`` for a mode set."""
+    """``transforms(dim)`` gives ``(to_grid, from_grid)`` for the first ``dim`` modes."""
     rng = np.random.default_rng(seed)
     basis = closed_form_basis(model)
-    indices = None
+    dim = None
     if select:
-        count = int(rng.integers(1, model.num_modes + 1))
-        indices = np.sort(rng.choice(model.num_modes, size=count, replace=False))
-        basis = basis[indices]
+        dim = int(rng.integers(1, model.num_modes + 1))
+        basis = basis[:dim]
     c = random_state(rng, batch + (len(basis),))
     v = random_state(rng, batch + (model.num_grid,))
-    to_grid, from_grid = transforms(indices)
+    to_grid, from_grid = transforms(dim)
 
     values = to_grid(c)
     expected = c @ basis
@@ -400,20 +401,20 @@ def test_transform_pair_binds_a_dense_pair_below_the_limit(monkeypatch):
     rng = np.random.default_rng(3)
 
     # below the limit: the pair is synthesized once, when bound
-    to_grid, from_grid = model.transform_pair(small.indices)
+    to_grid, from_grid = model.transform_pair(small.dim)
     assert calls == [True]
     for _ in range(3):
         to_grid(random_state(rng, small.dim))
         from_grid(random_state(rng, (2, model.num_grid)))
     assert calls == [True]
     eye = np.eye(small.dim)
-    assert np.array_equal(to_grid(eye), model.synthesize(eye, indices=small.indices))
+    assert np.array_equal(to_grid(eye), model.synthesize(eye, small.dim))
     # above it, and in synthesize/analyze at any size: one transform per call
     calls.clear()
-    to_grid, from_grid = model.transform_pair(large.indices)
+    to_grid, from_grid = model.transform_pair(large.dim)
     to_grid(random_state(rng, large.dim))
     from_grid(random_state(rng, model.num_grid))
-    model.synthesize(random_state(rng, small.dim), indices=small.indices)
+    model.synthesize(random_state(rng, small.dim), small.dim)
     model.analyze(random_state(rng, model.num_grid))
     assert calls == [True, False, True, False]
     # the model keeps nothing beyond its fields
@@ -460,14 +461,14 @@ def test_transform_pair_binds_separable_factors_on_the_2d_torus(monkeypatch):
     v = random_state(rng, (2, 3, model.num_grid))
 
     # at the crossover: the 1-d factors are transformed once, when bound
-    to_grid, from_grid = model.transform_pair(level.indices)
+    to_grid, from_grid = model.transform_pair(level.dim)
     assert calls == [spectral.TORUS_1D] * 4
     assert_batch_rows_alone(to_grid, from_grid, c, v)
     assert calls == [spectral.TORUS_1D] * 4
     # one multiply-add above it: fft2 on every call
     calls.clear()
     monkeypatch.setattr(spectral, "SEPARABLE_PAIR_MAX_MULADDS", muladds - 1)
-    to_grid, from_grid = model.transform_pair(level.indices)
+    to_grid, from_grid = model.transform_pair(level.dim)
     to_grid(c[0, 0])
     from_grid(v[0, 0])
     assert calls == [spectral.TORUS_2D] * 2
@@ -517,14 +518,36 @@ def test_synthesize_analyze_equal_transform_pair(model_name, max_entries, reques
         if fft2:
             monkeypatch.setattr(spectral, "SEPARABLE_PAIR_MAX_MULADDS", 0)
         exact = max_entries == 0 and (fft2 or not separable)
-        for indices in (None, level.indices):
-            to_grid, from_grid = model.transform_pair(indices)
-            c = random_state(rng, (2, model.num_modes if indices is None else level.dim))
+        for dim in (None, level.dim):
+            to_grid, from_grid = model.transform_pair(dim)
+            c = random_state(rng, (2, model.num_modes if dim is None else dim))
             v = random_state(rng, (2, model.num_grid))
-            assert agree(model.synthesize(c, indices=indices), to_grid(c), exact)
-            assert agree(model.analyze(v, indices=indices), from_grid(v), exact)
-            assert agree(model.synthesize(c[0], indices=indices), to_grid(c[0]), exact)
-            assert agree(model.analyze(v[0], indices=indices), from_grid(v[0]), exact)
+            assert agree(model.synthesize(c, dim), to_grid(c), exact)
+            assert agree(model.analyze(v, dim), from_grid(v), exact)
+            assert agree(model.synthesize(c[0], dim), to_grid(c[0]), exact)
+            assert agree(model.analyze(v[0], dim), from_grid(v[0]), exact)
+
+
+@pytest.mark.parametrize(
+    "model_name", ["torus_model", "dirichlet_model", "neumann_model", "torus2d_model"]
+)
+def test_a_mode_count_synthesizes_its_zero_padded_table(model_name, request):
+    # the first dim modes are the table with the rest set to zero, bit for bit;
+    # analysis keeps the first dim coefficients of the full analysis
+    model = request.getfixturevalue(model_name)
+    rng = np.random.default_rng(17)
+    v = random_state(rng, (2, model.num_grid))
+    for n in range(model.max_level + 1):
+        dim = spectral.build_level(model, n).dim
+        c = random_state(rng, (2, dim))
+        padded = np.pad(c, ((0, 0), (0, model.num_modes - dim)))
+        assert model.synthesize(c, dim).tobytes() == model.synthesize(padded).tobytes()
+        assert model.synthesize(c[0], dim).tobytes() == model.synthesize(padded[0]).tobytes()
+        assert model.analyze(v, dim).tobytes() == model.analyze(v)[:, :dim].tobytes()
+    with pytest.raises(ShapeError):
+        model.synthesize(c, dim + 1)
+    with pytest.raises(ShapeError):
+        model.analyze(v, model.num_modes + 1)
 
 
 def test_parseval(torus_model):

@@ -1,5 +1,7 @@
 """Self-check battery: green on healthy code, red under injected faults."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -98,3 +100,28 @@ def test_fault_injection_chebyshev(monkeypatch):
     monkeypatch.setattr(jumps_mod, "_chebyshev_coefficients", conjugated)
     results = {r.name: r for r in verify.run_checks(names=["chebyshev_jump"])}
     assert not results["chebyshev_jump"].passed
+
+
+def test_level_nesting_fails_on_a_table_out_of_lambda_S_order(monkeypatch):
+    # levels are prefixes only because the table is sorted by lambda_S; two
+    # rows of different lambda_S swapped break that, and the check must see it
+    import jumpnls.spectral as spectral_mod
+
+    real = spectral_mod.build_spectral_model
+
+    def swapped(*args, **kwargs):
+        model = real(*args, **kwargs)
+        order = np.arange(model.num_modes)
+        order[[0, 1]] = order[[1, 0]]
+        assert model.eigenvalues_S[0] != model.eigenvalues_S[1]
+        return dataclasses.replace(model, **{
+            name: getattr(model, name)[order]
+            for name in ("wavenumbers", "eigenvalues_A", "eigenvalues_S",
+                         "ea_weights", "positions")})
+
+    results = {r.name: r for r in verify.run_checks(names=["level_nesting"])}
+    assert results["level_nesting"].passed
+    monkeypatch.setattr(spectral_mod, "build_spectral_model", swapped)
+    results = {r.name: r for r in verify.run_checks(names=["level_nesting"])}
+    assert not results["level_nesting"].passed
+    assert "lambda_S nondecreasing: False" in results["level_nesting"].detail
