@@ -5,9 +5,13 @@ floats are rendered with ``repr`` (shortest round-trip form), JSON keys are
 sorted and line endings are LF.  Each trajectory's jump path is sampled on
 its own ``(master_seed, index)`` stream.  ``simulate`` runs the trajectories
 one after another in order of first jump (ties by index), so they share one
-jump-free path that only advances.  Each is written row by row as soon as it
-finishes and then reduced to its summary row, so a run holds one trajectory
-record at a time beside the jump-free path's.
+jump-free path that only advances.  It draws each path once to find where it
+branches off that path and drops it, then draws it again from its stream when
+its trajectory runs.  Each trajectory is written row by row as soon as it
+finishes and then reduced to its summary entries, so a run holds one jump path
+and one trajectory record at a time beside the jump-free path's, and refuses a
+trajectory count whose summary entries (``TRAJECTORY_BYTES`` each) would exceed
+physical memory.
 """
 
 from __future__ import annotations
@@ -28,9 +32,15 @@ from .config import (
     load_config,
 )
 from .exceptions import ConfigurationError, NumericsError
-from .noise import EVENT_BYTES, sample_prm, trajectory_rng, trajectory_seed
+from .noise import sample_prm, trajectory_rng, trajectory_seed
 from .solver import JumpFreePath, simulate, simulate_coupled
 from .spectral import _check_memory
+
+#: bytes ``simulate`` keeps per trajectory until it writes ``summary.json``:
+#: the branch node, the seed, the summary lists and their JSON text.  596-598 B
+#: measured (tracemalloc peak, 8 000 vs 16 000 one-step trajectories of
+#: ``deterministic_cubic`` and ``atomic_cubic``)
+TRAJECTORY_BYTES = 640
 
 
 def _apply_overrides(spec, args):
@@ -95,23 +105,20 @@ def _cmd_simulate(args) -> int:
     from .diagnostics import ensemble_moments
 
     spec = _apply_overrides(load_config(args.config), args)
+    count = spec.trajectories
+    _check_memory(TRAJECTORY_BYTES * count, f"the summary entries of {count} trajectories")
     digest = config_hash(spec)
     model, problem = build_problem_from_spec(spec)
 
     os.makedirs(args.out, exist_ok=True)
-    count = spec.trajectories
     jump_free = JumpFreePath(problem, spec.solver, record_states=spec.output.save_states)
-    if problem.measure is not None:
-        # every path is held until its trajectory has run
-        expected = count * problem.measure.simulated_intensity() * problem.horizon
-        _check_memory(EVENT_BYTES * expected,
-                      f"the {expected:.3g} expected jump events of {count} paths")
-    paths = [_jump_path(problem, spec.master_seed, k) for k in range(count)]
-    branch = [jump_free.branch_node(events) for events in paths]
+    # one path held at a time: drawn for its branch node, again from its stream to run
+    branch = [jump_free.branch_node(_jump_path(problem, spec.master_seed, k))
+              for k in range(count)]
     event_counts, final_mass, sup_ea_norm, fp_iters_max = ([None] * count for _ in range(4))
     for k in sorted(range(count), key=branch.__getitem__):
         try:
-            record = simulate(problem, spec.solver, paths[k],
+            record = simulate(problem, spec.solver, _jump_path(problem, spec.master_seed, k),
                               record_states=spec.output.save_states, jump_free=jump_free)
         except NumericsError as exc:
             # a failed step of the jump-free path lies on every path that

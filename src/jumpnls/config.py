@@ -1,11 +1,13 @@
 """INI run configuration: parsing, canonical serialization, object builders.
 
 The spec dataclasses are the schema of the sections ``[galerkin]``,
-``[nonlinearity]``, ``[noise]`` (one class per noise kind), ``[solver]``,
-``[initial]`` and ``[output]``: their fields give the keys, the value types,
-the defaults and the canonical key order.  ``[domain]`` is a
-``spectral.Domain``, whose kind's row in ``spectral._DOMAIN_TABLE`` gives its
-length keys.  Only ``[run]`` (the legacy ``threads`` key) is parsed by hand.
+``[nonlinearity]`` (a ``nonlinear.Nonlinearity``), ``[noise]`` (one class per
+noise kind), ``[solver]`` (a ``solver.SolverConfig``), ``[initial]`` and
+``[output]``: their fields give the keys, the value types, the defaults and
+the canonical key order.  ``[domain]`` is a ``spectral.Domain``, whose kind's
+row in ``spectral._DOMAIN_TABLE`` gives its length keys.  Only ``[run]`` (the
+legacy ``threads`` key) is parsed by hand; ``RunSpec`` refuses a master seed
+outside ``[0, 2**64)``, the range of the trajectory streams' 64-bit hash.
 
 The canonical text form is deterministic (fixed section and key order,
 ``repr`` floats), so round-tripping a spec through text is the identity and
@@ -23,11 +25,10 @@ import numpy as np
 
 from .exceptions import ConfigurationError
 from .noise import AtomicMeasure, RadialStableMeasure
-from .nonlinear import defocusing, focusing
+from .nonlinear import Nonlinearity
 from .solver import GalerkinProblem, SolverConfig, build_problem, check_closure
 from .spectral import _DOMAIN_TABLE, Domain, SpectralModel, build_spectral_model
 
-_NONLINEARITIES = {"defocusing": defocusing, "focusing": focusing}
 SYMBOL_PRESETS = ("constant", "cos", "sin", "bump")
 INITIAL_PRESETS = ("decaying", "single_mode", "plateau")
 
@@ -46,12 +47,6 @@ class GalerkinSpec:
     max_level: int = 6
     level: int
     dealias_factor: int = 2
-
-
-@dataclasses.dataclass(frozen=True)
-class NonlinearitySpec:
-    kind: str       # "defocusing" | "focusing"
-    alpha: float
 
 
 @dataclasses.dataclass(frozen=True, kw_only=True)
@@ -120,9 +115,17 @@ class RunSpec:
     horizon: float
     trajectories: int
     master_seed: int
-    nonlinearity: NonlinearitySpec | None = None
+    nonlinearity: Nonlinearity | None = None
     noise: AtomicNoiseSpec | RadialStableNoiseSpec | None = None
     output: OutputSpec = OutputSpec()
+
+    def __post_init__(self):
+        # the streams hash the seed to 64 bits, and the bootstrap seeds numpy
+        # with it unmasked: s and s + 2**64 would share paths but not bands
+        if not 0 <= self.master_seed < 2**64:
+            raise ConfigurationError(
+                f"master_seed must lie in [0, 2**64), got {self.master_seed}"
+            )
 
 
 # ---------------------------------------------------------------------------
@@ -261,9 +264,7 @@ def parse_config(text: str) -> RunSpec:
 
     nonlinearity = None
     if "nonlinearity" in present:
-        nonlinearity = _parse_section(parser["nonlinearity"], NonlinearitySpec)
-        if nonlinearity.kind not in _NONLINEARITIES:
-            raise ConfigurationError("nonlinearity kind must be defocusing or focusing")
+        nonlinearity = _parse_section(parser["nonlinearity"], Nonlinearity)
 
     noise = None
     if "noise" in present:
@@ -436,16 +437,12 @@ def build_problem_from_spec(
         model = build_model_from_spec(spec)
     measure = None if spec.noise is None else spec.noise.measure()
     check_closure(spec.solver.closure, measure)
-    nonlinearity = None
-    if spec.nonlinearity is not None:
-        make = _NONLINEARITIES[spec.nonlinearity.kind]
-        nonlinearity = make(spec.nonlinearity.alpha)
     problem = build_problem(
         model,
         spec.galerkin.level if level is None else level,
         initial_values(spec, model),
         spec.horizon,
-        nonlinearity=nonlinearity,
+        nonlinearity=spec.nonlinearity,
         symbols=build_symbols_from_spec(spec, model),
         measure=measure,
     )

@@ -1,6 +1,8 @@
 """Conserved-quantity reports, path-regularity diagnostics, ensemble statistics.
 
-The energy functions take the coefficients of the first ``dim`` modes (None: all)."""
+The energy functions take the coefficients of the first ``dim`` modes (None: all).
+The Aldous increment statistic measures in the E_A* norm of each record's
+level (``GalerkinLevel.dual_norm``)."""
 
 from __future__ import annotations
 
@@ -206,7 +208,8 @@ def aldous_statistic(
     ``||u(tau + theta) - u(tau)||_{E_A*} >= eta`` for each theta; small values
     uniformly in theta are the discrete signature of tightness.
 
-    Records must carry full states and their ``ea_weights``.
+    Records must carry full states; their level's ``dual_norm`` measures the
+    increments.
     """
     records = list(records)
     if not records:
@@ -228,10 +231,8 @@ def aldous_statistic(
             jump_times = [e.time for e in record.events if e.time > t0]
             tau = min(jump_times) if jump_times else horizon
         u_tau = _state_at(record, tau)
-        inv_w = 1.0 / record.ea_weights
         for i, theta in enumerate(thetas):
             u_later = _state_at(record, min(tau + theta, horizon))
-            dist = np.sqrt(np.sum(np.abs(u_later - u_tau) ** 2 * inv_w))
-            if dist >= eta:
+            if record.level.dual_norm(u_later - u_tau) >= eta:
                 out[i] += 1.0
     return out / len(records)

@@ -1,5 +1,8 @@
 """Power nonlinearity |u|^(alpha-1) u with sign, and its antiderivative functional.
 
+A :class:`Nonlinearity` is also the ``[nonlinearity]`` section of the INI
+configuration: its fields are the section's keys, and it validates them.
+
 Evaluation is pseudospectral: synthesize to the (oversampled) quadrature grid,
 apply the pointwise power, and analyze back.  Each direction is one fast
 transform of the model's domain (FFT on the torus, DST/DCT on the interval),
@@ -30,26 +33,31 @@ from .spectral import SpectralModel
 DEFOCUSING = +1
 FOCUSING = -1
 
+
 @dataclasses.dataclass(frozen=True)
 class Nonlinearity:
-    """Exponent alpha > 1 and sign (+1 defocusing, -1 focusing)."""
+    """``[nonlinearity]``: kind (defocusing: sign +1, focusing: -1), exponent alpha > 1."""
 
+    kind: str
     alpha: float
-    sign: int
 
     def __post_init__(self):
+        if self.kind not in ("defocusing", "focusing"):
+            raise ConfigurationError("nonlinearity kind must be defocusing or focusing")
         if not (self.alpha > 1.0) or not math.isfinite(self.alpha):
             raise ConfigurationError(f"alpha must be > 1, got {self.alpha}")
-        if self.sign not in (DEFOCUSING, FOCUSING):
-            raise ConfigurationError(f"sign must be +1 or -1, got {self.sign}")
+
+    @property
+    def sign(self) -> int:
+        return DEFOCUSING if self.kind == "defocusing" else FOCUSING
 
 
 def defocusing(alpha: float) -> Nonlinearity:
-    return Nonlinearity(alpha=float(alpha), sign=DEFOCUSING)
+    return Nonlinearity("defocusing", float(alpha))
 
 
 def focusing(alpha: float) -> Nonlinearity:
-    return Nonlinearity(alpha=float(alpha), sign=FOCUSING)
+    return Nonlinearity("focusing", float(alpha))
 
 
 def admissible_alpha_cap(sign: int, dimension: int, beta: float = 1.0) -> float:
@@ -74,9 +82,8 @@ def validate_exponent(nl: Nonlinearity, dimension: int, beta: float = 1.0) -> No
     """Reject exponents outside the admissible window (strict upper bound)."""
     cap = admissible_alpha_cap(nl.sign, dimension, beta)
     if not (nl.alpha < cap):
-        kind = "defocusing" if nl.sign == DEFOCUSING else "focusing"
         raise ConfigurationError(
-            f"{kind} alpha={nl.alpha} not admissible in dimension {dimension} "
+            f"{nl.kind} alpha={nl.alpha} not admissible in dimension {dimension} "
             f"with beta={beta}: requires alpha < {cap}"
         )
 

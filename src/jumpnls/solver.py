@@ -31,8 +31,9 @@ and ``simulate`` copies it through the trajectory's branch node.
 Each problem keeps one drift workspace per closure, built on first use, whose
 step loop transforms through the pair that ``build_level`` bound on the level
 and weighs by the level's eigenvalue views.  A record holds its node columns
-(``TrajectoryRecord.COLUMNS``) in one float64 block, a row per node, and its
-``ea_weights`` are the level's array.  A midpoint solve whose gap stops
+(``TrajectoryRecord.COLUMNS``) in one float64 block, a row per node, beside
+its level, whose ``ea_norm`` fills the last column; a coupled run measures its
+distance by the finer level's ``dual_norm``.  A midpoint solve whose gap stops
 shrinking halves the step at once, at most ``max_halvings`` deep.
 """
 
@@ -48,9 +49,11 @@ from .jumps import NoiseOperators, assemble_noise_operators, difference_2_matrix
 from .noise import AtomicMeasure, JumpEvent
 from .nonlinear import Nonlinearity, _pointwise_power, validate_exponent
 from .spectral import (
+    _TINY,
     GalerkinLevel,
     SpectralModel,
     _check_memory,
+    _norm_over_top,
     apply_smoothing,
     build_level,
 )
@@ -136,19 +139,6 @@ class GalerkinProblem:
                     f"measure has {self.measure.dimension} mark components but "
                     f"{self.ops.num_channels} noise channels are assembled"
                 )
-
-
-#: smallest normal float64; a sum of squares below it has lost its digits
-_TINY = float(np.finfo(float).tiny)
-
-
-def _norm_over_top(x: np.ndarray, weights=1.0) -> float:
-    """``sqrt(sum weights |x|^2)`` taken on ``x`` over its largest modulus, so
-    data whose squares underflow keep a norm."""
-    modulus = np.abs(x)
-    top = float(np.max(modulus))
-    # a real quotient: 1 / top overflows for subnormal data
-    return top * math.sqrt(np.sum(weights * (modulus / top) ** 2)) if top else 0.0
 
 
 def _underflow_safe_norm(x: np.ndarray) -> float:
@@ -417,8 +407,7 @@ class TrajectoryRecord:
 
     COLUMNS = ("mass", "kinetic", "potential", "ea_norm")
 
-    level_n: int
-    ea_weights: np.ndarray
+    level: GalerkinLevel
     times: np.ndarray
     states: np.ndarray | None
     columns: np.ndarray         # (nodes, len(COLUMNS))
@@ -475,11 +464,9 @@ def _check_events(problems, events) -> list[JumpEvent]:
 
 def _record_node(record: TrajectoryRecord, dyn: _Dynamics, i: int, u) -> None:
     sq = np.abs(u) ** 2
-    ea_sq = record.ea_weights @ sq
     record.columns[i] = (sq.sum(), 0.5 * (dyn.lam @ sq),  # in COLUMNS order
                          0.0 if dyn.nl is None else dyn.potential(u),
-                         _norm_over_top(u, record.ea_weights) if ea_sq < _TINY
-                         else math.sqrt(ea_sq))
+                         record.level.ea_norm(u))
     if record.states is not None:
         record.states[i] = u
 
@@ -508,7 +495,7 @@ def _recorded_run(problem, config, events, record_states, held=0):
                       _record_bytes_per_node(problem, record_states), held)
     dyn, level = _dynamics(problem, config), problem.level
     record = TrajectoryRecord(
-        level.n, level.ea_weights, grid,
+        level, grid,
         np.zeros((len(grid), level.dim), dtype=complex) if record_states else None,
         np.zeros((len(grid), len(TrajectoryRecord.COLUMNS))), events)
     return (_Run(grid, [problem.initial.astype(complex, copy=True)]), record,
@@ -674,14 +661,13 @@ def simulate_coupled(
     events = _check_events(problems, events)
     # per node: the grid, ``ends`` and the distance, in float64
     grid = _time_grid(problem_low.horizon, config.dt, [e.time for e in events], 8 * 3)
-    inv_w = 1.0 / problem_high.level.ea_weights
     distances = np.empty_like(grid)
 
     def add_distance(i, states):
         low, high = states
         gap = high.copy()
         gap[:low.size] -= low   # the coarse modes are a prefix of the fine ones
-        distances[i] = np.sqrt(np.sum(np.abs(gap) ** 2 * inv_w))
+        distances[i] = problem_high.level.dual_norm(gap)
 
     run = _Run(grid, [p.initial.astype(complex, copy=True) for p in problems])
     _run_levels(problems, config, events, run, add_distance)

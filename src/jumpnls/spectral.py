@@ -30,7 +30,9 @@ Two diagonal operators act on coefficients:
 
 * ``A`` — the (fractional) Laplacian power, eigenvalues ``lambda_A``; it drives
   the linear part of the dynamics, and the model's ``ea_weights = 1 + lambda_A``
-  weigh the energy norm.
+  weigh the energy norm.  A level owns the E_A and E_A* norms of its
+  coefficients (``GalerkinLevel.ea_norm`` and ``dual_norm``), taken over the
+  largest modulus where the weighted squares underflow.
 * ``S`` — a strictly positive companion operator used only to organise modes
   into dyadic blocks: ``S = A`` on Dirichlet intervals and ``S = Id + A``
   otherwise.  Level ``n`` keeps the modes with ``lambda_S < 2**(n+1)``, which
@@ -577,9 +579,22 @@ def build_spectral_model(
 # Galerkin levels
 # ---------------------------------------------------------------------------
 
+#: smallest normal float64; a sum of squares below it has lost its digits
+_TINY = float(np.finfo(float).tiny)
+
+
+def _norm_over_top(x: np.ndarray, weights=1.0) -> float:
+    """``sqrt(sum weights |x|^2)`` taken on ``x`` over its largest modulus, so
+    data whose squares underflow keep a norm."""
+    modulus = np.abs(x)
+    top = float(np.max(modulus))
+    # a real quotient: 1 / top overflows for subnormal data
+    return top * math.sqrt(np.sum(weights * (modulus / top) ** 2)) if top else 0.0
+
+
 @dataclasses.dataclass(frozen=True)
 class GalerkinLevel:
-    """Dyadic block of modes (lambda_S < 2**(n+1)), its cutoffs and bound transform pair."""
+    """Dyadic block of modes (lambda_S < 2**(n+1)), its cutoffs, bound transform pair and norms."""
 
     n: int
     multipliers: np.ndarray    # cutoffs of the first dim modes of the model's table
@@ -591,6 +606,17 @@ class GalerkinLevel:
     @property
     def dim(self) -> int:
         return len(self.multipliers)
+
+    def ea_norm(self, x: np.ndarray) -> float:
+        """``sqrt(ea_weights @ |x|^2)``, the E_A norm of the level coefficients ``x``."""
+        total = self.ea_weights @ np.abs(x) ** 2
+        return _norm_over_top(x, self.ea_weights) if total < _TINY else math.sqrt(total)
+
+    def dual_norm(self, x: np.ndarray) -> float:
+        """``sqrt(sum |x|^2 / ea_weights)``, the E_A* norm of the level coefficients ``x``."""
+        inverse = 1.0 / self.ea_weights
+        total = np.sum(np.abs(x) ** 2 * inverse)
+        return _norm_over_top(x, inverse) if total < _TINY else math.sqrt(total)
 
 
 def build_level(model: SpectralModel, n: int) -> GalerkinLevel:

@@ -135,13 +135,6 @@ def check_parseval_identity(ws, tol):
                    f"relative norm mismatch {err:.3e}")
 
 
-def check_eigenvalue_ordering(ws, tol):
-    lam = ws.model.eigenvalues_S
-    ordered = bool(np.all(np.diff(lam) >= 0))
-    return _result("eigenvalue_ordering", ordered,
-                   f"{len(lam)} eigenvalues, nondecreasing: {ordered}")
-
-
 def check_level_nesting(ws, tol):
     # levels nest as prefixes because the table is sorted by lambda_S and
     # level n holds the modes below 2**(n+1)
@@ -527,7 +520,6 @@ _CHECKS = [
     check_quadrature_orthonormality,
     check_transform_roundtrip,
     check_parseval_identity,
-    check_eigenvalue_ordering,
     check_level_nesting,
     check_cutoff_branches,
     check_mihlin_suprema,

@@ -235,6 +235,44 @@ def test_noisy_simulate_memory_independent_of_trajectory_count(tmp_path):
     assert abs(peak_6 - peak_2) < 64 * 2**10
 
 
+# linear on a 3-mode level with 200 jumps expected per path of horizon 1; the
+# marks are below the Chebyshev series' cutoff, so a jump costs one product
+BUSY_CONFIG = """
+[domain]
+kind = torus_1d
+length = 6.283185307179586
+
+[galerkin]
+max_level = 2
+level = 1
+
+[noise]
+kind = atomic
+symbols = cos
+atoms = 1e-18 : 100.0; -1e-18 : 100.0
+
+[solver]
+dt = 0.25
+
+[initial]
+preset = decaying
+
+[run]
+horizon = 1.0
+master_seed = 5
+"""
+
+
+def test_simulate_holds_one_jump_path_at_a_time(tmp_path):
+    # a path is drawn again from its stream when its trajectory runs, so the
+    # run's peak does not grow with K x events per path: 4 more paths of
+    # about 200 events add less than one path's events
+    peak_2, peak_6, out = traced_peaks(tmp_path, BUSY_CONFIG)
+    summary = json.loads((out / "summary.json").read_text())
+    assert min(summary["event_counts"]) > 150
+    assert abs(peak_6 - peak_2) < noise.EVENT_BYTES * 200
+
+
 def test_noiseless_trajectories_are_the_jump_free_path(tmp_path):
     # without noise every trajectory copies the whole jump-free path, which
     # is the run of one trajectory without it
@@ -328,15 +366,13 @@ def test_trajectories_override_below_one_rejected(fast_config, tmp_path, capsys,
     assert captured.out == ""
 
 
-def test_held_jump_paths_refused_beyond_physical_memory(fast_config, tmp_path, capsys,
-                                                      monkeypatch):
-    # simulate holds every jump path until its trajectory has run; the paths
-    # are refused, before the first is sampled, when their expected events
-    # exceed physical memory
+def test_trajectory_bookkeeping_refused_beyond_physical_memory(fast_config, tmp_path,
+                                                               capsys, monkeypatch):
+    # simulate keeps a branch node, a seed and summary entries per trajectory
+    # until summary.json is written; a count whose entries exceed physical
+    # memory is refused before the model is built or the first path is drawn
     count = 100_000
-    spec = load_config(fast_config)
-    expected = count * spec.noise.measure().simulated_intensity() * spec.horizon
-    needed = noise.EVENT_BYTES * expected
+    needed = cli.TRAJECTORY_BYTES * count
     out = tmp_path / "out"
     argv = ["simulate", "--config", fast_config, "--out", str(out),
             "--trajectories", str(count)]
@@ -347,12 +383,12 @@ def test_held_jump_paths_refused_beyond_physical_memory(fast_config, tmp_path, c
     monkeypatch.setattr(cli, "_jump_path", first_path)
     monkeypatch.setattr(spectral, "_physical_memory", lambda: needed - 1)
     assert main(argv) == 2
-    assert (f"the {expected:.3g} expected jump events of {count} paths take about "
+    assert (f"the summary entries of {count} trajectories take about "
             f"{needed / 2**30:.3g} GiB") in capsys.readouterr().err
+    assert not out.exists()
     monkeypatch.setattr(spectral, "_physical_memory", lambda: needed)
     assert main(argv) == 2
     assert "first path sampled" in capsys.readouterr().err
-    assert not list(out.iterdir())
 
 
 def test_converge_rejects_duplicate_levels(fast_config, capsys):
@@ -409,6 +445,53 @@ def test_moments_requires_noise(tmp_path, capsys):
     config = str(CONFIG_DIR / "deterministic_cubic.ini")
     assert main(["moments", "--config", config]) == 2
     assert "no [noise] section" in capsys.readouterr().err
+
+
+def test_moments_refuses_an_alpha_of_at_most_one(tmp_path, capsys):
+    # [nonlinearity] parses into a Nonlinearity, which validates alpha on load
+    text = (CONFIG_DIR / "atomic_cubic.ini").read_text(encoding="utf-8")
+    config = tmp_path / "flat.ini"
+    config.write_text(text.replace("alpha = 3.0", "alpha = 1.0"), encoding="utf-8")
+    assert main(["moments", "--config", str(config)]) == 2
+    captured = capsys.readouterr()
+    assert "error: alpha must be > 1, got 1.0" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("seed", ["-1", str(2**64)])
+def test_a_master_seed_outside_64_bits_is_refused(fast_config, tmp_path, capsys, seed):
+    # the streams hash the seed to 64 bits; the range is checked once, on the
+    # run spec, whether the seed comes from [run] or from --seed
+    in_file = tmp_path / "seeded.ini"
+    in_file.write_text(FAST_CONFIG.replace("master_seed = 5", f"master_seed = {seed}"),
+                       encoding="utf-8")
+    out = tmp_path / "out"
+    for config, override in ((fast_config, ["--seed", seed]), (str(in_file), [])):
+        for command in (["simulate", "--out", str(out)], ["converge", "--levels", "1,2"]):
+            assert main(command + ["--config", config] + override) == 2
+            captured = capsys.readouterr()
+            assert f"error: master_seed must lie in [0, 2**64), got {seed}" in captured.err
+            assert captured.out == ""
+    assert not out.exists()
+
+
+def test_converge_distances_of_tiny_data_keep_their_scale(tmp_path, capsys):
+    # without a nonlinearity the flow is linear, so data scaled by 1e-300 give
+    # 1e-300 times the distances of unit data: the dual norm of a gap whose
+    # squares underflow is taken over its largest modulus
+    text = (CONFIG_DIR / "atomic_cubic.ini").read_text(encoding="utf-8")
+    linear = text[:text.index("[nonlinearity]")] + text[text.index("[noise]"):]
+    distances = {}
+    for scale in ("1.0", "1e-300"):
+        config = tmp_path / f"scale_{scale}.ini"
+        config.write_text(linear.replace("scale = 1.0", f"scale = {scale}"), encoding="utf-8")
+        assert main(["converge", "--config", str(config), "--levels", "2,3,4",
+                     "--trajectories", "3"]) == 0
+        distances[scale] = json.loads(capsys.readouterr().out)["distances"]
+    for level in ("2", "3", "4"):
+        for unit, tiny in zip(distances["1.0"][level], distances["1e-300"][level]):
+            assert tiny != 0.0
+            assert tiny == pytest.approx(1e-300 * unit, rel=1e-12, abs=0.0)
 
 
 def test_missing_config_file(tmp_path, capsys):
@@ -540,7 +623,7 @@ def test_python_dash_m_runs_the_cli(tmp_path):
                             capture_output=True, text=True, env=env, timeout=60)
     assert listed.returncode == 0
     assert listed.stdout.split() == jumpnls.check_names()
-    assert len(listed.stdout.split()) == 31
+    assert len(listed.stdout.split()) == 30
     missing = subprocess.run(
         [sys.executable, "-m", "jumpnls", "simulate", "--config", str(tmp_path / "no.ini"),
          "--out", str(tmp_path / "out")],

@@ -22,6 +22,7 @@ from jumpnls.config import (
 )
 from jumpnls.exceptions import ConfigurationError
 from jumpnls.noise import AtomicMeasure, RadialStableMeasure
+from jumpnls.nonlinear import focusing
 from jumpnls.solver import build_problem
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -191,6 +192,23 @@ def test_parse_errors(mutation, needle):
     with pytest.raises(ConfigurationError) as err:
         parse_config(mutation(MINIMAL))
     assert needle in str(err.value)
+
+
+@pytest.mark.parametrize("section,needle", [
+    ("kind = focusing\nalpha = 1.0", "alpha must be > 1, got 1.0"),
+    ("kind = focusing\nalpha = 0.5", "alpha must be > 1, got 0.5"),
+    ("kind = sublinear\nalpha = 3.0", "nonlinearity kind must be defocusing or focusing"),
+])
+def test_nonlinearity_section_is_validated_on_load(tmp_path, section, needle):
+    # [nonlinearity] parses into a nonlinear.Nonlinearity, which refuses a
+    # bad kind or an alpha <= 1 when the config is loaded
+    path = tmp_path / "run.ini"
+    path.write_text(MINIMAL + "\n[nonlinearity]\n" + section + "\n", encoding="utf-8")
+    with pytest.raises(ConfigurationError, match=needle):
+        load_config(str(path))
+    path.write_text(MINIMAL + "\n[nonlinearity]\nkind = focusing\nalpha = 3.0\n",
+                    encoding="utf-8")
+    assert load_config(str(path)).nonlinearity == focusing(3.0)
 
 
 def test_atom_syntax_errors():

@@ -298,7 +298,7 @@ def test_aldous_statistic_detects_jump(torus_model):
     record = simulate(problem, SolverConfig(dt=0.05), events=events)
 
     # measure the actual increment across the jump from the record itself
-    inv_w = 1.0 / record.ea_weights
+    inv_w = 1.0 / problem.level.ea_weights
     i_before = int(np.searchsorted(record.times, 0.3, side="right")) - 1
     i_after = int(np.searchsorted(record.times, 0.4, side="right")) - 1
     inc = np.sqrt(

@@ -7,8 +7,8 @@ run-path module imports ``verify`` at module level, only
 only ``solver.GalerkinProblem`` and ``verify`` assemble noise operators,
 ``config`` names no domain constructor, only ``spectral.build_level`` builds a
 ``GalerkinLevel``, no module but ``spectral`` and ``verify`` adds 1 to the
-``lambda_A`` eigenvalues, and no module selects modes by an ``indices``
-array."""
+``lambda_A`` eigenvalues, no module selects modes by an ``indices``
+array, and no module but ``spectral`` and ``jumps`` reads ``ea_weights``."""
 
 import ast
 import importlib
@@ -154,6 +154,12 @@ def mode_subset_sites(sources: dict[str, str]) -> list[tuple[str, str]]:
     return top_level_sites(sources, lambda node: (
         isinstance(node, ast.Attribute) and node.attr == "indices"
         or isinstance(node, (ast.keyword, ast.arg)) and node.arg == "indices"))
+
+
+def energy_weight_readers(sources: dict[str, str]) -> list[tuple[str, str]]:
+    """(module, top-level function or class) of every ``x.ea_weights`` read."""
+    return top_level_sites(sources, lambda node: isinstance(node, ast.Attribute)
+                           and node.attr == "ea_weights")
 
 
 def domain_constructors(source: str) -> set[str]:
@@ -312,6 +318,28 @@ def test_no_module_selects_modes_by_indices():
     # is a prefix count: ``dim`` and ``[:dim]``, never an index array
     sources = {p.name: p.read_text(encoding="utf-8") for p in PACKAGE_DIR.glob("*.py")}
     assert mode_subset_sites(sources) == []
+
+
+def test_checker_finds_energy_weight_readers():
+    sources = {
+        "a.py": ("def record(level, u):\n    return level.ea_weights @ abs(u) ** 2\n"
+                 "class Coupled:\n    def gap(self):\n"
+                 "        return 1.0 / self.problem.level.ea_weights\n"
+                 "w = model.ea_weights[:dim]\n"),
+        "b.py": ("def f(level, ea_weights):\n    return level.ea_norm(ea_weights)\n"
+                 "ea_weights = 1.0\n"),
+    }
+    assert energy_weight_readers(sources) == [("a.py", "record"), ("a.py", "Coupled"),
+                                              ("a.py", "<module>")]
+
+
+def test_only_spectral_and_jumps_read_ea_weights():
+    # a level owns its E_A and E_A* norms (GalerkinLevel.ea_norm, dual_norm);
+    # the record, the coupled run and the Aldous statistic call them.  jumps
+    # reads the weights for the bound_EA oracle
+    sources = {p.name: p.read_text(encoding="utf-8") for p in PACKAGE_DIR.glob("*.py")
+               if p.name not in ("spectral.py", "jumps.py")}
+    assert energy_weight_readers(sources) == []
 
 
 def test_checker_finds_domain_constructors_and_imported_names():

@@ -166,5 +166,7 @@ def test_exponent_windows():
 def test_constructor_validation():
     with pytest.raises(ConfigurationError):
         nonlinear.defocusing(1.0)
-    with pytest.raises(ConfigurationError):
-        nonlinear.Nonlinearity(alpha=2.0, sign=0)
+    with pytest.raises(ConfigurationError, match="defocusing or focusing"):
+        nonlinear.Nonlinearity(kind="sublinear", alpha=2.0)
+    assert nonlinear.defocusing(2.0).sign == nonlinear.DEFOCUSING
+    assert nonlinear.Nonlinearity("focusing", 2.0).sign == nonlinear.FOCUSING

@@ -741,7 +741,7 @@ def test_simulate_diagnostics_columns(torus_model, cos_symbol):
     assert np.allclose(record.energy, record.kinetic + record.potential)
     sq = np.abs(record.states) ** 2
     assert np.allclose(record.mass, np.sum(sq, axis=1))
-    assert np.allclose(record.ea_norm**2, np.sum(record.ea_weights * sq, axis=1))
+    assert np.allclose(record.ea_norm**2, np.sum(problem.level.ea_weights * sq, axis=1))
     slim = simulate(problem, SolverConfig(dt=0.05), events, record_states=False)
     assert slim.states is None
     assert np.array_equal(slim.mass, record.mass)
@@ -1061,7 +1061,7 @@ def test_coupled_levels_match_independent_runs(torus_model, cos_symbol, mode, cl
     # the dual-norm gap of the independent histories, coarse path zero-padded
     embedded = np.zeros_like(high.states)
     embedded[:, :problems[0].level.dim] = low.states
-    inv_w = 1.0 / high.ea_weights
+    inv_w = 1.0 / high.level.ea_weights
     want = np.sqrt(np.sum(np.abs(high.states - embedded) ** 2 * inv_w, axis=1))
     assert np.array_equal(result.distances, want)
     assert result.distance == np.max(want)

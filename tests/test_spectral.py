@@ -578,6 +578,26 @@ def test_norm_values_frozen(dirichlet_model, torus_model):
     )
 
 
+@pytest.mark.parametrize(
+    "model_name", ["torus_model", "dirichlet_model", "neumann_model", "torus2d_model"]
+)
+def test_level_norms_match_sobolev_norm_and_keep_the_scale_of_tiny_data(model_name,
+                                                                       request):
+    # a level's E_A and E_A* norms are sobolev_norm's on its modes; where the
+    # weighted sum of squares underflows they are taken over the largest
+    # modulus, so data scaled by 1e-300 keep 1e-300 times their norms
+    model = request.getfixturevalue(model_name)
+    rng = np.random.default_rng(23)
+    for n in range(model.max_level + 1):
+        level = spectral.build_level(model, n)
+        x = random_state(rng, level.dim)
+        for norm, space in ((level.ea_norm, "E_A"), (level.dual_norm, "E_A_dual")):
+            want = spectral.sobolev_norm(model, x, space, level.dim)
+            assert norm(x) == pytest.approx(want, rel=1e-14, abs=0.0)
+            assert norm(1e-300 * x) == pytest.approx(1e-300 * want, rel=1e-14, abs=0.0)
+            assert norm(np.zeros(level.dim)) == 0.0
+
+
 def test_norm_errors(torus_model):
     c = np.zeros(torus_model.num_modes, dtype=complex)
     with pytest.raises(ValueError):
