@@ -36,11 +36,11 @@ from .noise import sample_prm, trajectory_rng, trajectory_seed
 from .solver import JumpFreePath, simulate, simulate_coupled
 from .spectral import _check_memory
 
-#: bytes ``simulate`` keeps per trajectory until it writes ``summary.json``:
-#: the branch node, the seed, the summary lists and their JSON text.  596-598 B
-#: measured (tracemalloc peak, 8 000 vs 16 000 one-step trajectories of
-#: ``deterministic_cubic`` and ``atomic_cubic``)
-TRAJECTORY_BYTES = 640
+#: bytes ``simulate`` keeps per trajectory until it has streamed ``summary.json``:
+#: the branch node, the seed and the summary lists.  153-159 B measured
+#: (tracemalloc peak, 4 000 vs 8 000 and 8 000 vs 16 000 one-step trajectories
+#: of ``deterministic_cubic`` and ``atomic_cubic``)
+TRAJECTORY_BYTES = 192
 
 
 def _apply_overrides(spec, args):
@@ -48,10 +48,6 @@ def _apply_overrides(spec, args):
     if getattr(args, "seed", None) is not None:
         updates["master_seed"] = args.seed
     if getattr(args, "trajectories", None) is not None:
-        if args.trajectories < 1:
-            raise ConfigurationError(
-                f"--trajectories must be at least 1, got {args.trajectories}"
-            )
         updates["trajectories"] = args.trajectories
     return dataclasses.replace(spec, **updates) if updates else spec
 
@@ -95,8 +91,10 @@ def _event_rows(record):
         ) + "\n"
 
 
-def _json_text(payload) -> str:
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+def _json_chunks(payload):
+    """``payload`` as sorted, indented JSON and a final LF, streamed chunk by chunk."""
+    yield from json.JSONEncoder(sort_keys=True, indent=2).iterencode(payload)
+    yield "\n"
 
 
 def _cmd_simulate(args) -> int:
@@ -110,11 +108,11 @@ def _cmd_simulate(args) -> int:
     digest = config_hash(spec)
     model, problem = build_problem_from_spec(spec)
 
-    os.makedirs(args.out, exist_ok=True)
     jump_free = JumpFreePath(problem, spec.solver, record_states=spec.output.save_states)
     # one path held at a time: drawn for its branch node, again from its stream to run
     branch = [jump_free.branch_node(_jump_path(problem, spec.master_seed, k))
               for k in range(count)]
+    os.makedirs(args.out, exist_ok=True)  # only once every path could be drawn
     event_counts, final_mass, sup_ea_norm, fp_iters_max = ([None] * count for _ in range(4))
     for k in sorted(range(count), key=branch.__getitem__):
         try:
@@ -167,7 +165,7 @@ def _cmd_simulate(args) -> int:
         summary["ensemble"] = {
             str(order): list(values) for order, values in moments.items()
         }
-    _write_lines(os.path.join(args.out, "summary.json"), [_json_text(summary)])
+    _write_lines(os.path.join(args.out, "summary.json"), _json_chunks(summary))
     _write_lines(os.path.join(args.out, "config.ini"), [canonical_text(spec)])
     print(f"wrote {spec.trajectories} trajectories to {args.out} "
           f"(config {digest[:12]})")
@@ -210,12 +208,11 @@ def _cmd_converge(args) -> int:
             str(n): [float(d) for d in distances[n]] for n in coarse_levels
         },
     }
-    text = _json_text(payload)
     if args.out:
-        _write_lines(args.out, [text])
+        _write_lines(args.out, _json_chunks(payload))
         print(f"wrote convergence table to {args.out}")
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(_json_chunks(payload))
     return 0
 
 
@@ -257,7 +254,7 @@ def _cmd_moments(args) -> int:
         ],
         "variance_budget": float(moments.variance_budget),
     }
-    sys.stdout.write(_json_text(payload))
+    sys.stdout.writelines(_json_chunks(payload))
     return 0
 
 

@@ -6,8 +6,10 @@ noise kind), ``[solver]`` (a ``solver.SolverConfig``), ``[initial]`` and
 ``[output]``: their fields give the keys, the value types, the defaults and
 the canonical key order.  ``[domain]`` is a ``spectral.Domain``, whose kind's
 row in ``spectral._DOMAIN_TABLE`` gives its length keys.  Only ``[run]`` (the
-legacy ``threads`` key) is parsed by hand; ``RunSpec`` refuses a master seed
-outside ``[0, 2**64)``, the range of the trajectory streams' 64-bit hash.
+legacy ``threads`` key) is parsed by hand.  ``parse_config`` only parses: each
+dataclass refuses its own bad values in ``__post_init__``, calling the rule's
+runtime owner, so every caller of ``load_config`` refuses what ``simulate``
+refuses at set-up.
 
 The canonical text form is deterministic (fixed section and key order,
 ``repr`` floats), so round-tripping a spec through text is the identity and
@@ -25,9 +27,10 @@ import numpy as np
 
 from .exceptions import ConfigurationError
 from .noise import AtomicMeasure, RadialStableMeasure
-from .nonlinear import Nonlinearity
+from .nonlinear import Nonlinearity, validate_exponent
 from .solver import GalerkinProblem, SolverConfig, build_problem, check_closure
-from .spectral import _DOMAIN_TABLE, Domain, SpectralModel, build_spectral_model
+from .spectral import (_DOMAIN_TABLE, Domain, SpectralModel, build_spectral_model,
+                       validate_model_parameters)
 
 SYMBOL_PRESETS = ("constant", "cos", "sin", "bump")
 INITIAL_PRESETS = ("decaying", "single_mode", "plateau")
@@ -48,6 +51,19 @@ class GalerkinSpec:
     level: int
     dealias_factor: int = 2
 
+    def __post_init__(self):
+        if not (0 <= self.level <= self.max_level):
+            raise ConfigurationError(f"level must lie in [0, max_level={self.max_level}]")
+        validate_model_parameters(self.beta, self.max_level, self.dealias_factor)
+
+
+def _check_symbols(symbols: Symbols) -> None:
+    for name in symbols:
+        if name not in SYMBOL_PRESETS:
+            raise ConfigurationError(
+                f"unknown symbol preset {name!r}; choose from {SYMBOL_PRESETS}"
+            )
+
 
 @dataclasses.dataclass(frozen=True, kw_only=True)
 class AtomicNoiseSpec:
@@ -63,6 +79,7 @@ class AtomicNoiseSpec:
             raise ConfigurationError(
                 "every atom mark needs one component per symbol channel"
             )
+        _check_symbols(self.symbols)
 
     def measure(self) -> AtomicMeasure:
         return AtomicMeasure(
@@ -82,6 +99,9 @@ class RadialStableNoiseSpec:
     activity: float
     stability: float
 
+    def __post_init__(self):
+        _check_symbols(self.symbols)
+
     def measure(self) -> RadialStableMeasure:
         return RadialStableMeasure(
             activity=self.activity, stability=self.stability,
@@ -98,6 +118,12 @@ class InitialSpec:
     rate: float = 0.5
     mode: int = 0
     scale: float = 1.0
+
+    def __post_init__(self):
+        if self.preset not in INITIAL_PRESETS:
+            raise ConfigurationError(
+                f"unknown initial preset {self.preset!r}; choose from {INITIAL_PRESETS}"
+            )
 
 
 @dataclasses.dataclass(frozen=True)
@@ -120,12 +146,21 @@ class RunSpec:
     output: OutputSpec = OutputSpec()
 
     def __post_init__(self):
+        if not (self.horizon > 0):
+            raise ConfigurationError(f"horizon must be positive, got {self.horizon}")
+        if self.trajectories < 1:
+            raise ConfigurationError(
+                f"trajectories must be at least 1, got {self.trajectories}")
         # the streams hash the seed to 64 bits, and the bootstrap seeds numpy
         # with it unmasked: s and s + 2**64 would share paths but not bands
         if not 0 <= self.master_seed < 2**64:
             raise ConfigurationError(
                 f"master_seed must lie in [0, 2**64), got {self.master_seed}"
             )
+        if self.nonlinearity is not None:
+            validate_exponent(self.nonlinearity, self.domain.dimension, self.galerkin.beta)
+        check_closure(self.solver.closure,
+                      None if self.noise is None else self.noise.measure())
 
 
 # ---------------------------------------------------------------------------
@@ -257,10 +292,6 @@ def parse_config(text: str) -> RunSpec:
     domain = Domain(kind, tuple(_get(dom, key, _float, required=True) for key in keys))
 
     galerkin = _parse_section(parser["galerkin"], GalerkinSpec)
-    if not (0 <= galerkin.level <= galerkin.max_level):
-        raise ConfigurationError(
-            f"level must lie in [0, max_level={galerkin.max_level}]"
-        )
 
     nonlinearity = None
     if "nonlinearity" in present:
@@ -273,28 +304,13 @@ def parse_config(text: str) -> RunSpec:
         if noise_kind not in _NOISE_SPECS:
             raise ConfigurationError(f"noise kind must be one of {tuple(_NOISE_SPECS)}")
         noise = _parse_section(noi, _NOISE_SPECS[noise_kind])
-        for name in noise.symbols:
-            if name not in SYMBOL_PRESETS:
-                raise ConfigurationError(
-                    f"unknown symbol preset {name!r}; choose from {SYMBOL_PRESETS}"
-                )
 
     solver = _parse_section(parser["solver"], SolverConfig, required=("dt",))
 
     initial = _parse_section(parser["initial"], InitialSpec)
-    if initial.preset not in INITIAL_PRESETS:
-        raise ConfigurationError(
-            f"unknown initial preset {initial.preset!r}; "
-            f"choose from {INITIAL_PRESETS}"
-        )
 
     run = parser["run"]
     _require(run, {"horizon", "trajectories", "master_seed", "threads"})
-    horizon = _get(run, "horizon", _float, required=True)
-    trajectories = _get(run, "trajectories", int, default=1)
-    master_seed = _get(run, "master_seed", int, default=0)
-    if trajectories < 1:
-        raise ConfigurationError("trajectories must be at least 1")
     # legacy key: trajectories run serially, so the value is checked and dropped
     if _get(run, "threads", int, default=1) < 1:
         raise ConfigurationError("threads must be at least 1")
@@ -305,7 +321,9 @@ def parse_config(text: str) -> RunSpec:
 
     return RunSpec(
         domain=domain, galerkin=galerkin, solver=solver, initial=initial,
-        horizon=horizon, trajectories=trajectories, master_seed=master_seed,
+        horizon=_get(run, "horizon", _float, required=True),
+        trajectories=_get(run, "trajectories", int, default=1),
+        master_seed=_get(run, "master_seed", int, default=0),
         nonlinearity=nonlinearity, noise=noise, output=output,
     )
 
@@ -436,7 +454,6 @@ def build_problem_from_spec(
     if model is None:
         model = build_model_from_spec(spec)
     measure = None if spec.noise is None else spec.noise.measure()
-    check_closure(spec.solver.closure, measure)
     problem = build_problem(
         model,
         spec.galerkin.level if level is None else level,

@@ -508,6 +508,16 @@ def _mode_table(domain: Domain, beta: float, max_level: int):
     return rows
 
 
+def validate_model_parameters(beta: float, max_level: int, dealias_factor: int) -> None:
+    """Refuse the model parameters ``build_spectral_model`` cannot build from."""
+    if not (beta > 0) or not math.isfinite(beta):
+        raise ConfigurationError(f"beta must be positive, got {beta}")
+    if not isinstance(max_level, int) or max_level < 0:
+        raise ConfigurationError(f"max_level must be a nonnegative integer, got {max_level}")
+    if not isinstance(dealias_factor, int) or dealias_factor < 2:
+        raise ConfigurationError(f"dealias_factor must be an integer >= 2, got {dealias_factor}")
+
+
 def build_spectral_model(
     domain: Domain,
     beta: float = 1.0,
@@ -530,13 +540,7 @@ def build_spectral_model(
         the minimum guaranteeing exact quadrature of mode products, larger
         values reduce aliasing in nonlinear terms.
     """
-    if not (beta > 0) or not math.isfinite(beta):
-        raise ConfigurationError(f"beta must be positive, got {beta}")
-    if not isinstance(max_level, int) or max_level < 0:
-        raise ConfigurationError(f"max_level must be a nonnegative integer, got {max_level}")
-    if not isinstance(dealias_factor, int) or dealias_factor < 2:
-        raise ConfigurationError(f"dealias_factor must be an integer >= 2, got {dealias_factor}")
-
+    validate_model_parameters(beta, max_level, dealias_factor)
     rows = _mode_table(domain, beta, max_level)
     lam_S = np.array([r[0] for r in rows])
     wavenumbers = np.array([r[1] for r in rows], dtype=int)

@@ -1,8 +1,10 @@
 """Named runtime self-checks over the whole stack.
 
-Each check exercises one structural identity or bound with small, fixed
-inputs and returns a CheckResult; ``run_checks`` executes a selection and
-never raises on failure (failures are data).  ``tol_scale`` multiplies every
+Each check is a ``check_<name>(ws, tol)`` function that exercises one
+structural identity or bound with small, fixed inputs and returns ``(passed,
+detail)``; the battery is every such function, in definition order.
+``run_checks`` executes a selection, names each CheckResult after its function
+and never raises on failure (failures are data).  ``tol_scale`` multiplies every
 tolerance, so a sub-unit value tightens the battery and a large value can
 reveal how much margin a check has.  Checks call library code through module
 attributes, which keeps them patchable for fault-injection tests.
@@ -93,10 +95,6 @@ master_seed = 7
 """
 
 
-def _result(name, passed, detail):
-    return CheckResult(name=name, passed=bool(passed), detail=detail)
-
-
 # ---------------------------------------------------------------------------
 # spectral layer
 # ---------------------------------------------------------------------------
@@ -105,8 +103,7 @@ def check_quadrature_orthonormality(ws, tol):
     modes = ws.model.synthesize(np.eye(ws.model.num_modes))
     gram = (modes.conj() * ws.model.grid_weights) @ modes.T
     defect = float(np.max(np.abs(gram - np.eye(len(gram)))))
-    return _result("quadrature_orthonormality", defect <= 1e-12 * tol,
-                   f"gram defect {defect:.3e}")
+    return defect <= 1e-12 * tol, f"gram defect {defect:.3e}"
 
 
 def check_transform_roundtrip(ws, tol):
@@ -121,9 +118,9 @@ def check_transform_roundtrip(ws, tol):
         float(np.linalg.norm(to_grid(coeffs) - values) / np.linalg.norm(values)),
         float(np.linalg.norm(from_grid(values) - back) / np.linalg.norm(back)),
     )
-    return _result("transform_roundtrip", max(err, gap) <= 1e-12 * tol,
-                   f"relative roundtrip error {err:.3e}, "
-                   f"dense vs fast gap {gap:.3e}")
+    return (max(err, gap) <= 1e-12 * tol,
+            f"relative roundtrip error {err:.3e}, "
+            f"dense vs fast gap {gap:.3e}")
 
 
 def check_parseval_identity(ws, tol):
@@ -131,8 +128,7 @@ def check_parseval_identity(ws, tol):
     quad = float(np.sum(ws.model.grid_weights * np.abs(values) ** 2))
     coef = float(np.sum(np.abs(ws.full) ** 2))
     err = abs(quad - coef) / coef
-    return _result("parseval_identity", err <= 1e-12 * tol,
-                   f"relative norm mismatch {err:.3e}")
+    return err <= 1e-12 * tol, f"relative norm mismatch {err:.3e}"
 
 
 def check_level_nesting(ws, tol):
@@ -143,9 +139,9 @@ def check_level_nesting(ws, tol):
     dims = [spectral.build_level(ws.model, n).dim for n in range(ws.model.max_level + 1)]
     counts = [int(np.count_nonzero(lam < 2.0 ** (n + 1))) for n in range(len(dims))]
     ok = ordered and dims == counts
-    return _result("level_nesting", ok,
-                   f"lambda_S nondecreasing: {ordered}, level dims {dims}, "
-                   f"modes below 2**(n+1) {counts}")
+    return (ok,
+            f"lambda_S nondecreasing: {ordered}, level dims {dims}, "
+            f"modes below 2**(n+1) {counts}")
 
 
 def check_cutoff_branches(ws, tol):
@@ -156,8 +152,7 @@ def check_cutoff_branches(ws, tol):
     )
     want = (1.0, 0.5, 0.0)
     err = max(abs(a - b) for a, b in zip(values, want))
-    return _result("cutoff_branches", err <= 1e-12 * tol,
-                   f"branch values {values}, max error {err:.3e}")
+    return err <= 1e-12 * tol, f"branch values {values}, max error {err:.3e}"
 
 
 def check_mihlin_suprema(ws, tol):
@@ -169,17 +164,16 @@ def check_mihlin_suprema(ws, tol):
         np.max(np.abs(spectral.transition_profile(t, order=k))) for k in range(3)
     ])
     bounded = bool(np.all(base <= 2.0 ** np.arange(3) * profile + 1e-9 * tol))
-    return _result("mihlin_suprema", same and bounded,
-                   f"level-free: {same}, bounded: {bounded}, values {base}")
+    return same and bounded, f"level-free: {same}, bounded: {bounded}, values {base}"
 
 
 def check_smoothing_contraction(ws, tol):
     projected = spectral.apply_projection(ws.level, ws.full)
     smoothed = spectral.apply_smoothing(ws.level, ws.full)
     ok = np.linalg.norm(smoothed) <= np.linalg.norm(projected) * (1 + 1e-15 * tol)
-    return _result("smoothing_contraction", ok,
-                   f"|S u| = {np.linalg.norm(smoothed):.6f} <= "
-                   f"|P u| = {np.linalg.norm(projected):.6f}")
+    return (ok,
+            f"|S u| = {np.linalg.norm(smoothed):.6f} <= "
+            f"|P u| = {np.linalg.norm(projected):.6f}")
 
 
 # ---------------------------------------------------------------------------
@@ -191,7 +185,7 @@ def check_pairing_reality(ws, tol):
     pairing = float(np.vdot(ws.state, 1j * f).real)
     scale = np.linalg.norm(ws.state) * max(np.linalg.norm(f), 1.0)
     ok = abs(pairing) <= 1e-13 * tol * scale
-    return _result("pairing_reality", ok, f"Re<u, iF(u)> = {pairing:.3e}")
+    return ok, f"Re<u, iF(u)> = {pairing:.3e}"
 
 
 def check_antiderivative_slope(ws, tol):
@@ -204,8 +198,7 @@ def check_antiderivative_slope(ws, tol):
     minus = nonlinear.eval_Fhat(ws.model, ws.nl, u - eps * h, ws.level.dim)
     fd = (plus - minus) / (2 * eps)
     err = abs(fd - exact) / max(abs(exact), 1e-12)
-    return _result("antiderivative_slope", err <= 1e-5 * tol,
-                   f"directional-derivative mismatch {err:.3e}")
+    return err <= 1e-5 * tol, f"directional-derivative mismatch {err:.3e}"
 
 
 def check_exponent_window(ws, tol):
@@ -220,9 +213,9 @@ def check_exponent_window(ws, tol):
         nonlinear.validate_exponent(nonlinear.focusing(6.0), 1)
     except ConfigurationError:
         rejected = True
-    return _result("exponent_window", ok and rejected,
-                   f"accepts alpha=3 (both signs): {ok}, "
-                   f"rejects focusing alpha=6 in 1d: {rejected}")
+    return (ok and rejected,
+            f"accepts alpha=3 (both signs): {ok}, "
+            f"rejects focusing alpha=6 in 1d: {rejected}")
 
 
 # ---------------------------------------------------------------------------
@@ -234,9 +227,8 @@ def check_hermiticity_defect(ws, tol):
     matrices_ok = all(
         np.array_equal(m, m.conj().T) for m in ws.ops.matrices
     )
-    return _result("hermiticity_defect",
-                   defect <= 1e-10 * tol and matrices_ok,
-                   f"assembly defect {defect:.3e}, symmetrized: {matrices_ok}")
+    return (defect <= 1e-10 * tol and matrices_ok,
+            f"assembly defect {defect:.3e}, symmetrized: {matrices_ok}")
 
 
 def check_jump_unitarity(ws, tol):
@@ -244,16 +236,14 @@ def check_jump_unitarity(ws, tol):
     out = jumps.jump_map(ws.ops, mark, ws.state)
     err = abs(np.linalg.norm(out) - np.linalg.norm(ws.state))
     err /= np.linalg.norm(ws.state)
-    return _result("jump_unitarity", err <= 1e-12 * tol,
-                   f"relative norm change {err:.3e}")
+    return err <= 1e-12 * tol, f"relative norm change {err:.3e}"
 
 
 def check_jump_group_law(ws, tol):
     mark = np.array([0.6])
     out = jumps.jump_map(ws.ops, -mark, jumps.jump_map(ws.ops, mark, ws.state))
     err = np.linalg.norm(out - ws.state) / np.linalg.norm(ws.state)
-    return _result("jump_group_law", err <= 1e-10 * tol,
-                   f"inverse composition error {err:.3e}")
+    return err <= 1e-10 * tol, f"inverse composition error {err:.3e}"
 
 
 def check_flow_matches_map(ws, tol):
@@ -261,8 +251,7 @@ def check_flow_matches_map(ws, tol):
     via_ode = jumps.marcus_flow(ws.ops, 1.0, mark, ws.state)
     direct = jumps.jump_map(ws.ops, mark, ws.state)
     err = np.linalg.norm(via_ode - direct) / np.linalg.norm(ws.state)
-    return _result("flow_matches_map", err <= 1e-8 * tol,
-                   f"time-1 flow vs spectral map {err:.3e}")
+    return err <= 1e-8 * tol, f"time-1 flow vs spectral map {err:.3e}"
 
 
 def check_chebyshev_jump(ws, tol):
@@ -294,7 +283,7 @@ def check_chebyshev_jump(ws, tol):
             err = max(err, np.linalg.norm(series(ops, mark, x) - exact) / np.linalg.norm(x))
         worst = max(worst, err)
         details.append(f"{model.domain.kind} {err:.3e} (degree {degree}, dim {ops.dim})")
-    return _result("chebyshev_jump", worst <= 1e-13 * tol, ", ".join(details))
+    return worst <= 1e-13 * tol, ", ".join(details)
 
 
 def check_difference_bounds(ws, tol):
@@ -311,8 +300,7 @@ def check_difference_bounds(ws, tol):
         worst1 = max(worst1, n1 - root * r * nx)
         worst2 = max(worst2, n2 - 0.5 * ws.ops.bound_H * r * r * nx)
     ok = worst1 <= 1e-12 * tol and worst2 <= 1e-12 * tol
-    return _result("difference_bounds", ok,
-                   f"worst slack d1 {worst1:.3e}, d2 {worst2:.3e}")
+    return ok, f"worst slack d1 {worst1:.3e}, d2 {worst2:.3e}"
 
 
 def check_taylor_remainder(ws, tol):
@@ -328,9 +316,9 @@ def check_taylor_remainder(ws, tol):
     gap = np.linalg.norm(d_a - d_t)
     bound = weight * (radius * np.sqrt(problem.ops.bound_H)) ** 3 / 6.0
     ok = gap <= bound * np.linalg.norm(u) * (1 + 1e-10 * tol)
-    return _result("taylor_remainder", ok,
-                   f"closure gap {gap:.3e} within cubic bound "
-                   f"{bound * np.linalg.norm(u):.3e}")
+    return (ok,
+            f"closure gap {gap:.3e} within cubic bound "
+            f"{bound * np.linalg.norm(u):.3e}")
 
 
 # ---------------------------------------------------------------------------
@@ -346,8 +334,7 @@ def check_atomic_moments(ws, tol):
         abs(m.mean_simulated[0] - (0.4 - 0.1)),
         abs(m.variance_budget - 0.0),
     )
-    return _result("atomic_moments", err <= 1e-14 * tol,
-                   f"closed-form moment error {err:.3e}")
+    return err <= 1e-14 * tol, f"closed-form moment error {err:.3e}"
 
 
 def check_radial_moments(ws, tol):
@@ -361,8 +348,7 @@ def check_radial_moments(ws, tol):
     err = abs(intensity - want) / want
     budget, _ = quad(lambda r: 2.0 * r ** (-2.0) * r * r, 0.0, 0.1)
     err = max(err, abs(measure.moments().variance_budget - budget) / budget)
-    return _result("radial_moments", err <= 1e-10 * tol,
-                   f"quadrature cross-check error {err:.3e}")
+    return err <= 1e-10 * tol, f"quadrature cross-check error {err:.3e}"
 
 
 def check_prm_compensation(ws, tol):
@@ -373,8 +359,7 @@ def check_prm_compensation(ws, tol):
     path = noise.reconstruct_levy_path([], moments, grid)
     want = -np.outer(grid, moments.mean_simulated)
     err = float(np.max(np.abs(path - want)))
-    return _result("prm_compensation", err <= 1e-14 * tol,
-                   f"compensator-only path error {err:.3e}")
+    return err <= 1e-14 * tol, f"compensator-only path error {err:.3e}"
 
 
 def check_seed_streams(ws, tol):
@@ -382,8 +367,7 @@ def check_seed_streams(ws, tol):
     b = noise.trajectory_seed(12345, 1)
     again = noise.trajectory_seed(12345, 0)
     ok = a == again and a != b
-    return _result("seed_streams", ok,
-                   f"deterministic: {a == again}, distinct: {a != b}")
+    return ok, f"deterministic: {a == again}, distinct: {a != b}"
 
 
 # ---------------------------------------------------------------------------
@@ -404,8 +388,7 @@ def check_diagonal_exactness(ws, tol):
     lam = problem.level.eigenvalues_A
     exact = np.exp(-1j * lam * 1.0) * problem.initial
     err = np.linalg.norm(u - exact) / np.linalg.norm(exact)
-    return _result("diagonal_exactness", err <= 1e-12 * tol,
-                   f"linear-flow error {err:.3e}")
+    return err <= 1e-12 * tol, f"linear-flow error {err:.3e}"
 
 
 def check_midpoint_mass(ws, tol):
@@ -416,8 +399,7 @@ def check_midpoint_mass(ws, tol):
     for _ in range(25):
         u = solver.step_between_jumps(problem, config, u, config.dt)
     err = abs(float(np.sum(np.abs(u) ** 2)) - mass0) / mass0
-    return _result("midpoint_mass", err <= 1e-12 * tol,
-                   f"relative mass drift {err:.3e}")
+    return err <= 1e-12 * tol, f"relative mass drift {err:.3e}"
 
 
 def check_reversibility(ws, tol):
@@ -429,8 +411,7 @@ def check_reversibility(ws, tol):
         solver.step_between_jumps(problem, config, np.conj(forward), 0.02)
     )
     err = np.linalg.norm(back - u0) / np.linalg.norm(u0)
-    return _result("reversibility", err <= 1e-10 * tol,
-                   f"conjugation round trip error {err:.3e}")
+    return err <= 1e-10 * tol, f"conjugation round trip error {err:.3e}"
 
 
 def check_drift_antisymmetry(ws, tol):
@@ -444,8 +425,7 @@ def check_drift_antisymmetry(ws, tol):
     d = solver.drift(problem, solver.SolverConfig(), u)
     pairing = abs(float(np.vdot(u, d).real))
     scale = np.linalg.norm(u) * np.linalg.norm(d)
-    return _result("drift_antisymmetry", pairing <= 1e-12 * tol * scale,
-                   f"Re<u, drift(u)> = {pairing:.3e}")
+    return pairing <= 1e-12 * tol * scale, f"Re<u, drift(u)> = {pairing:.3e}"
 
 
 def check_second_order_step(ws, tol):
@@ -463,7 +443,7 @@ def check_second_order_step(ws, tol):
     fine = np.linalg.norm(advance(0.2 / 16, 16) - reference)
     ratio = coarse / fine
     ok = abs(ratio - 4.0) <= 0.8 * tol
-    return _result("second_order_step", ok, f"error ratio {ratio:.3f}")
+    return ok, f"error ratio {ratio:.3f}"
 
 
 def check_jump_mass_conservation(ws, tol):
@@ -476,8 +456,7 @@ def check_jump_mass_conservation(ws, tol):
     record = solver.simulate(problem, solver.SolverConfig(dt=0.05), events,
                              record_states=False)
     err = float(np.max(np.abs(record.mass - record.mass[0]))) / record.mass[0]
-    return _result("jump_mass_conservation", err <= 1e-10 * tol,
-                   f"mass drift across {len(record.events)} jumps {err:.3e}")
+    return err <= 1e-10 * tol, f"mass drift across {len(record.events)} jumps {err:.3e}"
 
 
 # ---------------------------------------------------------------------------
@@ -494,8 +473,7 @@ def check_modulus_dynamic_program(ws, tol):
     )
     want = (0.0, 2.0, 3.0)
     err = max(abs(a - b) for a, b in zip(got, want))
-    return _result("modulus_dynamic_program", err <= 1e-14 * tol,
-                   f"hand-worked moduli {got}")
+    return err <= 1e-14 * tol, f"hand-worked moduli {got}"
 
 
 def check_energy_report(ws, tol):
@@ -503,8 +481,7 @@ def check_energy_report(ws, tol):
     recomputed = report.kinetic + report.potential
     ok = (report.total == recomputed
           and abs(report.mass - float(np.sum(np.abs(ws.state) ** 2))) <= 1e-14 * tol)
-    return _result("energy_report", ok,
-                   f"mass {report.mass:.6f}, total {report.total:.6f}")
+    return ok, f"mass {report.mass:.6f}, total {report.total:.6f}"
 
 
 def check_config_roundtrip(ws, tol):
@@ -513,45 +490,17 @@ def check_config_roundtrip(ws, tol):
     again = config_mod.parse_config(text)
     digest = config_mod.config_hash(spec)
     ok = again == spec and len(digest) == 64 and digest == config_mod.config_hash(again)
-    return _result("config_roundtrip", ok, f"hash {digest[:12]}…")
+    return ok, f"hash {digest[:12]}…"
 
 
-_CHECKS = [
-    check_quadrature_orthonormality,
-    check_transform_roundtrip,
-    check_parseval_identity,
-    check_level_nesting,
-    check_cutoff_branches,
-    check_mihlin_suprema,
-    check_smoothing_contraction,
-    check_pairing_reality,
-    check_antiderivative_slope,
-    check_exponent_window,
-    check_hermiticity_defect,
-    check_jump_unitarity,
-    check_jump_group_law,
-    check_flow_matches_map,
-    check_chebyshev_jump,
-    check_difference_bounds,
-    check_taylor_remainder,
-    check_atomic_moments,
-    check_radial_moments,
-    check_prm_compensation,
-    check_seed_streams,
-    check_diagonal_exactness,
-    check_midpoint_mass,
-    check_reversibility,
-    check_drift_antisymmetry,
-    check_second_order_step,
-    check_jump_mass_conservation,
-    check_modulus_dynamic_program,
-    check_energy_report,
-    check_config_roundtrip,
-]
+# the battery: every check_ function above, in definition order; built before
+# check_names, whose name would match
+_CHECKS = {name.removeprefix("check_"): fn
+           for name, fn in list(globals().items()) if name.startswith("check_")}
 
 
 def check_names() -> list[str]:
-    return [fn.__name__.removeprefix("check_") for fn in _CHECKS]
+    return list(_CHECKS)
 
 
 def run_checks(names=None, tol_scale: float = 1.0) -> list[CheckResult]:
@@ -560,15 +509,14 @@ def run_checks(names=None, tol_scale: float = 1.0) -> list[CheckResult]:
     An empty or unknown selection is refused.  An exception inside a check
     is itself a failure, reported in the detail.
     """
-    if not (tol_scale > 0):
-        raise ConfigurationError(f"tol_scale must be positive, got {tol_scale}")
-    available = {fn.__name__.removeprefix("check_"): fn for fn in _CHECKS}
+    if not (0 < tol_scale < np.inf):
+        raise ConfigurationError(f"tol_scale must be positive and finite, got {tol_scale}")
     if names is None:
-        selected = list(available)
+        selected = list(_CHECKS)
     else:
         if not names:
             raise ConfigurationError("no checks selected")
-        unknown = [n for n in names if n not in available]
+        unknown = [n for n in names if n not in _CHECKS]
         if unknown:
             raise ConfigurationError(f"unknown checks: {unknown}")
         selected = list(names)
@@ -576,7 +524,8 @@ def run_checks(names=None, tol_scale: float = 1.0) -> list[CheckResult]:
     results = []
     for name in selected:
         try:
-            results.append(available[name](ws, tol_scale))
+            passed, detail = _CHECKS[name](ws, tol_scale)
         except Exception as exc:  # noqa: BLE001 - failures are data here
-            results.append(_result(name, False, f"raised {type(exc).__name__}: {exc}"))
+            passed, detail = False, f"raised {type(exc).__name__}: {exc}"
+        results.append(CheckResult(name=name, passed=bool(passed), detail=detail))
     return results

@@ -1,5 +1,6 @@
 """End-to-end command line tests: outputs, determinism, exit codes."""
 
+import gc
 import json
 import os
 import subprocess
@@ -357,13 +358,49 @@ def test_trajectories_override_below_one_rejected(fast_config, tmp_path, capsys,
     out = tmp_path / "out"
     assert main(["simulate", "--config", fast_config, "--out", str(out),
                  "--trajectories", count]) == 2
-    assert "--trajectories must be at least 1" in capsys.readouterr().err
+    assert f"error: trajectories must be at least 1, got {count}" in capsys.readouterr().err
     assert not out.exists()
     assert main(["converge", "--config", fast_config, "--levels", "1,2",
                  "--trajectories", count]) == 2
     captured = capsys.readouterr()
-    assert "--trajectories must be at least 1" in captured.err
+    assert f"error: trajectories must be at least 1, got {count}" in captured.err
     assert captured.out == ""
+
+
+def test_trajectory_bookkeeping_slope_stays_below_its_constant(tmp_path, monkeypatch):
+    # summary.json is streamed chunk by chunk, so what a trajectory adds to the
+    # run's peak is its summary entries, not their JSON text.  The peak is
+    # taken from the start of the summary's encoding, after a collection, so
+    # the bootstrap's fixed blocks and leftover garbage do not count
+    config = tmp_path / "quiet.ini"
+    text = (FAST_CONFIG[:FAST_CONFIG.index("[noise]")]
+            + FAST_CONFIG[FAST_CONFIG.index("[solver]"):])
+    text = text.replace("horizon = 0.4", "horizon = 0.05")
+    config.write_text(text.replace("save_states = true", "save_states = false"),
+                      encoding="utf-8")
+    real = cli._json_chunks
+
+    def traced(payload):
+        gc.collect()
+        tracemalloc.reset_peak()
+        yield from real(payload)
+
+    monkeypatch.setattr(cli, "_json_chunks", traced)
+
+    def traced_peak(count):
+        tracemalloc.start()
+        try:
+            code = main(["simulate", "--config", str(config), "--out",
+                         str(tmp_path / f"n{count}"), "--trajectories", str(count)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        return peak
+
+    traced_peak(2)  # warm-up
+    low, high = traced_peak(200), traced_peak(800)
+    assert (high - low) / 600 < cli.TRAJECTORY_BYTES
 
 
 def test_trajectory_bookkeeping_refused_beyond_physical_memory(fast_config, tmp_path,
@@ -456,6 +493,33 @@ def test_moments_refuses_an_alpha_of_at_most_one(tmp_path, capsys):
     captured = capsys.readouterr()
     assert "error: alpha must be > 1, got 1.0" in captured.err
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("config,edits,message", [
+    ("atomic_cubic", [("horizon = 1.0", "horizon = -1")], "horizon must be positive, got -1.0"),
+    ("atomic_cubic", [("beta = 1.0", "beta = -1")], "beta must be positive, got -1.0"),
+    ("atomic_cubic", [("dealias_factor = 2", "dealias_factor = 1")],
+     "dealias_factor must be an integer >= 2, got 1"),
+    ("atomic_cubic", [("kind = defocusing", "kind = focusing"), ("alpha = 3.0", "alpha = 9")],
+     "focusing alpha=9.0 not admissible in dimension 1"),
+    ("stable_linear", [("closure = Taylor2", "closure = AtomicExact")],
+     "AtomicExact closure needs an atomic jump measure"),
+])
+def test_moments_refuses_what_simulate_refuses(tmp_path, capsys, config, edits, message):
+    # each value rule lives in its section's schema, so loading the config
+    # refuses it for every command alike
+    text = (CONFIG_DIR / f"{config}.ini").read_text(encoding="utf-8")
+    for old, new in edits:
+        assert old in text
+        text = text.replace(old, new)
+    path = tmp_path / "run.ini"
+    path.write_text(text, encoding="utf-8")
+    assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    refused = capsys.readouterr().err
+    assert refused.startswith(f"error: {message}") and refused.count("\n") == 1
+    assert main(["moments", "--config", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == refused and captured.out == ""
 
 
 @pytest.mark.parametrize("seed", ["-1", str(2**64)])
@@ -568,7 +632,9 @@ def test_numerics_error_on_the_jump_free_path_names_its_first_trajectory(tmp_pat
     ("atomic_cubic", "atoms = 0.45 : 2.0", "atoms = 0.45 : inf", "not a finite number"),
     ("deterministic_cubic", "rate = 0.5", "rate = nan", "not a finite number"),
     ("deterministic_cubic", "max_level = 6", "max_level = 1100", "max_level = 1100 with beta"),
-    ("deterministic_cubic", "beta = 1.0", "beta = 1e-3", "max_level = 6 with beta = 0.001"),
+    ("stable_linear", "beta = 1.0", "beta = 1e-3", "max_level = 6 with beta = 0.001"),
+    ("deterministic_cubic", "beta = 1.0", "beta = 1e-3",
+     "alpha=3.0 not admissible in dimension 1 with beta=0.001"),
     ("deterministic_cubic", "horizon = 1.0", "horizon = 1e12", "time nodes"),
     ("deterministic_cubic", "dt = 0.001", "dt = 1e-300", "time nodes"),
     ("atomic_cubic", "atoms = 0.45 : 2.0", "atoms = 0.45 : 1e300", "expected jump events"),
@@ -604,6 +670,7 @@ def test_unrunnable_values_fail_with_configuration_error(tmp_path, capsys, monke
     assert err.startswith("error:") and err.count("\n") == 1
     assert needle in err and "Traceback" not in err and "Warning" not in err
     assert peak < 2**26  # refused before any large allocation
+    assert not (tmp_path / "out").exists()  # refused before any output
 
 
 def test_shipped_configs_simulate(tmp_path):

@@ -1,14 +1,14 @@
 """Properties of the CLI over configurations it may be handed.
 
-One adversarial property: a shipped config with one or two keys of
-``[initial]``, ``[domain]`` or ``[galerkin]`` set to an extreme or malformed
-value either runs or is refused with exactly one ``error:`` line, and never
-prints a warning.  The horizon is cut to one step, and physical memory is
-taken to be 256 MiB, so a value that asks for a large build is refused by
-the memory guards instead of allocating.  The step may take at most 4
-halvings of 20 fixed-point iterations each (the shipped runs need at most
-4 iterations): a stiff state, such as ``scale = 1_000`` with ``rate = 0``,
-otherwise spends minutes halving one step.
+One adversarial property: a shipped config with one or two keys of any
+section set to an extreme or malformed value either runs or is refused with
+exactly one ``error:`` line, and never prints a warning.  A section the
+shipped file lacks is added with the one key.  The horizon is cut to one
+step, and physical memory is taken to be 256 MiB, so a value that asks for a
+large build is refused by the memory guards instead of allocating.  The step
+may take at most 4 halvings of 20 fixed-point iterations each (the shipped
+runs need at most 4 iterations): a stiff state, such as ``scale = 1_000``
+with ``rate = 0``, otherwise spends minutes halving one step.
 """
 
 import configparser
@@ -37,6 +37,11 @@ SITES = tuple((section, key) for section, keys in (
     ("initial", ("preset", "rate", "mode", "scale")),
     ("domain", ("kind", "length", "length_x", "length_y")),
     ("galerkin", ("beta", "max_level", "level", "dealias_factor")),
+    ("nonlinearity", ("kind", "alpha")),
+    ("noise", ("symbols", "epsilon", "atoms", "activity", "stability")),
+    ("solver", ("mode", "dt", "closure", "fp_tol")),
+    ("run", ("master_seed",)),
+    ("output", ("save_states",)),
 ) for key in keys)
 
 
@@ -46,6 +51,8 @@ def mutated_config(name: str, edits) -> str:
     parser = configparser.ConfigParser(interpolation=None)
     parser.read(CONFIG_DIR / f"{name}.ini", encoding="utf-8")
     for (section, key), value in edits:
+        if not parser.has_section(section):
+            parser.add_section(section)
         parser[section][key] = value
     parser["solver"]["max_halvings"] = "4"
     parser["solver"]["max_fp_iters"] = "20"

@@ -8,6 +8,8 @@ import pytest
 
 from jumpnls.config import (
     AtomicNoiseSpec,
+    GalerkinSpec,
+    InitialSpec,
     RadialStableNoiseSpec,
     RunSpec,
     build_model_from_spec,
@@ -322,13 +324,27 @@ def test_coarse_level_keeps_configured_initial_data():
 
 
 def test_atomic_closure_requires_atomic_noise():
+    # the run spec refuses the pair itself, before anything is built
     spec = load_config(str(CONFIG_DIR / "stable_linear.ini"))
-    clashed = dataclasses.replace(
-        spec, solver=dataclasses.replace(spec.solver, closure="AtomicExact")
-    )
     with pytest.raises(ConfigurationError,
                        match="AtomicExact closure needs an atomic jump measure"):
-        build_problem_from_spec(clashed)
+        dataclasses.replace(
+            spec, solver=dataclasses.replace(spec.solver, closure="AtomicExact")
+        )
+
+
+def test_specs_built_in_code_refuse_bad_values():
+    # the rules live in the dataclasses, not in the parser, so a spec built or
+    # replaced in code is held to them as a parsed one is
+    spec = parse_config(MINIMAL)
+    with pytest.raises(ConfigurationError, match="trajectories must be at least 1, got 0"):
+        dataclasses.replace(spec, trajectories=0)
+    with pytest.raises(ConfigurationError, match="unknown initial preset 'nope'"):
+        InitialSpec(preset="nope")
+    with pytest.raises(ConfigurationError, match=r"level must lie in \[0, max_level=6\]"):
+        GalerkinSpec(level=7, max_level=6)
+    with pytest.raises(ConfigurationError, match="unknown symbol preset 'spike'"):
+        RadialStableNoiseSpec(symbols=("spike",), epsilon=0.1, activity=1.0, stability=1.0)
 
 
 def test_runspec_is_frozen():

@@ -22,8 +22,8 @@ def test_output_digest_runs_one_command_and_compares(tmp_path, capsys):
     tool = load_tool()
     keys = [key for key, *_ in tool.commands()]
     # six INIs: simulate at 4 seeds x 2 save_states, converge once each and
-    # once more on converge-2d, moments once each
-    assert len(set(keys)) == len(keys) == 6 * 8 + 7 + 6
+    # once more on converge-2d, moments once each; three verify commands
+    assert len(set(keys)) == len(keys) == 6 * 8 + 7 + 6 + 3
     key = "moments configs/atomic_cubic.ini"
     first = tmp_path / "a.json"
     assert tool.main(["--match", key, "--out", str(first)]) == 0

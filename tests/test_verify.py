@@ -39,6 +39,10 @@ def test_tol_scale_validation():
         verify.run_checks(tol_scale=0.0)
     with pytest.raises(ConfigurationError):
         verify.run_checks(tol_scale=-2.0)
+    # an infinite tolerance would pass every check vacuously
+    for value in (float("inf"), float("nan")):
+        with pytest.raises(ConfigurationError, match="positive and finite"):
+            verify.run_checks(tol_scale=value)
 
 
 def test_generous_tol_scale_still_passes():

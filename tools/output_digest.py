@@ -10,13 +10,14 @@ comparing the two digests:
 
 The set is ``simulate`` on ``configs/*.ini`` and ``perfbench/workloads/*.ini``
 for master seeds 0-3 with ``save_states`` false and true, ``converge --levels
-2,3`` on every INI and ``--levels 4,5`` on converge-2d, and ``moments`` on
-every INI.  The INIs are only read: ``save_states`` is set on a temporary
-copy.  Each command runs in-process in its own temporary directory, and its
-digest maps each file it wrote, ``<stdout>`` and ``<stderr>`` to their sha256
-and ``<exit>`` to its exit code.  ``--compare`` lists the files whose digests
-differ and exits 1 if any do.  Only the standard library and ``jumpnls`` are
-used.
+2,3`` on every INI and ``--levels 4,5`` on converge-2d, ``moments`` on every
+INI, and ``verify``, ``verify --list`` and ``verify --only
+seed_streams,cutoff_branches``, which take no INI.  The INIs are only read:
+``save_states`` is set on a temporary copy.  Each command runs in-process in
+its own temporary directory, and its digest maps each file it wrote,
+``<stdout>`` and ``<stderr>`` to their sha256 and ``<exit>`` to its exit code.
+``--compare`` lists the files whose digests differ and exits 1 if any do.
+Only the standard library and ``jumpnls`` are used.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ SEEDS = range(4)
 
 
 def commands():
-    """``(key, INI, save_states or None, arguments)`` of each command of the set."""
+    """``(key, INI or None, save_states or None, arguments)`` of each command of the set."""
     inis = sorted(ROOT.glob("configs/*.ini")) + sorted(ROOT.glob("perfbench/workloads/*.ini"))
     names = [ini.relative_to(ROOT).as_posix() for ini in inis]
     for ini, name in zip(inis, names):
@@ -51,13 +52,15 @@ def commands():
                    ["converge", "--levels", levels])
     for ini, name in zip(inis, names):
         yield f"moments {name}", ini, None, ["moments"]
+    for options in ([], ["--list"], ["--only", "seed_streams,cutoff_branches"]):
+        yield " ".join(["verify"] + options), None, None, ["verify"] + options
 
 
 def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def run_command(ini: Path, save_states: str | None, arguments: list[str]) -> dict:
+def run_command(ini: Path | None, save_states: str | None, arguments: list[str]) -> dict:
     """Run one command in a fresh directory; the digest of what it produced."""
     from jumpnls.cli import main
 
@@ -78,7 +81,7 @@ def run_command(ini: Path, save_states: str | None, arguments: list[str]) -> dic
         try:
             with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
                 try:
-                    code = main(arguments + ["--config", str(config)])
+                    code = main(arguments + ([] if ini is None else ["--config", str(config)]))
                 except Exception as exc:  # an uncaught error is an output too
                     print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
                     code = 1
