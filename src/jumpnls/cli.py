@@ -106,7 +106,7 @@ def _cmd_simulate(args) -> int:
     count = spec.trajectories
     _check_memory(TRAJECTORY_BYTES * count, f"the summary entries of {count} trajectories")
     digest = config_hash(spec)
-    model, problem = build_problem_from_spec(spec)
+    problem = build_problem_from_spec(spec)
 
     jump_free = JumpFreePath(problem, spec.solver, record_states=spec.output.save_states)
     # one path held at a time: drawn for its branch node, again from its stream to run
@@ -146,7 +146,7 @@ def _cmd_simulate(args) -> int:
         "horizon": spec.horizon,
         "level": problem.level.n,
         "level_dimension": problem.level.dim,
-        "num_modes": model.num_modes,
+        "num_modes": problem.level.model.num_modes,
         "master_seed": spec.master_seed,
         "trajectories": spec.trajectories,
         "trajectory_seeds": [
@@ -186,12 +186,12 @@ def _cmd_converge(args) -> int:
             f"--levels must all be coarser than the configured level {fine_n}"
         )
 
-    model, fine = build_problem_from_spec(spec)
+    fine = build_problem_from_spec(spec)
     distances = {n: [] for n in coarse_levels}
     for k in range(spec.trajectories):
         events = _jump_path(fine, spec.master_seed, k)
         for n in coarse_levels:
-            _, coarse = build_problem_from_spec(spec, model, level=n)
+            coarse = build_problem_from_spec(spec, fine.level.model, level_n=n)
             with _trajectory_context(k):
                 result = simulate_coupled(coarse, fine, spec.solver, events)
             distances[n].append(result.distance)

@@ -9,7 +9,8 @@ row in ``spectral._DOMAIN_TABLE`` gives its length keys.  Only ``[run]`` (the
 legacy ``threads`` key) is parsed by hand.  ``parse_config`` only parses: each
 dataclass refuses its own bad values in ``__post_init__``, calling the rule's
 runtime owner, so every caller of ``load_config`` refuses what ``simulate``
-refuses at set-up.
+refuses at set-up.  ``build_problem_from_spec`` returns the problem alone: its
+model is ``problem.level.model``.
 
 The canonical text form is deterministic (fixed section and key order,
 ``repr`` floats), so round-tripping a spec through text is the identity and
@@ -444,23 +445,22 @@ def initial_values(spec: RunSpec, model: SpectralModel) -> np.ndarray:
 
 
 def build_problem_from_spec(
-    spec: RunSpec, model: SpectralModel | None = None, level: int | None = None
-) -> tuple[SpectralModel, GalerkinProblem]:
-    """Materialize the run: spectral model plus a ready-to-integrate problem.
+    spec: RunSpec, model: SpectralModel | None = None, level_n: int | None = None
+) -> GalerkinProblem:
+    """The run's ready-to-integrate problem, on ``model`` or one built from ``spec``.
 
-    ``level`` truncates at another Galerkin level than the configured one
+    ``level_n`` truncates at another Galerkin level than the configured one
     (coarse levels of ``converge``); initial data still follow ``spec``.
     """
     if model is None:
         model = build_model_from_spec(spec)
     measure = None if spec.noise is None else spec.noise.measure()
-    problem = build_problem(
+    return build_problem(
         model,
-        spec.galerkin.level if level is None else level,
+        spec.galerkin.level if level_n is None else level_n,
         initial_values(spec, model),
         spec.horizon,
         nonlinearity=spec.nonlinearity,
         symbols=build_symbols_from_spec(spec, model),
         measure=measure,
     )
-    return model, problem

@@ -5,9 +5,10 @@ is the smoothed, truncated multiplication operator
 
     M_m = (cutoff) * <h_j, e_m h_k> * (cutoff)
 
-by grid quadrature, so every M_m is Hermitian.  Assembly keeps the symbols;
-``NoiseOperators.product`` applies B(l) = sum_m l_m M_m through the pair that
-``build_level`` bound on the level.
+by grid quadrature, so every M_m is Hermitian.  Assembly keeps the symbols
+and the level, whose ``model`` gives the grid; ``NoiseOperators.product``
+applies B(l) = sum_m l_m M_m through the pair that ``build_level`` bound on
+the level.  Operators compare and hash by identity.
 
 The dense matrices, ``generator``, the level constants and
 ``estimate_lp_bound`` are oracles for tests and ``verify``, built on request;
@@ -49,7 +50,7 @@ import functools
 import numpy as np
 
 from .exceptions import ConfigurationError, NumericsError, ShapeError
-from .spectral import GalerkinLevel, SpectralModel, _check_memory, _max_lp_ratio
+from .spectral import GalerkinLevel, _check_memory, _max_lp_ratio
 
 #: assembled matrices farther than this from Hermitian are rejected
 HERMITICITY_TOLERANCE = 1e-10
@@ -75,7 +76,7 @@ _RADIUS_MARGIN = 1e-12
 _BESSEL_TAIL = 1e-17
 
 
-@dataclasses.dataclass
+@dataclasses.dataclass(eq=False)
 class NoiseOperators:
     """Jump generators of one Galerkin level.
 
@@ -86,12 +87,11 @@ class NoiseOperators:
     """
 
     level: GalerkinLevel
-    model: SpectralModel
     symbols: np.ndarray            # (N, num_grid) real
 
     @functools.cached_property
     def _dense(self) -> tuple[np.ndarray, float]:
-        return _assemble_matrices(self.model, self.level, self.symbols)
+        return _assemble_matrices(self.level, self.symbols)
 
     @property
     def matrices(self) -> np.ndarray:
@@ -154,7 +154,7 @@ class NoiseOperators:
         symbol = _checked_mark(self, mark) @ self.symbols
         smoother = self.level.multipliers
         to_grid, from_grid = self.level.to_grid, self.level.from_grid
-        width = max(1, ASSEMBLY_BLOCK_ENTRIES // self.model.num_grid)
+        width = max(1, ASSEMBLY_BLOCK_ENTRIES // self.level.model.num_grid)
 
         def apply(block):
             columns = block.reshape(self.dim, -1)
@@ -168,11 +168,7 @@ class NoiseOperators:
         return apply
 
 
-def assemble_noise_operators(
-    model: SpectralModel,
-    level: GalerkinLevel,
-    symbols,
-) -> NoiseOperators:
+def assemble_noise_operators(level: GalerkinLevel, symbols) -> NoiseOperators:
     """Noise operators of ``level`` for the grid samples ``symbols``.
 
     ``symbols`` is an (N, num_grid) array (or list of grid samples) of
@@ -180,17 +176,18 @@ def assemble_noise_operators(
     channel's symbol has a non-finite grid sample.
     """
     symbols = np.atleast_2d(np.array(symbols, dtype=float))
-    if symbols.ndim != 2 or symbols.shape[1] != model.num_grid:
+    num_grid = level.model.num_grid
+    if symbols.ndim != 2 or symbols.shape[1] != num_grid:
         raise ShapeError(
-            f"symbols must be (N, {model.num_grid}) grid samples, got {symbols.shape}"
+            f"symbols must be (N, {num_grid}) grid samples, got {symbols.shape}"
         )
     for m, symbol in enumerate(symbols):
         if not np.all(np.isfinite(symbol)):
             raise ConfigurationError(f"symbol of channel {m} has non-finite grid samples")
-    return NoiseOperators(level=level, model=model, symbols=symbols)
+    return NoiseOperators(level=level, symbols=symbols)
 
 
-def _assemble_matrices(model: SpectralModel, level: GalerkinLevel, symbols: np.ndarray):
+def _assemble_matrices(level: GalerkinLevel, symbols: np.ndarray):
     """Quadrature assembly of the smoothed multiplication operators and their defect.
 
     Column j of channel m is the smoothed mode ``s_j h_j`` synthesized to
@@ -202,7 +199,7 @@ def _assemble_matrices(model: SpectralModel, level: GalerkinLevel, symbols: np.n
     ``ConfigurationError`` before allocating when the operators would exceed
     physical memory.
     """
-    channels, dim = symbols.shape[0], level.dim
+    model, channels, dim = level.model, symbols.shape[0], level.dim
     width = max(1, ASSEMBLY_BLOCK_ENTRIES // model.num_grid)
     _check_memory(16 * (channels * dim * dim + min(width, dim) * model.num_grid),
                   f"noise operators of level {level.n} ({channels} x {dim}^2 "
@@ -252,7 +249,7 @@ def estimate_lp_bound(
     ones = np.ones(ops.dim, dtype=complex)
     total = 0.0
     for M in ops.matrices:
-        est = _max_lp_ratio(ops.model, lambda u: M @ u, p, rng, 32, extra=[ones],
+        est = _max_lp_ratio(ops.level.model, lambda u: M @ u, p, rng, 32, extra=[ones],
                             dim=ops.dim)
         total += est**2
     return total

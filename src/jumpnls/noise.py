@@ -80,7 +80,12 @@ class NoiseMoments:
 
 @dataclasses.dataclass(frozen=True)
 class AtomicMeasure:
-    """Finite sum of weighted atoms inside the closed unit ball."""
+    """Finite sum of weighted atoms inside the closed unit ball.
+
+    The atoms are split at the cutoff once, on construction: ``_simulated``
+    holds the marks, weights and normalised probabilities of the atoms with
+    ``|l| >= epsilon``, ``_small`` the marks and weights of the rest.
+    """
 
     marks: np.ndarray    # (J, N)
     weights: np.ndarray  # (J,)
@@ -108,32 +113,30 @@ class AtomicMeasure:
             raise ConfigurationError(f"epsilon must be in [0, 1], got {self.epsilon}")
         object.__setattr__(self, "marks", marks)
         object.__setattr__(self, "weights", weights)
+        simulated = radii >= self.epsilon
+        kept = weights[simulated]
+        object.__setattr__(self, "_simulated", (marks[simulated], kept, kept / np.sum(kept)))
+        object.__setattr__(self, "_small", (marks[~simulated], weights[~simulated]))
 
     @property
     def dimension(self) -> int:
         return self.marks.shape[1]
 
-    def _split(self):
-        radii = np.linalg.norm(self.marks, axis=1)
-        simulated = radii >= self.epsilon
-        return simulated, ~simulated
-
     def simulated_intensity(self) -> float:
-        simulated, _ = self._split()
-        return float(np.sum(self.weights[simulated]))
+        _, weights, _ = self._simulated
+        return float(np.sum(weights))
 
     def simulated_second_moment(self) -> float:
-        simulated, _ = self._split()
-        r2 = np.sum(self.marks[simulated] ** 2, axis=1)
-        return float(np.sum(self.weights[simulated] * r2))
+        marks, weights, _ = self._simulated
+        return float(np.sum(weights * np.sum(marks**2, axis=1)))
 
     def moments(self) -> NoiseMoments:
-        simulated, small = self._split()
+        marks, weights, _ = self._simulated
+        small_marks, small_weights = self._small
         # summed exactly: a BLAS dot of symmetric atoms may round to a nonzero
         # mean, which would add a drift term
-        mean = [math.fsum(self.weights[simulated] * channel)
-                for channel in self.marks[simulated].T]
-        sm = (self.weights[small, None] * self.marks[small]).T @ self.marks[small]
+        mean = [math.fsum(weights * channel) for channel in marks.T]
+        sm = (small_weights[:, None] * small_marks).T @ small_marks
         return NoiseMoments(
             mean_simulated=np.asarray(mean, dtype=float).reshape(self.dimension),
             second_moment_small=np.asarray(sm, dtype=float),
@@ -142,15 +145,11 @@ class AtomicMeasure:
 
     def small_atoms(self):
         """Atoms below the cutoff: (marks, weights) of the neglected region."""
-        _, small = self._split()
-        return self.marks[small], self.weights[small]
+        return self._small
 
     def sample_mark(self, rng: np.random.Generator) -> np.ndarray:
-        simulated, _ = self._split()
-        marks = self.marks[simulated]
-        weights = self.weights[simulated]
-        j = rng.choice(len(weights), p=weights / np.sum(weights))
-        return marks[j].copy()
+        marks, _, probabilities = self._simulated
+        return marks[rng.choice(len(probabilities), p=probabilities)].copy()
 
 
 @dataclasses.dataclass(frozen=True)

@@ -35,6 +35,12 @@ and weighs by the level's eigenvalue views.  A record holds its node columns
 its level, whose ``ea_norm`` fills the last column; a coupled run measures its
 distance by the finer level's ``dual_norm``.  A midpoint solve whose gap stops
 shrinking halves the step at once, at most ``max_halvings`` deep.
+
+A problem reads its model through its level (``problem.level.model``), and a
+problem compares and hashes by identity.  ``simulate_coupled`` refuses two
+levels that do not share their model and horizon or that truncate different
+equations: another nonlinearity, other symbol samples or other measure field
+values.
 """
 
 from __future__ import annotations
@@ -94,31 +100,26 @@ class SolverConfig:
             raise ConfigurationError("max_halvings must be nonnegative")
 
 
-@dataclasses.dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True, eq=False)
 class GalerkinProblem:
     """One truncation level with its drift ingredients and initial state.
 
     ``initial`` holds level coefficients (already smoothed and renormalized).
     ``symbols`` holds the grid samples of the noise channels, one row each;
     the problem assembles its noise operators ``ops`` from them on its own
-    model and level.  ``symbols``, ``ops`` and ``measure`` are None for
-    deterministic runs.
+    level, which carries the model.  ``symbols``, ``ops`` and ``measure``
+    are None for deterministic runs.
     """
 
-    model: SpectralModel
     level: GalerkinLevel
     horizon: float
     initial: np.ndarray
     nonlinearity: Nonlinearity | None = None
     symbols: np.ndarray | None = None
     measure: object | None = None
-    ops: NoiseOperators | None = dataclasses.field(
-        default=None, init=False, repr=False, compare=False
-    )
+    ops: NoiseOperators | None = dataclasses.field(default=None, init=False, repr=False)
     # closure name -> drift workspace, built on first use (see _dynamics)
-    _workspaces: dict = dataclasses.field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
+    _workspaces: dict = dataclasses.field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         if not (self.horizon > 0):
@@ -129,8 +130,7 @@ class GalerkinProblem:
                 f"got shape {self.initial.shape}"
             )
         if self.symbols is not None:
-            object.__setattr__(self, "ops", assemble_noise_operators(
-                self.model, self.level, self.symbols))
+            object.__setattr__(self, "ops", assemble_noise_operators(self.level, self.symbols))
         if self.measure is not None and self.ops is None:
             raise ConfigurationError("a jump measure requires noise symbols")
         if self.ops is not None and self.measure is not None:
@@ -148,9 +148,7 @@ def _underflow_safe_norm(x: np.ndarray) -> float:
     return _norm_over_top(x) if norm < math.sqrt(_TINY) else norm
 
 
-def renormalize_initial(
-    model: SpectralModel, level: GalerkinLevel, initial_full: np.ndarray
-) -> np.ndarray:
+def renormalize_initial(level: GalerkinLevel, initial_full: np.ndarray) -> np.ndarray:
     """Smooth-truncate full-space data onto the level, restoring its H norm.
 
     Returns S_n u0 scaled so its norm equals ||u0||; the zero vector if the
@@ -186,10 +184,9 @@ def build_problem(
     if nonlinearity is not None:
         validate_exponent(nonlinearity, model.domain.dimension, model.beta)
     return GalerkinProblem(
-        model=model,
         level=level,
         horizon=float(horizon),
-        initial=renormalize_initial(model, level, initial_full),
+        initial=renormalize_initial(level, initial_full),
         nonlinearity=nonlinearity,
         symbols=symbols,
         measure=measure,
@@ -226,11 +223,11 @@ class _Dynamics:
     """
 
     def __init__(self, problem: GalerkinProblem, config: SolverConfig):
-        model, level = problem.model, problem.level
+        level = problem.level
         self.lam = level.eigenvalues_A
         self.nl = problem.nonlinearity
         self.to_grid, self.from_grid = level.to_grid, level.from_grid
-        self.grid_weights = model.grid_weights
+        self.grid_weights = level.model.grid_weights
         self.noise_matrix = None
 
         ops = problem.ops
@@ -635,6 +632,17 @@ class CoupledResult:
     distance: float             # sup over the nodes
 
 
+def _same_values(a, b) -> bool:
+    """Whether ``a`` and ``b`` hold equal values: both None, dataclasses of one
+    type whose fields hold equal values, or equal arrays (``np.array_equal``)."""
+    if a is None or b is None:
+        return a is b
+    if dataclasses.is_dataclass(a):
+        return type(a) is type(b) and all(
+            _same_values(getattr(a, f.name), getattr(b, f.name)) for f in dataclasses.fields(a))
+    return np.array_equal(a, b)
+
+
 def simulate_coupled(
     problem_low: GalerkinProblem,
     problem_high: GalerkinProblem,
@@ -644,19 +652,24 @@ def simulate_coupled(
     """Run two truncation levels against one jump path ``events`` (``[]`` if none).
 
     Both problems must share the spectral model and horizon, with the first
-    strictly coarser, so its modes are a prefix of the finer level's.  The
-    levels advance together; the dual-norm difference is taken at each node
-    on the finer level's modes (the coarse state embeds by zero padding), and
-    the returned distance is its supremum.  No state history is kept.
+    strictly coarser, so its modes are a prefix of the finer level's, and
+    truncate one equation: the same nonlinearity, noise symbol samples and
+    jump measure field values.  The levels advance together; the dual-norm
+    difference is taken at each node on the finer level's modes (the coarse
+    state embeds by zero padding), and the returned distance is its supremum.
+    No state history is kept.
     """
-    if problem_low.model is not problem_high.model:
+    if problem_low.level.model is not problem_high.level.model:
         raise ConfigurationError("coupled runs need a shared spectral model")
     if problem_low.horizon != problem_high.horizon:
         raise ConfigurationError("coupled runs need a common horizon")
     if problem_low.level.n >= problem_high.level.n:
         raise ConfigurationError("first problem must be the coarser level")
-    if (problem_low.measure is None) != (problem_high.measure is None):
-        raise ConfigurationError("both levels need the same jump measure")
+    for part in ("nonlinearity", "symbols", "measure"):
+        low, high = getattr(problem_low, part), getattr(problem_high, part)
+        if not _same_values(low, high):
+            raise ConfigurationError(f"coupled runs need one equation; the levels' {part} "
+                                     f"fields differ")
     problems = [problem_low, problem_high]
     events = _check_events(problems, events)
     # per node: the grid, ``ends`` and the distance, in float64

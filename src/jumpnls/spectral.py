@@ -25,6 +25,9 @@ transform, at every size; the model caches nothing.  A mode set is the
 first ``dim`` modes of the table (None: all).  ``build_level`` binds each
 level's pair once (``SpectralModel.transform_pair``: dense, separable on a
 2-d torus, or the fast transforms), and every run-path product reads it.
+The level also keeps its model (``GalerkinLevel.model``), so an API that works
+on a level reads the model there and none takes a model beside a level.
+Models and levels hold arrays, so they compare and hash by identity.
 
 Two diagonal operators act on coefficients:
 
@@ -252,7 +255,7 @@ def mihlin_suprema(n: int, max_order: int = 2, samples: int = 4001) -> np.ndarra
 # model construction
 # ---------------------------------------------------------------------------
 
-@dataclasses.dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True, eq=False)
 class SpectralModel:
     """Mode table, quadrature grid, and diagonal operator data for one domain.
 
@@ -596,16 +599,17 @@ def _norm_over_top(x: np.ndarray, weights=1.0) -> float:
     return top * math.sqrt(np.sum(weights * (modulus / top) ** 2)) if top else 0.0
 
 
-@dataclasses.dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True, eq=False)
 class GalerkinLevel:
-    """Dyadic block of modes (lambda_S < 2**(n+1)), its cutoffs, bound transform pair and norms."""
+    """Dyadic block of ``model``'s modes (lambda_S < 2**(n+1)), cutoffs, bound pair and norms."""
 
     n: int
     multipliers: np.ndarray    # cutoffs of the first dim modes of the model's table
     eigenvalues_A: np.ndarray  # views of the model's arrays on the prefix
     ea_weights: np.ndarray
-    to_grid: object = dataclasses.field(compare=False, repr=False)
-    from_grid: object = dataclasses.field(compare=False, repr=False)
+    to_grid: object = dataclasses.field(repr=False)
+    from_grid: object = dataclasses.field(repr=False)
+    model: SpectralModel = dataclasses.field(repr=False)
 
     @property
     def dim(self) -> int:
@@ -637,7 +641,7 @@ def build_level(model: SpectralModel, n: int) -> GalerkinLevel:
         )
     multipliers = cutoff_multiplier(n, model.eigenvalues_S[:dim])
     return GalerkinLevel(n, np.asarray(multipliers), model.eigenvalues_A[:dim],
-                         model.ea_weights[:dim], *model.transform_pair(dim))
+                         model.ea_weights[:dim], *model.transform_pair(dim), model)
 
 
 def apply_projection(level: GalerkinLevel, coefficients_full: np.ndarray) -> np.ndarray:
@@ -727,7 +731,6 @@ def _max_lp_ratio(model, apply, p, rng, num_probes, extra=(), dim=None):
 
 
 def estimate_smoothing_lp_norm(
-    model: SpectralModel,
     level: GalerkinLevel,
     p: float,
     num_probes: int = 64,
@@ -743,6 +746,7 @@ def estimate_smoothing_lp_norm(
         raise ValueError("p must be >= 1")
     if rng is None:
         rng = np.random.default_rng(0)
+    model = level.model
     d = model.num_modes
     packets = []
     for c in sorted(set(np.linspace(1, d, num=min(d, 16), dtype=int))):

@@ -39,9 +39,7 @@ class _Workspace:
         )
         self.level = spectral.build_level(self.model, 4)
         self.symbol = np.cos(self.model.grid_points[:, 0])
-        self.ops = jumps.assemble_noise_operators(
-            self.model, self.level, self.symbol[None, :]
-        )
+        self.ops = jumps.assemble_noise_operators(self.level, self.symbol[None, :])
         rng = np.random.default_rng(2024)
         self.state = rng.normal(size=self.level.dim) + 1j * rng.normal(
             size=self.level.dim
@@ -267,8 +265,7 @@ def check_chebyshev_jump(ws, tol):
     rng = np.random.default_rng(31)
     worst, details = 0.0, []
     for model, n, symbol in cases:
-        ops = jumps.assemble_noise_operators(model, spectral.build_level(model, n),
-                                             symbol[None, :])
+        ops = jumps.assemble_noise_operators(spectral.build_level(model, n), symbol[None, :])
         mark = np.array([0.9])
         degree = len(jumps._chebyshev_coefficients(ops.radius(mark))) - 1
         x = rng.normal(size=ops.dim) + 1j * rng.normal(size=ops.dim)

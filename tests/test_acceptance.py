@@ -78,7 +78,7 @@ def test_01_mass_conservation(model):
 def test_02_jump_map_unitarity_and_group_law(model):
     x = model.grid_points[:, 0]
     level = spectral.build_level(model, 6)
-    ops = jumps.assemble_noise_operators(model, level,
+    ops = jumps.assemble_noise_operators(level,
                                          np.stack([np.cos(x), np.sin(x)]))
     rng = np.random.default_rng(202)
     worst_norm = 0.0
@@ -98,7 +98,7 @@ def test_02_jump_map_unitarity_and_group_law(model):
 def test_03_jump_difference_bounds(model):
     x = model.grid_points[:, 0]
     level = spectral.build_level(model, 6)
-    ops = jumps.assemble_noise_operators(model, level,
+    ops = jumps.assemble_noise_operators(level,
                                          np.stack([np.cos(x), np.sin(x)]))
     root_b = np.sqrt(ops.bound_H)
     rng = np.random.default_rng(303)
@@ -118,7 +118,7 @@ def test_03_jump_difference_bounds(model):
 def test_04_marcus_flow_cross_validation(model):
     x = model.grid_points[:, 0]
     level = spectral.build_level(model, 6)
-    ops = jumps.assemble_noise_operators(model, level,
+    ops = jumps.assemble_noise_operators(level,
                                          np.stack([np.cos(x), np.sin(x)]))
     rng = np.random.default_rng(404)
     worst = 0.0
@@ -160,9 +160,9 @@ def test_06_energy_jump_difference_scaling(model):
     nl = nonlinear.defocusing(3.0)
     level = spectral.build_level(model, 5)
     ops = jumps.assemble_noise_operators(
-        model, level, np.stack([np.cos(x), np.sin(x), np.cos(2 * x)])
+        level, np.stack([np.cos(x), np.sin(x), np.cos(2 * x)])
     )
-    state = solver.renormalize_initial(model, level, golden_decaying(model))
+    state = solver.renormalize_initial(level, golden_decaying(model))
     base = diagnostics.energy(model, nl, state, level.dim).total
     radii = np.logspace(-1, -4, 7)
     rng = np.random.default_rng(606)

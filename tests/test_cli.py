@@ -283,7 +283,7 @@ def test_noiseless_trajectories_are_the_jump_free_path(tmp_path):
     out = tmp_path / "out"
     assert main(["simulate", "--config", str(config), "--out", str(out)]) == 0
     spec = load_config(str(config))
-    record = simulate(build_problem_from_spec(spec)[1], spec.solver, [])
+    record = simulate(build_problem_from_spec(spec), spec.solver, [])
     for k in range(3):
         assert (out / f"traj_{k:04d}.csv").read_text() == "".join(_trajectory_rows(record))
         assert np.load(out / f"states_{k:04d}.npy").tobytes() == record.states.tobytes()
@@ -616,7 +616,7 @@ def test_numerics_error_on_the_jump_free_path_names_its_first_trajectory(tmp_pat
     config = tmp_path / "stiff.ini"
     config.write_text(text, encoding="utf-8")
     spec = load_config(str(config))
-    _, problem = build_problem_from_spec(spec)
+    problem = build_problem_from_spec(spec)
     jump_free = JumpFreePath(problem, spec.solver, record_states=False)
     assert [jump_free.branch_node(_jump_path(problem, 37, k)) for k in range(3)] == [4, 2, 1]
     code = main(["simulate", "--config", str(config), "--out", str(tmp_path / "out")])

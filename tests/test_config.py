@@ -288,12 +288,13 @@ def test_initial_presets():
 
 def test_build_problem_from_spec_assembly():
     spec = load_config(str(CONFIG_DIR / "atomic_cubic.ini"))
-    model, problem = build_problem_from_spec(spec)
+    problem = build_problem_from_spec(spec)
+    model = problem.level.model
     assert problem.level.n == spec.galerkin.level
     assert problem.ops is not None
     assert problem.ops.num_channels == 1
-    # the problem assembles its operators on its own model and level
-    assert problem.ops.model is model and problem.ops.level is problem.level
+    # the problem assembles its operators on its own level
+    assert problem.ops.level is problem.level
     assert problem.nonlinearity is not None
     assert problem.measure is not None
     symbols = build_symbols_from_spec(spec, model)
@@ -309,7 +310,7 @@ def test_coarse_level_keeps_configured_initial_data():
     model = build_model_from_spec(spec)
     relevelled_differs = []
     for n in range(spec.galerkin.level):
-        _, coarse = build_problem_from_spec(spec, model, level=n)
+        coarse = build_problem_from_spec(spec, model, level_n=n)
         assert coarse.level.n == n
         direct = build_problem(model, n, initial_values(spec, model),
                                spec.horizon)
@@ -317,7 +318,7 @@ def test_coarse_level_keeps_configured_initial_data():
         relevelled = dataclasses.replace(
             spec, galerkin=dataclasses.replace(spec.galerkin, level=n)
         )
-        _, other = build_problem_from_spec(relevelled, model)
+        other = build_problem_from_spec(relevelled, model)
         relevelled_differs.append(not np.array_equal(coarse.initial,
                                                      other.initial))
     assert any(relevelled_differs)

@@ -8,7 +8,8 @@ only ``solver.GalerkinProblem`` and ``verify`` assemble noise operators,
 ``config`` names no domain constructor, only ``spectral.build_level`` builds a
 ``GalerkinLevel``, no module but ``spectral`` and ``verify`` adds 1 to the
 ``lambda_A`` eigenvalues, no module selects modes by an ``indices``
-array, and no module but ``spectral`` and ``jumps`` reads ``ea_weights``."""
+array, no module but ``spectral`` and ``jumps`` reads ``ea_weights``, and no
+function or class takes a ``model`` beside a ``level``."""
 
 import ast
 import importlib
@@ -160,6 +161,25 @@ def energy_weight_readers(sources: dict[str, str]) -> list[tuple[str, str]]:
     """(module, top-level function or class) of every ``x.ea_weights`` read."""
     return top_level_sites(sources, lambda node: isinstance(node, ast.Attribute)
                            and node.attr == "ea_weights")
+
+
+def model_beside_level_sites(sources: dict[str, str]) -> list[tuple[str, str]]:
+    """(module, name) of every function or method with parameters named both
+    ``model`` and ``level``, and of every class annotating both as fields."""
+    found = []
+    for module, source in sorted(sources.items()):
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                args = node.args
+                names = {a.arg for a in args.posonlyargs + args.args + args.kwonlyargs}
+            elif isinstance(node, ast.ClassDef):
+                names = {getattr(stmt.target, "id", None) for stmt in node.body
+                         if isinstance(stmt, ast.AnnAssign)}
+            else:
+                continue
+            if {"model", "level"} <= names:
+                found.append((module, node.name))
+    return found
 
 
 def domain_constructors(source: str) -> set[str]:
@@ -340,6 +360,29 @@ def test_only_spectral_and_jumps_read_ea_weights():
     sources = {p.name: p.read_text(encoding="utf-8") for p in PACKAGE_DIR.glob("*.py")
                if p.name not in ("spectral.py", "jumps.py")}
     assert energy_weight_readers(sources) == []
+
+
+def test_checker_finds_a_model_beside_a_level():
+    sources = {
+        "a.py": ("def assemble(model, level, symbols):\n    return symbols\n"
+                 "class Ops:\n    def product(self, mark, *, model=None, level=None):\n"
+                 "        return mark\n"
+                 "@dataclasses.dataclass\nclass Problem:\n    model: object\n"
+                 "    level: object\n    horizon: float\n"),
+        "b.py": ("def build(model, level_n):\n    return model\n"
+                 "def run(level, state, dim=None):\n    return level.model\n"
+                 "class Record:\n    level: object\n    def bind(self, model):\n"
+                 "        self.model = model\n"),
+    }
+    assert sorted(model_beside_level_sites(sources)) == [("a.py", "Problem"), ("a.py", "assemble"),
+                                                         ("a.py", "product")]
+
+
+def test_no_api_takes_a_model_beside_a_level():
+    # a level carries its model (``GalerkinLevel.model``, bound by
+    # build_level), so an API given both could be given two that do not match
+    sources = {p.name: p.read_text(encoding="utf-8") for p in PACKAGE_DIR.glob("*.py")}
+    assert model_beside_level_sites(sources) == []
 
 
 def test_checker_finds_domain_constructors_and_imported_names():

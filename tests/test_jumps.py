@@ -14,14 +14,14 @@ from conftest import closed_form_basis, eigenphase_factor, kind_id, random_state
 def cos_ops(torus_model):
     level = spectral.build_level(torus_model, 5)
     symbol = np.cos(torus_model.grid_points[:, 0])
-    return jumps.assemble_noise_operators(torus_model, level, [symbol])
+    return jumps.assemble_noise_operators(level, [symbol])
 
 
 @pytest.fixture(scope="module")
 def two_channel_ops(torus_model):
     level = spectral.build_level(torus_model, 4)
     x = torus_model.grid_points[:, 0]
-    return jumps.assemble_noise_operators(torus_model, level, [np.cos(x), np.sin(x)])
+    return jumps.assemble_noise_operators(level, [np.cos(x), np.sin(x)])
 
 
 def tridiagonal_cos_oracle(model, level):
@@ -68,7 +68,7 @@ def test_assembly_matches_dense_quadrature(model_name, request):
     level = spectral.build_level(model, model.max_level - 1)
     x = model.grid_points.sum(axis=1)
     symbols = [np.cos(x), 0.5 + np.sin(2.0 * x) * np.cos(x)]
-    ops = jumps.assemble_noise_operators(model, level, symbols)
+    ops = jumps.assemble_noise_operators(level, symbols)
     basis = closed_form_basis(model)[:level.dim]
     s = level.multipliers
     for symbol, M in zip(symbols, ops.matrices):
@@ -89,11 +89,11 @@ def test_blocked_assembly_bit_identical(model_name, request):
     def assemble(block_entries):
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(jumps, "ASSEMBLY_BLOCK_ENTRIES", block_entries)
-            return jumps.assemble_noise_operators(model, level, symbols)
+            return jumps.assemble_noise_operators(level, symbols)
 
     # the fast transforms give each column the same bits at any block width
     one, full = assemble(1), assemble(level.dim * model.num_grid)
-    shipped = jumps.assemble_noise_operators(model, level, symbols)
+    shipped = jumps.assemble_noise_operators(level, symbols)
     for ops in (one, shipped):
         assert ops.matrices.tobytes() == full.matrices.tobytes()
         assert ops.hermiticity_defect == full.hermiticity_defect
@@ -107,10 +107,10 @@ def test_assembly_memory_is_the_operator_plus_blocks():
                                           max_level=7)
     level = spectral.build_level(model, 6)
     symbols = [np.cos(model.grid_points[:, 0])]
-    jumps.assemble_noise_operators(model, level, symbols).matrices  # transform plans
+    jumps.assemble_noise_operators(level, symbols).matrices  # transform plans
     tracemalloc.start()
     try:
-        ops = jumps.assemble_noise_operators(model, level, symbols)
+        ops = jumps.assemble_noise_operators(level, symbols)
         assembly_peak = tracemalloc.get_traced_memory()[1]
         tracemalloc.reset_peak()
         ops.matrices
@@ -136,7 +136,7 @@ def test_matrices_refused_on_read_beyond_physical_memory(request, monkeypatch,
             == (domain == "torus2d"))
     needed = 16 * (2 * level.dim**2 + level.dim * model.num_grid)
     monkeypatch.setattr(spectral, "_physical_memory", lambda: needed - 1)
-    ops = jumps.assemble_noise_operators(model, level, symbols)
+    ops = jumps.assemble_noise_operators(level, symbols)
     x = random_state(np.random.default_rng(3), level.dim)
     y = jumps.jump_map(ops, [0.7, -0.4], x)
     assert abs(np.linalg.norm(y) - np.linalg.norm(x)) <= 1e-14 * np.linalg.norm(x)
@@ -145,7 +145,7 @@ def test_matrices_refused_on_read_beyond_physical_memory(request, monkeypatch,
     monkeypatch.setattr(spectral, "_physical_memory", lambda: needed)
     assert ops.matrices.shape == (2, level.dim, level.dim)
     monkeypatch.setattr(spectral, "_physical_memory", lambda: None)  # cannot tell
-    ops = jumps.assemble_noise_operators(model, level, symbols)
+    ops = jumps.assemble_noise_operators(level, symbols)
     assert ops.matrices.shape == (2, level.dim, level.dim)
 
 
@@ -168,8 +168,8 @@ def test_build_level_binds_the_only_transform_pair(torus2d_model, monkeypatch):
     measure = noise.AtomicMeasure(marks=[[0.5], [-0.3], [0.05]], weights=[6.0, 6.0, 3.0],
                                   epsilon=0.1)
     decaying = np.exp(-0.5 * np.sqrt(model.eigenvalues_S))
-    initial = solver.renormalize_initial(model, level, decaying)
-    problem = solver.GalerkinProblem(model, level, 0.2, initial, nonlinear.defocusing(3.0),
+    initial = solver.renormalize_initial(level, decaying)
+    problem = solver.GalerkinProblem(level, 0.2, initial, nonlinear.defocusing(3.0),
                                      symbols=[np.cos(model.grid_points[:, 0])],
                                      measure=measure)
     ops = problem.ops
@@ -220,7 +220,7 @@ def test_product_matches_dense_generator(request, monkeypatch, model_name, way):
         calls.clear()
         level = spectral.build_level(model, n)
         assert calls == binding
-        ops = jumps.assemble_noise_operators(model, level, symbols)
+        ops = jumps.assemble_noise_operators(level, symbols)
         mark = rng.normal(size=2)
         for block in (random_state(rng, level.dim), random_state(rng, (level.dim, 3))):
             want = jumps.generator(ops, mark) @ block
@@ -237,14 +237,14 @@ def test_assembly_rejects_non_finite_symbols(torus_model, bad):
     broken = np.cos(x)
     broken[7] = bad
     with pytest.raises(ConfigurationError, match="channel 1 "):
-        jumps.assemble_noise_operators(torus_model, level, [np.sin(x), broken])
+        jumps.assemble_noise_operators(level, [np.sin(x), broken])
 
 
 def test_constant_symbol_is_diagonal(torus_model):
     level = spectral.build_level(torus_model, 4)
     c = 0.7
     ops = jumps.assemble_noise_operators(
-        torus_model, level, [np.full(torus_model.num_grid, c)]
+        level, [np.full(torus_model.num_grid, c)]
     )
     expected = np.diag(c * level.multipliers**2).astype(complex)
     assert np.max(np.abs(ops.matrices[0] - expected)) < 1e-13
@@ -261,7 +261,7 @@ def test_bound_ea_via_weighted_similarity(torus_model, cos_ops):
 def test_lp_bound_estimated_when_requested(torus_model):
     level = spectral.build_level(torus_model, 4)
     symbol = np.cos(torus_model.grid_points[:, 0])
-    ops = jumps.assemble_noise_operators(torus_model, level, [symbol])
+    ops = jumps.assemble_noise_operators(level, [symbol])
     bound_Lp = jumps.estimate_lp_bound(ops, 4.0, rng=np.random.default_rng(5))
     assert bound_Lp is not None and 0.0 < bound_Lp < 10.0
 
@@ -269,7 +269,7 @@ def test_lp_bound_estimated_when_requested(torus_model):
 def test_assembly_shape_error(torus_model):
     level = spectral.build_level(torus_model, 4)
     with pytest.raises(ShapeError):
-        jumps.assemble_noise_operators(torus_model, level, np.ones((1, 5)))
+        jumps.assemble_noise_operators(level, np.ones((1, 5)))
 
 
 # ---------------------------------------------------------------------------
@@ -332,7 +332,7 @@ def preset_ops(request):
     model = spectral.build_spectral_model(domain, max_level=max_level)
     symbols = [config.symbol_values(name, model) for name in config.SYMBOL_PRESETS]
     level = spectral.build_level(model, max_level)
-    return jumps.assemble_noise_operators(model, level, symbols)
+    return jumps.assemble_noise_operators(level, symbols)
 
 
 def scaled_norm(v) -> float:
@@ -372,7 +372,7 @@ def test_chebyshev_jump_matches_eigh(preset_ops, order, direction, keep, size, s
     x = random_state(np.random.default_rng(seed), ops.dim)
     series = (jumps.jump_map, jumps.jump_difference_1, jumps.jump_difference_2)[order]
     # the series runs on operators whose matrices nothing reads
-    fresh = jumps.assemble_noise_operators(ops.model, ops.level, ops.symbols)
+    fresh = jumps.assemble_noise_operators(ops.level, ops.symbols)
     y = series(fresh, mark, x)
     assert "_dense" not in vars(fresh)
     B = jumps.generator(ops, mark)
@@ -394,7 +394,7 @@ def test_constant_symbols_commute(torus_model):
     level = spectral.build_level(torus_model, 4)
     g = torus_model.num_grid
     ops = jumps.assemble_noise_operators(
-        torus_model, level, [np.full(g, 0.5), np.full(g, -0.25)]
+        level, [np.full(g, 0.5), np.full(g, -0.25)]
     )
     rng = np.random.default_rng(45)
     x = random_state(rng, ops.dim)

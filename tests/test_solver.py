@@ -133,6 +133,39 @@ def test_problem_validation(torus_model):
         )
 
 
+def test_a_problem_takes_its_model_from_its_level():
+    # A and B both have 16 grid nodes: a problem on B's level given A would
+    # mix B's eigenvalues and pair with A's grid weights and symbols
+    a = build_spectral_model(torus_1d(2 * np.pi), max_level=5)
+    b = build_spectral_model(torus_1d(2 * np.pi * 1.001), max_level=5)
+    assert a.num_grid == b.num_grid == 16
+    level = build_level(b, 4)
+    initial = np.ones(level.dim, dtype=complex)
+    symbols = [np.cos(a.grid_points[:, 0])]
+    with pytest.raises(TypeError, match="model"):
+        GalerkinProblem(model=a, level=level, horizon=1.0, initial=initial)
+    with pytest.raises(TypeError):
+        jumps.assemble_noise_operators(a, level, symbols)
+    problem = GalerkinProblem(level=level, horizon=1.0, initial=initial, symbols=symbols)
+    assert problem.level.model is b and problem.ops.level is level
+    assert _Dynamics(problem, SolverConfig()).grid_weights is b.grid_weights
+
+
+def test_models_levels_problems_and_operators_compare_by_identity():
+    # each holds arrays, which have no single truth value: equal builds are
+    # distinct objects, and each hashes
+    models = [build_spectral_model(torus_1d(2 * np.pi), max_level=4) for _ in range(2)]
+    model = models[0]
+    levels = [build_level(model, 3) for _ in range(2)]
+    problems = [build_problem(model, 3, decaying_initial(model), 1.0,
+                              symbols=np.cos(model.grid_points[:, 0]),
+                              measure=AtomicMeasure(marks=[[0.3]], weights=[1.0]))
+                for _ in range(2)]
+    for a, b in (models, levels, problems, [p.ops for p in problems]):
+        assert a == a and a != b and not a == b
+        assert len({a, b, a}) == 2
+
+
 @pytest.mark.parametrize("case", ["inf", "nan", "norm overflow"])
 def test_build_problem_refuses_initial_data_that_is_not_finite(torus_model, case):
     # refused before any multiply warns (a warning fails the test too)
@@ -148,8 +181,8 @@ def test_build_problem_refuses_initial_data_that_is_not_finite(torus_model, case
 def test_initial_data_below_the_square_underflow_keep_their_scale():
     # the squares of coefficients near 1e-300 underflow, so a plain norm
     # reads 0 and the data would start from the zero state
-    _, unit = build_problem_from_spec(shipped_spec("atomic_cubic"))
-    _, tiny = build_problem_from_spec(
+    unit = build_problem_from_spec(shipped_spec("atomic_cubic"))
+    tiny = build_problem_from_spec(
         shipped_spec("atomic_cubic", [(("initial", "scale"), "1e-300")]))
     want = 1e-300 * unit.initial
     assert np.max(np.abs(want)) > 0.0
@@ -162,7 +195,7 @@ def test_the_recorded_ea_norm_of_tiny_data_keeps_its_scale():
     records = []
     for scale in ("1", "1e-300"):
         spec = shipped_spec("atomic_cubic", [(("initial", "scale"), scale)])
-        _, problem = build_problem_from_spec(spec)
+        problem = build_problem_from_spec(spec)
         records.append(simulate(problem, spec.solver, events=[]))
     unit, tiny = records
     assert unit.ea_norm[0] > 0.0
@@ -173,7 +206,7 @@ def test_the_recorded_ea_norm_of_tiny_data_keeps_its_scale():
 def test_renormalize_preserves_norm(torus_model):
     level = build_level(torus_model, 4)
     u0 = decaying_initial(torus_model)
-    tilde = renormalize_initial(torus_model, level, u0)
+    tilde = renormalize_initial(level, u0)
     assert tilde.shape == (level.dim,)
     assert np.linalg.norm(tilde) == pytest.approx(np.linalg.norm(u0), rel=1e-14)
     # direction matches the smoothed truncation
@@ -188,7 +221,7 @@ def test_renormalize_annihilated_data_gives_zero(torus_model):
     level = build_level(torus_model, 2)
     u0 = decaying_initial(torus_model)
     u0[:level.dim] = 0.0  # support entirely above the level
-    tilde = renormalize_initial(torus_model, level, u0)
+    tilde = renormalize_initial(level, u0)
     assert np.all(tilde == 0.0)
     assert np.linalg.norm(u0) > 0
 
@@ -662,7 +695,7 @@ def test_stiff_midpoint_solve_halves_once_it_stops_contracting(monkeypatch):
     # one step of modulus 30 data halves 7 levels deep; a solve that used up
     # max_fp_iters before each halving cost 19 113 remainder calls
     spec = stiff_step_spec("30")
-    _, problem = build_problem_from_spec(spec)
+    problem = build_problem_from_spec(spec)
     dyn = solver._dynamics(problem, spec.solver)
     calls, remainder = [], dyn.remainder
     monkeypatch.setattr(dyn, "remainder", lambda state: calls.append(1) or remainder(state))
@@ -673,7 +706,7 @@ def test_stiff_midpoint_solve_halves_once_it_stops_contracting(monkeypatch):
 
 def test_halving_failure_names_its_depth_and_substep():
     spec = stiff_step_spec("30", (("solver", "max_halvings"), "2"))
-    _, problem = build_problem_from_spec(spec)
+    problem = build_problem_from_spec(spec)
     with pytest.raises(NumericsError, match=r"step t=0\.0 -> 0\.005 .* at halving depth 2 "
                        r"\(max_halvings = 2\), smallest substep tau=1\.250e-03"):
         simulate(problem, spec.solver, [], record_states=False)
@@ -871,8 +904,8 @@ def test_a_jump_at_time_zero_shows_in_the_node_zero_state():
     # cadlag: the value recorded at a jump time is the post-jump state, also
     # at t = 0, where the jump-free path shares nothing (branch node -1)
     spec = shipped_spec("atomic_cubic", [(("run", "horizon"), "0.01")])
-    model, fine = build_problem_from_spec(spec)
-    _, coarse = build_problem_from_spec(spec, model, level=4)
+    fine = build_problem_from_spec(spec)
+    coarse = build_problem_from_spec(spec, fine.level.model, level_n=4)
     mark = np.array([0.45])
     events = [JumpEvent(time=0.0, mark=mark)]
     jumped = jump_map(fine.ops, mark, fine.initial)
@@ -1014,6 +1047,34 @@ def test_coupled_levels_validation(torus_model, cos_symbol):
     with pytest.raises(ConfigurationError):
         simulate_coupled(p4, p6, SolverConfig(dt=0.1),
                          [JumpEvent(0.5, np.array([0.3]))])
+
+
+@pytest.mark.parametrize("part", ["nonlinearity", "symbols", "measure"])
+def test_coupled_levels_of_two_equations_are_refused(torus_model, part):
+    x = torus_model.grid_points[:, 0]
+
+    def equation(focused):
+        # the coarse level's equation: focusing alpha 2, a sin channel and one
+        # atom 0.9 : 5; the fine one's: defocusing alpha 3, cos, atoms +-0.3 : 1
+        if focused:
+            return dict(nonlinearity=focusing(2.0), symbols=np.sin(x),
+                        measure=AtomicMeasure(marks=[[0.9]], weights=[5.0]))
+        return dict(nonlinearity=defocusing(3.0), symbols=np.cos(x),
+                    measure=AtomicMeasure(marks=[[0.3], [-0.3]], weights=[1.0, 1.0]))
+
+    u0 = decaying_initial(torus_model)
+    fine = build_problem(torus_model, 6, u0, 0.2, **equation(False))
+    low = build_problem(torus_model, 4, u0, 0.2, **{**equation(False), part: equation(True)[part]})
+    with pytest.raises(ConfigurationError, match=f"levels' {part} fields differ"):
+        simulate_coupled(low, fine, SolverConfig(dt=0.1), [])
+    if part == "measure":  # and a level without one
+        bare = build_problem(torus_model, 4, u0, 0.2, nonlinearity=defocusing(3.0),
+                             symbols=np.cos(x))
+        with pytest.raises(ConfigurationError, match="levels' measure fields differ"):
+            simulate_coupled(bare, fine, SolverConfig(dt=0.1), [])
+    # the same equation, built anew, couples
+    same = build_problem(torus_model, 4, u0, 0.2, **equation(False))
+    assert simulate_coupled(same, fine, SolverConfig(dt=0.1), []).distance >= 0.0
 
 
 def test_coupled_nonlinear_distance_shrinks_with_level(torus_model):

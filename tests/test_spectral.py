@@ -623,7 +623,7 @@ def test_norm_errors(torus_model):
 def test_lp_estimate_p2_is_contraction(torus_model):
     rng = np.random.default_rng(13)
     level = spectral.build_level(torus_model, 5)
-    est = spectral.estimate_smoothing_lp_norm(torus_model, level, p=2, rng=rng)
+    est = spectral.estimate_smoothing_lp_norm(level, p=2, rng=rng)
     assert est <= 1.0 + 1e-10
 
 
@@ -632,7 +632,7 @@ def test_lp_estimate_uniformly_bounded(torus_model):
     rng = np.random.default_rng(14)
     estimates = [
         spectral.estimate_smoothing_lp_norm(
-            torus_model, spectral.build_level(torus_model, n), p=4, rng=rng
+            spectral.build_level(torus_model, n), p=4, rng=rng
         )
         for n in range(2, torus_model.max_level + 1)
     ]
