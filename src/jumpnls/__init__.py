@@ -2,13 +2,15 @@
 
 Modules
 -------
-spectral     mode tables, fast transforms, dyadic truncation levels, norms
+spectral     mode tables, fast transforms, dyadic truncation levels, level norms
 nonlinear    power nonlinearities and their potential functional
 noise        jump measures, moments, Poisson sampling, seed streams
-jumps        assembled noise operators, jump maps, difference bounds
+jumps        noise operators, jump maps and differences, atomic compensator
 solver       drift assembly, steppers, trajectory and coupled simulation
-diagnostics  energy reports, path modulus, ensemble statistics
+diagnostics  ensemble statistics of a run
 config       INI run descriptions, presets, canonical text and hashing
+oracles      references no run reads: norms, dense operators, ODE flow,
+             energy, path modulus, Aldous statistic, Levy path
 verify       self-contained numerical check battery
 cli          command line entry points (simulate / converge / verify / moments)
 
@@ -37,8 +39,6 @@ _EXPORTS = {
     "embed": "spectral",
     "interval_dirichlet": "spectral",
     "interval_neumann": "spectral",
-    "mihlin_suprema": "spectral",
-    "sobolev_norm": "spectral",
     "torus_1d": "spectral",
     "torus_2d": "spectral",
     "transition_profile": "spectral",
@@ -56,11 +56,9 @@ _EXPORTS = {
     "trajectory_seed": "noise",
     "NoiseOperators": "jumps",
     "assemble_noise_operators": "jumps",
-    "generator": "jumps",
     "jump_difference_1": "jumps",
     "jump_difference_2": "jumps",
     "jump_map": "jumps",
-    "marcus_flow": "jumps",
     "CoupledResult": "solver",
     "GalerkinProblem": "solver",
     "JumpFreePath": "solver",
@@ -72,17 +70,21 @@ _EXPORTS = {
     "simulate": "solver",
     "simulate_coupled": "solver",
     "step_between_jumps": "solver",
-    "EnergyReport": "diagnostics",
-    "aldous_statistic": "diagnostics",
-    "cadlag_modulus": "diagnostics",
-    "energy": "diagnostics",
-    "energy_derivative": "diagnostics",
     "ensemble_moments": "diagnostics",
     "RunSpec": "config",
     "build_problem_from_spec": "config",
     "canonical_text": "config",
     "config_hash": "config",
     "parse_config": "config",
+    "EnergyReport": "oracles",
+    "aldous_statistic": "oracles",
+    "cadlag_modulus": "oracles",
+    "energy": "oracles",
+    "energy_derivative": "oracles",
+    "generator": "oracles",
+    "marcus_flow": "oracles",
+    "mihlin_suprema": "oracles",
+    "sobolev_norm": "oracles",
     "check_names": "verify",
     "run_checks": "verify",
 }

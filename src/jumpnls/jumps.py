@@ -10,11 +10,10 @@ and the level, whose ``model`` gives the grid; ``NoiseOperators.product``
 applies B(l) = sum_m l_m M_m through the pair that ``build_level`` bound on
 the level.  Operators compare and hash by identity.
 
-The dense matrices, ``generator``, the level constants and
-``estimate_lp_bound`` are oracles for tests and ``verify``, built on request;
-no run reads them.  The matrices are built in column blocks whose (block x
-grid) intermediates hold at most ``ASSEMBLY_BLOCK_ENTRIES`` complex entries,
-after a check that they fit in physical memory.
+The dense channel matrices, the generator, the level constants and the ODE
+flow that cross-validates the jump map live in ``oracles``; no run
+reads them.  ``ASSEMBLY_BLOCK_ENTRIES`` bounds the (block x grid)
+intermediates of ``product`` and of the dense assembly alike.
 
 A jump with mark l in R^N acts through the time-1 unitary flow of
 ``du/dt = -i B(l) u``.  The jump map, the jump differences exp(-iB) - 1 and
@@ -29,31 +28,16 @@ isometry and the cutoff values are at most 1, so r bounds ||B(l)||.  The sum
 stops once k > r and J_k(r) is below round-off on the scale of the result,
 after about r + 11 r^(1/3) products at any degree, so every function of B(l)
 touches it only through ``product`` (on the identity for the compensator).
-
-The level constants ``bound_H`` and ``bound_EA`` and the empirical
-``estimate_lp_bound`` are the sums of squared operator norms of the M_m in
-the respective spaces; the first two give the elementary inequalities
-
-    ||B(l)||        <= |l| sqrt(bound_H)
-    ||e^{-iB(l)}x - x||           <= sqrt(bound_H) |l| ||x||
-    ||e^{-iB(l)}x - x + iB(l)x||  <= bound_H |l|^2 ||x|| / 2
-    ||e^{-itB(l)}||_{E_A}         <= exp(|t| |l| sqrt(bound_EA))
-
-by Cauchy-Schwarz in l and spectral calculus.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import functools
 
 import numpy as np
 
-from .exceptions import ConfigurationError, NumericsError, ShapeError
-from .spectral import GalerkinLevel, _check_memory, _max_lp_ratio
-
-#: assembled matrices farther than this from Hermitian are rejected
-HERMITICITY_TOLERANCE = 1e-10
+from .exceptions import ConfigurationError, ShapeError
+from .spectral import GalerkinLevel, _check_memory
 
 #: complex entries in one (columns x grid nodes) assembly block, 1 MiB: at
 #: 2-d torus level 6 (dim 401, grid 1024) a block is 64 columns and the
@@ -80,40 +64,12 @@ _BESSEL_TAIL = 1e-17
 class NoiseOperators:
     """Jump generators of one Galerkin level.
 
-    ``symbols[m]`` holds the grid samples of channel m.  ``matrices[m]`` is
-    the Hermitian matrix of channel m on the level basis and
-    ``hermiticity_defect`` the largest entry deviation removed by
-    symmetrization; both are built on first read and then cached.
+    ``symbols[m]`` holds the grid samples of channel m; ``product`` applies
+    their smoothed multiplication operators without forming a matrix.
     """
 
     level: GalerkinLevel
     symbols: np.ndarray            # (N, num_grid) real
-
-    @functools.cached_property
-    def _dense(self) -> tuple[np.ndarray, float]:
-        return _assemble_matrices(self.level, self.symbols)
-
-    @property
-    def matrices(self) -> np.ndarray:
-        """(N, dim, dim) complex Hermitian channel matrices, built on first read."""
-        return self._dense[0]
-
-    @property
-    def hermiticity_defect(self) -> float:
-        return self._dense[1]
-
-    @functools.cached_property
-    def bound_H(self) -> float:
-        """Sum over channels of the squared spectral norms ``||M_m||^2``."""
-        return float(sum(np.linalg.norm(M, 2) ** 2 for M in self.matrices))
-
-    @functools.cached_property
-    def bound_EA(self) -> float:
-        """Sum over channels of the squared operator norms of M_m on the energy space."""
-        w = np.sqrt(self.level.ea_weights)
-        return float(sum(
-            np.linalg.norm(w[:, None] * M / w[None, :], 2) ** 2 for M in self.matrices
-        ))
 
     @property
     def num_channels(self) -> int:
@@ -187,74 +143,6 @@ def assemble_noise_operators(level: GalerkinLevel, symbols) -> NoiseOperators:
     return NoiseOperators(level=level, symbols=symbols)
 
 
-def _assemble_matrices(level: GalerkinLevel, symbols: np.ndarray):
-    """Quadrature assembly of the smoothed multiplication operators and their defect.
-
-    Column j of channel m is the smoothed mode ``s_j h_j`` synthesized to
-    the grid, multiplied by the symbol, analyzed back and scaled by the
-    cutoff again, all through the model's transforms.  Columns go through in
-    blocks of ``ASSEMBLY_BLOCK_ENTRIES`` grid values, and the Hermitian check
-    and symmetrization in row/column strips of the same width; each entry
-    takes the arithmetic, and the bits, of a single full-width pass.  Raises
-    ``ConfigurationError`` before allocating when the operators would exceed
-    physical memory.
-    """
-    model, channels, dim = level.model, symbols.shape[0], level.dim
-    width = max(1, ASSEMBLY_BLOCK_ENTRIES // model.num_grid)
-    _check_memory(16 * (channels * dim * dim + min(width, dim) * model.num_grid),
-                  f"noise operators of level {level.n} ({channels} x {dim}^2 "
-                  f"complex entries and one assembly block)")
-
-    smoother = level.multipliers
-    matrices = np.empty((channels, dim, dim), dtype=complex)
-    for start in range(0, dim, width):
-        cols = slice(start, min(start + width, dim))
-        unit = np.zeros((cols.stop - start, dim))
-        unit[:, cols] = np.diag(smoother[cols])
-        smoothed_modes = model.synthesize(unit, dim)
-        for m, symbol in enumerate(symbols):
-            # row j of ``rows`` holds column j of the operator
-            rows = model.analyze(symbol * smoothed_modes, dim)
-            matrices[m][:, cols] = smoother[:, None] * rows.T
-
-    defect = 0.0
-    for raw in matrices:
-        for start in range(0, dim, width):
-            strip = slice(start, min(start + width, dim))
-            upper = raw[strip, start:].copy()
-            lower = raw[start:, strip].copy()
-            defect = max(defect, float(np.max(np.abs(upper - lower.conj().T))))
-            raw[strip, start:] = 0.5 * (upper + lower.conj().T)
-            raw[start:, strip] = 0.5 * (lower + upper.conj().T)
-    if defect > HERMITICITY_TOLERANCE:
-        raise NumericsError(
-            f"assembled operator deviates from Hermitian by {defect:.3e} "
-            f"(tolerance {HERMITICITY_TOLERANCE:.1e})"
-        )
-    return matrices, defect
-
-
-def estimate_lp_bound(
-    ops: NoiseOperators,
-    p: float,
-    rng: np.random.Generator | None = None,
-) -> float:
-    """Empirical L^p analogue of ``bound_H``: the sum of squared L^p -> L^p norms.
-
-    Each channel's norm is maximised over 32 complex Gaussian probes drawn
-    from ``rng``, the level's unit vectors and the all-ones vector.  A
-    diagnostic estimate, not a certified bound.
-    """
-    rng = np.random.default_rng(0) if rng is None else rng
-    ones = np.ones(ops.dim, dtype=complex)
-    total = 0.0
-    for M in ops.matrices:
-        est = _max_lp_ratio(ops.level.model, lambda u: M @ u, p, rng, 32, extra=[ones],
-                            dim=ops.dim)
-        total += est**2
-    return total
-
-
 def _checked_mark(ops: NoiseOperators, mark) -> np.ndarray:
     mark = np.asarray(mark, dtype=float).reshape(-1)
     if mark.shape != (ops.num_channels,):
@@ -262,11 +150,6 @@ def _checked_mark(ops: NoiseOperators, mark) -> np.ndarray:
             f"mark must have {ops.num_channels} components, got {mark.shape}"
         )
     return mark
-
-
-def generator(ops: NoiseOperators, mark) -> np.ndarray:
-    """Hermitian generator B(l) = sum_m l_m M_m for a mark l in R^N, from ``matrices``."""
-    return np.tensordot(_checked_mark(ops, mark), ops.matrices, axes=1)
 
 
 def _bessel_j(r: float) -> list[float]:
@@ -373,36 +256,3 @@ def difference_2_matrix(ops: NoiseOperators, marks, weights) -> np.ndarray:
     for weight, mark in zip(weights, np.atleast_2d(np.asarray(marks, dtype=float))):
         total += weight * _series(ops, mark, identity, 2)
     return total
-
-
-def marcus_flow(
-    ops: NoiseOperators,
-    duration: float,
-    mark,
-    state: np.ndarray,
-    ode_tol: float = 1e-10,
-) -> np.ndarray:
-    """Integrate du/dt = -i B(l) u for the given duration with an ODE solver.
-
-    Cross-validation oracle for :func:`jump_map` (the ``duration = 1``
-    flow); kept independent of its Chebyshev series.
-    """
-    from scipy.integrate import solve_ivp
-
-    state = np.asarray(state, dtype=complex)
-    matrix = generator(ops, mark)
-
-    def rhs(_t, y):
-        return -1j * (matrix @ y)
-
-    sol = solve_ivp(
-        rhs,
-        (0.0, float(duration)),
-        state,
-        method="DOP853",
-        rtol=ode_tol,
-        atol=ode_tol,
-    )
-    if not sol.success:
-        raise NumericsError(f"flow integration failed: {sol.message}")
-    return sol.y[:, -1]

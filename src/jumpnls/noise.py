@@ -14,6 +14,10 @@ Two measure families:
 
 Randomness: one master seed; trajectory k draws from an independent stream
 whose seed is a fixed 64-bit hash (splitmix64) of ``master_seed`` and ``k``.
+
+Measures and events hold arrays, so they compare and hash by identity.  The
+compensated Lévy path of a jump path and the second moment of the simulated
+region, which no run reads, are in ``oracles``.
 """
 
 from __future__ import annotations
@@ -57,7 +61,7 @@ def _sphere_area(n: int) -> float:
     return 2.0 * math.pi ** (n / 2.0) / math.gamma(n / 2.0)
 
 
-@dataclasses.dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True, eq=False)
 class JumpEvent:
     time: float
     mark: np.ndarray  # shape (N,)
@@ -78,7 +82,7 @@ class NoiseMoments:
     variance_budget: float
 
 
-@dataclasses.dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True, eq=False)
 class AtomicMeasure:
     """Finite sum of weighted atoms inside the closed unit ball.
 
@@ -125,10 +129,6 @@ class AtomicMeasure:
     def simulated_intensity(self) -> float:
         _, weights, _ = self._simulated
         return float(np.sum(weights))
-
-    def simulated_second_moment(self) -> float:
-        marks, weights, _ = self._simulated
-        return float(np.sum(weights * np.sum(marks**2, axis=1)))
 
     def moments(self) -> NoiseMoments:
         marks, weights, _ = self._simulated
@@ -186,10 +186,6 @@ class RadialStableMeasure:
         c, b = self.activity, self.stability
         return c * _sphere_area(self.dimension) * (self.epsilon**-b - 1.0) / b
 
-    def simulated_second_moment(self) -> float:
-        c, b, n = self.activity, self.stability, self.dimension
-        return c * _sphere_area(n) * (1.0 - self.epsilon ** (2.0 - b)) / (2.0 - b)
-
     def moments(self) -> NoiseMoments:
         n = self.dimension
         c, b = self.activity, self.stability
@@ -231,24 +227,3 @@ def sample_prm(measure, horizon: float, rng: np.random.Generator) -> list[JumpEv
     count = rng.poisson(expected)
     times = np.sort(rng.uniform(0.0, horizon, size=count))
     return [JumpEvent(time=float(t), mark=measure.sample_mark(rng)) for t in times]
-
-
-def reconstruct_levy_path(
-    events: list[JumpEvent],
-    moments: NoiseMoments,
-    time_grid: np.ndarray,
-) -> np.ndarray:
-    """Compensated path: sum of marks up to t minus t * mean_simulated.
-
-    Returns an array of shape (len(time_grid), N).
-    """
-    time_grid = np.asarray(time_grid, dtype=float)
-    n = len(moments.mean_simulated)
-    out = np.zeros((len(time_grid), n))
-    if events:
-        times = np.array([e.time for e in events])
-        marks = np.vstack([e.mark for e in events])
-        cumulative = np.vstack([np.zeros(n), np.cumsum(marks, axis=0)])
-        counts = np.searchsorted(times, time_grid, side="right")
-        out = cumulative[counts]
-    return out - np.outer(time_grid, moments.mean_simulated)

@@ -1,0 +1,456 @@
+"""Reference computations that only ``verify`` and the tests read.
+
+No run reads these, so none of the run-path modules nor ``diagnostics``
+imports this module (an ``ast`` rule in ``tests/test_imports.py``), and a
+``simulate``, ``converge`` or ``moments`` run never compiles it.
+
+* Spectral: the H, E_A, E_A* and L^p norms of a coefficient vector
+  (``sobolev_norm``), the sampled Mihlin suprema of the cutoff, and the
+  L^1 gain of a truncation on a grid delta (``l1_delta_gain``).  The gain
+  is the witness of the paper's reason for the smoothed truncation S_n: it
+  stays bounded in n, while the sharp projection P_n's keeps growing with
+  its Lebesgue constant.
+* Jumps: the dense Hermitian channel matrices of ``NoiseOperators`` and
+  their hermiticity defect, built on first request and kept while the
+  operators live; the generator B(l); the level constants ``bound_H`` and
+  ``bound_EA``; the ODE flow that cross-validates the jump map.
+* Diagnostics: the energy report and its directional derivative, the
+  càdlàg modulus of a recorded path and the Aldous increment statistic.
+* Noise: the compensated Lévy path of a jump path and the second moment of
+  a measure's simulated region.
+
+The level constants are the sums of squared operator norms of the M_m in
+H and in E_A, and give the elementary inequalities
+
+    ||B(l)||        <= |l| sqrt(bound_H)
+    ||e^{-iB(l)}x - x||           <= sqrt(bound_H) |l| ||x||
+    ||e^{-iB(l)}x - x + iB(l)x||  <= bound_H |l|^2 ||x|| / 2
+    ||e^{-itB(l)}||_{E_A}         <= exp(|t| |l| sqrt(bound_EA))
+
+by Cauchy-Schwarz in l and spectral calculus.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import math
+import weakref
+
+import numpy as np
+
+from . import jumps
+from .exceptions import NumericsError, ShapeError
+from .noise import AtomicMeasure, JumpEvent, NoiseMoments, _sphere_area
+from .nonlinear import Nonlinearity, eval_F, eval_Fhat
+from .spectral import GalerkinLevel, SpectralModel, _check_memory, transition_profile
+
+# ---------------------------------------------------------------------------
+# spectral
+# ---------------------------------------------------------------------------
+
+#: spaces accepted by :func:`sobolev_norm`
+NORM_SPACES = ("H", "E_A", "E_A_dual", "Lp")
+
+
+def sobolev_norm(
+    model: SpectralModel,
+    coefficients: np.ndarray,
+    space: str = "H",
+    dim=None,
+    p: float | None = None,
+) -> float:
+    """Norm of a coefficient vector in H, the energy space, its dual, or Lp.
+
+    ``coefficients`` are those of the first ``dim`` modes (all when omitted).
+    The Hilbert norms are weighted Euclidean norms with weights 1,
+    ``1 + lambda_A``, and ``1 / (1 + lambda_A)``; Lp norms are evaluated by
+    grid quadrature and require ``p``.
+    """
+    if space not in NORM_SPACES:
+        raise ValueError(f"space must be one of {NORM_SPACES}, got {space!r}")
+    coefficients = np.asarray(coefficients)
+    weights = model.ea_weights[:dim]
+    if coefficients.shape != weights.shape:
+        raise ShapeError(
+            f"expected {len(weights)} coefficients, got shape {coefficients.shape}"
+        )
+    if space == "Lp":
+        if p is None or not (p >= 1):
+            raise ValueError("Lp norm requires p >= 1")
+        values = model.synthesize(coefficients, dim)
+        return float(np.sum(model.grid_weights * np.abs(values) ** p) ** (1.0 / p))
+    sq = np.abs(coefficients) ** 2
+    if space == "H":
+        return float(math.sqrt(np.sum(sq)))
+    if space == "E_A":
+        return float(math.sqrt(np.sum(weights * sq)))
+    return float(math.sqrt(np.sum(sq / weights)))
+
+
+def mihlin_suprema(n: int, max_order: int = 2, samples: int = 4001) -> np.ndarray:
+    """Sampled suprema of ``|lambda^k d^k cutoff / dlambda^k|`` for k <= max_order.
+
+    The derivatives of ``cutoff_multiplier(n, .)`` are sampled on level n's
+    own band ``lambda in [2**n, 2**(n+1)]``, where the k-th one is
+    ``2**(-n*k) * transition_profile(lambda * 2**(-n), order=k)``; the
+    identity branch below the band contributes 1 for k = 0.  The returned
+    values are independent of ``n`` by scale invariance.  A level whose
+    ``lambda^k`` overflows on its band is refused.
+    """
+    if max_order < 0 or max_order > 2:
+        raise ValueError("max_order must be in {0, 1, 2}")
+    # the band's top 2**(n+1), raised to max_order, must stay below 2**1024
+    top = 1023 // max(max_order, 1) - 1
+    if not 0 <= n <= top:
+        raise ValueError(f"level must be in [0, {top}] at max_order {max_order}, got {n}")
+    if samples < 2:
+        raise ValueError(f"samples must be at least 2 to span the band, got {samples}")
+    scale = 2.0 ** (-n)
+    lam = np.linspace(1.0, 2.0, samples) / scale
+    sups = []
+    for k in range(max_order + 1):
+        derivative = scale**k * transition_profile(lam * scale, order=k)
+        band = np.abs(lam**k * derivative)
+        sup = float(np.max(band))
+        if k == 0:
+            sup = max(sup, 1.0)  # branch below the band where the cutoff is 1
+        sups.append(sup)
+    return np.array(sups)
+
+
+def l1_delta_gain(level: GalerkinLevel, multipliers) -> float:
+    """``||T u||_1 / ||u||_1`` for the truncation T with ``multipliers`` on the level's modes.
+
+    ``u`` is the grid delta at node 0 on a torus, or at node ``num_grid // 3``
+    on an interval (away from the boundary), projected onto the model's full
+    mode table; T keeps the level's first ``dim`` coefficients of ``u``
+    scaled by ``multipliers``.  ``level.multipliers`` gives the smoothed
+    truncation S_n, ones give the orthogonal projection P_n.
+    """
+    model = level.model
+    delta = np.zeros(model.num_grid)
+    delta[0 if model.domain.periodic else model.num_grid // 3] = 1.0
+    full = model.analyze(delta)
+    truncated = np.asarray(multipliers) * full[:level.dim]
+    return (sobolev_norm(model, truncated, "Lp", level.dim, p=1)
+            / sobolev_norm(model, full, "Lp", p=1))
+
+
+# ---------------------------------------------------------------------------
+# jumps
+# ---------------------------------------------------------------------------
+
+#: assembled matrices farther than this from Hermitian are rejected
+HERMITICITY_TOLERANCE = 1e-10
+
+#: the dense matrices and hermiticity defect of each live ``NoiseOperators``
+_DENSE = weakref.WeakKeyDictionary()
+
+
+def _dense(ops: jumps.NoiseOperators) -> tuple[np.ndarray, float]:
+    if ops not in _DENSE:
+        _DENSE[ops] = _assemble_matrices(ops.level, ops.symbols)
+    return _DENSE[ops]
+
+
+def matrices(ops: jumps.NoiseOperators) -> np.ndarray:
+    """(N, dim, dim) complex Hermitian channel matrices, built on first request."""
+    return _dense(ops)[0]
+
+
+def hermiticity_defect(ops: jumps.NoiseOperators) -> float:
+    """The largest entry deviation from Hermitian that symmetrization removed."""
+    return _dense(ops)[1]
+
+
+def bound_H(ops: jumps.NoiseOperators) -> float:
+    """Sum over channels of the squared spectral norms ``||M_m||^2``."""
+    return float(sum(np.linalg.norm(M, 2) ** 2 for M in matrices(ops)))
+
+
+def bound_EA(ops: jumps.NoiseOperators) -> float:
+    """Sum over channels of the squared operator norms of M_m on the energy space."""
+    w = np.sqrt(ops.level.ea_weights)
+    return float(sum(
+        np.linalg.norm(w[:, None] * M / w[None, :], 2) ** 2 for M in matrices(ops)
+    ))
+
+
+def _assemble_matrices(level: GalerkinLevel, symbols: np.ndarray):
+    """Quadrature assembly of the smoothed multiplication operators and their defect.
+
+    Column j of channel m is the smoothed mode ``s_j h_j`` synthesized to
+    the grid, multiplied by the symbol, analyzed back and scaled by the
+    cutoff again, all through the model's transforms.  Columns go through in
+    blocks of ``jumps.ASSEMBLY_BLOCK_ENTRIES`` grid values, and the Hermitian
+    check and symmetrization in row/column strips of the same width; each
+    entry takes the arithmetic, and the bits, of a single full-width pass.
+    Raises ``ConfigurationError`` before allocating when the operators would
+    exceed physical memory.
+    """
+    model, channels, dim = level.model, symbols.shape[0], level.dim
+    width = max(1, jumps.ASSEMBLY_BLOCK_ENTRIES // model.num_grid)
+    _check_memory(16 * (channels * dim * dim + min(width, dim) * model.num_grid),
+                  f"noise operators of level {level.n} ({channels} x {dim}^2 "
+                  f"complex entries and one assembly block)")
+
+    smoother = level.multipliers
+    matrices = np.empty((channels, dim, dim), dtype=complex)
+    for start in range(0, dim, width):
+        cols = slice(start, min(start + width, dim))
+        unit = np.zeros((cols.stop - start, dim))
+        unit[:, cols] = np.diag(smoother[cols])
+        smoothed_modes = model.synthesize(unit, dim)
+        for m, symbol in enumerate(symbols):
+            # row j of ``rows`` holds column j of the operator
+            rows = model.analyze(symbol * smoothed_modes, dim)
+            matrices[m][:, cols] = smoother[:, None] * rows.T
+
+    defect = 0.0
+    for raw in matrices:
+        for start in range(0, dim, width):
+            strip = slice(start, min(start + width, dim))
+            upper = raw[strip, start:].copy()
+            lower = raw[start:, strip].copy()
+            defect = max(defect, float(np.max(np.abs(upper - lower.conj().T))))
+            raw[strip, start:] = 0.5 * (upper + lower.conj().T)
+            raw[start:, strip] = 0.5 * (lower + upper.conj().T)
+    if defect > HERMITICITY_TOLERANCE:
+        raise NumericsError(
+            f"assembled operator deviates from Hermitian by {defect:.3e} "
+            f"(tolerance {HERMITICITY_TOLERANCE:.1e})"
+        )
+    return matrices, defect
+
+
+def generator(ops: jumps.NoiseOperators, mark) -> np.ndarray:
+    """Hermitian generator B(l) = sum_m l_m M_m for a mark l in R^N, from ``matrices``."""
+    return np.tensordot(jumps._checked_mark(ops, mark), matrices(ops), axes=1)
+
+
+def marcus_flow(
+    ops: jumps.NoiseOperators,
+    duration: float,
+    mark,
+    state: np.ndarray,
+    ode_tol: float = 1e-10,
+) -> np.ndarray:
+    """Integrate du/dt = -i B(l) u for the given duration with an ODE solver.
+
+    Cross-validation oracle for :func:`jumps.jump_map` (the ``duration = 1``
+    flow); kept independent of its Chebyshev series.
+    """
+    from scipy.integrate import solve_ivp
+
+    state = np.asarray(state, dtype=complex)
+    matrix = generator(ops, mark)
+
+    def rhs(_t, y):
+        return -1j * (matrix @ y)
+
+    sol = solve_ivp(
+        rhs,
+        (0.0, float(duration)),
+        state,
+        method="DOP853",
+        rtol=ode_tol,
+        atol=ode_tol,
+    )
+    if not sol.success:
+        raise NumericsError(f"flow integration failed: {sol.message}")
+    return sol.y[:, -1]
+
+
+# ---------------------------------------------------------------------------
+# diagnostics
+# ---------------------------------------------------------------------------
+
+@dataclasses.dataclass(frozen=True)
+class EnergyReport:
+    """Mass, kinetic part (1/2)||A^(1/2)u||^2, potential part, and their sum."""
+
+    mass: float
+    kinetic: float
+    potential: float
+    total: float
+
+
+def energy(
+    model: SpectralModel,
+    nl: Nonlinearity | None,
+    state: np.ndarray,
+    dim=None,
+) -> EnergyReport:
+    """The energy report of the coefficients of the first ``dim`` modes (None: all)."""
+    state = np.asarray(state, dtype=complex)
+    lam = model.eigenvalues_A[:dim]
+    if state.shape != lam.shape:
+        raise ShapeError(f"expected {len(lam)} coefficients, got {state.shape}")
+    sq = np.abs(state) ** 2
+    mass = float(np.sum(sq))
+    kinetic = float(0.5 * np.sum(lam * sq))
+    potential = 0.0 if nl is None else eval_Fhat(model, nl, state, dim)
+    return EnergyReport(mass=mass, kinetic=kinetic, potential=potential,
+                        total=kinetic + potential)
+
+
+def energy_derivative(
+    model: SpectralModel,
+    nl: Nonlinearity | None,
+    state: np.ndarray,
+    direction: np.ndarray,
+    dim=None,
+) -> float:
+    """Directional derivative of the energy: Re <A u + F(u), h>."""
+    state = np.asarray(state, dtype=complex)
+    direction = np.asarray(direction, dtype=complex)
+    grad = model.eigenvalues_A[:dim] * state
+    if nl is not None:
+        grad = grad + eval_F(model, nl, state, dim)
+    return float(np.vdot(grad, direction).real)
+
+
+def cadlag_modulus(times: np.ndarray, values: np.ndarray, delta: float) -> float:
+    """Coarse-partition oscillation modulus of a piecewise-constant path.
+
+    The path takes value ``values[i]`` on ``[times[i], times[i+1])``; the last
+    recorded time is the right endpoint T of the observation window.  The
+    modulus is the smallest achievable worst-cell oscillation over partitions
+    ``0 = t_0 < ... < t_N = T`` whose every cell is at least ``delta`` long,
+    with cells read as half-open ``[t_{j-1}, t_j)``.  Oscillation of a cell is
+    the largest distance between values attained in it.
+
+    Partition boundaries are restricted to the recorded times; within that
+    family the minimum is computed exactly (by dynamic programming).  The
+    path only changes at recorded times, so moving a boundary off the grid
+    never changes which values share a cell — it can only relax the cell
+    length constraint — making this a tight upper bound for the free-boundary
+    modulus at the same delta.
+
+    ``values`` may be scalar per time (shape (m,)) or vectors (shape (m, d))
+    compared in the Euclidean norm of whatever coordinates the caller supplies
+    (e.g. coefficients pre-scaled to a weighted norm).
+    """
+    times = np.asarray(times, dtype=float)
+    if times.ndim != 1 or len(times) < 2:
+        raise ShapeError("need at least two recorded times")
+    if np.any(np.diff(times) <= 0):
+        raise ValueError("times must be strictly increasing")
+    values = np.asarray(values)
+    if values.ndim == 1:
+        values = values[:, None]
+    if values.shape[0] != len(times):
+        raise ShapeError("one value per recorded time required")
+    total = times[-1] - times[0]
+    if not (0.0 < delta <= total):
+        raise ValueError(f"delta must be in (0, {total}], got {delta}")
+
+    m = len(times)
+    # osc[i]: largest pairwise distance among values active on [t_i, t_j),
+    # i.e. values i .. j-1, for the current j only.  Column j follows from
+    # column j-1 via suffix maxima of the distances from value j-1 to the
+    # earlier ones, so memory stays O(m).
+    osc = np.zeros(m)
+    best = np.full(m, np.inf)
+    best[0] = 0.0
+    for j in range(1, m):
+        if j >= 2:
+            row = np.sqrt(np.sum(np.abs(values[: j - 1] - values[j - 1]) ** 2, axis=1))
+            suffix = np.maximum.accumulate(row[::-1])[::-1]
+            osc[: j - 1] = np.maximum(osc[: j - 1], suffix)
+        feasible = np.nonzero(times[j] - times[:j] >= delta)[0]
+        if len(feasible) == 0:
+            continue
+        candidates = np.maximum(best[feasible], osc[feasible])
+        best[j] = np.min(candidates)
+    return float(best[m - 1])
+
+
+def _state_at(record, t: float) -> np.ndarray:
+    """Right-continuous lookup of the recorded state at time t."""
+    i = int(np.searchsorted(record.times, t, side="right")) - 1
+    i = max(0, min(i, len(record.times) - 1))
+    return record.states[i]
+
+
+def aldous_statistic(
+    records,
+    thetas,
+    eta: float,
+    stopping: tuple = ("fixed", 0.0),
+) -> np.ndarray:
+    """Empirical P(dual-norm increment after a stopping time >= eta).
+
+    For each record, a stopping time tau is chosen by ``stopping``:
+    ``("fixed", t0)`` takes tau = t0; ``("first_jump_after", t0)`` takes the
+    first recorded jump time after t0 (or the horizon when none).  The
+    statistic is the fraction of records with
+    ``||u(tau + theta) - u(tau)||_{E_A*} >= eta`` for each theta; small values
+    uniformly in theta are the discrete signature of tightness.
+
+    Records must carry full states; their level's ``dual_norm`` measures the
+    increments.
+    """
+    records = list(records)
+    if not records:
+        raise ValueError("need at least one trajectory record")
+    if eta <= 0:
+        raise ValueError("eta must be positive")
+    kind, t0 = stopping
+    if kind not in ("fixed", "first_jump_after"):
+        raise ValueError(f"unknown stopping rule {kind!r}")
+    thetas = np.asarray(thetas, dtype=float)
+    out = np.zeros(len(thetas))
+    for record in records:
+        if record.states is None:
+            raise ValueError("records must retain states for this statistic")
+        horizon = record.times[-1]
+        if kind == "fixed":
+            tau = min(float(t0), horizon)
+        else:
+            jump_times = [e.time for e in record.events if e.time > t0]
+            tau = min(jump_times) if jump_times else horizon
+        u_tau = _state_at(record, tau)
+        for i, theta in enumerate(thetas):
+            u_later = _state_at(record, min(tau + theta, horizon))
+            if record.level.dual_norm(u_later - u_tau) >= eta:
+                out[i] += 1.0
+    return out / len(records)
+
+
+# ---------------------------------------------------------------------------
+# noise
+# ---------------------------------------------------------------------------
+
+def reconstruct_levy_path(
+    events: list[JumpEvent],
+    moments: NoiseMoments,
+    time_grid: np.ndarray,
+) -> np.ndarray:
+    """Compensated path: sum of marks up to t minus t * mean_simulated.
+
+    Returns an array of shape (len(time_grid), N).
+    """
+    time_grid = np.asarray(time_grid, dtype=float)
+    n = len(moments.mean_simulated)
+    out = np.zeros((len(time_grid), n))
+    if events:
+        times = np.array([e.time for e in events])
+        marks = np.vstack([e.mark for e in events])
+        cumulative = np.vstack([np.zeros(n), np.cumsum(marks, axis=0)])
+        counts = np.searchsorted(times, time_grid, side="right")
+        out = cumulative[counts]
+    return out - np.outer(time_grid, moments.mean_simulated)
+
+
+def simulated_second_moment(measure) -> float:
+    """Integral of ``|l|^2`` over the simulated region ``epsilon <= |l| <= 1``.
+
+    ``measure`` is an ``AtomicMeasure`` (a sum over its simulated atoms) or a
+    ``RadialStableMeasure`` (closed form).
+    """
+    if isinstance(measure, AtomicMeasure):
+        marks, weights, _ = measure._simulated
+        return float(np.sum(weights * np.sum(marks**2, axis=1)))
+    c, b, n = measure.activity, measure.stability, measure.dimension
+    return c * _sphere_area(n) * (1.0 - measure.epsilon ** (2.0 - b)) / (2.0 - b)

@@ -47,6 +47,8 @@ Smoothed truncation multiplies coefficients by a C^2 cutoff of ``lambda_S``
 that is 1 below ``2**n``, 0 at and above ``2**(n+1)``, and a quintic ramp in
 between.  The ramp is chosen so that the scaled derivative suprema
 ``sup |lambda^k d^k/dlambda^k cutoff|`` are bounded uniformly in ``n``.
+The norms, the sampled suprema and the L^1 gain on a grid delta that tell
+the smoothed truncation from the sharp projection are in ``oracles``.
 """
 
 from __future__ import annotations
@@ -126,10 +128,6 @@ SEPARABLE_PAIR_MAX_MULADDS = 2**20
 #: bytes the mode scan of :func:`build_spectral_model` takes per lattice point
 #: it visits: 170-190 B measured on a 2-d torus, at 6-7 us per point
 MODE_SCAN_BYTES_PER_POINT = 200
-
-#: spaces accepted by :func:`sobolev_norm`
-NORM_SPACES = ("H", "E_A", "E_A_dual", "Lp")
-
 
 @dataclasses.dataclass(frozen=True)
 class Domain:
@@ -218,37 +216,6 @@ def cutoff_multiplier(n: int, eigenvalue):
     if np.any(lam <= 0.0):
         raise ValueError("cutoff argument must be strictly positive")
     return transition_profile(lam * 2.0 ** (-n))
-
-
-def mihlin_suprema(n: int, max_order: int = 2, samples: int = 4001) -> np.ndarray:
-    """Sampled suprema of ``|lambda^k d^k cutoff / dlambda^k|`` for k <= max_order.
-
-    The derivatives of ``cutoff_multiplier(n, .)`` are sampled on level n's
-    own band ``lambda in [2**n, 2**(n+1)]``, where the k-th one is
-    ``2**(-n*k) * transition_profile(lambda * 2**(-n), order=k)``; the
-    identity branch below the band contributes 1 for k = 0.  The returned
-    values are independent of ``n`` by scale invariance.  A level whose
-    ``lambda^k`` overflows on its band is refused.
-    """
-    if max_order < 0 or max_order > 2:
-        raise ValueError("max_order must be in {0, 1, 2}")
-    # the band's top 2**(n+1), raised to max_order, must stay below 2**1024
-    top = 1023 // max(max_order, 1) - 1
-    if not 0 <= n <= top:
-        raise ValueError(f"level must be in [0, {top}] at max_order {max_order}, got {n}")
-    if samples < 2:
-        raise ValueError(f"samples must be at least 2 to span the band, got {samples}")
-    scale = 2.0 ** (-n)
-    lam = np.linspace(1.0, 2.0, samples) / scale
-    sups = []
-    for k in range(max_order + 1):
-        derivative = scale**k * transition_profile(lam * scale, order=k)
-        band = np.abs(lam**k * derivative)
-        sup = float(np.max(band))
-        if k == 0:
-            sup = max(sup, 1.0)  # branch below the band where the cutoff is 1
-        sups.append(sup)
-    return np.array(sups)
 
 
 # ---------------------------------------------------------------------------
@@ -665,95 +632,3 @@ def embed(level: GalerkinLevel, coefficients_level: np.ndarray, num_modes: int) 
             f"expected {level.dim} coefficients, got shape {coefficients_level.shape}"
         )
     return np.pad(coefficients_level.astype(complex), (0, num_modes - level.dim))
-
-
-# ---------------------------------------------------------------------------
-# norms
-# ---------------------------------------------------------------------------
-
-def sobolev_norm(
-    model: SpectralModel,
-    coefficients: np.ndarray,
-    space: str = "H",
-    dim=None,
-    p: float | None = None,
-) -> float:
-    """Norm of a coefficient vector in H, the energy space, its dual, or Lp.
-
-    ``coefficients`` are those of the first ``dim`` modes (all when omitted).
-    The Hilbert norms are weighted Euclidean norms with weights 1,
-    ``1 + lambda_A``, and ``1 / (1 + lambda_A)``; Lp norms are evaluated by
-    grid quadrature and require ``p``.
-    """
-    if space not in NORM_SPACES:
-        raise ValueError(f"space must be one of {NORM_SPACES}, got {space!r}")
-    coefficients = np.asarray(coefficients)
-    weights = model.ea_weights[:dim]
-    if coefficients.shape != weights.shape:
-        raise ShapeError(
-            f"expected {len(weights)} coefficients, got shape {coefficients.shape}"
-        )
-    if space == "Lp":
-        if p is None or not (p >= 1):
-            raise ValueError("Lp norm requires p >= 1")
-        values = model.synthesize(coefficients, dim)
-        return float(np.sum(model.grid_weights * np.abs(values) ** p) ** (1.0 / p))
-    sq = np.abs(coefficients) ** 2
-    if space == "H":
-        return float(math.sqrt(np.sum(sq)))
-    if space == "E_A":
-        return float(math.sqrt(np.sum(weights * sq)))
-    return float(math.sqrt(np.sum(sq / weights)))
-
-
-def _max_lp_ratio(model, apply, p, rng, num_probes, extra=(), dim=None):
-    """Largest ``||apply(u)||_p / ||u||_p`` over a probe set of coefficient vectors.
-
-    The probes are ``num_probes`` complex Gaussian vectors drawn from ``rng``,
-    every unit vector, then ``extra``; probes of (numerically) zero norm are
-    skipped.  Coefficients are those of the first ``dim`` modes (all when
-    omitted).
-    """
-    d = model.num_modes if dim is None else dim
-    probes = [rng.standard_normal(d) + 1j * rng.standard_normal(d)
-              for _ in range(num_probes)]
-    probes += list(np.eye(d, dtype=complex))
-    probes += list(extra)
-
-    best = 0.0
-    for u in probes:
-        denom = sobolev_norm(model, u, space="Lp", dim=dim, p=p)
-        if denom < 1e-13:
-            continue
-        num = sobolev_norm(model, apply(u), space="Lp", dim=dim, p=p)
-        best = max(best, num / denom)
-    return best
-
-
-def estimate_smoothing_lp_norm(
-    level: GalerkinLevel,
-    p: float,
-    num_probes: int = 64,
-    rng: np.random.Generator | None = None,
-) -> float:
-    """Empirical lower bound for the Lp operator norm of the smoothed truncation.
-
-    Maximises ``||S_n u||_p / ||u||_p`` over random Gaussian coefficient
-    vectors, single modes, and all-ones packets (Dirichlet-kernel-like states,
-    the usual near-extremisers).  A diagnostic estimate, not a certified bound.
-    """
-    if not (p >= 1):
-        raise ValueError("p must be >= 1")
-    if rng is None:
-        rng = np.random.default_rng(0)
-    model = level.model
-    d = model.num_modes
-    packets = []
-    for c in sorted(set(np.linspace(1, d, num=min(d, 16), dtype=int))):
-        packet = np.zeros(d, dtype=complex)
-        packet[:c] = 1.0
-        packets.append(packet)
-    return _max_lp_ratio(
-        model, lambda u: embed(level, apply_smoothing(level, u), d), p, rng,
-        num_probes, extra=packets,
-    )

@@ -7,7 +7,10 @@ detail)``; the battery is every such function, in definition order.
 and never raises on failure (failures are data).  ``tol_scale`` multiplies every
 tolerance, so a sub-unit value tightens the battery and a large value can
 reveal how much margin a check has.  Checks call library code through module
-attributes, which keeps them patchable for fault-injection tests.
+attributes, which keeps them patchable for fault-injection tests; the
+references that no run reads (Mihlin suprema, dense channel matrices,
+generator, ODE flow, level constants, Lévy path, modulus, energy report)
+come from ``oracles``.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ import dataclasses
 import numpy as np
 
 from . import config as config_mod
-from . import diagnostics, jumps, noise, nonlinear, solver, spectral
+from . import jumps, noise, nonlinear, oracles, solver, spectral
 from .exceptions import ConfigurationError
 
 __all__ = ["CheckResult", "check_names", "run_checks"]
@@ -154,8 +157,8 @@ def check_cutoff_branches(ws, tol):
 
 
 def check_mihlin_suprema(ws, tol):
-    base = spectral.mihlin_suprema(0)
-    high = spectral.mihlin_suprema(7)
+    base = oracles.mihlin_suprema(0)
+    high = oracles.mihlin_suprema(7)
     same = np.array_equal(base, high)
     t = np.linspace(0.0, 3.0, 4001)
     profile = np.array([
@@ -221,9 +224,9 @@ def check_exponent_window(ws, tol):
 # ---------------------------------------------------------------------------
 
 def check_hermiticity_defect(ws, tol):
-    defect = ws.ops.hermiticity_defect
+    defect = oracles.hermiticity_defect(ws.ops)
     matrices_ok = all(
-        np.array_equal(m, m.conj().T) for m in ws.ops.matrices
+        np.array_equal(m, m.conj().T) for m in oracles.matrices(ws.ops)
     )
     return (defect <= 1e-10 * tol and matrices_ok,
             f"assembly defect {defect:.3e}, symmetrized: {matrices_ok}")
@@ -246,7 +249,7 @@ def check_jump_group_law(ws, tol):
 
 def check_flow_matches_map(ws, tol):
     mark = np.array([0.7])
-    via_ode = jumps.marcus_flow(ws.ops, 1.0, mark, ws.state)
+    via_ode = oracles.marcus_flow(ws.ops, 1.0, mark, ws.state)
     direct = jumps.jump_map(ws.ops, mark, ws.state)
     err = np.linalg.norm(via_ode - direct) / np.linalg.norm(ws.state)
     return err <= 1e-8 * tol, f"time-1 flow vs spectral map {err:.3e}"
@@ -269,7 +272,7 @@ def check_chebyshev_jump(ws, tol):
         mark = np.array([0.9])
         degree = len(jumps._chebyshev_coefficients(ops.radius(mark))) - 1
         x = rng.normal(size=ops.dim) + 1j * rng.normal(size=ops.dim)
-        theta, vectors = np.linalg.eigh(jumps.generator(ops, mark))
+        theta, vectors = np.linalg.eigh(oracles.generator(ops, mark))
         phase = np.exp(-1j * theta)
         # |theta| <= 0.9 here: the unstable forms lose only ~1e-16 ||x||
         pairs = ((jumps.jump_map, phase), (jumps.jump_difference_1, phase - 1.0),
@@ -285,7 +288,8 @@ def check_chebyshev_jump(ws, tol):
 
 def check_difference_bounds(ws, tol):
     rng = np.random.default_rng(11)
-    root = np.sqrt(ws.ops.bound_H)
+    bound_h = oracles.bound_H(ws.ops)
+    root = np.sqrt(bound_h)
     worst1 = worst2 = -np.inf
     for _ in range(20):
         r = 10.0 ** rng.uniform(-3, 0)
@@ -295,7 +299,7 @@ def check_difference_bounds(ws, tol):
         n2 = np.linalg.norm(jumps.jump_difference_2(ws.ops, mark, x))
         nx = np.linalg.norm(x)
         worst1 = max(worst1, n1 - root * r * nx)
-        worst2 = max(worst2, n2 - 0.5 * ws.ops.bound_H * r * r * nx)
+        worst2 = max(worst2, n2 - 0.5 * bound_h * r * r * nx)
     ok = worst1 <= 1e-12 * tol and worst2 <= 1e-12 * tol
     return ok, f"worst slack d1 {worst1:.3e}, d2 {worst2:.3e}"
 
@@ -311,7 +315,7 @@ def check_taylor_remainder(ws, tol):
     d_t = solver.drift(problem, solver.SolverConfig(closure="Taylor2"), u)
     d_a = solver.drift(problem, solver.SolverConfig(closure="AtomicExact"), u)
     gap = np.linalg.norm(d_a - d_t)
-    bound = weight * (radius * np.sqrt(problem.ops.bound_H)) ** 3 / 6.0
+    bound = weight * (radius * np.sqrt(oracles.bound_H(problem.ops))) ** 3 / 6.0
     ok = gap <= bound * np.linalg.norm(u) * (1 + 1e-10 * tol)
     return (ok,
             f"closure gap {gap:.3e} within cubic bound "
@@ -353,7 +357,7 @@ def check_prm_compensation(ws, tol):
         marks=[[0.4], [-0.2]], weights=[1.0, 0.5]
     ).moments()
     grid = np.linspace(0.0, 2.0, 9)
-    path = noise.reconstruct_levy_path([], moments, grid)
+    path = oracles.reconstruct_levy_path([], moments, grid)
     want = -np.outer(grid, moments.mean_simulated)
     err = float(np.max(np.abs(path - want)))
     return err <= 1e-14 * tol, f"compensator-only path error {err:.3e}"
@@ -464,9 +468,9 @@ def check_modulus_dynamic_program(ws, tol):
     times = np.array([0.0, 0.25, 0.5, 0.75, 1.0])
     values = np.array([0.0, 1.0, 1.0, 3.0, 9.0])
     got = (
-        diagnostics.cadlag_modulus(times, values, 0.25),
-        diagnostics.cadlag_modulus(times, values, 0.3),
-        diagnostics.cadlag_modulus(times, values, 0.8),
+        oracles.cadlag_modulus(times, values, 0.25),
+        oracles.cadlag_modulus(times, values, 0.3),
+        oracles.cadlag_modulus(times, values, 0.8),
     )
     want = (0.0, 2.0, 3.0)
     err = max(abs(a - b) for a, b in zip(got, want))
@@ -474,7 +478,7 @@ def check_modulus_dynamic_program(ws, tol):
 
 
 def check_energy_report(ws, tol):
-    report = diagnostics.energy(ws.model, ws.nl, ws.state, ws.level.dim)
+    report = oracles.energy(ws.model, ws.nl, ws.state, ws.level.dim)
     recomputed = report.kinetic + report.potential
     ok = (report.total == recomputed
           and abs(report.mass - float(np.sum(np.abs(ws.state) ** 2))) <= 1e-14 * tol)
@@ -503,8 +507,8 @@ def check_names() -> list[str]:
 def run_checks(names=None, tol_scale: float = 1.0) -> list[CheckResult]:
     """Execute the selected checks (all by default) and collect results.
 
-    An empty or unknown selection is refused.  An exception inside a check
-    is itself a failure, reported in the detail.
+    An empty selection, an unknown name or a repeated one is refused.  An
+    exception inside a check is itself a failure, reported in the detail.
     """
     if not (0 < tol_scale < np.inf):
         raise ConfigurationError(f"tol_scale must be positive and finite, got {tol_scale}")
@@ -516,6 +520,9 @@ def run_checks(names=None, tol_scale: float = 1.0) -> list[CheckResult]:
         unknown = [n for n in names if n not in _CHECKS]
         if unknown:
             raise ConfigurationError(f"unknown checks: {unknown}")
+        repeated = sorted({n for n in names if names.count(n) > 1})
+        if repeated:
+            raise ConfigurationError(f"checks selected more than once: {repeated}")
         selected = list(names)
     ws = _Workspace()
     results = []

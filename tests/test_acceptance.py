@@ -13,7 +13,7 @@ import time
 import numpy as np
 import pytest
 
-from jumpnls import diagnostics, jumps, noise, nonlinear, solver, spectral
+from jumpnls import jumps, noise, nonlinear, oracles, solver, spectral
 from jumpnls.cli import main as cli_main
 
 GOLDEN = 0.6180339887498949
@@ -100,7 +100,8 @@ def test_03_jump_difference_bounds(model):
     level = spectral.build_level(model, 6)
     ops = jumps.assemble_noise_operators(level,
                                          np.stack([np.cos(x), np.sin(x)]))
-    root_b = np.sqrt(ops.bound_H)
+    bound_h = oracles.bound_H(ops)
+    root_b = np.sqrt(bound_h)
     rng = np.random.default_rng(303)
     violations = 0
     for _ in range(1000):
@@ -109,10 +110,10 @@ def test_03_jump_difference_bounds(model):
         u = unit_state(rng, level.dim)
         d1 = np.linalg.norm(jumps.jump_difference_1(ops, mark, u))
         d2 = np.linalg.norm(jumps.jump_difference_2(ops, mark, u))
-        if d1 > root_b * radius or d2 > 0.5 * ops.bound_H * radius**2:
+        if d1 > root_b * radius or d2 > 0.5 * bound_h * radius**2:
             violations += 1
     _check(3, "jump-difference norm bounds", violations == 0,
-           f"{violations} violations in 1000 cases, bound_H {ops.bound_H:.3f}")
+           f"{violations} violations in 1000 cases, bound_H {bound_h:.3f}")
 
 
 def test_04_marcus_flow_cross_validation(model):
@@ -125,7 +126,7 @@ def test_04_marcus_flow_cross_validation(model):
     for _ in range(50):
         mark = ball_point(rng, 2)
         u = unit_state(rng, level.dim)
-        flowed = jumps.marcus_flow(ops, 1.0, mark, u, ode_tol=1e-10)
+        flowed = oracles.marcus_flow(ops, 1.0, mark, u, ode_tol=1e-10)
         worst = max(worst,
                     float(np.linalg.norm(flowed - jumps.jump_map(ops, mark, u))))
     _check(4, "Marcus flow vs jump map", worst <= 1e-8,
@@ -163,7 +164,7 @@ def test_06_energy_jump_difference_scaling(model):
         level, np.stack([np.cos(x), np.sin(x), np.cos(2 * x)])
     )
     state = solver.renormalize_initial(level, golden_decaying(model))
-    base = diagnostics.energy(model, nl, state, level.dim).total
+    base = oracles.energy(model, nl, state, level.dim).total
     radii = np.logspace(-1, -4, 7)
     rng = np.random.default_rng(606)
     worst_first = 0.0
@@ -175,9 +176,9 @@ def test_06_energy_jump_difference_scaling(model):
         for radius in radii:
             mark = radius * direction
             jumped = jumps.jump_map(ops, mark, state)
-            delta = diagnostics.energy(model, nl, jumped, level.dim).total - base
-            linear = diagnostics.energy_derivative(
-                model, nl, state, 1j * (jumps.generator(ops, mark) @ state),
+            delta = oracles.energy(model, nl, jumped, level.dim).total - base
+            linear = oracles.energy_derivative(
+                model, nl, state, 1j * (oracles.generator(ops, mark) @ state),
                 level.dim,
             )
             first.append(abs(delta) / radius)
@@ -319,7 +320,7 @@ def test_10_modulus_oracle():
     for values in itertools.product((0.0, 1.0, 2.0), repeat=6):
         for delta in (0.15, 0.35, 0.6, 1.0):
             cases += 1
-            got = diagnostics.cadlag_modulus(times, np.array(values), delta)
+            got = oracles.cadlag_modulus(times, np.array(values), delta)
             if got != brute_force_modulus(times, values, delta):
                 mismatches += 1
     _check(10, "cadlag modulus dynamic program", mismatches == 0,
@@ -333,7 +334,7 @@ def test_11_mihlin_uniformity():
             1.0 if k == 0 else 0.0)
         for k in range(3)
     ]
-    per_level = np.array([spectral.mihlin_suprema(n, max_order=2)
+    per_level = np.array([oracles.mihlin_suprema(n, max_order=2)
                           for n in range(11)])
     bounded = all(
         per_level[n, k] <= 2.0**k * profile_sup[k] + 1e-9

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import jumpnls
-from jumpnls import cli, noise, spectral
+from jumpnls import cli, noise, oracles, spectral
 from jumpnls.cli import _jump_path, _trajectory_rows, main
 from jumpnls.config import build_model_from_spec, build_problem_from_spec, load_config
 from jumpnls.exceptions import NumericsError
@@ -444,6 +444,14 @@ def test_verify_subcommand(capsys):
     assert "no checks selected" in capsys.readouterr().err
 
 
+def test_verify_rejects_a_repeated_check(capsys):
+    # like a repeated converge level: a check named twice would run twice
+    assert main(["verify", "--only", "seed_streams,cutoff_branches,seed_streams"]) == 2
+    captured = capsys.readouterr()
+    assert "checks selected more than once: ['seed_streams']" in captured.err
+    assert captured.out == ""
+
+
 def test_verify_list(capsys):
     assert main(["verify", "--list"]) == 0
     lines = capsys.readouterr().out.splitlines()
@@ -709,14 +717,15 @@ for argv in (["converge", "--config", config, "--levels", "2,3", "--trajectories
              ["simulate", "--config", config, "--out", out, "--trajectories", "2"]):
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         main(argv)
-    print(argv[0], *sorted({"jumpnls.verify", "jumpnls.diagnostics"} & set(sys.modules)))
+    print(argv[0], *sorted({"jumpnls.verify", "jumpnls.diagnostics", "jumpnls.oracles"}
+                           & set(sys.modules)))
 """
 
 
 @pytest.mark.parametrize("config", sorted(p.name for p in CONFIG_DIR.glob("*.ini")))
 def test_each_command_loads_only_the_modules_it_runs(config, tmp_path):
-    # only ``verify`` compiles the check battery, and only ``simulate`` (for
-    # its ensemble bands) the diagnostics
+    # only ``verify`` compiles the check battery, no run the oracles, and only
+    # ``simulate`` (for its ensemble bands) the diagnostics
     src = str(Path(jumpnls.__file__).resolve().parents[1])
     out = subprocess.run(
         [sys.executable, "-c", COMMAND_MODULES_PROBE, str(CONFIG_DIR / config),
@@ -834,11 +843,11 @@ def test_run_independent_of_blas_threads(tmp_path, case):
 def test_no_cli_run_builds_dense_operators(tmp_path, monkeypatch):
     # every run product of the noise operators, the drift's noise terms
     # included, goes through NoiseOperators.product; the dense matrices are
-    # for tests and verify alone
+    # oracles, for tests and verify alone
     def refuse(*args):
         raise AssertionError("a CLI run built the dense noise operators")
 
-    monkeypatch.setattr(jumpnls.jumps, "_assemble_matrices", refuse)
+    monkeypatch.setattr(oracles, "_assemble_matrices", refuse)
     sources = sorted(CONFIG_DIR.glob("*.ini")) + sorted(WORKLOAD_DIR.glob("*.ini"))
     assert len(sources) == 6
     for source in sources:

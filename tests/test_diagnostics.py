@@ -11,15 +11,12 @@ from jumpnls.diagnostics import (
     BOOTSTRAP_RESAMPLES,
     CONFIDENCE,
     MOMENT_ORDERS,
-    aldous_statistic,
-    cadlag_modulus,
-    energy,
-    energy_derivative,
     ensemble_moments,
 )
 from jumpnls.exceptions import ShapeError
 from jumpnls.noise import AtomicMeasure, JumpEvent, sample_prm, trajectory_rng
 from jumpnls.nonlinear import defocusing
+from jumpnls.oracles import aldous_statistic, cadlag_modulus, energy, energy_derivative
 from jumpnls.solver import SolverConfig, build_problem, simulate
 from jumpnls.spectral import build_level
 

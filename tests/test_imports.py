@@ -8,8 +8,9 @@ only ``solver.GalerkinProblem`` and ``verify`` assemble noise operators,
 ``config`` names no domain constructor, only ``spectral.build_level`` builds a
 ``GalerkinLevel``, no module but ``spectral`` and ``verify`` adds 1 to the
 ``lambda_A`` eigenvalues, no module selects modes by an ``indices``
-array, no module but ``spectral`` and ``jumps`` reads ``ea_weights``, and no
-function or class takes a ``model`` beside a ``level``."""
+array, no module but ``spectral`` and ``oracles`` reads ``ea_weights``, no
+function or class takes a ``model`` beside a ``level``, and no run-path module
+nor ``diagnostics`` imports ``oracles``, at any depth."""
 
 import ast
 import importlib
@@ -163,6 +164,20 @@ def energy_weight_readers(sources: dict[str, str]) -> list[tuple[str, str]]:
                            and node.attr == "ea_weights")
 
 
+def oracle_importers(sources: dict[str, str]) -> list[tuple[str, str]]:
+    """(module, top-level function or class) of every import of ``oracles``, at
+    any depth: ``import jumpnls.oracles``, ``from .oracles import x``, ``from .
+    import oracles`` or ``from jumpnls import oracles``."""
+    def matches(node):
+        if isinstance(node, ast.Import):
+            return any(alias.name.split(".")[-1] == "oracles" for alias in node.names)
+        if isinstance(node, ast.ImportFrom):
+            return ((node.module or "").split(".")[-1] == "oracles"
+                    or any(alias.name == "oracles" for alias in node.names))
+        return False
+    return top_level_sites(sources, matches)
+
+
 def model_beside_level_sites(sources: dict[str, str]) -> list[tuple[str, str]]:
     """(module, name) of every function or method with parameters named both
     ``model`` and ``level``, and of every class annotating both as fields."""
@@ -237,6 +252,27 @@ def test_run_path_imports_verify_only_on_demand():
         source = (PACKAGE_DIR / f"{module}.py").read_text(encoding="utf-8")
         assert not any(name.split(".")[-1] == "verify"
                        for name in module_level_imports(source)), module
+
+
+def test_checker_finds_oracle_importers():
+    sources = {
+        "a.py": ("from .oracles import energy\n"
+                 "def run():\n    from . import oracles\n"
+                 "class Check:\n    def f(self):\n        import jumpnls.oracles as o\n"),
+        "b.py": ("from jumpnls import oracles, spectral\n"
+                 "from .diagnostics import ensemble_moments\nimport oracles_extra\n"
+                 "def g(oracles):\n    return oracles.energy\n"),
+    }
+    assert oracle_importers(sources) == [("a.py", "<module>"), ("a.py", "run"),
+                                         ("a.py", "Check"), ("b.py", "<module>")]
+
+
+def test_run_path_never_imports_the_oracles():
+    # the oracles are compiled only by verify and the tests; an import on the
+    # run path, even inside a function, would put them back in a run
+    sources = {f"{module}.py": (PACKAGE_DIR / f"{module}.py").read_text(encoding="utf-8")
+               for module in RUN_PATH + ("diagnostics",)}
+    assert oracle_importers(sources) == []
 
 
 def test_checker_finds_transform_pair_callers():
@@ -353,12 +389,12 @@ def test_checker_finds_energy_weight_readers():
                                               ("a.py", "<module>")]
 
 
-def test_only_spectral_and_jumps_read_ea_weights():
+def test_only_spectral_and_oracles_read_ea_weights():
     # a level owns its E_A and E_A* norms (GalerkinLevel.ea_norm, dual_norm);
-    # the record, the coupled run and the Aldous statistic call them.  jumps
-    # reads the weights for the bound_EA oracle
+    # the record, the coupled run and the Aldous statistic call them.  The
+    # sobolev_norm and bound_EA oracles read the weights themselves
     sources = {p.name: p.read_text(encoding="utf-8") for p in PACKAGE_DIR.glob("*.py")
-               if p.name not in ("spectral.py", "jumps.py")}
+               if p.name not in ("spectral.py", "oracles.py")}
     assert energy_weight_readers(sources) == []
 
 

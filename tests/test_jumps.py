@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from jumpnls import config, jumps, noise, nonlinear, solver, spectral
+from jumpnls import config, jumps, noise, nonlinear, oracles, solver, spectral
 from jumpnls.exceptions import ConfigurationError, ShapeError
 
 from conftest import closed_form_basis, eigenphase_factor, kind_id, random_state
@@ -48,16 +48,16 @@ def tridiagonal_cos_oracle(model, level):
 
 def test_assembled_matrices_hermitian(cos_ops, two_channel_ops):
     for ops in (cos_ops, two_channel_ops):
-        assert ops.hermiticity_defect <= 1e-12
-        for M in ops.matrices:
+        assert oracles.hermiticity_defect(ops) <= 1e-12
+        for M in oracles.matrices(ops):
             assert np.max(np.abs(M - M.conj().T)) == 0.0  # exactly symmetrized
 
 
 def test_cos_matrix_matches_tridiagonal_oracle(torus_model, cos_ops):
     expected = tridiagonal_cos_oracle(torus_model, cos_ops.level)
-    assert np.max(np.abs(cos_ops.matrices[0] - expected)) < 1e-13
+    assert np.max(np.abs(oracles.matrices(cos_ops)[0] - expected)) < 1e-13
     # level constant from the independent construction
-    assert cos_ops.bound_H == pytest.approx(np.linalg.norm(expected, 2) ** 2, rel=1e-12)
+    assert oracles.bound_H(cos_ops) == pytest.approx(np.linalg.norm(expected, 2) ** 2, rel=1e-12)
 
 
 @pytest.mark.parametrize(
@@ -71,7 +71,7 @@ def test_assembly_matches_dense_quadrature(model_name, request):
     ops = jumps.assemble_noise_operators(level, symbols)
     basis = closed_form_basis(model)[:level.dim]
     s = level.multipliers
-    for symbol, M in zip(symbols, ops.matrices):
+    for symbol, M in zip(symbols, oracles.matrices(ops)):
         raw = (basis.conj() * model.grid_weights * symbol) @ basis.T
         dense = s[:, None] * 0.5 * (raw + raw.conj().T) * s[None, :]
         assert np.max(np.abs(M - dense)) <= 1e-13 * np.max(np.abs(dense))
@@ -87,16 +87,18 @@ def test_blocked_assembly_bit_identical(model_name, request):
     symbols = [np.cos(x), 0.5 + np.sin(2.0 * x) * np.cos(x)]
 
     def assemble(block_entries):
+        # the matrices are built on their first request, so inside the patch
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(jumps, "ASSEMBLY_BLOCK_ENTRIES", block_entries)
-            return jumps.assemble_noise_operators(level, symbols)
+            ops = jumps.assemble_noise_operators(level, symbols)
+            return oracles.matrices(ops), oracles.hermiticity_defect(ops)
 
     # the fast transforms give each column the same bits at any block width
     one, full = assemble(1), assemble(level.dim * model.num_grid)
-    shipped = jumps.assemble_noise_operators(level, symbols)
-    for ops in (one, shipped):
-        assert ops.matrices.tobytes() == full.matrices.tobytes()
-        assert ops.hermiticity_defect == full.hermiticity_defect
+    shipped = assemble(jumps.ASSEMBLY_BLOCK_ENTRIES)
+    for matrices, defect in (one, shipped):
+        assert matrices.tobytes() == full[0].tobytes()
+        assert defect == full[1]
 
 
 def test_assembly_memory_is_the_operator_plus_blocks():
@@ -107,20 +109,20 @@ def test_assembly_memory_is_the_operator_plus_blocks():
                                           max_level=7)
     level = spectral.build_level(model, 6)
     symbols = [np.cos(model.grid_points[:, 0])]
-    jumps.assemble_noise_operators(level, symbols).matrices  # transform plans
+    oracles.matrices(jumps.assemble_noise_operators(level, symbols))  # transform plans
     tracemalloc.start()
     try:
         ops = jumps.assemble_noise_operators(level, symbols)
         assembly_peak = tracemalloc.get_traced_memory()[1]
         tracemalloc.reset_peak()
-        ops.matrices
+        oracles.matrices(ops)
         build_peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert level.dim == 401 and model.num_grid == 1024
     assert level.dim * model.num_grid > spectral.DENSE_PAIR_MAX_ENTRIES
     assert assembly_peak < 16 * level.dim**2  # below one operator
-    assert build_peak <= 4 * ops.matrices.nbytes + 4 * 2**20
+    assert build_peak <= 4 * oracles.matrices(ops).nbytes + 4 * 2**20
 
 
 @pytest.mark.parametrize("domain,level_n", [("torus", 4), ("torus2d", 5)],
@@ -141,12 +143,12 @@ def test_matrices_refused_on_read_beyond_physical_memory(request, monkeypatch,
     y = jumps.jump_map(ops, [0.7, -0.4], x)
     assert abs(np.linalg.norm(y) - np.linalg.norm(x)) <= 1e-14 * np.linalg.norm(x)
     with pytest.raises(ConfigurationError, match=f"about {needed / 2**30:.3g} GiB"):
-        ops.matrices
+        oracles.matrices(ops)
     monkeypatch.setattr(spectral, "_physical_memory", lambda: needed)
-    assert ops.matrices.shape == (2, level.dim, level.dim)
+    assert oracles.matrices(ops).shape == (2, level.dim, level.dim)
     monkeypatch.setattr(spectral, "_physical_memory", lambda: None)  # cannot tell
     ops = jumps.assemble_noise_operators(level, symbols)
-    assert ops.matrices.shape == (2, level.dim, level.dim)
+    assert oracles.matrices(ops).shape == (2, level.dim, level.dim)
 
 
 def test_build_level_binds_the_only_transform_pair(torus2d_model, monkeypatch):
@@ -223,7 +225,7 @@ def test_product_matches_dense_generator(request, monkeypatch, model_name, way):
         ops = jumps.assemble_noise_operators(level, symbols)
         mark = rng.normal(size=2)
         for block in (random_state(rng, level.dim), random_state(rng, (level.dim, 3))):
-            want = jumps.generator(ops, mark) @ block
+            want = oracles.generator(ops, mark) @ block
             got = ops.product(mark)(block)
             assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
@@ -247,23 +249,15 @@ def test_constant_symbol_is_diagonal(torus_model):
         level, [np.full(torus_model.num_grid, c)]
     )
     expected = np.diag(c * level.multipliers**2).astype(complex)
-    assert np.max(np.abs(ops.matrices[0] - expected)) < 1e-13
+    assert np.max(np.abs(oracles.matrices(ops)[0] - expected)) < 1e-13
 
 
 def test_bound_ea_via_weighted_similarity(torus_model, cos_ops):
     level = cos_ops.level
     w = np.sqrt(1.0 + torus_model.eigenvalues_A[:level.dim])
-    sim = w[:, None] * cos_ops.matrices[0] / w[None, :]
-    assert cos_ops.bound_EA == pytest.approx(np.linalg.norm(sim, 2) ** 2, rel=1e-12)
-    assert cos_ops.bound_EA >= cos_ops.bound_H - 1e-12  # weights only stretch
-
-
-def test_lp_bound_estimated_when_requested(torus_model):
-    level = spectral.build_level(torus_model, 4)
-    symbol = np.cos(torus_model.grid_points[:, 0])
-    ops = jumps.assemble_noise_operators(level, [symbol])
-    bound_Lp = jumps.estimate_lp_bound(ops, 4.0, rng=np.random.default_rng(5))
-    assert bound_Lp is not None and 0.0 < bound_Lp < 10.0
+    sim = w[:, None] * oracles.matrices(cos_ops)[0] / w[None, :]
+    assert oracles.bound_EA(cos_ops) == pytest.approx(np.linalg.norm(sim, 2) ** 2, rel=1e-12)
+    assert oracles.bound_EA(cos_ops) >= oracles.bound_H(cos_ops) - 1e-12  # weights stretch
 
 
 def test_assembly_shape_error(torus_model):
@@ -278,17 +272,18 @@ def test_assembly_shape_error(torus_model):
 
 def test_generator_linear_and_bounded(two_channel_ops):
     rng = np.random.default_rng(41)
+    root_bh = np.sqrt(oracles.bound_H(two_channel_ops))
     for _ in range(50):
         l1 = rng.uniform(-1, 1, size=2)
         l2 = rng.uniform(-1, 1, size=2)
         a, b = rng.uniform(-2, 2, size=2)
-        combo = jumps.generator(two_channel_ops, a * l1 + b * l2)
-        parts = a * jumps.generator(two_channel_ops, l1) + b * jumps.generator(
+        combo = oracles.generator(two_channel_ops, a * l1 + b * l2)
+        parts = a * oracles.generator(two_channel_ops, l1) + b * oracles.generator(
             two_channel_ops, l2
         )
         assert np.max(np.abs(combo - parts)) < 1e-13
-        norm = np.linalg.norm(jumps.generator(two_channel_ops, l1), 2)
-        assert norm <= np.linalg.norm(l1) * np.sqrt(two_channel_ops.bound_H) + 1e-12
+        norm = np.linalg.norm(oracles.generator(two_channel_ops, l1), 2)
+        assert norm <= np.linalg.norm(l1) * root_bh + 1e-12
 
 
 def test_jump_map_unitary_and_inverse(two_channel_ops):
@@ -309,7 +304,7 @@ def test_flow_group_law_in_time(cos_ops):
     mark = np.array([0.6])
     once = jumps.jump_map(cos_ops, mark, x)
     twice = jumps.jump_map(cos_ops, mark, once)
-    via_flow = jumps.marcus_flow(cos_ops, 2.0, mark, x, ode_tol=1e-12)
+    via_flow = oracles.marcus_flow(cos_ops, 2.0, mark, x, ode_tol=1e-12)
     assert np.linalg.norm(twice - via_flow) <= 1e-8 * np.linalg.norm(x)
 
 
@@ -319,7 +314,7 @@ def test_jump_map_matches_ode_flow(two_channel_ops):
         mark = rng.uniform(-1, 1, size=2)
         x = random_state(rng, two_channel_ops.dim)
         exact = jumps.jump_map(two_channel_ops, mark, x)
-        ode = jumps.marcus_flow(two_channel_ops, 1.0, mark, x, ode_tol=1e-10)
+        ode = oracles.marcus_flow(two_channel_ops, 1.0, mark, x, ode_tol=1e-10)
         assert np.linalg.norm(exact - ode) <= 1e-8 * np.linalg.norm(x)
 
 
@@ -374,8 +369,8 @@ def test_chebyshev_jump_matches_eigh(preset_ops, order, direction, keep, size, s
     # the series runs on operators whose matrices nothing reads
     fresh = jumps.assemble_noise_operators(ops.level, ops.symbols)
     y = series(fresh, mark, x)
-    assert "_dense" not in vars(fresh)
-    B = jumps.generator(ops, mark)
+    assert fresh not in oracles._DENSE
+    B = oracles.generator(ops, mark)
     r = ops.radius(mark)
     assert r >= np.linalg.norm(B, 2)
     theta, vectors = np.linalg.eigh(B)
@@ -419,14 +414,15 @@ def test_differences_match_direct(two_channel_ops):
         jumped = jumps.jump_map(two_channel_ops, mark, x)
         d1 = jumps.jump_difference_1(two_channel_ops, mark, x)
         assert np.linalg.norm(d1 - (jumped - x)) <= 1e-12 * np.linalg.norm(x)
-        bx = jumps.generator(two_channel_ops, mark) @ x
+        bx = oracles.generator(two_channel_ops, mark) @ x
         d2 = jumps.jump_difference_2(two_channel_ops, mark, x)
         assert np.linalg.norm(d2 - (jumped - x + 1j * bx)) <= 1e-12 * np.linalg.norm(x)
 
 
 def test_difference_bounds_hold(two_channel_ops):
     rng = np.random.default_rng(47)
-    root_bh = np.sqrt(two_channel_ops.bound_H)
+    bound_h = oracles.bound_H(two_channel_ops)
+    root_bh = np.sqrt(bound_h)
     for _ in range(200):
         mark = rng.uniform(-1, 1, size=2)
         mark *= rng.uniform(0, 1) / max(np.linalg.norm(mark), 1e-12)
@@ -436,7 +432,7 @@ def test_difference_bounds_hold(two_channel_ops):
         d1 = np.linalg.norm(jumps.jump_difference_1(two_channel_ops, mark, x))
         d2 = np.linalg.norm(jumps.jump_difference_2(two_channel_ops, mark, x))
         assert d1 <= root_bh * r * nx
-        assert d2 <= 0.5 * two_channel_ops.bound_H * r**2 * nx
+        assert d2 <= 0.5 * bound_h * r**2 * nx
 
 
 def test_second_difference_taylor_limit(cos_ops):
@@ -444,7 +440,7 @@ def test_second_difference_taylor_limit(cos_ops):
     rng = np.random.default_rng(48)
     x = random_state(rng, cos_ops.dim)
     direction = np.array([1.0])
-    B = jumps.generator(cos_ops, direction)
+    B = oracles.generator(cos_ops, direction)
     target = 0.5 * np.linalg.norm(B @ (B @ x))
     r = 1e-4
     d2 = np.linalg.norm(jumps.jump_difference_2(cos_ops, r * direction, x)) / r**2
@@ -455,10 +451,11 @@ def test_ea_growth_bound(torus_model, cos_ops):
     rng = np.random.default_rng(49)
     level = cos_ops.level
     w = 1.0 + torus_model.eigenvalues_A[:level.dim]
+    root_bea = np.sqrt(oracles.bound_EA(cos_ops))
     for _ in range(50):
         mark = rng.uniform(-1, 1, size=1)
         x = random_state(rng, cos_ops.dim)
         y = jumps.jump_map(cos_ops, mark, x)
         ea = lambda v: np.sqrt(np.sum(w * np.abs(v) ** 2))
-        bound = np.exp(abs(mark[0]) * np.sqrt(cos_ops.bound_EA)) * ea(x)
+        bound = np.exp(abs(mark[0]) * root_bea) * ea(x)
         assert ea(y) <= bound * (1 + 1e-12)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from jumpnls import noise, spectral
+from jumpnls import noise, oracles, spectral
 from jumpnls.exceptions import ConfigurationError
 
 
@@ -36,7 +36,7 @@ def test_radial_moments_match_quadrature(n, beta, eps):
     assert m.simulated_intensity() == pytest.approx(mass, rel=1e-10)
     mom = m.moments()
     assert mom.variance_budget == pytest.approx(small_var, rel=1e-10)
-    assert m.simulated_second_moment() == pytest.approx(sim_second, rel=1e-10)
+    assert oracles.simulated_second_moment(m) == pytest.approx(sim_second, rel=1e-10)
     assert np.allclose(mom.mean_simulated, 0.0)
     assert np.allclose(
         mom.second_moment_small, (small_var / n) * np.eye(n), rtol=1e-10, atol=1e-14
@@ -49,7 +49,7 @@ def test_atomic_moments_exact():
     assert m.simulated_intensity() == 2.0
     assert np.array_equal(mom.mean_simulated, [0.0])
     assert mom.variance_budget == 0.0  # nothing below the cutoff
-    assert m.simulated_second_moment() == pytest.approx(0.18, rel=1e-14)
+    assert oracles.simulated_second_moment(m) == pytest.approx(0.18, rel=1e-14)
 
     split = noise.AtomicMeasure(
         marks=[[0.3], [0.8]], weights=[2.0, 0.5], epsilon=0.5
@@ -89,6 +89,21 @@ def test_atomic_rejects_nonfinite_marks_and_weights(bad):
         noise.AtomicMeasure(marks=[[0.3, bad]], weights=[1.0])
     with pytest.raises(ConfigurationError, match="atom weights"):
         noise.AtomicMeasure(marks=[[0.3], [-0.3]], weights=[1.0, bad])
+
+
+def test_measures_and_events_compare_and_hash_by_identity():
+    # both hold arrays, so a generated __eq__ would raise on == and hash
+    a = noise.AtomicMeasure(marks=[[0.3], [-0.3]], weights=[1.0, 1.0])
+    b = noise.AtomicMeasure(marks=[[0.3], [-0.3]], weights=[1.0, 1.0])
+    assert a == a and a != b
+    assert hash(a) == hash(a) and len({a, b, a}) == 2
+    e = noise.JumpEvent(0.1, np.array([0.3, 0.1]))
+    f = noise.JumpEvent(0.1, np.array([0.3, 0.1]))
+    assert e == e and e != f
+    assert hash(e) == hash(e) and len({e, f, e}) == 2
+    events = noise.sample_prm(a, 4.0, noise.trajectory_rng(5, 0))
+    assert len(events) >= 2 and len(set(events)) == len(events)
+    assert events == list(events)
 
 
 def test_sigma2_scaling_rate():
@@ -177,9 +192,9 @@ def test_isometry_at_desk_scale():
     finals = []
     for _ in range(4000):
         events = noise.sample_prm(m, horizon, rng)
-        path = noise.reconstruct_levy_path(events, mom, np.array([horizon]))
+        path = oracles.reconstruct_levy_path(events, mom, np.array([horizon]))
         finals.append(path[0, 0])
-    target = horizon * m.simulated_second_moment()
+    target = horizon * oracles.simulated_second_moment(m)
     assert np.var(finals) == pytest.approx(target, rel=0.15)
     assert abs(np.mean(finals)) <= 5 * math.sqrt(target / len(finals))
 
@@ -195,7 +210,7 @@ def test_path_compensation_no_events():
         variance_budget=0.0,
     )
     grid = np.linspace(0.0, 2.0, 9)
-    path = noise.reconstruct_levy_path([], mom, grid)
+    path = oracles.reconstruct_levy_path([], mom, grid)
     assert np.allclose(path[:, 0], -0.4 * grid)
 
 
@@ -210,7 +225,7 @@ def test_path_steps_at_events():
         noise.JumpEvent(time=0.75, mark=np.array([-0.2])),
     ]
     grid = np.array([0.0, 0.25, 0.5, 0.75, 1.0])
-    path = noise.reconstruct_levy_path(events, mom, grid)
+    path = oracles.reconstruct_levy_path(events, mom, grid)
     assert np.allclose(path[:, 0], [0.0, 0.5, 0.5, 0.3, 0.3])
 
 

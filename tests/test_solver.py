@@ -12,14 +12,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from jumpnls import jumps, nonlinear, solver, spectral
+from jumpnls import jumps, nonlinear, oracles, solver, spectral
 from jumpnls.config import build_problem_from_spec, parse_config
 from jumpnls.exceptions import ConfigurationError, NumericsError, ShapeError
-from jumpnls.jumps import (
-    _chebyshev_coefficients,
-    generator,
-    jump_map,
-)
+from jumpnls.jumps import _chebyshev_coefficients, jump_map
 from jumpnls.noise import (
     AtomicMeasure,
     JumpEvent,
@@ -306,7 +302,7 @@ def test_drift_mean_term_matches_manual_formula(torus_model, cos_symbol):
     d = drift(problem, SolverConfig(), u)
     lam = torus_model.eigenvalues_A[:problem.level.dim]
     mean = 1.0 * 0.4 + 0.5 * (-0.2)
-    manual = -1j * lam * u + 1j * mean * (problem.ops.matrices[0] @ u)
+    manual = -1j * lam * u + 1j * mean * (oracles.matrices(problem.ops)[0] @ u)
     assert np.linalg.norm(d - manual) <= 1e-13 * np.linalg.norm(manual)
 
 
@@ -326,7 +322,7 @@ def test_closures_agree_to_third_order(torus_model, cos_symbol):
         d_taylor = drift(problem, SolverConfig(closure=CLOSURE_TAYLOR2), u)
         d_atomic = drift(problem, SolverConfig(closure=CLOSURE_ATOMIC), u)
         gap = np.linalg.norm(d_atomic - d_taylor)
-        bound = 2.0 * (radius * np.sqrt(problem.ops.bound_H)) ** 3 / 6.0
+        bound = 2.0 * (radius * np.sqrt(oracles.bound_H(problem.ops))) ** 3 / 6.0
         assert gap <= bound * np.linalg.norm(u) * (1 + 1e-10)
         assert gap > 0
 
@@ -351,16 +347,16 @@ def test_atomic_closure_rejects_infinite_activity(torus_model, cos_symbol):
 def per_term_noise_drift(problem, closure, x):
     """Noise drift summed term by term: mean, then closure or one round-trip per small atom."""
     ops, moments = problem.ops, problem.measure.moments()
-    out = 1j * generator(ops, moments.mean_simulated) @ x
+    out = 1j * oracles.generator(ops, moments.mean_simulated) @ x
     if closure == CLOSURE_TAYLOR2:
-        mats = ops.matrices
+        mats = oracles.matrices(ops)
         cov = moments.second_moment_small
         out += -0.5 * np.einsum("mn,mab,nbc->ac", cov, mats, mats) @ x
     else:
         # each atom's V f(theta) V^H from its own eigendecomposition
         marks, weights = problem.measure.small_atoms()
         for weight, mark in zip(weights, marks):
-            theta, vectors = np.linalg.eigh(generator(ops, mark))
+            theta, vectors = np.linalg.eigh(oracles.generator(ops, mark))
             factor = eigenphase_factor(theta, 2)
             out += weight * (vectors @ (factor * (vectors.conj().T @ x)))
     return out
