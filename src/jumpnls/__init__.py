@@ -61,7 +61,6 @@ _EXPORTS = {
     "jump_map": "jumps",
     "CoupledResult": "solver",
     "GalerkinProblem": "solver",
-    "JumpFreePath": "solver",
     "SolverConfig": "solver",
     "TrajectoryRecord": "solver",
     "build_problem": "solver",
@@ -69,6 +68,7 @@ _EXPORTS = {
     "renormalize_initial": "solver",
     "simulate": "solver",
     "simulate_coupled": "solver",
+    "simulate_ensemble": "solver",
     "step_between_jumps": "solver",
     "ensemble_moments": "diagnostics",
     "RunSpec": "config",

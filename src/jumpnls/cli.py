@@ -3,15 +3,11 @@
 Output files are byte-deterministic for a fixed effective configuration:
 floats are rendered with ``repr`` (shortest round-trip form), JSON keys are
 sorted and line endings are LF.  Each trajectory's jump path is sampled on
-its own ``(master_seed, index)`` stream.  ``simulate`` runs the trajectories
-one after another in order of first jump (ties by index), so they share one
-jump-free path that only advances.  It draws each path once to find where it
-branches off that path and drops it, then draws it again from its stream when
-its trajectory runs.  Each trajectory is written row by row as soon as it
-finishes and then reduced to its summary entries, so a run holds one jump path
-and one trajectory record at a time beside the jump-free path's, and refuses a
-trajectory count whose summary entries (``TRAJECTORY_BYTES`` each) would exceed
-physical memory.
+its own ``(master_seed, index)`` stream.  ``simulate`` takes the trajectories
+in the order ``solver.simulate_ensemble`` runs them.  Each trajectory is
+written row by row as soon as it finishes and then reduced to its summary
+entries, and a run refuses a trajectory count whose summary entries
+(``TRAJECTORY_BYTES`` each) would exceed physical memory.
 """
 
 from __future__ import annotations
@@ -33,7 +29,7 @@ from .config import (
 )
 from .exceptions import ConfigurationError, NumericsError
 from .noise import sample_prm, trajectory_rng, trajectory_seed
-from .solver import JumpFreePath, simulate, simulate_coupled
+from .solver import simulate_coupled, simulate_ensemble
 from .spectral import _check_memory
 
 #: bytes ``simulate`` keeps per trajectory until it has streamed ``summary.json``:
@@ -108,22 +104,12 @@ def _cmd_simulate(args) -> int:
     digest = config_hash(spec)
     problem = build_problem_from_spec(spec)
 
-    jump_free = JumpFreePath(problem, spec.solver, record_states=spec.output.save_states)
-    # one path held at a time: drawn for its branch node, again from its stream to run
-    branch = [jump_free.branch_node(_jump_path(problem, spec.master_seed, k))
-              for k in range(count)]
+    runs = simulate_ensemble(problem, spec.solver, count,
+                             lambda k: _jump_path(problem, spec.master_seed, k),
+                             record_states=spec.output.save_states)
     os.makedirs(args.out, exist_ok=True)  # only once every path could be drawn
     event_counts, final_mass, sup_ea_norm, fp_iters_max = ([None] * count for _ in range(4))
-    for k in sorted(range(count), key=branch.__getitem__):
-        try:
-            record = simulate(problem, spec.solver, _jump_path(problem, spec.master_seed, k),
-                              record_states=spec.output.save_states, jump_free=jump_free)
-        except NumericsError as exc:
-            # a failed step of the jump-free path lies on every path that
-            # branches after it; the lowest such index is named
-            failed = k if jump_free.node >= branch[k] else min(
-                i for i in range(count) if branch[i] > jump_free.node)
-            raise NumericsError(f"trajectory {failed}: {exc}") from exc
+    for k, record in runs:
         _write_lines(os.path.join(args.out, f"traj_{k:04d}.csv"),
                      _trajectory_rows(record))
         if spec.output.save_events and problem.measure is not None:

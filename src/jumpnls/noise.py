@@ -67,7 +67,7 @@ class JumpEvent:
     mark: np.ndarray  # shape (N,)
 
 
-@dataclasses.dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True, eq=False)
 class NoiseMoments:
     """Closed-form moments of one intensity measure at its cutoff.
 

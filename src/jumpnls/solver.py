@@ -23,10 +23,14 @@ and first-order accurate in the mass budget, second order in the state.
 levels together over the shared jump-adapted grid, and that loop can stop
 at a node and resume there.  The loop only steps and applies the jumps; after
 each node an observer reads the states.  ``simulate``'s fills its record, and a
-coupled run's writes the dual-norm distance and keeps nothing else.  Before its
-first jump every trajectory of a problem follows the same jump-free path on
-the uniform nodes; a ``JumpFreePath`` steps it once for many trajectories,
-and ``simulate`` copies it through the trajectory's branch node.
+coupled run's writes the dual-norm distance and keeps nothing else.
+
+Before its first jump every trajectory of a problem follows the same jump-free
+path on the uniform nodes.  ``simulate_ensemble`` runs the trajectories in
+order of first jump (ties by index), so that path only advances, and each
+``simulate`` copies it through its branch node.  A path is drawn once for its
+branch node, dropped and drawn again to run, so a run holds one jump path and
+one record at a time beside the jump-free path's.
 
 Each problem keeps one drift workspace per closure, built on first use, whose
 step loop transforms through the pair that ``build_level`` bound on the level
@@ -535,30 +539,22 @@ def _run_levels(problems, config, events, run, on_node, last=None):
         on_node(i, run.states)
 
 
-class JumpFreePath:
-    """The path that every trajectory of ``problem`` follows before its first jump.
+class _JumpFreePath:
+    """The path that every trajectory of a problem follows before its first jump.
 
     Up to the first event the jump-adapted grid is the uniform grid and the
-    state is the jump-free flow from ``problem.initial``, so all trajectories
-    of one problem and config share that prefix bit for bit.  The path holds
-    one record over the uniform nodes (with their states if
+    state is the jump-free flow from the problem's initial state, so all
+    trajectories of one problem and config share that prefix bit for bit.
+    The path holds one record over the uniform nodes (with their states if
     ``record_states``) and its state at the last node it reached.  It only
-    advances, so the ``simulate`` calls that share it come in order of
-    ``branch_node``.
+    advances: ``simulate_ensemble`` shares it in order of ``branch_node``.
     """
 
-    def __init__(self, problem: GalerkinProblem, config: SolverConfig,
-                 record_states: bool = True):
-        self.problem, self.config = problem, config
+    def __init__(self, problem: GalerkinProblem, config: SolverConfig, record_states: bool):
         self._run, self.record, self._on_node = _recorded_run(problem, config, [],
                                                               record_states)
         # the time-grid guard's bytes for the record, held beside each trajectory's
         self._held = _record_bytes_per_node(problem, record_states) * len(self._run.grid)
-
-    @property
-    def node(self) -> int:
-        """The last uniform node reached, -1 before the first."""
-        return self._run.node
 
     def branch_node(self, events) -> int:
         """The last uniform node strictly before the first of ``events``.
@@ -573,23 +569,13 @@ class JumpFreePath:
     def _share(self, problem, config, run: _Run, target, events) -> None:
         """Advance to the branch node of ``events``, start ``run`` there and
         copy the path's record through that node into ``target``."""
-        if problem is not self.problem or config != self.config:
-            raise ConfigurationError("the jump-free path is of another problem or config")
-        if target.states is not None and self.record.states is None:
-            raise ConfigurationError("the jump-free path records no states")
         j = self.branch_node(events)
         if j < 0:
             return
-        if j < self.node:
-            raise ConfigurationError(
-                f"the jump-free path is at node {self.node}, past the branch node {j}"
-            )
         _run_levels([problem], config, [], self._run, self._on_node, last=j)
-        source = self.record
-        source.fp_iters_max = self._run.fp_iters_max
-        target.columns[:j + 1] = source.columns[:j + 1]
+        target.columns[:j + 1] = self.record.columns[:j + 1]
         if target.states is not None:
-            target.states[:j + 1] = source.states[:j + 1]
+            target.states[:j + 1] = self.record.states[:j + 1]
         run.states = list(self._run.states)
         run.node, run.fp_iters_max = j, self._run.fp_iters_max
 
@@ -599,16 +585,16 @@ def simulate(
     config: SolverConfig,
     events: list[JumpEvent],
     record_states: bool = True,
-    jump_free: JumpFreePath | None = None,
+    jump_free: _JumpFreePath | None = None,
 ) -> TrajectoryRecord:
     """Integrate one trajectory over [0, horizon] along the jump path ``events``.
 
     ``events`` is one realization of the problem's Poisson random measure
     (``noise.sample_prm``; ``[]`` if none), time-sorted within the horizon.
     The state is recorded at every grid node and every jump time, after the
-    jump is applied.  With ``jump_free``, the rows through the path's branch
-    node are copied from it and only the rest is stepped; the record is the
-    same bit for bit.
+    jump is applied.  ``simulate_ensemble`` passes its ``jump_free`` path:
+    the rows through the path's branch node are copied from it and only the
+    rest is stepped; the record is the same bit for bit.
     """
     events = _check_events([problem], events)
     run, record, on_node = _recorded_run(problem, config, events, record_states,
@@ -618,6 +604,34 @@ def simulate(
     _run_levels([problem], config, events, run, on_node)
     record.fp_iters_max = run.fp_iters_max
     return record
+
+
+def simulate_ensemble(problem: GalerkinProblem, config: SolverConfig, count: int,
+                      draw, record_states: bool = True):
+    """Run ``count`` trajectories of ``problem``; ``draw(k)`` is trajectory k's jump path.
+
+    Each path is drawn here for its branch node and dropped.  The returned
+    iterator yields ``(k, record)`` in order of branch node, ties by index:
+    it draws path k again and runs it on the shared jump-free path.  A
+    ``NumericsError`` names the running trajectory or, for a failed step of
+    the jump-free path, the lowest index that branches after that step.
+    """
+    jump_free = _JumpFreePath(problem, config, record_states)
+    branch = [jump_free.branch_node(draw(k)) for k in range(count)]
+
+    def runs():
+        for k in sorted(range(count), key=branch.__getitem__):
+            try:
+                record = simulate(problem, config, draw(k), record_states, jump_free)
+            except NumericsError as exc:
+                node = jump_free._run.node  # the failed step starts there
+                failed = k if node >= branch[k] else min(
+                    i for i, b in enumerate(branch) if b > node)
+                raise NumericsError(f"trajectory {failed}: {exc}") from exc
+            yield k, record
+            del record  # not held while the next trajectory runs
+
+    return runs()
 
 
 @dataclasses.dataclass(frozen=True)

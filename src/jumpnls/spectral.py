@@ -54,7 +54,6 @@ the smoothed truncation from the sharp projection are in ``oracles``.
 from __future__ import annotations
 
 import dataclasses
-import itertools
 import math
 import os
 
@@ -126,8 +125,9 @@ DENSE_PAIR_MAX_ENTRIES = 2**15
 SEPARABLE_PAIR_MAX_MULADDS = 2**20
 
 #: bytes the mode scan of :func:`build_spectral_model` takes per lattice point
-#: it visits: 170-190 B measured on a 2-d torus, at 6-7 us per point
-MODE_SCAN_BYTES_PER_POINT = 200
+#: it visits: 71-73 B measured (tracemalloc peak of the scan, 2-d tori at
+#: max_level 12-14, 1-d tori and intervals, 3e4-4e6 points)
+MODE_SCAN_BYTES_PER_POINT = 80
 
 @dataclasses.dataclass(frozen=True)
 class Domain:
@@ -432,7 +432,8 @@ def _check_memory(estimate: float, what: str) -> None:
 
 
 def _mode_table(domain: Domain, beta: float, max_level: int):
-    """Enumerate wavenumbers with lambda_S below 2**(max_level + 1); return sorted table."""
+    """The wavenumbers with lambda_S below 2**(max_level + 1) and their lambda_S
+    and lambda_A, sorted by (lambda_S, wavenumber)."""
     facts = _DOMAIN_TABLE[domain.kind]
     scale = 2.0 if facts.periodic else 1.0
     factors = [scale * math.pi / L for L in domain.lengths]
@@ -448,34 +449,33 @@ def _mode_table(domain: Domain, beta: float, max_level: int):
             f"puts the mode scan bound (2**(max_level + 1))**(1/beta) beyond the "
             f"float range"
         ) from None
-    axes = [range(-k if facts.periodic else facts.first_k, k + 1) for k in kmax]
-    points = math.prod(axis.stop - axis.start for axis in axes)
+    starts = [-k if facts.periodic else facts.first_k for k in kmax]
+    points = math.prod(k + 1 - start for k, start in zip(kmax, starts))
     _check_memory(MODE_SCAN_BYTES_PER_POINT * points,
                   f"the {_as_float(points):.3g} lattice points of the mode scan "
                   f"below lambda_S = {threshold:g}")
 
-    rows = []
-    try:
-        for wn in itertools.product(*axes):
-            mu = sum((f * k) ** 2 for f, k in zip(factors, wn))
-            lam_A = mu**beta
-            lam_s = facts.shift + lam_A
-            if lam_s < threshold:
-                rows.append((lam_s, wn, lam_A))
-    except OverflowError:
+    axes = [np.arange(start, k + 1) for start, k in zip(starts, kmax)]
+    lattice = np.stack(np.meshgrid(*axes, indexing="ij"), -1).reshape(points, -1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        lam_A = sum((f * lattice[:, j]) ** 2 for j, f in enumerate(factors)) ** beta
+    if not np.all(np.isfinite(lam_A)):
         raise ConfigurationError(
             f"beta = {beta} on lengths {domain.lengths} puts an eigenvalue mu**beta "
             f"of the mode scan beyond the float range"
-        ) from None
-    rows.sort(key=lambda r: (r[0], r[1]))
-    if not rows:
+        )
+    lam_S = facts.shift + lam_A
+    keep = lam_S < threshold
+    wavenumbers, lam_S, lam_A = lattice[keep], lam_S[keep], lam_A[keep]
+    order = np.lexsort((*wavenumbers.T[::-1], lam_S))
+    if not order.size:
         raise ConfigurationError("no modes retained; increase max_level")
-    if rows[0][0] <= 0.0:  # S is strictly positive unless mu**beta underflows
+    if lam_S[order[0]] <= 0.0:  # S is strictly positive unless mu**beta underflows
         raise ConfigurationError(
             f"beta = {beta} on lengths {domain.lengths} puts an eigenvalue mu**beta "
             f"of the mode scan below the float range, so lambda_S = 0"
         )
-    return rows
+    return wavenumbers[order], lam_S[order], lam_A[order]
 
 
 def validate_model_parameters(beta: float, max_level: int, dealias_factor: int) -> None:
@@ -511,10 +511,7 @@ def build_spectral_model(
         values reduce aliasing in nonlinear terms.
     """
     validate_model_parameters(beta, max_level, dealias_factor)
-    rows = _mode_table(domain, beta, max_level)
-    lam_S = np.array([r[0] for r in rows])
-    wavenumbers = np.array([r[1] for r in rows], dtype=int)
-    lam_A = np.array([r[2] for r in rows])
+    wavenumbers, lam_S, lam_A = _mode_table(domain, beta, max_level)
 
     facts = _DOMAIN_TABLE[domain.kind]
     grid_shape = tuple(dealias_factor * (int(k) + 1) for k in np.abs(wavenumbers).max(axis=0))

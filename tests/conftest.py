@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 from jumpnls import spectral
+from jumpnls.noise import JumpEvent
+from jumpnls.solver import simulate, simulate_ensemble
 
 
 @pytest.fixture(scope="session")
@@ -30,6 +32,27 @@ def torus2d_model():
 def kind_id(kind: str) -> str:
     """Test id of a domain kind in CamelCase: ``torus_1d`` -> ``Torus1D``."""
     return kind.title().replace("_", "")
+
+
+def branch_nodes(problem, config, paths):
+    """Each path's branch node off the jump-free path of ``problem`` and ``config``.
+
+    ``simulate_ensemble`` runs reference paths that branch at -1 (a jump at
+    0), at each uniform node (a jump halfway to the next) and at the last node
+    (no jump), then ``paths``; ties run by index, so a path that branches at
+    node b runs after the b + 2 references that branch at b or before.
+    """
+    nodes = simulate(problem, config, [], record_states=False).times
+    mark = np.zeros(problem.ops.num_channels)
+    references = ([[JumpEvent(0.0, mark)]]
+                  + [[JumpEvent(0.5 * (a + b), mark)] for a, b in zip(nodes, nodes[1:])]
+                  + [[]])
+    everything = references + list(paths)
+    runs = simulate_ensemble(problem, config, len(everything), everything.__getitem__,
+                             record_states=False)
+    order = [k for k, _ in runs]
+    return [sum(i < len(references) for i in order[:order.index(len(references) + p)]) - 2
+            for p in range(len(paths))]
 
 
 def random_state(rng, dim, scale=1.0):

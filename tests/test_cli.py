@@ -1,5 +1,6 @@
 """End-to-end command line tests: outputs, determinism, exit codes."""
 
+import dataclasses
 import gc
 import json
 import os
@@ -17,7 +18,9 @@ from jumpnls.cli import _jump_path, _trajectory_rows, main
 from jumpnls.config import build_model_from_spec, build_problem_from_spec, load_config
 from jumpnls.exceptions import NumericsError
 from jumpnls.jumps import jump_map
-from jumpnls.solver import JumpFreePath, simulate, simulate_coupled
+from jumpnls.solver import simulate, simulate_coupled
+
+from conftest import branch_nodes
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 WORKLOAD_DIR = Path(__file__).resolve().parent.parent / "perfbench" / "workloads"
@@ -625,8 +628,9 @@ def test_numerics_error_on_the_jump_free_path_names_its_first_trajectory(tmp_pat
     config.write_text(text, encoding="utf-8")
     spec = load_config(str(config))
     problem = build_problem_from_spec(spec)
-    jump_free = JumpFreePath(problem, spec.solver, record_states=False)
-    assert [jump_free.branch_node(_jump_path(problem, 37, k)) for k in range(3)] == [4, 2, 1]
+    converging = dataclasses.replace(spec.solver, max_fp_iters=100, max_halvings=20)
+    paths = [_jump_path(problem, 37, k) for k in range(3)]
+    assert branch_nodes(problem, converging, paths) == [4, 2, 1]
     code = main(["simulate", "--config", str(config), "--out", str(tmp_path / "out")])
     err = capsys.readouterr().err
     assert code == 2

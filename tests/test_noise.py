@@ -92,7 +92,7 @@ def test_atomic_rejects_nonfinite_marks_and_weights(bad):
 
 
 def test_measures_and_events_compare_and_hash_by_identity():
-    # both hold arrays, so a generated __eq__ would raise on == and hash
+    # all hold arrays, so a generated __eq__ would raise on == and hash
     a = noise.AtomicMeasure(marks=[[0.3], [-0.3]], weights=[1.0, 1.0])
     b = noise.AtomicMeasure(marks=[[0.3], [-0.3]], weights=[1.0, 1.0])
     assert a == a and a != b
@@ -101,6 +101,10 @@ def test_measures_and_events_compare_and_hash_by_identity():
     f = noise.JumpEvent(0.1, np.array([0.3, 0.1]))
     assert e == e and e != f
     assert hash(e) == hash(e) and len({e, f, e}) == 2
+    two = noise.AtomicMeasure(marks=[[0.3, 0.1], [-0.3, 0.2]], weights=[1.0, 1.0])
+    m, n = two.moments(), two.moments()
+    assert m == m and m != n
+    assert hash(m) == hash(m) and len({m, n, m}) == 2
     events = noise.sample_prm(a, 4.0, noise.trajectory_rng(5, 0))
     assert len(events) >= 2 and len(set(events)) == len(events)
     assert events == list(events)

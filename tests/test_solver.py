@@ -36,7 +36,6 @@ from jumpnls.solver import (
     MODE_MIDPOINT,
     MODE_SPLITSTEP,
     GalerkinProblem,
-    JumpFreePath,
     SolverConfig,
     _Dynamics,
     _record_node,
@@ -46,6 +45,7 @@ from jumpnls.solver import (
     renormalize_initial,
     simulate,
     simulate_coupled,
+    simulate_ensemble,
     step_between_jumps,
 )
 from jumpnls.spectral import (
@@ -56,7 +56,7 @@ from jumpnls.spectral import (
     torus_1d,
 )
 
-from conftest import eigenphase_factor
+from conftest import branch_nodes, eigenphase_factor
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -865,15 +865,19 @@ def jump_paths(draw):
 def test_jump_free_path_gives_the_same_record(shared_problem, mode, closure,
                                               record_states, paths):
     # the shared prefix is the same operations on the same inputs, so every
-    # trajectory's record is the one of a run without the jump-free path
+    # trajectory's record is the one of a run without the jump-free path; the
+    # trajectories run in order of branch node, the last uniform node before
+    # the first jump, ties by index
     problem = shared_problem
     config = SolverConfig(mode=mode, dt=0.05, closure=closure)
-    jump_free = JumpFreePath(problem, config, record_states=record_states)
-    assert jump_free.node == -1
-    for events in sorted(paths, key=jump_free.branch_node):
+    nodes = np.linspace(0.0, 0.3, 7)
+    branch = [int(np.searchsorted(nodes, events[0].time, side="left")) - 1 if events else 6
+              for events in paths]
+    order = []
+    for k, shared in simulate_ensemble(problem, config, len(paths), paths.__getitem__,
+                                       record_states=record_states):
+        events = paths[k]
         alone = simulate(problem, config, events, record_states=record_states)
-        shared = simulate(problem, config, events, record_states=record_states,
-                          jump_free=jump_free)
         for column in ("times", "mass", "kinetic", "potential", "energy", "ea_norm"):
             assert getattr(shared, column).tobytes() == getattr(alone, column).tobytes()
         assert (shared.states is None) == (not record_states)
@@ -881,19 +885,25 @@ def test_jump_free_path_gives_the_same_record(shared_problem, mode, closure,
             assert shared.states.tobytes() == alone.states.tobytes()
         assert shared.fp_iters_max == alone.fp_iters_max
         assert shared.events == events
-        assert jump_free.node >= jump_free.branch_node(events)
+        order.append(k)
+    assert order == sorted(range(len(paths)), key=branch.__getitem__)
 
 
 def test_branch_node_is_the_last_uniform_node_before_the_first_jump(shared_problem):
-    jump_free = JumpFreePath(shared_problem, SolverConfig(dt=0.05))
-    nodes = jump_free.record.times
+    config = SolverConfig(dt=0.05)
+    nodes = simulate(shared_problem, config, []).times
     assert nodes.tobytes() == np.linspace(0.0, 0.3, 7).tobytes()
     mark = np.array([0.5])
-    for first, branch in ((0.0, -1), (nodes[1], 0), (0.12, 2), (nodes[3], 2),
-                          (0.3, 5), (None, 6)):
-        events = [] if first is None else [JumpEvent(time=first, mark=mark),
-                                           JumpEvent(time=0.3, mark=mark)]
-        assert jump_free.branch_node(events) == branch, first
+    table = ((0.0, -1), (nodes[1], 0), (0.12, 2), (nodes[3], 2), (0.3, 5), (None, 6))
+    paths = [[] if first is None else [JumpEvent(time=first, mark=mark),
+                                       JumpEvent(time=0.3, mark=mark)]
+             for first, _ in table]
+    assert branch_nodes(shared_problem, config, paths) == [branch for _, branch in table]
+    # in reverse, they run in order of branch node, the tie at node 2 by index
+    paths.reverse()
+    runs = simulate_ensemble(shared_problem, config, len(paths), paths.__getitem__,
+                             record_states=False)
+    assert [k for k, _ in runs] == [5, 4, 2, 3, 1, 0]
 
 
 def test_a_jump_at_time_zero_shows_in_the_node_zero_state():
@@ -906,10 +916,9 @@ def test_a_jump_at_time_zero_shows_in_the_node_zero_state():
     events = [JumpEvent(time=0.0, mark=mark)]
     jumped = jump_map(fine.ops, mark, fine.initial)
     assert np.max(np.abs(jumped - fine.initial)) > 0.1
-    jump_free = JumpFreePath(fine, spec.solver)
-    assert jump_free.branch_node(events) == -1
-    for record in (simulate(fine, spec.solver, events),
-                   simulate(fine, spec.solver, events, jump_free=jump_free)):
+    assert branch_nodes(fine, spec.solver, [events]) == [-1]
+    (_, shared), = simulate_ensemble(fine, spec.solver, 1, lambda k: events)
+    for record in (simulate(fine, spec.solver, events), shared):
         assert np.array_equal(record.states[0], jumped)
     gap = jumped.copy()
     gap[:coarse.level.dim] -= jump_map(coarse.ops, mark, coarse.initial)
@@ -918,27 +927,24 @@ def test_a_jump_at_time_zero_shows_in_the_node_zero_state():
     assert distance == pytest.approx(want, rel=1e-14, abs=0)
 
 
-def test_jump_free_path_refuses_another_run(shared_problem):
-    config = SolverConfig(dt=0.05)
+def test_numerics_error_names_the_first_trajectory_through_the_failed_step(shared_problem):
+    # one fixed-point iteration converges no step, so the first trajectory to
+    # run fails on the first step it takes.  A failed step of the jump-free
+    # path lies on every path that branches after it, and the lowest such
+    # index is named; a failed step after the branch names the running one
+    config = SolverConfig(dt=0.05, max_fp_iters=1, max_halvings=0)
     mark = np.array([0.5])
-    late, early = ([JumpEvent(time=t, mark=mark)] for t in (0.27, 0.12))
-    jump_free = JumpFreePath(shared_problem, config, record_states=False)
-    with pytest.raises(ConfigurationError, match="records no states"):
-        simulate(shared_problem, config, late, jump_free=jump_free)
-    for problem, other in ((dataclasses.replace(shared_problem), config),
-                           (shared_problem, SolverConfig(dt=0.1))):
-        with pytest.raises(ConfigurationError, match="another problem or config"):
-            simulate(problem, other, late, record_states=False, jump_free=jump_free)
-    assert jump_free.node == -1
-    simulate(shared_problem, config, late, record_states=False, jump_free=jump_free)
-    assert jump_free.node == 5
-    # it only advances: an earlier branch node is refused, a jump at 0 shares nothing
-    with pytest.raises(ConfigurationError, match="past the branch node 2"):
-        simulate(shared_problem, config, early, record_states=False, jump_free=jump_free)
-    at_zero = [JumpEvent(time=0.0, mark=mark)]
-    assert (simulate(shared_problem, config, at_zero, record_states=False,
-                     jump_free=jump_free).mass.tobytes()
-            == simulate(shared_problem, config, at_zero, record_states=False).mass.tobytes())
+    node_1 = float(np.linspace(0.0, 0.3, 7)[1])
+    for firsts, named, end in (((0.27, 0.12, 0.07), 0, node_1), ((0.27, 0.12, 0.03), 2, 0.03)):
+        paths = [[JumpEvent(time=t, mark=mark)] for t in firsts]
+        # branch nodes 5, 2 and 1, then 5, 2 and 0: trajectory 2 runs first
+        runs = simulate_ensemble(shared_problem, config, 3, paths.__getitem__,
+                                 record_states=False)
+        with pytest.raises(NumericsError) as failed:
+            next(runs)
+        assert str(failed.value).startswith(
+            f"trajectory {named}: step t=0.0 -> {end!r} (dt={end:.3e}): ")
+        assert "failed to converge" in str(failed.value)
 
 
 @pytest.mark.parametrize("record_states", [False, True])
@@ -952,18 +958,19 @@ def test_time_grid_guard_counts_the_jump_free_path(shared_problem, monkeypatch,
     mark = np.array([0.5])
     events = [JumpEvent(time=0.12, mark=mark), JumpEvent(time=0.21, mark=mark)]
     monkeypatch.setattr(spectral, "_physical_memory", lambda: needed - 1)
-    jump_free = JumpFreePath(shared_problem, config, record_states=record_states)
     assert len(simulate(shared_problem, config, events,
                         record_states=record_states).times) == 9
+    runs = simulate_ensemble(shared_problem, config, 1, lambda k: events,
+                             record_states=record_states)
     with pytest.raises(ConfigurationError) as refused:
-        simulate(shared_problem, config, events, record_states=record_states,
-                 jump_free=jump_free)
+        next(runs)
     message = str(refused.value)
     assert "the 9 time nodes of horizon 0.3 at dt = 0.05 and the jump-free path" in message
     assert f"about {needed / 2**30:.3g} GiB" in message
     monkeypatch.setattr(spectral, "_physical_memory", lambda: needed)
-    assert len(simulate(shared_problem, config, events, record_states=record_states,
-                        jump_free=jump_free).times) == 9
+    (k, record), = simulate_ensemble(shared_problem, config, 1, lambda k: events,
+                                     record_states=record_states)
+    assert k == 0 and len(record.times) == 9
 
 
 @pytest.mark.parametrize("noise", ["atomic", "radial_stable"])
