@@ -177,9 +177,8 @@ def _cmd_converge(args) -> int:
     for k in range(spec.trajectories):
         events = _jump_path(fine, spec.master_seed, k)
         for n in coarse_levels:
-            coarse = build_problem_from_spec(spec, fine.level.model, level_n=n)
             with _trajectory_context(k):
-                result = simulate_coupled(coarse, fine, spec.solver, events)
+                result = simulate_coupled(fine, n, spec.solver, events)
             distances[n].append(result.distance)
 
     payload = {

@@ -4,13 +4,15 @@ The spec dataclasses are the schema of the sections ``[galerkin]``,
 ``[nonlinearity]`` (a ``nonlinear.Nonlinearity``), ``[noise]`` (one class per
 noise kind), ``[solver]`` (a ``solver.SolverConfig``), ``[initial]`` and
 ``[output]``: their fields give the keys, the value types, the defaults and
-the canonical key order.  ``[domain]`` is a ``spectral.Domain``, whose kind's
-row in ``spectral._DOMAIN_TABLE`` gives its length keys.  Only ``[run]`` (the
-legacy ``threads`` key) is parsed by hand.  ``parse_config`` only parses: each
-dataclass refuses its own bad values in ``__post_init__``, calling the rule's
-runtime owner, so every caller of ``load_config`` refuses what ``simulate``
-refuses at set-up.  ``build_problem_from_spec`` returns the problem alone: its
-model is ``problem.level.model``.
+the canonical key order.  Two sections are parsed by hand: ``[domain]``, a
+``spectral.Domain`` whose kind's row in ``spectral._DOMAIN_TABLE`` gives its
+length keys, and ``[run]``, with the legacy ``threads`` key.  ``parse_config``
+only parses: each dataclass refuses its own bad values in ``__post_init__``,
+calling the rule's runtime owner, so every caller of ``load_config`` refuses
+what ``simulate`` refuses at set-up.
+``build_problem_from_spec(spec)`` returns the problem at the configured level
+alone: its model is ``problem.level.model``, and ``converge`` truncates it at
+coarser levels through ``solver.simulate_coupled``.
 
 The canonical text form is deterministic (fixed section and key order,
 ``repr`` floats), so round-tripping a spec through text is the identity and
@@ -444,20 +446,13 @@ def initial_values(spec: RunSpec, model: SpectralModel) -> np.ndarray:
     raise ConfigurationError(f"unknown initial preset {ini.preset!r}")
 
 
-def build_problem_from_spec(
-    spec: RunSpec, model: SpectralModel | None = None, level_n: int | None = None
-) -> GalerkinProblem:
-    """The run's ready-to-integrate problem, on ``model`` or one built from ``spec``.
-
-    ``level_n`` truncates at another Galerkin level than the configured one
-    (coarse levels of ``converge``); initial data still follow ``spec``.
-    """
-    if model is None:
-        model = build_model_from_spec(spec)
+def build_problem_from_spec(spec: RunSpec) -> GalerkinProblem:
+    """The run's ready-to-integrate problem at the configured level."""
+    model = build_model_from_spec(spec)
     measure = None if spec.noise is None else spec.noise.measure()
     return build_problem(
         model,
-        spec.galerkin.level if level_n is None else level_n,
+        spec.galerkin.level,
         initial_values(spec, model),
         spec.horizon,
         nonlinearity=spec.nonlinearity,

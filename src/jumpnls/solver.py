@@ -40,11 +40,12 @@ its level, whose ``ea_norm`` fills the last column; a coupled run measures its
 distance by the finer level's ``dual_norm``.  A midpoint solve whose gap stops
 shrinking halves the step at once, at most ``max_halvings`` deep.
 
-A problem reads its model through its level (``problem.level.model``), and a
-problem compares and hashes by identity.  ``simulate_coupled`` refuses two
-levels that do not share their model and horizon or that truncate different
-equations: another nonlinearity, other symbol samples or other measure field
-values.
+A problem keeps its equation's data once (full-space initial data,
+nonlinearity, symbols, measure) beside its level, reads its model through the
+level (``problem.level.model``), refuses an inadmissible exponent itself, and
+compares and hashes by identity.  ``simulate_coupled`` takes one problem and a
+coarser level number and truncates that problem there, so a coupled run
+cannot pair two different equations.
 """
 
 from __future__ import annotations
@@ -106,33 +107,36 @@ class SolverConfig:
 
 @dataclasses.dataclass(frozen=True, eq=False)
 class GalerkinProblem:
-    """One truncation level with its drift ingredients and initial state.
+    """One truncation level of an equation: the equation's data and its level.
 
-    ``initial`` holds level coefficients (already smoothed and renormalized).
+    ``initial_full`` holds the full-space initial data; ``initial`` is its
+    smoothed, renormalized truncation onto the level (``renormalize_initial``).
     ``symbols`` holds the grid samples of the noise channels, one row each;
     the problem assembles its noise operators ``ops`` from them on its own
     level, which carries the model.  ``symbols``, ``ops`` and ``measure``
-    are None for deterministic runs.
+    are None for deterministic runs.  ``dataclasses.replace(problem,
+    level=...)`` truncates the same equation at another level: it derives
+    ``initial``, ``ops`` and the workspaces anew and shares every other field.
     """
 
     level: GalerkinLevel
     horizon: float
-    initial: np.ndarray
+    initial_full: np.ndarray
     nonlinearity: Nonlinearity | None = None
     symbols: np.ndarray | None = None
     measure: object | None = None
+    initial: np.ndarray = dataclasses.field(init=False, repr=False)
     ops: NoiseOperators | None = dataclasses.field(default=None, init=False, repr=False)
     # closure name -> drift workspace, built on first use (see _dynamics)
     _workspaces: dict = dataclasses.field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
+        model = self.level.model
+        if self.nonlinearity is not None:
+            validate_exponent(self.nonlinearity, model.domain.dimension, model.beta)
+        object.__setattr__(self, "initial", renormalize_initial(self.level, self.initial_full))
         if not (self.horizon > 0):
             raise ConfigurationError(f"horizon must be positive, got {self.horizon}")
-        if self.initial.shape != (self.level.dim,):
-            raise ShapeError(
-                f"initial state must have {self.level.dim} coefficients, "
-                f"got shape {self.initial.shape}"
-            )
         if self.symbols is not None:
             object.__setattr__(self, "ops", assemble_noise_operators(self.level, self.symbols))
         if self.measure is not None and self.ops is None:
@@ -157,7 +161,8 @@ def renormalize_initial(level: GalerkinLevel, initial_full: np.ndarray) -> np.nd
 
     Returns S_n u0 scaled so its norm equals ||u0||; the zero vector if the
     truncation annihilates u0 entirely.  Data with a non-finite coefficient,
-    or whose norm overflows, is refused.
+    or whose norm overflows, is refused, and data that do not cover the
+    level's modes raise ``ShapeError``.
     """
     initial_full = np.asarray(initial_full, dtype=complex)
     # a non-finite coefficient makes the norm non-finite, without a warning
@@ -184,17 +189,8 @@ def build_problem(
     measure=None,
 ) -> GalerkinProblem:
     """Build the level and the problem on it for one truncation."""
-    level = build_level(model, level_n)
-    if nonlinearity is not None:
-        validate_exponent(nonlinearity, model.domain.dimension, model.beta)
-    return GalerkinProblem(
-        level=level,
-        horizon=float(horizon),
-        initial=renormalize_initial(level, initial_full),
-        nonlinearity=nonlinearity,
-        symbols=symbols,
-        measure=measure,
-    )
+    return GalerkinProblem(build_level(model, level_n), float(horizon), initial_full,
+                           nonlinearity, symbols, measure)
 
 
 # ---------------------------------------------------------------------------
@@ -646,57 +642,41 @@ class CoupledResult:
     distance: float             # sup over the nodes
 
 
-def _same_values(a, b) -> bool:
-    """Whether ``a`` and ``b`` hold equal values: both None, dataclasses of one
-    type whose fields hold equal values, or equal arrays (``np.array_equal``)."""
-    if a is None or b is None:
-        return a is b
-    if dataclasses.is_dataclass(a):
-        return type(a) is type(b) and all(
-            _same_values(getattr(a, f.name), getattr(b, f.name)) for f in dataclasses.fields(a))
-    return np.array_equal(a, b)
-
-
 def simulate_coupled(
-    problem_low: GalerkinProblem,
-    problem_high: GalerkinProblem,
+    problem: GalerkinProblem,
+    level_n: int,
     config: SolverConfig,
     events: list[JumpEvent],
 ) -> CoupledResult:
-    """Run two truncation levels against one jump path ``events`` (``[]`` if none).
+    """Run ``problem`` and its truncation at the coarser level ``level_n``
+    against one jump path ``events`` (``[]`` if none).
 
-    Both problems must share the spectral model and horizon, with the first
-    strictly coarser, so its modes are a prefix of the finer level's, and
-    truncate one equation: the same nonlinearity, noise symbol samples and
-    jump measure field values.  The levels advance together; the dual-norm
-    difference is taken at each node on the finer level's modes (the coarse
-    state embeds by zero padding), and the returned distance is its supremum.
-    No state history is kept.
+    The coarse problem is ``problem`` on ``build_level(model, level_n)``, so
+    both truncate one equation, and its modes are a prefix of the finer
+    level's.  The levels advance together; the dual-norm difference is taken
+    at each node on the finer level's modes (the coarse state embeds by zero
+    padding), and the returned distance is its supremum.  No state history
+    is kept.
     """
-    if problem_low.level.model is not problem_high.level.model:
-        raise ConfigurationError("coupled runs need a shared spectral model")
-    if problem_low.horizon != problem_high.horizon:
-        raise ConfigurationError("coupled runs need a common horizon")
-    if problem_low.level.n >= problem_high.level.n:
-        raise ConfigurationError("first problem must be the coarser level")
-    for part in ("nonlinearity", "symbols", "measure"):
-        low, high = getattr(problem_low, part), getattr(problem_high, part)
-        if not _same_values(low, high):
-            raise ConfigurationError(f"coupled runs need one equation; the levels' {part} "
-                                     f"fields differ")
-    problems = [problem_low, problem_high]
+    if level_n >= problem.level.n:
+        raise ConfigurationError(
+            f"coupled level {level_n} must be coarser than the problem's level "
+            f"{problem.level.n}"
+        )
+    coarse = dataclasses.replace(problem, level=build_level(problem.level.model, level_n))
+    problems = [coarse, problem]
     events = _check_events(problems, events)
     # per node: the grid, ``ends`` and the distance, in float64
-    grid = _time_grid(problem_low.horizon, config.dt, [e.time for e in events], 8 * 3)
+    grid = _time_grid(problem.horizon, config.dt, [e.time for e in events], 8 * 3)
     distances = np.empty_like(grid)
 
     def add_distance(i, states):
         low, high = states
         gap = high.copy()
         gap[:low.size] -= low   # the coarse modes are a prefix of the fine ones
-        distances[i] = problem_high.level.dual_norm(gap)
+        distances[i] = problem.level.dual_norm(gap)
 
     run = _Run(grid, [p.initial.astype(complex, copy=True) for p in problems])
     _run_levels(problems, config, events, run, add_distance)
-    return CoupledResult((problem_low.level.n, problem_high.level.n), grid, distances,
+    return CoupledResult((level_n, problem.level.n), grid, distances,
                          float(np.max(distances)))

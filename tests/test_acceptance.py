@@ -280,9 +280,7 @@ def test_09_coupled_level_convergence(model):
                                 symbols=np.cos(x), measure=measure)
     distances = []
     for n in (4, 5, 6, 7):
-        coarse = solver.build_problem(model, n, slow, 0.5, nonlinearity=nl,
-                                      symbols=np.cos(x), measure=measure)
-        result = solver.simulate_coupled(coarse, fine, config, events)
+        result = solver.simulate_coupled(fine, n, config, events)
         distances.append(result.distance)
     decreasing = all(a > b for a, b in zip(distances, distances[1:]))
     _check(9, "coupled-level convergence", decreasing and distances[-1] > 0,

@@ -335,9 +335,9 @@ def test_converge_drives_each_trajectory_with_its_simulate_path(tmp_path, monkey
                  "--trajectories", "2"]) == 0
     paths = []
 
-    def recording(low, high, config, events):
+    def recording(problem, level_n, config, events):
         paths.append(events)
-        return simulate_coupled(low, high, config, events)
+        return simulate_coupled(problem, level_n, config, events)
 
     monkeypatch.setattr(jumpnls.cli, "simulate_coupled", recording)
     assert main(["converge", "--config", config, "--levels", "4",

@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from jumpnls import solver
 from jumpnls.config import (
     AtomicNoiseSpec,
     GalerkinSpec,
@@ -25,7 +26,7 @@ from jumpnls.config import (
 from jumpnls.exceptions import ConfigurationError
 from jumpnls.noise import AtomicMeasure, RadialStableMeasure
 from jumpnls.nonlinear import focusing
-from jumpnls.solver import build_problem
+from jumpnls.solver import build_problem, simulate_coupled
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 WORKLOAD_DIR = Path(__file__).resolve().parent.parent / "perfbench" / "workloads"
@@ -301,24 +302,34 @@ def test_build_problem_from_spec_assembly():
     assert symbols.shape == (1, model.num_grid)
 
 
-def test_coarse_level_keeps_configured_initial_data():
-    # the plateau preset reads galerkin.level, so a coarse problem must come
-    # from the configured spec, not from one whose level was replaced; after
-    # renormalization the two agree only to rounding, and converge output
-    # is compared byte for byte
+def test_coarse_level_keeps_configured_initial_data(monkeypatch):
+    # the plateau preset reads galerkin.level, so the coarse problem that
+    # simulate_coupled builds keeps the configured spec's initial data, not
+    # that of a spec whose level was replaced; after renormalization the two
+    # agree only to rounding, and converge output is compared byte for byte
     spec = parse_config(MINIMAL.replace("preset = decaying", "preset = plateau"))
-    model = build_model_from_spec(spec)
+    fine = build_problem_from_spec(spec)
+    model = fine.level.model
+    coupled = []
+    run_levels = solver._run_levels
+
+    def recording(problems, *args, **kwargs):
+        coupled.append(problems)
+        return run_levels(problems, *args, **kwargs)
+
+    monkeypatch.setattr(solver, "_run_levels", recording)
     relevelled_differs = []
     for n in range(spec.galerkin.level):
-        coarse = build_problem_from_spec(spec, model, level_n=n)
-        assert coarse.level.n == n
-        direct = build_problem(model, n, initial_values(spec, model),
-                               spec.horizon)
+        simulate_coupled(fine, n, spec.solver, [])
+        (coarse, reference), = coupled
+        coupled.clear()
+        assert coarse.level.n == n and reference is fine
+        direct = build_problem(model, n, initial_values(spec, model), spec.horizon)
         np.testing.assert_array_equal(coarse.initial, direct.initial)
         relevelled = dataclasses.replace(
             spec, galerkin=dataclasses.replace(spec.galerkin, level=n)
         )
-        other = build_problem_from_spec(relevelled, model)
+        other = build_problem_from_spec(relevelled)
         relevelled_differs.append(not np.array_equal(coarse.initial,
                                                      other.initial))
     assert any(relevelled_differs)

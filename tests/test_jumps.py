@@ -170,8 +170,7 @@ def test_build_level_binds_the_only_transform_pair(torus2d_model, monkeypatch):
     measure = noise.AtomicMeasure(marks=[[0.5], [-0.3], [0.05]], weights=[6.0, 6.0, 3.0],
                                   epsilon=0.1)
     decaying = np.exp(-0.5 * np.sqrt(model.eigenvalues_S))
-    initial = solver.renormalize_initial(level, decaying)
-    problem = solver.GalerkinProblem(level, 0.2, initial, nonlinear.defocusing(3.0),
+    problem = solver.GalerkinProblem(level, 0.2, decaying, nonlinear.defocusing(3.0),
                                      symbols=[np.cos(model.grid_points[:, 0])],
                                      measure=measure)
     ops = problem.ops

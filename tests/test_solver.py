@@ -129,6 +129,21 @@ def test_problem_validation(torus_model):
         )
 
 
+def test_a_problem_refuses_its_own_inadmissible_exponent(torus_model):
+    # built directly, not through build_problem, on the 1-d torus (beta 1)
+    level = build_level(torus_model, 4)
+    initial = np.ones(level.dim, dtype=complex)
+    with pytest.raises(ConfigurationError, match=r"requires alpha < 5\.0"):
+        GalerkinProblem(level, 1.0, initial, nonlinearity=focusing(6.0))
+    assert GalerkinProblem(level, 1.0, initial, nonlinearity=focusing(4.0)).nonlinearity
+
+
+def test_a_problem_refuses_initial_data_short_of_its_level(torus_model):
+    level = build_level(torus_model, 4)
+    with pytest.raises(ShapeError, match="does not cover the level's modes"):
+        GalerkinProblem(level, 1.0, np.ones(level.dim - 1, dtype=complex))
+
+
 def test_a_problem_takes_its_model_from_its_level():
     # A and B both have 16 grid nodes: a problem on B's level given A would
     # mix B's eigenvalues and pair with A's grid weights and symbols
@@ -139,10 +154,10 @@ def test_a_problem_takes_its_model_from_its_level():
     initial = np.ones(level.dim, dtype=complex)
     symbols = [np.cos(a.grid_points[:, 0])]
     with pytest.raises(TypeError, match="model"):
-        GalerkinProblem(model=a, level=level, horizon=1.0, initial=initial)
+        GalerkinProblem(model=a, level=level, horizon=1.0, initial_full=initial)
     with pytest.raises(TypeError):
         jumps.assemble_noise_operators(a, level, symbols)
-    problem = GalerkinProblem(level=level, horizon=1.0, initial=initial, symbols=symbols)
+    problem = GalerkinProblem(level=level, horizon=1.0, initial_full=initial, symbols=symbols)
     assert problem.level.model is b and problem.ops.level is level
     assert _Dynamics(problem, SolverConfig()).grid_weights is b.grid_weights
 
@@ -239,7 +254,7 @@ def test_time_grid_refused_beyond_physical_memory(torus_model, monkeypatch, reco
         needed = 11 * 8 * (2 + 1)
 
         def run():
-            return simulate_coupled(problem, finer, config, [])
+            return simulate_coupled(finer, 3, config, [])
     else:
         needed = 11 * (8 * (2 + 4) + (16 * problem.level.dim if record_states else 0))
 
@@ -820,7 +835,7 @@ def test_simulate_event_validation(torus_model, cos_symbol):
     finer = build_problem(torus_model, 6, decaying_initial(torus_model), 1.0,
                           symbols=cos_symbol, measure=measure)
     with pytest.raises(TypeError, match="events"):
-        simulate_coupled(noisy, finer, SolverConfig(dt=0.1))
+        simulate_coupled(finer, 4, SolverConfig(dt=0.1))
 
 
 @pytest.fixture(scope="module")
@@ -911,7 +926,7 @@ def test_a_jump_at_time_zero_shows_in_the_node_zero_state():
     # at t = 0, where the jump-free path shares nothing (branch node -1)
     spec = shipped_spec("atomic_cubic", [(("run", "horizon"), "0.01")])
     fine = build_problem_from_spec(spec)
-    coarse = build_problem_from_spec(spec, fine.level.model, level_n=4)
+    coarse = dataclasses.replace(fine, level=build_level(fine.level.model, 4))
     mark = np.array([0.45])
     events = [JumpEvent(time=0.0, mark=mark)]
     jumped = jump_map(fine.ops, mark, fine.initial)
@@ -923,7 +938,7 @@ def test_a_jump_at_time_zero_shows_in_the_node_zero_state():
     gap = jumped.copy()
     gap[:coarse.level.dim] -= jump_map(coarse.ops, mark, coarse.initial)
     want = np.sqrt(np.sum(np.abs(gap) ** 2 / fine.level.ea_weights))
-    distance = simulate_coupled(coarse, fine, spec.solver, events).distances[0]
+    distance = simulate_coupled(fine, 4, spec.solver, events).distances[0]
     assert distance == pytest.approx(want, rel=1e-14, abs=0)
 
 
@@ -983,10 +998,10 @@ def test_jump_path_makes_no_eigh_call(torus_model, cos_symbol, noise, monkeypatc
     else:
         measure = RadialStableMeasure(activity=2.0, stability=1.2, dimension=1,
                                       epsilon=0.2)
-    tiny, low, high = (
+    tiny, high = (
         build_problem(torus_model, n, decaying_initial(torus_model), 1.0,
                       nonlinearity=defocusing(3.0), symbols=cos_symbol, measure=measure)
-        for n in (2, 6, 8)
+        for n in (2, 8)
     )
     config = SolverConfig(dt=0.05, closure=CLOSURE_TAYLOR2)
     events = sample_prm(measure, 1.0, trajectory_rng(5, 1))
@@ -999,7 +1014,7 @@ def test_jump_path_makes_no_eigh_call(torus_model, cos_symbol, noise, monkeypatc
 
     monkeypatch.setattr(np.linalg, "eigh", eigh)
     record = simulate(high, config, sample_prm(measure, 1.0, trajectory_rng(5, 0)))
-    coupled = simulate_coupled(low, high, config, events)
+    coupled = simulate_coupled(high, 6, config, events)
     small = simulate(tiny, config, events=events)
     assert record.events and events and small.events
     assert np.isin([e.time for e in events], coupled.times).all()
@@ -1023,61 +1038,24 @@ def test_coupled_levels_identical_for_resolved_linear_flow(torus_model, cos_symb
     measure = AtomicMeasure(marks=[[0.6], [-0.6]], weights=[2.0, 2.0])
     constant_symbol = np.ones(torus_model.num_grid)
 
-    problems = [
-        build_problem(torus_model, n, u0, 1.0, symbols=constant_symbol,
-                      measure=measure)
-        for n in (3, 6)
-    ]
+    fine = build_problem(torus_model, 6, u0, 1.0, symbols=constant_symbol, measure=measure)
     events = sample_prm(measure, 1.0, trajectory_rng(5, 0))
-    result = simulate_coupled(problems[0], problems[1], SolverConfig(dt=0.05), events)
+    result = simulate_coupled(fine, 3, SolverConfig(dt=0.05), events)
     assert result.levels == (3, 6)
     assert events and np.isin([e.time for e in events], result.times).all()
     assert result.distance <= 1e-12
     assert len(result.distances) == len(result.times)
 
 
-def test_coupled_levels_validation(torus_model, cos_symbol):
+def test_coupled_levels_validation(torus_model):
     u0 = decaying_initial(torus_model)
     p4 = build_problem(torus_model, 4, u0, 1.0)
-    p6 = build_problem(torus_model, 6, u0, 1.0)
-    with pytest.raises(ConfigurationError):
-        simulate_coupled(p6, p4, SolverConfig(dt=0.1), [])
-    with pytest.raises(ConfigurationError):
-        simulate_coupled(p4, p4, SolverConfig(dt=0.1), [])
-    p_short = build_problem(torus_model, 6, u0, 0.5)
-    with pytest.raises(ConfigurationError):
-        simulate_coupled(p4, p_short, SolverConfig(dt=0.1), [])
-    with pytest.raises(ConfigurationError):
-        simulate_coupled(p4, p6, SolverConfig(dt=0.1),
+    for level_n in (6, 4):
+        with pytest.raises(ConfigurationError, match=f"coupled level {level_n} must be coarser"):
+            simulate_coupled(p4, level_n, SolverConfig(dt=0.1), [])
+    with pytest.raises(ConfigurationError, match="without noise operators"):
+        simulate_coupled(build_problem(torus_model, 6, u0, 1.0), 4, SolverConfig(dt=0.1),
                          [JumpEvent(0.5, np.array([0.3]))])
-
-
-@pytest.mark.parametrize("part", ["nonlinearity", "symbols", "measure"])
-def test_coupled_levels_of_two_equations_are_refused(torus_model, part):
-    x = torus_model.grid_points[:, 0]
-
-    def equation(focused):
-        # the coarse level's equation: focusing alpha 2, a sin channel and one
-        # atom 0.9 : 5; the fine one's: defocusing alpha 3, cos, atoms +-0.3 : 1
-        if focused:
-            return dict(nonlinearity=focusing(2.0), symbols=np.sin(x),
-                        measure=AtomicMeasure(marks=[[0.9]], weights=[5.0]))
-        return dict(nonlinearity=defocusing(3.0), symbols=np.cos(x),
-                    measure=AtomicMeasure(marks=[[0.3], [-0.3]], weights=[1.0, 1.0]))
-
-    u0 = decaying_initial(torus_model)
-    fine = build_problem(torus_model, 6, u0, 0.2, **equation(False))
-    low = build_problem(torus_model, 4, u0, 0.2, **{**equation(False), part: equation(True)[part]})
-    with pytest.raises(ConfigurationError, match=f"levels' {part} fields differ"):
-        simulate_coupled(low, fine, SolverConfig(dt=0.1), [])
-    if part == "measure":  # and a level without one
-        bare = build_problem(torus_model, 4, u0, 0.2, nonlinearity=defocusing(3.0),
-                             symbols=np.cos(x))
-        with pytest.raises(ConfigurationError, match="levels' measure fields differ"):
-            simulate_coupled(bare, fine, SolverConfig(dt=0.1), [])
-    # the same equation, built anew, couples
-    same = build_problem(torus_model, 4, u0, 0.2, **equation(False))
-    assert simulate_coupled(same, fine, SolverConfig(dt=0.1), []).distance >= 0.0
 
 
 def test_coupled_nonlinear_distance_shrinks_with_level(torus_model):
@@ -1094,8 +1072,7 @@ def test_coupled_nonlinear_distance_shrinks_with_level(torus_model):
 
     fine = problem(7)
     events = sample_prm(measure, 0.5, trajectory_rng(123, 0))
-    distances = [simulate_coupled(problem(n), fine, config, events).distance
-                 for n in (3, 5)]
+    distances = [simulate_coupled(fine, n, config, events).distance for n in (3, 5)]
     assert distances[1] < distances[0]
 
 
@@ -1116,9 +1093,9 @@ def test_coupled_levels_match_independent_runs(torus_model, cos_symbol, mode, cl
     ]
     events = sample_prm(measure, 1.0, trajectory_rng(17, 0))
     assert events
-    result = simulate_coupled(*problems, config, events)
-    assert all(p._workspaces[closure].noise_matrix is not None for p in problems)
+    result = simulate_coupled(problems[1], 4, config, events)
     low, high = (simulate(problem, config, events=events) for problem in problems)
+    assert all(p._workspaces[closure].noise_matrix is not None for p in problems)
     assert result.levels == (4, 6)
     assert result.times.tobytes() == high.times.tobytes()
 
@@ -1131,7 +1108,7 @@ def test_coupled_levels_match_independent_runs(torus_model, cos_symbol, mode, cl
     assert result.distance == np.max(want)
 
 
-def test_coupled_memory_does_not_grow_with_nodes():
+def test_coupled_memory_does_not_grow_with_nodes(monkeypatch):
     # a coupled run holds one state per level, so an 8x longer horizon adds
     # only the grid, the jump boundaries and the distance, 24 B per node: far
     # less than five record columns per level, or the half fine-level state
@@ -1140,13 +1117,20 @@ def test_coupled_memory_does_not_grow_with_nodes():
     u0 = decaying_initial(model)
     config = SolverConfig(dt=0.01)
 
+    def coarse_level(model, n):
+        # the coarse level's transform build peaks above the run: the peak
+        # is taken from after it, or it would hide any growth of the run
+        level = build_level(model, n)
+        tracemalloc.reset_peak()
+        return level
+
+    monkeypatch.setattr(solver, "build_level", coarse_level)
+
     def peak(horizon):
-        low, high = (build_problem(model, n, u0, horizon,
-                                   nonlinearity=defocusing(3.0))
-                     for n in (8, 10))
+        high = build_problem(model, 10, u0, horizon, nonlinearity=defocusing(3.0))
         tracemalloc.start()
         try:
-            result = simulate_coupled(low, high, config, [])
+            result = simulate_coupled(high, 8, config, [])
             return tracemalloc.get_traced_memory()[1], result, high.level.dim
         finally:
             tracemalloc.stop()
@@ -1168,14 +1152,12 @@ def test_coupled_run_records_nothing(torus_model, cos_symbol, monkeypatch):
 
     monkeypatch.setattr(solver, "_record_node", record_node)
     measure = AtomicMeasure(marks=[[0.5], [-0.5]], weights=[2.0, 2.0])
-    low, high = (build_problem(torus_model, n, decaying_initial(torus_model), 0.5,
-                               nonlinearity=defocusing(3.0), symbols=cos_symbol,
-                               measure=measure)
-                 for n in (4, 6))
+    high = build_problem(torus_model, 6, decaying_initial(torus_model), 0.5,
+                         nonlinearity=defocusing(3.0), symbols=cos_symbol, measure=measure)
     config = SolverConfig(dt=0.05)
     events = sample_prm(measure, 0.5, trajectory_rng(3, 0))
     assert events
-    result = simulate_coupled(low, high, config, events)
+    result = simulate_coupled(high, 4, config, events)
     assert len(result.distances) == len(result.times) > 11
     with pytest.raises(AssertionError, match="a node was recorded"):
         simulate(high, config, events)
