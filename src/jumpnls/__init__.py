@@ -64,6 +64,7 @@ _EXPORTS = {
     "SolverConfig": "solver",
     "TrajectoryRecord": "solver",
     "build_problem": "solver",
+    "converge_ensemble": "solver",
     "drift": "solver",
     "renormalize_initial": "solver",
     "simulate": "solver",

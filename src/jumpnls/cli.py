@@ -7,13 +7,16 @@ its own ``(master_seed, index)`` stream.  ``simulate`` takes the trajectories
 in the order ``solver.simulate_ensemble`` runs them.  Each trajectory is
 written row by row as soon as it finishes and then reduced to its summary
 entries, and a run refuses a trajectory count whose summary entries
-(``TRAJECTORY_BYTES`` each) would exceed physical memory.
+(``TRAJECTORY_BYTES`` each) would exceed physical memory.  ``converge``
+parses ``--levels`` as integers and writes what one
+``solver.converge_ensemble`` call returns; the solver refuses repeated or
+non-coarser levels and orders, draws, couples and names the trajectories of
+both commands.
 """
 
 from __future__ import annotations
 
 import argparse
-import contextlib
 import dataclasses
 import json
 import os
@@ -29,7 +32,7 @@ from .config import (
 )
 from .exceptions import ConfigurationError, NumericsError
 from .noise import sample_prm, trajectory_rng, trajectory_seed
-from .solver import simulate_coupled, simulate_ensemble
+from .solver import converge_ensemble, simulate_ensemble
 from .spectral import _check_memory
 
 #: bytes ``simulate`` keeps per trajectory until it has streamed ``summary.json``:
@@ -46,15 +49,6 @@ def _apply_overrides(spec, args):
     if getattr(args, "trajectories", None) is not None:
         updates["trajectories"] = args.trajectories
     return dataclasses.replace(spec, **updates) if updates else spec
-
-
-@contextlib.contextmanager
-def _trajectory_context(index: int):
-    """Prefix a ``NumericsError`` raised inside with the trajectory index."""
-    try:
-        yield
-    except NumericsError as exc:
-        raise NumericsError(f"trajectory {index}: {exc}") from exc
 
 
 def _jump_path(problem, master_seed: int, index: int):
@@ -164,34 +158,17 @@ def _cmd_converge(args) -> int:
         coarse_levels = sorted(int(tok) for tok in args.levels.split(","))
     except ValueError as exc:
         raise ConfigurationError(f"bad --levels value {args.levels!r}") from exc
-    if len(set(coarse_levels)) != len(coarse_levels):
-        raise ConfigurationError(f"--levels repeats a level: {args.levels!r}")
-    fine_n = spec.galerkin.level
-    if any(n >= fine_n for n in coarse_levels):
-        raise ConfigurationError(
-            f"--levels must all be coarser than the configured level {fine_n}"
-        )
 
     fine = build_problem_from_spec(spec)
-    distances = {n: [] for n in coarse_levels}
-    for k in range(spec.trajectories):
-        events = _jump_path(fine, spec.master_seed, k)
-        for n in coarse_levels:
-            with _trajectory_context(k):
-                result = simulate_coupled(fine, n, spec.solver, events)
-            distances[n].append(result.distance)
-
+    distances = converge_ensemble(fine, coarse_levels, spec.solver, spec.trajectories,
+                                  lambda k: _jump_path(fine, spec.master_seed, k))
     payload = {
         "config_hash": config_hash(spec),
-        "fine_level": fine_n,
+        "fine_level": fine.level.n,
         "levels": coarse_levels,
         "trajectories": spec.trajectories,
-        "mean_distance": {
-            str(n): float(np.mean(distances[n])) for n in coarse_levels
-        },
-        "distances": {
-            str(n): [float(d) for d in distances[n]] for n in coarse_levels
-        },
+        "mean_distance": {str(n): float(np.mean(ds)) for n, ds in distances.items()},
+        "distances": {str(n): ds for n, ds in distances.items()},
     }
     if args.out:
         _write_lines(args.out, _json_chunks(payload))

@@ -14,10 +14,12 @@ At each sampled jump the state is pushed through the unitary time-1 flow
 Two steppers are provided.  ``FaithfulMidpoint`` treats the diagonal part
 exactly (half-step phase factors) and applies the implicit midpoint rule to
 the remaining non-stiff drift, so mass is conserved to the fixed-point
-tolerance and the pure-diagonal flow is reproduced to rounding.  ``SplitStep``
-composes half-step phases with an exact pointwise gauge rotation for the
-nonlinearity and an explicit Euler substep for the noise drift; it is cheaper
-and first-order accurate in the mass budget, second order in the state.
+tolerance (to rounding on a halved step without a noise term, whose substeps
+are projected onto their starting norm) and the pure-diagonal flow is
+reproduced to rounding.  ``SplitStep`` composes half-step phases with an exact
+pointwise gauge rotation for the nonlinearity and an explicit Euler substep
+for the noise drift; it is cheaper and first-order accurate in the mass
+budget, second order in the state.
 
 ``simulate`` and ``simulate_coupled`` run one loop that advances a list of
 levels together over the shared jump-adapted grid, and that loop can stop
@@ -30,7 +32,11 @@ path on the uniform nodes.  ``simulate_ensemble`` runs the trajectories in
 order of first jump (ties by index), so that path only advances, and each
 ``simulate`` copies it through its branch node.  A path is drawn once for its
 branch node, dropped and drawn again to run, so a run holds one jump path and
-one record at a time beside the jump-free path's.
+one record at a time beside the jump-free path's.  ``converge_ensemble``
+refuses a repeated level or one that is not coarser before it draws, then
+draws each path once and couples it at every level with ``simulate_coupled``.
+Both ensembles prefix a ``NumericsError`` with ``trajectory k: `` in one
+helper.
 
 Each problem keeps one drift workspace per closure, built on first use, whose
 step loop transforms through the pair that ``build_level`` bound on the level
@@ -38,7 +44,8 @@ and weighs by the level's eigenvalue views.  A record holds its node columns
 (``TrajectoryRecord.COLUMNS``) in one float64 block, a row per node, beside
 its level, whose ``ea_norm`` fills the last column; a coupled run measures its
 distance by the finer level's ``dual_norm``.  A midpoint solve whose gap stops
-shrinking halves the step at once, at most ``max_halvings`` deep.
+shrinking halves the step at once, at most ``max_halvings`` deep.  A node's
+record reads an overflow as inf, without a warning, as ``eval_F`` does.
 
 A problem keeps its equation's data once (full-space initial data,
 nonlinearity, symbols, measure) beside its level, reads its model through the
@@ -324,12 +331,16 @@ def _midpoint_remainder(dyn: _Dynamics, state, tau, config, depth=0):
     state change per iteration, so the per-step mass defect is
     O(tau * fp_tol * |r|).  An iteration whose gap does not shrink stops
     contracting, and the step halves at once instead of using up
-    ``max_fp_iters``.  Returns the new state and the largest iteration count
-    of its converged substeps.
+    ``max_fp_iters``.  The substeps' defects would add up, so without a noise
+    term (whose drift moves the mass) each substep of a halved step is
+    projected back onto its starting norm (Hairer, Lubich & Wanner, *Geometric
+    Numerical Integration*, IV.4).  Returns the new state and the largest
+    iteration count of its converged substeps.
     """
     if not dyn.has_remainder:
         return state, 0
-    scale = max(1.0, _norm(state))
+    start = _norm(state)
+    scale = max(1.0, start)
     # a diverging iterate may overflow through the nonlinearity; the inf/nan
     # gap simply reads as non-converged and the clean-state halving below
     # takes over, so the intermediate arithmetic warnings are noise
@@ -341,7 +352,12 @@ def _midpoint_remainder(dyn: _Dynamics, state, tau, config, depth=0):
             gap = _norm(d_next - d)
             d = d_next
             if tau * gap <= config.fp_tol * scale:
-                return state + tau * d, iteration + 1
+                end = state + tau * d
+                if depth and dyn.noise_matrix is None:
+                    norm = _norm(end)
+                    if 0.0 < min(start, norm) and max(start, norm) < math.inf:
+                        end *= start / norm
+                return end, iteration + 1
             if not gap < previous:
                 break
             previous = gap
@@ -460,10 +476,12 @@ def _check_events(problems, events) -> list[JumpEvent]:
 
 
 def _record_node(record: TrajectoryRecord, dyn: _Dynamics, i: int, u) -> None:
-    sq = np.abs(u) ** 2
-    record.columns[i] = (sq.sum(), 0.5 * (dyn.lam @ sq),  # in COLUMNS order
-                         0.0 if dyn.nl is None else dyn.potential(u),
-                         record.level.ea_norm(u))
+    # a huge state overflows to inf in the record, silently as in eval_F
+    with np.errstate(over="ignore", invalid="ignore"):
+        sq = np.abs(u) ** 2
+        record.columns[i] = (sq.sum(), 0.5 * (dyn.lam @ sq),  # in COLUMNS order
+                             0.0 if dyn.nl is None else dyn.potential(u),
+                             record.level.ea_norm(u))
     if record.states is not None:
         record.states[i] = u
 
@@ -623,11 +641,15 @@ def simulate_ensemble(problem: GalerkinProblem, config: SolverConfig, count: int
                 node = jump_free._run.node  # the failed step starts there
                 failed = k if node >= branch[k] else min(
                     i for i, b in enumerate(branch) if b > node)
-                raise NumericsError(f"trajectory {failed}: {exc}") from exc
+                raise _trajectory_error(failed, exc) from exc
             yield k, record
             del record  # not held while the next trajectory runs
 
     return runs()
+
+
+def _trajectory_error(index: int, exc: NumericsError) -> NumericsError:
+    return NumericsError(f"trajectory {index}: {exc}")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -640,6 +662,15 @@ class CoupledResult:
     times: np.ndarray
     distances: np.ndarray       # per node, || . ||_{E_A*}
     distance: float             # sup over the nodes
+
+
+def _check_levels(problem: GalerkinProblem, levels) -> None:
+    if len(set(levels)) != len(levels):
+        raise ConfigurationError(f"the level list {list(levels)} repeats a level")
+    for n in levels:
+        if n >= problem.level.n:
+            raise ConfigurationError(f"coupled level {n} must be coarser than the problem's "
+                                     f"level {problem.level.n}")
 
 
 def simulate_coupled(
@@ -658,11 +689,7 @@ def simulate_coupled(
     padding), and the returned distance is its supremum.  No state history
     is kept.
     """
-    if level_n >= problem.level.n:
-        raise ConfigurationError(
-            f"coupled level {level_n} must be coarser than the problem's level "
-            f"{problem.level.n}"
-        )
+    _check_levels(problem, [level_n])
     coarse = dataclasses.replace(problem, level=build_level(problem.level.model, level_n))
     problems = [coarse, problem]
     events = _check_events(problems, events)
@@ -680,3 +707,20 @@ def simulate_coupled(
     _run_levels(problems, config, events, run, add_distance)
     return CoupledResult((level_n, problem.level.n), grid, distances,
                          float(np.max(distances)))
+
+
+def converge_ensemble(problem: GalerkinProblem, levels, config: SolverConfig, count: int, draw):
+    """``{n: [sup distance of trajectory k]}`` of ``simulate_coupled(problem, n, ...)``.
+
+    Repeated or non-coarser levels are refused before the first draw; then path
+    ``draw(k)`` is drawn once per trajectory and drives each level in turn."""
+    _check_levels(problem, levels)
+    distances = {n: [] for n in levels}
+    for k in range(count):
+        events = draw(k)
+        try:
+            for n in levels:
+                distances[n].append(simulate_coupled(problem, n, config, events).distance)
+        except NumericsError as exc:
+            raise _trajectory_error(k, exc) from exc
+    return distances

@@ -339,7 +339,7 @@ def test_converge_drives_each_trajectory_with_its_simulate_path(tmp_path, monkey
         paths.append(events)
         return simulate_coupled(problem, level_n, config, events)
 
-    monkeypatch.setattr(jumpnls.cli, "simulate_coupled", recording)
+    monkeypatch.setattr(jumpnls.solver, "simulate_coupled", recording)
     assert main(["converge", "--config", config, "--levels", "4",
                  "--trajectories", "2"]) == 0
     assert len(paths) == 2
@@ -354,6 +354,16 @@ def test_converge_drives_each_trajectory_with_its_simulate_path(tmp_path, monkey
 def test_converge_rejects_non_coarser_levels(fast_config, capsys):
     assert main(["converge", "--config", fast_config, "--levels", "3"]) == 2
     assert "coarser" in capsys.readouterr().err
+
+
+def test_converge_refuses_a_non_coarser_level_before_drawing_a_path(fast_config, capsys,
+                                                                    monkeypatch):
+    # level 1 is coarser than the configured level 3 and would run first
+    draws = []
+    monkeypatch.setattr(cli, "sample_prm", lambda *args: draws.append(args))
+    assert main(["converge", "--config", fast_config, "--levels", "1,3"]) == 2
+    assert "error: coupled level 3 must be coarser" in capsys.readouterr().err
+    assert draws == []
 
 
 @pytest.mark.parametrize("count", ["0", "-1"])
@@ -599,6 +609,33 @@ def test_numerics_error_names_trajectory_and_time(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "trajectory 0: level 2: step t=0.0 -> " in err and "(dt=" in err
     assert "failed to converge" in err
+
+
+@pytest.mark.parametrize("scale", ["1e80", "1e154"])
+@pytest.mark.parametrize("mode", ["SplitStep", "FaithfulMidpoint"])
+def test_an_overflowing_potential_is_recorded_as_inf_without_a_warning(tmp_path, capsys, mode,
+                                                                        scale):
+    # modulus 1e80: |v|^4 overflows on the grid; 1e154: the mass is near the
+    # float maximum and the kinetic and ea_norm sums overflow too.  The suite
+    # turns a leaked RuntimeWarning into an error, so each run must end as
+    # the CLI reports it
+    text = ((CONFIG_DIR / "atomic_cubic.ini").read_text(encoding="utf-8")
+            .replace("mode = FaithfulMidpoint", f"mode = {mode}")
+            .replace("scale = 1.0", f"scale = {scale}").replace("horizon = 1.0", "horizon = 0.01"))
+    config = tmp_path / "huge.ini"
+    config.write_text(text, encoding="utf-8")
+    out = tmp_path / "out"
+    code = main(["simulate", "--config", str(config), "--out", str(out), "--trajectories", "1"])
+    err = capsys.readouterr().err
+    if mode == "SplitStep":
+        assert (code, err) == (0, "")
+        rows = (out / "traj_0000.csv").read_text().splitlines()
+        assert rows[0] == "t,mass,kinetic,potential,energy,ea_norm"
+        assert all(row.split(",")[3:5] == ["inf", "inf"] for row in rows[1:])
+    else:
+        assert code == 2
+        assert err.startswith("error: trajectory 0: step t=0.0 -> 0.005 (dt=5.000e-03): ")
+        assert "halving depth 20" in err
 
 
 def test_a_level_with_no_modes_is_a_configuration_error(tmp_path, capsys):

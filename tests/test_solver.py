@@ -41,6 +41,7 @@ from jumpnls.solver import (
     _record_node,
     _recorded_run,
     build_problem,
+    converge_ensemble,
     drift,
     renormalize_initial,
     simulate,
@@ -715,6 +716,22 @@ def test_stiff_midpoint_solve_halves_once_it_stops_contracting(monkeypatch):
     assert abs(record.mass[-1] - record.mass[0]) <= 1e-11 * record.mass[0]
 
 
+@pytest.mark.parametrize("scale,calls_before", [("10", 1_010), ("30", 7_411)])
+def test_a_halved_step_keeps_the_mass_to_rounding(monkeypatch, scale, calls_before):
+    # without the projection of each halved substep onto its starting norm the
+    # substeps' fixed-point defects add up: +1.148e-12 at modulus 10 and
+    # +1.764e-12 at 30, from 1 010 and 7 411 remainder calls
+    spec = stiff_step_spec(scale)
+    problem = build_problem_from_spec(spec)
+    dyn = solver._dynamics(problem, spec.solver)
+    assert dyn.noise_matrix is None
+    calls, remainder = [], dyn.remainder
+    monkeypatch.setattr(dyn, "remainder", lambda state: calls.append(1) or remainder(state))
+    record = simulate(problem, spec.solver, [], record_states=False)
+    assert abs(record.mass[-1] - record.mass[0]) <= 1e-13 * record.mass[0]
+    assert abs(len(calls) - calls_before) <= 0.05 * calls_before
+
+
 def test_halving_failure_names_its_depth_and_substep():
     spec = stiff_step_spec("30", (("solver", "max_halvings"), "2"))
     problem = build_problem_from_spec(spec)
@@ -1056,6 +1073,52 @@ def test_coupled_levels_validation(torus_model):
     with pytest.raises(ConfigurationError, match="without noise operators"):
         simulate_coupled(build_problem(torus_model, 6, u0, 1.0), 4, SolverConfig(dt=0.1),
                          [JumpEvent(0.5, np.array([0.3]))])
+
+
+def test_converge_ensemble_drives_every_level_with_one_draw_per_trajectory(shared_problem):
+    config = SolverConfig(dt=0.05)
+    paths = [sample_prm(shared_problem.measure, 0.3, trajectory_rng(7, k)) for k in range(3)]
+    draws = []
+
+    def draw(k):
+        draws.append(k)
+        return paths[k]
+
+    distances = converge_ensemble(shared_problem, [3, 2], config, 3, draw)
+    assert draws == [0, 1, 2]
+    assert list(distances) == [3, 2]
+    for n in (3, 2):
+        assert distances[n] == [simulate_coupled(shared_problem, n, config, path).distance
+                                for path in paths]
+
+
+def test_converge_ensemble_refuses_a_non_coarser_level_before_the_first_draw(shared_problem):
+    # level 2 is coarser than the problem's level 4 and comes first
+    draws = []
+    with pytest.raises(ConfigurationError, match="coupled level 4 must be coarser"):
+        converge_ensemble(shared_problem, [2, 4], SolverConfig(dt=0.05), 2, draws.append)
+    assert draws == []
+
+
+def test_converge_ensemble_refuses_a_repeated_level_before_the_first_draw(shared_problem):
+    # each level has one list of distances, one entry per trajectory
+    draws = []
+    with pytest.raises(ConfigurationError, match=r"the level list \[2, 2\] repeats a level"):
+        converge_ensemble(shared_problem, [2, 2], SolverConfig(dt=0.05), 2, draws.append)
+    assert draws == []
+
+
+def test_converge_ensemble_names_the_trajectory_that_fails(shared_problem, monkeypatch):
+    def failing(problem, level_n, config, events):
+        if events == "path 1":
+            raise NumericsError(f"level {level_n}: step t=0.1 -> 0.15 (dt=5.000e-02): boom")
+        return simulate_coupled(problem, level_n, config, [])
+
+    monkeypatch.setattr(solver, "simulate_coupled", failing)
+    with pytest.raises(NumericsError) as failed:
+        converge_ensemble(shared_problem, [2, 3], SolverConfig(dt=0.05), 3,
+                          lambda k: f"path {k}")
+    assert str(failed.value) == "trajectory 1: level 2: step t=0.1 -> 0.15 (dt=5.000e-02): boom"
 
 
 def test_coupled_nonlinear_distance_shrinks_with_level(torus_model):
