@@ -63,7 +63,6 @@ _EXPORTS = {
     "GalerkinProblem": "solver",
     "SolverConfig": "solver",
     "TrajectoryRecord": "solver",
-    "build_problem": "solver",
     "converge_ensemble": "solver",
     "drift": "solver",
     "renormalize_initial": "solver",

@@ -11,7 +11,9 @@ only parses: each dataclass refuses its own bad values in ``__post_init__``,
 calling the rule's runtime owner, so every caller of ``load_config`` refuses
 what ``simulate`` refuses at set-up.
 ``build_problem_from_spec(spec)`` returns the problem at the configured level
-alone: its model is ``problem.level.model``, and ``converge`` truncates it at
+alone, from one ``GalerkinProblem(level, horizon, initial_full, ...)`` call
+with the preset initial data and the ``[noise]`` symbols stacked one channel a
+row: its model is ``problem.level.model``, and ``converge`` truncates it at
 coarser levels through ``solver.simulate_coupled``.
 
 The canonical text form is deterministic (fixed section and key order,
@@ -31,8 +33,8 @@ import numpy as np
 from .exceptions import ConfigurationError
 from .noise import AtomicMeasure, RadialStableMeasure
 from .nonlinear import Nonlinearity, validate_exponent
-from .solver import GalerkinProblem, SolverConfig, build_problem, check_closure
-from .spectral import (_DOMAIN_TABLE, Domain, SpectralModel, build_spectral_model,
+from .solver import GalerkinProblem, SolverConfig, check_closure
+from .spectral import (_DOMAIN_TABLE, Domain, SpectralModel, build_level, build_spectral_model,
                        validate_model_parameters)
 
 SYMBOL_PRESETS = ("constant", "cos", "sin", "bump")
@@ -412,12 +414,6 @@ def symbol_values(name: str, model: SpectralModel) -> np.ndarray:
     raise ConfigurationError(f"unknown symbol preset {name!r}")
 
 
-def build_symbols_from_spec(spec: RunSpec, model: SpectralModel) -> np.ndarray | None:
-    if spec.noise is None:
-        return None
-    return np.stack([symbol_values(name, model) for name in spec.noise.symbols])
-
-
 def initial_values(spec: RunSpec, model: SpectralModel) -> np.ndarray:
     """Deterministic full-space initial coefficients for the chosen preset."""
     ini = spec.initial
@@ -449,13 +445,10 @@ def initial_values(spec: RunSpec, model: SpectralModel) -> np.ndarray:
 def build_problem_from_spec(spec: RunSpec) -> GalerkinProblem:
     """The run's ready-to-integrate problem at the configured level."""
     model = build_model_from_spec(spec)
-    measure = None if spec.noise is None else spec.noise.measure()
-    return build_problem(
-        model,
-        spec.galerkin.level,
-        initial_values(spec, model),
-        spec.horizon,
-        nonlinearity=spec.nonlinearity,
-        symbols=build_symbols_from_spec(spec, model),
-        measure=measure,
-    )
+    initial = initial_values(spec, model)
+    symbols = measure = None
+    if spec.noise is not None:
+        symbols = np.stack([symbol_values(name, model) for name in spec.noise.symbols])
+        measure = spec.noise.measure()
+    return GalerkinProblem(build_level(model, spec.galerkin.level), spec.horizon, initial,
+                           spec.nonlinearity, symbols, measure)

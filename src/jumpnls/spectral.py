@@ -22,7 +22,9 @@ tests' oracle (``tests/conftest.py::closed_form_basis``).
 
 ``SpectralModel.synthesize`` and ``analyze`` check shapes and run the fast
 transform, at every size; the model caches nothing.  A mode set is the
-first ``dim`` modes of the table (None: all).  ``build_level`` binds each
+first ``dim`` modes of the table (None: all).  ``level_dim`` holds the rule
+for a level number (an integer in [0, max_level] whose prefix holds a mode)
+and returns its ``dim``; ``build_level`` calls it and binds each
 level's pair once (``SpectralModel.transform_pair``: dense, separable on a
 2-d torus, or the fast transforms), and every run-path product reads it.
 The level also keeps its model (``GalerkinLevel.model``), so an API that works
@@ -591,7 +593,10 @@ class GalerkinLevel:
         return _norm_over_top(x, inverse) if total < _TINY else math.sqrt(total)
 
 
-def build_level(model: SpectralModel, n: int) -> GalerkinLevel:
+def level_dim(model: SpectralModel, n) -> int:
+    """The mode count of level ``n``, refusing a level number that
+    ``build_level`` could not build: not an integer in [0, max_level], or a
+    level whose prefix holds no mode."""
     if not isinstance(n, int) or n < 0 or n > model.max_level:
         raise ConfigurationError(
             f"level must be an integer in [0, {model.max_level}], got {n}"
@@ -603,6 +608,11 @@ def build_level(model: SpectralModel, n: int) -> GalerkinLevel:
             f"level {n} holds no modes: lambda_S < 2**{n + 1} = {2.0 ** (n + 1):g} "
             f"takes none, and the first lambda_S is {model.eigenvalues_S[0]:.6g}"
         )
+    return dim
+
+
+def build_level(model: SpectralModel, n: int) -> GalerkinLevel:
+    dim = level_dim(model, n)
     multipliers = cutoff_multiplier(n, model.eigenvalues_S[:dim])
     return GalerkinLevel(n, np.asarray(multipliers), model.eigenvalues_A[:dim],
                          model.ea_weights[:dim], *model.transform_pair(dim), model)

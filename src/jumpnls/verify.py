@@ -308,9 +308,8 @@ def check_taylor_remainder(ws, tol):
     radius, weight = 1e-2, 2.0
     measure = noise.AtomicMeasure(marks=[[radius], [0.9]],
                                   weights=[weight, 1.0], epsilon=0.5)
-    problem = solver.build_problem(
-        ws.model, 4, ws.full, 1.0, symbols=ws.symbol, measure=measure
-    )
+    problem = solver.GalerkinProblem(ws.level, 1.0, ws.full, symbols=ws.symbol,
+                                     measure=measure)
     u = problem.initial
     d_t = solver.drift(problem, solver.SolverConfig(closure="Taylor2"), u)
     d_a = solver.drift(problem, solver.SolverConfig(closure="AtomicExact"), u)
@@ -376,8 +375,7 @@ def check_seed_streams(ws, tol):
 # ---------------------------------------------------------------------------
 
 def _deterministic_problem(ws, nl=None, scale=1.0):
-    return solver.build_problem(ws.model, 4, scale * ws.full, 1.0,
-                                nonlinearity=nl)
+    return solver.GalerkinProblem(ws.level, 1.0, scale * ws.full, nonlinearity=nl)
 
 
 def check_diagonal_exactness(ws, tol):
@@ -418,10 +416,7 @@ def check_reversibility(ws, tol):
 def check_drift_antisymmetry(ws, tol):
     measure = noise.AtomicMeasure(marks=[[0.4], [-0.2]], weights=[1.0, 0.5],
                                   epsilon=0.0)
-    problem = solver.build_problem(
-        ws.model, 4, ws.full, 1.0, nonlinearity=ws.nl,
-        symbols=ws.symbol, measure=measure,
-    )
+    problem = solver.GalerkinProblem(ws.level, 1.0, ws.full, ws.nl, ws.symbol, measure)
     u = problem.initial
     d = solver.drift(problem, solver.SolverConfig(), u)
     pairing = abs(float(np.vdot(u, d).real))
@@ -449,10 +444,7 @@ def check_second_order_step(ws, tol):
 
 def check_jump_mass_conservation(ws, tol):
     measure = noise.AtomicMeasure(marks=[[0.5], [-0.5]], weights=[4.0, 4.0])
-    problem = solver.build_problem(
-        ws.model, 4, ws.full, 1.0, nonlinearity=ws.nl,
-        symbols=ws.symbol, measure=measure,
-    )
+    problem = solver.GalerkinProblem(ws.level, 1.0, ws.full, ws.nl, ws.symbol, measure)
     events = noise.sample_prm(measure, problem.horizon, noise.trajectory_rng(3, 0))
     record = solver.simulate(problem, solver.SolverConfig(dt=0.05), events,
                              record_states=False)

@@ -55,8 +55,8 @@ def test_01_mass_conservation(model):
     x = model.grid_points[:, 0]
     measure = noise.AtomicMeasure(marks=[[0.3], [-0.3]], weights=[1.0, 1.0],
                                   epsilon=0.0)
-    problem = solver.build_problem(
-        model, 6, golden_decaying(model), 1.0,
+    problem = solver.GalerkinProblem(
+        spectral.build_level(model, 6), 1.0, golden_decaying(model),
         nonlinearity=nonlinear.defocusing(3.0), symbols=np.cos(x),
         measure=measure,
     )
@@ -201,8 +201,8 @@ def test_07_small_jump_closure_consistency(model):
     for eps in (0.2, 0.1, 0.05):
         measure = noise.RadialStableMeasure(activity=1.0, stability=0.5,
                                             dimension=1, epsilon=eps)
-        problem = solver.build_problem(
-            model, 4, golden_decaying(model), horizon, nonlinearity=nl,
+        problem = solver.GalerkinProblem(
+            spectral.build_level(model, 4), horizon, golden_decaying(model), nonlinearity=nl,
             symbols=0.3 * np.cos(x), measure=measure,
         )
         mass0 = float(np.linalg.norm(problem.initial) ** 2)
@@ -243,8 +243,8 @@ def test_08_defocusing_energy_median_stability(model):
                                  fp_tol=1e-12)
     medians = {}
     for n in (4, 5, 6):
-        problem = solver.build_problem(
-            model, n, golden_decaying(model), 0.5, nonlinearity=nl,
+        problem = solver.GalerkinProblem(
+            spectral.build_level(model, n), 0.5, golden_decaying(model), nonlinearity=nl,
             symbols=np.cos(x), measure=measure,
         )
         sups = [
@@ -276,8 +276,8 @@ def test_09_coupled_level_convergence(model):
                                  fp_tol=1e-12)
     events = noise.sample_prm(measure, 0.5, noise.trajectory_rng(909, 0))
     assert len(events) >= 3, "the fixed path is expected to carry jumps"
-    fine = solver.build_problem(model, 8, slow, 0.5, nonlinearity=nl,
-                                symbols=np.cos(x), measure=measure)
+    fine = solver.GalerkinProblem(spectral.build_level(model, 8), 0.5, slow, nonlinearity=nl,
+                                  symbols=np.cos(x), measure=measure)
     distances = []
     for n in (4, 5, 6, 7):
         result = solver.simulate_coupled(fine, n, config, events)

@@ -618,23 +618,36 @@ def test_an_overflowing_potential_is_recorded_as_inf_without_a_warning(tmp_path,
     # modulus 1e80: |v|^4 overflows on the grid; 1e154: the mass is near the
     # float maximum and the kinetic and ea_norm sums overflow too.  The suite
     # turns a leaked RuntimeWarning into an error, so each run must end as
-    # the CLI reports it
-    text = ((CONFIG_DIR / "atomic_cubic.ini").read_text(encoding="utf-8")
-            .replace("mode = FaithfulMidpoint", f"mode = {mode}")
-            .replace("scale = 1.0", f"scale = {scale}").replace("horizon = 1.0", "horizon = 0.01"))
-    config = tmp_path / "huge.ini"
-    config.write_text(text, encoding="utf-8")
-    out = tmp_path / "out"
-    code = main(["simulate", "--config", str(config), "--out", str(out), "--trajectories", "1"])
-    err = capsys.readouterr().err
+    # the CLI reports it.  Both steppers refuse the first step: SplitStep
+    # cannot resolve the gauge phase, and the midpoint solve does not converge
+    def run(name, edits):
+        text = (CONFIG_DIR / name).read_text(encoding="utf-8")
+        for old, new in edits:
+            text = text.replace(old, new)
+        config = tmp_path / f"huge_{name}"
+        config.write_text(text, encoding="utf-8")
+        out = tmp_path / f"out_{name}"
+        code = main(["simulate", "--config", str(config), "--out", str(out),
+                     "--trajectories", "1"])
+        return code, capsys.readouterr().err, out
+
+    code, err, _ = run("atomic_cubic.ini", [("mode = FaithfulMidpoint", f"mode = {mode}"),
+                                            ("scale = 1.0", f"scale = {scale}"),
+                                            ("horizon = 1.0", "horizon = 0.01")])
+    assert code == 2
+    assert err.startswith("error: trajectory 0: step t=0.0 -> 0.005 (dt=5.000e-03): ")
+    assert err.count("\n") == 1
     if mode == "SplitStep":
+        assert "SplitStep gauge phase" in err
+        # without a nonlinearity there is no gauge phase, and SplitStep records
+        # the overflowing kinetic and ea_norm sums as inf
+        code, err, out = run("stable_linear.ini", [("scale = 1.0", "scale = 1e154"),
+                                                   ("horizon = 0.5", "horizon = 0.01")])
         assert (code, err) == (0, "")
         rows = (out / "traj_0000.csv").read_text().splitlines()
         assert rows[0] == "t,mass,kinetic,potential,energy,ea_norm"
-        assert all(row.split(",")[3:5] == ["inf", "inf"] for row in rows[1:])
+        assert all(row.split(",")[2:] == ["inf", "0.0", "inf", "inf"] for row in rows[1:])
     else:
-        assert code == 2
-        assert err.startswith("error: trajectory 0: step t=0.0 -> 0.005 (dt=5.000e-03): ")
         assert "halving depth 20" in err
 
 

@@ -15,7 +15,6 @@ from jumpnls.config import (
     RunSpec,
     build_model_from_spec,
     build_problem_from_spec,
-    build_symbols_from_spec,
     canonical_text,
     config_hash,
     initial_values,
@@ -26,7 +25,8 @@ from jumpnls.config import (
 from jumpnls.exceptions import ConfigurationError
 from jumpnls.noise import AtomicMeasure, RadialStableMeasure
 from jumpnls.nonlinear import focusing
-from jumpnls.solver import build_problem, simulate_coupled
+from jumpnls.solver import GalerkinProblem, simulate_coupled
+from jumpnls.spectral import build_level
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 WORKLOAD_DIR = Path(__file__).resolve().parent.parent / "perfbench" / "workloads"
@@ -298,8 +298,7 @@ def test_build_problem_from_spec_assembly():
     assert problem.ops.level is problem.level
     assert problem.nonlinearity is not None
     assert problem.measure is not None
-    symbols = build_symbols_from_spec(spec, model)
-    assert symbols.shape == (1, model.num_grid)
+    np.testing.assert_array_equal(problem.symbols, symbol_values("cos", model)[None, :])
 
 
 def test_coarse_level_keeps_configured_initial_data(monkeypatch):
@@ -324,7 +323,7 @@ def test_coarse_level_keeps_configured_initial_data(monkeypatch):
         (coarse, reference), = coupled
         coupled.clear()
         assert coarse.level.n == n and reference is fine
-        direct = build_problem(model, n, initial_values(spec, model), spec.horizon)
+        direct = GalerkinProblem(build_level(model, n), spec.horizon, initial_values(spec, model))
         np.testing.assert_array_equal(coarse.initial, direct.initial)
         relevelled = dataclasses.replace(
             spec, galerkin=dataclasses.replace(spec.galerkin, level=n)

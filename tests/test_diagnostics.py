@@ -17,7 +17,7 @@ from jumpnls.exceptions import ShapeError
 from jumpnls.noise import AtomicMeasure, JumpEvent, sample_prm, trajectory_rng
 from jumpnls.nonlinear import defocusing
 from jumpnls.oracles import aldous_statistic, cadlag_modulus, energy, energy_derivative
-from jumpnls.solver import SolverConfig, build_problem, simulate
+from jumpnls.solver import GalerkinProblem, SolverConfig, simulate
 from jumpnls.spectral import build_level
 
 
@@ -69,8 +69,8 @@ def test_energy_derivative_matches_difference_quotient(torus_model):
 
 
 def test_energy_near_conservation_deterministic_run(torus_model):
-    problem = build_problem(
-        torus_model, 4, np.exp(-np.sqrt(torus_model.eigenvalues_S)) + 0j, 1.0,
+    problem = GalerkinProblem(
+        build_level(torus_model, 4), 1.0, np.exp(-np.sqrt(torus_model.eigenvalues_S)) + 0j,
         nonlinearity=defocusing(3.0),
     )
     record = simulate(problem, SolverConfig(dt=2e-3), [])
@@ -225,9 +225,8 @@ def test_modulus_validation():
 @pytest.fixture(scope="module")
 def small_ensemble(torus_model):
     measure = AtomicMeasure(marks=[[0.5], [-0.5]], weights=[3.0, 3.0])
-    problem = build_problem(
-        torus_model, 4,
-        np.exp(-0.8 * np.sqrt(torus_model.eigenvalues_S)) + 0j, 1.0,
+    problem = GalerkinProblem(
+        build_level(torus_model, 4), 1.0, np.exp(-0.8 * np.sqrt(torus_model.eigenvalues_S)) + 0j,
         nonlinearity=defocusing(3.0),
         symbols=np.cos(torus_model.grid_points[:, 0]),
         measure=measure,
@@ -286,9 +285,8 @@ def test_ensemble_requires_two_records(small_ensemble):
 
 
 def test_aldous_statistic_detects_jump(torus_model):
-    problem = build_problem(
-        torus_model, 5,
-        np.exp(-0.5 * np.sqrt(torus_model.eigenvalues_S)) + 0j, 1.0,
+    problem = GalerkinProblem(
+        build_level(torus_model, 5), 1.0, np.exp(-0.5 * np.sqrt(torus_model.eigenvalues_S)) + 0j,
         symbols=np.cos(torus_model.grid_points[:, 0]),
     )
     events = [JumpEvent(time=0.35, mark=np.array([0.9]))]

@@ -40,7 +40,6 @@ from jumpnls.solver import (
     _Dynamics,
     _record_node,
     _recorded_run,
-    build_problem,
     converge_ensemble,
     drift,
     renormalize_initial,
@@ -54,6 +53,7 @@ from jumpnls.spectral import (
     SpectralModel,
     build_level,
     build_spectral_model,
+    interval_dirichlet,
     torus_1d,
 )
 
@@ -114,24 +114,24 @@ def test_solver_config_validation():
 def test_problem_validation(torus_model):
     u0 = decaying_initial(torus_model)
     with pytest.raises(ConfigurationError):
-        build_problem(torus_model, 4, u0, horizon=0.0)
+        GalerkinProblem(build_level(torus_model, 4), 0.0, u0)
     with pytest.raises(ConfigurationError):
-        build_problem(torus_model, 4, u0, horizon=-1.0)
+        GalerkinProblem(build_level(torus_model, 4), -1.0, u0)
     # a measure without symbols has no operators to act through
     measure = AtomicMeasure(marks=[[0.3]], weights=[1.0])
     with pytest.raises(ConfigurationError):
-        build_problem(torus_model, 4, u0, horizon=1.0, measure=measure)
+        GalerkinProblem(build_level(torus_model, 4), 1.0, u0, measure=measure)
     # channel count must match the mark dimension
     with pytest.raises(ConfigurationError):
-        build_problem(
-            torus_model, 4, u0, horizon=1.0,
+        GalerkinProblem(
+            build_level(torus_model, 4), 1.0, u0,
             symbols=np.cos(torus_model.grid_points[:, 0]),
             measure=AtomicMeasure(marks=[[0.3, 0.1]], weights=[1.0]),
         )
 
 
 def test_a_problem_refuses_its_own_inadmissible_exponent(torus_model):
-    # built directly, not through build_problem, on the 1-d torus (beta 1)
+    # on the 1-d torus (beta 1)
     level = build_level(torus_model, 4)
     initial = np.ones(level.dim, dtype=complex)
     with pytest.raises(ConfigurationError, match=r"requires alpha < 5\.0"):
@@ -169,9 +169,9 @@ def test_models_levels_problems_and_operators_compare_by_identity():
     models = [build_spectral_model(torus_1d(2 * np.pi), max_level=4) for _ in range(2)]
     model = models[0]
     levels = [build_level(model, 3) for _ in range(2)]
-    problems = [build_problem(model, 3, decaying_initial(model), 1.0,
-                              symbols=np.cos(model.grid_points[:, 0]),
-                              measure=AtomicMeasure(marks=[[0.3]], weights=[1.0]))
+    problems = [GalerkinProblem(build_level(model, 3), 1.0, decaying_initial(model),
+                                symbols=np.cos(model.grid_points[:, 0]),
+                                measure=AtomicMeasure(marks=[[0.3]], weights=[1.0]))
                 for _ in range(2)]
     for a, b in (models, levels, problems, [p.ops for p in problems]):
         assert a == a and a != b and not a == b
@@ -187,7 +187,7 @@ def test_build_problem_refuses_initial_data_that_is_not_finite(torus_model, case
     else:
         u0[3] = float(case)
     with pytest.raises(ConfigurationError, match="initial data for level 4 is not finite"):
-        build_problem(torus_model, 4, u0, horizon=1.0)
+        GalerkinProblem(build_level(torus_model, 4), 1.0, u0)
 
 
 def test_initial_data_below_the_square_underflow_keep_their_scale():
@@ -248,10 +248,10 @@ def test_time_grid_refused_beyond_physical_memory(torus_model, monkeypatch, reco
     # horizon 1 at dt 0.1 gives 11 nodes; each holds the grid and the jump
     # boundaries in float64, then four record columns plus the state if
     # recorded, or the one distance of a coupled run (record_states None)
-    problem = build_problem(torus_model, 3, decaying_initial(torus_model), 1.0)
+    problem = GalerkinProblem(build_level(torus_model, 3), 1.0, decaying_initial(torus_model))
     config = SolverConfig(dt=0.1)
     if record_states is None:
-        finer = build_problem(torus_model, 5, decaying_initial(torus_model), 1.0)
+        finer = GalerkinProblem(build_level(torus_model, 5), 1.0, decaying_initial(torus_model))
         needed = 11 * 8 * (2 + 1)
 
         def run():
@@ -283,7 +283,7 @@ def test_time_grid_equals_union1d(events):
 
 
 def test_drift_pure_diagonal(torus_model):
-    problem = build_problem(torus_model, 5, decaying_initial(torus_model), 1.0)
+    problem = GalerkinProblem(build_level(torus_model, 5), 1.0, decaying_initial(torus_model))
     config = SolverConfig()
     u = problem.initial
     d = drift(problem, config, u)
@@ -295,8 +295,8 @@ def test_drift_antisymmetry_no_closure(torus_model, cos_symbol):
     # asymmetric atoms, cutoff 0: compensated mean term but empty closure,
     # so Re<u, drift(u)> vanishes identically
     measure = AtomicMeasure(marks=[[0.4], [-0.2]], weights=[1.0, 0.5], epsilon=0.0)
-    problem = build_problem(
-        torus_model, 5, decaying_initial(torus_model), 1.0,
+    problem = GalerkinProblem(
+        build_level(torus_model, 5), 1.0, decaying_initial(torus_model),
         nonlinearity=defocusing(3.0), symbols=cos_symbol, measure=measure,
     )
     config = SolverConfig()
@@ -310,8 +310,8 @@ def test_drift_antisymmetry_no_closure(torus_model, cos_symbol):
 
 def test_drift_mean_term_matches_manual_formula(torus_model, cos_symbol):
     measure = AtomicMeasure(marks=[[0.4], [-0.2]], weights=[1.0, 0.5], epsilon=0.0)
-    problem = build_problem(
-        torus_model, 5, decaying_initial(torus_model), 1.0,
+    problem = GalerkinProblem(
+        build_level(torus_model, 5), 1.0, decaying_initial(torus_model),
         symbols=cos_symbol, measure=measure,
     )
     u = problem.initial
@@ -330,8 +330,8 @@ def test_closures_agree_to_third_order(torus_model, cos_symbol):
         measure = AtomicMeasure(
             marks=[[radius], [0.9]], weights=[2.0, 1.0], epsilon=0.5
         )
-        problem = build_problem(
-            torus_model, 5, decaying_initial(torus_model), 1.0,
+        problem = GalerkinProblem(
+            build_level(torus_model, 5), 1.0, decaying_initial(torus_model),
             symbols=cos_symbol, measure=measure,
         )
         u = problem.initial
@@ -349,8 +349,8 @@ ATOMIC_CLOSURE_MESSAGE = "AtomicExact closure needs an atomic jump measure"
 def test_atomic_closure_rejects_infinite_activity(torus_model, cos_symbol):
     measure = RadialStableMeasure(activity=1.0, stability=1.0, dimension=1,
                                   epsilon=0.1)
-    problem = build_problem(
-        torus_model, 5, decaying_initial(torus_model), 1.0,
+    problem = GalerkinProblem(
+        build_level(torus_model, 5), 1.0, decaying_initial(torus_model),
         symbols=cos_symbol, measure=measure,
     )
     config = SolverConfig(closure=CLOSURE_ATOMIC)
@@ -395,8 +395,8 @@ def test_noise_matrix_matches_per_term_drift(request, domain, channels, closure)
     symbols = np.array([np.cos(x), np.sin(2.0 * x) + 0.3])[:channels]
     marks, weights = FOLD_ATOMS[channels]
     measure = AtomicMeasure(marks=marks, weights=weights, epsilon=0.25)
-    problem = build_problem(
-        model, 4, decaying_initial(model), 1.0, symbols=symbols, measure=measure,
+    problem = GalerkinProblem(
+        build_level(model, 4), 1.0, decaying_initial(model), symbols=symbols, measure=measure,
     )
     dyn = _Dynamics(problem, SolverConfig(closure=closure))
     assert dyn.noise_matrix is not None
@@ -411,8 +411,8 @@ def test_noise_matrix_taylor2_infinite_activity(torus_model):
     x = torus_model.grid_points[:, 0]
     measure = RadialStableMeasure(activity=1.0, stability=1.2, dimension=2,
                                   epsilon=0.3)
-    problem = build_problem(
-        torus_model, 5, decaying_initial(torus_model), 1.0,
+    problem = GalerkinProblem(
+        build_level(torus_model, 5), 1.0, decaying_initial(torus_model),
         symbols=[np.cos(x), np.sin(x)], measure=measure,
     )
     dyn = _Dynamics(problem, SolverConfig(closure=CLOSURE_TAYLOR2))
@@ -425,11 +425,11 @@ def test_noise_matrix_taylor2_infinite_activity(torus_model):
 def test_noise_matrix_absent_without_noise_terms(torus_model, cos_symbol, closure):
     # symmetric atoms, cutoff 0: zero mean and nothing below the cutoff
     measure = AtomicMeasure(marks=[[0.4], [-0.4]], weights=[1.0, 1.0], epsilon=0.0)
-    noisy = build_problem(
-        torus_model, 5, decaying_initial(torus_model), 1.0,
+    noisy = GalerkinProblem(
+        build_level(torus_model, 5), 1.0, decaying_initial(torus_model),
         symbols=cos_symbol, measure=measure,
     )
-    quiet = build_problem(torus_model, 5, decaying_initial(torus_model), 1.0)
+    quiet = GalerkinProblem(build_level(torus_model, 5), 1.0, decaying_initial(torus_model))
     for problem in (noisy, quiet):
         dyn = _Dynamics(problem, SolverConfig(closure=closure))
         assert dyn.noise_matrix is None
@@ -452,13 +452,13 @@ def test_noise_matrix_refused_beyond_physical_memory(torus_model, monkeypatch, c
     # naming the level and the dim; a workspace without a noise term is not
     closure, (marks, weights), epsilon = NOISE_TERM_CASES[case]
     x = torus_model.grid_points[:, 0]
-    problem = build_problem(
-        torus_model, 4, decaying_initial(torus_model), 1.0,
+    problem = GalerkinProblem(
+        build_level(torus_model, 4), 1.0, decaying_initial(torus_model),
         symbols=[np.cos(x), np.sin(2.0 * x) + 0.3],
         measure=AtomicMeasure(marks=marks, weights=weights, epsilon=epsilon),
     )
-    quiet = build_problem(torus_model, 4, decaying_initial(torus_model), 1.0,
-                          symbols=np.cos(x), measure=AtomicMeasure(
+    quiet = GalerkinProblem(build_level(torus_model, 4), 1.0, decaying_initial(torus_model),
+                            symbols=np.cos(x), measure=AtomicMeasure(
                               marks=[[0.4], [-0.4]], weights=[1.0, 1.0], epsilon=0.0))
     dim = problem.level.dim
     needed = 16 * jumps.NOISE_MATRIX_PEAK_ARRAYS * dim**2
@@ -480,8 +480,8 @@ def kernel_cases(model, level_n, dense):
         for alpha in (2.5, 3.0, 5.0):
             nl = make(alpha)
             if alpha < admissible_alpha_cap(nl.sign, model.domain.dimension):
-                yield build_problem(model, level_n, decaying_initial(model), 1.0,
-                                    nonlinearity=nl)
+                yield GalerkinProblem(build_level(model, level_n), 1.0, decaying_initial(model),
+                                      nonlinearity=nl)
 
 
 @pytest.mark.parametrize("dense", [True, False], ids=["dense_pair", "fast_transform"])
@@ -521,10 +521,9 @@ def test_step_loop_makes_no_per_call_transforms(request, monkeypatch, domain, mo
     x = model.grid_points[:, 0]
     measure = AtomicMeasure(marks=[[0.5], [-0.3], [0.05]], weights=[6.0, 6.0, 3.0],
                             epsilon=0.1)
-    problem = build_problem(model, 5 if domain == "torus" else 4,
-                            decaying_initial(model), 0.2,
-                            nonlinearity=defocusing(3.0), symbols=np.cos(x),
-                            measure=measure)
+    problem = GalerkinProblem(build_level(model, 5 if domain == "torus" else 4), 0.2,
+                              decaying_initial(model), nonlinearity=defocusing(3.0),
+                              symbols=np.cos(x), measure=measure)
     calls = []
 
     def counting(name, func):
@@ -566,9 +565,9 @@ def test_workspace_built_once_per_problem_and_closure(torus_model, cos_symbol,
     monkeypatch.setattr(solver, "_Dynamics", CountingDynamics)
     measure = AtomicMeasure(marks=[[0.5], [-0.3], [0.05]], weights=[6.0, 6.0, 3.0],
                             epsilon=0.1)
-    problem = build_problem(torus_model, 5, decaying_initial(torus_model), 0.3,
-                            nonlinearity=defocusing(3.0), symbols=cos_symbol,
-                            measure=measure)
+    problem = GalerkinProblem(build_level(torus_model, 5), 0.3, decaying_initial(torus_model),
+                              nonlinearity=defocusing(3.0), symbols=cos_symbol,
+                              measure=measure)
     for closure in (CLOSURE_TAYLOR2, CLOSURE_ATOMIC):
         for mode in (MODE_MIDPOINT, MODE_SPLITSTEP):
             config = SolverConfig(mode=mode, dt=0.05, closure=closure)
@@ -584,8 +583,8 @@ def test_workspace_built_once_per_problem_and_closure(torus_model, cos_symbol,
 def test_fp_iters_max_counts_each_run_alone(torus_model):
     # a coarse-step run needs more iterations than a fine-step one; the
     # shared workspace must not carry the count over
-    problem = build_problem(torus_model, 5, decaying_initial(torus_model), 0.2,
-                            nonlinearity=defocusing(3.0))
+    problem = GalerkinProblem(build_level(torus_model, 5), 0.2, decaying_initial(torus_model),
+                              nonlinearity=defocusing(3.0))
     counts = []
     for dt in (0.1, 0.001):
         config = SolverConfig(dt=dt)
@@ -602,7 +601,7 @@ def test_fp_iters_max_counts_each_run_alone(torus_model):
 
 @pytest.mark.parametrize("mode", [MODE_MIDPOINT, MODE_SPLITSTEP])
 def test_diagonal_flow_exact(torus_model, mode):
-    problem = build_problem(torus_model, 6, decaying_initial(torus_model), 1.0)
+    problem = GalerkinProblem(build_level(torus_model, 6), 1.0, decaying_initial(torus_model))
     config = SolverConfig(mode=mode, dt=1e-2)
     lam = torus_model.eigenvalues_A[:problem.level.dim]
     u = problem.initial.copy()
@@ -615,8 +614,8 @@ def test_diagonal_flow_exact(torus_model, mode):
 
 
 def test_midpoint_mass_conservation_nonlinear(torus_model):
-    problem = build_problem(
-        torus_model, 5, decaying_initial(torus_model), 1.0,
+    problem = GalerkinProblem(
+        build_level(torus_model, 5), 1.0, decaying_initial(torus_model),
         nonlinearity=defocusing(3.0),
     )
     config = SolverConfig(mode=MODE_MIDPOINT, dt=1e-2)
@@ -630,8 +629,8 @@ def test_midpoint_mass_conservation_nonlinear(torus_model):
 def test_midpoint_time_reversibility(torus_model):
     # conjugation reverses time for the deterministic flow; a symmetric
     # stepper must return to the initial state through that involution
-    problem = build_problem(
-        torus_model, 5, decaying_initial(torus_model), 1.0,
+    problem = GalerkinProblem(
+        build_level(torus_model, 5), 1.0, decaying_initial(torus_model),
         nonlinearity=defocusing(3.0),
     )
     config = SolverConfig(mode=MODE_MIDPOINT, fp_tol=1e-14)
@@ -646,8 +645,8 @@ def test_midpoint_time_reversibility(torus_model):
 def test_second_order_convergence(torus_model, mode):
     # steep decay keeps the truncation well resolved, so the asymptotic
     # second-order regime is reached at these step sizes
-    problem = build_problem(
-        torus_model, 4, decaying_initial(torus_model, rate=1.2), 1.0,
+    problem = GalerkinProblem(
+        build_level(torus_model, 4), 1.0, decaying_initial(torus_model, rate=1.2),
         nonlinearity=defocusing(3.0),
     )
     horizon = 0.25
@@ -667,8 +666,8 @@ def test_second_order_convergence(torus_model, mode):
 
 def test_split_and_midpoint_agree_at_small_steps(torus_model, cos_symbol):
     measure = AtomicMeasure(marks=[[0.5], [-0.5]], weights=[1.0, 1.0], epsilon=0.6)
-    problem = build_problem(
-        torus_model, 4, decaying_initial(torus_model), 1.0,
+    problem = GalerkinProblem(
+        build_level(torus_model, 4), 1.0, decaying_initial(torus_model),
         nonlinearity=defocusing(3.0), symbols=cos_symbol, measure=measure,
     )
     u0 = problem.initial
@@ -687,9 +686,32 @@ def test_split_and_midpoint_agree_at_small_steps(torus_model, cos_symbol):
     assert gaps[0] > 0
 
 
+@pytest.mark.parametrize("scale", ["1", "30"])
+def test_splitstep_refuses_a_gauge_phase_it_cannot_resolve(scale):
+    # atomic_cubic's first step turns the gauge by 0.0024 rad at modulus 1 and
+    # by 2.19 rad at modulus 30, where the grid rotation, projected back onto
+    # the level, loses 8 % of the mass in one step
+    spec = shipped_spec("atomic_cubic", [(("solver", "mode"), MODE_SPLITSTEP),
+                                         (("initial", "scale"), scale)])
+    problem = build_problem_from_spec(spec)
+    level, nl, tau, u = problem.level, problem.nonlinearity, spec.solver.dt, problem.initial
+    if scale == "30":
+        with pytest.raises(NumericsError, match=r"SplitStep gauge phase "
+                           r"tau\*max\|v\|\^\(alpha-1\) = 2\.19 rad exceeds 0\.5 rad"):
+            step_between_jumps(problem, spec.solver, u, tau)
+        return
+    # below the bound the step is the half phases around the grid rotation,
+    # bit for bit (the symmetric atoms above the cutoff leave no noise drift)
+    half = np.exp(-0.5j * tau * level.eigenvalues_A)
+    values = level.to_grid(half * u)
+    v = level.from_grid(values * np.exp(-1j * tau * nl.sign * np.abs(values) ** (nl.alpha - 1)))
+    assert solver._dynamics(problem, spec.solver).noise_matrix is None
+    np.testing.assert_array_equal(step_between_jumps(problem, spec.solver, u, tau), half * v)
+
+
 def test_fixed_point_failure_raises(torus_model):
-    problem = build_problem(
-        torus_model, 6, 5.0 * decaying_initial(torus_model), 1.0,
+    problem = GalerkinProblem(
+        build_level(torus_model, 6), 1.0, 5.0 * decaying_initial(torus_model),
         nonlinearity=defocusing(5.0),
     )
     bad = SolverConfig(mode=MODE_MIDPOINT, dt=0.5, max_fp_iters=2, max_halvings=0)
@@ -741,7 +763,7 @@ def test_halving_failure_names_its_depth_and_substep():
 
 
 def test_step_validation(torus_model):
-    problem = build_problem(torus_model, 4, decaying_initial(torus_model), 1.0)
+    problem = GalerkinProblem(build_level(torus_model, 4), 1.0, decaying_initial(torus_model))
     config = SolverConfig()
     with pytest.raises(ConfigurationError):
         step_between_jumps(problem, config, problem.initial, 0.0)
@@ -757,8 +779,8 @@ def test_simulate_jump_adapted_grid_and_cadlag(torus_model, cos_symbol):
     # linear diagonal flow plus two prescribed jumps: everything has a
     # closed form, including the post-jump values recorded at event times
     level = build_level(torus_model, 5)
-    problem = build_problem(
-        torus_model, 5, decaying_initial(torus_model), 1.0, symbols=cos_symbol,
+    problem = GalerkinProblem(
+        build_level(torus_model, 5), 1.0, decaying_initial(torus_model), symbols=cos_symbol,
     )
     mark = np.array([0.7])
     events = [JumpEvent(time=0.35, mark=mark), JumpEvent(time=0.617, mark=-mark)]
@@ -793,8 +815,8 @@ def test_simulate_jump_adapted_grid_and_cadlag(torus_model, cos_symbol):
 
 def test_simulate_diagnostics_columns(torus_model, cos_symbol):
     measure = AtomicMeasure(marks=[[0.5], [-0.5]], weights=[2.0, 2.0])
-    problem = build_problem(
-        torus_model, 4, decaying_initial(torus_model), 0.5,
+    problem = GalerkinProblem(
+        build_level(torus_model, 4), 0.5, decaying_initial(torus_model),
         nonlinearity=defocusing(3.0), symbols=cos_symbol, measure=measure,
     )
     events = sample_prm(measure, 0.5, trajectory_rng(42, 0))
@@ -810,8 +832,8 @@ def test_simulate_diagnostics_columns(torus_model, cos_symbol):
 
 def test_simulate_reproducible_streams(torus_model, cos_symbol):
     measure = AtomicMeasure(marks=[[0.4], [-0.4]], weights=[3.0, 3.0])
-    problem = build_problem(
-        torus_model, 4, decaying_initial(torus_model), 1.0,
+    problem = GalerkinProblem(
+        build_level(torus_model, 4), 1.0, decaying_initial(torus_model),
         nonlinearity=defocusing(3.0), symbols=cos_symbol, measure=measure,
     )
     config = SolverConfig(dt=0.02)
@@ -829,8 +851,8 @@ def test_simulate_reproducible_streams(torus_model, cos_symbol):
 
 
 def test_simulate_event_validation(torus_model, cos_symbol):
-    problem = build_problem(
-        torus_model, 4, decaying_initial(torus_model), 1.0, symbols=cos_symbol,
+    problem = GalerkinProblem(
+        build_level(torus_model, 4), 1.0, decaying_initial(torus_model), symbols=cos_symbol,
     )
     mark = np.array([0.1])
     with pytest.raises(ConfigurationError):
@@ -840,17 +862,17 @@ def test_simulate_event_validation(torus_model, cos_symbol):
         simulate(problem, SolverConfig(dt=0.1),
                  events=[JumpEvent(time=0.9, mark=mark),
                          JumpEvent(time=0.2, mark=mark)])
-    bare = build_problem(torus_model, 4, decaying_initial(torus_model), 1.0)
+    bare = GalerkinProblem(build_level(torus_model, 4), 1.0, decaying_initial(torus_model))
     with pytest.raises(ConfigurationError):
         simulate(bare, SolverConfig(dt=0.1), events=[JumpEvent(time=0.5, mark=mark)])
     # a run without its jump path is refused
     measure = AtomicMeasure(marks=[[0.4]], weights=[1.0])
-    noisy = build_problem(torus_model, 4, decaying_initial(torus_model), 1.0,
-                          symbols=cos_symbol, measure=measure)
+    noisy = GalerkinProblem(build_level(torus_model, 4), 1.0, decaying_initial(torus_model),
+                            symbols=cos_symbol, measure=measure)
     with pytest.raises(TypeError, match="events"):
         simulate(noisy, SolverConfig(dt=0.1))
-    finer = build_problem(torus_model, 6, decaying_initial(torus_model), 1.0,
-                          symbols=cos_symbol, measure=measure)
+    finer = GalerkinProblem(build_level(torus_model, 6), 1.0, decaying_initial(torus_model),
+                            symbols=cos_symbol, measure=measure)
     with pytest.raises(TypeError, match="events"):
         simulate_coupled(finer, 4, SolverConfig(dt=0.1))
 
@@ -861,9 +883,9 @@ def shared_problem(torus_model, cos_symbol):
     # noise term beside the nonlinearity; horizon 0.3 at dt 0.05 gives 7 nodes
     measure = AtomicMeasure(marks=[[0.5], [-0.3], [0.1]], weights=[2.0, 1.0, 3.0],
                             epsilon=0.2)
-    return build_problem(torus_model, 4, decaying_initial(torus_model), 0.3,
-                         nonlinearity=defocusing(3.0), symbols=cos_symbol,
-                         measure=measure)
+    return GalerkinProblem(build_level(torus_model, 4), 0.3, decaying_initial(torus_model),
+                           nonlinearity=defocusing(3.0), symbols=cos_symbol,
+                           measure=measure)
 
 
 @st.composite
@@ -1016,8 +1038,8 @@ def test_jump_path_makes_no_eigh_call(torus_model, cos_symbol, noise, monkeypatc
         measure = RadialStableMeasure(activity=2.0, stability=1.2, dimension=1,
                                       epsilon=0.2)
     tiny, high = (
-        build_problem(torus_model, n, decaying_initial(torus_model), 1.0,
-                      nonlinearity=defocusing(3.0), symbols=cos_symbol, measure=measure)
+        GalerkinProblem(build_level(torus_model, n), 1.0, decaying_initial(torus_model),
+                        nonlinearity=defocusing(3.0), symbols=cos_symbol, measure=measure)
         for n in (2, 8)
     )
     config = SolverConfig(dt=0.05, closure=CLOSURE_TAYLOR2)
@@ -1055,7 +1077,8 @@ def test_coupled_levels_identical_for_resolved_linear_flow(torus_model, cos_symb
     measure = AtomicMeasure(marks=[[0.6], [-0.6]], weights=[2.0, 2.0])
     constant_symbol = np.ones(torus_model.num_grid)
 
-    fine = build_problem(torus_model, 6, u0, 1.0, symbols=constant_symbol, measure=measure)
+    fine = GalerkinProblem(build_level(torus_model, 6), 1.0, u0, symbols=constant_symbol,
+                           measure=measure)
     events = sample_prm(measure, 1.0, trajectory_rng(5, 0))
     result = simulate_coupled(fine, 3, SolverConfig(dt=0.05), events)
     assert result.levels == (3, 6)
@@ -1066,13 +1089,13 @@ def test_coupled_levels_identical_for_resolved_linear_flow(torus_model, cos_symb
 
 def test_coupled_levels_validation(torus_model):
     u0 = decaying_initial(torus_model)
-    p4 = build_problem(torus_model, 4, u0, 1.0)
+    p4 = GalerkinProblem(build_level(torus_model, 4), 1.0, u0)
     for level_n in (6, 4):
         with pytest.raises(ConfigurationError, match=f"coupled level {level_n} must be coarser"):
             simulate_coupled(p4, level_n, SolverConfig(dt=0.1), [])
     with pytest.raises(ConfigurationError, match="without noise operators"):
-        simulate_coupled(build_problem(torus_model, 6, u0, 1.0), 4, SolverConfig(dt=0.1),
-                         [JumpEvent(0.5, np.array([0.3]))])
+        simulate_coupled(GalerkinProblem(build_level(torus_model, 6), 1.0, u0), 4,
+                         SolverConfig(dt=0.1), [JumpEvent(0.5, np.array([0.3]))])
 
 
 def test_converge_ensemble_drives_every_level_with_one_draw_per_trajectory(shared_problem):
@@ -1108,6 +1131,29 @@ def test_converge_ensemble_refuses_a_repeated_level_before_the_first_draw(shared
     assert draws == []
 
 
+@pytest.mark.parametrize("levels,message", [
+    ([3, -1], r"level must be an integer in \[0, 8\], got -1"),
+    ([3, 2.0], r"level must be an integer in \[0, 8\], got 2\.0"),
+], ids=["negative", "float"])
+def test_converge_ensemble_refuses_a_level_build_level_refuses_before_the_first_draw(
+        shared_problem, levels, message):
+    draws = []
+    with pytest.raises(ConfigurationError, match=message):
+        converge_ensemble(shared_problem, levels, SolverConfig(dt=0.05), 2, draws.append)
+    assert draws == []
+
+
+def test_converge_ensemble_refuses_an_empty_level_before_the_first_draw():
+    # on a Dirichlet interval of length 1 the first lambda_S is pi^2 ~ 9.87:
+    # level 3 holds one mode and level 2 none
+    model = build_spectral_model(interval_dirichlet(1.0), max_level=4)
+    problem = GalerkinProblem(build_level(model, 3), 1.0, np.ones(model.num_modes))
+    draws = []
+    with pytest.raises(ConfigurationError, match="level 2 holds no modes"):
+        converge_ensemble(problem, [2], SolverConfig(dt=0.05), 2, draws.append)
+    assert draws == []
+
+
 def test_converge_ensemble_names_the_trajectory_that_fails(shared_problem, monkeypatch):
     def failing(problem, level_n, config, events):
         if events == "path 1":
@@ -1129,9 +1175,9 @@ def test_coupled_nonlinear_distance_shrinks_with_level(torus_model):
     config = SolverConfig(dt=0.02)
 
     def problem(n):
-        return build_problem(torus_model, n, u0, 0.5,
-                             nonlinearity=defocusing(3.0), symbols=symbol,
-                             measure=measure)
+        return GalerkinProblem(build_level(torus_model, n), 0.5, u0,
+                               nonlinearity=defocusing(3.0), symbols=symbol,
+                               measure=measure)
 
     fine = problem(7)
     events = sample_prm(measure, 0.5, trajectory_rng(123, 0))
@@ -1149,9 +1195,9 @@ def test_coupled_levels_match_independent_runs(torus_model, cos_symbol, mode, cl
                             epsilon=0.2)
     config = SolverConfig(mode=mode, dt=0.05, closure=closure)
     problems = [
-        build_problem(torus_model, n, decaying_initial(torus_model), 1.0,
-                      nonlinearity=defocusing(3.0), symbols=cos_symbol,
-                      measure=measure)
+        GalerkinProblem(build_level(torus_model, n), 1.0, decaying_initial(torus_model),
+                        nonlinearity=defocusing(3.0), symbols=cos_symbol,
+                        measure=measure)
         for n in (4, 6)
     ]
     events = sample_prm(measure, 1.0, trajectory_rng(17, 0))
@@ -1190,7 +1236,7 @@ def test_coupled_memory_does_not_grow_with_nodes(monkeypatch):
     monkeypatch.setattr(solver, "build_level", coarse_level)
 
     def peak(horizon):
-        high = build_problem(model, 10, u0, horizon, nonlinearity=defocusing(3.0))
+        high = GalerkinProblem(build_level(model, 10), horizon, u0, nonlinearity=defocusing(3.0))
         tracemalloc.start()
         try:
             result = simulate_coupled(high, 8, config, [])
@@ -1215,8 +1261,8 @@ def test_coupled_run_records_nothing(torus_model, cos_symbol, monkeypatch):
 
     monkeypatch.setattr(solver, "_record_node", record_node)
     measure = AtomicMeasure(marks=[[0.5], [-0.5]], weights=[2.0, 2.0])
-    high = build_problem(torus_model, 6, decaying_initial(torus_model), 0.5,
-                         nonlinearity=defocusing(3.0), symbols=cos_symbol, measure=measure)
+    high = GalerkinProblem(build_level(torus_model, 6), 0.5, decaying_initial(torus_model),
+                           nonlinearity=defocusing(3.0), symbols=cos_symbol, measure=measure)
     config = SolverConfig(dt=0.05)
     events = sample_prm(measure, 0.5, trajectory_rng(3, 0))
     assert events
