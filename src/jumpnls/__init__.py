@@ -2,21 +2,23 @@
 
 Modules
 -------
-spectral     mode tables, fast transforms, dyadic truncation levels, level norms
+spectral     mode tables, fast transforms on numpy.fft, dyadic truncation levels,
+             level norms
 nonlinear    power nonlinearities and their potential functional
 noise        jump measures, moments, Poisson sampling, seed streams
 jumps        noise operators, jump maps and differences, atomic compensator
 solver       drift assembly, steppers, trajectory and coupled simulation
 diagnostics  ensemble statistics of a run
 config       INI run descriptions, presets, canonical text and hashing
-oracles      references no run reads: norms, dense operators, ODE flow,
-             energy, path modulus, Aldous statistic, Levy path
+oracles      references no run reads: norms, dense operators, RK4 Marcus
+             flow, energy, path modulus, Aldous statistic, Levy path,
+             Gauss-Legendre radial quadrature
 verify       self-contained numerical check battery
 cli          command line entry points (simulate / converge / verify / moments)
 
-The public names below are imported from their module on first access
-(PEP 562), so ``import jumpnls`` loads none of the modules and each command
-loads only the ones it runs.
+The package needs numpy alone.  The public names below are imported from
+their module on first access (PEP 562), so ``import jumpnls`` loads none of
+the modules and each command loads only the ones it runs.
 """
 
 import importlib

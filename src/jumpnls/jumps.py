@@ -10,10 +10,11 @@ and the level, whose ``model`` gives the grid; ``NoiseOperators.product``
 applies B(l) = sum_m l_m M_m through the pair that ``build_level`` bound on
 the level.  Operators compare and hash by identity.
 
-The dense channel matrices, the generator, the level constants and the ODE
-flow that cross-validates the jump map live in ``oracles``; no run
-reads them.  ``ASSEMBLY_BLOCK_ENTRIES`` bounds the (block x grid)
-intermediates of ``product`` and of the dense assembly alike.
+The dense channel matrices, the generator, the level constants and the
+fixed-step RK4 flow of the ODE below, which cross-validates the jump map,
+live in ``oracles``; no run reads them.  ``ASSEMBLY_BLOCK_ENTRIES`` bounds
+the (block x grid) intermediates of ``product`` and of the dense assembly
+alike.
 
 A jump with mark l in R^N acts through the time-1 unitary flow of
 ``du/dt = -i B(l) u``.  The jump map, the jump differences exp(-iB) - 1 and

@@ -9,8 +9,10 @@ and back through one fast transform per domain:
 * Neumann interval, midpoint grid: DCT-III to the grid, DCT-II back.
 
 All are taken in their orthonormal form, so the only scale is the square root
-of the quadrature cell weight.  ``scipy.fft`` is imported the first time an
-interval model transforms.
+of the quadrature cell weight.  The interval transforms run on ``numpy.fft``
+too: each cosine transform is one complex FFT of Makhoul's reordering of its
+input (IEEE Trans. ASSP 28, 1980), and each sine transform is the cosine
+transform of the sign-alternated input, reversed.
 
 ``_DOMAIN_TABLE`` is the single description of a domain kind, keyed by the
 kind's ``[domain]`` name: its length keys (one per axis), whether it is
@@ -56,6 +58,7 @@ the smoothed truncation from the sharp projection are in ``oracles``.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 import os
 
@@ -69,12 +72,63 @@ INTERVAL_DIRICHLET = "interval_dirichlet"
 INTERVAL_NEUMANN = "interval_neumann"
 
 
-def _scipy_transform(name: str, type: int):
-    """``scipy.fft.<name>`` of one type; scipy is imported on the first call."""
-    def transform(data, norm):
-        import scipy.fft
-        return getattr(scipy.fft, name)(data, type=type, norm=norm)
-    return transform
+@functools.lru_cache(maxsize=None)
+def _cosine_plan(length: int):
+    """Index maps and twiddles of the orthonormal DCT-II and DCT-III on ``length`` points.
+
+    With ``v = x[order]`` (the even-indexed entries, then the odd ones
+    reversed) and ``V = fft(v)``, the DCT-II is ``y_k = a_k V_k + b_k V_-k``,
+    ``a_k = s_k e^(-i pi k / 2N) / 2`` and ``b_k = conj(a_k)``, where
+    ``s_k = sqrt((2 - delta_k0) / N)``.  The formula is complex-linear, so a
+    complex input needs no split into real and imaginary parts.  The DCT-III
+    inverts it: ``W = p y + q y_-k`` with ``p_0 = s_0``, ``q_0 = 0``,
+    ``p_k = s_k e^(i pi k / 2N) / 2`` and ``q_k = -i s_(N-k) e^(i pi k / 2N) / 2``
+    otherwise, is the spectrum of ``v``.
+    """
+    k = np.arange(length)
+    order = np.concatenate((k[0::2], k[1::2][::-1]))
+    mirror = -k % length  # index of V_-k
+    scale = np.sqrt(np.where(k == 0, 1.0, 2.0) / length)
+    twiddle = np.exp(-0.5j * np.pi * k / length)
+    a = 0.5 * scale * twiddle
+    p = 0.5 * scale * twiddle.conj()
+    p[0] = scale[0]
+    q = -0.5j * scale[mirror] * twiddle.conj()
+    q[0] = 0.0
+    return order, np.argsort(order), mirror, a, a.conj(), p, q
+
+
+def _dct2(data: np.ndarray) -> np.ndarray:
+    """Orthonormal DCT-II along the last axis; a real input gives a real output."""
+    order, _, mirror, a, b, _, _ = _cosine_plan(data.shape[-1])
+    spectrum = np.fft.fft(data[..., order])
+    out = a * spectrum + b * spectrum[..., mirror]
+    return out.real if np.isrealobj(data) else out
+
+
+def _dct3(data: np.ndarray) -> np.ndarray:
+    """Orthonormal DCT-III along the last axis, the inverse of :func:`_dct2`."""
+    _, inverse, mirror, _, _, p, q = _cosine_plan(data.shape[-1])
+    v = np.fft.ifft(p * data + q * data[..., mirror], norm="forward")
+    out = v[..., inverse]
+    return out.real if np.isrealobj(data) else out
+
+
+def _alternate(data: np.ndarray) -> np.ndarray:
+    """``(-1)^j data_j`` along the last axis."""
+    out = np.array(data)
+    out[..., 1::2] *= -1
+    return out
+
+
+def _dst2(data: np.ndarray) -> np.ndarray:
+    """Orthonormal DST-II along the last axis: the DCT-II of the sign-alternated input, reversed."""
+    return _dct2(_alternate(data))[..., ::-1]
+
+
+def _dst3(data: np.ndarray) -> np.ndarray:
+    """Orthonormal DST-III along the last axis, the inverse of :func:`_dst2`."""
+    return _alternate(_dct3(data[..., ::-1]))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -84,7 +138,7 @@ class _DomainKind:
     ``length_keys`` name the lengths, one per axis, in ``[domain]`` order.
     Wavenumbers run over ``-k..k`` per periodic axis and ``first_k..k`` on an
     interval, and sit at spectrum index ``(k - first_k) mod M`` on M nodes;
-    ``lambda_S = shift + lambda_A``.  The transforms take ``norm="ortho"``.
+    ``lambda_S = shift + lambda_A``.  The transforms are orthonormal.
     """
 
     length_keys: tuple[str, ...]
@@ -100,19 +154,25 @@ class _DomainKind:
 
 
 _DOMAIN_TABLE = {
-    TORUS_1D: _DomainKind(("length",), True, 0, 1.0, np.fft.ifft, np.fft.fft),
-    TORUS_2D: _DomainKind(("length_x", "length_y"), True, 0, 1.0, np.fft.ifft2, np.fft.fft2),
-    INTERVAL_DIRICHLET: _DomainKind(("length",), False, 1, 0.0, _scipy_transform("dst", 3),
-                                    _scipy_transform("dst", 2)),
-    INTERVAL_NEUMANN: _DomainKind(("length",), False, 0, 1.0, _scipy_transform("dct", 3),
-                                  _scipy_transform("dct", 2)),
+    TORUS_1D: _DomainKind(("length",), True, 0, 1.0,
+                          functools.partial(np.fft.ifft, norm="ortho"),
+                          functools.partial(np.fft.fft, norm="ortho")),
+    TORUS_2D: _DomainKind(("length_x", "length_y"), True, 0, 1.0,
+                          functools.partial(np.fft.ifft2, norm="ortho"),
+                          functools.partial(np.fft.fft2, norm="ortho")),
+    INTERVAL_DIRICHLET: _DomainKind(("length",), False, 1, 0.0, _dst3, _dst2),
+    INTERVAL_NEUMANN: _DomainKind(("length",), False, 0, 1.0, _dct3, _dct2),
 }
 
 #: largest (selected modes) x (grid nodes) that ``transform_pair`` serves by a
-#: dense pair, so a pair takes at most 1 MiB.  On one BLAS thread the dense
-#: pair is 2-5x faster than the transforms up to 23 114 entries (127 x 182),
-#: breaks even near 46 000 (181 x 256) and is 2-5x slower from 197 632
-#: (193 x 1024)
+#: dense pair, so a pair takes at most 1 MiB.  On one BLAS thread, on a torus
+#: the dense pair is 2-5x faster than the transforms up to 23 114 entries
+#: (127 x 182), breaks even near 46 000 (181 x 256) and is 2-5x slower from
+#: 197 632 (193 x 1024).  On an interval (numpy DCT/DST, both directions,
+#: one row; intervals of length pi, both boundary conditions, 2 runs), dense
+#: time over transform time reads 0.10-0.18 up to 4 232 entries (46 x 92),
+#: 0.21-0.37 at 8 064-16 562 (64 x 128, 91 x 182), 0.52-0.70 at
+#: 32 512-32 768 (128 x 256) and 0.97-1.35 at 65 884-66 248 (182 x 364)
 DENSE_PAIR_MAX_ENTRIES = 2**15
 
 #: largest complex multiply-adds per synthesis, ``R0 * M1 * (R1 + M0)`` for
@@ -400,7 +460,7 @@ def _transform(kind: str, data: np.ndarray, grid_shape, to_grid: bool) -> np.nda
     facts = _DOMAIN_TABLE[kind]
     transform = facts.to_grid if to_grid else facts.from_grid
     square = data.reshape(data.shape[:-1] + grid_shape)
-    return transform(square, norm="ortho").reshape(data.shape)
+    return transform(square).reshape(data.shape)
 
 
 def _physical_memory() -> int | None:

@@ -126,11 +126,12 @@ def test_04_marcus_flow_cross_validation(model):
     for _ in range(50):
         mark = ball_point(rng, 2)
         u = unit_state(rng, level.dim)
-        flowed = oracles.marcus_flow(ops, 1.0, mark, u, ode_tol=1e-10)
+        flowed = oracles.marcus_flow(ops, 1.0, mark, u)
         worst = max(worst,
                     float(np.linalg.norm(flowed - jumps.jump_map(ops, mark, u))))
     _check(4, "Marcus flow vs jump map", worst <= 1e-8,
-           f"worst deviation {worst:.2e}, 50 cases at ode_tol 1e-10")
+           f"worst deviation {worst:.2e}, 50 cases, RK4 at h r <= "
+           f"{oracles.FLOW_STEP_RADIUS:g}")
 
 
 def test_05_antiderivative_identity(model):

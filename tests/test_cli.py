@@ -4,6 +4,7 @@ import dataclasses
 import gc
 import json
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -752,7 +753,7 @@ def test_python_dash_m_runs_the_cli(tmp_path):
                             capture_output=True, text=True, env=env, timeout=60)
     assert listed.returncode == 0
     assert listed.stdout.split() == jumpnls.check_names()
-    assert len(listed.stdout.split()) == 30
+    assert len(listed.stdout.split()) == 31
     missing = subprocess.run(
         [sys.executable, "-m", "jumpnls", "simulate", "--config", str(tmp_path / "no.ini"),
          "--out", str(tmp_path / "out")],
@@ -790,29 +791,81 @@ def test_each_command_loads_only_the_modules_it_runs(config, tmp_path):
     assert out.stdout.splitlines() == ["converge", "moments", "simulate jumpnls.diagnostics"]
 
 
-def test_import_loads_no_scipy():
-    # scipy costs most of start-up; only interval transforms, the flow oracle
-    # and verify's quadrature import it, on first use.  ``import jumpnls``
-    # loads no module of the package; resolving every public name loads all
-    probe = ("import sys, jumpnls; print(sorted(m for m in sys.modules if m.startswith('jumpnls.')))\n"
-             "from jumpnls import *\nprint([m for m in sys.modules if m.split('.')[0] == 'scipy'])")
+#: run in one process: blocks scipy when its first argument is "block", runs
+#: the commands of its second (JSON), and prints the package modules that
+#: ``import jumpnls`` loaded, each command's exit code and the scipy modules
+#: loaded.  ``from jumpnls import *`` resolves every public name first
+NUMPY_ONLY_PROBE = """
+import contextlib, io, json, sys
+if sys.argv[1] == "block":
+    sys.modules["scipy"] = None  # every import of scipy raises ImportError
+import jumpnls
+packaged = sorted(m for m in sys.modules if m.startswith("jumpnls."))
+from jumpnls import *
+from jumpnls.cli import main
+codes = []
+for argv in json.loads(sys.argv[2]):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        codes.append(main(argv))
+scipy = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+print(json.dumps({"packaged": packaged, "codes": codes, "scipy": scipy}))
+"""
+
+
+def test_every_command_runs_on_numpy_alone(tmp_path):
+    # the package needs numpy alone: with scipy blocked every command exits 0
+    # on every shipped INI and on a Neumann copy of the Dirichlet example, so
+    # on every domain kind; unblocked, the same commands load no scipy module
+    inis = sorted(CONFIG_DIR.glob("*.ini")) + sorted(WORKLOAD_DIR.glob("*.ini"))
+    texts = {ini.stem: ini.read_text(encoding="utf-8") for ini in inis}
+    dirichlet = "kind = interval_dirichlet"
+    assert dirichlet in texts["stable_linear"]
+    texts["stable_linear_neumann"] = texts["stable_linear"].replace(
+        dirichlet, "kind = interval_neumann")
+    configs = {}
+    for stem, text in texts.items():
+        configs[stem] = tmp_path / f"{stem}.ini"
+        configs[stem].write_text(re.sub(r"^horizon = .*$", "horizon = 0.02", text,
+                                        flags=re.MULTILINE), encoding="utf-8")
+    assert ({load_config(str(path)).domain.kind for path in configs.values()}
+            == set(spectral._DOMAIN_TABLE))
     src = str(Path(jumpnls.__file__).resolve().parents[1])
-    out = subprocess.run(
-        [sys.executable, "-c", probe], capture_output=True, text=True, check=True,
-        env={**os.environ, "PYTHONPATH": src}, timeout=60,
-    )
-    assert out.stdout.splitlines() == ["[]", "[]"]
+    for mode in ("block", "allow"):
+        commands = []
+        for stem, path in configs.items():
+            commands += [["simulate", "--config", str(path), "--out",
+                          str(tmp_path / mode / stem), "--trajectories", "2"],
+                         ["converge", "--config", str(path), "--levels", "2,3",
+                          "--trajectories", "2"]]
+            if "[noise]" in texts[stem]:
+                commands.append(["moments", "--config", str(path)])
+        commands.append(["verify"])
+        run = subprocess.run(
+            [sys.executable, "-c", NUMPY_ONLY_PROBE, mode, json.dumps(commands)],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src},
+            timeout=300,
+        )
+        assert run.returncode == 0, (mode, run.stderr)
+        report = json.loads(run.stdout)
+        assert report["packaged"] == []
+        assert report["codes"] == [0] * len(commands), (mode, commands)
+        if mode == "allow":
+            assert report["scipy"] == []
 
 
 def test_runs_leave_numpy_ma_unimported(fast_config, tmp_path):
     # np.union1d and np.quantile import numpy.ma, 9-12 ms of start-up; the
-    # time grid and the bootstrap bands avoid them.  scipy.fft imports it on
-    # interval domains, so the probe runs on a torus
+    # time grid and the bootstrap bands avoid them, on a torus and on an
+    # interval
     probe = ("import sys; from jumpnls.cli import main; "
              "code = main(sys.argv[1:]); print(code, 'numpy.ma' in sys.modules)")
     src = str(Path(jumpnls.__file__).resolve().parents[1])
+    interval = str(CONFIG_DIR / "stable_linear.ini")
     for argv in (["simulate", "--config", fast_config, "--out", str(tmp_path / "sim")],
-                 ["converge", "--config", fast_config, "--levels", "1,2"]):
+                 ["converge", "--config", fast_config, "--levels", "1,2"],
+                 ["simulate", "--config", interval, "--out", str(tmp_path / "interval"),
+                  "--trajectories", "1"],
+                 ["converge", "--config", interval, "--levels", "1,2", "--trajectories", "1"]):
         out = subprocess.run(
             [sys.executable, "-c", probe, *argv], capture_output=True, text=True,
             check=True, env={**os.environ, "PYTHONPATH": src}, timeout=60,
@@ -820,9 +873,9 @@ def test_runs_leave_numpy_ma_unimported(fast_config, tmp_path):
         assert out.stdout.strip().splitlines()[-1] == "0 False", argv
 
 
-#: case -> (workload, line replacements, whether the run may load scipy,
-#: event counts at seed 3, whether the level is transform-served at dim 181
-#: or more, where gemm and eigh round differently on two threads)
+#: case -> (workload, line replacements, event counts at seed 3, whether the
+#: level is transform-served at dim 181 or more, where gemm and eigh round
+#: differently on two threads)
 BLAS_THREAD_CASES = {
     # level 9 of a 92 x 92 grid occupies 63 spectrum rows and columns: its
     # pair is separable, and its factor products (92 x 63 x 92) are past the
@@ -830,21 +883,21 @@ BLAS_THREAD_CASES = {
     "separable_2d": ("converge-2d", (("max_level = 7", "max_level = 10"),
                                      ("level = 6", "level = 9"),
                                      ("horizon = 0.1", "horizon = 0.05")),
-                     False, [1, 0], True),
+                     [1, 0], True),
     # the Taylor2 closure of two channels at Dirichlet dim 181, from DST products
     "taylor2_dirichlet": ("jumps-stable", (("trajectories = 4", "trajectories = 2"),),
-                          True, [57, 46], True),
+                          [57, 46], True),
     # the AtomicExact compensator of two small atoms and a nonzero mean at
     # 1-d torus dim 181
     "atomic_exact_torus": ("ensemble-1d", (("max_level = 9", "max_level = 12"),
                                            ("level = 8", "level = 12"),
                                            ("horizon = 0.5", "horizon = 0.25"),
                                            ("trajectories = 16", "trajectories = 2")),
-                           False, [2, 4], True),
+                           [2, 4], True),
     # the same compensator and mean at dim 45 on 64 nodes, all through the
     # level's dense pair
     "dense_pair_torus": ("ensemble-1d", (("trajectories = 16", "trajectories = 2"),),
-                         False, [4, 6], False),
+                         [4, 6], False),
 }
 
 
@@ -853,7 +906,7 @@ BLAS_THREAD_CASES = {
 @pytest.mark.parametrize("case", sorted(BLAS_THREAD_CASES))
 def test_run_independent_of_blas_threads(tmp_path, case):
     # the run writes the same bytes on one and on two threads
-    workload, replacements, loads_scipy, event_counts, large = BLAS_THREAD_CASES[case]
+    workload, replacements, event_counts, large = BLAS_THREAD_CASES[case]
     text = (WORKLOAD_DIR / f"{workload}.ini").read_text(encoding="utf-8")
     for old, new in replacements:
         assert f"\n{old}\n" in text
@@ -868,9 +921,8 @@ def test_run_independent_of_blas_threads(tmp_path, case):
     if case == "separable_2d":
         assert model.grid_shape == (92, 92)
         assert 63 * 92 * (63 + 92) <= spectral.SEPARABLE_PAIR_MAX_MULADDS
-    probe = ("import sys; from jumpnls.cli import main; code = main(sys.argv[1:]); "
-             "print(code, [m for m in sys.modules "
-             "if m == 'numpy.ma' or m.split('.')[0] == 'scipy'])")
+    probe = ("import sys; from jumpnls.cli import main; "
+             "code = main(sys.argv[1:]); print(code, 'numpy.ma' in sys.modules)")
     src = str(Path(jumpnls.__file__).resolve().parents[1])
     outs = []
     for threads in ("1", "2"):
@@ -883,8 +935,7 @@ def test_run_independent_of_blas_threads(tmp_path, case):
             capture_output=True, text=True, check=True,
             env={**os.environ, **blas, "PYTHONPATH": src}, timeout=120,
         )
-        code, modules = run.stdout.strip().splitlines()[-1].split(" ", 1)
-        assert code == "0" and (loads_scipy or modules == "[]"), (threads, modules)
+        assert run.stdout.strip().splitlines()[-1] == "0 False", threads
         outs.append(out)
     one, two = outs
     assert json.loads((one / "summary.json").read_text())["event_counts"] == event_counts

@@ -303,7 +303,7 @@ def test_flow_group_law_in_time(cos_ops):
     mark = np.array([0.6])
     once = jumps.jump_map(cos_ops, mark, x)
     twice = jumps.jump_map(cos_ops, mark, once)
-    via_flow = oracles.marcus_flow(cos_ops, 2.0, mark, x, ode_tol=1e-12)
+    via_flow = oracles.marcus_flow(cos_ops, 2.0, mark, x)
     assert np.linalg.norm(twice - via_flow) <= 1e-8 * np.linalg.norm(x)
 
 
@@ -313,7 +313,7 @@ def test_jump_map_matches_ode_flow(two_channel_ops):
         mark = rng.uniform(-1, 1, size=2)
         x = random_state(rng, two_channel_ops.dim)
         exact = jumps.jump_map(two_channel_ops, mark, x)
-        ode = oracles.marcus_flow(two_channel_ops, 1.0, mark, x, ode_tol=1e-10)
+        ode = oracles.marcus_flow(two_channel_ops, 1.0, mark, x)
         assert np.linalg.norm(exact - ode) <= 1e-8 * np.linalg.norm(x)
 
 

@@ -2,7 +2,6 @@ import math
 
 import numpy as np
 import pytest
-from scipy import integrate
 
 from jumpnls import noise, oracles, spectral
 from jumpnls.exceptions import ConfigurationError
@@ -11,9 +10,9 @@ from jumpnls.exceptions import ConfigurationError
 def radial_oracle(c, beta, n, epsilon):
     """Quadrature oracle for the radial measure's intensity and moments."""
     area = 2.0 * math.pi ** (n / 2.0) / math.gamma(n / 2.0)
-    mass, _ = integrate.quad(lambda r: c * area * r ** (-1.0 - beta), epsilon, 1.0)
-    small_var, _ = integrate.quad(lambda r: c * area * r ** (1.0 - beta), 0.0, epsilon)
-    sim_second, _ = integrate.quad(lambda r: c * area * r ** (1.0 - beta), epsilon, 1.0)
+    mass = oracles.radial_integral(lambda r: c * area * r ** (-1.0 - beta), epsilon, 1.0)
+    small_var = oracles.radial_integral(lambda r: c * area * r ** (1.0 - beta), 0.0, epsilon)
+    sim_second = oracles.radial_integral(lambda r: c * area * r ** (1.0 - beta), epsilon, 1.0)
     return mass, small_var, sim_second
 
 

@@ -8,6 +8,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from jumpnls import oracles, spectral
 from jumpnls.exceptions import ConfigurationError, ShapeError
+from jumpnls.verify import L1_GAIN_CASES
 
 from conftest import closed_form_basis, kind_id, random_state
 
@@ -619,19 +620,6 @@ def test_norm_errors(torus_model):
 # ---------------------------------------------------------------------------
 # the smoothed truncation against the sharp projection
 # ---------------------------------------------------------------------------
-
-#: domain kind -> (its length per axis, the levels swept, one constant above
-#: the L^1 delta gain of the smoothed truncation S_n at every level and below
-#: that of the sharp projection P_n at the finest).  Readings, max over the
-#: levels for S_n and finest level for P_n: torus_1d 0.953 / 1.454, Dirichlet
-#: 0.789 / 1.008, Neumann 0.787 / 0.962, torus_2d 0.398 / 0.847
-L1_GAIN_CASES = {
-    spectral.TORUS_1D: (2 * np.pi, range(2, 11), 1.2),
-    spectral.INTERVAL_DIRICHLET: (np.pi, range(2, 10), 0.9),
-    spectral.INTERVAL_NEUMANN: (np.pi, range(2, 10), 0.875),
-    spectral.TORUS_2D: (2 * np.pi, range(2, 8), 0.6),
-}
-
 
 @pytest.mark.parametrize("kind", list(L1_GAIN_CASES), ids=kind_id)
 def test_smoothing_keeps_the_l1_gain_that_the_projection_outgrows(kind):

@@ -77,8 +77,11 @@ def test_fault_injection_cutoff(monkeypatch):
         spectral_mod, "cutoff_multiplier",
         lambda n, lam: np.ones_like(np.asarray(lam, dtype=float)),
     )
-    results = {r.name: r for r in verify.run_checks(names=["cutoff_branches"])}
+    # every multiplier 1 makes S_n the projection P_n, whose L^1 gain outgrows the bound
+    results = {r.name: r for r in verify.run_checks(names=["cutoff_branches",
+                                                           "smoothing_l1_gain"])}
     assert not results["cutoff_branches"].passed
+    assert not results["smoothing_l1_gain"].passed
 
 
 def test_exceptions_reported_as_failures(monkeypatch):
