@@ -10,8 +10,10 @@ at every level size.  Analysis is the quadrature adjoint of synthesis, and
 the grid pairing makes
 ``<u, F(u)>`` a nonnegative quadrature sum times the sign, so the structural
 identity ``Re <i u, F(u)> = 0`` holds to rounding regardless of aliasing.
-:func:`eval_F` and :func:`eval_Fhat` take the coefficients of the first
-``dim`` modes (None: all).
+:func:`eval_F` and :func:`eval_Fhat` take a level and the coefficients of its
+modes, and run its model's fast transforms on them
+(``level.model.synthesize(u, level.dim)``); a caller that means all modes
+passes the model's top level, ``build_level(model, model.max_level)``.
 
 The solver's step loop does not call :func:`eval_F` or :func:`eval_Fhat`: its
 drift workspace applies the same pointwise power (``_pointwise_power``) and
@@ -28,7 +30,7 @@ import math
 import numpy as np
 
 from .exceptions import ConfigurationError
-from .spectral import SpectralModel
+from .spectral import GalerkinLevel
 
 DEFOCUSING = +1
 FOCUSING = -1
@@ -97,17 +99,13 @@ def _pointwise_power(values: np.ndarray, alpha: float) -> np.ndarray:
     return np.abs(values) ** (alpha - 1.0) * values
 
 
-def eval_F(
-    model: SpectralModel,
-    nl: Nonlinearity,
-    coefficients: np.ndarray,
-    dim=None,
-) -> np.ndarray:
-    """Coefficients of sign * |u|^(alpha-1) u on the first ``dim`` modes (all when omitted).
+def eval_F(level: GalerkinLevel, nl: Nonlinearity, coefficients: np.ndarray) -> np.ndarray:
+    """Coefficients of sign * |u|^(alpha-1) u on the level's modes.
 
     Computing only those coefficients is exactly the composition with the
     orthogonal projection onto their span.
     """
+    model, dim = level.model, level.dim
     values = model.synthesize(coefficients, dim)
     # overflow to inf is acceptable: callers iterating toward a fixed point
     # read it as a diverged step and shorten
@@ -116,18 +114,14 @@ def eval_F(
     return nl.sign * model.analyze(power, dim)
 
 
-def eval_Fhat(
-    model: SpectralModel,
-    nl: Nonlinearity,
-    coefficients: np.ndarray,
-    dim=None,
-) -> float:
+def eval_Fhat(level: GalerkinLevel, nl: Nonlinearity, coefficients: np.ndarray) -> float:
     """Antiderivative functional sign/(alpha+1) * ||u||_{L^{alpha+1}}^{alpha+1}.
 
     Its directional derivative in h is ``Re <F(u), h>``, which pairs it with
     :func:`eval_F`; both use the same quadrature so the identity survives
     discretisation.
     """
-    values = model.synthesize(coefficients, dim)
+    model = level.model
+    values = model.synthesize(coefficients, level.dim)
     integral = float(np.sum(model.grid_weights * np.abs(values) ** (nl.alpha + 1.0)))
     return nl.sign * integral / (nl.alpha + 1.0)

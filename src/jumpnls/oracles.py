@@ -4,8 +4,8 @@ No run reads these, so none of the run-path modules nor ``diagnostics``
 imports this module (an ``ast`` rule in ``tests/test_imports.py``), and a
 ``simulate``, ``converge`` or ``moments`` run never compiles it.
 
-* Spectral: the H, E_A, E_A* and L^p norms of a coefficient vector
-  (``sobolev_norm``), the sampled Mihlin suprema of the cutoff, and the
+* Spectral: the H, E_A, E_A* and L^p norms of a level's coefficient
+  vector (``sobolev_norm``), the sampled Mihlin suprema of the cutoff, and the
   L^1 gain of a truncation on a grid delta (``l1_delta_gain``).  The gain
   is the witness of the paper's reason for the smoothed truncation S_n: it
   stays bounded in n, while the sharp projection P_n's keeps growing with
@@ -15,8 +15,9 @@ imports this module (an ``ast`` rule in ``tests/test_imports.py``), and a
   operators live; the generator B(l); the level constants ``bound_H`` and
   ``bound_EA``; the RK4 flow of du/dt = -i B(l) u that cross-validates
   the jump map.
-* Diagnostics: the energy report and its directional derivative, the
-  càdlàg modulus of a recorded path and the Aldous increment statistic.
+* Diagnostics: the energy report of a level's state and its directional
+  derivative, the càdlàg modulus of a recorded path and the Aldous
+  increment statistic.
 * Noise: the compensated Lévy path of a jump path, the second moment of
   a measure's simulated region, and the Gauss-Legendre integral in the
   radius that checks the radial measure's closed forms.
@@ -44,7 +45,8 @@ from . import jumps
 from .exceptions import NumericsError, ShapeError
 from .noise import AtomicMeasure, JumpEvent, NoiseMoments, _sphere_area
 from .nonlinear import Nonlinearity, eval_F, eval_Fhat
-from .spectral import GalerkinLevel, SpectralModel, _check_memory, transition_profile
+from .solver import CLOSURE_TAYLOR2
+from .spectral import GalerkinLevel, _check_memory, build_level, transition_profile
 
 # ---------------------------------------------------------------------------
 # spectral
@@ -55,15 +57,13 @@ NORM_SPACES = ("H", "E_A", "E_A_dual", "Lp")
 
 
 def sobolev_norm(
-    model: SpectralModel,
+    level: GalerkinLevel,
     coefficients: np.ndarray,
     space: str = "H",
-    dim=None,
     p: float | None = None,
 ) -> float:
-    """Norm of a coefficient vector in H, the energy space, its dual, or Lp.
+    """Norm of the level's coefficient vector in H, the energy space, its dual, or Lp.
 
-    ``coefficients`` are those of the first ``dim`` modes (all when omitted).
     The Hilbert norms are weighted Euclidean norms with weights 1,
     ``1 + lambda_A``, and ``1 / (1 + lambda_A)``; Lp norms are evaluated by
     grid quadrature and require ``p``.
@@ -71,7 +71,7 @@ def sobolev_norm(
     if space not in NORM_SPACES:
         raise ValueError(f"space must be one of {NORM_SPACES}, got {space!r}")
     coefficients = np.asarray(coefficients)
-    weights = model.ea_weights[:dim]
+    weights = level.ea_weights
     if coefficients.shape != weights.shape:
         raise ShapeError(
             f"expected {len(weights)} coefficients, got shape {coefficients.shape}"
@@ -79,7 +79,8 @@ def sobolev_norm(
     if space == "Lp":
         if p is None or not (p >= 1):
             raise ValueError("Lp norm requires p >= 1")
-        values = model.synthesize(coefficients, dim)
+        model = level.model
+        values = model.synthesize(coefficients, level.dim)
         return float(np.sum(model.grid_weights * np.abs(values) ** p) ** (1.0 / p))
     sq = np.abs(coefficients) ** 2
     if space == "H":
@@ -130,12 +131,12 @@ def l1_delta_gain(level: GalerkinLevel, multipliers) -> float:
     truncation S_n, ones give the orthogonal projection P_n.
     """
     model = level.model
+    top = build_level(model, model.max_level)
     delta = np.zeros(model.num_grid)
     delta[0 if model.domain.periodic else model.num_grid // 3] = 1.0
     full = model.analyze(delta)
     truncated = np.asarray(multipliers) * full[:level.dim]
-    return (sobolev_norm(model, truncated, "Lp", level.dim, p=1)
-            / sobolev_norm(model, full, "Lp", p=1))
+    return sobolev_norm(level, truncated, "Lp", p=1) / sobolev_norm(top, full, "Lp", p=1)
 
 
 # ---------------------------------------------------------------------------
@@ -279,39 +280,127 @@ class EnergyReport:
     total: float
 
 
-def energy(
-    model: SpectralModel,
-    nl: Nonlinearity | None,
-    state: np.ndarray,
-    dim=None,
-) -> EnergyReport:
-    """The energy report of the coefficients of the first ``dim`` modes (None: all)."""
+def energy(level: GalerkinLevel, nl: Nonlinearity | None, state: np.ndarray) -> EnergyReport:
+    """The energy report of the level's coefficients ``state``."""
     state = np.asarray(state, dtype=complex)
-    lam = model.eigenvalues_A[:dim]
+    lam = level.eigenvalues_A
     if state.shape != lam.shape:
         raise ShapeError(f"expected {len(lam)} coefficients, got {state.shape}")
     sq = np.abs(state) ** 2
     mass = float(np.sum(sq))
     kinetic = float(0.5 * np.sum(lam * sq))
-    potential = 0.0 if nl is None else eval_Fhat(model, nl, state, dim)
+    potential = 0.0 if nl is None else eval_Fhat(level, nl, state)
     return EnergyReport(mass=mass, kinetic=kinetic, potential=potential,
                         total=kinetic + potential)
 
 
 def energy_derivative(
-    model: SpectralModel,
+    level: GalerkinLevel,
     nl: Nonlinearity | None,
     state: np.ndarray,
     direction: np.ndarray,
-    dim=None,
 ) -> float:
     """Directional derivative of the energy: Re <A u + F(u), h>."""
     state = np.asarray(state, dtype=complex)
     direction = np.asarray(direction, dtype=complex)
-    grad = model.eigenvalues_A[:dim] * state
+    grad = level.eigenvalues_A * state
     if nl is not None:
-        grad = grad + eval_F(model, nl, state, dim)
+        grad = grad + eval_F(level, nl, state)
     return float(np.vdot(grad, direction).real)
+
+
+def _noise_adjoint(problem, config, phis: np.ndarray) -> np.ndarray:
+    """Rows ``G^H phi`` for the linear noise part G of the generator, one per row of ``phis``.
+
+    G u is the drift's compensated mean ``i B(m) u`` and its closure of the
+    small jumps, plus the jump term ``sum_a w_a (Phi(l_a) u - u)`` of the
+    simulated region (``Phi(l) = exp(-i B(l))``).  The jump map is unitary,
+    so the jump term's adjoint is ``sum_a w_a (Phi(-l_a) phi - phi)``; on a
+    radial measure of one channel, whose ``B(l) = l M``, it is
+    ``V diag(h) V^H phi`` with ``M = V diag(theta) V^H`` and
+    ``h_j = c int_eps^1 r^(-1-beta) (2 cos(r theta_j) - 2) dr``.
+    """
+    ops, measure = problem.ops, problem.measure
+    if ops is None or measure is None:
+        return np.zeros_like(phis)
+    moments = measure.moments()
+    block = phis.T
+    out = -1j * (generator(ops, moments.mean_simulated) @ block)
+    if config.closure == CLOSURE_TAYLOR2:
+        channels = matrices(ops)
+        cov = moments.second_moment_small
+        out -= 0.5 * sum(cov[m, n] * (channels[n] @ (channels[m] @ block))
+                         for m in range(len(channels)) for n in range(len(channels)))
+    else:
+        for mark, weight in zip(*measure.small_atoms()):
+            out += weight * (jumps.jump_map(ops, -mark, block) - block
+                             - 1j * (generator(ops, mark) @ block))
+    if isinstance(measure, AtomicMeasure):
+        marks, weights, _ = measure._simulated
+        for mark, weight in zip(marks, weights):
+            out += weight * (jumps.jump_map(ops, -mark, block) - block)
+    elif measure.dimension == 1:
+        theta, vectors = np.linalg.eigh(matrices(ops)[0])
+        c, b = measure.activity, measure.stability
+        h = [radial_integral(lambda r: 2.0 * c * r ** (-1.0 - b) * (np.cos(r * t) - 1.0),
+                             measure.epsilon, 1.0) for t in theta]
+        out += vectors @ (np.asarray(h)[:, None] * (vectors.conj().T @ block))
+    else:
+        raise ValueError("the jump term of a radial measure needs one channel, "
+                         f"got {measure.dimension}")
+    return out.T
+
+
+def martingale_residual(records, problem, config, phis) -> np.ndarray:
+    """M(T) of each record for each linear test functional ``f = <., phi>``.
+
+    ``f(u) = sum_j u_j conj(phi_j)`` for each row ``phi`` of ``phis`` (level
+    coefficients), and
+
+        M(T) = f(u_T) - f(u_0) - int_0^T L f(u(s-)) ds,
+        L f(u) = f(drift(u)) + sum_a w_a (f(Phi(l_a) u) - f(u)),
+
+    with ``drift`` the level's drift of ``problem`` under ``config.closure``
+    and the sum over the simulated marks (an integral on a radial measure).
+    M has mean zero for the law the Marcus generator defines (Ethier &
+    Kurtz, *Markov Processes*, 1986, 4.3), so over an ensemble its mean is
+    zero to sampling error plus the time step's bias.  The records must keep
+    their states.  The integral is the trapezoid on each record's nodes, from
+    the state after the jumps at a node to the state before the jumps at the
+    next, which ``jump_map`` with the mark negated recovers (the group law).
+    The drift is evaluated on each record's (nodes, dim) block of states, and
+    the noise part, linear in u, through its adjoint on ``phis`` once
+    (:func:`_noise_adjoint`).  Returns the complex (records, phis) array.
+    """
+    level, nl = problem.level, problem.nonlinearity
+    phis = np.atleast_2d(np.asarray(phis, dtype=complex))
+    if phis.shape[1:] != (level.dim,):
+        raise ShapeError(f"each phi must have {level.dim} coefficients, got {phis.shape}")
+    conj_phis, conj_noise = phis.conj().T, _noise_adjoint(problem, config, phis).conj().T
+
+    def generated(states):
+        drift = -1j * (level.eigenvalues_A * states)
+        if nl is not None:
+            drift -= 1j * eval_F(level, nl, states)
+        return drift @ conj_phis + states @ conj_noise
+
+    residuals = []
+    for record in records:
+        if record.states is None:
+            raise ValueError("records must retain states for the martingale residual")
+        after, before = record.states, record.states.copy()
+        jumped = np.searchsorted(record.times, [event.time for event in record.events])
+        # the last jump at a node is undone first
+        for i, event in zip(jumped[::-1], record.events[::-1]):
+            before[i] = jumps.jump_map(problem.ops, -event.mark, before[i])
+        rate_after = generated(after)
+        rate_before = rate_after.copy()
+        if len(jumped):
+            rate_before[jumped] = generated(before[jumped])
+        steps = np.diff(record.times)[:, None]
+        integral = np.sum(0.5 * steps * (rate_after[:-1] + rate_before[1:]), axis=0)
+        residuals.append(after[-1] @ conj_phis - before[0] @ conj_phis - integral)
+    return np.array(residuals)
 
 
 def cadlag_modulus(times: np.ndarray, values: np.ndarray, delta: float) -> float:

@@ -30,7 +30,9 @@ and returns its ``dim``; ``build_level`` calls it and binds each
 level's pair once (``SpectralModel.transform_pair``: dense, separable on a
 2-d torus, or the fast transforms), and every run-path product reads it.
 The level also keeps its model (``GalerkinLevel.model``), so an API that works
-on a level reads the model there and none takes a model beside a level.
+on a level reads the model and the mode count there: none takes a model
+beside a level or a ``dim``, and all modes are the model's top level,
+``build_level(model, model.max_level)``.
 Models and levels hold arrays, so they compare and hash by identity.
 
 Two diagonal operators act on coefficients:
@@ -691,11 +693,11 @@ def apply_smoothing(level: GalerkinLevel, coefficients_full: np.ndarray) -> np.n
     return level.multipliers * apply_projection(level, coefficients_full)
 
 
-def embed(level: GalerkinLevel, coefficients_level: np.ndarray, num_modes: int) -> np.ndarray:
-    """Zero-pad a level coefficient vector back to the full mode table."""
+def embed(level: GalerkinLevel, coefficients_level: np.ndarray) -> np.ndarray:
+    """Zero-pad a level coefficient vector back to its model's full mode table."""
     coefficients_level = np.asarray(coefficients_level)
     if coefficients_level.shape != (level.dim,):
         raise ShapeError(
             f"expected {level.dim} coefficients, got shape {coefficients_level.shape}"
         )
-    return np.pad(coefficients_level.astype(complex), (0, num_modes - level.dim))
+    return np.pad(coefficients_level.astype(complex), (0, level.model.num_modes - level.dim))

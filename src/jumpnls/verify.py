@@ -214,7 +214,7 @@ def check_smoothing_l1_gain(ws, tol):
 # ---------------------------------------------------------------------------
 
 def check_pairing_reality(ws, tol):
-    f = nonlinear.eval_F(ws.model, ws.nl, ws.state, ws.level.dim)
+    f = nonlinear.eval_F(ws.level, ws.nl, ws.state)
     pairing = float(np.vdot(ws.state, 1j * f).real)
     scale = np.linalg.norm(ws.state) * max(np.linalg.norm(f), 1.0)
     ok = abs(pairing) <= 1e-13 * tol * scale
@@ -224,11 +224,11 @@ def check_pairing_reality(ws, tol):
 def check_antiderivative_slope(ws, tol):
     u = ws.state
     h = np.roll(u, 1)
-    f = nonlinear.eval_F(ws.model, ws.nl, u, ws.level.dim)
+    f = nonlinear.eval_F(ws.level, ws.nl, u)
     exact = float(np.vdot(f, h).real)
     eps = 1e-6
-    plus = nonlinear.eval_Fhat(ws.model, ws.nl, u + eps * h, ws.level.dim)
-    minus = nonlinear.eval_Fhat(ws.model, ws.nl, u - eps * h, ws.level.dim)
+    plus = nonlinear.eval_Fhat(ws.level, ws.nl, u + eps * h)
+    minus = nonlinear.eval_Fhat(ws.level, ws.nl, u - eps * h)
     fd = (plus - minus) / (2 * eps)
     err = abs(fd - exact) / max(abs(exact), 1e-12)
     return err <= 1e-5 * tol, f"directional-derivative mismatch {err:.3e}"
@@ -500,7 +500,7 @@ def check_modulus_dynamic_program(ws, tol):
 
 
 def check_energy_report(ws, tol):
-    report = oracles.energy(ws.model, ws.nl, ws.state, ws.level.dim)
+    report = oracles.energy(ws.level, ws.nl, ws.state)
     recomputed = report.kinetic + report.potential
     ok = (report.total == recomputed
           and abs(report.mass - float(np.sum(np.abs(ws.state) ** 2))) <= 1e-14 * tol)

@@ -63,6 +63,11 @@ def branch_nodes(problem, config, paths):
             for p in range(len(paths))]
 
 
+def top_level(model):
+    """The model's top level, ``max_level``: all of its modes."""
+    return spectral.build_level(model, model.max_level)
+
+
 def random_state(rng, dim, scale=1.0):
     return scale * (rng.standard_normal(dim) + 1j * rng.standard_normal(dim))
 

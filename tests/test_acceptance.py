@@ -143,12 +143,10 @@ def test_05_antiderivative_identity(model):
         rng = np.random.default_rng(500 + seed)
         u = unit_state(rng, level.dim)
         v = unit_state(rng, level.dim)
-        base = nonlinear.eval_Fhat(model, nl, u, level.dim)
-        pairing = float(np.vdot(nonlinear.eval_F(model, nl, u, level.dim),
-                                v).real)
+        base = nonlinear.eval_Fhat(level, nl, u)
+        pairing = float(np.vdot(nonlinear.eval_F(level, nl, u), v).real)
         errors = np.array([
-            abs((nonlinear.eval_Fhat(model, nl, u + h * v, level.dim) - base)
-                / h - pairing)
+            abs((nonlinear.eval_Fhat(level, nl, u + h * v) - base) / h - pairing)
             for h in steps
         ])
         slopes.append(float(np.polyfit(np.log(steps), np.log(errors), 1)[0]))
@@ -165,7 +163,7 @@ def test_06_energy_jump_difference_scaling(model):
         level, np.stack([np.cos(x), np.sin(x), np.cos(2 * x)])
     )
     state = solver.renormalize_initial(level, golden_decaying(model))
-    base = oracles.energy(model, nl, state, level.dim).total
+    base = oracles.energy(level, nl, state).total
     radii = np.logspace(-1, -4, 7)
     rng = np.random.default_rng(606)
     worst_first = 0.0
@@ -177,10 +175,9 @@ def test_06_energy_jump_difference_scaling(model):
         for radius in radii:
             mark = radius * direction
             jumped = jumps.jump_map(ops, mark, state)
-            delta = oracles.energy(model, nl, jumped, level.dim).total - base
+            delta = oracles.energy(level, nl, jumped).total - base
             linear = oracles.energy_derivative(
-                model, nl, state, 1j * (oracles.generator(ops, mark) @ state),
-                level.dim,
+                level, nl, state, 1j * (oracles.generator(ops, mark) @ state)
             )
             first.append(abs(delta) / radius)
             second.append(abs(delta + linear) / radius**2)

@@ -20,6 +20,8 @@ from jumpnls.oracles import aldous_statistic, cadlag_modulus, energy, energy_der
 from jumpnls.solver import GalerkinProblem, SolverConfig, simulate
 from jumpnls.spectral import build_level
 
+from conftest import top_level
+
 
 # ---------------------------------------------------------------------------
 # energy
@@ -28,7 +30,7 @@ from jumpnls.spectral import build_level
 def test_energy_single_dirichlet_mode(dirichlet_model):
     state = np.zeros(dirichlet_model.num_modes, dtype=complex)
     state[0] = 1.0  # lowest mode, lambda_A = 1
-    report = energy(dirichlet_model, defocusing(3.0), state)
+    report = energy(top_level(dirichlet_model), defocusing(3.0), state)
     assert report.mass == pytest.approx(1.0, rel=1e-14)
     assert report.kinetic == pytest.approx(0.5, rel=1e-14)
     assert report.potential == pytest.approx(3.0 / (8.0 * math.pi), rel=1e-12)
@@ -38,7 +40,7 @@ def test_energy_single_dirichlet_mode(dirichlet_model):
 def test_energy_without_nonlinearity(torus_model):
     rng = np.random.default_rng(0)
     state = rng.normal(size=torus_model.num_modes) * (1.0 + 0.5j)
-    report = energy(torus_model, None, state)
+    report = energy(top_level(torus_model), None, state)
     assert report.potential == 0.0
     lam = torus_model.eigenvalues_A
     assert report.kinetic == pytest.approx(
@@ -48,7 +50,7 @@ def test_energy_without_nonlinearity(torus_model):
 
 def test_energy_shape_error(torus_model):
     with pytest.raises(ShapeError):
-        energy(torus_model, None, np.ones(3, dtype=complex))
+        energy(top_level(torus_model), None, np.ones(3, dtype=complex))
 
 
 def test_energy_derivative_matches_difference_quotient(torus_model):
@@ -57,11 +59,10 @@ def test_energy_derivative_matches_difference_quotient(torus_model):
     nl = defocusing(3.0)
     x = rng.normal(size=level.dim) + 1j * rng.normal(size=level.dim)
     h = rng.normal(size=level.dim) + 1j * rng.normal(size=level.dim)
-    exact = energy_derivative(torus_model, nl, x, h, level.dim)
+    exact = energy_derivative(level, nl, x, h)
 
     def total(state):
-        report = energy(torus_model, nl, state, level.dim)
-        return report.total
+        return energy(level, nl, state).total
 
     eps = 1e-6
     fd = (total(x + eps * h) - total(x - eps * h)) / (2 * eps)

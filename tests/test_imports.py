@@ -9,8 +9,10 @@ only ``solver.GalerkinProblem`` and ``verify`` assemble noise operators,
 ``GalerkinLevel``, no module but ``spectral`` and ``verify`` adds 1 to the
 ``lambda_A`` eigenvalues, no module selects modes by an ``indices``
 array, no module but ``spectral`` and ``oracles`` reads ``ea_weights``, no
-function or class takes a ``model`` beside a ``level``, and no run-path module
-nor ``diagnostics`` imports ``oracles``, at any depth."""
+function or class takes a ``model`` beside a ``level`` or a ``dim``, nor a
+``level`` beside a ``num_modes``, no run-path module nor ``diagnostics``
+imports ``oracles``, at any depth, and every ``.py`` file of the repository
+parses as Python 3.10."""
 
 import ast
 import importlib
@@ -21,6 +23,7 @@ import pytest
 import jumpnls
 
 PACKAGE_DIR = Path(jumpnls.__file__).resolve().parent
+REPO_DIR = Path(__file__).resolve().parent.parent
 MODULES = sorted(p for p in PACKAGE_DIR.glob("*.py") if p.name != "__init__.py")
 
 
@@ -178,9 +181,14 @@ def oracle_importers(sources: dict[str, str]) -> list[tuple[str, str]]:
     return top_level_sites(sources, matches)
 
 
+#: parameter pairs that give an API a level's model or mode count beside
+#: what already holds it: a level carries its model, and its model its dim
+LEVEL_PARAMETER_PAIRS = ({"model", "level"}, {"model", "dim"}, {"level", "num_modes"})
+
+
 def model_beside_level_sites(sources: dict[str, str]) -> list[tuple[str, str]]:
-    """(module, name) of every function or method with parameters named both
-    ``model`` and ``level``, and of every class annotating both as fields."""
+    """(module, name) of every function or method with parameters named as one
+    of ``LEVEL_PARAMETER_PAIRS``, and of every class annotating one as fields."""
     found = []
     for module, source in sorted(sources.items()):
         for node in ast.walk(ast.parse(source)):
@@ -192,7 +200,7 @@ def model_beside_level_sites(sources: dict[str, str]) -> list[tuple[str, str]]:
                          if isinstance(stmt, ast.AnnAssign)}
             else:
                 continue
-            if {"model", "level"} <= names:
+            if any(pair <= names for pair in LEVEL_PARAMETER_PAIRS):
                 found.append((module, node.name))
     return found
 
@@ -409,14 +417,21 @@ def test_checker_finds_a_model_beside_a_level():
                  "def run(level, state, dim=None):\n    return level.model\n"
                  "class Record:\n    level: object\n    def bind(self, model):\n"
                  "        self.model = model\n"),
+        "c.py": ("def eval_F(model, nl, u, dim=None):\n    return u\n"
+                 "def embed(level, c, num_modes):\n    return c\n"
+                 "class Model:\n    def synthesize(self, c, dim=None):\n        return c\n"
+                 "def pad(c, num_modes, *, model):\n    return c\n"),
     }
     assert sorted(model_beside_level_sites(sources)) == [("a.py", "Problem"), ("a.py", "assemble"),
-                                                         ("a.py", "product")]
+                                                         ("a.py", "product"), ("c.py", "embed"),
+                                                         ("c.py", "eval_F")]
 
 
 def test_no_api_takes_a_model_beside_a_level():
     # a level carries its model (``GalerkinLevel.model``, bound by
-    # build_level), so an API given both could be given two that do not match
+    # build_level) and its mode count (``GalerkinLevel.dim``), so an API given
+    # a model and a count, or a level and its model's count, could be given
+    # two that do not match; all modes are the model's top level
     sources = {p.name: p.read_text(encoding="utf-8") for p in PACKAGE_DIR.glob("*.py")}
     assert model_beside_level_sites(sources) == []
 
@@ -478,3 +493,14 @@ def test_all_lists_exactly_the_imported_names():
         assert getattr(jumpnls, name) is getattr(
             importlib.import_module(f"jumpnls.{table[name]}"), name)
     assert set(jumpnls.__all__) <= set(dir(jumpnls))
+
+
+def test_every_python_file_parses_as_python_3_10():
+    # pyproject.toml accepts 3.10, so no file of the package, its tests, its
+    # tools or its benchmark may use syntax that only a later parser reads
+    paths = [p for top in ("src", "tests", "tools", "perfbench")
+             for p in sorted((REPO_DIR / top).rglob("*.py"))]
+    assert len(paths) > 20
+    for path in paths:
+        ast.parse(path.read_text(encoding="utf-8"), filename=str(path),
+                  feature_version=(3, 10))

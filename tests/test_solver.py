@@ -500,8 +500,8 @@ def test_workspace_kernel_matches_eval_F(torus_model, torus2d_model, dense):
                   1e-310 * noise):
             with warnings.catch_warnings():
                 warnings.simplefilter("error", RuntimeWarning)
-                want_F = eval_F(model, nl, u, dim)
-                want_Fhat = eval_Fhat(model, nl, u, dim)
+                want_F = eval_F(problem.level, nl, u)
+                want_Fhat = eval_Fhat(problem.level, nl, u)
             got = dyn.remainder(u)
             assert np.linalg.norm(got - (-1j) * want_F) <= 1e-14 * np.linalg.norm(want_F)
             _record_node(record, dyn, 0, u)
@@ -1185,6 +1185,35 @@ def test_coupled_nonlinear_distance_shrinks_with_level(torus_model):
     assert distances[1] < distances[0]
 
 
+@pytest.mark.parametrize("p", [1, 2])
+def test_coupled_distance_falls_at_the_rate_of_the_data_on_every_path(p):
+    # data with coefficients (1 + lambda_A)^-p on the 1-d torus: the E_A*
+    # norm of the tail beyond level n, |k| > 2^(n/2), falls like
+    # 2^(-(p + 1/4) n).  The ratio of one level to the next alternates with
+    # the parity of n (the cutoff 2^((n+1)/2) is no integer), so each path's
+    # log distance is fitted over levels 4-8 and its slope, in units of
+    # log 2, must lie within SLOPE_BAND of -(p + 1/4).  The bands of p = 1
+    # and p = 2 are disjoint.  A least-squares slope is blind to the middle
+    # level, so every level must also lie within RESIDUAL_BAND of the line.
+    # Measured: slopes within 0.15 (p = 1) and 0.23 (p = 2) of the rate,
+    # residuals at most 0.07 and 0.13
+    slope_band, residual_band = 0.35, 0.5
+    model = build_spectral_model(torus_1d(2 * np.pi), max_level=9)
+    measure = AtomicMeasure(marks=[[0.3], [-0.3]], weights=[4.0, 4.0])
+    problem = GalerkinProblem(build_level(model, 9), 0.5, (1.0 + model.eigenvalues_A) ** -p,
+                              nonlinearity=defocusing(3.0),
+                              symbols=np.cos(model.grid_points[:, 0]), measure=measure)
+    assert problem.level.dim == 63
+    levels = [4, 5, 6, 7, 8]
+    distances = converge_ensemble(problem, levels, SolverConfig(dt=5e-3), 8,
+                                  lambda k: sample_prm(measure, 0.5, trajectory_rng(1409, k)))
+    log_distances = np.log([distances[n] for n in levels])   # (levels, paths)
+    slopes, intercepts = np.polyfit(levels, log_distances, 1)
+    residuals = log_distances - (np.outer(levels, slopes) + intercepts)
+    assert np.all(np.abs(slopes / np.log(2) + (p + 0.25)) <= slope_band), slopes
+    assert np.all(np.abs(residuals) <= residual_band), residuals
+
+
 @pytest.mark.parametrize("closure", [CLOSURE_TAYLOR2, CLOSURE_ATOMIC])
 @pytest.mark.parametrize("mode", [MODE_MIDPOINT, MODE_SPLITSTEP])
 def test_coupled_levels_match_independent_runs(torus_model, cos_symbol, mode, closure):
@@ -1270,3 +1299,105 @@ def test_coupled_run_records_nothing(torus_model, cos_symbol, monkeypatch):
     assert len(result.distances) == len(result.times) > 11
     with pytest.raises(AssertionError, match="a node was recorded"):
         simulate(high, config, events)
+
+
+# ---------------------------------------------------------------------------
+# the martingale problem
+# ---------------------------------------------------------------------------
+
+#: largest |z| of the ensemble mean of M(T), real and imaginary parts of the
+#: first four modes, that a test mode accepts
+MARTINGALE_Z_BOUND = 4.0
+
+
+@pytest.mark.parametrize("closure", [CLOSURE_TAYLOR2, CLOSURE_ATOMIC])
+def test_martingale_residual_matches_a_node_by_node_generator(torus_model, cos_symbol, closure):
+    # the residual evaluates the drift on blocks and the noise part through
+    # its adjoint on phi; here every node's generator is summed directly
+    # from ``drift`` and ``jump_map`` on the pre-jump state
+    measure = AtomicMeasure(marks=[[0.45], [-0.2], [0.1]], weights=[2.0, 1.0, 3.0],
+                            epsilon=0.15)
+    config = SolverConfig(dt=0.05, closure=closure)
+    problem = GalerkinProblem(build_level(torus_model, 4), 0.5, decaying_initial(torus_model),
+                              nonlinearity=defocusing(3.0), symbols=cos_symbol,
+                              measure=measure)
+    paths = [[], [JumpEvent(0.0, np.array([0.45]))],
+             [JumpEvent(0.12, np.array([-0.2])), JumpEvent(0.12, np.array([0.45])),
+              JumpEvent(0.3, np.array([0.45]))]]
+    records = [simulate(problem, config, path) for path in paths]
+    phis = np.eye(problem.level.dim)[1:4] + 0.5j * np.eye(problem.level.dim)[:3]
+    marks, weights, _ = measure._simulated
+
+    def generated(u):
+        rate = drift(problem, config, u) + sum(
+            w * (jump_map(problem.ops, mark, u) - u) for mark, w in zip(marks, weights))
+        return rate @ phis.conj().T
+
+    for record, path, got in zip(records, paths,
+                                 oracles.martingale_residual(records, problem, config, phis)):
+        before = record.states.copy()
+        for event in path[::-1]:
+            i = int(np.searchsorted(record.times, event.time))
+            before[i] = jump_map(problem.ops, -event.mark, before[i])
+        integral = sum(0.5 * (b - a) * (generated(u) + generated(v)) for a, b, u, v in
+                       zip(record.times, record.times[1:], record.states, before[1:]))
+        want = (record.states[-1] - before[0]) @ phis.conj().T - integral
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(integral))
+    with pytest.raises(ShapeError):
+        oracles.martingale_residual(records, problem, config, phis[:, :-1])
+    with pytest.raises(ValueError, match="retain states"):
+        oracles.martingale_residual([simulate(problem, config, [], record_states=False)],
+                                    problem, config, phis)
+
+
+def test_martingale_noise_term_of_a_radial_measure_matches_jump_maps(torus_model):
+    # the radial jump term is integrated per eigenvalue of M, where B(l) = l M;
+    # here it is summed from jump maps at Gauss-Legendre radii in [eps, 1]
+    x = torus_model.grid_points[:, 0]
+    measure = RadialStableMeasure(activity=1.3, stability=0.7, epsilon=0.3)
+    problem = GalerkinProblem(build_level(torus_model, 4), 0.5, np.ones(torus_model.num_modes),
+                              symbols=np.cos(x) + 0.3 * np.sin(2 * x), measure=measure)
+    phis = np.eye(problem.level.dim)[:3] + 0.2j
+    M = oracles.matrices(problem.ops)[0]
+    want = -0.5 * measure.moments().second_moment_small[0, 0] * (M @ M @ phis.T)
+    nodes, weights = np.polynomial.legendre.leggauss(40)
+    for node, weight in zip(nodes, weights):
+        r = 0.65 + 0.35 * node
+        want += (0.35 * weight * 1.3 * r ** -1.7) * (jump_map(problem.ops, [r], phis.T)
+                                                     + jump_map(problem.ops, [-r], phis.T)
+                                                     - 2.0 * phis.T)
+    got = oracles._noise_adjoint(problem, SolverConfig(closure=CLOSURE_TAYLOR2), phis)
+    assert np.max(np.abs(got - want.T)) <= 1e-13 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("case", ["atomic_exact_midpoint", "radial_taylor2_splitstep"])
+def test_martingale_residual_has_mean_zero_on_an_ensemble(case):
+    # f = <., phi> for the first four modes: M(T) = f(u_T) - f(u_0) - int L f
+    # has mean zero under the law the Marcus generator defines.  The atomic
+    # mode (asymmetric atoms, the -0.2 atom closed by AtomicExact) kills a
+    # flipped mark sign, a dropped mean term and a jump applied as Phi(-l);
+    # the radial mode (symmetric, so blind to those) kills a dropped Taylor2
+    # closure and a jump rate 1.5 times too high.  Measured: max |z| 0.71 and
+    # 0.76; each mutant's |z| is in CHANGES.md
+    model = build_spectral_model(torus_1d(2 * np.pi), max_level=4)
+    level = build_level(model, 4)
+    initial = np.exp(-0.5 * np.sqrt(model.eigenvalues_S)
+                     + 2j * np.pi * 0.618 * np.arange(model.num_modes))
+    if case == "atomic_exact_midpoint":
+        measure = AtomicMeasure(marks=[[0.45], [-0.2]], weights=[2.0, 1.0], epsilon=0.3)
+        config = SolverConfig(mode=MODE_MIDPOINT, dt=0.005, closure=CLOSURE_ATOMIC)
+        count = 100
+    else:
+        measure = RadialStableMeasure(activity=1.0, stability=1.0, epsilon=0.3)
+        config = SolverConfig(mode=MODE_SPLITSTEP, dt=0.005, closure=CLOSURE_TAYLOR2)
+        count = 400
+    problem = GalerkinProblem(level, 0.5, initial, nonlinearity=defocusing(3.0),
+                              symbols=np.cos(model.grid_points[:, 0]), measure=measure)
+    runs = simulate_ensemble(problem, config, count,
+                             lambda k: sample_prm(measure, 0.5, trajectory_rng(13, k)))
+    residuals = oracles.martingale_residual([record for _, record in runs], problem, config,
+                                            np.eye(level.dim)[:4])
+    assert residuals.shape == (count, 4)
+    parts = np.concatenate([residuals.real, residuals.imag], axis=1)
+    z = parts.mean(axis=0) / (parts.std(axis=0, ddof=1) / np.sqrt(count))
+    assert np.max(np.abs(z)) <= MARTINGALE_Z_BOUND, z

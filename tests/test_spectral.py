@@ -10,7 +10,7 @@ from jumpnls import oracles, spectral
 from jumpnls.exceptions import ConfigurationError, ShapeError
 from jumpnls.verify import L1_GAIN_CASES
 
-from conftest import closed_form_basis, kind_id, random_state
+from conftest import closed_form_basis, kind_id, random_state, top_level
 
 # Frozen oracle values for the quintic ramp (computed symbolically /
 # by high-precision root finding, independent of the implementation):
@@ -220,10 +220,8 @@ def test_projection_idempotent_contractive(torus_model):
     level = spectral.build_level(torus_model, 5)
     u = random_state(rng, torus_model.num_modes)
     pu = spectral.apply_projection(level, u)
-    once = spectral.embed(level, pu, torus_model.num_modes)
-    twice = spectral.embed(
-        level, spectral.apply_projection(level, once), torus_model.num_modes
-    )
+    once = spectral.embed(level, pu)
+    twice = spectral.embed(level, spectral.apply_projection(level, once))
     assert np.array_equal(once, twice)
     assert np.linalg.norm(pu) <= np.linalg.norm(u) + 1e-14
 
@@ -233,7 +231,7 @@ def test_projection_nesting(torus_model):
     u = random_state(rng, torus_model.num_modes)
     lo, hi = spectral.build_level(torus_model, 3), spectral.build_level(torus_model, 4)
     via_hi = spectral.apply_projection(
-        lo, spectral.embed(hi, spectral.apply_projection(hi, u), torus_model.num_modes)
+        lo, spectral.embed(hi, spectral.apply_projection(hi, u))
     )
     assert np.array_equal(via_hi, spectral.apply_projection(lo, u))
 
@@ -252,14 +250,14 @@ def test_smoothing_contraction_and_convergence(torus_model):
     u = (1.0 + torus_model.eigenvalues_A) ** -3 * np.exp(
         1j * np.arange(torus_model.num_modes)
     )
-    errs = []
+    top, errs = top_level(torus_model), []
     for n in range(2, torus_model.max_level + 1):
         level = spectral.build_level(torus_model, n)
-        su = spectral.embed(level, spectral.apply_smoothing(level, u), torus_model.num_modes)
-        assert oracles.sobolev_norm(torus_model, su, "H") <= oracles.sobolev_norm(
-            torus_model, u, "H"
+        su = spectral.embed(level, spectral.apply_smoothing(level, u))
+        assert oracles.sobolev_norm(top, su, "H") <= oracles.sobolev_norm(
+            top, u, "H"
         ) * (1 + 1e-14)
-        errs.append(oracles.sobolev_norm(torus_model, su - u, "E_A"))
+        errs.append(oracles.sobolev_norm(top, su - u, "E_A"))
     assert all(b <= a + 1e-15 for a, b in zip(errs, errs[1:]))
     assert errs[-1] < 1e-3 * errs[0]
 
@@ -554,8 +552,9 @@ def test_a_mode_count_synthesizes_its_zero_padded_table(model_name, request):
 def test_parseval(torus_model):
     rng = np.random.default_rng(12)
     c = random_state(rng, torus_model.num_modes)
-    l2 = oracles.sobolev_norm(torus_model, c, "Lp", p=2)
-    h = oracles.sobolev_norm(torus_model, c, "H")
+    top = top_level(torus_model)
+    l2 = oracles.sobolev_norm(top, c, "Lp", p=2)
+    h = oracles.sobolev_norm(top, c, "H")
     assert abs(l2 - h) <= 1e-10 * h
 
 
@@ -563,18 +562,19 @@ def test_norm_values_frozen(dirichlet_model, torus_model):
     # first Dirichlet mode on (0, pi): unit mass, energy weight 1 + 1
     e1 = np.zeros(dirichlet_model.num_modes, dtype=complex)
     e1[0] = 1.0
-    assert oracles.sobolev_norm(dirichlet_model, e1, "H") == pytest.approx(1.0, abs=1e-14)
-    assert oracles.sobolev_norm(dirichlet_model, e1, "E_A") ** 2 == pytest.approx(
+    dirichlet = top_level(dirichlet_model)
+    assert oracles.sobolev_norm(dirichlet, e1, "H") == pytest.approx(1.0, abs=1e-14)
+    assert oracles.sobolev_norm(dirichlet, e1, "E_A") ** 2 == pytest.approx(
         2.0, abs=1e-12
     )
-    assert oracles.sobolev_norm(dirichlet_model, e1, "E_A_dual") ** 2 == pytest.approx(
+    assert oracles.sobolev_norm(dirichlet, e1, "E_A_dual") ** 2 == pytest.approx(
         0.5, abs=1e-12
     )
     # constant 1 on the torus: L4 norm is (2 pi)^(1/4)
     const = np.zeros(torus_model.num_modes, dtype=complex)
     zero_mode = int(np.nonzero(torus_model.wavenumbers[:, 0] == 0)[0][0])
     const[zero_mode] = math.sqrt(2 * math.pi)
-    assert oracles.sobolev_norm(torus_model, const, "Lp", p=4) == pytest.approx(
+    assert oracles.sobolev_norm(top_level(torus_model), const, "Lp", p=4) == pytest.approx(
         (2 * math.pi) ** 0.25, rel=1e-12
     )
 
@@ -593,20 +593,20 @@ def test_level_norms_match_sobolev_norm_and_keep_the_scale_of_tiny_data(model_na
         level = spectral.build_level(model, n)
         x = random_state(rng, level.dim)
         for norm, space in ((level.ea_norm, "E_A"), (level.dual_norm, "E_A_dual")):
-            want = oracles.sobolev_norm(model, x, space, level.dim)
+            want = oracles.sobolev_norm(level, x, space)
             assert norm(x) == pytest.approx(want, rel=1e-14, abs=0.0)
             assert norm(1e-300 * x) == pytest.approx(1e-300 * want, rel=1e-14, abs=0.0)
             assert norm(np.zeros(level.dim)) == 0.0
 
 
 def test_norm_errors(torus_model):
-    c = np.zeros(torus_model.num_modes, dtype=complex)
+    c, top = np.zeros(torus_model.num_modes, dtype=complex), top_level(torus_model)
     with pytest.raises(ValueError):
-        oracles.sobolev_norm(torus_model, c, "bogus")
+        oracles.sobolev_norm(top, c, "bogus")
     with pytest.raises(ValueError):
-        oracles.sobolev_norm(torus_model, c, "Lp")  # missing p
+        oracles.sobolev_norm(top, c, "Lp")  # missing p
     with pytest.raises(ShapeError):
-        oracles.sobolev_norm(torus_model, c[:-1], "H")
+        oracles.sobolev_norm(top, c[:-1], "H")
     with pytest.raises(ShapeError):
         torus_model.synthesize(c[:-1])
     with pytest.raises(ShapeError):
