@@ -5,7 +5,7 @@ Modules
 spectral     mode tables, fast transforms on numpy.fft, dyadic truncation levels,
              level norms
 nonlinear    power nonlinearities and their potential functional
-noise        jump measures, moments, Poisson sampling, seed streams
+noise        jump measures, moments, Poisson jump paths, seed streams
 jumps        noise operators, jump maps and differences, atomic compensator
 solver       drift assembly, steppers, trajectory and coupled simulation
 diagnostics  ensemble statistics of a run
@@ -50,7 +50,7 @@ _EXPORTS = {
     "eval_Fhat": "nonlinear",
     "focusing": "nonlinear",
     "AtomicMeasure": "noise",
-    "JumpEvent": "noise",
+    "JumpPath": "noise",
     "NoiseMoments": "noise",
     "RadialStableMeasure": "noise",
     "sample_prm": "noise",

@@ -31,7 +31,7 @@ from .config import (
     load_config,
 )
 from .exceptions import ConfigurationError, NumericsError
-from .noise import sample_prm, trajectory_rng, trajectory_seed
+from .noise import JumpPath, sample_prm, trajectory_rng, trajectory_seed
 from .solver import converge_ensemble, simulate_ensemble
 from .spectral import _check_memory
 
@@ -52,9 +52,9 @@ def _apply_overrides(spec, args):
 
 
 def _jump_path(problem, master_seed: int, index: int):
-    """Trajectory ``index``'s jump path: the events its own stream samples."""
+    """Trajectory ``index``'s jump path: the jumps its own stream samples."""
     if problem.measure is None:
-        return []
+        return JumpPath()
     return sample_prm(problem.measure, problem.horizon,
                       trajectory_rng(master_seed, index))
 
@@ -72,13 +72,12 @@ def _trajectory_rows(record):
         yield ",".join(repr(float(v)) for v in row) + "\n"
 
 
-def _event_rows(record):
-    width = len(record.events[0].mark) if record.events else 0
+def _event_rows(path):
+    # a path without jumps writes the bare ``time`` header
+    width = path.marks.shape[1] if len(path) else 0
     yield "time" + "".join(f",mark_{m}" for m in range(width)) + "\n"
-    for event in record.events:
-        yield ",".join(
-            [repr(float(event.time))] + [repr(float(c)) for c in event.mark]
-        ) + "\n"
+    for time, mark in zip(path.times.tolist(), path.marks.tolist()):
+        yield ",".join(map(repr, [time, *mark])) + "\n"
 
 
 def _json_chunks(payload):
@@ -108,11 +107,11 @@ def _cmd_simulate(args) -> int:
                      _trajectory_rows(record))
         if spec.output.save_events and problem.measure is not None:
             _write_lines(os.path.join(args.out, f"events_{k:04d}.csv"),
-                         _event_rows(record))
+                         _event_rows(record.path))
         if spec.output.save_states:
             np.save(os.path.join(args.out, f"states_{k:04d}.npy"),
                     record.states)
-        event_counts[k] = len(record.events)
+        event_counts[k] = len(record.path)
         final_mass[k] = float(record.mass[-1])
         sup_ea_norm[k] = float(np.max(record.ea_norm))
         fp_iters_max[k] = record.fp_iters_max

@@ -15,9 +15,12 @@ Two measure families:
 Randomness: one master seed; trajectory k draws from an independent stream
 whose seed is a fixed 64-bit hash (splitmix64) of ``master_seed`` and ``k``.
 
-Measures and events hold arrays, so they compare and hash by identity.  The
-compensated Lévy path of a jump path and the second moment of the simulated
-region, which no run reads, are in ``oracles``.
+One realization of the simulated region is a ``JumpPath``: the atoms
+(t_i, l_i) of the Poisson random measure as a sorted ``(n,)`` array of times
+and an ``(n, N)`` array of marks, 8 (1 + N) bytes per jump.  ``JumpPath()``
+is the path without jumps.  Measures and paths hold arrays, so they compare
+and hash by identity.  The compensated Lévy path of a jump path and the second
+moment of the simulated region, which no run reads, are in ``oracles``.
 """
 
 from __future__ import annotations
@@ -29,10 +32,6 @@ import numpy as np
 
 from .exceptions import ConfigurationError, ShapeError
 from .spectral import _check_memory
-
-#: bytes one sampled jump event takes: 248-256 B measured (tracemalloc peak of
-#: ``sample_prm``) with one or two channels
-EVENT_BYTES = 256
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN64 = 0x9E3779B97F4A7C15
@@ -62,9 +61,29 @@ def _sphere_area(n: int) -> float:
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
-class JumpEvent:
-    time: float
-    mark: np.ndarray  # shape (N,)
+class JumpPath:
+    """The jumps of one realization: ``marks[i]`` (N,) lands at ``times[i]``.
+
+    ``times`` is an (n,) float64 array, sorted (``sample_prm`` sorts it, and
+    ``solver.simulate`` refuses a path that is not), and ``marks`` an (n, N)
+    float64 array; ``len(path)`` is n.  ``JumpPath()`` has no jumps and no
+    channels.  Only the shapes are checked here, without a temporary array.
+    """
+
+    times: np.ndarray = dataclasses.field(default_factory=lambda: np.empty(0))
+    marks: np.ndarray = dataclasses.field(default_factory=lambda: np.empty((0, 0)))
+
+    def __post_init__(self):
+        times = np.asarray(self.times, dtype=float)
+        marks = np.asarray(self.marks, dtype=float)
+        if times.ndim != 1 or marks.ndim != 2 or len(marks) != len(times):
+            raise ShapeError(f"a jump path needs (n,) times and (n, N) marks, "
+                             f"got {times.shape} and {marks.shape}")
+        object.__setattr__(self, "times", times)
+        object.__setattr__(self, "marks", marks)
+
+    def __len__(self) -> int:
+        return len(self.times)
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
@@ -148,8 +167,10 @@ class AtomicMeasure:
         return self._small
 
     def sample_mark(self, rng: np.random.Generator) -> np.ndarray:
+        """One simulated atom's mark, drawn by weight: a view of its row,
+        which ``sample_prm`` copies into the path's marks."""
         marks, _, probabilities = self._simulated
-        return marks[rng.choice(len(probabilities), p=probabilities)].copy()
+        return marks[rng.choice(len(probabilities), p=probabilities)]
 
 
 @dataclasses.dataclass(frozen=True)
@@ -210,20 +231,27 @@ class RadialStableMeasure:
         return r * vec
 
 
-def sample_prm(measure, horizon: float, rng: np.random.Generator) -> list[JumpEvent]:
-    """Draw the events of the simulated region on [0, horizon].
+def sample_prm(measure, horizon: float, rng: np.random.Generator) -> JumpPath:
+    """Draw the jumps of the simulated region on [0, horizon].
 
     Count ~ Poisson(intensity * horizon), times i.i.d. uniform (sorted),
-    marks i.i.d. from the normalized restriction of the measure.
+    marks i.i.d. from the normalized restriction of the measure, drawn one
+    by one in time order.  The path's 8 (1 + N) bytes per expected jump are
+    refused before the count is drawn if they exceed physical memory.
     """
     if not (horizon > 0):
         raise ValueError(f"horizon must be positive, got {horizon}")
+    channels = measure.dimension
     total = measure.simulated_intensity()
     if total == 0.0:
-        return []
+        return JumpPath(np.empty(0), np.empty((0, channels)))
     expected = total * horizon
-    _check_memory(EVENT_BYTES * expected,
+    _check_memory(8 * (1 + channels) * expected,
                   f"the {expected:.3g} expected jump events on [0, {horizon!r}]")
     count = rng.poisson(expected)
-    times = np.sort(rng.uniform(0.0, horizon, size=count))
-    return [JumpEvent(time=float(t), mark=measure.sample_mark(rng)) for t in times]
+    times = rng.uniform(0.0, horizon, size=count)
+    times.sort()
+    marks = np.empty((count, channels))
+    for i in range(count):
+        marks[i] = measure.sample_mark(rng)
+    return JumpPath(times, marks)

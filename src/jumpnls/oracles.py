@@ -43,7 +43,7 @@ import numpy as np
 
 from . import jumps
 from .exceptions import NumericsError, ShapeError
-from .noise import AtomicMeasure, JumpEvent, NoiseMoments, _sphere_area
+from .noise import AtomicMeasure, JumpPath, NoiseMoments, _sphere_area
 from .nonlinear import Nonlinearity, eval_F, eval_Fhat
 from .solver import CLOSURE_TAYLOR2
 from .spectral import GalerkinLevel, _check_memory, build_level, transition_profile
@@ -389,10 +389,10 @@ def martingale_residual(records, problem, config, phis) -> np.ndarray:
         if record.states is None:
             raise ValueError("records must retain states for the martingale residual")
         after, before = record.states, record.states.copy()
-        jumped = np.searchsorted(record.times, [event.time for event in record.events])
+        jumped = np.searchsorted(record.times, record.path.times)
         # the last jump at a node is undone first
-        for i, event in zip(jumped[::-1], record.events[::-1]):
-            before[i] = jumps.jump_map(problem.ops, -event.mark, before[i])
+        for i, mark in zip(jumped[::-1], record.path.marks[::-1]):
+            before[i] = jumps.jump_map(problem.ops, -mark, before[i])
         rate_after = generated(after)
         rate_before = rate_after.copy()
         if len(jumped):
@@ -501,8 +501,8 @@ def aldous_statistic(
         if kind == "fixed":
             tau = min(float(t0), horizon)
         else:
-            jump_times = [e.time for e in record.events if e.time > t0]
-            tau = min(jump_times) if jump_times else horizon
+            later = record.path.times[record.path.times > t0]
+            tau = float(later[0]) if len(later) else horizon
         u_tau = _state_at(record, tau)
         for i, theta in enumerate(thetas):
             u_later = _state_at(record, min(tau + theta, horizon))
@@ -516,7 +516,7 @@ def aldous_statistic(
 # ---------------------------------------------------------------------------
 
 def reconstruct_levy_path(
-    events: list[JumpEvent],
+    path: JumpPath,
     moments: NoiseMoments,
     time_grid: np.ndarray,
 ) -> np.ndarray:
@@ -527,12 +527,9 @@ def reconstruct_levy_path(
     time_grid = np.asarray(time_grid, dtype=float)
     n = len(moments.mean_simulated)
     out = np.zeros((len(time_grid), n))
-    if events:
-        times = np.array([e.time for e in events])
-        marks = np.vstack([e.mark for e in events])
-        cumulative = np.vstack([np.zeros(n), np.cumsum(marks, axis=0)])
-        counts = np.searchsorted(times, time_grid, side="right")
-        out = cumulative[counts]
+    if len(path):
+        cumulative = np.vstack([np.zeros(n), np.cumsum(path.marks, axis=0)])
+        out = cumulative[np.searchsorted(path.times, time_grid, side="right")]
     return out - np.outer(time_grid, moments.mean_simulated)
 
 

@@ -23,11 +23,14 @@ budget, second order in the state.  It refuses a step whose gauge phase
 ``tau * max|v|^(alpha-1)`` exceeds ``_MAX_GAUGE_PHASE`` (0.5 rad) with a
 ``NumericsError``, where the projected rotation would lose mass.
 
-``simulate`` and ``simulate_coupled`` run one loop that advances a list of
-levels together over the shared jump-adapted grid, and that loop can stop
-at a node and resume there.  The loop only steps and applies the jumps; after
-each node an observer reads the states.  ``simulate``'s fills its record, and a
-coupled run's writes the dual-norm distance and keeps nothing else.
+``simulate`` and ``simulate_coupled`` take one ``noise.JumpPath`` (the empty
+``JumpPath()`` for a run without jumps) and run one loop that advances a list
+of levels together over the shared jump-adapted grid, and that loop can stop
+at a node and resume there.  The loop only steps and applies the jumps, the
+rows of ``path.marks`` that ``searchsorted`` on ``path.times`` puts at each
+node; after each node an observer reads the states.  ``simulate``'s fills its
+record, and a coupled run's writes the dual-norm distance and keeps nothing
+else.
 
 Before its first jump every trajectory of a problem follows the same jump-free
 path on the uniform nodes.  ``simulate_ensemble`` runs the trajectories in
@@ -47,7 +50,8 @@ and weighs by the level's eigenvalue views.  A record holds its node columns
 (``TrajectoryRecord.COLUMNS``) in one float64 block, a row per node, beside
 its level, whose ``ea_norm`` fills the last column; a coupled run measures its
 distance by the finer level's ``dual_norm``.  A midpoint solve whose gap stops
-shrinking halves the step at once, at most ``max_halvings`` deep.  A node's
+shrinking halves the step at once, at most ``max_halvings`` deep
+(``MAX_HALVINGS`` = 52 at most).  A node's
 record reads an overflow as inf, without a warning, as ``eval_F`` does.
 
 ``GalerkinProblem(level, horizon, initial_full, nonlinearity, symbols,
@@ -68,7 +72,7 @@ import numpy as np
 
 from .exceptions import ConfigurationError, NumericsError, ShapeError
 from .jumps import NoiseOperators, assemble_noise_operators, difference_2_matrix, jump_map
-from .noise import AtomicMeasure, JumpEvent
+from .noise import AtomicMeasure, JumpPath
 from .nonlinear import Nonlinearity, _pointwise_power, validate_exponent
 from .spectral import (
     _TINY,
@@ -86,6 +90,10 @@ CLOSURE_TAYLOR2 = "Taylor2"
 CLOSURE_ATOMIC = "AtomicExact"
 
 _CLOSURES = (CLOSURE_TAYLOR2, CLOSURE_ATOMIC)
+
+#: largest ``max_halvings``: a substep of ``dt * 2**-52`` is about one ulp of
+#: ``dt``, and each halving deepens the midpoint solve's recursion by one
+MAX_HALVINGS = 52
 
 
 @dataclasses.dataclass(frozen=True)
@@ -112,8 +120,10 @@ class SolverConfig:
             raise ConfigurationError(f"fp_tol must be positive, got {self.fp_tol}")
         if self.max_fp_iters < 1:
             raise ConfigurationError("max_fp_iters must be at least 1")
-        if self.max_halvings < 0:
-            raise ConfigurationError("max_halvings must be nonnegative")
+        if not (0 <= self.max_halvings <= MAX_HALVINGS):
+            raise ConfigurationError(
+                f"max_halvings must be in [0, {MAX_HALVINGS}], got {self.max_halvings}"
+            )
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
@@ -430,7 +440,7 @@ class TrajectoryRecord:
     times: np.ndarray
     states: np.ndarray | None
     columns: np.ndarray         # (nodes, len(COLUMNS))
-    events: list[JumpEvent]
+    path: JumpPath
     fp_iters_max: int = 0
 
     def __getattr__(self, name):
@@ -468,17 +478,15 @@ def _time_grid(horizon: float, dt: float, event_times, bytes_per_node: int,
     return grid[np.concatenate(([True], grid[1:] != grid[:-1]))]
 
 
-def _check_events(problems, events) -> list[JumpEvent]:
-    """The jump path the levels share, checked against the horizon and operators."""
-    events = list(events)
-    times = [e.time for e in events]
-    if any(t < 0.0 or t > problems[0].horizon for t in times):
+def _check_path(problems, path: JumpPath) -> None:
+    """Refuse a shared jump path that is unsorted, outside the horizon or
+    without noise operators."""
+    if not np.all((path.times >= 0.0) & (path.times <= problems[0].horizon)):
         raise ConfigurationError("jump events must lie within [0, horizon]")
-    if any(b < a for a, b in zip(times, times[1:])):
+    if np.any(path.times[1:] < path.times[:-1]):
         raise ConfigurationError("jump events must be time-sorted")
-    if events and any(p.ops is None for p in problems):
+    if len(path) and any(p.ops is None for p in problems):
         raise ConfigurationError("jump events supplied without noise operators")
-    return events
 
 
 def _record_node(record: TrajectoryRecord, dyn: _Dynamics, i: int, u) -> None:
@@ -509,21 +517,21 @@ def _record_bytes_per_node(problem, record_states) -> int:
     return 8 * (2 + len(TrajectoryRecord.COLUMNS)) + state
 
 
-def _recorded_run(problem, config, events, record_states, held=0):
+def _recorded_run(problem, config, path, record_states, held=0):
     """A run of one level at its start, its record over the jump-adapted grid
     and the observer that fills the record node by node."""
-    grid = _time_grid(problem.horizon, config.dt, [e.time for e in events],
+    grid = _time_grid(problem.horizon, config.dt, path.times,
                       _record_bytes_per_node(problem, record_states), held)
     dyn, level = _dynamics(problem, config), problem.level
     record = TrajectoryRecord(
         level, grid,
         np.zeros((len(grid), level.dim), dtype=complex) if record_states else None,
-        np.zeros((len(grid), len(TrajectoryRecord.COLUMNS))), events)
+        np.zeros((len(grid), len(TrajectoryRecord.COLUMNS))), path)
     return (_Run(grid, [problem.initial.astype(complex, copy=True)]), record,
             lambda i, states: _record_node(record, dyn, i, states[0]))
 
 
-def _run_levels(problems, config, events, run, on_node, last=None):
+def _run_levels(problems, config, path, run, on_node, last=None):
     """Advance ``run`` in lockstep over its grid, through node ``last`` (the end).
 
     At each node every level steps and applies the jumps due there; then
@@ -531,14 +539,14 @@ def _run_levels(problems, config, events, run, on_node, last=None):
     """
     grid = run.grid
     last = len(grid) - 1 if last is None else last
-    # the jumps due at node i are events[ends[i - 1]:ends[i]]
-    ends = np.searchsorted([e.time for e in events], grid, side="right")
+    # the jumps due at node i are path.marks[ends[i - 1]:ends[i]]
+    ends = np.searchsorted(path.times, grid, side="right")
     stepper = _STEPPERS[config.mode]
     dyns = [_dynamics(p, config) for p in problems]
 
     for i in range(run.node + 1, last + 1):
         t = grid[i]
-        due = events[ends[i - 1] if i > 0 else 0:ends[i]]
+        due = path.marks[ends[i - 1] if i > 0 else 0:ends[i]]
         for k, problem in enumerate(problems):
             u = run.states[k]
             if i > 0:
@@ -552,8 +560,8 @@ def _run_levels(problems, config, events, run, on_node, last=None):
                         f"(dt={tau:.3e}): {exc}"
                     ) from exc
                 run.fp_iters_max = max(run.fp_iters_max, iterations)
-            for event in due:
-                u = jump_map(problem.ops, event.mark, u)
+            for mark in due:
+                u = jump_map(problem.ops, mark, u)
             run.states[k] = u
         run.node = i
         on_node(i, run.states)
@@ -571,28 +579,28 @@ class _JumpFreePath:
     """
 
     def __init__(self, problem: GalerkinProblem, config: SolverConfig, record_states: bool):
-        self._run, self.record, self._on_node = _recorded_run(problem, config, [],
+        self._run, self.record, self._on_node = _recorded_run(problem, config, JumpPath(),
                                                               record_states)
         # the time-grid guard's bytes for the record, held beside each trajectory's
         self._held = _record_bytes_per_node(problem, record_states) * len(self._run.grid)
 
-    def branch_node(self, events) -> int:
-        """The last uniform node strictly before the first of ``events``.
+    def branch_node(self, path: JumpPath) -> int:
+        """The last uniform node strictly before the first jump of ``path``.
 
-        -1 for an event at time 0, the last node for no events.
+        -1 for a jump at time 0, the last node for no jumps.
         """
         times = self.record.times
-        if not events:
+        if not len(path):
             return len(times) - 1
-        return int(np.searchsorted(times, events[0].time, side="left")) - 1
+        return int(np.searchsorted(times, path.times[0], side="left")) - 1
 
-    def _share(self, problem, config, run: _Run, target, events) -> None:
-        """Advance to the branch node of ``events``, start ``run`` there and
-        copy the path's record through that node into ``target``."""
-        j = self.branch_node(events)
+    def _share(self, problem, config, run: _Run, target, path) -> None:
+        """Advance to the branch node of ``path``, start ``run`` there and
+        copy the jump-free record through that node into ``target``."""
+        j = self.branch_node(path)
         if j < 0:
             return
-        _run_levels([problem], config, [], self._run, self._on_node, last=j)
+        _run_levels([problem], config, JumpPath(), self._run, self._on_node, last=j)
         target.columns[:j + 1] = self.record.columns[:j + 1]
         if target.states is not None:
             target.states[:j + 1] = self.record.states[:j + 1]
@@ -603,25 +611,25 @@ class _JumpFreePath:
 def simulate(
     problem: GalerkinProblem,
     config: SolverConfig,
-    events: list[JumpEvent],
+    path: JumpPath,
     record_states: bool = True,
     jump_free: _JumpFreePath | None = None,
 ) -> TrajectoryRecord:
-    """Integrate one trajectory over [0, horizon] along the jump path ``events``.
+    """Integrate one trajectory over [0, horizon] along the jump path ``path``.
 
-    ``events`` is one realization of the problem's Poisson random measure
-    (``noise.sample_prm``; ``[]`` if none), time-sorted within the horizon.
+    ``path`` is one realization of the problem's Poisson random measure
+    (``noise.sample_prm``; ``JumpPath()`` if none) within the horizon.
     The state is recorded at every grid node and every jump time, after the
     jump is applied.  ``simulate_ensemble`` passes its ``jump_free`` path:
     the rows through the path's branch node are copied from it and only the
     rest is stepped; the record is the same bit for bit.
     """
-    events = _check_events([problem], events)
-    run, record, on_node = _recorded_run(problem, config, events, record_states,
+    _check_path([problem], path)
+    run, record, on_node = _recorded_run(problem, config, path, record_states,
                                          0 if jump_free is None else jump_free._held)
     if jump_free is not None:
-        jump_free._share(problem, config, run, record, events)
-    _run_levels([problem], config, events, run, on_node)
+        jump_free._share(problem, config, run, record, path)
+    _run_levels([problem], config, path, run, on_node)
     record.fp_iters_max = run.fp_iters_max
     return record
 
@@ -662,7 +670,7 @@ def _trajectory_error(index: int, exc: NumericsError) -> NumericsError:
 class CoupledResult:
     """Two levels driven by one jump realization, with their dual-norm gap at
     each node of the shared grid.  No state or record column is kept: ``simulate``
-    of either problem on the same events gives its record, bit for bit."""
+    of either problem on the same path gives its record, bit for bit."""
 
     levels: tuple[int, int]     # (coarse, fine) level numbers
     times: np.ndarray
@@ -686,10 +694,10 @@ def simulate_coupled(
     problem: GalerkinProblem,
     level_n: int,
     config: SolverConfig,
-    events: list[JumpEvent],
+    path: JumpPath,
 ) -> CoupledResult:
     """Run ``problem`` and its truncation at the coarser level ``level_n``
-    against one jump path ``events`` (``[]`` if none).
+    against one jump path ``path`` (``JumpPath()`` if none).
 
     The coarse problem is ``problem`` on ``build_level(model, level_n)``, so
     both truncate one equation, and its modes are a prefix of the finer
@@ -701,9 +709,9 @@ def simulate_coupled(
     _check_levels(problem, [level_n])
     coarse = dataclasses.replace(problem, level=build_level(problem.level.model, level_n))
     problems = [coarse, problem]
-    events = _check_events(problems, events)
+    _check_path(problems, path)
     # per node: the grid, ``ends`` and the distance, in float64
-    grid = _time_grid(problem.horizon, config.dt, [e.time for e in events], 8 * 3)
+    grid = _time_grid(problem.horizon, config.dt, path.times, 8 * 3)
     distances = np.empty_like(grid)
 
     def add_distance(i, states):
@@ -713,7 +721,7 @@ def simulate_coupled(
         distances[i] = problem.level.dual_norm(gap)
 
     run = _Run(grid, [p.initial.astype(complex, copy=True) for p in problems])
-    _run_levels(problems, config, events, run, add_distance)
+    _run_levels(problems, config, path, run, add_distance)
     return CoupledResult((level_n, problem.level.n), grid, distances,
                          float(np.max(distances)))
 
@@ -726,10 +734,10 @@ def converge_ensemble(problem: GalerkinProblem, levels, config: SolverConfig, co
     _check_levels(problem, levels)
     distances = {n: [] for n in levels}
     for k in range(count):
-        events = draw(k)
+        path = draw(k)
         try:
             for n in levels:
-                distances[n].append(simulate_coupled(problem, n, config, events).distance)
+                distances[n].append(simulate_coupled(problem, n, config, path).distance)
         except NumericsError as exc:
             raise _trajectory_error(k, exc) from exc
     return distances

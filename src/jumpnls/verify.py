@@ -475,11 +475,11 @@ def check_second_order_step(ws, tol):
 def check_jump_mass_conservation(ws, tol):
     measure = noise.AtomicMeasure(marks=[[0.5], [-0.5]], weights=[4.0, 4.0])
     problem = solver.GalerkinProblem(ws.level, 1.0, ws.full, ws.nl, ws.symbol, measure)
-    events = noise.sample_prm(measure, problem.horizon, noise.trajectory_rng(3, 0))
-    record = solver.simulate(problem, solver.SolverConfig(dt=0.05), events,
+    path = noise.sample_prm(measure, problem.horizon, noise.trajectory_rng(3, 0))
+    record = solver.simulate(problem, solver.SolverConfig(dt=0.05), path,
                              record_states=False)
     err = float(np.max(np.abs(record.mass - record.mass[0]))) / record.mass[0]
-    return err <= 1e-10 * tol, f"mass drift across {len(record.events)} jumps {err:.3e}"
+    return err <= 1e-10 * tol, f"mass drift across {len(path)} jumps {err:.3e}"
 
 
 # ---------------------------------------------------------------------------

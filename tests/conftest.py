@@ -3,7 +3,7 @@ import numpy.random  # noqa: F401 - see below
 import pytest
 
 from jumpnls import spectral
-from jumpnls.noise import JumpEvent
+from jumpnls.noise import JumpPath
 from jumpnls.solver import simulate, simulate_ensemble
 
 # numpy 2 imports numpy.random on first use.  Tier-1 runs
@@ -50,11 +50,11 @@ def branch_nodes(problem, config, paths):
     (no jump), then ``paths``; ties run by index, so a path that branches at
     node b runs after the b + 2 references that branch at b or before.
     """
-    nodes = simulate(problem, config, [], record_states=False).times
-    mark = np.zeros(problem.ops.num_channels)
-    references = ([[JumpEvent(0.0, mark)]]
-                  + [[JumpEvent(0.5 * (a + b), mark)] for a, b in zip(nodes, nodes[1:])]
-                  + [[]])
+    nodes = simulate(problem, config, JumpPath(), record_states=False).times
+    mark = np.zeros((1, problem.ops.num_channels))
+    references = ([JumpPath([0.0], mark)]
+                  + [JumpPath([0.5 * (a + b)], mark) for a, b in zip(nodes, nodes[1:])]
+                  + [JumpPath()])
     everything = references + list(paths)
     runs = simulate_ensemble(problem, config, len(everything), everything.__getitem__,
                              record_states=False)

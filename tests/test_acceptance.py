@@ -65,8 +65,8 @@ def test_01_mass_conservation(model):
     start = time.perf_counter()
     worst = 0.0
     for k in range(16):
-        events = noise.sample_prm(measure, 1.0, noise.trajectory_rng(31, k))
-        record = solver.simulate(problem, config, events, record_states=False)
+        path = noise.sample_prm(measure, 1.0, noise.trajectory_rng(31, k))
+        record = solver.simulate(problem, config, path, record_states=False)
         mass = record.mass
         worst = max(worst, float(np.max(np.abs(mass - mass[0])) / mass[0]))
     elapsed = time.perf_counter() - start
@@ -272,19 +272,19 @@ def test_09_coupled_level_convergence(model):
     slow /= np.linalg.norm(slow)
     config = solver.SolverConfig(mode=solver.MODE_MIDPOINT, dt=5e-3,
                                  fp_tol=1e-12)
-    events = noise.sample_prm(measure, 0.5, noise.trajectory_rng(909, 0))
-    assert len(events) >= 3, "the fixed path is expected to carry jumps"
+    path = noise.sample_prm(measure, 0.5, noise.trajectory_rng(909, 0))
+    assert len(path) >= 3, "the fixed path is expected to carry jumps"
     fine = solver.GalerkinProblem(spectral.build_level(model, 8), 0.5, slow, nonlinearity=nl,
                                   symbols=np.cos(x), measure=measure)
     distances = []
     for n in (4, 5, 6, 7):
-        result = solver.simulate_coupled(fine, n, config, events)
+        result = solver.simulate_coupled(fine, n, config, path)
         distances.append(result.distance)
     decreasing = all(a > b for a, b in zip(distances, distances[1:]))
     _check(9, "coupled-level convergence", decreasing and distances[-1] > 0,
            "sup dual distances "
            + ", ".join(f"n={n}: {d:.3e}" for n, d in zip((4, 5, 6, 7), distances))
-           + f", {len(events)} shared jumps")
+           + f", {len(path)} shared jumps")
 
 
 def brute_force_modulus(times, values, delta):

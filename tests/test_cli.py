@@ -8,6 +8,7 @@ import re
 import subprocess
 import sys
 import tracemalloc
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -268,14 +269,28 @@ master_seed = 5
 """
 
 
-def test_simulate_holds_one_jump_path_at_a_time(tmp_path):
-    # a path is drawn again from its stream when its trajectory runs, so the
-    # run's peak does not grow with K x events per path: 4 more paths of
-    # about 200 events add less than one path's events
-    peak_2, peak_6, out = traced_peaks(tmp_path, BUSY_CONFIG)
+def test_simulate_holds_one_jump_path_at_a_time(tmp_path, monkeypatch):
+    # a path is drawn again from its stream when its trajectory runs, and
+    # each is dropped before the next draw, so no drawn path outlives the
+    # next one.  Its 16 B per jump are below the spread of traced peaks, so
+    # the live paths are counted, not weighed
+    live, live_at_draw = [], []
+
+    def draw(*args):
+        path = noise.sample_prm(*args)
+        live[:] = [ref for ref in live if ref() is not None] + [weakref.ref(path)]
+        live_at_draw.append(len(live))
+        return path
+
+    monkeypatch.setattr(cli, "sample_prm", draw)
+    config = tmp_path / "busy.ini"
+    config.write_text(BUSY_CONFIG, encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(config), "--out", str(out),
+                 "--trajectories", "6"]) == 0
     summary = json.loads((out / "summary.json").read_text())
     assert min(summary["event_counts"]) > 150
-    assert abs(peak_6 - peak_2) < noise.EVENT_BYTES * 200
+    assert live_at_draw == [1] * 12
 
 
 def test_noiseless_trajectories_are_the_jump_free_path(tmp_path):
@@ -287,7 +302,7 @@ def test_noiseless_trajectories_are_the_jump_free_path(tmp_path):
     out = tmp_path / "out"
     assert main(["simulate", "--config", str(config), "--out", str(out)]) == 0
     spec = load_config(str(config))
-    record = simulate(build_problem_from_spec(spec), spec.solver, [])
+    record = simulate(build_problem_from_spec(spec), spec.solver, noise.JumpPath())
     for k in range(3):
         assert (out / f"traj_{k:04d}.csv").read_text() == "".join(_trajectory_rows(record))
         assert np.load(out / f"states_{k:04d}.npy").tobytes() == record.states.tobytes()
@@ -336,18 +351,18 @@ def test_converge_drives_each_trajectory_with_its_simulate_path(tmp_path, monkey
                  "--trajectories", "2"]) == 0
     paths = []
 
-    def recording(problem, level_n, config, events):
-        paths.append(events)
-        return simulate_coupled(problem, level_n, config, events)
+    def recording(problem, level_n, config, path):
+        paths.append(path)
+        return simulate_coupled(problem, level_n, config, path)
 
     monkeypatch.setattr(jumpnls.solver, "simulate_coupled", recording)
     assert main(["converge", "--config", config, "--levels", "4",
                  "--trajectories", "2"]) == 0
     assert len(paths) == 2
-    for k, events in enumerate(paths):
+    for k, path in enumerate(paths):
         rows = (out / f"events_{k:04d}.csv").read_text().splitlines()[1:]
-        assert events
-        assert [[e.time, *e.mark] for e in events] == [
+        assert len(path)
+        assert np.column_stack([path.times, path.marks]).tolist() == [
             [float(tok) for tok in row.split(",")] for row in rows
         ]
 
@@ -650,6 +665,25 @@ def test_an_overflowing_potential_is_recorded_as_inf_without_a_warning(tmp_path,
         assert all(row.split(",")[2:] == ["inf", "0.0", "inf", "inf"] for row in rows[1:])
     else:
         assert "halving depth 20" in err
+
+
+def test_max_halvings_beyond_its_cap_is_a_configuration_error(tmp_path, capsys):
+    # the midpoint solve recurses once per halving: at 1000 a huge state's
+    # first step, which halves to the limit, ended in a RecursionError
+    text = (CONFIG_DIR / "atomic_cubic.ini").read_text(encoding="utf-8")
+    for old, new in (("scale = 1.0", "scale = 1e150"), ("horizon = 1.0", "horizon = 0.005"),
+                     ("max_halvings = 20", "max_halvings = 1000")):
+        text = text.replace(old, new)
+    config = tmp_path / "deep.ini"
+    config.write_text(text, encoding="utf-8")
+    out = tmp_path / "out"
+    code = main(["simulate", "--config", str(config), "--out", str(out),
+                 "--trajectories", "1"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.count("error:") == 1 and err.count("\n") == 1
+    assert "max_halvings must be in [0, 52], got 1000" in err
+    assert not out.exists()
 
 
 def test_a_level_with_no_modes_is_a_configuration_error(tmp_path, capsys):

@@ -23,7 +23,7 @@ from jumpnls.config import (
     symbol_values,
 )
 from jumpnls.exceptions import ConfigurationError
-from jumpnls.noise import AtomicMeasure, RadialStableMeasure
+from jumpnls.noise import AtomicMeasure, JumpPath, RadialStableMeasure
 from jumpnls.nonlinear import focusing
 from jumpnls.solver import GalerkinProblem, simulate_coupled
 from jumpnls.spectral import build_level
@@ -319,7 +319,7 @@ def test_coarse_level_keeps_configured_initial_data(monkeypatch):
     monkeypatch.setattr(solver, "_run_levels", recording)
     relevelled_differs = []
     for n in range(spec.galerkin.level):
-        simulate_coupled(fine, n, spec.solver, [])
+        simulate_coupled(fine, n, spec.solver, JumpPath())
         (coarse, reference), = coupled
         coupled.clear()
         assert coarse.level.n == n and reference is fine

@@ -14,7 +14,7 @@ from jumpnls.diagnostics import (
     ensemble_moments,
 )
 from jumpnls.exceptions import ShapeError
-from jumpnls.noise import AtomicMeasure, JumpEvent, sample_prm, trajectory_rng
+from jumpnls.noise import AtomicMeasure, JumpPath, sample_prm, trajectory_rng
 from jumpnls.nonlinear import defocusing
 from jumpnls.oracles import aldous_statistic, cadlag_modulus, energy, energy_derivative
 from jumpnls.solver import GalerkinProblem, SolverConfig, simulate
@@ -74,7 +74,7 @@ def test_energy_near_conservation_deterministic_run(torus_model):
         build_level(torus_model, 4), 1.0, np.exp(-np.sqrt(torus_model.eigenvalues_S)) + 0j,
         nonlinearity=defocusing(3.0),
     )
-    record = simulate(problem, SolverConfig(dt=2e-3), [])
+    record = simulate(problem, SolverConfig(dt=2e-3), JumpPath())
     drift = np.max(np.abs(record.energy - record.energy[0]))
     assert drift <= 1e-6 * max(1.0, abs(record.energy[0]))
 
@@ -290,8 +290,7 @@ def test_aldous_statistic_detects_jump(torus_model):
         build_level(torus_model, 5), 1.0, np.exp(-0.5 * np.sqrt(torus_model.eigenvalues_S)) + 0j,
         symbols=np.cos(torus_model.grid_points[:, 0]),
     )
-    events = [JumpEvent(time=0.35, mark=np.array([0.9]))]
-    record = simulate(problem, SolverConfig(dt=0.05), events=events)
+    record = simulate(problem, SolverConfig(dt=0.05), path=JumpPath([0.35], [[0.9]]))
 
     # measure the actual increment across the jump from the record itself
     inv_w = 1.0 / problem.level.ea_weights

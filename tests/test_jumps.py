@@ -185,7 +185,7 @@ def test_build_level_binds_the_only_transform_pair(torus2d_model, monkeypatch):
     for k, config in enumerate(configs):
         record = solver.simulate(problem, config,
                                  noise.sample_prm(measure, 0.2, noise.trajectory_rng(7, k)))
-        assert record.events
+        assert len(record.path)
     assert bound == []
 
 

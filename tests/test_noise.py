@@ -1,10 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from jumpnls import noise, oracles, spectral
-from jumpnls.exceptions import ConfigurationError
+from jumpnls.exceptions import ConfigurationError, ShapeError
 
 
 def radial_oracle(c, beta, n, epsilon):
@@ -96,17 +97,17 @@ def test_measures_and_events_compare_and_hash_by_identity():
     b = noise.AtomicMeasure(marks=[[0.3], [-0.3]], weights=[1.0, 1.0])
     assert a == a and a != b
     assert hash(a) == hash(a) and len({a, b, a}) == 2
-    e = noise.JumpEvent(0.1, np.array([0.3, 0.1]))
-    f = noise.JumpEvent(0.1, np.array([0.3, 0.1]))
+    e = noise.JumpPath([0.1], [[0.3, 0.1]])
+    f = noise.JumpPath([0.1], [[0.3, 0.1]])
     assert e == e and e != f
     assert hash(e) == hash(e) and len({e, f, e}) == 2
     two = noise.AtomicMeasure(marks=[[0.3, 0.1], [-0.3, 0.2]], weights=[1.0, 1.0])
     m, n = two.moments(), two.moments()
     assert m == m and m != n
     assert hash(m) == hash(m) and len({m, n, m}) == 2
-    events = noise.sample_prm(a, 4.0, noise.trajectory_rng(5, 0))
-    assert len(events) >= 2 and len(set(events)) == len(events)
-    assert events == list(events)
+    p, q = (noise.sample_prm(a, 4.0, noise.trajectory_rng(5, 0)) for _ in range(2))
+    assert len(p) >= 2 and p == p and p != q
+    assert hash(p) == hash(p) and len({p, q, p}) == 2
 
 
 def test_sigma2_scaling_rate():
@@ -132,14 +133,12 @@ def test_prm_counts_and_support():
     horizon = 2.0
     counts = []
     for _ in range(600):
-        events = noise.sample_prm(m, horizon, rng)
-        counts.append(len(events))
-        for e in events:
-            assert 0.0 <= e.time <= horizon
-            r = np.linalg.norm(e.mark)
-            assert m.epsilon <= r <= 1.0 + 1e-12
-        times = [e.time for e in events]
-        assert times == sorted(times)
+        path = noise.sample_prm(m, horizon, rng)
+        counts.append(len(path))
+        assert np.all((0.0 <= path.times) & (path.times <= horizon))
+        r = np.linalg.norm(path.marks, axis=1)
+        assert np.all((m.epsilon <= r) & (r <= 1.0 + 1e-12))
+        assert np.all(np.diff(path.times) >= 0.0)
     counts = np.array(counts)
     se = math.sqrt(lam * horizon / len(counts))
     assert abs(np.mean(counts) - lam * horizon) <= 5 * se
@@ -148,10 +147,10 @@ def test_prm_counts_and_support():
 
 
 def test_prm_refused_beyond_physical_memory(monkeypatch):
-    # intensity 4 over horizon 2.5: 10 expected events are estimated before
-    # the Poisson count is drawn
+    # intensity 4 over horizon 2.5: 10 expected events of one time and one
+    # mark channel, 16 B each, are estimated before the Poisson count is drawn
     m = noise.AtomicMeasure(marks=np.array([[0.5], [-0.5]]), weights=np.array([2.0, 2.0]))
-    needed = noise.EVENT_BYTES * 10
+    needed = 8 * (1 + 1) * 10
     monkeypatch.setattr(spectral, "_physical_memory", lambda: needed - 1)
     with pytest.raises(ConfigurationError, match="the 10 expected jump events"):
         noise.sample_prm(m, 2.5, np.random.default_rng(0))
@@ -159,13 +158,92 @@ def test_prm_refused_beyond_physical_memory(monkeypatch):
     assert noise.sample_prm(m, 2.5, np.random.default_rng(0))
 
 
+def test_jump_path_holds_one_time_and_one_mark_row_per_jump():
+    path = noise.JumpPath([0.1, 0.4], [[0.3, 0.1], [-0.2, 0.5]])
+    assert len(path) == 2 and path.marks.shape == (2, 2)
+    assert path.times.dtype == path.marks.dtype == np.float64
+    empty = noise.JumpPath()
+    assert len(empty) == 0 and not empty and empty.marks.shape == (0, 0)
+    for times, marks in (([0.1, 0.4], [[0.3]]), ([[0.1]], [[0.3]]), ([0.1], [0.3])):
+        with pytest.raises(ShapeError, match="a jump path needs"):
+            noise.JumpPath(times, marks)
+
+
+def test_prm_length_is_the_poisson_count_it_draws():
+    # the Poisson count is a stream's first draw
+    m = noise.AtomicMeasure(marks=[[0.5], [-0.3]], weights=[2.0, 1.0])
+    for k in range(8):
+        count = noise.trajectory_rng(9, k).poisson(m.simulated_intensity() * 2.0)
+        path = noise.sample_prm(m, 2.0, noise.trajectory_rng(9, k))
+        assert len(path) == len(path.times) == len(path.marks) == count
+
+
+#: (measure, master seed, index) -> the times and marks ``sample_prm`` drew on
+#: horizon 1 when a path was a list of per-event objects, as ``float.hex``
+PRM_CONTRACT = {
+    "atomic_N1": (
+        lambda: noise.AtomicMeasure(marks=[[0.45], [-0.3]], weights=[2.0, 1.0]), 11, 0,
+        ["0x1.4ef44ea0fb708p-4", "0x1.3899deaa89adcp-2", "0x1.52c25d9b1aeacp-2",
+         "0x1.810fbdcc4f978p-1"],
+        [["-0x1.3333333333333p-2"], ["0x1.ccccccccccccdp-2"], ["0x1.ccccccccccccdp-2"],
+         ["0x1.ccccccccccccdp-2"]]),
+    "atomic_N2": (
+        lambda: noise.AtomicMeasure(marks=[[0.3, 0.4], [-0.5, 0.1], [0.2, -0.6]],
+                                    weights=[1.0, 2.0, 1.5]), 12, 0,
+        ["0x1.2a59e1ca0b7a2p-2", "0x1.464bcf18a8692p-2", "0x1.6b1c8fe47426ap-2",
+         "0x1.a2940e2ade8a7p-1"],
+        [["-0x1.0000000000000p-1", "0x1.999999999999ap-4"],
+         ["0x1.999999999999ap-3", "-0x1.3333333333333p-1"],
+         ["-0x1.0000000000000p-1", "0x1.999999999999ap-4"],
+         ["0x1.999999999999ap-3", "-0x1.3333333333333p-1"]]),
+    "radial_N1": (
+        lambda: noise.RadialStableMeasure(activity=0.5, stability=1.2, dimension=1,
+                                          epsilon=0.3), 13, 1,
+        ["0x1.50ed2674f4d80p-7", "0x1.1f32779deb5f8p-4", "0x1.814b956167cf8p-2"],
+        [["0x1.c0997d83d1b60p-2"], ["-0x1.0e42304d6aec1p-1"], ["0x1.684d2d50e062fp-2"]]),
+    "radial_N2": (
+        lambda: noise.RadialStableMeasure(activity=0.5, stability=0.8, dimension=2,
+                                          epsilon=0.4), 14, 0,
+        ["0x1.872652ca880bep-2", "0x1.bf04969bba682p-2", "0x1.916b76b88e87fp-1"],
+        [["-0x1.edc92d6cc8ecap-2", "0x1.ec2b7f31bc67fp-2"],
+         ["0x1.7d4df6938d625p-1", "-0x1.b889a83dcf3c3p-7"],
+         ["-0x1.358e2d766107fp-4", "-0x1.e3d4bd2df0cb1p-2"]]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PRM_CONTRACT))
+def test_prm_draws_the_same_times_and_marks_from_a_stream(case):
+    # the randomness contract: the Poisson count, the sorted uniform times,
+    # then one mark per jump in time order, so every seed keeps its path
+    measure, seed, index, times, marks = PRM_CONTRACT[case]
+    path = noise.sample_prm(measure(), 1.0, noise.trajectory_rng(seed, index))
+    assert path.times.tolist() == [float.fromhex(t) for t in times]
+    assert path.marks.tolist() == [[float.fromhex(c) for c in row] for row in marks]
+
+
+def test_prm_peak_memory_is_its_two_arrays():
+    # about 1e5 jumps of one channel: the path's 8 (1 + N) B per jump, plus
+    # at most a constant 16 KiB for the generator's scalar draws (1.7 kB
+    # measured), where a list of per-event objects took 248-256 B per jump
+    m = noise.RadialStableMeasure(activity=1.0, stability=1.0, dimension=1, epsilon=1e-4)
+    horizon = 1e5 / m.simulated_intensity()
+    noise.sample_prm(m, horizon / 100, noise.trajectory_rng(2, 0))  # warm the code paths
+    tracemalloc.start()
+    try:
+        path = noise.sample_prm(m, horizon, noise.trajectory_rng(2, 0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert 9e4 < len(path) < 1.1e5
+    assert peak <= 8 * (1 + 1) * len(path) + 16 * 1024
+
+
 def test_prm_disjoint_windows_uncorrelated():
     m = noise.AtomicMeasure(marks=[[0.5]], weights=[3.0], epsilon=0.0)
     rng = np.random.default_rng(32)
     first, second = [], []
     for _ in range(2000):
-        events = noise.sample_prm(m, 1.0, rng)
-        times = np.array([e.time for e in events])
+        times = noise.sample_prm(m, 1.0, rng).times
         first.append(np.sum(times < 0.5))
         second.append(np.sum(times >= 0.5))
     corr = np.corrcoef(first, second)[0, 1]
@@ -194,8 +272,8 @@ def test_isometry_at_desk_scale():
     horizon = 1.0
     finals = []
     for _ in range(4000):
-        events = noise.sample_prm(m, horizon, rng)
-        path = oracles.reconstruct_levy_path(events, mom, np.array([horizon]))
+        jumps = noise.sample_prm(m, horizon, rng)
+        path = oracles.reconstruct_levy_path(jumps, mom, np.array([horizon]))
         finals.append(path[0, 0])
     target = horizon * oracles.simulated_second_moment(m)
     assert np.var(finals) == pytest.approx(target, rel=0.15)
@@ -213,7 +291,7 @@ def test_path_compensation_no_events():
         variance_budget=0.0,
     )
     grid = np.linspace(0.0, 2.0, 9)
-    path = oracles.reconstruct_levy_path([], mom, grid)
+    path = oracles.reconstruct_levy_path(noise.JumpPath(), mom, grid)
     assert np.allclose(path[:, 0], -0.4 * grid)
 
 
@@ -223,12 +301,9 @@ def test_path_steps_at_events():
         second_moment_small=np.zeros((1, 1)),
         variance_budget=0.0,
     )
-    events = [
-        noise.JumpEvent(time=0.25, mark=np.array([0.5])),
-        noise.JumpEvent(time=0.75, mark=np.array([-0.2])),
-    ]
+    jumps = noise.JumpPath([0.25, 0.75], [[0.5], [-0.2]])
     grid = np.array([0.0, 0.25, 0.5, 0.75, 1.0])
-    path = oracles.reconstruct_levy_path(events, mom, grid)
+    path = oracles.reconstruct_levy_path(jumps, mom, grid)
     assert np.allclose(path[:, 0], [0.0, 0.5, 0.5, 0.3, 0.3])
 
 

@@ -18,7 +18,7 @@ from jumpnls.exceptions import ConfigurationError, NumericsError, ShapeError
 from jumpnls.jumps import _chebyshev_coefficients, jump_map
 from jumpnls.noise import (
     AtomicMeasure,
-    JumpEvent,
+    JumpPath,
     RadialStableMeasure,
     sample_prm,
     trajectory_rng,
@@ -109,6 +109,12 @@ def test_solver_config_validation():
         SolverConfig(fp_tol=0.0)
     with pytest.raises(ConfigurationError):
         SolverConfig(max_fp_iters=0)
+    # a halving deepens the midpoint recursion by one; dt 2^-52 is one ulp of dt
+    assert SolverConfig(max_halvings=0).max_halvings == 0
+    assert SolverConfig(max_halvings=solver.MAX_HALVINGS).max_halvings == 52
+    for bad in (-1, 53):
+        with pytest.raises(ConfigurationError, match=r"max_halvings must be in \[0, 52\]"):
+            SolverConfig(max_halvings=bad)
 
 
 def test_problem_validation(torus_model):
@@ -208,7 +214,7 @@ def test_the_recorded_ea_norm_of_tiny_data_keeps_its_scale():
     for scale in ("1", "1e-300"):
         spec = shipped_spec("atomic_cubic", [(("initial", "scale"), scale)])
         problem = build_problem_from_spec(spec)
-        records.append(simulate(problem, spec.solver, events=[]))
+        records.append(simulate(problem, spec.solver, path=JumpPath()))
     unit, tiny = records
     assert unit.ea_norm[0] > 0.0
     assert abs(tiny.ea_norm[0] - 1e-300 * unit.ea_norm[0]) <= 1e-12 * 1e-300 * unit.ea_norm[0]
@@ -255,12 +261,12 @@ def test_time_grid_refused_beyond_physical_memory(torus_model, monkeypatch, reco
         needed = 11 * 8 * (2 + 1)
 
         def run():
-            return simulate_coupled(finer, 3, config, [])
+            return simulate_coupled(finer, 3, config, JumpPath())
     else:
         needed = 11 * (8 * (2 + 4) + (16 * problem.level.dim if record_states else 0))
 
         def run():
-            return simulate(problem, config, [], record_states=record_states)
+            return simulate(problem, config, JumpPath(), record_states=record_states)
     monkeypatch.setattr(spectral, "_physical_memory", lambda: needed - 1)
     with pytest.raises(ConfigurationError, match="the 11 time nodes"):
         run()
@@ -494,7 +500,7 @@ def test_workspace_kernel_matches_eval_F(torus_model, torus2d_model, dense):
     for problem in cases:
         dyn = _Dynamics(problem, SolverConfig())
         nl, dim = problem.nonlinearity, problem.level.dim
-        _, record, _ = _recorded_run(problem, SolverConfig(), [], False)
+        _, record, _ = _recorded_run(problem, SolverConfig(), JumpPath(), False)
         noise = rng.normal(size=dim) + 1j * rng.normal(size=dim)
         for u in (problem.initial, 2.0 * noise, np.zeros(dim, dtype=complex),
                   1e-310 * noise):
@@ -549,7 +555,7 @@ def test_step_loop_makes_no_per_call_transforms(request, monkeypatch, domain, mo
     assert calls == []
     for config in configs:
         record = simulate(problem, config, sample_prm(measure, 0.2, trajectory_rng(7, 0)))
-        assert record.events and np.all(record.potential > 0)
+        assert len(record.path) and np.all(record.potential > 0)
     assert calls == []
 
 
@@ -588,8 +594,8 @@ def test_fp_iters_max_counts_each_run_alone(torus_model):
     counts = []
     for dt in (0.1, 0.001):
         config = SolverConfig(dt=dt)
-        shared = simulate(problem, config, [])
-        fresh = simulate(dataclasses.replace(problem), config, [])
+        shared = simulate(problem, config, JumpPath())
+        fresh = simulate(dataclasses.replace(problem), config, JumpPath())
         assert shared.fp_iters_max == fresh.fp_iters_max
         counts.append(shared.fp_iters_max)
     assert counts[0] > counts[1] >= 1
@@ -733,7 +739,7 @@ def test_stiff_midpoint_solve_halves_once_it_stops_contracting(monkeypatch):
     dyn = solver._dynamics(problem, spec.solver)
     calls, remainder = [], dyn.remainder
     monkeypatch.setattr(dyn, "remainder", lambda state: calls.append(1) or remainder(state))
-    record = simulate(problem, spec.solver, [], record_states=False)
+    record = simulate(problem, spec.solver, JumpPath(), record_states=False)
     assert len(calls) < 19_113
     assert abs(record.mass[-1] - record.mass[0]) <= 1e-11 * record.mass[0]
 
@@ -749,7 +755,7 @@ def test_a_halved_step_keeps_the_mass_to_rounding(monkeypatch, scale, calls_befo
     assert dyn.noise_matrix is None
     calls, remainder = [], dyn.remainder
     monkeypatch.setattr(dyn, "remainder", lambda state: calls.append(1) or remainder(state))
-    record = simulate(problem, spec.solver, [], record_states=False)
+    record = simulate(problem, spec.solver, JumpPath(), record_states=False)
     assert abs(record.mass[-1] - record.mass[0]) <= 1e-13 * record.mass[0]
     assert abs(len(calls) - calls_before) <= 0.05 * calls_before
 
@@ -759,7 +765,7 @@ def test_halving_failure_names_its_depth_and_substep():
     problem = build_problem_from_spec(spec)
     with pytest.raises(NumericsError, match=r"step t=0\.0 -> 0\.005 .* at halving depth 2 "
                        r"\(max_halvings = 2\), smallest substep tau=1\.250e-03"):
-        simulate(problem, spec.solver, [], record_states=False)
+        simulate(problem, spec.solver, JumpPath(), record_states=False)
 
 
 def test_step_validation(torus_model):
@@ -782,35 +788,33 @@ def test_simulate_jump_adapted_grid_and_cadlag(torus_model, cos_symbol):
     problem = GalerkinProblem(
         build_level(torus_model, 5), 1.0, decaying_initial(torus_model), symbols=cos_symbol,
     )
-    mark = np.array([0.7])
-    events = [JumpEvent(time=0.35, mark=mark), JumpEvent(time=0.617, mark=-mark)]
+    path = JumpPath([0.35, 0.617], [[0.7], [-0.7]])
     config = SolverConfig(dt=0.1)
-    record = simulate(problem, config, events=events)
+    record = simulate(problem, config, path=path)
 
     assert record.times[0] == 0.0 and record.times[-1] == 1.0
     assert np.all(np.diff(record.times) > 0)
-    for e in events:
-        assert e.time in record.times
+    assert np.isin(path.times, record.times).all()
 
     lam = torus_model.eigenvalues_A[:level.dim]
     u = problem.initial.copy()
     t_prev = 0.0
     expected = {}
-    for e in events:
-        u = np.exp(-1j * lam * (e.time - t_prev)) * u
-        u = jump_map(problem.ops, e.mark, u)
-        expected[e.time] = u.copy()
-        t_prev = e.time
+    for t, mark in zip(path.times, path.marks):
+        u = np.exp(-1j * lam * (t - t_prev)) * u
+        u = jump_map(problem.ops, mark, u)
+        expected[t] = u.copy()
+        t_prev = t
     final = np.exp(-1j * lam * (1.0 - t_prev)) * u
 
-    for e in events:
-        i = int(np.nonzero(record.times == e.time)[0][0])
+    for t in path.times:
+        i = int(np.nonzero(record.times == t)[0][0])
         got = record.states[i]
-        assert np.linalg.norm(got - expected[e.time]) <= 1e-12 * np.linalg.norm(got)
+        assert np.linalg.norm(got - expected[t]) <= 1e-12 * np.linalg.norm(got)
     assert np.linalg.norm(record.states[-1] - final) <= 1e-12 * np.linalg.norm(final)
     # unitary jumps: mass stays flat across the whole path
     assert np.max(np.abs(record.mass - record.mass[0])) <= 1e-12 * record.mass[0]
-    assert record.events == events
+    assert record.path is path
 
 
 def test_simulate_diagnostics_columns(torus_model, cos_symbol):
@@ -819,13 +823,13 @@ def test_simulate_diagnostics_columns(torus_model, cos_symbol):
         build_level(torus_model, 4), 0.5, decaying_initial(torus_model),
         nonlinearity=defocusing(3.0), symbols=cos_symbol, measure=measure,
     )
-    events = sample_prm(measure, 0.5, trajectory_rng(42, 0))
-    record = simulate(problem, SolverConfig(dt=0.05), events)
+    path = sample_prm(measure, 0.5, trajectory_rng(42, 0))
+    record = simulate(problem, SolverConfig(dt=0.05), path)
     assert np.allclose(record.energy, record.kinetic + record.potential)
     sq = np.abs(record.states) ** 2
     assert np.allclose(record.mass, np.sum(sq, axis=1))
     assert np.allclose(record.ea_norm**2, np.sum(problem.level.ea_weights * sq, axis=1))
-    slim = simulate(problem, SolverConfig(dt=0.05), events, record_states=False)
+    slim = simulate(problem, SolverConfig(dt=0.05), path, record_states=False)
     assert slim.states is None
     assert np.array_equal(slim.mass, record.mass)
 
@@ -843,37 +847,32 @@ def test_simulate_reproducible_streams(torus_model, cos_symbol):
     )
     assert np.array_equal(rec1.states, rec2.states)
     assert np.array_equal(rec1.times, rec2.times)
-    if len(rec1.events) or len(rec_other.events):
-        same = len(rec1.events) == len(rec_other.events) and all(
-            e1.time == e2.time for e1, e2 in zip(rec1.events, rec_other.events)
-        )
-        assert not same
+    if len(rec1.path) or len(rec_other.path):
+        assert not np.array_equal(rec1.path.times, rec_other.path.times)
 
 
 def test_simulate_event_validation(torus_model, cos_symbol):
     problem = GalerkinProblem(
         build_level(torus_model, 4), 1.0, decaying_initial(torus_model), symbols=cos_symbol,
     )
-    mark = np.array([0.1])
-    with pytest.raises(ConfigurationError):
-        simulate(problem, SolverConfig(dt=0.1),
-                 events=[JumpEvent(time=1.5, mark=mark)])
-    with pytest.raises(ConfigurationError):
-        simulate(problem, SolverConfig(dt=0.1),
-                 events=[JumpEvent(time=0.9, mark=mark),
-                         JumpEvent(time=0.2, mark=mark)])
+    mark = [0.1]
+    for times in ([1.5], [-0.1], [0.2, np.nan]):
+        with pytest.raises(ConfigurationError, match="within"):
+            simulate(problem, SolverConfig(dt=0.1), path=JumpPath(times, [mark] * len(times)))
+    with pytest.raises(ConfigurationError, match="time-sorted"):
+        simulate(problem, SolverConfig(dt=0.1), path=JumpPath([0.9, 0.2], [mark, mark]))
     bare = GalerkinProblem(build_level(torus_model, 4), 1.0, decaying_initial(torus_model))
-    with pytest.raises(ConfigurationError):
-        simulate(bare, SolverConfig(dt=0.1), events=[JumpEvent(time=0.5, mark=mark)])
+    with pytest.raises(ConfigurationError, match="without noise operators"):
+        simulate(bare, SolverConfig(dt=0.1), path=JumpPath([0.5], [mark]))
     # a run without its jump path is refused
     measure = AtomicMeasure(marks=[[0.4]], weights=[1.0])
     noisy = GalerkinProblem(build_level(torus_model, 4), 1.0, decaying_initial(torus_model),
                             symbols=cos_symbol, measure=measure)
-    with pytest.raises(TypeError, match="events"):
+    with pytest.raises(TypeError, match="path"):
         simulate(noisy, SolverConfig(dt=0.1))
     finer = GalerkinProblem(build_level(torus_model, 6), 1.0, decaying_initial(torus_model),
                             symbols=cos_symbol, measure=measure)
-    with pytest.raises(TypeError, match="events"):
+    with pytest.raises(TypeError, match="path"):
         simulate_coupled(finer, 4, SolverConfig(dt=0.1))
 
 
@@ -895,7 +894,7 @@ def jump_paths(draw):
     nodes = np.linspace(0.0, 0.3, 7)
     kind = draw(st.sampled_from(["zero", "node", "between", "horizon", "none"]))
     if kind == "none":
-        return []
+        return JumpPath()
     if kind == "zero":
         first = 0.0
     elif kind == "horizon":
@@ -907,8 +906,7 @@ def jump_paths(draw):
     later = draw(st.lists(st.floats(first, 0.3), max_size=3))
     marks = draw(st.lists(st.sampled_from([0.5, -0.3]), min_size=1 + len(later),
                           max_size=1 + len(later)))
-    return [JumpEvent(time=t, mark=np.array([m]))
-            for t, m in zip([first] + sorted(later), marks)]
+    return JumpPath([first] + sorted(later), [[m] for m in marks])
 
 
 @settings(max_examples=40, deadline=None)
@@ -925,32 +923,30 @@ def test_jump_free_path_gives_the_same_record(shared_problem, mode, closure,
     problem = shared_problem
     config = SolverConfig(mode=mode, dt=0.05, closure=closure)
     nodes = np.linspace(0.0, 0.3, 7)
-    branch = [int(np.searchsorted(nodes, events[0].time, side="left")) - 1 if events else 6
-              for events in paths]
+    branch = [int(np.searchsorted(nodes, path.times[0], side="left")) - 1 if len(path) else 6
+              for path in paths]
     order = []
     for k, shared in simulate_ensemble(problem, config, len(paths), paths.__getitem__,
                                        record_states=record_states):
-        events = paths[k]
-        alone = simulate(problem, config, events, record_states=record_states)
+        path = paths[k]
+        alone = simulate(problem, config, path, record_states=record_states)
         for column in ("times", "mass", "kinetic", "potential", "energy", "ea_norm"):
             assert getattr(shared, column).tobytes() == getattr(alone, column).tobytes()
         assert (shared.states is None) == (not record_states)
         if record_states:
             assert shared.states.tobytes() == alone.states.tobytes()
         assert shared.fp_iters_max == alone.fp_iters_max
-        assert shared.events == events
+        assert shared.path is path
         order.append(k)
     assert order == sorted(range(len(paths)), key=branch.__getitem__)
 
 
 def test_branch_node_is_the_last_uniform_node_before_the_first_jump(shared_problem):
     config = SolverConfig(dt=0.05)
-    nodes = simulate(shared_problem, config, []).times
+    nodes = simulate(shared_problem, config, JumpPath()).times
     assert nodes.tobytes() == np.linspace(0.0, 0.3, 7).tobytes()
-    mark = np.array([0.5])
     table = ((0.0, -1), (nodes[1], 0), (0.12, 2), (nodes[3], 2), (0.3, 5), (None, 6))
-    paths = [[] if first is None else [JumpEvent(time=first, mark=mark),
-                                       JumpEvent(time=0.3, mark=mark)]
+    paths = [JumpPath() if first is None else JumpPath([first, 0.3], [[0.5], [0.5]])
              for first, _ in table]
     assert branch_nodes(shared_problem, config, paths) == [branch for _, branch in table]
     # in reverse, they run in order of branch node, the tie at node 2 by index
@@ -967,18 +963,38 @@ def test_a_jump_at_time_zero_shows_in_the_node_zero_state():
     fine = build_problem_from_spec(spec)
     coarse = dataclasses.replace(fine, level=build_level(fine.level.model, 4))
     mark = np.array([0.45])
-    events = [JumpEvent(time=0.0, mark=mark)]
+    path = JumpPath([0.0], [mark])
     jumped = jump_map(fine.ops, mark, fine.initial)
     assert np.max(np.abs(jumped - fine.initial)) > 0.1
-    assert branch_nodes(fine, spec.solver, [events]) == [-1]
-    (_, shared), = simulate_ensemble(fine, spec.solver, 1, lambda k: events)
-    for record in (simulate(fine, spec.solver, events), shared):
+    assert branch_nodes(fine, spec.solver, [path]) == [-1]
+    (_, shared), = simulate_ensemble(fine, spec.solver, 1, lambda k: path)
+    for record in (simulate(fine, spec.solver, path), shared):
         assert np.array_equal(record.states[0], jumped)
     gap = jumped.copy()
     gap[:coarse.level.dim] -= jump_map(coarse.ops, mark, coarse.initial)
     want = np.sqrt(np.sum(np.abs(gap) ** 2 / fine.level.ea_weights))
-    distance = simulate_coupled(fine, 4, spec.solver, events).distances[0]
+    distance = simulate_coupled(fine, 4, spec.solver, path).distances[0]
     assert distance == pytest.approx(want, rel=1e-14, abs=0)
+
+
+def test_coupled_node_zero_distance_is_the_gap_of_the_smoothed_data(torus_model):
+    # each level starts from S_n u0, not P_n u0: the cutoff multiplier times
+    # the level's prefix of the full data, scaled back to the full norm.
+    # Data with weight on every dyadic band tells the two truncations apart
+    full = decaying_initial(torus_model, rate=0.1)
+    problem = GalerkinProblem(build_level(torus_model, 6), 1.0, full)
+
+    def smoothed(n):
+        dim = build_level(torus_model, n).dim
+        data = spectral.cutoff_multiplier(n, torus_model.eigenvalues_S[:dim]) * full[:dim]
+        return data * (np.linalg.norm(full) / np.linalg.norm(data))
+
+    for n in (3, 4, 5):
+        gap, coarse = smoothed(6), smoothed(n)
+        gap[:coarse.size] -= coarse
+        want = problem.level.dual_norm(gap)
+        got = simulate_coupled(problem, n, SolverConfig(dt=0.5), JumpPath()).distances[0]
+        assert got == pytest.approx(want, rel=1e-13, abs=0)
 
 
 def test_numerics_error_names_the_first_trajectory_through_the_failed_step(shared_problem):
@@ -987,10 +1003,9 @@ def test_numerics_error_names_the_first_trajectory_through_the_failed_step(share
     # path lies on every path that branches after it, and the lowest such
     # index is named; a failed step after the branch names the running one
     config = SolverConfig(dt=0.05, max_fp_iters=1, max_halvings=0)
-    mark = np.array([0.5])
     node_1 = float(np.linspace(0.0, 0.3, 7)[1])
     for firsts, named, end in (((0.27, 0.12, 0.07), 0, node_1), ((0.27, 0.12, 0.03), 2, 0.03)):
-        paths = [[JumpEvent(time=t, mark=mark)] for t in firsts]
+        paths = [JumpPath([t], [[0.5]]) for t in firsts]
         # branch nodes 5, 2 and 1, then 5, 2 and 0: trajectory 2 runs first
         runs = simulate_ensemble(shared_problem, config, 3, paths.__getitem__,
                                  record_states=False)
@@ -1009,12 +1024,11 @@ def test_time_grid_guard_counts_the_jump_free_path(shared_problem, monkeypatch,
     config = SolverConfig(dt=0.05)
     per_node = 8 * (2 + 4) + (16 * shared_problem.level.dim if record_states else 0)
     needed = (7 + 9) * per_node
-    mark = np.array([0.5])
-    events = [JumpEvent(time=0.12, mark=mark), JumpEvent(time=0.21, mark=mark)]
+    path = JumpPath([0.12, 0.21], [[0.5], [0.5]])
     monkeypatch.setattr(spectral, "_physical_memory", lambda: needed - 1)
-    assert len(simulate(shared_problem, config, events,
+    assert len(simulate(shared_problem, config, path,
                         record_states=record_states).times) == 9
-    runs = simulate_ensemble(shared_problem, config, 1, lambda k: events,
+    runs = simulate_ensemble(shared_problem, config, 1, lambda k: path,
                              record_states=record_states)
     with pytest.raises(ConfigurationError) as refused:
         next(runs)
@@ -1022,7 +1036,7 @@ def test_time_grid_guard_counts_the_jump_free_path(shared_problem, monkeypatch,
     assert "the 9 time nodes of horizon 0.3 at dt = 0.05 and the jump-free path" in message
     assert f"about {needed / 2**30:.3g} GiB" in message
     monkeypatch.setattr(spectral, "_physical_memory", lambda: needed)
-    (k, record), = simulate_ensemble(shared_problem, config, 1, lambda k: events,
+    (k, record), = simulate_ensemble(shared_problem, config, 1, lambda k: path,
                                      record_states=record_states)
     assert k == 0 and len(record.times) == 9
 
@@ -1043,20 +1057,20 @@ def test_jump_path_makes_no_eigh_call(torus_model, cos_symbol, noise, monkeypatc
         for n in (2, 8)
     )
     config = SolverConfig(dt=0.05, closure=CLOSURE_TAYLOR2)
-    events = sample_prm(measure, 1.0, trajectory_rng(5, 1))
+    path = sample_prm(measure, 1.0, trajectory_rng(5, 1))
     assert tiny.level.dim == 5
-    assert all(len(_chebyshev_coefficients(tiny.ops.radius(e.mark))) - 1 > 5
-               for e in events)
+    assert all(len(_chebyshev_coefficients(tiny.ops.radius(mark))) - 1 > 5
+               for mark in path.marks)
 
     def eigh(*args, **kwargs):
         raise AssertionError("eigh called on the jump path")
 
     monkeypatch.setattr(np.linalg, "eigh", eigh)
     record = simulate(high, config, sample_prm(measure, 1.0, trajectory_rng(5, 0)))
-    coupled = simulate_coupled(high, 6, config, events)
-    small = simulate(tiny, config, events=events)
-    assert record.events and events and small.events
-    assert np.isin([e.time for e in events], coupled.times).all()
+    coupled = simulate_coupled(high, 6, config, path)
+    small = simulate(tiny, config, path=path)
+    assert len(record.path) and len(small.path)
+    assert np.isin(path.times, coupled.times).all()
     if noise == "atomic":
         # atoms below the cutoff: the AtomicExact compensator is built too
         split = AtomicMeasure(marks=[[0.5], [-0.3], [0.8], [0.1], [-1e-30]],
@@ -1064,7 +1078,7 @@ def test_jump_path_makes_no_eigh_call(torus_model, cos_symbol, noise, monkeypatc
         problem = dataclasses.replace(high, measure=split)
         exact = simulate(problem, SolverConfig(dt=0.05, closure=CLOSURE_ATOMIC),
                          sample_prm(split, 1.0, trajectory_rng(5, 2)))
-        assert exact.events
+        assert len(exact.path)
 
 
 def test_coupled_levels_identical_for_resolved_linear_flow(torus_model, cos_symbol):
@@ -1079,10 +1093,10 @@ def test_coupled_levels_identical_for_resolved_linear_flow(torus_model, cos_symb
 
     fine = GalerkinProblem(build_level(torus_model, 6), 1.0, u0, symbols=constant_symbol,
                            measure=measure)
-    events = sample_prm(measure, 1.0, trajectory_rng(5, 0))
-    result = simulate_coupled(fine, 3, SolverConfig(dt=0.05), events)
+    path = sample_prm(measure, 1.0, trajectory_rng(5, 0))
+    result = simulate_coupled(fine, 3, SolverConfig(dt=0.05), path)
     assert result.levels == (3, 6)
-    assert events and np.isin([e.time for e in events], result.times).all()
+    assert len(path) and np.isin(path.times, result.times).all()
     assert result.distance <= 1e-12
     assert len(result.distances) == len(result.times)
 
@@ -1092,10 +1106,10 @@ def test_coupled_levels_validation(torus_model):
     p4 = GalerkinProblem(build_level(torus_model, 4), 1.0, u0)
     for level_n in (6, 4):
         with pytest.raises(ConfigurationError, match=f"coupled level {level_n} must be coarser"):
-            simulate_coupled(p4, level_n, SolverConfig(dt=0.1), [])
+            simulate_coupled(p4, level_n, SolverConfig(dt=0.1), JumpPath())
     with pytest.raises(ConfigurationError, match="without noise operators"):
         simulate_coupled(GalerkinProblem(build_level(torus_model, 6), 1.0, u0), 4,
-                         SolverConfig(dt=0.1), [JumpEvent(0.5, np.array([0.3]))])
+                         SolverConfig(dt=0.1), JumpPath([0.5], [[0.3]]))
 
 
 def test_converge_ensemble_drives_every_level_with_one_draw_per_trajectory(shared_problem):
@@ -1155,10 +1169,10 @@ def test_converge_ensemble_refuses_an_empty_level_before_the_first_draw():
 
 
 def test_converge_ensemble_names_the_trajectory_that_fails(shared_problem, monkeypatch):
-    def failing(problem, level_n, config, events):
-        if events == "path 1":
+    def failing(problem, level_n, config, path):
+        if path == "path 1":
             raise NumericsError(f"level {level_n}: step t=0.1 -> 0.15 (dt=5.000e-02): boom")
-        return simulate_coupled(problem, level_n, config, [])
+        return simulate_coupled(problem, level_n, config, JumpPath())
 
     monkeypatch.setattr(solver, "simulate_coupled", failing)
     with pytest.raises(NumericsError) as failed:
@@ -1180,8 +1194,8 @@ def test_coupled_nonlinear_distance_shrinks_with_level(torus_model):
                                measure=measure)
 
     fine = problem(7)
-    events = sample_prm(measure, 0.5, trajectory_rng(123, 0))
-    distances = [simulate_coupled(fine, n, config, events).distance for n in (3, 5)]
+    path = sample_prm(measure, 0.5, trajectory_rng(123, 0))
+    distances = [simulate_coupled(fine, n, config, path).distance for n in (3, 5)]
     assert distances[1] < distances[0]
 
 
@@ -1229,10 +1243,10 @@ def test_coupled_levels_match_independent_runs(torus_model, cos_symbol, mode, cl
                         measure=measure)
         for n in (4, 6)
     ]
-    events = sample_prm(measure, 1.0, trajectory_rng(17, 0))
-    assert events
-    result = simulate_coupled(problems[1], 4, config, events)
-    low, high = (simulate(problem, config, events=events) for problem in problems)
+    path = sample_prm(measure, 1.0, trajectory_rng(17, 0))
+    assert len(path)
+    result = simulate_coupled(problems[1], 4, config, path)
+    low, high = (simulate(problem, config, path=path) for problem in problems)
     assert all(p._workspaces[closure].noise_matrix is not None for p in problems)
     assert result.levels == (4, 6)
     assert result.times.tobytes() == high.times.tobytes()
@@ -1268,7 +1282,7 @@ def test_coupled_memory_does_not_grow_with_nodes(monkeypatch):
         high = GalerkinProblem(build_level(model, 10), horizon, u0, nonlinearity=defocusing(3.0))
         tracemalloc.start()
         try:
-            result = simulate_coupled(high, 8, config, [])
+            result = simulate_coupled(high, 8, config, JumpPath())
             return tracemalloc.get_traced_memory()[1], result, high.level.dim
         finally:
             tracemalloc.stop()
@@ -1293,12 +1307,12 @@ def test_coupled_run_records_nothing(torus_model, cos_symbol, monkeypatch):
     high = GalerkinProblem(build_level(torus_model, 6), 0.5, decaying_initial(torus_model),
                            nonlinearity=defocusing(3.0), symbols=cos_symbol, measure=measure)
     config = SolverConfig(dt=0.05)
-    events = sample_prm(measure, 0.5, trajectory_rng(3, 0))
-    assert events
-    result = simulate_coupled(high, 4, config, events)
+    path = sample_prm(measure, 0.5, trajectory_rng(3, 0))
+    assert len(path)
+    result = simulate_coupled(high, 4, config, path)
     assert len(result.distances) == len(result.times) > 11
     with pytest.raises(AssertionError, match="a node was recorded"):
-        simulate(high, config, events)
+        simulate(high, config, path)
 
 
 # ---------------------------------------------------------------------------
@@ -1321,9 +1335,8 @@ def test_martingale_residual_matches_a_node_by_node_generator(torus_model, cos_s
     problem = GalerkinProblem(build_level(torus_model, 4), 0.5, decaying_initial(torus_model),
                               nonlinearity=defocusing(3.0), symbols=cos_symbol,
                               measure=measure)
-    paths = [[], [JumpEvent(0.0, np.array([0.45]))],
-             [JumpEvent(0.12, np.array([-0.2])), JumpEvent(0.12, np.array([0.45])),
-              JumpEvent(0.3, np.array([0.45]))]]
+    paths = [JumpPath(), JumpPath([0.0], [[0.45]]),
+             JumpPath([0.12, 0.12, 0.3], [[-0.2], [0.45], [0.45]])]
     records = [simulate(problem, config, path) for path in paths]
     phis = np.eye(problem.level.dim)[1:4] + 0.5j * np.eye(problem.level.dim)[:3]
     marks, weights, _ = measure._simulated
@@ -1336,9 +1349,9 @@ def test_martingale_residual_matches_a_node_by_node_generator(torus_model, cos_s
     for record, path, got in zip(records, paths,
                                  oracles.martingale_residual(records, problem, config, phis)):
         before = record.states.copy()
-        for event in path[::-1]:
-            i = int(np.searchsorted(record.times, event.time))
-            before[i] = jump_map(problem.ops, -event.mark, before[i])
+        for t, mark in zip(path.times[::-1], path.marks[::-1]):
+            i = int(np.searchsorted(record.times, t))
+            before[i] = jump_map(problem.ops, -mark, before[i])
         integral = sum(0.5 * (b - a) * (generated(u) + generated(v)) for a, b, u, v in
                        zip(record.times, record.times[1:], record.states, before[1:]))
         want = (record.states[-1] - before[0]) @ phis.conj().T - integral
@@ -1346,7 +1359,7 @@ def test_martingale_residual_matches_a_node_by_node_generator(torus_model, cos_s
     with pytest.raises(ShapeError):
         oracles.martingale_residual(records, problem, config, phis[:, :-1])
     with pytest.raises(ValueError, match="retain states"):
-        oracles.martingale_residual([simulate(problem, config, [], record_states=False)],
+        oracles.martingale_residual([simulate(problem, config, JumpPath(), record_states=False)],
                                     problem, config, phis)
 
 
