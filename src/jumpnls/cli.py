@@ -41,6 +41,10 @@ from .spectral import _check_memory
 #: of ``deterministic_cubic`` and ``atomic_cubic``)
 TRAJECTORY_BYTES = 192
 
+#: trajectory CSV rows converted to Python floats at once: the block, not the
+#: node count, bounds the floats held (32 B each against 8 B in the array)
+ROW_BLOCK = 32
+
 
 def _apply_overrides(spec, args):
     updates = {}
@@ -68,8 +72,12 @@ def _write_lines(path: str, lines) -> None:
 def _trajectory_rows(record):
     series = record.series()
     yield ",".join(series) + "\n"
-    for row in zip(*series.values()):
-        yield ",".join(repr(float(v)) for v in row) + "\n"
+    columns = list(series.values())
+    # one ``tolist`` per column and block instead of one ``float`` per value
+    for start in range(0, len(columns[0]), ROW_BLOCK):
+        block = [column[start:start + ROW_BLOCK].tolist() for column in columns]
+        for row in zip(*block):
+            yield ",".join(map(repr, row)) + "\n"
 
 
 def _event_rows(path):

@@ -14,6 +14,12 @@ Two measure families:
 
 Randomness: one master seed; trajectory k draws from an independent stream
 whose seed is a fixed 64-bit hash (splitmix64) of ``master_seed`` and ``k``.
+That stream, a ``TrajectoryStream``, is ``numpy.random.default_rng(seed)``
+bit for bit: it runs SeedSequence and PCG64 (XSL-RR 128/64) in Python and
+draws ``random``, ``uniform`` and ``poisson`` below ``lam = 10`` itself, so a
+path of a few jumps is drawn without importing ``numpy.random``.  At its
+first other draw it hands its state to a numpy ``Generator`` and serves
+every later draw from there.
 
 One realization of the simulated region is a ``JumpPath``: the atoms
 (t_i, l_i) of the Poisson random measure as a sorted ``(n,)`` array of times
@@ -51,8 +57,165 @@ def trajectory_seed(master_seed: int, index: int) -> int:
     return _splitmix64((int(master_seed) + (index + 1) * _GOLDEN64) & _MASK64)
 
 
-def trajectory_rng(master_seed: int, index: int) -> np.random.Generator:
-    return np.random.default_rng(trajectory_seed(master_seed, index))
+#: SeedSequence's hash constants (numpy/random/bit_generator.pyx)
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_MASK32 = (1 << 32) - 1
+_MASK128 = (1 << 128) - 1
+#: PCG's default 128-bit LCG multiplier
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+#: numpy draws Poisson counts by multiplying uniforms below this mean, by
+#: its PTRS rejection sampler from it on
+_POISSON_MULT_BELOW = 10.0
+#: the largest array a stream fills itself; numpy fills a larger one in C
+STREAM_FILL_ENTRIES = 1024
+#: atomic marks looked up at once (256 KiB of uniforms and indices)
+MARK_BLOCK_ENTRIES = 2**14
+
+
+def _pcg64_seed_state(seed: int) -> tuple[int, int]:
+    """PCG64's (state, increment) after ``numpy.random.PCG64(seed)``.
+
+    SeedSequence hashes the seed's 32-bit words (low word first) into a pool
+    of four, mixes every pool word into every other, and hashes the pool out
+    into four 64-bit words; PCG64 seeds its LCG with the first two as the
+    initial state and the last two as the stream.
+    """
+    hash_const = _INIT_A
+
+    def hashmix(value: int) -> int:
+        nonlocal hash_const
+        value ^= hash_const
+        hash_const = (hash_const * _MULT_A) & _MASK32
+        value = (value * hash_const) & _MASK32
+        return value ^ (value >> 16)
+
+    def mix(x: int, y: int) -> int:
+        result = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _MASK32
+        return result ^ (result >> 16)
+
+    words = [seed >> shift & _MASK32 for shift in range(0, max(seed.bit_length(), 1), 32)]
+    pool = [hashmix(words[i] if i < len(words) else 0) for i in range(4)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    hash_const, out = _INIT_B, []
+    for i in range(8):
+        value = pool[i % 4] ^ hash_const
+        hash_const = (hash_const * _MULT_B) & _MASK32
+        value = (value * hash_const) & _MASK32
+        out.append(value ^ (value >> 16))
+    w = [out[i] | out[i + 1] << 32 for i in range(0, 8, 2)]  # little-endian
+    initstate, initseq = w[0] << 64 | w[1], w[2] << 64 | w[3]
+    increment = (initseq << 1 | 1) & _MASK128
+    # pcg_setseq_128_srandom_r: step from 0, add the initial state, step
+    state = (increment + initstate) & _MASK128
+    return (state * _PCG_MULT + increment) & _MASK128, increment
+
+
+class TrajectoryStream:
+    """``numpy.random.default_rng(seed)``, bit for bit, without ``numpy.random``.
+
+    The stream steps PCG64 in Python and draws, as numpy does, ``random()``
+    and ``random(size)`` as ``(next64 >> 11) * 2**-53``, ``uniform(low,
+    high, size)`` as ``low + (high - low) * random()`` for scalar bounds, and
+    ``poisson(lam)`` for a scalar ``0 <= lam < 10`` by multiplying uniforms
+    until the product falls to ``exp(-lam)`` or below (none for ``lam = 0``).
+    A fill of more than ``STREAM_FILL_ENTRIES`` doubles, any other argument
+    of these three and any other ``Generator`` attribute hand the state over:
+    the stream then seeds ``default_rng(seed)``, sets its PCG64 state through
+    the public ``bit_generator.state`` dict, and serves that and every later
+    draw from that ``Generator``, so the stream has the whole ``Generator``
+    interface and heavy paths keep numpy's speed.  Arrays are filled in
+    place.  NumPy does not promise its ``Generator`` streams across
+    versions; the ported draws are this module's and stay fixed.
+    """
+
+    def __init__(self, seed: int):
+        self.seed = int(seed)
+        if not 0 <= self.seed <= _MASK64:  # the seeds ``trajectory_seed`` makes
+            raise ValueError(f"a stream seed must be in [0, 2**64), got {seed}")
+        self._state, self._increment = _pcg64_seed_state(self.seed)
+        self._generator = None
+
+    def _next_double(self) -> float:
+        state = (self._state * _PCG_MULT + self._increment) & _MASK128
+        self._state = state
+        word = ((state >> 64) ^ state) & _MASK64
+        rotation = state >> 122
+        word = ((word >> rotation) | (word << (64 - rotation))) & _MASK64
+        return (word >> 11) * 2.0**-53
+
+    @staticmethod
+    def _fills(size) -> bool:
+        """Whether the stream draws ``size`` doubles itself."""
+        return size is None or int(np.prod(size)) <= STREAM_FILL_ENTRIES
+
+    def _doubles(self, size) -> np.ndarray:
+        out = np.empty(size)
+        flat = out.reshape(-1)
+        for i in range(len(flat)):
+            flat[i] = self._next_double()
+        return out
+
+    def _numpy(self) -> np.random.Generator:
+        """The ``Generator`` that serves every draw from the first handover on."""
+        if self._generator is None:
+            generator = np.random.default_rng(self.seed)
+            generator.bit_generator.state = {
+                "bit_generator": "PCG64",
+                "state": {"state": self._state, "inc": self._increment},
+                "has_uint32": 0, "uinteger": 0,
+            }
+            self._generator = generator
+            # the draws this class ports now go straight to numpy
+            self.random, self.uniform, self.poisson = (
+                generator.random, generator.uniform, generator.poisson)
+        return self._generator
+
+    # ``random``, ``uniform`` and ``poisson`` run only until the handover
+    def random(self, size=None, *args, **kwargs):
+        if args or kwargs or not self._fills(size):  # a dtype or an out array
+            return self._numpy().random(size, *args, **kwargs)
+        return self._next_double() if size is None else self._doubles(size)
+
+    def uniform(self, low=0.0, high=1.0, size=None):
+        if np.ndim(low) == np.ndim(high) == 0 and self._fills(size):
+            span = float(high) - float(low)
+            if math.isfinite(span):  # numpy refuses the rest
+                if size is None:
+                    return float(low) + span * self._next_double()
+                out = self._doubles(size)
+                out *= span
+                out += float(low)
+                return out
+        return self._numpy().uniform(low, high, size)
+
+    def poisson(self, lam=1.0, size=None):
+        if (size is None and np.ndim(lam) == 0
+                and 0.0 <= lam < _POISSON_MULT_BELOW):
+            if lam == 0:
+                return 0
+            limit, product, count = math.exp(-lam), 1.0, 0
+            while True:
+                product *= self._next_double()
+                if not product > limit:
+                    return count
+                count += 1
+        return self._numpy().poisson(lam, size)
+
+    def __getattr__(self, name):
+        if name.startswith("_"):  # not Generator API: copy's and pickle's probes
+            raise AttributeError(name)
+        return getattr(self._numpy(), name)
+
+
+def trajectory_rng(master_seed: int, index: int) -> TrajectoryStream:
+    """Trajectory ``index``'s stream: ``numpy.random.default_rng`` of its
+    ``trajectory_seed``, drawn without ``numpy.random`` while it can."""
+    return TrajectoryStream(trajectory_seed(master_seed, index))
 
 
 def _sphere_area(n: int) -> float:
@@ -106,8 +269,10 @@ class AtomicMeasure:
     """Finite sum of weighted atoms inside the closed unit ball.
 
     The atoms are split at the cutoff once, on construction: ``_simulated``
-    holds the marks, weights and normalised probabilities of the atoms with
-    ``|l| >= epsilon``, ``_small`` the marks and weights of the rest.
+    holds the marks, weights and cumulative distribution of the atoms with
+    ``|l| >= epsilon``, ``_small`` the marks and weights of the rest.  The
+    cdf is the one ``Generator.choice(p=...)`` builds from the normalised
+    weights: their cumulative sum divided by its last entry.
     """
 
     marks: np.ndarray    # (J, N)
@@ -138,7 +303,10 @@ class AtomicMeasure:
         object.__setattr__(self, "weights", weights)
         simulated = radii >= self.epsilon
         kept = weights[simulated]
-        object.__setattr__(self, "_simulated", (marks[simulated], kept, kept / np.sum(kept)))
+        cdf = np.cumsum(kept / np.sum(kept))
+        if len(cdf):
+            cdf /= cdf[-1]
+        object.__setattr__(self, "_simulated", (marks[simulated], kept, cdf))
         object.__setattr__(self, "_small", (marks[~simulated], weights[~simulated]))
 
     @property
@@ -166,11 +334,23 @@ class AtomicMeasure:
         """Atoms below the cutoff: (marks, weights) of the neglected region."""
         return self._small
 
-    def sample_mark(self, rng: np.random.Generator) -> np.ndarray:
-        """One simulated atom's mark, drawn by weight: a view of its row,
-        which ``sample_prm`` copies into the path's marks."""
-        marks, _, probabilities = self._simulated
-        return marks[rng.choice(len(probabilities), p=probabilities)]
+    def sample_marks(self, rng, count: int) -> np.ndarray:
+        """``count`` simulated atoms' marks, (count, N), drawn by weight.
+
+        ``rng.random`` and one lookup on the cdf per block of
+        ``MARK_BLOCK_ENTRIES`` marks: the doubles, order and atoms of
+        ``count`` calls of ``rng.choice(J, p=p)``, with the path's marks the
+        only array that grows with ``count``.
+        """
+        marks, _, cdf = self._simulated
+        out = np.empty((count, self.dimension))
+        for start in range(0, count, MARK_BLOCK_ENTRIES):
+            block = out[start:start + MARK_BLOCK_ENTRIES]
+            # every index is below J (cdf[-1] is 1.0), and ``clip`` writes
+            # straight into ``out`` where ``raise`` would buffer
+            np.take(marks, cdf.searchsorted(rng.random(len(block)), side="right"),
+                    axis=0, out=block, mode="clip")
+        return out
 
 
 @dataclasses.dataclass(frozen=True)
@@ -217,7 +397,17 @@ class RadialStableMeasure:
             variance_budget=sigma2,
         )
 
-    def sample_mark(self, rng: np.random.Generator) -> np.ndarray:
+    def sample_marks(self, rng, count: int) -> np.ndarray:
+        """``count`` marks, (count, N), drawn one by one into the array."""
+        marks = np.empty((count, self.dimension))
+        for i in range(count):
+            marks[i] = self.sample_mark(rng)
+        return marks
+
+    def sample_mark(self, rng) -> np.ndarray:
+        """One mark: ``rng.uniform()`` for the radius, then ``rng.uniform()``
+        for the sign on one channel or ``rng.standard_normal(N)`` for the
+        direction on more (a ``TrajectoryStream`` hands over there)."""
         # inverse-CDF radius on [epsilon, 1]; isotropic direction
         b = self.stability
         u = rng.uniform()
@@ -231,13 +421,15 @@ class RadialStableMeasure:
         return r * vec
 
 
-def sample_prm(measure, horizon: float, rng: np.random.Generator) -> JumpPath:
+def sample_prm(measure, horizon: float, rng) -> JumpPath:
     """Draw the jumps of the simulated region on [0, horizon].
 
     Count ~ Poisson(intensity * horizon), times i.i.d. uniform (sorted),
-    marks i.i.d. from the normalized restriction of the measure, drawn one
-    by one in time order.  The path's 8 (1 + N) bytes per expected jump are
-    refused before the count is drawn if they exceed physical memory.
+    marks i.i.d. from the normalized restriction of the measure in time
+    order (``measure.sample_marks``).  ``rng`` is a ``TrajectoryStream`` or
+    a numpy ``Generator``; both draw the same path from the same state.  The
+    path's 8 (1 + N) bytes per expected jump are refused before the count is
+    drawn if they exceed physical memory.
     """
     if not (horizon > 0):
         raise ValueError(f"horizon must be positive, got {horizon}")
@@ -251,7 +443,4 @@ def sample_prm(measure, horizon: float, rng: np.random.Generator) -> JumpPath:
     count = rng.poisson(expected)
     times = rng.uniform(0.0, horizon, size=count)
     times.sort()
-    marks = np.empty((count, channels))
-    for i in range(count):
-        marks[i] = measure.sample_mark(rng)
-    return JumpPath(times, marks)
+    return JumpPath(times, measure.sample_marks(rng, count))

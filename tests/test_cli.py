@@ -795,26 +795,44 @@ def test_python_dash_m_runs_the_cli(tmp_path):
     assert missing.returncode == 2 and missing.stderr.startswith("error:")
 
 
-#: run in one process per shipped config; after each command it prints which
-#: of the modules only some commands need are loaded
+#: run in one process per shipped config; after each command it prints its
+#: name, its trajectory count and which of the modules only some commands
+#: need are loaded
 COMMAND_MODULES_PROBE = """
 import contextlib, io, sys
 from jumpnls.cli import main
 config, out = sys.argv[1:]
 for argv in (["converge", "--config", config, "--levels", "2,3", "--trajectories", "2"],
              ["moments", "--config", config],
+             ["simulate", "--config", config, "--out", out, "--trajectories", "1"],
              ["simulate", "--config", config, "--out", out, "--trajectories", "2"]):
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         main(argv)
-    print(argv[0], *sorted({"jumpnls.verify", "jumpnls.diagnostics", "jumpnls.oracles"}
-                           & set(sys.modules)))
+    print(argv[0], *argv[6:], *sorted({"jumpnls.verify", "jumpnls.diagnostics",
+                                       "jumpnls.oracles", "numpy.random"}
+                                      & set(sys.modules)))
 """
+
+#: the probe's lines per shipped config.  A trajectory stream draws the few
+#: jumps of an atomic path (lambda T = 4) without ``numpy.random``; the
+#: two-channel radial path of stable_linear (lambda T about 19) hands over at
+#: its Poisson count, and the bootstrap bands of two trajectories load it
+COMMAND_MODULES = {
+    "atomic_cubic.ini": ["converge 2", "moments", "simulate 1 jumpnls.diagnostics",
+                         "simulate 2 jumpnls.diagnostics numpy.random"],
+    "deterministic_cubic.ini": ["converge 2", "moments", "simulate 1 jumpnls.diagnostics",
+                                "simulate 2 jumpnls.diagnostics numpy.random"],
+    "stable_linear.ini": ["converge 2 numpy.random", "moments numpy.random",
+                          "simulate 1 jumpnls.diagnostics numpy.random",
+                          "simulate 2 jumpnls.diagnostics numpy.random"],
+}
 
 
 @pytest.mark.parametrize("config", sorted(p.name for p in CONFIG_DIR.glob("*.ini")))
 def test_each_command_loads_only_the_modules_it_runs(config, tmp_path):
-    # only ``verify`` compiles the check battery, no run the oracles, and only
-    # ``simulate`` (for its ensemble bands) the diagnostics
+    # only ``verify`` compiles the check battery, no run the oracles, only
+    # ``simulate`` (for its ensemble bands) the diagnostics, and ``numpy.random``
+    # only the draws a trajectory stream hands over and the bootstrap
     src = str(Path(jumpnls.__file__).resolve().parents[1])
     out = subprocess.run(
         [sys.executable, "-c", COMMAND_MODULES_PROBE, str(CONFIG_DIR / config),
@@ -822,7 +840,7 @@ def test_each_command_loads_only_the_modules_it_runs(config, tmp_path):
         capture_output=True, text=True, check=True,
         env={**os.environ, "PYTHONPATH": src}, timeout=120,
     )
-    assert out.stdout.splitlines() == ["converge", "moments", "simulate jumpnls.diagnostics"]
+    assert out.stdout.splitlines() == COMMAND_MODULES[config]
 
 
 #: run in one process: blocks scipy when its first argument is "block", runs

@@ -238,6 +238,22 @@ def test_prm_peak_memory_is_its_two_arrays():
     assert peak <= 8 * (1 + 1) * len(path) + 16 * 1024
 
 
+def test_atomic_prm_peak_memory_is_its_two_arrays():
+    # about 1e5 jumps of two channels: the path's 8 (1 + N) B per jump plus
+    # one block of uniforms and atom indices, whatever the jump count
+    m = noise.AtomicMeasure(marks=[[0.3, 0.1], [-0.2, 0.4], [0.1, -0.5]],
+                            weights=[4e4, 3e4, 3e4])
+    noise.sample_prm(m, 0.01, noise.trajectory_rng(2, 0))  # warm the code paths
+    tracemalloc.start()
+    try:
+        path = noise.sample_prm(m, 1.0, noise.trajectory_rng(2, 0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert 9e4 < len(path) < 1.1e5
+    assert peak <= 8 * (1 + 2) * len(path) + 16 * noise.MARK_BLOCK_ENTRIES + 16 * 1024
+
+
 def test_prm_disjoint_windows_uncorrelated():
     m = noise.AtomicMeasure(marks=[[0.5]], weights=[3.0], epsilon=0.0)
     rng = np.random.default_rng(32)
@@ -318,6 +334,125 @@ def test_trajectory_seed_deterministic_and_distinct():
     assert noise.trajectory_seed(12346, 0) != seeds[0]
     with pytest.raises(ValueError):
         noise.trajectory_seed(1, -1)
+
+
+#: (name, draw): the draws a trajectory stream serves itself, each of which
+#: ``test_trajectory_stream_is_numpys_stream`` checks against numpy's
+PORTED_DRAWS = [
+    ("random()", lambda rng: rng.random()),
+    ("random(n)", lambda rng: rng.random(5)),
+    ("uniform(a, b, size)", lambda rng: rng.uniform(-1.5, 2.0, size=4)),
+    ("uniform(a, b)", lambda rng: rng.uniform(0.0, 3.0)),
+    *((f"poisson({lam!r})", lambda rng, lam=lam: rng.poisson(lam))
+      for lam in (0.0, 1e-3, 0.4, 2.0, 9.999)),
+    ("random(n) again", lambda rng: rng.random(3)),
+]
+
+#: (name, draw): draws that hand a trajectory stream's state over to numpy
+HANDOVER_DRAWS = [
+    *((f"poisson({lam!r})", lambda rng, lam=lam: rng.poisson(lam))
+      for lam in (10.0, 46.35, 1e5)),
+    ("standard_normal(n)", lambda rng: rng.standard_normal(3)),
+    ("random(n) beyond the fill", lambda rng: rng.random(noise.STREAM_FILL_ENTRIES + 1)),
+    ("integers", lambda rng: rng.integers(0, 2**40, size=2)),
+]
+
+
+def assert_same_draw(name, ours, theirs):
+    assert type(ours) is type(theirs), name
+    assert np.shape(ours) == np.shape(theirs), name
+    assert np.array_equal(ours, theirs), name
+
+
+def test_trajectory_stream_is_numpys_stream():
+    # bit for bit ``default_rng(trajectory_seed(m, k))``: the ported draws
+    # interleaved, then each handover on its own fresh stream, checked by the
+    # draws after it
+    for master_seed in range(64):
+        for index in range(16):
+            seed = noise.trajectory_seed(master_seed, index)
+            for handover_name, handover in HANDOVER_DRAWS:
+                ours, theirs = noise.trajectory_rng(master_seed, index), np.random.default_rng(seed)
+                for name, draw in PORTED_DRAWS + [(handover_name, handover)] + PORTED_DRAWS:
+                    assert_same_draw((master_seed, index, name), draw(ours), draw(theirs))
+
+
+def tie_mean(u):
+    """A mean ``lam`` with ``exp(-lam) == u`` exactly, or None if none is near
+    ``-log(u)``."""
+    lam = -math.log(u)
+    for _ in range(8):
+        limit = math.exp(-lam)
+        if limit == u:
+            return lam
+        lam = math.nextafter(lam, math.inf if limit > u else -math.inf)
+    return None
+
+
+def test_stream_poisson_count_ends_at_a_tie():
+    # the multiplication method counts while the product of uniforms stays
+    # above exp(-lam): a first uniform equal to it gives 0, as numpy's does
+    ties = 0
+    for master_seed in range(64):
+        for index in range(16):
+            seed = noise.trajectory_seed(master_seed, index)
+            lam = tie_mean(np.random.default_rng(seed).random())
+            if lam is None:
+                continue
+            ties += 1
+            ours, theirs = noise.trajectory_rng(master_seed, index), np.random.default_rng(seed)
+            assert ours.poisson(lam) == theirs.poisson(lam) == 0
+            assert ours.random() == theirs.random()
+    assert ties > 800  # 870 of the 1024 first uniforms have a tie below lam = 5
+
+
+@pytest.mark.parametrize("intensity", [4.0, 25.0])
+@pytest.mark.parametrize("case", ["atomic_N1", "atomic_N2", "radial_N1", "radial_N2"])
+def test_prm_paths_agree_on_a_stream_and_on_numpys_generator(case, intensity):
+    # lambda T = 4 draws on the stream, 25 hands over at the Poisson count
+    measure = {
+        "atomic_N1": lambda: noise.AtomicMeasure(marks=[[0.45], [-0.3]], weights=[2.0, 1.0]),
+        "atomic_N2": lambda: noise.AtomicMeasure(
+            marks=[[0.3, 0.4], [-0.5, 0.1], [0.2, -0.6]], weights=[1.0, 2.0, 1.5]),
+        "radial_N1": lambda: noise.RadialStableMeasure(activity=0.5, stability=1.2,
+                                                       dimension=1, epsilon=0.3),
+        "radial_N2": lambda: noise.RadialStableMeasure(activity=0.5, stability=0.8,
+                                                       dimension=2, epsilon=0.4),
+    }[case]()
+    horizon = intensity / measure.simulated_intensity()
+    for master_seed in range(16):
+        seed = noise.trajectory_seed(master_seed, 0)
+        ours = noise.sample_prm(measure, horizon, noise.trajectory_rng(master_seed, 0))
+        theirs = noise.sample_prm(measure, horizon, np.random.default_rng(seed))
+        assert np.array_equal(ours.times, theirs.times)
+        assert np.array_equal(ours.marks, theirs.marks)
+
+
+@pytest.mark.parametrize("weights", [[1.0], [2.0, 1.0], [1.0, 2.0, 1.5],
+                                     [1e-9, 1.0, 1e-9], [0.1, 0.2, 0.3, 0.4, 1e3]])
+def test_atomic_marks_are_the_atoms_choice_draws(weights):
+    # one ``random(count)`` looked up on the cdf: the atoms and the stream
+    # position of ``count`` per-jump ``Generator.choice(J, p=p)`` calls
+    marks = np.linspace(-0.9, 0.9, 2 * len(weights))[: len(weights), None]
+    measure = noise.AtomicMeasure(marks=marks, weights=weights)
+    p = np.asarray(weights) / np.sum(weights)
+    for seed in range(20):
+        ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+        drawn = measure.sample_marks(ours, 50)
+        chosen = [measure.marks[theirs.choice(len(p), p=p)] for _ in range(50)]
+        assert np.array_equal(drawn, chosen)
+        assert ours.random() == theirs.random()
+
+
+def test_stream_seed_is_a_64_bit_seed():
+    # the seeds ``trajectory_seed`` makes: the stream ports SeedSequence's
+    # mixing of at most two 32-bit words
+    for seed in (0, 2**32 - 1, 2**32, 2**64 - 1):
+        ours = noise.TrajectoryStream(seed).random(4)
+        assert ours.tolist() == np.random.default_rng(seed).random(4).tolist()
+    for seed in (-1, 2**64):
+        with pytest.raises(ValueError, match="stream seed"):
+            noise.TrajectoryStream(seed)
 
 
 def test_trajectory_rng_streams_reproducible():
