@@ -11,8 +11,8 @@ solver       drift assembly, steppers, trajectory and coupled simulation
 diagnostics  ensemble statistics of a run
 config       INI run descriptions, presets, canonical text and hashing
 oracles      references no run reads: norms, dense operators, RK4 Marcus
-             flow, energy, path modulus, Aldous statistic, Levy path,
-             Gauss-Legendre radial quadrature
+             flow, energy, path modulus, Levy path, Gauss-Legendre radial
+             quadrature
 verify       self-contained numerical check battery
 cli          command line entry points (simulate / converge / verify / moments)
 
@@ -79,7 +79,6 @@ _EXPORTS = {
     "config_hash": "config",
     "parse_config": "config",
     "EnergyReport": "oracles",
-    "aldous_statistic": "oracles",
     "cadlag_modulus": "oracles",
     "energy": "oracles",
     "energy_derivative": "oracles",

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import configparser
 import dataclasses
+import importlib
 import io
 import math
 
@@ -379,9 +380,18 @@ def canonical_text(spec: RunSpec) -> str:
 
 
 def config_hash(spec: RunSpec) -> str:
-    import hashlib  # OpenSSL costs start-up; only the outputs need the digest
-
-    return hashlib.sha256(canonical_text(spec).encode("utf-8")).hexdigest()
+    """The SHA-256 hex digest of the canonical text, by CPython's builtin
+    SHA-256 (``_sha2`` from 3.12, ``_sha256`` before), which maps no OpenSSL;
+    by ``hashlib`` only where the interpreter was built without it."""
+    for module in ("_sha2", "_sha256"):
+        try:
+            sha256 = importlib.import_module(module).sha256
+        except ImportError:
+            continue
+        break
+    else:
+        from hashlib import sha256
+    return sha256(canonical_text(spec).encode("utf-8")).hexdigest()
 
 
 # ---------------------------------------------------------------------------

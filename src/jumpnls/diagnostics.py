@@ -1,13 +1,18 @@
 """Ensemble statistics of a run: bootstrap bands for the moments of the
 per-trajectory suprema sup_t ||u||_{E_A}, which ``simulate`` writes into
-``summary.json``.  The energy report, the path modulus and the Aldous
-statistic, which no run reads, are in ``oracles``."""
+``summary.json``.  The resample indices come from ``noise.TrajectoryStream``
+of the seed, ``numpy.random.default_rng(seed)`` bit for bit, which draws
+them without ``numpy.random`` up to ``noise.STREAM_INTEGER_ENTRIES`` at
+once.  The energy report and the path modulus, which no run reads, are in
+``oracles``."""
 
 from __future__ import annotations
 
 import math
 
 import numpy as np
+
+from .noise import TrajectoryStream
 
 #: the orders r, the resample count and the two-sided coverage of the bands
 MOMENT_ORDERS = (1.0, 2.0)
@@ -24,13 +29,14 @@ def ensemble_moments(sup_ea_norm, seed: int = 0) -> dict:
     ``sup_ea_norm`` holds one sup_t ||u||_{E_A} per trajectory (the
     ``sup_ea_norm`` list of ``summary.json``); at least two are required.
     Returns ``{r: (mean, lower, upper)}`` for r in ``MOMENT_ORDERS``.  The
-    resamples are drawn in row blocks that continue one random stream, so
-    memory does not grow with the number of trajectories.
+    resamples are drawn in row blocks that continue the stream of ``seed``
+    (in [0, 2**64), as master seeds are), so memory does not grow with the
+    number of trajectories.
     """
     sup_ea = np.asarray(sup_ea_norm, dtype=float)
     if sup_ea.ndim != 1 or len(sup_ea) < 2:
         raise ValueError("need at least two per-trajectory suprema")
-    rng = np.random.default_rng(seed)
+    rng = TrajectoryStream(seed)
     lo_q, hi_q = (1 - CONFIDENCE) / 2, 1 - (1 - CONFIDENCE) / 2
     k = len(sup_ea)
     samples = np.stack([sup_ea**r for r in MOMENT_ORDERS])

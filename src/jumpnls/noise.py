@@ -16,10 +16,11 @@ Randomness: one master seed; trajectory k draws from an independent stream
 whose seed is a fixed 64-bit hash (splitmix64) of ``master_seed`` and ``k``.
 That stream, a ``TrajectoryStream``, is ``numpy.random.default_rng(seed)``
 bit for bit: it runs SeedSequence and PCG64 (XSL-RR 128/64) in Python and
-draws ``random``, ``uniform`` and ``poisson`` below ``lam = 10`` itself, so a
-path of a few jumps is drawn without importing ``numpy.random``.  At its
-first other draw it hands its state to a numpy ``Generator`` and serves
-every later draw from there.
+draws ``random``, ``uniform``, ``poisson`` below ``lam = 10`` and bounded
+``integers`` on spans up to 2^32 itself, so a path of a few jumps and the
+bootstrap of ``diagnostics`` (seeded with the master seed) are drawn without
+importing ``numpy.random``.  At its first other draw it hands its state to a
+numpy ``Generator`` and serves every later draw from there.
 
 One realization of the simulated region is a ``JumpPath``: the atoms
 (t_i, l_i) of the Poisson random measure as a sorted ``(n,)`` array of times
@@ -33,6 +34,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import operator
 
 import numpy as np
 
@@ -70,6 +72,19 @@ _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 _POISSON_MULT_BELOW = 10.0
 #: the largest array a stream fills itself; numpy fills a larger one in C
 STREAM_FILL_ENTRIES = 1024
+#: the largest ``integers`` fill a stream draws itself; numpy draws a larger
+#: one in C.  The bootstrap's first fill is min(500, 2**16 // K) * K indices
+#: of span K, so ``numpy.random`` returns to ``simulate`` from K = 66
+#: trajectories on.  A fill in a fresh process, the stream against importing
+#: ``numpy.random`` and drawing there (medians of 9; 2-vCPU host, Python
+#: 3.11, numpy 2.4):
+#:
+#:     entries (K)     stream     import + numpy draw
+#:     8 000 (16)      2.3 ms     11.2 ms
+#:     16 000 (32)     4.7 ms     10.4 ms
+#:     32 000 (64)     12.2 ms    11.0 ms
+#:     65 500 (131)    18.7 ms    11.3 ms
+STREAM_INTEGER_ENTRIES = 2**15
 #: atomic marks looked up at once (256 KiB of uniforms and indices)
 MARK_BLOCK_ENTRIES = 2**14
 
@@ -120,17 +135,22 @@ class TrajectoryStream:
 
     The stream steps PCG64 in Python and draws, as numpy does, ``random()``
     and ``random(size)`` as ``(next64 >> 11) * 2**-53``, ``uniform(low,
-    high, size)`` as ``low + (high - low) * random()`` for scalar bounds, and
+    high, size)`` as ``low + (high - low) * random()`` for scalar bounds,
     ``poisson(lam)`` for a scalar ``0 <= lam < 10`` by multiplying uniforms
-    until the product falls to ``exp(-lam)`` or below (none for ``lam = 0``).
-    A fill of more than ``STREAM_FILL_ENTRIES`` doubles, any other argument
-    of these three and any other ``Generator`` attribute hand the state over:
-    the stream then seeds ``default_rng(seed)``, sets its PCG64 state through
-    the public ``bit_generator.state`` dict, and serves that and every later
-    draw from that ``Generator``, so the stream has the whole ``Generator``
-    interface and heavy paths keep numpy's speed.  Arrays are filled in
-    place.  NumPy does not promise its ``Generator`` streams across
-    versions; the ported draws are this module's and stay fixed.
+    until the product falls to ``exp(-lam)`` or below (none for ``lam = 0``),
+    and int64 ``integers(low, high, size)`` for integer bounds with
+    ``0 < high - low <= 2**32`` by Lemire's multiply-shift with rejection on
+    32-bit halves of the 64-bit words, low half first (``_bounded``).  A
+    fill of more than ``STREAM_FILL_ENTRIES`` doubles or
+    ``STREAM_INTEGER_ENTRIES`` integers, any other argument of these four
+    and any other ``Generator`` attribute hand the state over: the stream
+    then seeds ``default_rng(seed)``, sets its PCG64 state (with a buffered
+    half) through the public ``bit_generator.state`` dict, and serves that
+    and every later draw from that ``Generator``, so the stream has the
+    whole ``Generator`` interface and heavy paths keep numpy's speed.
+    Arrays are filled in place.  NumPy does not promise its ``Generator``
+    streams across versions; the ported draws are this module's and stay
+    fixed.
     """
 
     def __init__(self, seed: int):
@@ -138,6 +158,8 @@ class TrajectoryStream:
         if not 0 <= self.seed <= _MASK64:  # the seeds ``trajectory_seed`` makes
             raise ValueError(f"a stream seed must be in [0, 2**64), got {seed}")
         self._state, self._increment = _pcg64_seed_state(self.seed)
+        # the high half of a word a 32-bit draw left, numpy's ``uinteger``
+        self._half = None
         self._generator = None
 
     def _next_double(self) -> float:
@@ -148,10 +170,22 @@ class TrajectoryStream:
         word = ((word >> rotation) | (word << (64 - rotation))) & _MASK64
         return (word >> 11) * 2.0**-53
 
+    def _words(self, count: int) -> np.ndarray:
+        """The next ``count`` 64-bit outputs, a uint64 array."""
+        out = np.empty(count, np.uint64)
+        state, increment = self._state, self._increment
+        for i in range(count):
+            state = (state * _PCG_MULT + increment) & _MASK128
+            word = ((state >> 64) ^ state) & _MASK64
+            rotation = state >> 122
+            out[i] = ((word >> rotation) | (word << (64 - rotation))) & _MASK64
+        self._state = state
+        return out
+
     @staticmethod
-    def _fills(size) -> bool:
-        """Whether the stream draws ``size`` doubles itself."""
-        return size is None or int(np.prod(size)) <= STREAM_FILL_ENTRIES
+    def _fills(size, limit: int = STREAM_FILL_ENTRIES) -> bool:
+        """Whether the stream draws ``size`` values itself."""
+        return size is None or int(np.prod(size)) <= limit
 
     def _doubles(self, size) -> np.ndarray:
         out = np.empty(size)
@@ -160,6 +194,36 @@ class TrajectoryStream:
             flat[i] = self._next_double()
         return out
 
+    def _bounded(self, span: int, out: np.ndarray) -> None:
+        """Fill the int64 ``out`` with draws in [0, span), 1 <= span <= 2**32.
+
+        numpy's ``buffered_bounded_lemire_uint32`` on ``pcg64_next32``, run
+        as a filter: a 32-bit half h gives ``m = h * span`` and is accepted
+        iff ``m mod 2**32 >= (2**32 - span) mod span``, drawing ``m >> 32``.
+        The accepted halves in order are the draws, so only the stepping is
+        sequential; a shortfall steps more words, and the high half of the
+        last word, when no draw takes it, stays buffered for the next.
+        """
+        if span == 1:
+            out[:] = 0  # numpy draws nothing
+            return
+        threshold = np.uint64((2**32 - span) % span)
+        span, low32 = np.uint64(span), np.uint64(_MASK32)
+        filled = 0
+        while filled < len(out):
+            need = len(out) - filled
+            buffered = [] if self._half is None else [self._half]
+            words = self._words((need - len(buffered) + 1) // 2)
+            halves = np.concatenate([np.asarray(buffered, np.uint64),
+                                     words.astype("<u8", copy=False).view("<u4")])
+            m = halves * span  # uint64: a half and the span are at most 2**32
+            taken = np.flatnonzero((m & low32) >= threshold)[:need]
+            # at most one half, the last, is left once ``need`` are taken
+            self._half = (int(halves[-1]) if len(taken) == need
+                          and taken[-1] < len(halves) - 1 else None)
+            out[filled:filled + len(taken)] = m[taken] >> np.uint64(32)
+            filled += len(taken)
+
     def _numpy(self) -> np.random.Generator:
         """The ``Generator`` that serves every draw from the first handover on."""
         if self._generator is None:
@@ -167,15 +231,18 @@ class TrajectoryStream:
             generator.bit_generator.state = {
                 "bit_generator": "PCG64",
                 "state": {"state": self._state, "inc": self._increment},
-                "has_uint32": 0, "uinteger": 0,
+                "has_uint32": int(self._half is not None),
+                "uinteger": self._half or 0,
             }
             self._generator = generator
             # the draws this class ports now go straight to numpy
-            self.random, self.uniform, self.poisson = (
-                generator.random, generator.uniform, generator.poisson)
+            self.random, self.uniform, self.poisson, self.integers = (
+                generator.random, generator.uniform, generator.poisson,
+                generator.integers)
         return self._generator
 
-    # ``random``, ``uniform`` and ``poisson`` run only until the handover
+    # ``random``, ``uniform``, ``poisson`` and ``integers`` run only until
+    # the handover
     def random(self, size=None, *args, **kwargs):
         if args or kwargs or not self._fills(size):  # a dtype or an out array
             return self._numpy().random(size, *args, **kwargs)
@@ -206,10 +273,37 @@ class TrajectoryStream:
                 count += 1
         return self._numpy().poisson(lam, size)
 
+    def integers(self, low, high=None, size=None, *args, **kwargs):
+        bounds = None if args or kwargs else _int64_bounds(low, high)
+        if bounds is None or not self._fills(size, STREAM_INTEGER_ENTRIES):
+            # a dtype, ``endpoint``, array bounds, a span numpy draws from
+            # 64-bit words, bounds numpy refuses, or a large fill
+            return self._numpy().integers(low, high, size, *args, **kwargs)
+        low, span = bounds
+        out = np.empty(1 if size is None else size, np.int64)
+        self._bounded(span, out.reshape(-1))
+        out += low
+        return out[0] if size is None else out
+
     def __getattr__(self, name):
         if name.startswith("_"):  # not Generator API: copy's and pickle's probes
             raise AttributeError(name)
         return getattr(self._numpy(), name)
+
+
+def _int64_bounds(low, high):
+    """``(low, high - low)`` of integer scalar bounds whose span the stream
+    draws (1 to 2**32, within int64), else None."""
+    try:
+        low = operator.index(low)
+        high = None if high is None else operator.index(high)
+    except TypeError:
+        return None
+    if high is None:
+        low, high = 0, low
+    if -2**63 <= low < high <= 2**63 and high - low <= 2**32:
+        return low, high - low
+    return None
 
 
 def trajectory_rng(master_seed: int, index: int) -> TrajectoryStream:

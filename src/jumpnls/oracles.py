@@ -16,8 +16,7 @@ imports this module (an ``ast`` rule in ``tests/test_imports.py``), and a
   ``bound_EA``; the RK4 flow of du/dt = -i B(l) u that cross-validates
   the jump map.
 * Diagnostics: the energy report of a level's state and its directional
-  derivative, the càdlàg modulus of a recorded path and the Aldous
-  increment statistic.
+  derivative, and the càdlàg modulus of a recorded path.
 * Noise: the compensated Lévy path of a jump path, the second moment of
   a measure's simulated region, and the Gauss-Legendre integral in the
   radius that checks the radial measure's closed forms.
@@ -457,58 +456,6 @@ def cadlag_modulus(times: np.ndarray, values: np.ndarray, delta: float) -> float
         candidates = np.maximum(best[feasible], osc[feasible])
         best[j] = np.min(candidates)
     return float(best[m - 1])
-
-
-def _state_at(record, t: float) -> np.ndarray:
-    """Right-continuous lookup of the recorded state at time t."""
-    i = int(np.searchsorted(record.times, t, side="right")) - 1
-    i = max(0, min(i, len(record.times) - 1))
-    return record.states[i]
-
-
-def aldous_statistic(
-    records,
-    thetas,
-    eta: float,
-    stopping: tuple = ("fixed", 0.0),
-) -> np.ndarray:
-    """Empirical P(dual-norm increment after a stopping time >= eta).
-
-    For each record, a stopping time tau is chosen by ``stopping``:
-    ``("fixed", t0)`` takes tau = t0; ``("first_jump_after", t0)`` takes the
-    first recorded jump time after t0 (or the horizon when none).  The
-    statistic is the fraction of records with
-    ``||u(tau + theta) - u(tau)||_{E_A*} >= eta`` for each theta; small values
-    uniformly in theta are the discrete signature of tightness.
-
-    Records must carry full states; their level's ``dual_norm`` measures the
-    increments.
-    """
-    records = list(records)
-    if not records:
-        raise ValueError("need at least one trajectory record")
-    if eta <= 0:
-        raise ValueError("eta must be positive")
-    kind, t0 = stopping
-    if kind not in ("fixed", "first_jump_after"):
-        raise ValueError(f"unknown stopping rule {kind!r}")
-    thetas = np.asarray(thetas, dtype=float)
-    out = np.zeros(len(thetas))
-    for record in records:
-        if record.states is None:
-            raise ValueError("records must retain states for this statistic")
-        horizon = record.times[-1]
-        if kind == "fixed":
-            tau = min(float(t0), horizon)
-        else:
-            later = record.path.times[record.path.times > t0]
-            tau = float(later[0]) if len(later) else horizon
-        u_tau = _state_at(record, tau)
-        for i, theta in enumerate(thetas):
-            u_later = _state_at(record, min(tau + theta, horizon))
-            if record.level.dual_norm(u_later - u_tau) >= eta:
-                out[i] += 1.0
-    return out / len(records)
 
 
 # ---------------------------------------------------------------------------

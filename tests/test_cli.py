@@ -809,22 +809,25 @@ for argv in (["converge", "--config", config, "--levels", "2,3", "--trajectories
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         main(argv)
     print(argv[0], *argv[6:], *sorted({"jumpnls.verify", "jumpnls.diagnostics",
-                                       "jumpnls.oracles", "numpy.random"}
-                                      & set(sys.modules)))
+                                       "jumpnls.oracles", "numpy.random", "hashlib",
+                                       "_hashlib"} & set(sys.modules)))
 """
 
 #: the probe's lines per shipped config.  A trajectory stream draws the few
-#: jumps of an atomic path (lambda T = 4) without ``numpy.random``; the
-#: two-channel radial path of stable_linear (lambda T about 19) hands over at
-#: its Poisson count, and the bootstrap bands of two trajectories load it
+#: jumps of an atomic path (lambda T = 4) and the bootstrap indices of two
+#: trajectories without ``numpy.random``, and ``config_hash`` hashes without
+#: ``hashlib`` (OpenSSL); the two-channel radial path of stable_linear
+#: (lambda T about 19) hands over at its Poisson count, and ``numpy.random``
+#: brings ``hashlib`` through ``secrets`` and ``hmac``
 COMMAND_MODULES = {
     "atomic_cubic.ini": ["converge 2", "moments", "simulate 1 jumpnls.diagnostics",
-                         "simulate 2 jumpnls.diagnostics numpy.random"],
+                         "simulate 2 jumpnls.diagnostics"],
     "deterministic_cubic.ini": ["converge 2", "moments", "simulate 1 jumpnls.diagnostics",
-                                "simulate 2 jumpnls.diagnostics numpy.random"],
-    "stable_linear.ini": ["converge 2 numpy.random", "moments numpy.random",
-                          "simulate 1 jumpnls.diagnostics numpy.random",
-                          "simulate 2 jumpnls.diagnostics numpy.random"],
+                                "simulate 2 jumpnls.diagnostics"],
+    "stable_linear.ini": ["converge 2 _hashlib hashlib numpy.random",
+                          "moments _hashlib hashlib numpy.random",
+                          "simulate 1 _hashlib hashlib jumpnls.diagnostics numpy.random",
+                          "simulate 2 _hashlib hashlib jumpnls.diagnostics numpy.random"],
 }
 
 
@@ -832,7 +835,7 @@ COMMAND_MODULES = {
 def test_each_command_loads_only_the_modules_it_runs(config, tmp_path):
     # only ``verify`` compiles the check battery, no run the oracles, only
     # ``simulate`` (for its ensemble bands) the diagnostics, and ``numpy.random``
-    # only the draws a trajectory stream hands over and the bootstrap
+    # (with ``hashlib`` and OpenSSL) only the draws a trajectory stream hands over
     src = str(Path(jumpnls.__file__).resolve().parents[1])
     out = subprocess.run(
         [sys.executable, "-c", COMMAND_MODULES_PROBE, str(CONFIG_DIR / config),

@@ -1,6 +1,8 @@
 """Config parsing, canonical round trip, hashing, and builder tests."""
 
 import dataclasses
+import hashlib
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -104,6 +106,19 @@ def test_domain_section_roundtrip(domain, rendered, lengths):
     assert text.startswith("[domain]\n" + rendered + "\n")
     assert parse_config(text) == spec
     assert spec.domain.lengths == build_model_from_spec(spec).domain.lengths == lengths
+
+
+@pytest.mark.parametrize("path", sorted(CONFIG_DIR.glob("*.ini"))
+                         + sorted(WORKLOAD_DIR.glob("*.ini")), ids=lambda p: p.stem)
+def test_config_hash_is_hashlibs_sha256(path, monkeypatch):
+    # the builtin SHA-256 and, where CPython lacks it, hashlib's give the
+    # digest hashlib gives
+    spec = load_config(str(path))
+    digest = hashlib.sha256(canonical_text(spec).encode("utf-8")).hexdigest()
+    assert config_hash(spec) == digest
+    for builtin in ("_sha2", "_sha256"):
+        monkeypatch.setitem(sys.modules, builtin, None)  # its import raises ImportError
+    assert config_hash(spec) == digest
 
 
 def test_config_hash_sensitivity():

@@ -14,9 +14,9 @@ from jumpnls.diagnostics import (
     ensemble_moments,
 )
 from jumpnls.exceptions import ShapeError
-from jumpnls.noise import AtomicMeasure, JumpPath, sample_prm, trajectory_rng
+from jumpnls.noise import AtomicMeasure, JumpPath, TrajectoryStream, sample_prm, trajectory_rng
 from jumpnls.nonlinear import defocusing
-from jumpnls.oracles import aldous_statistic, cadlag_modulus, energy, energy_derivative
+from jumpnls.oracles import cadlag_modulus, energy, energy_derivative
 from jumpnls.solver import GalerkinProblem, SolverConfig, simulate
 from jumpnls.spectral import build_level
 
@@ -265,16 +265,35 @@ def test_ensemble_bootstrap_memory_does_not_grow_with_trajectories():
     finally:
         tracemalloc.stop()
     assert peak < 4 * 2**20
+    assert moments == numpy_bands(sup_ea, seed=7)
 
-    rng = np.random.default_rng(7)
+
+def numpy_bands(sup_ea, seed):
+    """The bands from one (500, K) draw of ``numpy.random.default_rng(seed)``."""
+    rng = np.random.default_rng(seed)
     resamples = rng.integers(0, len(sup_ea), size=(BOOTSTRAP_RESAMPLES, len(sup_ea)))
     lo_q, hi_q = (1 - CONFIDENCE) / 2, 1 - (1 - CONFIDENCE) / 2
+    bands = {}
     for r in MOMENT_ORDERS:
         samples = sup_ea**r
         boot_means = np.mean(samples[resamples], axis=1)
-        assert moments[r] == (float(np.mean(samples)),
-                              float(np.quantile(boot_means, lo_q)),
-                              float(np.quantile(boot_means, hi_q)))
+        bands[r] = (float(np.mean(samples)), float(np.quantile(boot_means, lo_q)),
+                    float(np.quantile(boot_means, hi_q)))
+    return bands
+
+
+@pytest.mark.parametrize("k", [2, 3, 16, 65, 66, 131, 132, 200])
+def test_ensemble_bootstrap_is_numpys_bootstrap(k, monkeypatch):
+    # the trajectory stream of the seed draws the indices numpy's generator
+    # draws, itself while the first row block fits in
+    # ``STREAM_INTEGER_ENTRIES`` (K <= 65), through numpy from K = 66 on
+    sup_ea = np.random.default_rng(k).lognormal(size=k)
+    handovers = []
+    handover = TrajectoryStream._numpy
+    monkeypatch.setattr(TrajectoryStream, "_numpy",
+                        lambda self: handovers.append(k) or handover(self))
+    assert ensemble_moments(sup_ea, seed=11) == numpy_bands(sup_ea, seed=11)
+    assert bool(handovers) == (k >= 66)
 
 
 def test_ensemble_requires_two_records(small_ensemble):
@@ -283,46 +302,3 @@ def test_ensemble_requires_two_records(small_ensemble):
         ensemble_moments(sup_ea[:1])
     with pytest.raises(ValueError):
         ensemble_moments([])
-
-
-def test_aldous_statistic_detects_jump(torus_model):
-    problem = GalerkinProblem(
-        build_level(torus_model, 5), 1.0, np.exp(-0.5 * np.sqrt(torus_model.eigenvalues_S)) + 0j,
-        symbols=np.cos(torus_model.grid_points[:, 0]),
-    )
-    record = simulate(problem, SolverConfig(dt=0.05), path=JumpPath([0.35], [[0.9]]))
-
-    # measure the actual increment across the jump from the record itself
-    inv_w = 1.0 / problem.level.ea_weights
-    i_before = int(np.searchsorted(record.times, 0.3, side="right")) - 1
-    i_after = int(np.searchsorted(record.times, 0.4, side="right")) - 1
-    inc = np.sqrt(
-        np.sum(np.abs(record.states[i_after] - record.states[i_before]) ** 2 * inv_w)
-    )
-    assert inc > 0
-
-    thetas = [0.1]
-    low_bar = aldous_statistic([record], thetas, eta=0.5 * inc,
-                               stopping=("fixed", 0.3))
-    high_bar = aldous_statistic([record], thetas, eta=2.0 * inc,
-                                stopping=("fixed", 0.3))
-    assert low_bar.tolist() == [1.0]
-    assert high_bar.tolist() == [0.0]
-
-    # stopping at the jump itself: the post-jump lookahead sees only the
-    # continuous rotation, so it clears a tiny bar but not the jump-sized one
-    after_jump = aldous_statistic([record], [0.12], eta=1e-9,
-                                  stopping=("first_jump_after", 0.0))
-    assert after_jump.tolist() == [1.0]
-    calm = aldous_statistic([record], [0.12], eta=0.5 * inc,
-                            stopping=("first_jump_after", 0.0))
-    assert calm.tolist() == [0.0]
-
-
-def test_aldous_statistic_validation(small_ensemble):
-    with pytest.raises(ValueError):
-        aldous_statistic([], [0.1], eta=0.1)
-    with pytest.raises(ValueError):
-        aldous_statistic(small_ensemble, [0.1], eta=0.0)
-    with pytest.raises(ValueError):
-        aldous_statistic(small_ensemble, [0.1], eta=0.1, stopping=("never", 0.0))

@@ -399,7 +399,7 @@ def test_checker_finds_energy_weight_readers():
 
 def test_only_spectral_and_oracles_read_ea_weights():
     # a level owns its E_A and E_A* norms (GalerkinLevel.ea_norm, dual_norm);
-    # the record, the coupled run and the Aldous statistic call them.  The
+    # the record and the coupled run call them.  The
     # sobolev_norm and bound_EA oracles read the weights themselves
     sources = {p.name: p.read_text(encoding="utf-8") for p in PACKAGE_DIR.glob("*.py")
                if p.name not in ("spectral.py", "oracles.py")}
