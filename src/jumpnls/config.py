@@ -157,8 +157,9 @@ class RunSpec:
         if self.trajectories < 1:
             raise ConfigurationError(
                 f"trajectories must be at least 1, got {self.trajectories}")
-        # the streams hash the seed to 64 bits, and the bootstrap seeds numpy
-        # with it unmasked: s and s + 2**64 would share paths but not bands
+        # the streams hash the seed to 64 bits, and the bootstrap seeds a
+        # ``noise.TrajectoryStream`` with it unmasked, which raises ValueError
+        # from 2**64 on: refused here, as a ConfigurationError at set-up
         if not 0 <= self.master_seed < 2**64:
             raise ConfigurationError(
                 f"master_seed must lie in [0, 2**64), got {self.master_seed}"

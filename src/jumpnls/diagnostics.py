@@ -1,10 +1,11 @@
 """Ensemble statistics of a run: bootstrap bands for the moments of the
 per-trajectory suprema sup_t ||u||_{E_A}, which ``simulate`` writes into
-``summary.json``.  The resample indices come from ``noise.TrajectoryStream``
-of the seed, ``numpy.random.default_rng(seed)`` bit for bit, which draws
-them without ``numpy.random`` up to ``noise.STREAM_INTEGER_ENTRIES`` at
-once.  The energy report and the path modulus, which no run reads, are in
-``oracles``."""
+``summary.json``.  The resample indices come from ``integers`` on the
+``noise.TrajectoryStream`` of the seed, ``numpy.random.default_rng(seed)``
+bit for bit, which draws a row block of up to
+``noise.STREAM_INTEGER_ENTRIES`` indices itself (K <= 65 trajectories) and
+hands a larger one to numpy.  The energy report and the path modulus, which
+no run reads, are in ``oracles``."""
 
 from __future__ import annotations
 

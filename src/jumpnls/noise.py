@@ -15,12 +15,14 @@ Two measure families:
 Randomness: one master seed; trajectory k draws from an independent stream
 whose seed is a fixed 64-bit hash (splitmix64) of ``master_seed`` and ``k``.
 That stream, a ``TrajectoryStream``, is ``numpy.random.default_rng(seed)``
-bit for bit: it runs SeedSequence and PCG64 (XSL-RR 128/64) in Python and
-draws ``random``, ``uniform``, ``poisson`` below ``lam = 10`` and bounded
-``integers`` on spans up to 2^32 itself, so a path of a few jumps and the
+bit for bit on the five draws the package makes: it runs SeedSequence and
+PCG64 (XSL-RR 128/64) in Python and draws ``random``, ``uniform``,
+``poisson`` below ``lam = 10`` and ``integers`` fills of up to
+``STREAM_INTEGER_ENTRIES`` itself, so a path of a few jumps and the
 bootstrap of ``diagnostics`` (seeded with the master seed) are drawn without
-importing ``numpy.random``.  At its first other draw it hands its state to a
-numpy ``Generator`` and serves every later draw from there.
+importing ``numpy.random``.  ``standard_normal``, a larger mean or fill and
+an input numpy refuses hand its state to a numpy ``Generator``, which serves
+every later draw.
 
 One realization of the simulated region is a ``JumpPath``: the atoms
 (t_i, l_i) of the Poisson random measure as a sorted ``(n,)`` array of times
@@ -34,7 +36,6 @@ from __future__ import annotations
 
 import dataclasses
 import math
-import operator
 
 import numpy as np
 
@@ -70,8 +71,6 @@ _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 #: numpy draws Poisson counts by multiplying uniforms below this mean, by
 #: its PTRS rejection sampler from it on
 _POISSON_MULT_BELOW = 10.0
-#: the largest array a stream fills itself; numpy fills a larger one in C
-STREAM_FILL_ENTRIES = 1024
 #: the largest ``integers`` fill a stream draws itself; numpy draws a larger
 #: one in C.  The bootstrap's first fill is min(500, 2**16 // K) * K indices
 #: of span K, so ``numpy.random`` returns to ``simulate`` from K = 66
@@ -131,26 +130,30 @@ def _pcg64_seed_state(seed: int) -> tuple[int, int]:
 
 
 class TrajectoryStream:
-    """``numpy.random.default_rng(seed)``, bit for bit, without ``numpy.random``.
+    """``numpy.random.default_rng(seed)``, bit for bit, for the five draws
+    this package makes, without ``numpy.random`` while it can.
 
-    The stream steps PCG64 in Python and draws, as numpy does, ``random()``
-    and ``random(size)`` as ``(next64 >> 11) * 2**-53``, ``uniform(low,
-    high, size)`` as ``low + (high - low) * random()`` for scalar bounds,
-    ``poisson(lam)`` for a scalar ``0 <= lam < 10`` by multiplying uniforms
-    until the product falls to ``exp(-lam)`` or below (none for ``lam = 0``),
-    and int64 ``integers(low, high, size)`` for integer bounds with
-    ``0 < high - low <= 2**32`` by Lemire's multiply-shift with rejection on
-    32-bit halves of the 64-bit words, low half first (``_bounded``).  A
-    fill of more than ``STREAM_FILL_ENTRIES`` doubles or
-    ``STREAM_INTEGER_ENTRIES`` integers, any other argument of these four
-    and any other ``Generator`` attribute hand the state over: the stream
-    then seeds ``default_rng(seed)``, sets its PCG64 state (with a buffered
-    half) through the public ``bit_generator.state`` dict, and serves that
-    and every later draw from that ``Generator``, so the stream has the
-    whole ``Generator`` interface and heavy paths keep numpy's speed.
-    Arrays are filled in place.  NumPy does not promise its ``Generator``
-    streams across versions; the ported draws are this module's and stay
-    fixed.
+    The stream steps PCG64 in Python and draws, as numpy does:
+
+    * ``random(size)`` as ``(next64 >> 11) * 2**-53``;
+    * ``uniform(low, high, size)`` as ``low + (high - low) * random()``, for
+      a finite ``high - low`` (numpy refuses the rest with ``OverflowError``);
+    * ``poisson(lam)`` for ``0 <= lam < 10`` by multiplying uniforms until
+      the product falls to ``exp(-lam)`` or below (none for ``lam = 0``);
+    * ``integers(low, high, size)``, int64, for at most
+      ``STREAM_INTEGER_ENTRIES`` entries, by Lemire's multiply-shift with
+      rejection on the 32-bit halves of the 64-bit words, low half first
+      (``_bounded``).  A span above 2**32 is refused with ``ValueError``;
+      numpy refuses an empty span and bounds beyond int64.
+
+    ``standard_normal(size)``, ``poisson`` at any other mean (its PTRS
+    branch, or its refusal), a larger ``integers`` fill and a non-finite
+    ``uniform`` span hand the state over (``_numpy``): the stream seeds
+    ``default_rng(seed)``, sets its PCG64 state (with a buffered half)
+    through the public ``bit_generator.state`` dict, and serves that and
+    every later draw from that ``Generator``.  NumPy does not promise its
+    ``Generator`` streams across versions; the ported draws are this
+    module's and stay fixed.
     """
 
     def __init__(self, seed: int):
@@ -180,18 +183,6 @@ class TrajectoryStream:
             rotation = state >> 122
             out[i] = ((word >> rotation) | (word << (64 - rotation))) & _MASK64
         self._state = state
-        return out
-
-    @staticmethod
-    def _fills(size, limit: int = STREAM_FILL_ENTRIES) -> bool:
-        """Whether the stream draws ``size`` values itself."""
-        return size is None or int(np.prod(size)) <= limit
-
-    def _doubles(self, size) -> np.ndarray:
-        out = np.empty(size)
-        flat = out.reshape(-1)
-        for i in range(len(flat)):
-            flat[i] = self._next_double()
         return out
 
     def _bounded(self, span: int, out: np.ndarray) -> None:
@@ -235,75 +226,48 @@ class TrajectoryStream:
                 "uinteger": self._half or 0,
             }
             self._generator = generator
-            # the draws this class ports now go straight to numpy
-            self.random, self.uniform, self.poisson, self.integers = (
-                generator.random, generator.uniform, generator.poisson,
-                generator.integers)
         return self._generator
 
-    # ``random``, ``uniform``, ``poisson`` and ``integers`` run only until
-    # the handover
-    def random(self, size=None, *args, **kwargs):
-        if args or kwargs or not self._fills(size):  # a dtype or an out array
-            return self._numpy().random(size, *args, **kwargs)
-        return self._next_double() if size is None else self._doubles(size)
+    def random(self, size=None):
+        if self._generator is not None:
+            return self._generator.random(size)
+        if size is None:
+            return self._next_double()
+        words = self._words(int(np.prod(size))).reshape(size)
+        return (words >> np.uint64(11)) * 2.0**-53
 
     def uniform(self, low=0.0, high=1.0, size=None):
-        if np.ndim(low) == np.ndim(high) == 0 and self._fills(size):
-            span = float(high) - float(low)
-            if math.isfinite(span):  # numpy refuses the rest
-                if size is None:
-                    return float(low) + span * self._next_double()
-                out = self._doubles(size)
-                out *= span
-                out += float(low)
-                return out
-        return self._numpy().uniform(low, high, size)
+        span = float(high) - float(low)
+        if self._generator is not None or not math.isfinite(span):
+            return self._numpy().uniform(low, high, size)
+        return float(low) + span * self.random(size)
 
-    def poisson(self, lam=1.0, size=None):
-        if (size is None and np.ndim(lam) == 0
-                and 0.0 <= lam < _POISSON_MULT_BELOW):
-            if lam == 0:
-                return 0
-            limit, product, count = math.exp(-lam), 1.0, 0
-            while True:
-                product *= self._next_double()
-                if not product > limit:
-                    return count
-                count += 1
-        return self._numpy().poisson(lam, size)
+    def poisson(self, lam):
+        if self._generator is not None or not 0.0 <= lam < _POISSON_MULT_BELOW:
+            return self._numpy().poisson(lam)
+        if lam == 0:
+            return 0
+        limit, product, count = math.exp(-lam), 1.0, 0
+        while True:
+            product *= self._next_double()
+            if not product > limit:
+                return count
+            count += 1
 
-    def integers(self, low, high=None, size=None, *args, **kwargs):
-        bounds = None if args or kwargs else _int64_bounds(low, high)
-        if bounds is None or not self._fills(size, STREAM_INTEGER_ENTRIES):
-            # a dtype, ``endpoint``, array bounds, a span numpy draws from
-            # 64-bit words, bounds numpy refuses, or a large fill
-            return self._numpy().integers(low, high, size, *args, **kwargs)
-        low, span = bounds
-        out = np.empty(1 if size is None else size, np.int64)
-        self._bounded(span, out.reshape(-1))
+    def integers(self, low, high, size):
+        if high - low > 2**32:  # no caller draws one
+            raise ValueError(f"a stream draws integers on spans up to 2**32, "
+                             f"got [{low}, {high})")
+        if (self._generator is not None or not -2**63 <= low < high <= 2**63
+                or np.prod(size) > STREAM_INTEGER_ENTRIES):
+            return self._numpy().integers(low, high, size)
+        out = np.empty(size, np.int64)
+        self._bounded(high - low, out.reshape(-1))
         out += low
-        return out[0] if size is None else out
+        return out
 
-    def __getattr__(self, name):
-        if name.startswith("_"):  # not Generator API: copy's and pickle's probes
-            raise AttributeError(name)
-        return getattr(self._numpy(), name)
-
-
-def _int64_bounds(low, high):
-    """``(low, high - low)`` of integer scalar bounds whose span the stream
-    draws (1 to 2**32, within int64), else None."""
-    try:
-        low = operator.index(low)
-        high = None if high is None else operator.index(high)
-    except TypeError:
-        return None
-    if high is None:
-        low, high = 0, low
-    if -2**63 <= low < high <= 2**63 and high - low <= 2**32:
-        return low, high - low
-    return None
+    def standard_normal(self, size):
+        return self._numpy().standard_normal(size)
 
 
 def trajectory_rng(master_seed: int, index: int) -> TrajectoryStream:
@@ -501,7 +465,8 @@ class RadialStableMeasure:
     def sample_mark(self, rng) -> np.ndarray:
         """One mark: ``rng.uniform()`` for the radius, then ``rng.uniform()``
         for the sign on one channel or ``rng.standard_normal(N)`` for the
-        direction on more (a ``TrajectoryStream`` hands over there)."""
+        direction on more, which a ``TrajectoryStream`` serves from numpy
+        (handing its state over at the first)."""
         # inverse-CDF radius on [epsilon, 1]; isotropic direction
         b = self.stability
         u = rng.uniform()
@@ -521,9 +486,11 @@ def sample_prm(measure, horizon: float, rng) -> JumpPath:
     Count ~ Poisson(intensity * horizon), times i.i.d. uniform (sorted),
     marks i.i.d. from the normalized restriction of the measure in time
     order (``measure.sample_marks``).  ``rng`` is a ``TrajectoryStream`` or
-    a numpy ``Generator``; both draw the same path from the same state.  The
-    path's 8 (1 + N) bytes per expected jump are refused before the count is
-    drawn if they exceed physical memory.
+    a numpy ``Generator``; both draw the same path from the same state.  A
+    stream draws a count of mean ``intensity * horizon < 10`` itself, and
+    then the path's few doubles; from 10 on it hands its state to numpy at
+    the count, before any double.  The path's 8 (1 + N) bytes per expected jump
+    are refused before the count is drawn if they exceed physical memory.
     """
     if not (horizon > 0):
         raise ValueError(f"horizon must be positive, got {horizon}")
