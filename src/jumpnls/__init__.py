@@ -6,8 +6,9 @@ spectral     mode tables, fast transforms on numpy.fft, dyadic truncation levels
              level norms
 nonlinear    power nonlinearities and their potential functional
 noise        jump measures, moments, Poisson jump paths, seed streams
-jumps        noise operators, jump maps and differences, atomic compensator
-solver       drift assembly, steppers, trajectory and coupled simulation
+jumps        noise operators, jump maps and differences
+solver       drift assembly with the atomic compensator, steppers, trajectory
+             and coupled simulation
 diagnostics  ensemble statistics of a run
 config       INI run descriptions, presets, canonical text and hashing
 oracles      references no run reads: norms, dense operators, RK4 Marcus

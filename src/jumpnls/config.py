@@ -36,7 +36,7 @@ from .noise import AtomicMeasure, RadialStableMeasure
 from .nonlinear import Nonlinearity, validate_exponent
 from .solver import GalerkinProblem, SolverConfig, check_closure
 from .spectral import (_DOMAIN_TABLE, Domain, SpectralModel, build_level, build_spectral_model,
-                       validate_model_parameters)
+                       level_dim, validate_model_parameters)
 
 SYMBOL_PRESETS = ("constant", "cos", "sin", "bump")
 INITIAL_PRESETS = ("decaying", "single_mode", "plateau")
@@ -446,10 +446,10 @@ def initial_values(spec: RunSpec, model: SpectralModel) -> np.ndarray:
         out[ini.mode] = ini.scale
         return out
     if ini.preset == "plateau":
-        # equal weight on every mode below the level threshold, zero above
-        out = np.where(lam < 2.0 ** (spec.galerkin.level + 1), 1.0, 0.0)
-        total = np.linalg.norm(out)
-        return ini.scale * out.astype(complex) / (total if total else 1.0)
+        # equal weight on every mode of the level, zero above
+        out = np.zeros(model.num_modes)
+        out[:level_dim(model, spec.galerkin.level)] = 1.0
+        return ini.scale * out.astype(complex) / np.linalg.norm(out)
     raise ConfigurationError(f"unknown initial preset {ini.preset!r}")
 
 

@@ -17,9 +17,8 @@ the (block x grid) intermediates of ``product`` and of the dense assembly
 alike.
 
 A jump with mark l in R^N acts through the time-1 unitary flow of
-``du/dt = -i B(l) u``.  The jump map, the jump differences exp(-iB) - 1 and
-exp(-iB) - 1 + iB and the atomic compensator all sum one Chebyshev
-expansion (Tal-Ezer & Kosloff, J. Chem. Phys. 81, 1984)
+``du/dt = -i B(l) u``.  The jump map and the jump differences exp(-iB) - 1
+and exp(-iB) - 1 + iB all sum one Chebyshev expansion (Tal-Ezer & Kosloff, J. Chem. Phys. 81, 1984)
 
     exp(-i B) u = sum_k (2 - delta_k0) (-i)^k J_k(r) T_k(B / r) u,
 
@@ -28,7 +27,7 @@ radius is r = max_x |sum_m l_m e_m(x)|: quadrature makes synthesis an
 isometry and the cutoff values are at most 1, so r bounds ||B(l)||.  The sum
 stops once k > r and J_k(r) is below round-off on the scale of the result,
 after about r + 11 r^(1/3) products at any degree, so every function of B(l)
-touches it only through ``product`` (on the identity for the compensator).
+touches it only through ``product``.
 """
 
 from __future__ import annotations
@@ -38,7 +37,7 @@ import dataclasses
 import numpy as np
 
 from .exceptions import ConfigurationError, ShapeError
-from .spectral import GalerkinLevel, _check_memory
+from .spectral import GalerkinLevel
 
 #: complex entries in one (columns x grid nodes) assembly block, 1 MiB: at
 #: 2-d torus level 6 (dim 401, grid 1024) a block is 64 columns and the
@@ -46,12 +45,6 @@ from .spectral import GalerkinLevel, _check_memory
 #: Assembly runs on the fast transforms, which give each column the same bits
 #: at any block width
 ASSEMBLY_BLOCK_ENTRIES = 2**16
-
-#: complex dim x dim arrays alive at once while the drift workspace builds its
-#: noise matrix on the identity: 9.00 x 16 dim^2 bytes of tracemalloc peak for
-#: a mean term and the AtomicExact compensator, 6.26 for a mean term and the
-#: Taylor2 closure, at 2-d torus level 7 (dim 793)
-NOISE_MATRIX_PEAK_ARRAYS = 9
 
 #: relative widening of the jump radius; the computed norm of a constant
 #: symbol's operator exceeds the symbol by about 10 ulps
@@ -79,17 +72,6 @@ class NoiseOperators:
     @property
     def dim(self) -> int:
         return self.level.dim
-
-    def identity(self) -> np.ndarray:
-        """The (dim, dim) identity that a noise matrix is built on.
-
-        Raises ``ConfigurationError`` first when ``NOISE_MATRIX_PEAK_ARRAYS``
-        such arrays would exceed physical memory.
-        """
-        _check_memory(16 * NOISE_MATRIX_PEAK_ARRAYS * self.dim**2,
-                      f"{NOISE_MATRIX_PEAK_ARRAYS} complex {self.dim} x {self.dim} arrays "
-                      f"building a noise matrix of level {self.level.n}")
-        return np.eye(self.dim, dtype=complex)
 
     def radius(self, mark) -> float:
         """A bound on ``||B(l)||_2`` at O(grid) cost: ``max_x |sum_m l_m e_m(x)|``.
@@ -245,15 +227,3 @@ def jump_difference_2(ops: NoiseOperators, mark, state: np.ndarray) -> np.ndarra
     """Second jump difference exp(-iB(l))x - x + iB(l)x."""
     return _series(ops, mark, state, 2)
 
-
-def difference_2_matrix(ops: NoiseOperators, marks, weights) -> np.ndarray:
-    """Matrix of x -> sum_a w_a (exp(-iB(l_a))x - x + iB(l_a)x) over atoms (l_a, w_a).
-
-    Each atom adds w_a times the second difference applied to the identity;
-    this is the exact compensator of an atomic measure's small jumps.
-    """
-    identity = ops.identity()
-    total = np.zeros((ops.dim, ops.dim), dtype=complex)
-    for weight, mark in zip(weights, np.atleast_2d(np.asarray(marks, dtype=float))):
-        total += weight * _series(ops, mark, identity, 2)
-    return total

@@ -71,7 +71,7 @@ import math
 import numpy as np
 
 from .exceptions import ConfigurationError, NumericsError, ShapeError
-from .jumps import NoiseOperators, assemble_noise_operators, difference_2_matrix, jump_map
+from .jumps import NoiseOperators, assemble_noise_operators, jump_difference_2, jump_map
 from .noise import AtomicMeasure, JumpPath
 from .nonlinear import Nonlinearity, _pointwise_power, validate_exponent
 from .spectral import (
@@ -94,6 +94,12 @@ _CLOSURES = (CLOSURE_TAYLOR2, CLOSURE_ATOMIC)
 #: largest ``max_halvings``: a substep of ``dt * 2**-52`` is about one ulp of
 #: ``dt``, and each halving deepens the midpoint solve's recursion by one
 MAX_HALVINGS = 52
+
+#: complex dim x dim arrays alive at once while ``_Dynamics`` builds its noise
+#: matrix: 9.00 x 16 dim^2 bytes of tracemalloc peak for a mean term and the
+#: AtomicExact compensator, 5.26 for a mean term and the Taylor2 closure at two
+#: to five channels, at 2-d torus level 7 (dim 793)
+NOISE_MATRIX_PEAK_ARRAYS = 9
 
 
 @dataclasses.dataclass(frozen=True)
@@ -221,13 +227,14 @@ class _Dynamics:
     On a level every noise term of the drift is linear in the state: the
     compensated mean ``i B_n(m)``, the Taylor2 closure
     ``-1/2 sum_mn cov[m, n] M_m M_n`` or the AtomicExact compensator
-    ``sum_a w_a (exp(-i B(l_a)) - 1 + i B(l_a))``.  Each is built by
-    ``NoiseOperators.product`` on the identity columns (refused before the
-    first one when the build would exceed physical memory) and they are summed
-    once into ``noise_matrix`` (None when no term is present), so each drift
-    evaluation costs one matvec for the noise.  The nonlinearity costs the
-    level's two transforms and the pointwise power.  The workspace holds no
-    per-run state.
+    ``sum_a w_a jump_difference_2(l_a)``, summed over the small atoms.  Each
+    is built by ``NoiseOperators.product`` on the identity columns, each
+    identity refused first when ``NOISE_MATRIX_PEAK_ARRAYS`` dim x dim arrays
+    would exceed physical memory, and added to ``noise_matrix`` (None when no
+    term is present) as it is built, so the build's peak does not grow with
+    the channel count and each drift evaluation costs one matvec for the
+    noise.  The nonlinearity costs the level's two transforms and the
+    pointwise power.  The workspace holds no per-run state.
     """
 
     def __init__(self, problem: GalerkinProblem, config: SolverConfig):
@@ -236,30 +243,39 @@ class _Dynamics:
         self.nl = problem.nonlinearity
         self.to_grid, self.from_grid = level.to_grid, level.from_grid
         self.grid_weights = level.model.grid_weights
-        self.noise_matrix = None
 
         ops = problem.ops
+        # each term is added in order as it is built, the bits of sum(terms)
+        noise = 0
         if ops is not None and problem.measure is not None:
+            def identity():
+                _check_memory(16 * NOISE_MATRIX_PEAK_ARRAYS * level.dim**2,
+                              f"{NOISE_MATRIX_PEAK_ARRAYS} complex {level.dim} x {level.dim} "
+                              f"arrays building a noise matrix of level {level.n}")
+                return np.eye(level.dim, dtype=complex)
+
             moments = problem.measure.moments()
-            terms = []
             if np.any(moments.mean_simulated != 0.0):
-                b_mean = ops.product(moments.mean_simulated)(ops.identity())
+                b_mean = ops.product(moments.mean_simulated)(identity())
                 # its Hermitian part keeps i B_n(m) exactly skew-Hermitian
-                terms.append(0.5j * (b_mean + b_mean.conj().T))
+                noise += 0.5j * (b_mean + b_mean.conj().T)
             if config.closure == CLOSURE_TAYLOR2:
                 # sum_m cov[m, n] M_m is one product, with mark cov[:, n]
                 cov = moments.second_moment_small
                 for unit, column in zip(np.eye(ops.num_channels), cov.T):
                     if np.any(column != 0.0):
-                        m_n = ops.product(unit)(ops.identity())
-                        terms.append(-0.5 * ops.product(column)(m_n))
+                        m_n = ops.product(unit)(identity())
+                        noise += -0.5 * ops.product(column)(m_n)
             else:
                 check_closure(config.closure, problem.measure)
                 marks, weights = problem.measure.small_atoms()
                 if len(weights) > 0:
-                    terms.append(difference_2_matrix(ops, marks, weights))
-            if terms:
-                self.noise_matrix = sum(terms)
+                    eye = identity()
+                    compensator = np.zeros((level.dim, level.dim), dtype=complex)
+                    for weight, mark in zip(weights, marks):
+                        compensator += weight * jump_difference_2(ops, mark, eye)
+                    noise += compensator
+        self.noise_matrix = noise if isinstance(noise, np.ndarray) else None
 
         self.has_remainder = self.nl is not None or self.noise_matrix is not None
 

@@ -52,7 +52,6 @@ class _Workspace:
             size=self.model.num_modes
         )
         self.nl = nonlinear.defocusing(3.0)
-        self.rng = rng
 
 
 _SAMPLE_CONFIG = """
@@ -386,7 +385,7 @@ def check_prm_compensation(ws, tol):
         marks=[[0.4], [-0.2]], weights=[1.0, 0.5]
     ).moments()
     grid = np.linspace(0.0, 2.0, 9)
-    path = oracles.reconstruct_levy_path([], moments, grid)
+    path = oracles.reconstruct_levy_path(noise.JumpPath(), moments, grid)
     want = -np.outer(grid, moments.mean_simulated)
     err = float(np.max(np.abs(path - want)))
     return err <= 1e-14 * tol, f"compensator-only path error {err:.3e}"

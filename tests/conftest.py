@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import numpy.random  # noqa: F401 - see below
 import pytest
@@ -112,3 +114,31 @@ def closed_form_basis(model):
             cosine = np.sqrt(2.0 / L) * np.cos(k * np.pi * x / L)
             values *= np.where(k == 0, 1.0 / np.sqrt(L), cosine)
     return values
+
+
+def brute_force_modulus(times, values, delta):
+    """Enumerate every partition with boundaries at recorded times."""
+    times = np.asarray(times, dtype=float)
+    values = np.asarray(values)
+    if values.ndim == 1:
+        values = values[:, None]
+    m = len(times)
+
+    def osc(a, b):
+        # values active on [times[a], times[b}) are indices a..b-1
+        block = values[a:b]
+        if len(block) <= 1:
+            return 0.0
+        diffs = block[:, None, :] - block[None, :, :]
+        return float(np.max(np.sqrt(np.sum(np.abs(diffs) ** 2, axis=2))))
+
+    best = np.inf
+    interior = range(1, m - 1)
+    for r in range(0, m - 1):
+        for combo in itertools.combinations(interior, r):
+            bounds = [0, *combo, m - 1]
+            if any(times[b] - times[a] < delta
+                   for a, b in zip(bounds, bounds[1:])):
+                continue
+            best = min(best, max(osc(a, b) for a, b in zip(bounds, bounds[1:])))
+    return best

@@ -16,6 +16,8 @@ import pytest
 from jumpnls import jumps, noise, nonlinear, oracles, solver, spectral
 from jumpnls.cli import main as cli_main
 
+from conftest import brute_force_modulus
+
 GOLDEN = 0.6180339887498949
 
 
@@ -285,28 +287,6 @@ def test_09_coupled_level_convergence(model):
            "sup dual distances "
            + ", ".join(f"n={n}: {d:.3e}" for n, d in zip((4, 5, 6, 7), distances))
            + f", {len(path)} shared jumps")
-
-
-def brute_force_modulus(times, values, delta):
-    times = np.asarray(times, dtype=float)
-    values = np.asarray(values, dtype=float)[:, None]
-    m = len(times)
-
-    def osc(a, b):
-        block = values[a:b]
-        if len(block) <= 1:
-            return 0.0
-        return float(np.max(np.abs(block[:, None, :] - block[None, :, :])))
-
-    best = np.inf
-    for r in range(0, m - 1):
-        for combo in itertools.combinations(range(1, m - 1), r):
-            bounds = [0, *combo, m - 1]
-            if any(times[b] - times[a] < delta
-                   for a, b in zip(bounds, bounds[1:])):
-                continue
-            best = min(best, max(osc(a, b) for a, b in zip(bounds, bounds[1:])))
-    return best
 
 
 def test_10_modulus_oracle():

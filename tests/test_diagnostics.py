@@ -1,6 +1,5 @@
 """Diagnostics tests: energy report, oscillation modulus, ensemble statistics."""
 
-import itertools
 import math
 import tracemalloc
 
@@ -20,7 +19,7 @@ from jumpnls.oracles import cadlag_modulus, energy, energy_derivative
 from jumpnls.solver import GalerkinProblem, SolverConfig, simulate
 from jumpnls.spectral import build_level
 
-from conftest import top_level
+from conftest import brute_force_modulus, top_level
 
 
 # ---------------------------------------------------------------------------
@@ -82,34 +81,6 @@ def test_energy_near_conservation_deterministic_run(torus_model):
 # ---------------------------------------------------------------------------
 # oscillation modulus
 # ---------------------------------------------------------------------------
-
-def brute_force_modulus(times, values, delta):
-    """Enumerate every partition with boundaries at recorded times."""
-    times = np.asarray(times, dtype=float)
-    values = np.asarray(values)
-    if values.ndim == 1:
-        values = values[:, None]
-    m = len(times)
-
-    def osc(a, b):
-        # values active on [times[a], times[b}) are indices a..b-1
-        block = values[a:b]
-        if len(block) <= 1:
-            return 0.0
-        diffs = block[:, None, :] - block[None, :, :]
-        return float(np.max(np.sqrt(np.sum(np.abs(diffs) ** 2, axis=2))))
-
-    best = np.inf
-    interior = range(1, m - 1)
-    for r in range(0, m - 1):
-        for combo in itertools.combinations(interior, r):
-            bounds = [0, *combo, m - 1]
-            if any(times[b] - times[a] < delta
-                   for a, b in zip(bounds, bounds[1:])):
-                continue
-            best = min(best, max(osc(a, b) for a, b in zip(bounds, bounds[1:])))
-    return best
-
 
 def test_modulus_hand_worked_path():
     times = [0.0, 0.25, 0.5, 0.75, 1.0]

@@ -467,7 +467,7 @@ def test_noise_matrix_refused_beyond_physical_memory(torus_model, monkeypatch, c
                             symbols=np.cos(x), measure=AtomicMeasure(
                               marks=[[0.4], [-0.4]], weights=[1.0, 1.0], epsilon=0.0))
     dim = problem.level.dim
-    needed = 16 * jumps.NOISE_MATRIX_PEAK_ARRAYS * dim**2
+    needed = 16 * solver.NOISE_MATRIX_PEAK_ARRAYS * dim**2
     monkeypatch.setattr(spectral, "_physical_memory", lambda: needed - 1)
     with pytest.raises(ConfigurationError, match=(
             f"complex {dim} x {dim} arrays building a noise matrix of level 4 "
@@ -476,6 +476,42 @@ def test_noise_matrix_refused_beyond_physical_memory(torus_model, monkeypatch, c
     assert _Dynamics(quiet, SolverConfig(closure=closure)).noise_matrix is None
     monkeypatch.setattr(spectral, "_physical_memory", lambda: needed)
     assert _Dynamics(problem, SolverConfig(closure=closure)).noise_matrix.shape == (dim, dim)
+
+
+def test_noise_matrix_build_peak_stays_within_its_guard():
+    # 2-d torus level 6 (dim 401, grid 1024): the terms are summed as they are
+    # built, so five Taylor2 channels peak as two do, and no build outgrows
+    # the NOISE_MATRIX_PEAK_ARRAYS that its guard counts; the extra assembly
+    # block covers the grid-size temporaries of a product
+    model = spectral.build_spectral_model(spectral.torus_2d(2 * np.pi, 2 * np.pi), max_level=7)
+    level = build_level(model, 6)
+    x, y = model.grid_points[:, 0], model.grid_points[:, 1]
+    u0 = decaying_initial(model)
+
+    def peak(closure, symbols, atoms, epsilon):
+        problem = GalerkinProblem(level, 1.0, u0, symbols=symbols, measure=AtomicMeasure(
+            marks=atoms[0], weights=atoms[1], epsilon=epsilon))
+        tracemalloc.start()
+        try:
+            assert _Dynamics(problem, SolverConfig(closure=closure)).noise_matrix is not None
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peaks = {case: peak(closure, [np.cos(x), np.sin(2.0 * y) + 0.3], atoms, epsilon)
+             for case, (closure, atoms, epsilon) in NOISE_TERM_CASES.items()}
+    # one atom above the cutoff and three below it, each moving all five channels
+    five = ([[0.3, -0.2, 0.25, 0.1, -0.3], [0.05, -0.03, 0.02, 0.04, -0.01],
+             [-0.02, 0.06, 0.01, -0.05, 0.03], [0.04, 0.02, -0.06, 0.01, 0.05]],
+            [1.0, 2.0, 3.0, 1.5])
+    peaks["Taylor2, five channels"] = peak(
+        CLOSURE_TAYLOR2,
+        [np.cos(x), np.sin(2.0 * y) + 0.3, np.cos(x + y), np.sin(2.0 * x), np.cos(x - 2.0 * y)],
+        five, 0.25)
+    dim = level.dim
+    assert abs(peaks["Taylor2, five channels"] - peaks["Taylor2"]) <= 0.1 * 16 * dim**2
+    bound = 16 * (solver.NOISE_MATRIX_PEAK_ARRAYS * dim**2 + jumps.ASSEMBLY_BLOCK_ENTRIES)
+    assert all(value <= bound for value in peaks.values()), peaks
 
 
 def kernel_cases(model, level_n, dense):
